@@ -1,0 +1,12 @@
+"""Harness self-tests (outside tier-1's ``testpaths``).
+
+    PYTHONPATH=src python -m pytest benchmarks/e2e/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+HARNESS = Path(__file__).resolve().parents[1]
+for path in (HARNESS, HARNESS.parents[1] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
