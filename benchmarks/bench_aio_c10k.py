@@ -217,7 +217,6 @@ def test_aio_drain_matches_threaded_pipeline(
                     config=MsgDispatcherConfig(
                         ws_threads=2,
                         batch_size=batch_size,
-                        pipeline_batches=True,
                         # a pre-filled backlog, like the simnet drain bench
                         accept_queue=messages,
                         destination_queue=messages,

@@ -1,12 +1,12 @@
 """Serial vs pipelined WsThread drain (the connection-lease fast path).
 
 One backlog of one-way messages to a single WAN destination (≥5 ms each
-way), drained by the simulated MSG-Dispatcher twice: ``pipeline_batches``
-off (one request/response round trip per message, the pre-lease
-behaviour) and on (each batch rides one write burst on the leased
-connection).  With batch_size=8 the pipelined drain pays ~1 RTT per batch
-instead of per message, so the expected speedup at WAN latency is near
-the batch size; the gate is a conservative 2x.  The same run checks the
+way), drained by the simulated MSG-Dispatcher twice: ``batch_size=1``
+(one request/response round trip per message, the pre-lease behaviour)
+and ``batch_size=8`` (each batch rides one write burst on the leased
+connection).  The pipelined drain pays ~1 RTT per batch instead of per
+message, so the expected speedup at WAN latency is near the batch size;
+the gate is a conservative 2x.  The same run checks the
 registry lookup cache: every message resolves the same logical name, so
 all but the first resolution must be cache hits.
 """
@@ -26,7 +26,7 @@ from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
 
 
-def _drain_backlog(messages: int, batch_size: int, pipelined: bool):
+def _drain_backlog(messages: int, batch_size: int):
     """Deliver a t=0 backlog of ``messages`` one-way sends; return stats."""
     sim = Simulator()
     net = Network(sim)
@@ -45,7 +45,6 @@ def _drain_backlog(messages: int, batch_size: int, pipelined: bool):
     registry.register("echo", "http://svc:9000/echo")
     config = SimMsgDispatcherConfig(
         cx_workers=4, ws_workers=2, batch_size=batch_size,
-        pipeline_batches=pipelined,
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry,
@@ -73,12 +72,11 @@ def _drain_backlog(messages: int, batch_size: int, pipelined: bool):
 
 def test_pipelined_drain_speedup(benchmark, paper_scale, record_report):
     messages = 400 if paper_scale else 200
-    batch_size = 8
 
     def run():
         return {
-            "serial": _drain_backlog(messages, batch_size, pipelined=False),
-            "pipelined": _drain_backlog(messages, batch_size, pipelined=True),
+            "serial": _drain_backlog(messages, batch_size=1),
+            "pipelined": _drain_backlog(messages, batch_size=8),
         }
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -108,77 +106,3 @@ def test_pipelined_drain_speedup(benchmark, paper_scale, record_report):
     assert speedup >= 2.0
     # every message resolves the same logical name: near-perfect cache hits
     assert piped["cache"]["hit_rate"] > 0.90
-
-
-def _tcp_echo_round_trips(messages: int, nodelay: bool) -> dict:
-    """Sequential small POSTs over real loopback TCP with Nagle's
-    algorithm enabled or disabled on both ends."""
-    import time
-
-    from repro.http import Headers, HttpRequest, HttpResponse
-    from repro.rt.client import HttpClient
-    from repro.rt.server import HttpServer
-    from repro.transport.tcp import TcpConnector, TcpListener
-
-    listener = TcpListener("127.0.0.1:0", nodelay=nodelay)
-    server = HttpServer(
-        listener, lambda request, peer: HttpResponse(status=202), workers=4
-    ).start()
-    client = HttpClient(TcpConnector(nodelay=nodelay))
-    url = f"http://{listener.endpoint}/echo"
-    try:
-        t0 = time.perf_counter()
-        for i in range(messages):
-            response = client.request(
-                url,
-                HttpRequest(
-                    "POST", "/echo", headers=Headers(), body=b"<m>%d</m>" % i
-                ),
-            )
-            assert response.status == 202
-        elapsed = time.perf_counter() - t0
-    finally:
-        client.close()
-        server.stop()
-    return {
-        "delivered": messages,
-        "wall_seconds": round(elapsed, 4),
-        "msgs_per_sec": round(messages / elapsed, 1) if elapsed else 0.0,
-    }
-
-
-def test_tcp_nodelay_before_after(benchmark, paper_scale, record_report):
-    """Informational before/after for the TCP_NODELAY knob on the real
-    TCP transport (client connector and server listener together).
-
-    Strict request/response ping-pong rarely trips Nagle on loopback —
-    each small write departs with no unacknowledged data in flight — so
-    no speedup is gated here; the artifact row exists to catch the
-    opposite accident: a transport change that re-introduces a
-    Nagle/delayed-ACK stall would crater the ``nodelay_on`` figure
-    against history."""
-    messages = 600 if paper_scale else 200
-
-    def run():
-        return {
-            "nodelay_off": _tcp_echo_round_trips(messages, nodelay=False),
-            "nodelay_on": _tcp_echo_round_trips(messages, nodelay=True),
-        }
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = ["variant\tdelivered\twall_s\tmsgs/s"]
-    for label in ("nodelay_off", "nodelay_on"):
-        v = out[label]
-        rows.append(
-            f"{label}\t{v['delivered']}\t{v['wall_seconds']:.3f}\t"
-            f"{v['msgs_per_sec']:.0f}"
-        )
-    record_report("tcp_nodelay", "\n".join(rows))
-    from _perfjson import merge_bench_json
-
-    merge_bench_json(
-        "pipeline_drain",
-        {"tcp_nodelay": [dict(out[label], variant=label) for label in out]},
-    )
-    assert out["nodelay_on"]["delivered"] == messages
-    assert out["nodelay_off"]["delivered"] == messages

@@ -63,7 +63,6 @@ class AioHttpClient:
         metrics: MetricsRegistry | None = None,
         overload_retries: int = 0,
         retry_after_cap: float = 30.0,
-        nodelay: bool = True,
     ) -> None:
         self.connect_timeout = connect_timeout
         self.response_timeout = response_timeout
@@ -71,7 +70,6 @@ class AioHttpClient:
         self._user_agent = user_agent
         self.overload_retries = overload_retries
         self.retry_after_cap = retry_after_cap
-        self._nodelay = nodelay
         # No lock: every pool access happens on the loop thread, and no
         # await point sits inside a check-out/check-in sequence.
         self._pools: dict[Endpoint, list[_AioConn]] = {}
@@ -119,7 +117,7 @@ class AioHttpClient:
         except OSError as exc:
             raise TransportError(f"connect to {endpoint}: {exc}") from None
         sock = writer.get_extra_info("socket")
-        if self._nodelay and sock is not None and sock.family != socket.AF_UNIX:
+        if sock is not None and sock.family != socket.AF_UNIX:
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:

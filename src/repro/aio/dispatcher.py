@@ -158,7 +158,7 @@ class AioMsgDispatcher(MsgDispatcher):
                     continue
                 except QueueClosed:
                     return
-                if self.config.pipeline_batches and len(batch) > 1:
+                if len(batch) > 1:
                     await self._adeliver_batch(batch)
                 else:
                     for item in batch:
@@ -256,8 +256,7 @@ class AioMsgDispatcher(MsgDispatcher):
             # store reschedules (routing itself is non-blocking, so the
             # inherited synchronous _route_one is safe on the loop)
             envelope = parse_envelope(
-                msg.envelope_bytes, counter=self._m_fastpath,
-                fast=self.config.fast_path,
+                msg.envelope_bytes, counter=self._m_fastpath
             )
             self._route_one(
                 envelope, split_hold_resolve_target(msg.target_url),

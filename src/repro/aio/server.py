@@ -50,7 +50,6 @@ class AioHttpServer:
         keep_alive_timeout: float = 15.0,
         name: str = "aio-http",
         metrics: MetricsRegistry | None = None,
-        nodelay: bool = True,
         backlog: int = 512,
         reuse_port: bool = False,
         sock: socket.socket | None = None,
@@ -59,7 +58,6 @@ class AioHttpServer:
         self._host = host
         self._port = port
         self._keep_alive_timeout = keep_alive_timeout
-        self._nodelay = nodelay
         self._backlog = backlog
         self._reuse_port = reuse_port
         self._sock = sock
@@ -150,7 +148,7 @@ class AioHttpServer:
         self._connections_served += 1
         self._open_connections += 1
         sock = writer.get_extra_info("socket")
-        if self._nodelay and sock is not None and sock.family != socket.AF_UNIX:
+        if sock is not None and sock.family != socket.AF_UNIX:
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:

@@ -79,10 +79,6 @@ class MsgDispatcherConfig:
     destination_queue: int = 1024
     #: messages drained per connection write burst (batching ablation A2)
     batch_size: int = 8
-    #: pipeline a drained batch as one write burst on a leased connection
-    #: (False = serial request/response per message, the pre-pipelining
-    #: drain path; the A2 ablation and bench_pipeline_drain compare both)
-    pipeline_batches: bool = True
     #: how long a WsThread keeps an idle destination before releasing it
     destination_idle_ttl: float = 10.0
     #: correlation (MessageID → ReplyTo) lifetime
@@ -101,11 +97,6 @@ class MsgDispatcherConfig:
     max_inflight: int | None = None
     #: Retry-After seconds advertised when shedding
     shed_retry_after: float = 1.0
-    #: operate on zero-copy LazyEnvelopes end to end: headers are rewritten
-    #: as Elements, the Body is forwarded as an unparsed byte slice.  False
-    #: materializes incoming lazy envelopes into full DOMs at admission
-    #: (the slow-path ablation knob; bench_fastpath measures the gap)
-    fast_path: bool = True
     #: sliding-window duplicate suppression on the inbound absorption path
     #: (seconds); at-least-once redelivery — journal replay, client
     #: resends, hold-store retries from an upstream dispatcher — becomes
@@ -382,10 +373,7 @@ class MsgDispatcher:
                 continue
             self._replayed_seqs.add(rec.seq)
             try:
-                envelope = parse_envelope(
-                    rec.body, counter=self._m_fastpath,
-                    fast=self.config.fast_path,
-                )
+                envelope = parse_envelope(rec.body, counter=self._m_fastpath)
             except ReproError:
                 self._dead_letter(rec.seq, "corrupt")
                 continue
@@ -445,8 +433,6 @@ class MsgDispatcher:
     def handle(self, envelope: Envelope, ctx: RequestContext) -> None:
         """Accept a one-way message; processing continues on the pools."""
         t_arrival = self.clock.now()
-        if not self.config.fast_path and isinstance(envelope, LazyEnvelope):
-            envelope = envelope.materialize()
         trace = extract_trace(envelope)
         self._admit(envelope, ctx.path, trace, t_arrival)
         return None  # HTTP layer answers 202 Accepted
@@ -852,7 +838,7 @@ class MsgDispatcher:
                     return  # idle: release the slot
                 except QueueClosed:
                     return
-                if self.config.pipeline_batches and len(batch) > 1:
+                if len(batch) > 1:
                     self._deliver_batch(batch)
                 else:
                     for item in batch:
@@ -1087,8 +1073,7 @@ class MsgDispatcher:
             # pipeline (the rewrite preserves the MessageID, so a later
             # delivery failure re-holds under the physical URL).
             envelope = parse_envelope(
-                msg.envelope_bytes, counter=self._m_fastpath,
-                fast=self.config.fast_path,
+                msg.envelope_bytes, counter=self._m_fastpath
             )
             self._route_one(
                 envelope, split_hold_resolve_target(msg.target_url),
@@ -1199,11 +1184,7 @@ class MsgDispatcher:
         if response.status != 200 or not response.body or item.message_id is None:
             return
         try:
-            envelope = parse_envelope(
-                response.body,
-                counter=self._m_fastpath,
-                fast=self.config.fast_path,
-            )
+            envelope = parse_envelope(response.body, counter=self._m_fastpath)
             headers = AddressingHeaders.from_envelope(envelope)
         except ReproError:
             self.counters.inc("inband_unparseable")

@@ -55,6 +55,82 @@ class ServiceRecord:
             raise RegistryError(f"service {self.logical!r} needs >=1 physical address")
 
 
+class LookupCache:
+    """TTL read-through cache of logical name → :class:`ServiceRecord`,
+    shared by :class:`ServiceRegistry` and
+    :class:`~repro.registry.client.ReplicatedRegistryClient`.
+
+    ``resolve`` is the owner's slow path and ``now`` its clock.  A hit
+    takes no lock.  Concurrent misses for one name are single-flighted
+    (one caller resolves, the rest share its result and count as
+    ``coalesced``), so an expiry under load cannot stampede the backing
+    store.  A ``resolve`` that raises caches nothing; ``ttl <= 0``
+    disables the cache.  Outcomes are exported as
+    ``registry_cache_total{outcome=hit|miss|coalesced}`` on ``metrics``.
+    """
+
+    def __init__(
+        self,
+        resolve: Callable[[str], ServiceRecord],
+        now: Callable[[], float],
+        ttl: float,
+        metrics: MetricsRegistry,
+    ) -> None:
+        self._resolve = resolve
+        self._now = now
+        self._ttl = ttl
+        counter = metrics.counter(
+            "registry_cache_total", "lookup cache outcomes, by outcome"
+        )
+        self._m_hits = counter.labels(outcome="hit")
+        self._m_misses = counter.labels(outcome="miss")
+        self._m_coalesced = counter.labels(outcome="coalesced")
+        self._flight: SingleFlight[ServiceRecord] = SingleFlight()
+        #: logical -> (record, deadline); plain dict, no lock — single-key
+        #: get/set/pop are atomic under the GIL and a racing reader at
+        #: worst re-resolves through the owner's slow path
+        self._entries: dict[str, tuple[ServiceRecord, float]] = {}
+
+    def get(self, logical: str) -> ServiceRecord:
+        if self._ttl <= 0:
+            return self._resolve(logical)
+        entry = self._entries.get(logical)
+        if entry is not None:
+            record, deadline = entry
+            if deadline >= self._now() and record.enabled:
+                self._m_hits.inc()
+                return record
+            self._entries.pop(logical, None)
+        coalesced = False
+        try:
+            record, coalesced = self._flight.run(
+                logical, lambda: self._fill(logical)
+            )
+        finally:
+            (self._m_coalesced if coalesced else self._m_misses).inc()
+        return record
+
+    def _fill(self, logical: str) -> ServiceRecord:
+        record = self._resolve(logical)
+        self._entries[logical] = (record, self._now() + self._ttl)
+        return record
+
+    def invalidate(self, logical: str) -> None:
+        """Drop a cached lookup after any mutation of its record."""
+        self._entries.pop(logical, None)
+
+    def stats(self) -> dict[str, float]:
+        hits = float(self._m_hits.get())
+        misses = float(self._m_misses.get())
+        total = hits + misses
+        return {
+            "hits": hits,
+            "misses": misses,
+            "coalesced": float(self._m_coalesced.get()),
+            "hit_rate": hits / total if total else 0.0,
+        }
+
+
 class ServiceRegistry:
     """Thread-safe logical→physical mapping with optional persistence."""
 
@@ -71,11 +147,11 @@ class ServiceRegistry:
         relational-database future work.  ``persist_path`` is shorthand
         for the text-file backend.
 
-        ``lookup_cache_ttl`` enables a read-through cache in front of
-        :meth:`lookup`: the dispatchers resolve the same handful of
-        logical names once per message, and the CxThread path should not
-        pay the registry lock (or, with a database backend, the backing
-        store) per message.  Every mutation of a record —
+        ``lookup_cache_ttl`` enables a read-through :class:`LookupCache`
+        in front of :meth:`lookup`: the dispatchers resolve the same
+        handful of logical names once per message, and the CxThread path
+        should not pay the registry lock (or, with a database backend, the
+        backing store) per message.  Every mutation of a record —
         :meth:`register`, :meth:`unregister`, :meth:`add_physical`,
         :meth:`remove_physical`, :meth:`set_enabled` — invalidates that
         record's cache entry immediately; the TTL only bounds staleness
@@ -91,21 +167,10 @@ class ServiceRegistry:
         self._m_misses = self.metrics.counter(
             "registry_misses_total", "resolutions that found no enabled service"
         )
-        cache_counter = self.metrics.counter(
-            "registry_cache_total", "lookup cache outcomes, by outcome"
+        self._cache = LookupCache(
+            self._lookup_uncached, time.monotonic, lookup_cache_ttl,
+            self.metrics,
         )
-        self._m_cache_hits = cache_counter.labels(outcome="hit")
-        self._m_cache_misses = cache_counter.labels(outcome="miss")
-        self._m_cache_coalesced = cache_counter.labels(outcome="coalesced")
-        self._cache_ttl = lookup_cache_ttl
-        #: stampede protection: concurrent cache misses for one logical
-        #: name collapse into one locked resolution (the waiters count as
-        #: outcome="coalesced" instead of "miss")
-        self._miss_flight: SingleFlight[ServiceRecord] = SingleFlight()
-        #: logical -> (record, monotonic deadline); plain dict, no lock —
-        #: single-key get/set/pop are atomic under the GIL and a racing
-        #: reader at worst re-resolves through the locked slow path
-        self._cache: dict[str, tuple[ServiceRecord, float]] = {}
         self.metrics.gauge(
             "registry_services", "registered logical services"
         ).set_function(lambda: len(self))
@@ -140,7 +205,7 @@ class ServiceRegistry:
         with self._lock:
             self._records[logical] = record
             self._persist(record)
-            self._invalidate(logical)
+            self._cache.invalidate(logical)
         log_event(
             self._log, logging.INFO, "register",
             logical=logical, physical=",".join(addresses),
@@ -153,7 +218,7 @@ class ServiceRegistry:
             if physical not in record.physical:
                 record.physical.append(physical)
                 self._persist(record)
-                self._invalidate(logical)
+                self._cache.invalidate(logical)
 
     def remove_physical(self, logical: str, physical: str) -> None:
         with self._lock:
@@ -165,14 +230,14 @@ class ServiceRegistry:
                     )
                 record.physical.remove(physical)
                 self._persist(record)
-                self._invalidate(logical)
+                self._cache.invalidate(logical)
 
     def unregister(self, logical: str) -> bool:
         with self._lock:
             existed = self._records.pop(logical, None) is not None
             if existed and self._db is not None:
                 self._db.remove(logical)
-            self._invalidate(logical)
+            self._cache.invalidate(logical)
         if existed:
             log_event(self._log, logging.INFO, "unregister", logical=logical)
         return existed
@@ -180,11 +245,7 @@ class ServiceRegistry:
     def set_enabled(self, logical: str, enabled: bool) -> None:
         with self._lock:
             self._require(logical).enabled = enabled
-            self._invalidate(logical)
-
-    def _invalidate(self, logical: str) -> None:
-        """Drop a cached lookup after any mutation of its record."""
-        self._cache.pop(logical, None)
+            self._cache.invalidate(logical)
 
     def _persist(self, record: ServiceRecord) -> None:
         if self._db is None:
@@ -205,49 +266,27 @@ class ServiceRegistry:
         """Full record for a logical address (raises UnknownServiceError).
 
         Read-through cached (see ``lookup_cache_ttl``): a hit returns the
-        live record without taking the registry lock; a miss resolves
-        under the lock and populates the cache.  Concurrent misses for the
-        same name are single-flighted — one caller resolves, the rest wait
-        and share the result (outcome="coalesced"), so a cache expiry
-        under load cannot stampede the backing store.  Unknown/disabled
-        names are never negatively cached — a service that registers
-        becomes resolvable immediately.
+        live record without resolving under the registry lock; a miss
+        does.  Unknown/disabled names are never negatively cached — a
+        service that registers becomes resolvable immediately.
         """
         self._m_lookups.inc()
         if not self._available:
             with self._lock:
                 self._unavailable_rejects += 1
             raise RegistryUnavailable("registry is unavailable")
-        if self._cache_ttl > 0:
-            entry = self._cache.get(logical)
-            if entry is not None:
-                record, deadline = entry
-                if deadline >= time.monotonic() and record.enabled:
-                    self._m_cache_hits.inc()
-                    with self._lock:
-                        self._lookups += 1
-                    return record
-                self._cache.pop(logical, None)
-            coalesced = False
-            try:
-                record, coalesced = self._miss_flight.run(
-                    logical, lambda: self._lookup_uncached(logical)
-                )
-            finally:
-                outcome = self._m_cache_coalesced if coalesced else self._m_cache_misses
-                outcome.inc()
-            if coalesced:
-                with self._lock:
-                    self._lookups += 1
-            return record
-        return self._lookup_uncached(logical)
-
-    def _lookup_uncached(self, logical: str) -> ServiceRecord:
-        """The locked slow path: resolve and (re)populate the cache."""
+        record = self._cache.get(logical)
         with self._lock:
             self._lookups += 1
+        return record
+
+    def _lookup_uncached(self, logical: str) -> ServiceRecord:
+        """The locked slow path behind the cache."""
+        with self._lock:
             record = self._records.get(logical)
             if record is None or not record.enabled:
+                # a found record is counted by lookup(), hit or not
+                self._lookups += 1
                 self._misses += 1
                 miss = True
             else:
@@ -256,8 +295,6 @@ class ServiceRegistry:
             self._m_misses.inc()
             log_event(self._log, logging.DEBUG, "miss", logical=logical)
             raise UnknownServiceError(logical)
-        if self._cache_ttl > 0:
-            self._cache[logical] = (record, time.monotonic() + self._cache_ttl)
         return record
 
     def resolve(self, logical: str) -> str:
@@ -299,17 +336,8 @@ class ServiceRegistry:
 
     def cache_stats(self) -> dict[str, float]:
         """Lookup-cache effectiveness (also exported as
-        ``registry_cache_total{outcome=hit|miss}``)."""
-        hits = float(self._m_cache_hits.get())
-        misses = float(self._m_cache_misses.get())
-        coalesced = float(self._m_cache_coalesced.get())
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "coalesced": coalesced,
-            "hit_rate": hits / total if total else 0.0,
-        }
+        ``registry_cache_total{outcome=hit|miss|coalesced}``)."""
+        return self._cache.stats()
 
     # -- liveness (future work: "checking if service is alive") -----------
     def check_alive(

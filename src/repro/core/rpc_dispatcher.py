@@ -24,7 +24,6 @@ from typing import Callable
 
 from repro.errors import (
     AuthError,
-    FastPathUnsupported,
     ReproError,
     SoapError,
     TransportError,
@@ -37,7 +36,13 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace
 from repro.rt.client import HttpClient
 from repro.rt.service import soap_fault_response
-from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter
+from repro.soap import (
+    Envelope,
+    Fault,
+    LazyEnvelope,
+    fastpath_counter,
+    parse_envelope,
+)
 from repro.util.clock import Clock, MonotonicClock
 from repro.core.registry import ServiceRegistry
 from repro.core.routing import extract_logical
@@ -75,18 +80,12 @@ class RpcDispatcher:
         traces: TraceStore | None = None,
         max_inflight: int | None = None,
         shed_retry_after: float = 1.0,
-        fast_path: bool = True,
     ) -> None:
         self.registry = registry
         self.client = client
         self.mount_prefix = mount_prefix
         self.inspector = inspector
         self.max_body = max_body
-        #: zero-copy forwarding: scan-validate the request (headers parsed,
-        #: Body left as a byte slice) and forward the original bytes
-        #: verbatim, instead of the paper's parse + copy-to-a-new-document.
-        #: Messages the scanner cannot prove safe fall back to the copy.
-        self.fast_path = fast_path
         #: admission control: concurrent forwards above this are shed
         #: with 503 Retry-After (each forward blocks a server thread, so
         #: this bounds the dispatcher's exposure to slow services)
@@ -184,31 +183,21 @@ class RpcDispatcher:
             self._reject("bad_target")
             return soap_fault_response(Fault("Client", str(exc)), status=404)
 
-        # Validity-check the XML message.  On the fast path the scanner
-        # proves the envelope shape without parsing the Body, and the
-        # original bytes are forwarded verbatim; otherwise the paper's
-        # copy-to-a-new-document (parse + re-serialize) runs.
-        envelope: Envelope | LazyEnvelope | None = None
-        if self.fast_path:
-            try:
-                envelope = LazyEnvelope.from_bytes(request.body)
-            except FastPathUnsupported as exc:
-                self._m_fastpath.labels(outcome=exc.reason).inc()
-            else:
-                self._m_fastpath.labels(outcome="fast").inc()
-        else:
-            self._m_fastpath.labels(outcome="disabled").inc()
-        if envelope is None:
-            try:
-                envelope = Envelope.from_bytes(request.body)
-            except (XmlError, SoapError) as exc:
-                self._reject("invalid_soap")
-                return soap_fault_response(
-                    Fault("Client", f"invalid SOAP request: {exc}"), status=400
-                )
-            forward_body = envelope.to_bytes()
-        else:
+        # Validity-check the XML message.  When the scanner proves the
+        # envelope shape without parsing the Body, the original bytes are
+        # forwarded verbatim; messages it cannot prove safe get the
+        # paper's copy-to-a-new-document (parse + re-serialize).
+        try:
+            envelope = parse_envelope(request.body, counter=self._m_fastpath)
+        except (XmlError, SoapError) as exc:
+            self._reject("invalid_soap")
+            return soap_fault_response(
+                Fault("Client", f"invalid SOAP request: {exc}"), status=400
+            )
+        if isinstance(envelope, LazyEnvelope):
             forward_body = request.body
+        else:
+            forward_body = envelope.to_bytes()
 
         trace = extract_trace(envelope)
         trace_id = trace.trace_id if trace else None

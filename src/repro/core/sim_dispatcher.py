@@ -85,14 +85,10 @@ class SimRpcDispatcher:
         balancer: object | None = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
-        fast_path: bool = True,
     ) -> None:
         """``balancer`` (a :class:`~repro.core.loadbalance.BalancerPolicy`)
         receives on_start/on_finish load feedback per forwarded call so
-        least-pending selection can see in-flight work.
-
-        ``fast_path`` mirrors the threaded RpcDispatcher: scan-validate
-        and forward the request bytes verbatim instead of parse + copy."""
+        least-pending selection can see in-flight work."""
         self.net = net
         self.registry = registry
         self.mount_prefix = mount_prefix
@@ -120,7 +116,6 @@ class SimRpcDispatcher:
             "rpcd_forward_seconds",
             "blocking dispatcher-to-service exchange time",
         )
-        self.fast_path = fast_path
         self._m_fastpath = fastpath_counter(self.metrics)
 
     def handler(self, request: HttpRequest):
@@ -129,9 +124,7 @@ class SimRpcDispatcher:
             return HttpResponse(status=405, body=b"RPC dispatcher accepts POST")
         try:
             logical = extract_logical(request.target, self.mount_prefix)
-            envelope = parse_envelope(
-                request.body, counter=self._m_fastpath, fast=self.fast_path
-            )
+            envelope = parse_envelope(request.body, counter=self._m_fastpath)
         except (RoutingError, XmlError, SoapError) as exc:
             self.counters.inc("rejected")
             self._m_rejected.labels(reason="bad_request").inc()
@@ -200,9 +193,6 @@ class SimMsgDispatcherConfig:
     accept_queue: int = 1024
     destination_queue: int = 1024
     batch_size: int = 8
-    #: drain a multi-message batch as one pipelined burst on the leased
-    #: connection instead of serial request/response round-trips
-    pipeline_batches: bool = True
     #: concurrent WsThreads (connections) a single busy destination may use
     parallel_per_destination: int = 1
     destination_idle_ttl: float = 10.0
@@ -224,9 +214,6 @@ class SimMsgDispatcherConfig:
     shed_retry_after: float = 1.0
     #: how often the hold/retry pump re-examines parked messages
     hold_pump_interval: float = 0.25
-    #: zero-copy envelopes: scan-parse incoming messages (headers only)
-    #: and forward by byte splicing; False = full DOM parse + re-serialize
-    fast_path: bool = True
     #: sliding-window duplicate suppression on the inbound absorption path
     #: (sim seconds); None = forward duplicates untouched
     dedupe_window: float | None = None
@@ -397,10 +384,7 @@ class SimMsgDispatcher:
                 continue
             self._replayed_seqs.add(rec.seq)
             try:
-                envelope = parse_envelope(
-                    rec.body, counter=self._m_fastpath,
-                    fast=self.config.fast_path,
-                )
+                envelope = parse_envelope(rec.body, counter=self._m_fastpath)
             except ReproError:
                 self._dead_letter(rec.seq, "corrupt")
                 continue
@@ -462,11 +446,7 @@ class SimMsgDispatcher:
         if request.method != "POST":
             return HttpResponse(status=405, body=b"MSG dispatcher accepts POST")
         try:
-            envelope = parse_envelope(
-                request.body,
-                counter=self._m_fastpath,
-                fast=self.config.fast_path,
-            )
+            envelope = parse_envelope(request.body, counter=self._m_fastpath)
         except (XmlError, SoapError) as exc:
             self.counters.inc("rejected")
             self._m_dropped.labels(reason="invalid_soap").inc()
@@ -852,7 +832,7 @@ class SimMsgDispatcher:
                 slot = self._ws_slots.request()
                 yield slot
                 try:
-                    if self.config.pipeline_batches and len(batch) > 1:
+                    if len(batch) > 1:
                         yield from self._deliver_batch(host, port, batch)
                     else:
                         for item in batch:
@@ -1154,8 +1134,7 @@ class SimMsgDispatcher:
         path = split_hold_resolve_target(msg.target_url)
         try:
             envelope = parse_envelope(
-                msg.envelope_bytes, counter=self._m_fastpath,
-                fast=self.config.fast_path,
+                msg.envelope_bytes, counter=self._m_fastpath
             )
             outbound = self._route_one(
                 envelope, path, trace=extract_trace(envelope), from_hold=True
@@ -1199,11 +1178,7 @@ class SimMsgDispatcher:
         if response.status != 200 or not response.body or message_id is None:
             return
         try:
-            envelope = parse_envelope(
-                response.body,
-                counter=self._m_fastpath,
-                fast=self.config.fast_path,
-            )
+            envelope = parse_envelope(response.body, counter=self._m_fastpath)
             headers = AddressingHeaders.from_envelope(envelope)
         except ReproError:
             self.counters.inc("inband_unparseable")

@@ -162,7 +162,6 @@ def _msgbox_scenario(
     ws_workers: int,
     batch_size: int,
     pool_per_destination: int,
-    pipeline_batches: bool = True,
 ):
     sim = Simulator()
     net = Network(sim)
@@ -178,7 +177,6 @@ def _msgbox_scenario(
     registry.register("echo", "http://iuWS:9000/echo")
     config = SimMsgDispatcherConfig(
         cx_workers=4, ws_workers=ws_workers, batch_size=batch_size,
-        pipeline_batches=pipeline_batches,
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://iuWSD:8000/msg", config=config
@@ -264,15 +262,13 @@ def batching(
         "variant\taccepted/min\tdelivered\tfresh_connects\treuses\tbursts"
     ]
     variants = {
-        "batch=8, pipelined": (8, 2, True),
-        "batch=8, serial-drain": (8, 2, False),
-        "batch=1, persistent": (1, 2, False),
-        "batch=1, conn-per-msg": (1, 0, False),
+        "batch=8, pipelined": (8, 2),
+        "batch=1, persistent": (1, 2),
+        "batch=1, conn-per-msg": (1, 0),
     }
-    for label, (batch, pool, pipelined) in variants.items():
+    for label, (batch, pool) in variants.items():
         sim, net, client, store, dispatcher = _msgbox_scenario(
             ws_workers=8, batch_size=batch, pool_per_destination=pool,
-            pipeline_batches=pipelined,
         )
         result = _run_msgbox_load(sim, net, client, store, clients, duration)
         rows.append(

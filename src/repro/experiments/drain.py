@@ -70,7 +70,6 @@ def _run_point(runtime: str, messages: int, batch_size: int) -> dict:
     registry.register("drain-echo", sink.url + "/echo")
     config = MsgDispatcherConfig(
         cx_threads=2, ws_threads=4, batch_size=batch_size,
-        pipeline_batches=True,
     )
 
     ids = IdGenerator("drain", seed=7)

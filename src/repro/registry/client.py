@@ -7,9 +7,9 @@ seeded-shuffled preference order, each replica guarded by its own
 circuit breaker (:class:`~repro.reliable.breaker.BreakerRegistry`, so
 replica health shows up as ``rt_breaker_state{dest=<peer>}`` and flight
 ``breaker-*`` events), with decorrelated-jitter retry between full
-passes.  The PR 2 TTL read-through cache sits on top, with the
-single-flight stampede protection of
-:class:`~repro.util.concurrency.SingleFlight` on the miss path.
+passes.  The shared TTL read-through
+:class:`~repro.core.registry.LookupCache` sits on top, so concurrent
+misses for one name collapse into one sweep.
 
 Failure taxonomy: a replica that cannot answer
 (:class:`~repro.errors.RegistryUnavailable`, transport failures) is
@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable
 
-from repro.core.registry import ServiceRecord
+from repro.core.registry import LookupCache, ServiceRecord
 from repro.errors import (
     RegistryError,
     RegistryUnavailable,
@@ -41,7 +41,6 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.reliable.breaker import BreakerConfig, BreakerRegistry
 from repro.reliable.policy import ExponentialBackoff, RetryPolicy
 from repro.util.clock import Clock, MonotonicClock
-from repro.util.concurrency import SingleFlight
 
 
 class ReplicatedRegistryClient:
@@ -95,47 +94,19 @@ class ReplicatedRegistryClient:
             or BreakerConfig(consecutive_failures=2, open_for=1.0),
             clock=self.clock, metrics=self.metrics, flight=flight,
         )
-        cache_counter = self.metrics.counter(
-            "registry_cache_total", "lookup cache outcomes, by outcome"
-        )
-        self._m_cache_hits = cache_counter.labels(outcome="hit")
-        self._m_cache_misses = cache_counter.labels(outcome="miss")
-        self._m_cache_coalesced = cache_counter.labels(outcome="coalesced")
         self._m_failover = self.metrics.counter(
             "registry_client_failover_total",
             "lookup attempts that skipped past a failed replica",
         )
-        self._cache_ttl = cache_ttl
-        self._cache: dict[str, tuple[ServiceRecord, float]] = {}
-        self._miss_flight: SingleFlight[ServiceRecord] = SingleFlight()
+        self._cache = LookupCache(
+            lambda logical: self._sweep(lambda h: h.lookup(logical)),
+            self.clock.now, cache_ttl, self.metrics,
+        )
 
     # -- reads -------------------------------------------------------------
     def lookup(self, logical: str) -> ServiceRecord:
         """Resolve through cache → single-flight → replica sweep."""
-        if self._cache_ttl > 0:
-            entry = self._cache.get(logical)
-            if entry is not None:
-                record, deadline = entry
-                if deadline >= self.clock.now() and record.enabled:
-                    self._m_cache_hits.inc()
-                    return record
-                self._cache.pop(logical, None)
-            coalesced = False
-            try:
-                record, coalesced = self._miss_flight.run(
-                    logical, lambda: self._sweep(lambda h: h.lookup(logical))
-                )
-            finally:
-                outcome = (
-                    self._m_cache_coalesced if coalesced else self._m_cache_misses
-                )
-                outcome.inc()
-            if not coalesced:
-                self._cache[logical] = (
-                    record, self.clock.now() + self._cache_ttl
-                )
-            return record
-        return self._sweep(lambda h: h.lookup(logical))
+        return self._cache.get(logical)
 
     def resolve(self, logical: str) -> str:
         record = self.lookup(logical)
@@ -152,17 +123,17 @@ class ReplicatedRegistryClient:
         record = self._sweep(
             lambda h: h.register(logical, physical, metadata=metadata)
         )
-        self._cache.pop(logical, None)
+        self._cache.invalidate(logical)
         return record
 
     def unregister(self, logical: str) -> bool:
         existed = self._sweep(lambda h: h.unregister(logical))
-        self._cache.pop(logical, None)
+        self._cache.invalidate(logical)
         return existed
 
     def set_enabled(self, logical: str, enabled: bool) -> None:
         self._sweep(lambda h: h.set_enabled(logical, enabled))
-        self._cache.pop(logical, None)
+        self._cache.invalidate(logical)
 
     # -- the failover sweep ------------------------------------------------
     def _sweep(self, op: Callable[[object], object]):
@@ -222,16 +193,7 @@ class ReplicatedRegistryClient:
         return list(self._order)
 
     def cache_stats(self) -> dict[str, float]:
-        hits = float(self._m_cache_hits.get())
-        misses = float(self._m_cache_misses.get())
-        coalesced = float(self._m_cache_coalesced.get())
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "coalesced": coalesced,
-            "hit_rate": hits / total if total else 0.0,
-        }
+        return self._cache.stats()
 
     def health_snapshot(self) -> dict:
         """Per-replica health for ``GET /health`` (register via

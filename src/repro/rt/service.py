@@ -83,25 +83,17 @@ class SoapHttpApp:
     def __init__(
         self,
         server_header: str = "repro-wsd/1.0",
-        accept_binary: bool = False,
-        fast_path: bool = True,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        """``accept_binary=True`` additionally accepts binary-XML envelopes
-        (``application/x-repro-binxml``) — the protocol-extension future
-        work; replies to binary callers are encoded in kind.
-
-        ``fast_path=True`` (the default) parses text envelopes with the
-        zero-copy scanner (:func:`repro.soap.parse_envelope`): headers
-        become Elements, the Body stays an unparsed byte slice until a
-        service actually reads it.  Outcomes are counted on the
-        ``soap_fastpath_total`` metric of ``metrics``."""
+        """Envelopes are parsed with the zero-copy scanner
+        (:func:`repro.soap.parse_envelope`): headers become Elements,
+        the Body stays an unparsed byte slice until a service actually
+        reads it.  Outcomes are counted on the ``soap_fastpath_total``
+        metric of ``metrics``."""
         self._services: list[tuple[str, SoapService]] = []
         self._pages: list[tuple[str, Callable[[HttpRequest], HttpResponse]]] = []
         self._raw: list[tuple[str, Callable[[HttpRequest], HttpResponse]]] = []
         self._server_header = server_header
-        self._accept_binary = accept_binary
-        self._fast_path = fast_path
         registry = metrics if metrics is not None else default_registry()
         self._m_fastpath = fastpath_counter(registry)
 
@@ -162,24 +154,8 @@ class SoapHttpApp:
             return soap_fault_response(
                 Fault("Client", f"no service mounted at {path}"), status=404
             )
-        content_type = request.headers.get("Content-Type")
-        binary_caller = False
         try:
-            if self._accept_binary:
-                from repro.soap.binxml import BINXML_CONTENT_TYPE, sniff_and_parse
-
-                binary_caller = bool(
-                    (content_type and BINXML_CONTENT_TYPE in content_type)
-                    or request.body.startswith(b"BX1")
-                )
-            if binary_caller:
-                envelope = sniff_and_parse(request.body, content_type)
-            else:
-                envelope = parse_envelope(
-                    request.body,
-                    counter=self._m_fastpath,
-                    fast=self._fast_path,
-                )
+            envelope = parse_envelope(request.body, counter=self._m_fastpath)
         except (XmlError, SoapError) as exc:
             return soap_fault_response(
                 Fault("Client", f"malformed SOAP request: {exc}"), status=400
@@ -196,8 +172,8 @@ class SoapHttpApp:
             # caller; only an async-aware server (AioHttpServer) will see —
             # and must await — a coroutine here, with the same fault
             # barrier applied to the awaited result.
-            return self._finish_async(reply, envelope.version, binary_caller)
-        return self._reply_response(reply, envelope.version, binary_caller)
+            return self._finish_async(reply, envelope.version)
+        return self._reply_response(reply, envelope.version)
 
     def _fault_response(
         self, exc: BaseException, version: SoapVersion
@@ -227,29 +203,19 @@ class SoapHttpApp:
         self,
         reply: "Envelope | None",
         version: SoapVersion,
-        binary_caller: bool,
     ) -> HttpResponse:
         if reply is None:
             return HttpResponse(status=202)
         status = 500 if reply.is_fault() else 200
-        if binary_caller:
-            from repro.soap.binxml import BINXML_CONTENT_TYPE, encode_envelope
-
-            headers = Headers()
-            headers.set("Content-Type", BINXML_CONTENT_TYPE)
-            return HttpResponse(
-                status=status, headers=headers, body=encode_envelope(reply)
-            )
         return soap_response(reply, status=status)
 
     async def _finish_async(
         self,
         pending: "object",
         version: SoapVersion,
-        binary_caller: bool,
     ) -> HttpResponse:
         try:
             reply = await pending  # type: ignore[misc]
         except Exception as exc:  # noqa: BLE001 - same barrier as the sync path
             return self._fault_response(exc, version)
-        return self._reply_response(reply, version, binary_caller)
+        return self._reply_response(reply, version)

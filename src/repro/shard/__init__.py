@@ -15,8 +15,6 @@ guarantee:
   between supervisor and worker.
 - :mod:`repro.shard.worker` — :class:`ShardWorker`, one shard's full
   deployment (``python -m repro.shard.worker``), threaded or asyncio.
-- :mod:`repro.shard.fdpass` — accept-and-pass fallback (SCM_RIGHTS fd
-  passing) for platforms without SO_REUSEPORT.
 - :mod:`repro.shard.supervisor` — :class:`ShardSupervisor`: spawns the
   fleet behind one shared data port, restarts crashed workers against
   their own per-shard journals (``journal-shard<k>.db``), and serves
@@ -24,11 +22,6 @@ guarantee:
   and ``/slo``.
 """
 
-from repro.shard.fdpass import (
-    FanoutAcceptor,
-    FdReceiverListener,
-    fd_passing_supported,
-)
 from repro.shard.ring import HashRing
 from repro.shard.spec import ShardSpec
 from repro.shard.supervisor import ShardSupervisor, SupervisorConfig
@@ -54,13 +47,10 @@ def __getattr__(name: str):
 
 __all__ = [
     "AioShardedMsgDispatcher",
-    "FanoutAcceptor",
-    "FdReceiverListener",
     "HashRing",
     "ShardSpec",
     "ShardSupervisor",
     "ShardWorker",
     "ShardedMsgDispatcher",
     "SupervisorConfig",
-    "fd_passing_supported",
 ]

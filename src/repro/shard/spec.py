@@ -23,7 +23,7 @@ class ShardSpec:
     shard_id: int
     shards: int
     #: the shared client-facing endpoint (every shard binds it with
-    #: SO_REUSEPORT, or receives its connections via fd passing)
+    #: SO_REUSEPORT)
     data_host: str
     data_port: int
     #: this shard's private endpoint: peers relay here, services reply here
@@ -35,10 +35,6 @@ class ShardSpec:
     mount_prefix: str = "/msg"
     #: "threaded" (MsgDispatcher) or "aio" (AioMsgDispatcher, one loop)
     runtime: str = "threaded"
-    #: "reuseport" (bind shared port) or "pass" (fds over a Unix channel)
-    accept_mode: str = "reuseport"
-    #: inherited fd number of the worker's end of the fd-pass socketpair
-    pass_fd: int | None = None
     #: per-shard journal file; None runs the shard non-durable
     journal_path: str | None = None
     journal_sync: str = "group"
@@ -48,8 +44,6 @@ class ShardSpec:
     ws_threads: int = 8
     server_workers: int = 16
     batch_size: int = 8
-    pipeline_batches: bool = True
-    fast_path: bool = True
     #: retry knobs cover the relay path while a crashed peer restarts
     retry_attempts: int = 8
     retry_base: float = 0.05

@@ -4,10 +4,9 @@ This is the GIL escape.  One CPython process routes on one core no
 matter how many threads it runs; the supervisor forks ``shards`` worker
 *processes* (each a complete dispatcher deployment built from a
 :class:`~repro.shard.spec.ShardSpec`) that share a single client-facing
-data port — via SO_REUSEPORT where the kernel supports it, else via the
-accept-and-pass :class:`~repro.shard.fdpass.FanoutAcceptor` — while
-consistent hashing keeps every destination's FIFO order, breaker state,
-and journal records in exactly one process.
+data port via SO_REUSEPORT, while consistent hashing keeps every
+destination's FIFO order, breaker state, and journal records in exactly
+one process.
 
 Supervision is deliberately boring: a monitor thread polls
 ``Popen.poll()``; a dead worker is respawned with *the same spec* —
@@ -45,7 +44,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
-from repro.shard.fdpass import FanoutAcceptor, fd_passing_supported
 from repro.shard.ring import HashRing
 from repro.shard.spec import ShardSpec
 from repro.store.journal import merged_recovery_report, shard_journal_path
@@ -63,7 +61,6 @@ class SupervisorConfig:
 
     shards: int = 2
     runtime: str = "threaded"  # "threaded" | "aio"
-    accept_mode: str = "auto"  # "auto" | "reuseport" | "pass"
     data_host: str = "127.0.0.1"
     #: directory for per-shard journals; None runs the fleet non-durable
     journal_dir: str | None = None
@@ -75,8 +72,6 @@ class SupervisorConfig:
     ws_threads: int = 8
     server_workers: int = 16
     batch_size: int = 8
-    pipeline_batches: bool = True
-    fast_path: bool = True
     retry_attempts: int = 8
     retry_base: float = 0.05
     retry_max_delay: float = 0.5
@@ -97,7 +92,6 @@ class _Worker:
         self.proc: subprocess.Popen | None = None
         self.ready = threading.Event()
         self.ready_info: dict = {}
-        self.parent_channel: socket.socket | None = None
         self.restarts = 0
 
     @property
@@ -125,7 +119,6 @@ class ShardSupervisor:
         self._log = component_logger("shardsup")
         self._workers: dict[int, _Worker] = {}
         self._peers: dict[int, str] = {}
-        self._acceptor: FanoutAcceptor | None = None
         self._data_reservation: socket.socket | None = None
         self._data_endpoint: Endpoint | None = None
         self._control_server: HttpServer | None = None
@@ -133,7 +126,6 @@ class ShardSupervisor:
         self._monitor: threading.Thread | None = None
         self._running = False
         self._lock = threading.Lock()
-        self.accept_mode: str | None = None
         self.recovery_report: dict[int, int] = {}
         self._m_restarts = self.metrics.counter(
             "supervisor_restarts_total", "worker restarts, by shard"
@@ -184,7 +176,8 @@ class ShardSupervisor:
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ShardSupervisor":
         cfg = self.config
-        self.accept_mode = self._resolve_accept_mode()
+        if not reuse_port_supported():
+            raise RuntimeError("SO_REUSEPORT is not supported on this host")
         if cfg.journal_dir:
             os.makedirs(cfg.journal_dir, exist_ok=True)
             self.recovery_report = merged_recovery_report(cfg.journal_dir)
@@ -199,21 +192,15 @@ class ShardSupervisor:
                     pending=pending,
                 )
 
-        if self.accept_mode == "pass":
-            # the supervisor owns the bound socket: endpoint known with no
-            # bind race, workers get connections over their channels
-            self._acceptor = FanoutAcceptor(Endpoint(cfg.data_host, 0), {})
-            self._data_endpoint = self._acceptor.endpoint
-        else:
-            # reserve the shared port for the supervisor's lifetime: a
-            # bound-but-never-listening SO_REUSEPORT socket holds the
-            # number (it never joins the TCP accept group, so it steals
-            # no connections) while workers bind the same port
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((cfg.data_host, 0))
-            self._data_reservation = sock
-            self._data_endpoint = Endpoint(cfg.data_host, sock.getsockname()[1])
+        # reserve the shared port for the supervisor's lifetime: a
+        # bound-but-never-listening SO_REUSEPORT socket holds the
+        # number (it never joins the TCP accept group, so it steals
+        # no connections) while workers bind the same port
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        sock.bind((cfg.data_host, 0))
+        self._data_reservation = sock
+        self._data_endpoint = Endpoint(cfg.data_host, sock.getsockname()[1])
 
         direct_ports = {
             shard_id: _probe_free_port(cfg.data_host)
@@ -231,8 +218,6 @@ class ShardSupervisor:
                 lambda w=worker: 1 if w.alive else 0
             )
         self._running = True
-        if self._acceptor is not None:
-            self._acceptor.start()
         for worker in self._workers.values():
             self._spawn(worker)
         deadline = time.monotonic() + cfg.ready_timeout
@@ -279,15 +264,6 @@ class ShardSupervisor:
             except subprocess.TimeoutExpired:
                 worker.proc.kill()
                 worker.proc.wait()
-            if worker.parent_channel is not None:
-                try:
-                    worker.parent_channel.close()
-                except OSError:
-                    pass
-                worker.parent_channel = None
-        if self._acceptor is not None:
-            self._acceptor.stop()
-            self._acceptor = None
         if self._data_reservation is not None:
             self._data_reservation.close()
             self._data_reservation = None
@@ -305,23 +281,6 @@ class ShardSupervisor:
         self.stop()
 
     # -- worker management -------------------------------------------------
-    def _resolve_accept_mode(self) -> str:
-        mode = self.config.accept_mode
-        if mode == "auto":
-            mode = "reuseport" if reuse_port_supported() else "pass"
-        if mode == "reuseport" and not reuse_port_supported():
-            raise RuntimeError("SO_REUSEPORT is not supported on this host")
-        if mode == "pass":
-            if not fd_passing_supported():
-                raise RuntimeError(
-                    "accept-and-pass needs AF_UNIX SCM_RIGHTS fd passing"
-                )
-            if self.config.runtime == "aio":
-                raise RuntimeError(
-                    "accept_mode='pass' supports only the threaded runtime"
-                )
-        return mode
-
     def _make_spec(self, shard_id: int, direct_port: int) -> ShardSpec:
         cfg = self.config
         journal_path = None
@@ -337,7 +296,6 @@ class ShardSupervisor:
             registry=dict(self.registry),
             mount_prefix=cfg.mount_prefix,
             runtime=cfg.runtime,
-            accept_mode=self.accept_mode or "reuseport",
             journal_path=journal_path,
             journal_sync=cfg.journal_sync,
             ring_replicas=cfg.ring_replicas,
@@ -346,8 +304,6 @@ class ShardSupervisor:
             ws_threads=cfg.ws_threads,
             server_workers=cfg.server_workers,
             batch_size=cfg.batch_size,
-            pipeline_batches=cfg.pipeline_batches,
-            fast_path=cfg.fast_path,
             retry_attempts=cfg.retry_attempts,
             retry_base=cfg.retry_base,
             retry_max_delay=cfg.retry_max_delay,
@@ -355,17 +311,6 @@ class ShardSupervisor:
 
     def _spawn(self, worker: _Worker) -> None:
         spec = worker.spec
-        pass_fds: tuple[int, ...] = ()
-        child_end: socket.socket | None = None
-        if self.accept_mode == "pass":
-            parent_end, child_end = socket.socketpair(
-                socket.AF_UNIX, socket.SOCK_STREAM
-            )
-            worker.parent_channel = parent_end
-            spec.pass_fd = child_end.fileno()
-            pass_fds = (child_end.fileno(),)
-            assert self._acceptor is not None
-            self._acceptor.replace_channel(spec.shard_id, parent_end)
         worker.ready = threading.Event()
         worker.ready_info = {}
         env = dict(os.environ)
@@ -380,11 +325,8 @@ class ShardSupervisor:
             [sys.executable, "-m", "repro.shard.worker", spec.to_json()],
             stdout=subprocess.PIPE,
             env=env,
-            pass_fds=pass_fds,
             text=True,
         )
-        if child_end is not None:
-            child_end.close()  # the worker holds its own inherited copy
         threading.Thread(
             target=self._read_worker_stdout,
             args=(worker, worker.proc),
@@ -499,7 +441,6 @@ class ShardSupervisor:
         return {
             "shards": self.config.shards,
             "runtime": self.config.runtime,
-            "accept_mode": self.accept_mode,
             "data_endpoint": str(self._data_endpoint),
             "alive": {
                 str(k): w.alive for k, w in self._workers.items()

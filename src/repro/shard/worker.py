@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import socket
 import sys
 import threading
 
@@ -30,7 +29,6 @@ from repro.reliable.policy import ExponentialBackoff
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
-from repro.shard.fdpass import FdReceiverListener
 from repro.shard.ring import HashRing
 from repro.shard.spec import ShardSpec
 from repro.store.journal import MessageJournal
@@ -46,11 +44,6 @@ class ShardWorker:
     def __init__(self, spec: ShardSpec) -> None:
         if spec.runtime not in ("threaded", "aio"):
             raise ValueError(f"unknown shard runtime {spec.runtime!r}")
-        if spec.runtime == "aio" and spec.accept_mode == "pass":
-            raise ValueError(
-                "accept_mode='pass' needs the threaded runtime "
-                "(the asyncio server binds its own socket)"
-            )
         self.spec = spec
         self.metrics = MetricsRegistry()
         self.traces = TraceStore(span_prefix=f"shard{spec.shard_id}")
@@ -79,8 +72,6 @@ class ShardWorker:
             cx_threads=spec.cx_threads,
             ws_threads=spec.ws_threads,
             batch_size=spec.batch_size,
-            pipeline_batches=spec.pipeline_batches,
-            fast_path=spec.fast_path,
             dedupe_window=spec.dedupe_window,
             retry=ExponentialBackoff(
                 max_attempts=spec.retry_attempts,
@@ -115,19 +106,6 @@ class ShardWorker:
         intro.mount(app)
         return app
 
-    def _data_listener(self):
-        spec = self.spec
-        if spec.accept_mode == "pass":
-            if spec.pass_fd is None:
-                raise ValueError("accept_mode='pass' requires pass_fd")
-            channel = socket.socket(fileno=spec.pass_fd)
-            return FdReceiverListener(
-                channel, Endpoint(spec.data_host, spec.data_port)
-            )
-        return TcpListener(
-            Endpoint(spec.data_host, spec.data_port), reuse_port=True
-        )
-
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ShardWorker":
         if self.spec.runtime == "aio":
@@ -153,7 +131,10 @@ class ShardWorker:
         app = self._build_app()
         self._servers.append(
             HttpServer(
-                self._data_listener(), app.handle_request,
+                TcpListener(
+                    Endpoint(spec.data_host, spec.data_port), reuse_port=True
+                ),
+                app.handle_request,
                 workers=spec.server_workers,
                 name=f"shard{spec.shard_id}-data", metrics=self.metrics,
             ).start()

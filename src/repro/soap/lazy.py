@@ -231,30 +231,26 @@ class LazyEnvelope:
 def parse_envelope(
     data: bytes | bytearray | memoryview | str,
     counter=None,
-    fast: bool = True,
 ) -> "LazyEnvelope | Envelope":
     """Parse wire bytes, preferring the zero-copy fast path.
 
     ``counter`` is a labelled-counter family (``soap_fastpath_total``):
-    every call records exactly one outcome — ``fast`` on success,
-    ``disabled`` when ``fast=False``, or the scanner's bail-out reason
-    (``doctype``, ``encoding``, ``malformed``, ``structure``,
-    ``mustunderstand``, ``version_mismatch``, ``trailing_content``,
-    ``not_envelope``, ``unsupported``) when it falls back.  Invalid
-    documents raise the slow path's usual ``XmlError``/``SoapError``.
+    every call records exactly one outcome — ``fast`` on success, or
+    the scanner's bail-out reason (``doctype``, ``encoding``,
+    ``malformed``, ``structure``, ``mustunderstand``,
+    ``version_mismatch``, ``trailing_content``, ``not_envelope``,
+    ``unsupported``) when it falls back.  Invalid documents raise the
+    slow path's usual ``XmlError``/``SoapError``.
     """
-    if fast:
-        try:
-            envelope = LazyEnvelope.from_bytes(data)
-        except FastPathUnsupported as exc:
-            if counter is not None:
-                counter.labels(outcome=exc.reason).inc()
-        else:
-            if counter is not None:
-                counter.labels(outcome="fast").inc()
-            return envelope
-    elif counter is not None:
-        counter.labels(outcome="disabled").inc()
+    try:
+        envelope = LazyEnvelope.from_bytes(data)
+    except FastPathUnsupported as exc:
+        if counter is not None:
+            counter.labels(outcome=exc.reason).inc()
+    else:
+        if counter is not None:
+            counter.labels(outcome="fast").inc()
+        return envelope
     if isinstance(data, (bytearray, memoryview)):
         data = bytes(data)
     return Envelope.from_bytes(data)
@@ -264,5 +260,5 @@ def fastpath_counter(metrics):
     """The ``soap_fastpath_total`` counter family on ``metrics``."""
     return metrics.counter(
         "soap_fastpath_total",
-        "zero-copy envelope parses, by outcome (fast / disabled / bail-out reason)",
+        "zero-copy envelope parses, by outcome (fast / bail-out reason)",
     )

@@ -34,20 +34,18 @@ def reuse_port_supported() -> bool:
 class TcpStream:
     """Stream adapter over a connected socket.
 
-    ``nodelay`` disables Nagle's algorithm (default).  The protocol
-    writes one fully serialized HTTP message (or a whole pipelined
-    burst) per ``send``, so coalescing never helps — it only adds a
-    delayed-ACK round trip to every small exchange.  The knob exists so
-    the pipelined-drain benchmark can measure that penalty.
+    Nagle's algorithm is always disabled.  The protocol writes one
+    fully serialized HTTP message (or a whole pipelined burst) per
+    ``send``, so coalescing never helps — it only adds a delayed-ACK
+    round trip to every small exchange.
     """
 
-    def __init__(self, sock: socket.socket, nodelay: bool = True) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        if nodelay:
-            try:
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass  # not a TCP socket (e.g. AF_UNIX): nothing to disable
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass  # not a TCP socket (e.g. AF_UNIX): nothing to disable
 
     def send(self, data: bytes) -> None:
         try:
@@ -82,19 +80,17 @@ class TcpListener:
     listen on one port and let the kernel spread accepted connections
     across them (the shard supervisor's data plane).  Platforms without
     SO_REUSEPORT raise :class:`TransportError` — callers probe first via
-    :func:`reuse_port_supported` and fall back to accept-and-pass.
+    :func:`reuse_port_supported`.
     """
 
     def __init__(
         self,
         endpoint: Endpoint | str,
         backlog: int = 128,
-        nodelay: bool = True,
         reuse_port: bool = False,
     ) -> None:
         if isinstance(endpoint, str):
             endpoint = Endpoint.parse(endpoint)
-        self._nodelay = nodelay
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if reuse_port:
@@ -127,7 +123,7 @@ class TcpListener:
         try:
             self._sock.settimeout(timeout)
             conn, _addr = self._sock.accept()
-            return TcpStream(conn, nodelay=self._nodelay)
+            return TcpStream(conn)
         except socket.timeout:
             raise ConnectionTimeout("accept timed out") from None
         except OSError as exc:
@@ -143,9 +139,6 @@ class TcpListener:
 class TcpConnector:
     """Outbound TCP connection factory."""
 
-    def __init__(self, nodelay: bool = True) -> None:
-        self._nodelay = nodelay
-
     def connect(self, endpoint: Endpoint | str, timeout: float | None = None) -> TcpStream:
         if isinstance(endpoint, str):
             endpoint = Endpoint.parse(endpoint)
@@ -154,7 +147,7 @@ class TcpConnector:
                 (endpoint.host, endpoint.port), timeout=timeout
             )
             sock.settimeout(None)
-            return TcpStream(sock, nodelay=self._nodelay)
+            return TcpStream(sock)
         except socket.timeout:
             raise ConnectionTimeout(f"connect to {endpoint} timed out") from None
         except ConnectionRefusedError as exc:

@@ -59,7 +59,7 @@ def make_dispatcher(
         for k in ("max_inflight", "dedupe_window") if k in kwargs
     }
     config = MsgDispatcherConfig(
-        cx_threads=1, ws_threads=2, pipeline_batches=False,
+        cx_threads=1, ws_threads=2, batch_size=1,
         breaker=breaker
         or BreakerConfig(consecutive_failures=2, open_for=60.0),
         **config_kw,

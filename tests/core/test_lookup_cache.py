@@ -1,0 +1,108 @@
+"""LookupCache: the one TTL read-through cache both registry front ends
+share (ServiceRegistry, ReplicatedRegistryClient)."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.core.registry import LookupCache, ServiceRecord
+from repro.errors import UnknownServiceError
+from repro.obs.metrics import MetricsRegistry
+from repro.util.clock import ManualClock
+from repro.util.concurrency import SingleFlight
+
+
+class Backing:
+    """The owner's slow path: a dict, with every resolve counted."""
+
+    def __init__(self, **records):
+        self.records = {
+            name: ServiceRecord(name, [url]) for name, url in records.items()
+        }
+        self.resolves = 0
+
+    def resolve(self, logical):
+        self.resolves += 1
+        try:
+            return self.records[logical]
+        except KeyError:
+            raise UnknownServiceError(logical) from None
+
+
+def make_cache(backing, clock=None):
+    clock = clock or ManualClock()
+    return LookupCache(backing.resolve, clock.now, 5.0, MetricsRegistry())
+
+
+def test_entry_expires_on_the_injected_clock():
+    clock = ManualClock()
+    backing = Backing(echo="http://ws:9000/echo")
+    cache = make_cache(backing, clock)
+    assert cache.get("echo") is backing.records["echo"]
+    assert cache.get("echo") is backing.records["echo"]
+    assert backing.resolves == 1
+    clock.advance(5.0)  # the deadline itself is still a hit
+    cache.get("echo")
+    assert backing.resolves == 1
+    clock.advance(0.5)
+    cache.get("echo")  # expired: resolved again
+    assert backing.resolves == 2
+    assert cache.stats() == {
+        "hits": 2.0, "misses": 2.0, "coalesced": 0.0, "hit_rate": 0.5,
+    }
+
+
+def test_invalidate_drops_the_entry_and_failures_cache_nothing():
+    backing = Backing(echo="http://ws:9000/echo")
+    cache = make_cache(backing)
+    cache.get("echo")
+    backing.records["echo"] = ServiceRecord("echo", ["http://ws:9001/echo-v2"])
+    assert cache.get("echo").physical == ["http://ws:9000/echo"]  # cached
+    cache.invalidate("echo")  # what every owner does after a mutation
+    assert cache.get("echo").physical == ["http://ws:9001/echo-v2"]
+    with pytest.raises(UnknownServiceError):
+        cache.get("ghost")
+    backing.records["ghost"] = ServiceRecord("ghost", ["http://ws:9000/ghost"])
+    assert cache.get("ghost").logical == "ghost"  # no negative entry
+
+
+def test_concurrent_misses_share_one_resolve():
+    backing = Backing(echo="http://ws:9000/echo")
+    entered, gate = threading.Event(), threading.Event()
+
+    def gated_resolve(logical):
+        entered.set()
+        assert gate.wait(5.0)
+        return backing.resolve(logical)
+
+    cache = LookupCache(gated_resolve, ManualClock().now, 5.0, MetricsRegistry())
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(cache.get("echo")))
+        for _ in range(2)
+    ]
+    threads[0].start()
+    assert entered.wait(5.0)  # the leader is inside resolve, flight open
+    threads[1].start()
+
+    def joined_the_flight():
+        frame = sys._current_frames().get(threads[1].ident)
+        while frame is not None:
+            if frame.f_code is SingleFlight.run.__code__:
+                return True
+            frame = frame.f_back
+        return False
+
+    deadline = time.monotonic() + 5.0
+    while not joined_the_flight() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    gate.set()
+    for t in threads:
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    assert results == [backing.records["echo"]] * 2
+    assert backing.resolves == 1
+    stats = cache.stats()
+    assert (stats["misses"], stats["coalesced"], stats["hits"]) == (1, 1, 0)

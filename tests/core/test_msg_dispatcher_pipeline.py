@@ -7,9 +7,13 @@ traced items must record a ``pipeline-burst`` span parenting the items'
 ``deliver`` spans.
 """
 
+import asyncio
+import threading
 import time
 
 import pytest
+
+from repro.aio import AioHttpClient
 
 from repro.core.msg_dispatcher import (
     MsgDispatcher,
@@ -19,13 +23,14 @@ from repro.core.msg_dispatcher import (
 from repro.core.registry import ServiceRegistry
 from repro.http import HttpResponse
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceContext, TraceStore
+from repro.obs.trace import TraceContext, TraceStore, attach_trace
 from repro.reliable import FixedDelay
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
-from repro.rt.service import SoapHttpApp
+from repro.rt.service import RequestContext, SoapHttpApp
+from repro.transport.tcp import TcpConnector, TcpListener
 
 
 def wait_for(predicate, timeout=5.0):
@@ -170,10 +175,85 @@ def test_unreachable_destination_fails_every_item(inproc, dispatcher):
     assert dispatcher.stats.get("delivered") is None
 
 
+def test_one_goes_alone_eight_as_one_burst(dispatcher_backend):
+    """The drain picks its path from the batch it drew, not from a
+    switch: one queued message is a plain request/response, eight queued
+    behind it are one pipelined burst (threaded and asyncio alike)."""
+    first_in, release = threading.Event(), threading.Event()
+
+    def handler(request, peer=None):
+        if not first_in.is_set():
+            first_in.set()
+            assert release.wait(5.0)
+        return HttpResponse(status=202)
+
+    sink = HttpServer(TcpListener("127.0.0.1:0"), handler, workers=2).start()
+    metrics = MetricsRegistry()
+    traces = TraceStore()
+    registry = ServiceRegistry(metrics=metrics)
+    registry.register("echo", sink.url + "/echo")
+    if dispatcher_backend.kind == "aio":
+        client = AioHttpClient(metrics=metrics)
+    else:
+        client = HttpClient(TcpConnector(), metrics=metrics)
+
+    async def close_on_loop():
+        client.close()
+        await asyncio.sleep(0)  # let the transports finish closing
+    d = dispatcher_backend.make_dispatcher(
+        registry, client, own_address="http://wsd:8000/msg",
+        config=MsgDispatcherConfig(cx_threads=1, ws_threads=1, batch_size=8),
+        metrics=metrics, traces=traces,
+    )
+
+    def feed(count, prefix):
+        ctxs = [TraceContext(f"{prefix}-{i}") for i in range(count)]
+        for ctx in ctxs:
+            msg = make_echo_message(
+                to="urn:wsd:echo", message_id=f"uuid:{ctx.trace_id}"
+            )
+            attach_trace(msg, ctx)
+            d.handle(msg, RequestContext(path="/msg/echo"))
+        return ctxs
+
+    try:
+        (lone,) = feed(1, "lone")
+        assert first_in.wait(5.0)  # its exchange now holds the only WsThread
+        backlog = feed(8, "backlog")
+        depth = metrics.gauge("msgd_destination_queue_depth").labels(
+            dest=sink.url.removeprefix("http://")
+        )
+        assert wait_for(lambda: depth.get() == 8)
+        release.set()
+        assert wait_for(lambda: d.stats.get("delivered", 0) == 9), d.stats
+        names = [s.name for s in traces.get(lone.trace_id)]
+        assert "deliver" in names and "pipeline-burst" not in names
+        burst_sids = {
+            s.span_id
+            for ctx in backlog
+            for s in traces.get(ctx.trace_id)
+            if s.name == "pipeline-burst"
+        }
+        assert len(burst_sids) == 1
+        bursts = metrics.counter(
+            f"{dispatcher_backend.kind}_client_pipeline_bursts_total"
+        )
+        assert bursts.labels().get() == 1
+    finally:
+        release.set()
+        d.stop()
+        if dispatcher_backend.kind == "aio":
+            dispatcher_backend.loop_thread.run(close_on_loop())
+        else:
+            client.close()
+        sink.stop()
+
+
 def test_serial_and_pipelined_drain_agree_end_to_end(inproc):
-    """Same traffic, both drain modes: identical delivery counts."""
+    """Same traffic drained one message at a time and in bursts of up to
+    eight: identical delivery counts."""
     outcomes = {}
-    for pipelined in (False, True):
+    for batch_size in (1, 8):
         net_ns = type(inproc)()  # fresh inproc namespace per mode
         metrics = MetricsRegistry()
         ws_client = HttpClient(net_ns, metrics=metrics)
@@ -190,7 +270,7 @@ def test_serial_and_pipelined_drain_agree_end_to_end(inproc):
             HttpClient(net_ns, metrics=metrics),
             own_address="http://wsd:8000/msg",
             config=MsgDispatcherConfig(
-                cx_threads=2, ws_threads=2, pipeline_batches=pipelined,
+                cx_threads=2, ws_threads=2, batch_size=batch_size,
                 destination_idle_ttl=0.5,
             ),
             metrics=metrics,
@@ -208,10 +288,10 @@ def test_serial_and_pipelined_drain_agree_end_to_end(inproc):
             client.post_envelope("http://wsd:8000/msg/echo", msg)
         assert wait_for(lambda: echo.received == 12)
         assert wait_for(lambda: d.stats.get("delivered", 0) == 12)
-        outcomes[pipelined] = d.stats.get("delivered")
+        outcomes[batch_size] = d.stats.get("delivered")
         d.stop()
         front.stop()
         ws.stop()
         client.close()
         ws_client.close()
-    assert outcomes[False] == outcomes[True] == 12
+    assert outcomes[1] == outcomes[8] == 12

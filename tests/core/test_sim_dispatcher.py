@@ -305,7 +305,7 @@ class TestSimMsgDispatcher:
 class TestSimPipelinedDrain:
     """The simulated WsThread drain mirrors the threaded pipelined burst."""
 
-    def _pipeline_world(self, sim, pipelined: bool):
+    def _pipeline_world(self, sim):
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import TraceStore
         from repro.simnet.topology import AccessLink, Network
@@ -322,26 +322,25 @@ class TestSimPipelinedDrain:
             net, wsd_host, registry, own_address="http://wsd:8000/msg",
             config=SimMsgDispatcherConfig(
                 cx_workers=2, ws_workers=2, batch_size=8,
-                pipeline_batches=pipelined,
             ),
             metrics=MetricsRegistry(), traces=TraceStore(),
         )
         return net, disp, echo
 
-    def _feed(self, disp, count, traced=False):
+    def _feed(self, disp, count, traced=False, prefix="pipe"):
         from repro.obs.trace import TraceContext
 
-        ids = IdGenerator("pipe", seed=7)
+        ids = IdGenerator(prefix, seed=7)
         traces = []
         for i in range(count):
             msg = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
-            trace = TraceContext(f"sim-pipe-{i}") if traced else None
+            trace = TraceContext(f"sim-{prefix}-{i}") if traced else None
             traces.append(trace)
             assert disp._accept.try_put((msg, "/msg/echo", trace, 0.0, None))
         return traces
 
     def test_backlog_drains_as_pipelined_bursts(self, sim):
-        net, disp, echo = self._pipeline_world(sim, pipelined=True)
+        net, disp, echo = self._pipeline_world(sim)
         self._feed(disp, 8)
         sim.run(until=10.0)
         assert disp.stats["delivered"] == 8
@@ -349,15 +348,29 @@ class TestSimPipelinedDrain:
         assert disp.pool.pipelined_bursts >= 1
         assert disp.pool.pipeline_replays == 0
 
-    def test_serial_drain_still_works_with_knob_off(self, sim):
-        net, disp, echo = self._pipeline_world(sim, pipelined=False)
-        self._feed(disp, 8)
+    def test_one_goes_alone_eight_as_one_burst(self, sim):
+        """The drain picks its path from the batch it drew, not from a
+        switch: one queued message is a plain request/response, eight
+        queued behind it are one pipelined burst."""
+        net, disp, echo = self._pipeline_world(sim)
+        (lone,) = self._feed(disp, 1, traced=True, prefix="lone")
+        sim.run(until=0.001)  # routed; its delivery is still on the wire
+        backlog = self._feed(disp, 8, traced=True, prefix="backlog")
         sim.run(until=10.0)
-        assert disp.stats["delivered"] == 8
-        assert disp.pool.pipelined_bursts == 0
+        assert disp.stats["delivered"] == 9
+        names = [s.name for s in disp.traces.get(lone.trace_id)]
+        assert "deliver" in names and "pipeline-burst" not in names
+        burst_sids = {
+            s.span_id
+            for ctx in backlog
+            for s in disp.traces.get(ctx.trace_id)
+            if s.name == "pipeline-burst"
+        }
+        assert len(burst_sids) == 1
+        assert disp.pool.pipelined_bursts == 1
 
     def test_burst_span_recorded_per_trace_with_shared_id(self, sim):
-        net, disp, echo = self._pipeline_world(sim, pipelined=True)
+        net, disp, echo = self._pipeline_world(sim)
         traces = self._feed(disp, 6, traced=True)
         sim.run(until=10.0)
         assert disp.stats["delivered"] == 6

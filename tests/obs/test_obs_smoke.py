@@ -1,9 +1,9 @@
 """Operator-plane smoke: boot a dispatcher, scrape every telemetry page.
 
-This is the CI ``obs-smoke`` gate: a threaded deployment serving the
-message path *and* the full introspection surface (metrics, traces, SLOs,
-flight recorder, metrics history, span-report ingestion) on one server,
-with every page returning a well-formed body after real traffic.
+A threaded deployment serving the message path *and* the full
+introspection surface (metrics, traces, SLOs, flight recorder, metrics
+history, span-report ingestion) on one server, with every page returning
+a well-formed body after real traffic.
 """
 
 import json

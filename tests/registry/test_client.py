@@ -1,7 +1,6 @@
 """ReplicatedRegistryClient: failover sweep, staleness bias, breakers,
 the TTL/single-flight cache, and drop-in use as a dispatcher registry."""
 
-import threading
 
 import pytest
 
@@ -133,43 +132,6 @@ def test_cache_ttl_hit_expiry_and_write_invalidation():
     assert client.lookup("echo").physical == ["http://ws:9001/echo-v2"]
 
 
-def test_single_flight_coalesces_concurrent_misses():
-    class GatedReplica:
-        """lookup blocks until released — holds the first miss in flight
-        while a second thread piles onto the same key."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.gate = threading.Event()
-            self.entered = threading.Event()
-
-        def lookup(self, logical):
-            self.entered.set()
-            assert self.gate.wait(5.0)
-            return self.inner.lookup(logical)
-
-    inner = RegistryReplica("r1")
-    inner.register("echo", "http://ws:9000/echo")
-    gated = GatedReplica(inner)
-    client = make_client({"r1": gated}, cache_ttl=5.0)
-
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(client.lookup("echo")))
-        for _ in range(2)
-    ]
-    threads[0].start()
-    assert gated.entered.wait(5.0)
-    threads[1].start()  # joins the in-flight miss instead of sweeping again
-    gated.gate.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    assert len(results) == 2
-    stats = client.cache_stats()
-    assert stats["misses"] == 1
-    assert stats["coalesced"] == 1
-
-
 def test_writes_propagate_to_peers_via_gossip():
     replicas = make_cluster(registered=())
     client = make_client(replicas, cache_ttl=0.0)
@@ -221,7 +183,7 @@ def test_dispatcher_routes_through_replicated_client(dispatcher_backend):
     dispatcher = dispatcher_backend.make_dispatcher(
         registry, http, own_address="http://wsd:8000/msg",
         config=MsgDispatcherConfig(
-            cx_threads=1, ws_threads=2, pipeline_batches=False,
+            cx_threads=1, ws_threads=2, batch_size=1,
         ),
         metrics=metrics, traces=TraceStore(enabled=False),
     )

@@ -1,4 +1,4 @@
-"""Replica-kill acceptance: the registry-smoke CI gate.
+"""Replica-kill acceptance.
 
 One seeded simulated run of the registry-failover experiment point:
 three gossiping replicas, the client's first-preference replica is

@@ -15,7 +15,7 @@ from repro.http import HttpRequest, HttpResponse
 from repro.obs import parse_exposition
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
-from repro.shard import ShardSupervisor, SupervisorConfig, fd_passing_supported
+from repro.shard import ShardSupervisor, SupervisorConfig
 from repro.soap import Envelope
 from repro.transport.tcp import TcpConnector, TcpListener
 from repro.workload.echo import make_echo_message
@@ -126,21 +126,14 @@ def test_fleet_delivers_and_aggregates(runtime):
         sink.stop()
 
 
-@pytest.mark.skipif(
-    not fd_passing_supported(), reason="no SCM_RIGHTS fd passing here"
-)
-def test_fleet_delivers_in_pass_mode():
-    sink = _Sink()
-    registry = {name: f"{sink.url}/{name}" for name in LOGICALS}
-    try:
-        with ShardSupervisor(
-            registry, _config(accept_mode="pass")
-        ) as sup:
-            assert sup.accept_mode == "pass"
-            _post_all(sup, 24)
-            assert sink.wait_for_unique(24)
-    finally:
-        sink.stop()
+def test_start_refuses_a_host_without_reuseport(monkeypatch):
+    monkeypatch.setattr(
+        "repro.shard.supervisor.reuse_port_supported", lambda: False
+    )
+    sup = ShardSupervisor({"svc0": "http://127.0.0.1:9/svc0"}, _config())
+    with pytest.raises(RuntimeError, match="SO_REUSEPORT is not supported"):
+        sup.start()
+    assert sup.pids() == {}  # nothing was spawned
 
 
 def test_single_shard_fleet_still_works():

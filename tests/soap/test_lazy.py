@@ -257,14 +257,6 @@ def test_parse_envelope_fast_outcome():
     assert outcome(registry, "fast") == 1
 
 
-def test_parse_envelope_disabled_outcome():
-    registry = MetricsRegistry()
-    counter = fastpath_counter(registry)
-    env = parse_envelope(addressed_doc(), counter=counter, fast=False)
-    assert isinstance(env, Envelope)
-    assert outcome(registry, "disabled") == 1
-
-
 def test_parse_envelope_falls_back_on_bail():
     registry = MetricsRegistry()
     counter = fastpath_counter(registry)

@@ -5,7 +5,6 @@ import doctest
 import pytest
 
 import repro.simnet.kernel
-import repro.soap.binxml
 import repro.util.stats
 import repro.xmlmini
 
@@ -14,7 +13,6 @@ import repro.xmlmini
     "module",
     [
         repro.xmlmini,
-        repro.soap.binxml,
         repro.simnet.kernel,
         repro.util.stats,
     ],
