@@ -25,7 +25,7 @@ and falls back to the full parse.
 
 from __future__ import annotations
 
-from repro.errors import FastPathUnsupported, SoapError, XmlError, XmlParseError
+from repro.errors import FastPathUnsupported
 from repro.soap.constants import SOAP11_NS, SOAP12_NS, SoapVersion
 from repro.soap.envelope import Envelope
 from repro.wsa.constants import WSA_NS
@@ -163,11 +163,9 @@ class LazyEnvelope:
         scan = self._scan
         if scan.body_children == 0:
             return None
-        try:
-            text = scan.data[scan.body_start : scan.body_end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise XmlParseError(f"Body is not valid UTF-8: {exc}") from None
-        body_el = parse_fragment(text, scan.scope)
+        body_el = parse_fragment(
+            scan.data[scan.body_start : scan.body_end], scan.scope
+        )
         elems = list(body_el.element_children())
         return elems[0] if elems else None
 

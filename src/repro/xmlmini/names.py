@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import XmlError
 
 XMLNS_NS = "http://www.w3.org/2000/xmlns/"
 XML_NS = "http://www.w3.org/XML/1998/namespace"
 
-_NAME_START = (
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_NAME_CHARS = _NAME_START + "0123456789.-"
+# An ASCII letter or "_", then ASCII letters, digits, "." "-" "_"; beyond ASCII,
+# what ``\w`` takes, which _beyond_ascii_ok narrows.
+_NC = r"[^\W\d][\w.\-]*"
+_NCNAME = re.compile(_NC).fullmatch
+_QNAME = re.compile(rf"(?:({_NC}):)?({_NC})").fullmatch
+
+
+def _beyond_ascii_ok(name: str) -> bool:
+    # the pattern's word class also takes the ~1,000 code points that are
+    # numeric without being letters or digits (fractions, letter numbers)
+    first = name[0]
+    return (first.isascii() or first.isalpha()) and all(
+        c.isascii() or c.isalpha() or c.isdigit() for c in name
+    )
 
 
 def is_ncname(name: str) -> bool:
@@ -20,18 +32,7 @@ def is_ncname(name: str) -> bool:
     Python's ``str.isalpha`` covers the XML letter classes closely enough
     for the documents this library produces and consumes.
     """
-    if not name:
-        return False
-    first = name[0]
-    if not (first in _NAME_START or (not first.isascii() and first.isalpha())):
-        return False
-    for ch in name[1:]:
-        if ch in _NAME_CHARS:
-            continue
-        if not ch.isascii() and (ch.isalpha() or ch.isdigit()):
-            continue
-        return False
-    return True
+    return _NCNAME(name) is not None and (name.isascii() or _beyond_ascii_ok(name))
 
 
 def split_prefixed(name: str) -> tuple[str | None, str]:
@@ -42,6 +43,37 @@ def split_prefixed(name: str) -> tuple[str | None, str]:
     if not prefix or not local or ":" in local:
         raise XmlError(f"malformed qualified name {name!r}")
     return prefix, local
+
+
+def expand_name(
+    raw: str, scope: dict[str | None, str | None], is_attr: bool = False
+) -> "QName":
+    """Resolve the tag or attribute name ``raw`` (``local`` or
+    ``prefix:local``) against ``scope``, which maps prefix (None = default)
+    to namespace URI (None = no namespace).  Raises :class:`XmlError` for a
+    malformed or invalid name and for an undeclared prefix.
+    """
+    name = _QNAME(raw)
+    if name is None or not (raw.isascii() or all(map(_beyond_ascii_ok, raw.split(":")))):
+        try:
+            split_prefixed(raw)
+        except XmlError:
+            raise XmlError(f"malformed name {raw!r}") from None
+        raise XmlError(f"invalid name {raw!r}")
+    prefix, local = name.groups()
+    if prefix is None:
+        # Unprefixed attributes are in no namespace (XML NS rec);
+        # unprefixed elements take the default namespace.
+        ns = None if is_attr else scope.get(None)
+    elif prefix == "xml":
+        ns = XML_NS
+    elif prefix == "xmlns":
+        ns = XMLNS_NS
+    else:
+        ns = scope.get(prefix)
+        if ns is None:
+            raise XmlError(f"undeclared namespace prefix {prefix!r}")
+    return QName(ns, local)
 
 
 class QName:

@@ -1,50 +1,49 @@
 """Byte-offset envelope scanner for the zero-copy SOAP fast path.
 
-:func:`scan_envelope` tokenizes a serialized SOAP document only as far as
-it must: the prolog, the root start tag, the Header element (parsed into
-real :class:`~repro.xmlmini.Element` trees via
-:func:`~repro.xmlmini.parser.parse_fragment`), and the *span* of the Body.
-The Body's bytes are never decoded, parsed, or copied — the scan records
-their offsets so a rewritten document can later be produced by splicing
-new header bytes between the untouched preamble and the untouched Body
-slice (:meth:`EnvelopeScan.body_view` exposes the slice as a zero-copy
+:func:`scan_envelope` reads a serialized SOAP document only as far as it
+must: the prolog, the root start tag, the Header element (built into
+real :class:`~repro.xmlmini.Element` trees by the parser, in the same
+pass that finds where it ends), and the *span* of the Body.  The Body's
+bytes are never decoded, parsed, or copied — the scan records their
+offsets so a rewritten document can later be produced by splicing new
+header bytes between the untouched preamble and the untouched Body slice
+(:meth:`EnvelopeScan.body_view` exposes the slice as a zero-copy
 ``memoryview``).
 
-Every XML markup delimiter is ASCII, so the scan runs directly over the
-UTF-8 bytes: multi-byte sequences can never alias ``<``, ``>``, quotes or
-whitespace.  Between markup the scanner hops with ``bytes.find`` rather
-than walking characters, so a large text payload costs one ``find`` call.
+The scan runs on the tokenizer of :mod:`repro.xmlmini.parser`, directly
+over the UTF-8 bytes: between markup it hops with ``bytes.find``, and a
+tag costs one pattern match, so a large text payload costs one ``find``
+call.
 
 The scanner is deliberately conservative.  Anything it cannot prove safe
-to splice — DOCTYPE, non-UTF-8 encodings, entity references in namespace
-declarations, structural surprises, trailing content after the root —
-raises :class:`~repro.errors.FastPathUnsupported`, and the caller falls
-back to the full DOM parse, which is the arbiter of validity.
+to splice — DOCTYPE, a declared encoding other than UTF-8, entity
+references in namespace declarations, structural surprises, trailing
+content after the root — raises
+:class:`~repro.errors.FastPathUnsupported`, and the caller falls back to
+the full DOM parse, which is the arbiter of validity.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
-from repro.errors import FastPathUnsupported, XmlError
+from repro.errors import FastPathUnsupported, XmlParseError
 from repro.xmlmini.names import QName, XML_NS
 from repro.xmlmini.node import Element
-from repro.xmlmini.parser import parse_fragment
+from repro.xmlmini.parser import (
+    ATTRIBUTE,
+    BOM,
+    CODECS,
+    END_TAG,
+    NAME,
+    START_TAG,
+    _Parser,
+    declared_encoding,
+)
 
-_WS = b" \t\r\n"
-_NAME_END = b" \t\r\n=/><\"'"
-_QUOTES = (34, 39)  # '"' and "'"
-
-
-@dataclass
-class _StartTag:
-    """One scanned start tag: raw name bytes, xmlns declarations only."""
-
-    raw_name: bytes
-    decls: dict[str | None, str | None]
-    self_closing: bool
-    end: int  # offset just past the closing '>'
+Scope = dict[str | None, str | None]
 
 
 @dataclass
@@ -54,7 +53,7 @@ class EnvelopeScan:
     data: bytes
     root_name: QName
     #: namespace bindings in force inside the root element
-    scope: dict[str | None, str | None]
+    scope: Scope
     header: Element | None
     #: where rewritten header bytes are inserted
     splice_start: int
@@ -77,266 +76,99 @@ def _bail(reason: str, detail: str = "") -> NoReturn:
     raise FastPathUnsupported(reason, detail)
 
 
-def _declared_encoding(decl: bytes) -> bytes | None:
-    """Extract the encoding pseudo-attribute value from an XML declaration."""
-    idx = decl.find(b"encoding")
-    if idx < 0:
-        return None
-    i = idx + 8
-    n = len(decl)
-    while i < n and decl[i] in _WS:
-        i += 1
-    if i >= n or decl[i] != 61:  # '='
-        return None
-    i += 1
-    while i < n and decl[i] in _WS:
-        i += 1
-    if i >= n or decl[i] not in _QUOTES:
-        return None
-    end = decl.find(decl[i : i + 1], i + 1)
-    if end < 0:
-        return None
-    return decl[i + 1 : end].lower()
+def _skip_misc(parser: _Parser, pos: int) -> int:
+    """Skip whitespace, comments, and processing instructions.
+
+    Stops at anything else; ``<!`` that is neither a comment nor CDATA
+    is a markup declaration (DOCTYPE) and bails.
+    """
+    pos = parser.skip_misc(pos)
+    data = parser.data
+    if data.startswith(b"<!", pos) and not data.startswith(b"<![", pos):
+        _bail("doctype", "markup declaration")
+    return pos
 
 
-class _Scan:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.n = len(data)
-        self.pos = 0
+def _start_tag(parser: _Parser, pos: int) -> re.Match[bytes]:
+    tag = START_TAG(parser.data, pos)
+    if tag is None:
+        raise parser.start_tag_error(pos)
+    return tag
 
-    # -- low-level cursor ---------------------------------------------------
-    def startswith(self, token: bytes) -> bool:
-        return self.data.startswith(token, self.pos)
 
-    def skip_ws(self) -> None:
-        d, n = self.data, self.n
-        i = self.pos
-        while i < n and d[i] in _WS:
-            i += 1
-        self.pos = i
-
-    def skip_past(self, token: bytes, what: str) -> None:
-        idx = self.data.find(token, self.pos)
-        if idx < 0:
-            _bail("malformed", f"unterminated {what}")
-        self.pos = idx + len(token)
-
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments, and processing instructions.
-
-        Stops at anything else; ``<!`` that is neither a comment nor CDATA
-        is a markup declaration (DOCTYPE) and bails.
-        """
-        while True:
-            self.skip_ws()
-            if self.startswith(b"<!--"):
-                self.pos += 4
-                self.skip_past(b"-->", "comment")
-            elif self.startswith(b"<!["):
-                return
-            elif self.startswith(b"<!"):
-                _bail("doctype", "markup declaration")
-            elif self.startswith(b"<?"):
-                self.pos += 2
-                self.skip_past(b"?>", "processing instruction")
-            else:
-                return
-
-    def skip_prolog(self) -> None:
-        if self.startswith(b"\xef\xbb\xbf"):
-            self.pos += 3
-        if self.startswith(b"<?xml") and (
-            self.pos + 5 < self.n and self.data[self.pos + 5] in b" \t\r\n?"
+def _resolve(
+    parser: _Parser, tag: re.Match[bytes], scope: Scope
+) -> tuple[QName, Scope]:
+    """The qualified name of start tag ``tag`` and the namespace scope
+    inside it.  Only its xmlns declarations are kept — ordinary attributes
+    matter to whoever parses the element."""
+    attrs = tag.group(2)
+    if attrs:
+        if b"&" in attrs and any(
+            name.startswith(b"xmlns") and b"&" in value
+            for name, value in ATTRIBUTE.findall(attrs)
         ):
-            end = self.data.find(b"?>", self.pos)
+            # would be expanded here but spliced through verbatim
+            _bail("unsupported", "entity reference in namespace declaration")
+        decls, _others = parser.attributes(tag)
+        if decls:
+            scope = {**scope, **decls}
+    return parser.expand(tag.group(1), scope, tag), scope
+
+
+def _content_span(
+    data: bytes, pos: int
+) -> tuple[int, int, re.Match[bytes] | None]:
+    """Depth-scan from just inside an element to just past its end tag.
+
+    Returns ``(end_offset, direct_children, first_child_start_tag)``.  End
+    tag *names* are not matched against start tags — balance alone
+    decides — so a misnested document may scan; the slow-path parser
+    still rejects it wherever the content is actually parsed.
+    """
+    find = data.find
+    depth = 1
+    children = 0
+    first_child: re.Match[bytes] | None = None
+    while True:
+        lt = find(b"<", pos)
+        if lt < 0:
+            _bail("malformed", "unterminated element")
+        kind = data[lt + 1 : lt + 2]
+        if kind == b"/":
+            end = find(b">", lt + 2)
             if end < 0:
-                _bail("malformed", "unterminated XML declaration")
-            enc = _declared_encoding(self.data[self.pos : end])
-            if enc is not None and enc not in (b"utf-8", b"utf8"):
-                _bail("encoding", f"declared encoding {enc!r}")
-            self.pos = end + 2
-        self.skip_misc()
-
-    # -- tags ---------------------------------------------------------------
-    def scan_start_tag(self) -> _StartTag:
-        """Scan the start tag at ``pos`` (which must point at ``<``).
-
-        Collects only xmlns declarations — ordinary attributes are skipped
-        over (the fragment parser re-reads them where they matter).
-        Advances ``pos`` past the closing ``>``.
-        """
-        d, n = self.data, self.n
-        i = self.pos + 1  # past '<'
-        start = i
-        while i < n and d[i] not in _NAME_END:
-            i += 1
-        raw_name = d[start:i]
-        if not raw_name:
-            _bail("malformed", "expected an element name")
-        decls: dict[str | None, str | None] = {}
-        self_closing = False
-        while True:
-            while i < n and d[i] in _WS:
-                i += 1
-            if i >= n:
-                _bail("malformed", "unterminated start tag")
-            c = d[i]
-            if c == 62:  # '>'
-                i += 1
-                break
-            if c == 47:  # '/'
-                if i + 1 >= n or d[i + 1] != 62:
-                    _bail("malformed", "stray '/' in start tag")
-                self_closing = True
-                i += 2
-                break
-            astart = i
-            while i < n and d[i] not in _NAME_END:
-                i += 1
-            aname = d[astart:i]
-            if not aname:
-                _bail("malformed", "expected an attribute name")
-            while i < n and d[i] in _WS:
-                i += 1
-            if i >= n or d[i] != 61:  # '='
-                _bail("malformed", "attribute missing '='")
-            i += 1
-            while i < n and d[i] in _WS:
-                i += 1
-            if i >= n or d[i] not in _QUOTES:
-                _bail("malformed", "attribute value must be quoted")
-            vend = d.find(d[i : i + 1], i + 1)
-            if vend < 0:
-                _bail("malformed", "unterminated attribute value")
-            value = d[i + 1 : vend]
-            i = vend + 1
-            if 60 in value:  # '<'
-                _bail("malformed", "'<' in attribute value")
-            if aname == b"xmlns" or aname.startswith(b"xmlns:"):
-                if 38 in value:  # '&': entity refs need the full parser
-                    _bail("unsupported", "entity reference in namespace declaration")
-                try:
-                    uri = value.decode("utf-8")
-                except UnicodeDecodeError:
-                    _bail("encoding", "namespace declaration is not UTF-8")
-                if aname == b"xmlns":
-                    decls[None] = uri or None
-                else:
-                    try:
-                        prefix = aname[6:].decode("utf-8")
-                    except UnicodeDecodeError:
-                        _bail("encoding", "namespace prefix is not UTF-8")
-                    if not prefix or not uri:
-                        _bail("malformed", "bad namespace declaration")
-                    decls[prefix] = uri
-        self.pos = i
-        return _StartTag(raw_name, decls, self_closing, i)
-
-    def expand(self, raw: bytes, scope: dict[str | None, str | None]) -> QName:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            _bail("encoding", "name is not UTF-8")
-        prefix, sep, local = text.partition(":")
-        if not sep:
-            ns = scope.get(None)
-            local = text
-        elif prefix == "xml":
-            ns = XML_NS
+                _bail("malformed", "unterminated end tag")
+            pos = end + 1
+            depth -= 1
+            if depth == 0:
+                return pos, children, first_child
+        elif kind == b"!":
+            if data.startswith(b"<!--", lt):
+                end = find(b"-->", lt + 4)
+            elif data.startswith(b"<![CDATA[", lt):
+                end = find(b"]]>", lt + 9)
+            else:
+                _bail("doctype", "markup declaration inside element")
+            if end < 0:
+                _bail("malformed", "unterminated comment or CDATA section")
+            pos = end + 3
+        elif kind == b"?":
+            end = find(b"?>", lt + 2)
+            if end < 0:
+                _bail("malformed", "unterminated processing instruction")
+            pos = end + 2
         else:
-            if not prefix or not local or ":" in local:
-                _bail("malformed", f"malformed name {text!r}")
-            if prefix not in scope:
-                _bail("malformed", f"undeclared namespace prefix {prefix!r}")
-            ns = scope[prefix]
-        try:
-            return QName(ns, local)
-        except XmlError:
-            _bail("malformed", f"invalid name {text!r}")
-
-    def tag_end(self, start: int) -> tuple[int, bool]:
-        """``start`` points at ``<`` of a start tag; return the offset just
-        past its ``>`` (honouring quoted attribute values) and whether the
-        tag is self-closing."""
-        d, n = self.data, self.n
-        i = start + 1
-        quote = 0
-        while i < n:
-            c = d[i]
-            if quote:
-                if c == quote:
-                    quote = 0
-            elif c in _QUOTES:
-                quote = c
-            elif c == 62:  # '>'
-                return i + 1, d[i - 1] == 47
-            elif c == 60:  # '<'
-                _bail("malformed", "'<' inside a tag")
-            i += 1
-        _bail("malformed", "unterminated tag")
-
-    def element_span(self, start: int) -> tuple[int, int, int | None]:
-        """Depth-scan from the ``<`` of a start tag to just past its matching
-        end tag, hopping between markup delimiters with ``bytes.find``.
-
-        Returns ``(end_offset, direct_children, first_child_offset)``.  End
-        tag *names* are not matched against start tags — balance alone
-        decides — so a misnested document may scan; the fragment/slow-path
-        parser still rejects it wherever the content is actually parsed.
-        """
-        d, n = self.data, self.n
-        pos = start
-        depth = 0
-        children = 0
-        first_child: int | None = None
-        while True:
-            lt = d.find(b"<", pos)
-            if lt < 0:
-                _bail("malformed", "unterminated element")
-            nxt = d[lt + 1] if lt + 1 < n else 0
-            if nxt == 33:  # '!'
-                if d.startswith(b"<!--", lt):
-                    end = d.find(b"-->", lt + 4)
-                    if end < 0:
-                        _bail("malformed", "unterminated comment")
-                    pos = end + 3
-                elif d.startswith(b"<![CDATA[", lt):
-                    end = d.find(b"]]>", lt + 9)
-                    if end < 0:
-                        _bail("malformed", "unterminated CDATA section")
-                    pos = end + 3
-                else:
-                    _bail("doctype", "markup declaration inside element")
-                continue
-            if nxt == 63:  # '?'
-                end = d.find(b"?>", lt + 2)
-                if end < 0:
-                    _bail("malformed", "unterminated processing instruction")
-                pos = end + 2
-                continue
-            if nxt == 47:  # '/': an end tag
-                end = d.find(b">", lt + 2)
-                if end < 0:
-                    _bail("malformed", "unterminated end tag")
-                depth -= 1
-                pos = end + 1
-                if depth == 0:
-                    return pos, children, first_child
-                if depth < 0:
-                    _bail("malformed", "unbalanced end tag")
-                continue
-            end, self_closing = self.tag_end(lt)
+            tag = START_TAG(data, lt)
+            if tag is None:
+                _bail("malformed", f"bad start tag at offset {lt}")
             if depth == 1:
                 children += 1
                 if first_child is None:
-                    first_child = lt
-            if not self_closing:
+                    first_child = tag
+            if not tag.group(3):
                 depth += 1
-            elif depth == 0:
-                # the spanned element itself was self-closing
-                return end, 0, None
-            pos = end
+            pos = tag.end()
 
 
 def scan_envelope(data: bytes | bytearray | memoryview) -> EnvelopeScan:
@@ -348,16 +180,26 @@ def scan_envelope(data: bytes | bytearray | memoryview) -> EnvelopeScan:
     """
     if not isinstance(data, bytes):
         data = bytes(data)
-    s = _Scan(data)
-    s.skip_prolog()
-    if not s.startswith(b"<"):
+    try:
+        return _scan(data)
+    except XmlParseError as exc:
+        _bail("malformed", str(exc))
+    except UnicodeDecodeError as exc:
+        _bail("encoding", f"scanned markup is not valid UTF-8: {exc}")
+
+
+def _scan(data: bytes) -> EnvelopeScan:
+    parser = _Parser(data)
+    label = declared_encoding(data)
+    if label is not None and CODECS.get(label) != "utf-8":
+        _bail("encoding", f"declared encoding {label!r}")
+    pos = _skip_misc(parser, len(BOM) if data.startswith(BOM) else 0)
+    if not data.startswith(b"<", pos):
         _bail("malformed", "expected the document element")
-    root = s.scan_start_tag()
-    if root.self_closing:
+    root = _start_tag(parser, pos)
+    if root.group(3):
         _bail("structure", "document element is empty")
-    scope: dict[str | None, str | None] = {None: None, "xml": XML_NS}
-    scope.update(root.decls)
-    root_name = s.expand(root.raw_name, scope)
+    root_name, scope = _resolve(parser, root, {None: None, "xml": XML_NS})
     if root_name.local != "Envelope":
         _bail("not_envelope", f"document element is {root_name.clark()}")
 
@@ -367,59 +209,33 @@ def scan_envelope(data: bytes | bytearray | memoryview) -> EnvelopeScan:
     body_children = 0
     body_first_child: QName | None = None
 
+    pos = root.end()
     while True:
-        s.skip_misc()
-        if s.pos >= s.n:
+        pos = _skip_misc(parser, pos)
+        if pos >= parser.n:
             _bail("malformed", "unterminated envelope")
-        if s.startswith(b"<!["):
+        if data.startswith(b"<![", pos):
             _bail("structure", "CDATA section between envelope children")
-        if s.startswith(b"</"):
+        if data.startswith(b"</", pos):
             _bail("structure", "envelope has no Body")
-        if not s.startswith(b"<"):
+        if not data.startswith(b"<", pos):
             _bail("structure", "text content between envelope children")
-        child_off = s.pos
-        tag = s.scan_start_tag()
-        child_scope = scope
-        if tag.decls:
-            child_scope = {**scope, **tag.decls}
-        child_name = s.expand(tag.raw_name, child_scope)
+        tag = _start_tag(parser, pos)
+        child_name, child_scope = _resolve(parser, tag, scope)
         if child_name.local == "Header" and child_name.ns == root_name.ns:
             if header_el is not None:
                 _bail("structure", "duplicate Header")
-            if tag.self_closing:
-                span_end = tag.end
-            else:
-                span_end, _children, _first = s.element_span(child_off)
-            try:
-                text = data[child_off:span_end].decode("utf-8")
-            except UnicodeDecodeError:
-                _bail("encoding", "Header is not valid UTF-8")
-            try:
-                # the outer scope, not child_scope: the fragment includes
-                # the Header start tag, which re-declares its own xmlns
-                header_el = parse_fragment(text, scope)
-            except XmlError as exc:
-                _bail("malformed", f"Header did not parse: {exc}")
-            splice_start = child_off
-            tail_start = span_end
-            s.pos = span_end
+            splice_start = pos
+            header_el, pos = parser.parse_element(pos, scope)
+            tail_start = pos
             continue
         if child_name.local == "Body" and child_name.ns == root_name.ns:
-            body_start = child_off
-            if tag.self_closing:
-                body_end = tag.end
-            else:
-                body_end, body_children, first_off = s.element_span(child_off)
-                if first_off is not None:
-                    saved = s.pos
-                    s.pos = first_off
-                    ftag = s.scan_start_tag()
-                    fscope = child_scope
-                    if ftag.decls:
-                        fscope = {**child_scope, **ftag.decls}
-                    body_first_child = s.expand(ftag.raw_name, fscope)
-                    s.pos = saved
-            s.pos = body_end
+            body_start = pos
+            body_end = tag.end()
+            if not tag.group(3):
+                body_end, body_children, first = _content_span(data, body_end)
+                if first is not None:
+                    body_first_child = _resolve(parser, first, child_scope)[0]
             break
         exc = FastPathUnsupported(
             "structure", f"unexpected envelope child {child_name.clark()}"
@@ -428,24 +244,23 @@ def scan_envelope(data: bytes | bytearray | memoryview) -> EnvelopeScan:
         raise exc
 
     # the root end tag, then at most trailing comments/PIs/whitespace
-    s.skip_misc()
-    if not s.startswith(b"</"):
+    pos = _skip_misc(parser, body_end)
+    if not data.startswith(b"</", pos):
         _bail("trailing_content", "content after Body")
-    name_start = s.pos + 2
-    name_end = name_start
-    while name_end < s.n and data[name_end] not in b" \t\r\n>":
-        name_end += 1
-    if data[name_start:name_end] != root.raw_name:
-        _bail("structure", "mismatched document end tag")
-    s.pos = name_end
-    s.skip_ws()
-    if not s.startswith(b">"):
+    end = END_TAG(data, pos)
+    if end is None or end.group(1) != root.group(1):
+        name = NAME(data, pos + 2)
+        if name is None or name.group() != root.group(1):
+            _bail("structure", "mismatched document end tag")
         _bail("malformed", "malformed document end tag")
-    s.pos += 1
-    s.skip_misc()
-    if s.pos != s.n:
+    if _skip_misc(parser, end.end()) != parser.n:
         _bail("trailing_content", "content after the document element")
 
+    # comments and PIs around the Body were skipped, not read; the DOM
+    # parser refuses the document if they are not UTF-8, so does the splice
+    for skipped in (data[:body_start], data[body_end:]):
+        if not skipped.isascii():
+            skipped.decode("utf-8")
     if splice_start < 0:
         splice_start = tail_start = body_start
     return EnvelopeScan(

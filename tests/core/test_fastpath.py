@@ -21,7 +21,12 @@ from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer, sim_http_request
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
-from repro.soap import Envelope, fastpath_counter, parse_rpc_response
+from repro.soap import (
+    Envelope,
+    fastpath_counter,
+    parse_rpc_request,
+    parse_rpc_response,
+)
 from repro.util.ids import IdGenerator
 from repro.workload.echo import (
     AsyncEchoService,
@@ -29,6 +34,7 @@ from repro.workload.echo import (
     make_echo_message,
     make_echo_request,
 )
+from repro.wsa import AddressingHeaders
 from tests.conftest import DispatcherBackend
 from tests.core.test_sim_dispatcher import soap_post
 
@@ -51,11 +57,12 @@ def fastpath_outcomes(registry) -> dict[str, float]:
 
 
 def declare_latin1(raw: bytes) -> bytes:
-    """The same document behind an encoding declaration the scanner
-    refuses (the DOM parser reads it; how ``bulk_mixed`` reaches the
-    slow path)."""
+    """The same document in ISO-8859-1, behind the declaration that says
+    so: the scanner refuses it, the DOM parser reads it (how ``bulk_mixed``
+    reaches the slow path)."""
     assert raw.count(b'encoding="UTF-8"') == 1
-    return raw.replace(b'encoding="UTF-8"', b'encoding="ISO-8859-1"')
+    relabelled = raw.replace(b'encoding="UTF-8"', b'encoding="ISO-8859-1"')
+    return relabelled.decode("utf-8").encode("latin-1")
 
 
 @pytest.fixture
@@ -203,11 +210,13 @@ def test_scanner_bail_out_delivers_the_same_message(hosting):
         else lambda raw: _forward_threaded_or_aio(hosting, raw)
     )
     friendly = make_echo_message(
-        to="urn:wsd:echo", message_id="uuid:fastpath-1"
-    ).to_bytes()
+        to="urn:wsd:echo", message_id="uuid:fastpath-é"
+    ).to_bytes().replace(b"<text>", "<text>déjà vu ".encode(), 1)
+    latin1 = declare_latin1(friendly)
+    assert "déjà vu".encode("latin-1") in latin1 and "é".encode() not in latin1
 
     fast_bytes, fast_metrics, fast_stats = forward(friendly)
-    slow_bytes, slow_metrics, slow_stats = forward(declare_latin1(friendly))
+    slow_bytes, slow_metrics, slow_stats = forward(latin1)
 
     assert fastpath_outcomes(fast_metrics) == {"fast": 1}
     assert fastpath_outcomes(slow_metrics) == {"encoding": 1}
@@ -220,6 +229,10 @@ def test_scanner_bail_out_delivers_the_same_message(hosting):
     assert fast_env.version is slow_env.version
     assert fast_env.headers == slow_env.headers
     assert fast_env.body == slow_env.body
+    # ... the text that was sent, forwarded as UTF-8 and labelled so
+    assert slow_bytes.startswith(b'<?xml version="1.0" encoding="UTF-8"?>')
+    assert parse_rpc_request(slow_env).param("text").startswith("déjà vu x")
+    assert AddressingHeaders.from_envelope(slow_env).message_id == "uuid:fastpath-é"
 
 
 @pytest.fixture

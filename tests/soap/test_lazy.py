@@ -261,14 +261,24 @@ def test_parse_envelope_falls_back_on_bail():
     registry = MetricsRegistry()
     counter = fastpath_counter(registry)
     data = addressed_doc().replace(
-        b'version="1.0"', b'version="1.0" encoding="utf-16"'
+        b'version="1.0"', b'version="1.0" encoding="us-ascii"'
     )
-    # ASCII document with a non-utf-8 encoding label: the scanner refuses,
-    # the DOM parser still reads it
+    # a non-utf-8 encoding label: the scanner refuses, the DOM parser reads
+    # the encodings of its closed list
     env = parse_envelope(data, counter=counter)
     assert isinstance(env, Envelope)
     assert outcome(registry, "encoding") == 1
     assert outcome(registry, "fast") == 0
+
+
+def test_parse_envelope_refuses_an_unlisted_encoding_by_name():
+    registry = MetricsRegistry()
+    data = addressed_doc().replace(
+        b'version="1.0"', b'version="1.0" encoding="utf-16"'
+    )
+    with pytest.raises(XmlError, match="utf-16"):
+        parse_envelope(data, counter=fastpath_counter(registry))
+    assert outcome(registry, "encoding") == 1
 
 
 def test_parse_envelope_invalid_document_raises_like_slow_path():

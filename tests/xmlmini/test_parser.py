@@ -157,3 +157,37 @@ class TestMalformed:
 
     def test_comment_and_pi_after_root_allowed(self):
         assert parse("<a/><!-- bye --><?pi ?>").name.local == "a"
+
+
+class TestDeclaredEncoding:
+    DECL = '<?xml version="1.0" encoding="%s"?>'
+
+    @pytest.mark.parametrize("label", ["ISO-8859-1", "iso8859-1", "Latin-1", "latin1", "L1"])
+    def test_latin1_bytes_are_read_as_latin1(self, label):
+        doc = (self.DECL % label + "<a b='é'>café</a>").encode("latin-1")
+        root = parse(doc)
+        assert root.text == "café" and root.get("b") == "é"
+
+    def test_the_label_decides_not_the_bytes(self):
+        doc = (self.DECL % "ISO-8859-1" + "<a>é</a>").encode("utf-8")
+        assert parse(doc).text == "Ã©"
+
+    @pytest.mark.parametrize("label", ["UTF-8", "utf8", "US-ASCII", "ascii", "latin1"])
+    def test_ascii_bytes_read_the_same_under_every_listed_label(self, label):
+        assert parse((self.DECL % label + "<a>plain</a>").encode()).text == "plain"
+
+    def test_us_ascii_refuses_a_high_byte(self):
+        with pytest.raises(XmlParseError, match="US-ASCII"):
+            parse((self.DECL % "US-ASCII" + "<a>é</a>").encode("latin-1"))
+
+    @pytest.mark.parametrize("label", ["utf-16", "cp1252", "Shift_JIS", ""])
+    def test_an_unlisted_encoding_is_refused_by_name(self, label):
+        with pytest.raises(XmlParseError, match=repr(label.lower())):
+            parse((self.DECL % label + "<a/>").encode())
+
+    def test_single_quotes_and_a_bom(self):
+        doc = "<?xml version='1.0' encoding = 'utf-8' ?><a>é</a>".encode()
+        assert parse(b"\xef\xbb\xbf" + doc).text == "é"
+
+    def test_a_str_is_already_decoded(self):
+        assert parse(self.DECL % "utf-16" + "<a>é</a>").text == "é"

@@ -115,6 +115,14 @@ def test_bails_on_non_utf8_encoding_declaration():
     assert bail_reason(data) == "encoding"
 
 
+def test_bails_on_skipped_markup_that_is_not_utf8():
+    for where in (b"<s:Header>", b"<s:Body>", b"</s:Envelope>"):
+        data = doc().replace(where, b"<!-- \xff -->" + where)
+        assert bail_reason(data) == "encoding"
+    # inside the Body nothing is read, and nothing is judged
+    assert scan_envelope(doc(body="<p><!-- \xff --></p>")).body_children == 1
+
+
 def test_bails_on_multi_root():
     assert bail_reason(doc() + b"<extra/>") == "trailing_content"
 
