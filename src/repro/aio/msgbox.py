@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.errors import SoapError
-from repro.msgbox.service import MSGBOX_NS, MsgBoxService
+from repro.msgbox.service import MsgBoxService
 from repro.rt.service import RequestContext
 from repro.soap import Envelope, parse_rpc_request
 
@@ -44,8 +44,7 @@ class AioMsgBoxService(MsgBoxService):
     def _longpoll_of(self, envelope: Envelope):
         """(mailbox_id, owner_token, wait_s) when this is a long-poll
         take; None routes everything else to the sync path."""
-        body = envelope.body
-        if body is None or body.name.ns != MSGBOX_NS:
+        if not self._is_rpc(envelope):
             return None
         try:
             call = parse_rpc_request(envelope)

@@ -109,6 +109,9 @@ class _Correlation:
     reply_to: EndpointReference | None
     fault_to: EndpointReference | None
     expires_at: float
+    #: every EPR went to the service untouched (RewriteResult.passed_through):
+    #: only an in-band answer (Table 1 quadrant 3) can still need this entry
+    passed_through: bool = False
 
 
 @dataclass
@@ -283,7 +286,12 @@ class MsgDispatcher:
                 self.config.breaker, clock=self.clock, metrics=self.metrics,
                 flight=self.flight,
             )
+        #: insertion-ordered, and the TTL is one constant: insertion order
+        #: is expiry order (see _expire_correlations)
         self._correlations: dict[str, _Correlation] = {}
+        #: deposit prefixes of the WS-MsgBox services co-hosted with this
+        #: dispatcher, derived from the mount table (see hosted_on)
+        self._cohosted_deposits: tuple[str, ...] = ()
         self._destinations: dict[str, _Destination] = {}
         self._lock = threading.Lock()
         self._ws_slots = threading.Semaphore(self.config.ws_threads)
@@ -351,6 +359,38 @@ class MsgDispatcher:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+    # -- co-hosting (paper §4.3.2) -----------------------------------------
+    def hosted_on(self, app) -> None:
+        """:meth:`SoapHttpApp.mount` hook: learn which WS-MsgBox services
+        this dispatcher is co-hosted with.
+
+        A ``ReplyTo``/``FaultTo`` that already names such a mailbox is left
+        alone by :meth:`_route_one` — the mailbox is as reachable as the
+        dispatcher itself, so the service deposits its reply directly and
+        the relay hop adds nothing.  A mounted service's declared
+        ``deposit_prefix`` qualifies **iff** it is on this dispatcher's own
+        origin (host and port of ``own_address``, as
+        :func:`~repro.transport.base.parse_http_url` gives them) and every
+        path under it resolves, on ``app``, to that very service.  Called
+        again on every later mount, so mount order does not matter.
+        """
+        try:
+            origin, _ = parse_http_url(self.own_address)
+        except ReproError:
+            return  # no http origin of its own: nothing is co-hosted
+        deposits = []
+        for service in app.services():
+            prefix = getattr(service, "deposit_prefix", None)
+            if not prefix:
+                continue
+            try:
+                declared_origin, path = parse_http_url(prefix)
+            except ReproError:
+                continue
+            if declared_origin == origin and app.owns_subtree(path, service):
+                deposits.append(prefix)
+        self._cohosted_deposits = tuple(deposits)
 
     # -- crash recovery -----------------------------------------------------
     def recover(self) -> int:
@@ -634,14 +674,21 @@ class MsgDispatcher:
 
         result = rewrite_for_forwarding(
             envelope, physical, self.own_address,
-            passthrough_reply_prefixes=self.config.passthrough_reply_prefixes,
+            passthrough_reply_prefixes=(
+                *self.config.passthrough_reply_prefixes,
+                *self._cohosted_deposits,
+            ),
         )
         if result.original_reply_to or result.original_fault_to:
             with self._lock:
+                # pop first: a re-sent MessageID moves to the back, keeping
+                # the table in expiry order
+                self._correlations.pop(result.message_id, None)
                 self._correlations[result.message_id] = _Correlation(
                     reply_to=result.original_reply_to,
                     fault_to=result.original_fault_to,
                     expires_at=now + self.config.correlation_ttl,
+                    passed_through=result.passed_through,
                 )
         route_sid = None
         if trace is not None:
@@ -738,12 +785,19 @@ class MsgDispatcher:
         return corr
 
     def _expire_correlations(self, now: float) -> None:
+        """Collect expired entries from the front of the table: O(expired),
+        not O(live) — the oldest entry is the first to expire."""
+        expired = 0
         with self._lock:
-            dead = [k for k, c in self._correlations.items() if c.expires_at < now]
-            for k in dead:
-                del self._correlations[k]
-        if dead:
-            self.counters.inc("expired_correlations", len(dead))
+            table = self._correlations
+            while table:
+                oldest = next(iter(table))
+                if table[oldest].expires_at >= now:
+                    break
+                del table[oldest]
+                expired += 1
+        if expired:
+            self.counters.inc("expired_correlations", expired)
 
     def pending_correlations(self) -> int:
         with self._lock:
@@ -1179,9 +1233,19 @@ class MsgDispatcher:
 
         The dispatcher translates the in-band SOAP response into a proper
         one-way response message (adding RelatesTo so the correlation
-        entry routes it) and feeds it back through the pipeline.
+        entry routes it) and feeds it back through the pipeline.  Without
+        an in-band answer, a correlation entry kept only for this case
+        (every EPR passed through) is dropped here.
         """
-        if response.status != 200 or not response.body or item.message_id is None:
+        if item.message_id is None:
+            return
+        if response.status != 200 or not response.body:
+            # No in-band answer, and a passed-through reply goes straight
+            # to the mailbox: nothing will ever pop this entry.
+            with self._lock:
+                corr = self._correlations.get(item.message_id)
+                if corr is not None and corr.passed_through:
+                    del self._correlations[item.message_id]
             return
         try:
             envelope = parse_envelope(response.body, counter=self._m_fastpath)

@@ -224,6 +224,9 @@ class _SimCorrelation:
     reply_to: EndpointReference | None
     fault_to: EndpointReference | None
     expires_at: float
+    #: every EPR went to the service untouched: only an in-band answer
+    #: (Table 1 quadrant 3) can still need this entry
+    passed_through: bool = False
 
 
 class SimMsgDispatcher:
@@ -659,11 +662,22 @@ class SimMsgDispatcher:
             envelope, physical, self.own_address,
             passthrough_reply_prefixes=self.config.passthrough_reply_prefixes,
         )
+        # The oldest entry is the first to expire (one constant TTL, an
+        # insertion-ordered dict): collect from the front, O(expired).
+        table = self._correlations
+        while table:
+            oldest = next(iter(table))
+            if table[oldest].expires_at >= now:
+                break
+            del table[oldest]
+            self.counters.inc("expired_correlations")
         if result.original_reply_to or result.original_fault_to:
-            self._correlations[result.message_id] = _SimCorrelation(
+            table.pop(result.message_id, None)  # a re-send moves to the back
+            table[result.message_id] = _SimCorrelation(
                 result.original_reply_to,
                 result.original_fault_to,
                 now + self.config.correlation_ttl,
+                result.passed_through,
             )
         route_sid = self._route_span(trace, result.envelope, logical, physical)
         if isinstance(result.envelope, LazyEnvelope):
@@ -1174,8 +1188,17 @@ class SimMsgDispatcher:
         parent_span_id: str | None = None,
     ) -> None:
         """Quadrant 3 of Table 1: translate an in-band RPC reply into a
-        one-way response message and re-inject it into the pipeline."""
-        if response.status != 200 or not response.body or message_id is None:
+        one-way response message and re-inject it into the pipeline.
+        Without one, a correlation entry kept only for this case (every
+        EPR passed through) is dropped here."""
+        if message_id is None:
+            return
+        if response.status != 200 or not response.body:
+            # No in-band answer, and a passed-through reply goes straight
+            # to the mailbox: nothing will ever pop this entry.
+            corr = self._correlations.get(message_id)
+            if corr is not None and corr.passed_through:
+                del self._correlations[message_id]
             return
         try:
             envelope = parse_envelope(response.body, counter=self._m_fastpath)

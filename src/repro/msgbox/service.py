@@ -61,9 +61,14 @@ class SimulatedOutOfMemory(MailboxError):
     """The modelled JVM heap was exhausted by per-message thread stacks."""
 
 
+def _deposit_prefix(service_url: str) -> str:
+    """The absolute URL prefix under which one-way deposits are accepted."""
+    return service_url.rstrip("/") + "/deposit/"
+
+
 def make_mailbox_epr(service_url: str, mailbox_id: str) -> EndpointReference:
     """EPR a client uses as ReplyTo: deposit URL + MailboxId ref property."""
-    address = service_url.rstrip("/") + "/deposit/" + mailbox_id
+    address = _deposit_prefix(service_url) + mailbox_id
     prop = Element(Q_MAILBOX_ID, text=mailbox_id)
     return EndpointReference(address, reference_properties=[prop])
 
@@ -161,13 +166,28 @@ class MsgBoxService:
             self.counters.inc("oom_crashes")
             raise SimulatedOutOfMemory(self._dead_reason or "OOM")
 
+    @property
+    def deposit_prefix(self) -> str:
+        """Where this service says it accepts deposits (``""`` without a
+        ``base_url``).  A MSG-Dispatcher mounted on the same
+        :class:`~repro.rt.service.SoapHttpApp` reads this to recognise a
+        ``ReplyTo`` that already names its own co-hosted mailbox."""
+        return _deposit_prefix(self.base_url) if self.base_url else ""
+
     # -- SoapService entry point ----------------------------------------
     def handle(self, envelope: Envelope, ctx: RequestContext) -> Envelope | None:
         self._check_alive()
-        body = envelope.body
-        if body is not None and body.name.ns == MSGBOX_NS:
+        if self._is_rpc(envelope):
             return self._handle_rpc(envelope, ctx)
         return self._handle_deposit(envelope, ctx)
+
+    @staticmethod
+    def _is_rpc(envelope: Envelope) -> bool:
+        """An owner's RPC (vs. a deposit), told by the name of the Body's
+        first child — which the scan already knows, so classifying a
+        deposit never parses its Body."""
+        name = envelope.body_name
+        return name is not None and name.ns == MSGBOX_NS
 
     def _wait_for_message(self, mailbox_id: str, timeout: float) -> bool:
         """Long-poll wait seam.  The threaded service blocks its worker

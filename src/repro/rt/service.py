@@ -98,10 +98,25 @@ class SoapHttpApp:
         self._m_fastpath = fastpath_counter(registry)
 
     def mount(self, prefix: str, service: SoapService) -> None:
+        """Mount ``service`` under ``prefix``.
+
+        Every mounted service with a ``hosted_on(app)`` method (duck-typed;
+        the MSG-Dispatcher has one) is then handed this app — on *every*
+        :meth:`mount` and :meth:`mount_raw`, so a service learns of peers
+        mounted before and after it.
+        """
         if not prefix.startswith("/"):
             raise ValueError("mount prefix must start with '/'")
         self._services.append((prefix, service))
         self._services.sort(key=lambda item: len(item[0]), reverse=True)
+        self._announce()
+
+    def _announce(self) -> None:
+        """Tell the mounted services the ``POST`` routing table changed."""
+        for _, mounted in self._services:
+            hook = getattr(mounted, "hosted_on", None)
+            if hook is not None:
+                hook(self)
 
     def mount_page(
         self, prefix: str, handler: Callable[[HttpRequest], HttpResponse]
@@ -121,6 +136,7 @@ class SoapHttpApp:
             raise ValueError("mount prefix must start with '/'")
         self._raw.append((prefix, handler))
         self._raw.sort(key=lambda item: len(item[0]), reverse=True)
+        self._announce()
 
     def _lookup(self, path: str) -> SoapService | None:
         for prefix, service in self._services:
@@ -129,6 +145,27 @@ class SoapHttpApp:
             ):
                 return service
         return None
+
+    def services(self) -> list[SoapService]:
+        """The mounted SOAP services (longest prefix first)."""
+        return [service for _, service in self._services]
+
+    def owns_subtree(self, path: str, service: SoapService) -> bool:
+        """True when a ``POST`` to *every* path starting with ``path``
+        (which must end in ``/``) reaches ``service``: ``path`` resolves to
+        it, nothing else is mounted beneath it, and no raw handler sits on
+        or above or beneath it."""
+        if not path.endswith("/") or self._lookup(path) is not service:
+            return False
+        if any(
+            prefix.startswith(path) and other is not service
+            for prefix, other in self._services
+        ):
+            return False
+        return not any(
+            prefix.startswith(path) or path.startswith(prefix.rstrip("/") + "/")
+            for prefix, _ in self._raw
+        )
 
     # -- HttpServer handler entry point ----------------------------------
     def handle_request(

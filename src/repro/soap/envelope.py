@@ -112,13 +112,15 @@ class Envelope:
     def from_bytes(cls, data: bytes | str) -> "Envelope":
         return cls.from_element(parse(data))
 
+    @property
+    def body_name(self) -> QName | None:
+        """Qualified name of the body element (None for an empty Body)."""
+        return self.body.name if self.body is not None else None
+
     # -- fault helpers ---------------------------------------------------
     def is_fault(self) -> bool:
         """True when the body element is a SOAP Fault of this version."""
-        return (
-            self.body is not None
-            and self.body.name == QName(self.version.ns, "Fault")
-        )
+        return self.body_name == QName(self.version.ns, "Fault")
 
     def __repr__(self) -> str:
         body = self.body.name.clark() if self.body is not None else None

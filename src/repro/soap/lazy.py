@@ -155,6 +155,12 @@ class LazyEnvelope:
         return self._body
 
     @property
+    def body_name(self) -> QName | None:
+        """Qualified name of the body element (None for an empty Body) —
+        answered from the scan, without parsing the Body."""
+        return self._scan.body_first_child
+
+    @property
     def body_bytes(self) -> memoryview:
         """The whole ``<Body>…</Body>`` region, zero-copy."""
         return self._scan.body_view
@@ -170,9 +176,9 @@ class LazyEnvelope:
         return elems[0] if elems else None
 
     def is_fault(self) -> bool:
-        """True when the body element is a SOAP Fault of this version —
-        answered from the scan, without parsing the Body."""
-        return self._scan.body_first_child == QName(self.version.ns, "Fault")
+        """True when the body element is a SOAP Fault of this version
+        (no Body parse: see :attr:`body_name`)."""
+        return self.body_name == QName(self.version.ns, "Fault")
 
     # -- conversions ---------------------------------------------------------
     def materialize(self) -> Envelope:

@@ -33,6 +33,9 @@ class RewriteResult:
     message_id: str
     original_reply_to: EndpointReference | None
     original_fault_to: EndpointReference | None
+    #: True when every EPR the service may answer to was passed through:
+    #: no reply or fault will come back by way of the dispatcher
+    passed_through: bool = False
 
 
 def rewrite_for_forwarding(
@@ -47,13 +50,15 @@ def rewrite_for_forwarding(
     - ``wsa:ReplyTo``/``wsa:FaultTo`` are replaced with the dispatcher's own
       address, so the (possibly firewalled) service only ever talks back to
       the dispatcher.
-    - Exception: a ReplyTo whose address starts with one of
-      ``passthrough_reply_prefixes`` is left untouched.  The dispatcher
-      uses this for its own co-located WS-MsgBox — it *knows* that address
-      is publicly reachable, so the service can "send response messages to
-      the WS-MsgBox mailbox" directly (paper §4.3.2) without a relay hop.
+    - Exception, decided **per EPR**: a ReplyTo or FaultTo whose address
+      starts with one of ``passthrough_reply_prefixes`` is left untouched.
+      The dispatcher uses this for its own co-located WS-MsgBox — it
+      *knows* that address is publicly reachable, so the service can "send
+      response messages to the WS-MsgBox mailbox" directly (paper §4.3.2)
+      without a relay hop.  A FaultTo never rides on ReplyTo's decision: a
+      private FaultTo beside a mailbox ReplyTo is still rewritten.
     - The client's original reply/fault EPRs are returned to the caller for
-      correlation state in both cases.
+      correlation state in every case.
 
     The input envelope is not mutated.
     """
@@ -67,13 +72,18 @@ def rewrite_for_forwarding(
     out = envelope.copy()
     new_headers = headers.copy()
     new_headers.to = physical_to
-    passthrough = original_reply_to is not None and any(
-        original_reply_to.address.startswith(p) for p in passthrough_reply_prefixes
+    prefixes = tuple(passthrough_reply_prefixes)
+    reply_passes = original_reply_to is not None and (
+        original_reply_to.address.startswith(prefixes)
     )
-    if not passthrough:
+    # an absent FaultTo stays absent: faults then follow ReplyTo
+    fault_passes = original_fault_to is None or (
+        original_fault_to.address.startswith(prefixes)
+    )
+    if not reply_passes:
         new_headers.reply_to = EndpointReference(dispatcher_address)
-        if original_fault_to is not None:
-            new_headers.fault_to = EndpointReference(dispatcher_address)
+    if not fault_passes:
+        new_headers.fault_to = EndpointReference(dispatcher_address)
     # Either way the original EPRs are returned for correlation: even a
     # passed-through ReplyTo needs it when an RPC-style service answers
     # in-band and the dispatcher must translate that reply (Table 1 q3).
@@ -84,6 +94,7 @@ def rewrite_for_forwarding(
         message_id=message_id,
         original_reply_to=original_reply_to,
         original_fault_to=original_fault_to,
+        passed_through=reply_passes and fault_passes,
     )
 
 

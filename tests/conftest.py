@@ -7,6 +7,8 @@ import pytest
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import Network
 from repro.transport.inproc import InprocNetwork
+from repro.workload.echo import AsyncEchoService
+from repro.wsa import AddressingHeaders
 
 
 @pytest.fixture
@@ -25,6 +27,27 @@ def sim() -> Simulator:
 def simnet(sim: Simulator) -> Network:
     """A fresh simulated network on the ``sim`` fixture."""
     return Network(sim)
+
+
+# -- what the dispatcher forwarded, as the service saw it ------------------
+
+
+class RecordingEcho(AsyncEchoService):
+    """An :class:`AsyncEchoService` that keeps the addressing headers of
+    every request it is sent — what the dispatcher forwarded."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.requests: list[AddressingHeaders] = []
+
+    def handle(self, envelope, ctx):
+        self.requests.append(AddressingHeaders.from_envelope(envelope))
+        return super().handle(envelope, ctx)
+
+
+def epr_shape(epr) -> tuple:
+    """An EPR as comparable data: address + (name, text) per property."""
+    return epr.address, [(p.name, p.text) for p in epr.reference_properties]
 
 
 # -- rt/aio backend parameterization ------------------------------------

@@ -29,13 +29,12 @@ from repro.soap import (
 )
 from repro.util.ids import IdGenerator
 from repro.workload.echo import (
-    AsyncEchoService,
     EchoService,
     make_echo_message,
     make_echo_request,
 )
 from repro.wsa import AddressingHeaders
-from tests.conftest import DispatcherBackend
+from tests.conftest import DispatcherBackend, RecordingEcho, epr_shape
 from tests.core.test_sim_dispatcher import soap_post
 
 
@@ -70,7 +69,7 @@ def msg_world(inproc):
     """Async echo WS + MSG dispatcher + mailbox with a private registry."""
     metrics = MetricsRegistry()
     ws_client = HttpClient(inproc)
-    echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
+    echo = RecordingEcho(ws_client, ids=IdGenerator("ws", seed=1))
     ws_app = SoapHttpApp(metrics=metrics)
     ws_app.mount("/echo", echo)
     ws = HttpServer(
@@ -93,6 +92,14 @@ def msg_world(inproc):
     front = HttpServer(
         inproc.listen("wsd:8000"), app.handle_request, workers=8, metrics=metrics
     ).start()
+    # a second mailbox on an origin of its own: replies to it are relayed
+    remote_app = SoapHttpApp(metrics=metrics)
+    remote_app.mount(
+        "/mailbox", MsgBoxService(MailboxStore(), base_url="http://mb:8500/mailbox")
+    )
+    remote = HttpServer(
+        inproc.listen("mb:8500"), remote_app.handle_request, metrics=metrics
+    ).start()
 
     client = HttpClient(inproc)
     ids = IdGenerator("client", seed=2)
@@ -100,13 +107,16 @@ def msg_world(inproc):
     dispatcher.stop()
     ws.stop()
     front.stop()
+    remote.stop()
     client.close()
     ws_client.close()
 
 
-def test_hot_path_never_falls_back_to_dom_parse(msg_world, inproc):
+def five_roundtrips_via(mailbox_url, msg_world, inproc):
+    """Five echo round trips replying to a fresh mailbox at
+    ``mailbox_url``; asserts no parse left the fast path."""
     metrics, dispatcher, client, ids, echo = msg_world
-    mbc = MsgBoxClient(HttpClient(inproc), "http://wsd:8000/mailbox")
+    mbc = MsgBoxClient(HttpClient(inproc), mailbox_url)
     mbc.create()
     for _ in range(5):
         msg = make_echo_message(
@@ -118,12 +128,29 @@ def test_hot_path_never_falls_back_to_dom_parse(msg_world, inproc):
     assert parse_rpc_response(messages[0]).result("return") is not None
 
     outcomes = fastpath_outcomes(metrics)
-    # request ingest + response absorption, at the front door and the WS
+    # request ingest at the front door and the WS, reply ingest after it
     assert outcomes.get("fast", 0) >= 10
     bailed = {k: v for k, v in outcomes.items() if k != "fast"}
     assert bailed == {}, f"hot path fell back to the DOM parser: {bailed}"
-    # forwarded messages were spliced, not re-serialized from a tree
+    return mbc
+
+
+def test_hot_path_never_falls_back_to_dom_parse(msg_world, inproc):
+    """Co-hosted mailbox: the WS deposits its replies itself (§4.3.2)."""
+    metrics, dispatcher, client, ids, echo = msg_world
+    mbc = five_roundtrips_via("http://wsd:8000/mailbox", msg_world, inproc)
+    # only the requests were forwarded — spliced, not re-serialized
+    assert dispatcher.stats.get("forwarded_spliced", 0) == 5
+    assert "routed_responses" not in dispatcher.stats
+    assert [epr_shape(r.reply_to) for r in echo.requests] == [epr_shape(mbc.epr())] * 5
+
+
+def test_hot_path_stays_fast_when_the_reply_is_relayed(msg_world, inproc):
+    metrics, dispatcher, client, ids, echo = msg_world
+    five_roundtrips_via("http://mb:8500/mailbox", msg_world, inproc)
+    # requests and relayed replies were spliced, not re-serialized
     assert dispatcher.stats.get("forwarded_spliced", 0) >= 10
+    assert dispatcher.stats.get("routed_responses") == 5
 
 
 class _CapturingClient:

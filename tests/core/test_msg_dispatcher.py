@@ -14,18 +14,25 @@ from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.util.ids import IdGenerator
-from repro.workload.echo import AsyncEchoService, EchoService, make_echo_message
+from repro.workload.echo import EchoService, make_echo_message
 from repro.wsa import EndpointReference
+from tests.conftest import RecordingEcho, epr_shape
+
+#: a second WS-MsgBox, on an origin of its own: replies to it are relayed
+REMOTE_MAILBOX = "http://mb:8500/mailbox"
 
 
 @pytest.fixture
 def world(inproc):
     """Async echo WS + dispatcher + mailbox, threaded over inproc."""
     ws_client = HttpClient(inproc)
-    echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
+    echo = RecordingEcho(ws_client, ids=IdGenerator("ws", seed=1))
     ws_app = SoapHttpApp()
     ws_app.mount("/echo", echo)
     ws = HttpServer(inproc.listen("ws:9000"), ws_app.handle_request, workers=4).start()
+    remote_app = SoapHttpApp()
+    remote_app.mount("/mailbox", MsgBoxService(MailboxStore(), base_url=REMOTE_MAILBOX))
+    remote = HttpServer(inproc.listen("mb:8500"), remote_app.handle_request).start()
 
     registry = ServiceRegistry()
     registry.register("echo", "http://ws:9000/echo")
@@ -49,6 +56,7 @@ def world(inproc):
     dispatcher.stop()
     ws.stop()
     front.stop()
+    remote.stop()
     client.close()
     ws_client.close()
 
@@ -71,9 +79,11 @@ def test_one_way_message_forwarded(world):
     assert dispatcher.stats.get("routed_requests") == 1
 
 
-def test_response_routed_to_mailbox(world, inproc):
+def roundtrip_via(mailbox_url, world, inproc):
+    """One echo round trip with ``ReplyTo`` = a fresh mailbox at
+    ``mailbox_url``; returns the mailbox client."""
     registry, dispatcher, msgbox, client, ids, echo = world
-    mbc = MsgBoxClient(HttpClient(inproc), "http://wsd:8000/mailbox")
+    mbc = MsgBoxClient(HttpClient(inproc), mailbox_url)
     mbc.create()
     msg = make_echo_message(
         to="urn:wsd:echo", message_id=ids.next(), reply_to=mbc.epr()
@@ -83,7 +93,25 @@ def test_response_routed_to_mailbox(world, inproc):
     assert len(messages) == 1
     parsed = parse_rpc_response(messages[0])
     assert parsed.result("return") is not None
+    return mbc
+
+
+def test_response_routed_to_mailbox(world, inproc):
+    """Co-hosted mailbox (paper §4.3.2): the WS deposits its reply itself."""
+    registry, dispatcher, msgbox, client, ids, echo = world
+    mbc = roundtrip_via("http://wsd:8000/mailbox", world, inproc)
+    assert "routed_responses" not in dispatcher.stats
+    # the WS was sent the client's own mailbox EPR, MailboxId and all
+    assert epr_shape(echo.requests[0].reply_to) == epr_shape(mbc.epr())
+    assert wait_for(lambda: dispatcher.pending_correlations() == 0)
+
+
+def test_response_relayed_to_mailbox_on_another_origin(world, inproc):
+    registry, dispatcher, msgbox, client, ids, echo = world
+    roundtrip_via(REMOTE_MAILBOX, world, inproc)
     assert dispatcher.stats.get("routed_responses") == 1
+    # the WS only ever saw the dispatcher's return address
+    assert epr_shape(echo.requests[0].reply_to) == ("http://wsd:8000/msg", [])
 
 
 def test_unknown_service_counted(world):

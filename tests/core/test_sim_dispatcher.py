@@ -20,6 +20,7 @@ from repro.soap import Envelope, parse_rpc_response
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message, make_echo_request
+from repro.wsa import EndpointReference
 
 
 @pytest.fixture
@@ -160,6 +161,37 @@ class TestSimMsgDispatcher:
         # no relay hop: dispatcher routed zero responses
         assert disp.stats.get("routed_responses", 0) == 0
         assert echo.stats["replies_sent"] == 1
+        # and nothing will ever pop the entry: it left with the delivery
+        assert disp.pending_correlations() == 0
+
+    def test_correlation_table_is_empty_after_an_idle_run(self, msg_world):
+        """The leak check: passed-through entries leave with the delivery,
+        relayed ones with their reply, forgotten ones with the TTL."""
+        net, client, registry, disp, store, echo = msg_world
+        sim = net.sim
+        disp.config.correlation_ttl = 30.0
+        ids = IdGenerator("t", seed=9)
+        mailbox = make_mailbox_epr("http://wsd:8500/mailbox", store.create())
+        relayed = make_mailbox_epr("http://wsd:8501/mailbox", "elsewhere")
+        unreachable = EndpointReference("http://client:7000/inbox")
+
+        def send(n):
+            for i in range(n):
+                reply_to = (mailbox, relayed, unreachable)[i % 3]
+                msg = make_echo_message(
+                    to="urn:wsd:echo", message_id=ids.next(), reply_to=reply_to
+                )
+                yield from sim_http_request(
+                    net, client, "wsd", 8000, soap_post("/msg/echo", msg.to_bytes())
+                )
+
+        sim.run(sim.process(send(30)))
+        sim.run(until=sim.now + 60.0)
+        assert disp.stats["routed_requests"] == 30
+        # one more routed message collects whatever the TTL left behind
+        sim.run(sim.process(send(1)))
+        sim.run(until=sim.now + 5.0)
+        assert disp.pending_correlations() == 0
 
     def test_response_relayed_without_passthrough(self, msg_world):
         net, client, registry, disp, store, echo = msg_world

@@ -22,11 +22,11 @@ from repro.rt.service import SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.util.ids import IdGenerator
 from repro.workload.echo import (
-    AsyncEchoService,
     EchoService,
     make_echo_message,
     make_echo_request,
 )
+from tests.conftest import RecordingEcho, epr_shape
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def deployment(inproc):
 
     # --- inaccessible zone: two services on an internal host --------------
     ws_client = HttpClient(inproc)
-    async_echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
+    async_echo = RecordingEcho(ws_client, ids=IdGenerator("ws", seed=1))
     ws_app = SoapHttpApp()
     ws_app.mount("/echo-msg", async_echo)
     ws_app.mount("/echo-rpc", EchoService())
@@ -84,24 +84,40 @@ def deployment(inproc):
     ).start()
     handles["msg_disp"] = msg_disp
     handles["registry"] = registry
+    # a second intermediary hosting only a mailbox, on an origin of its own
+    remote_app = SoapHttpApp()
+    remote_app.mount(
+        "/mailbox",
+        MsgBoxService(
+            MailboxStore(),
+            security=MailboxSecurity(b"remote-secret"),
+            base_url="http://mb:8500/mailbox",
+        ),
+    )
+    handles["remote_mailbox"] = HttpServer(
+        inproc.listen("mb:8500"), remote_app.handle_request
+    ).start()
 
     yield inproc, handles, async_echo
     msg_disp.stop()
     handles["front"].stop()
+    handles["remote_mailbox"].stop()
     handles["ws_server"].stop()
     ws_client.close()
     disp_client.close()
 
 
-def test_figure1_full_choreography(deployment):
-    """Steps 1-8 of Figure 1, asynchronous path with mailbox."""
+def figure1_choreography(deployment, mailbox_url):
+    """Steps 1-8 of Figure 1, asynchronous path with a mailbox at
+    ``mailbox_url``; returns the ReplyTo the WS saw and the one sent."""
     inproc, handles, async_echo = deployment
     client_http = HttpClient(inproc)
     ids = IdGenerator("cli", seed=7)
 
     # (1) client creates a mailbox at the intermediary
-    mbc = MsgBoxClient(client_http, "http://wsd:8000/mailbox")
+    mbc = MsgBoxClient(client_http, mailbox_url)
     mbc.create()
+    sent_reply_to = mbc.epr()
 
     # (2) client sends a one-way message addressed by logical name
     msg = make_echo_message(
@@ -116,13 +132,27 @@ def test_figure1_full_choreography(deployment):
     assert len(messages) == 1
     echoed = parse_rpc_response(messages[0])
     assert echoed.result("return") is not None
-
-    # the WS only ever saw the dispatcher's return address
-    stats = handles["msg_disp"].stats
-    assert stats["routed_requests"] == 1
-    assert stats["routed_responses"] == 1
+    assert handles["msg_disp"].stats["routed_requests"] == 1
     mbc.destroy()
     client_http.close()
+    return async_echo.requests[0].reply_to, sent_reply_to
+
+
+def test_figure1_full_choreography(deployment):
+    """The dispatcher's own co-hosted WS-MsgBox (paper section 4.3.2): the
+    WS is handed the mailbox's deposit EPR — deposits need no owner token,
+    ``take`` still does — and sends its response there itself."""
+    seen, sent = figure1_choreography(deployment, "http://wsd:8000/mailbox")
+    assert epr_shape(seen) == epr_shape(sent)
+    assert "routed_responses" not in deployment[1]["msg_disp"].stats
+
+
+def test_figure1_choreography_with_the_mailbox_on_another_origin(deployment):
+    """Any other mailbox is relayed: the WS only ever saw the dispatcher's
+    return address, and the response came back through the dispatcher."""
+    seen, sent = figure1_choreography(deployment, "http://mb:8500/mailbox")
+    assert epr_shape(seen) == ("http://wsd:8000/msg", [])
+    assert deployment[1]["msg_disp"].stats["routed_responses"] == 1
 
 
 def test_rpc_and_msg_paths_coexist(deployment):

@@ -48,6 +48,11 @@ def first_span(spans, name, **attrs):
 
 
 class TestThreadedStack:
+    """The dispatcher and its own co-hosted WS-MsgBox (paper §4.3.2): the
+    service deposits its reply itself, so the reply leg has no msgd spans."""
+
+    MAILBOX_URL = "http://wsd:8000/mailbox"
+
     @pytest.fixture
     def deployment(self, inproc):
         metrics = MetricsRegistry()
@@ -79,23 +84,33 @@ class TestThreadedStack:
         msgbox = MsgBoxService(
             MailboxStore(),
             security=MailboxSecurity(b"trace-test-secret"),
-            base_url="http://wsd:8000/mailbox",
+            base_url=self.MAILBOX_URL,
             metrics=metrics,
             traces=traces,
         )
         intro = Introspection(metrics=metrics, traces=traces)
         app = SoapHttpApp()
         app.mount("/msg", msg_disp)
-        app.mount("/mailbox", msgbox)
         intro.mount(app)
-        front = HttpServer(
+        servers = []
+        if self.MAILBOX_URL.startswith("http://wsd:8000/"):
+            app.mount("/mailbox", msgbox)
+        else:
+            mailbox_app = SoapHttpApp()
+            mailbox_app.mount("/mailbox", msgbox)
+            servers.append(HttpServer(
+                inproc.listen("mb:8500"), mailbox_app.handle_request,
+                name="mailbox", metrics=metrics,
+            ).start())
+        servers.append(HttpServer(
             inproc.listen("wsd:8000"), app.handle_request,
             workers=8, name="front", metrics=metrics,
-        ).start()
+        ).start())
 
         yield inproc, metrics, traces
         msg_disp.stop()
-        front.stop()
+        for server in servers:
+            server.stop()
         ws_server.stop()
         ws_client.close()
         disp_client.close()
@@ -106,7 +121,7 @@ class TestThreadedStack:
         (trace_id, spans, reply, client, traces, metrics, caplog)."""
         inproc, metrics, traces = deployment
         client = HttpClient(inproc, metrics=metrics)
-        mbc = MsgBoxClient(client, "http://wsd:8000/mailbox")
+        mbc = MsgBoxClient(client, self.MAILBOX_URL)
         mbc.create()
 
         msg = make_echo_message(
@@ -194,7 +209,12 @@ class TestThreadedStack:
         assert "# TYPE msgd_queue_wait_seconds histogram" in text
         assert 'msgd_queue_wait_seconds_bucket{' in text
         assert "msgd_transmit_seconds_count" in text
-        assert "msgd_delivered_total 2" in text  # ws hop + mailbox hop
+        assert "msgd_delivered_total 1" in text  # the ws hop, and only it
+        # the reply leg is the service's own: its deposit hangs off the
+        # service span, and the dispatcher routed nothing back
+        spans = traced_roundtrip[1]
+        assert first_span(spans, "deposit").parent_id == first_span(spans, "service").span_id
+        assert not [s for s in spans if s.attrs.get("direction") == "response"]
 
     def test_log_lines_carry_the_trace_id_at_each_hop(self, traced_roundtrip):
         trace_id, *_, records = traced_roundtrip
@@ -207,6 +227,23 @@ class TestThreadedStack:
         assert "event=admit" in by_logger.get("repro.msgd", set())
         assert "event=deliver" in by_logger.get("repro.msgd", set())
         assert "event=deposit" in by_logger.get("repro.msgbox", set())
+
+
+class TestThreadedStackRelayingToAnotherOrigin(TestThreadedStack):
+    """The same five checks with the mailbox on an origin of its own: the
+    reply is relayed through the dispatcher, as it always was."""
+
+    MAILBOX_URL = "http://mb:8500/mailbox"
+
+    def test_metrics_endpoint_shows_queues_and_latency(self, traced_roundtrip):
+        _, spans, _, client, *_ = traced_roundtrip
+        resp = client.request(
+            "http://wsd:8000/metrics", HttpRequest("GET", "/")
+        )
+        assert "msgd_delivered_total 2" in resp.body.decode()  # ws hop + mailbox hop
+        # the deposit hangs off the dispatcher's response-direction route
+        relay = first_span(spans, "route", direction="response")
+        assert first_span(spans, "deposit").parent_id == relay.span_id
 
 
 class TestSimnetStack:

@@ -16,7 +16,13 @@ from repro.msgbox.service import (
 )
 from repro.msgbox.store import MailboxStore
 from repro.rt.service import RequestContext
-from repro.soap import Envelope, RpcRequest, build_rpc_request, parse_rpc_response
+from repro.soap import (
+    Envelope,
+    RpcRequest,
+    build_rpc_request,
+    parse_envelope,
+    parse_rpc_response,
+)
 from repro.workload.echo import make_echo_message
 from repro.xmlmini import Element
 
@@ -163,12 +169,43 @@ class TestDeposits:
         assert Envelope.from_bytes(stored).body == env.body
 
 
+    @pytest.mark.parametrize("aio", [False, True])
+    def test_a_deposit_does_not_parse_the_body(self, aio):
+        """Deposit or RPC is told by the name of the Body's first child,
+        which the scan already has; what is stored is still the splice."""
+        if aio:
+            from repro.aio import AioMsgBoxService as service_class
+        else:
+            service_class = MsgBoxService
+        store = MailboxStore()
+        svc = service_class(store)
+        box = store.create()
+        wire = make_echo_message(to="urn:wsd:echo", message_id="uuid:7").to_bytes()
+        lazy = parse_envelope(wire)
+        assert svc.handle(lazy, RequestContext(path=f"/mailbox/deposit/{box}")) is None
+        assert not lazy._body_parsed
+        assert store.take(box) == [parse_envelope(wire).to_bytes()]
+        # and an RPC is still recognised from the same envelope type
+        take = build_rpc_request(RpcRequest(MSGBOX_NS, "peek", [("mailboxId", box)]))
+        reply = svc.handle(parse_envelope(take.to_bytes()), RequestContext(path="/mailbox"))
+        assert parse_rpc_response(reply).result("count") == "0"
+
+
 class TestMakeMailboxEpr:
     def test_epr_shape(self):
         epr = make_mailbox_epr("http://mb:8500/mailbox", "abc")
         assert epr.address == "http://mb:8500/mailbox/deposit/abc"
         assert epr.reference_properties[0].name == Q_MAILBOX_ID
         assert epr.reference_properties[0].text == "abc"
+
+    @pytest.mark.parametrize("base_url", ["http://mb:8500/mailbox", "http://mb:8500/mailbox/"])
+    def test_every_epr_lies_under_the_declared_deposit_prefix(self, base_url):
+        svc = MsgBoxService(MailboxStore(), base_url=base_url)
+        assert svc.deposit_prefix == "http://mb:8500/mailbox/deposit/"
+        assert make_mailbox_epr(base_url, "abc").address.startswith(svc.deposit_prefix)
+
+    def test_no_base_url_declares_no_prefix(self):
+        assert MsgBoxService(MailboxStore()).deposit_prefix == ""
 
 
 class TestThreadExplosionBug:

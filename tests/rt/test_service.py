@@ -62,6 +62,65 @@ class TestMounting:
         assert resp.status == 404
 
 
+class _Hosted:
+    """A service with the duck-typed mount hook."""
+
+    def __init__(self):
+        self.tables = []
+
+    def hosted_on(self, app):
+        self.tables.append(app.services())
+
+    def handle(self, envelope, ctx):
+        return None
+
+
+class TestCoHosting:
+    def test_every_hosted_service_hears_of_every_mount(self):
+        app = SoapHttpApp()
+        first, second = _Hosted(), _Hosted()
+        plain = FunctionService(lambda e, c: None)
+        app.mount("/a", first)
+        app.mount("/plain", plain)
+        app.mount("/b", second)
+        # mounted before or after, each has seen the full table
+        assert set(first.tables[-1]) == set(second.tables[-1]) == {first, plain, second}
+        assert len(first.tables) == 3 and len(second.tables) == 1
+        app.mount_raw("/hook", lambda request: HttpResponse(status=204))
+        assert len(first.tables) == 4  # raw POST handlers re-route paths too
+
+    def test_owns_subtree(self):
+        app = SoapHttpApp()
+        box, other = FunctionService(lambda e, c: None), FunctionService(lambda e, c: None)
+        app.mount("/mailbox", box)
+        app.mount("/", other)
+        assert app.owns_subtree("/mailbox/deposit/", box)
+        assert app.owns_subtree("/mailbox/", box)
+        assert not app.owns_subtree("/mailbox/deposit/", other)
+        assert not app.owns_subtree("/mailbox/deposit", box)  # not a subtree
+        assert not app.owns_subtree("/mailboxes/", box)
+        assert app.owns_subtree("/mailboxes/", other)
+
+    def test_a_mount_inside_the_subtree_breaks_ownership(self):
+        app = SoapHttpApp()
+        box = FunctionService(lambda e, c: None)
+        app.mount("/mailbox", box)
+        app.mount("/mailbox/deposit/again", box)  # the same service: still its own
+        assert app.owns_subtree("/mailbox/deposit/", box)
+        app.mount("/mailbox/deposit/special", FunctionService(lambda e, c: None))
+        assert not app.owns_subtree("/mailbox/deposit/", box)
+
+    @pytest.mark.parametrize("raw", ["/mailbox", "/mailbox/deposit", "/mailbox/deposit/x"])
+    def test_a_raw_handler_on_the_way_breaks_ownership(self, raw):
+        app = SoapHttpApp()
+        box = FunctionService(lambda e, c: None)
+        app.mount("/mailbox", box)
+        app.mount_raw("/mailbox-spans", lambda request: HttpResponse(status=204))
+        assert app.owns_subtree("/mailbox/deposit/", box)
+        app.mount_raw(raw, lambda request: HttpResponse(status=204))
+        assert not app.owns_subtree("/mailbox/deposit/", box)
+
+
 class TestDispatch:
     def test_one_way_gets_202(self):
         app = SoapHttpApp()

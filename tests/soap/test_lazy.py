@@ -146,6 +146,16 @@ def test_body_is_parsed_lazily_and_cached():
     assert lazy.version is SoapVersion.V11
 
 
+def test_body_name_is_answered_without_parsing_the_body():
+    data = addressed_doc()
+    lazy = LazyEnvelope.from_bytes(data)
+    assert lazy.body_name == QName("urn:echo", "echo") == Envelope.from_bytes(data).body_name
+    assert not lazy._body_parsed
+    empty = addressed_doc(body="")
+    assert LazyEnvelope.from_bytes(empty).body_name is None
+    assert Envelope.from_bytes(empty).body_name is None
+
+
 def test_empty_body_and_fault_detection():
     no_body_child = addressed_doc(body="")
     assert LazyEnvelope.from_bytes(no_body_child).body is None

@@ -111,6 +111,46 @@ class TestRewriteForForwarding:
         assert out.reply_to.address == DISPATCHER
 
 
+    @pytest.mark.parametrize("reply_at_mailbox", [True, False])
+    @pytest.mark.parametrize("fault_at_mailbox", [True, False])
+    def test_fault_to_is_decided_on_its_own(self, reply_at_mailbox, fault_at_mailbox):
+        mailbox = "http://wsd:8500/mailbox/deposit/"
+        reply_to = EndpointReference(
+            mailbox + "r" if reply_at_mailbox else "http://client:7/reply"
+        )
+        fault_to = EndpointReference(
+            mailbox + "f" if fault_at_mailbox else "http://client:7/faults"
+        )
+        result = rewrite_for_forwarding(
+            make_message(reply_to, fault_to), PHYSICAL, DISPATCHER,
+            passthrough_reply_prefixes=(mailbox,),
+        )
+        out = AddressingHeaders.from_envelope(result.envelope)
+        assert out.reply_to.address == (reply_to.address if reply_at_mailbox else DISPATCHER)
+        assert out.fault_to.address == (fault_to.address if fault_at_mailbox else DISPATCHER)
+        # correlation state is whatever the client sent, in all four
+        assert result.original_reply_to.address == reply_to.address
+        assert result.original_fault_to.address == fault_to.address
+        assert result.passed_through is (reply_at_mailbox and fault_at_mailbox)
+
+    def test_passed_through_needs_a_reply_to(self):
+        mailbox = "http://wsd:8500/mailbox/deposit/"
+        lone_fault = make_message(fault_to=EndpointReference(mailbox + "f"))
+        result = rewrite_for_forwarding(
+            lone_fault, PHYSICAL, DISPATCHER, passthrough_reply_prefixes=(mailbox,)
+        )
+        out = AddressingHeaders.from_envelope(result.envelope)
+        assert out.reply_to.address == DISPATCHER  # replies still come back
+        assert out.fault_to.address == mailbox + "f"
+        assert not result.passed_through
+        lone_reply = make_message(EndpointReference(mailbox + "r"))
+        result = rewrite_for_forwarding(
+            lone_reply, PHYSICAL, DISPATCHER, passthrough_reply_prefixes=[mailbox]
+        )
+        assert AddressingHeaders.from_envelope(result.envelope).fault_to is None
+        assert result.passed_through  # faults follow ReplyTo (WS-Addressing)
+
+
 class TestMakeReplyHeaders:
     def request_headers(self, reply_to=None):
         return AddressingHeaders(
