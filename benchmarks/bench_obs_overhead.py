@@ -85,7 +85,6 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
         parallel_per_destination=4,
         connect_timeout=4.0,
         shed_on_full=False,
-        passthrough_reply_prefixes=("http://iuWSD:8500/mailbox",),
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://iuWSD:8000/msg",
@@ -111,7 +110,7 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
     mb_app.mount("/mailbox", msgbox)
     SimHttpServer(
         net, wsd_host, 8500,
-        lambda req: mb_app.handle_request(req, None),
+        mb_app,
         workers=32,
         service_time=SOAP_SERVICE_TIME,
     )

@@ -51,7 +51,6 @@ def build_world(use_mailbox: bool, clients: int):
     config = SimMsgDispatcherConfig(
         cx_workers=4, ws_workers=8, accept_queue=128, destination_queue=16,
         parallel_per_destination=4, connect_timeout=4.0,
-        passthrough_reply_prefixes=("http://iuWSD:8500/mailbox",),
     )
     dispatcher = SimMsgDispatcher(
         net, iu_wsd, registry, own_address="http://iuWSD:8000/msg", config=config
@@ -63,7 +62,7 @@ def build_world(use_mailbox: bool, clients: int):
     msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
     mb_app = SoapHttpApp()
     mb_app.mount("/mailbox", msgbox)
-    SimHttpServer(net, iu_wsd, 8500, lambda r: mb_app.handle_request(r, None),
+    SimHttpServer(net, iu_wsd, 8500, mb_app,
                   workers=32, service_time=0.004)
 
     ids = IdGenerator("example", seed=clients)

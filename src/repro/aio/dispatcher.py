@@ -14,10 +14,10 @@ and replaces only the *execution* substrate:
 - delivery awaits an :class:`~repro.aio.client.AioHttpClient` instead of
   blocking on the threaded one.
 
-Everything semantic is inherited verbatim: admission shedding and the
-journal-before-ack protocol (``_admit``), routing/rewriting/correlation
-(``_route_one``), the breaker gate, the batch settle bookkeeping, hold
-parking, dead-letter taxonomy, metrics, spans, and flight-recorder
+Everything semantic is :class:`~repro.core.dispatch.DispatchCore`'s:
+admission shedding and the journal-before-ack protocol, routing /
+rewriting / correlation, the breaker gate, the batch settle bookkeeping,
+hold parking, dead-letter taxonomy, metrics, spans, and flight-recorder
 events.  Because admission runs synchronous, thread-safe code, ``handle``
 can be called from *any* thread — the HTTP edge may live on the loop
 (:class:`~repro.aio.server.AioHttpServer`) or on threads, and recovery /
@@ -33,11 +33,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.msg_dispatcher import MsgDispatcher, _Destination, _make_post
-from repro.core.routing import is_hold_resolve_target, split_hold_resolve_target
 from repro.errors import ReproError, TransportError
-from repro.obs.trace import extract_trace
-from repro.soap import parse_envelope
-from repro.reliable.breaker import BreakerOpenError
 from repro.util.concurrency import QueueClosed
 
 
@@ -105,7 +101,7 @@ class AioMsgDispatcher(MsgDispatcher):
                 continue
             except QueueClosed:
                 return
-            # _route_one → _enqueue → _ensure_worker spawns writer tasks
+            # route → _enqueue → _ensure_worker spawns writer tasks
             self._process_accepted(work)
             # one queue entry per scheduler turn: a routing storm must not
             # starve the writer tasks (or 10k pollers) sharing the loop
@@ -168,36 +164,24 @@ class AioMsgDispatcher(MsgDispatcher):
             self._ws_slots.release()
             self._adopt_orphan()
 
-    # -- delivery (await the wire, reuse every bookkeeping hook) ------------
+    # -- delivery (await the wire; every decision is the core's) -------------
     async def _adeliver(self, item) -> None:
-        if self.breakers is not None and not self.breakers.allow(
-            self._endpoint_key(item.target_url)
-        ):
-            self._breaker_block(item)
+        if not self.start_delivery([item]):
             return
-        self._note_dequeued(item)
-        item.attempts += 1
         t_send = self.clock.now()
         try:
-            response = await self.client.request(
+            outcome = await self.client.request(
                 item.target_url, _make_post(item.envelope_bytes)
             )
-            if response.status >= 400:
-                raise TransportError(
-                    f"HTTP {response.status} from {item.target_url}"
-                )
-        except (TransportError, ReproError):
-            self._record_outcome(item.target_url, False)
+        except (TransportError, ReproError) as exc:
+            outcome = exc
+        if not self.settle(
+            item, outcome, t_send, self.clock.now(), item.parent_span_id
+        ):
             await self._ahandle_delivery_failure(item)
-            return
-        self._record_outcome(item.target_url, True)
-        self._finish_delivery(
-            item, response, t_send, self.clock.now(),
-            parent_span_id=item.parent_span_id,
-        )
 
     async def _adeliver_batch(self, batch: list) -> None:
-        if not self._batch_admitted(batch):
+        if not self.start_delivery(batch):
             return
         requests = self._prepare_batch(batch)
         t_burst = self.clock.now()
@@ -205,7 +189,7 @@ class AioMsgDispatcher(MsgDispatcher):
             lease = await self.client.lease(batch[0].target_url)
         except (TransportError, ReproError):
             # no connection at all: every item takes its own failure path
-            self._record_outcome(batch[0].target_url, False)
+            self.record_outcome(batch[0].target_url, False)
             for item in batch:
                 await self._ahandle_delivery_failure(item)
             return
@@ -214,7 +198,7 @@ class AioMsgDispatcher(MsgDispatcher):
         finally:
             lease.release()
         t_done = self.clock.now()
-        for item in self._settle_batch(batch, outcomes, t_burst, t_done):
+        for item in self.settle_batch(batch, outcomes, t_burst, t_done):
             await self._ahandle_delivery_failure(item)
 
     async def _ahandle_delivery_failure(self, item) -> None:
@@ -225,7 +209,7 @@ class AioMsgDispatcher(MsgDispatcher):
             await asyncio.sleep(retry.delay_before(item.attempts + 1))
             self._requeue_retry(item)
         else:
-            self._fail_no_retry(item)
+            self.delivery_failed(item)
 
     # -- hold pump task ------------------------------------------------------
     async def _ahold_pump_loop(self, interval: float) -> None:
@@ -238,50 +222,31 @@ class AioMsgDispatcher(MsgDispatcher):
 
     async def _apump_hold(self) -> None:
         """One redelivery sweep via the store's split-phase claim API
-        (same protocol :meth:`HoldRetryStore.pump` drives, awaited)."""
+        (same protocol :meth:`HoldRetryStore.pump` drives, awaited).
+        Every claim taken is resolved: any failure means retry, so an
+        unexpected error can never strand a message as claimed."""
         now = self.clock.now()
         for msg in self.hold_store.take_due(now):
             try:
                 await self._adeliver_held(msg)
-            except (ReproError, BreakerOpenError):
+            except Exception:  # noqa: BLE001 - any failure means retry
                 self.hold_store.reschedule(msg.message_id, now)
                 continue
             self.hold_store.complete(msg.message_id)
 
     async def _adeliver_held(self, msg) -> None:
-        """Awaitable twin of :meth:`MsgDispatcher.deliver_held`."""
-        if is_hold_resolve_target(msg.target_url):
-            # parked pre-resolution (registry was unavailable): run the
-            # routing pass again; RegistryUnavailable propagates and the
-            # store reschedules (routing itself is non-blocking, so the
-            # inherited synchronous _route_one is safe on the loop)
-            envelope = parse_envelope(
-                msg.envelope_bytes, counter=self._m_fastpath
-            )
-            self._route_one(
-                envelope, split_hold_resolve_target(msg.target_url),
-                trace=extract_trace(envelope), from_hold=True,
-            )
-            self.counters.inc("held_redelivered")
+        """Awaitable twin of :meth:`MsgDispatcher.deliver_held` (the
+        non-blocking halves are shared)."""
+        key = self._begin_held(msg)
+        if key is None:
             return
-        key = self._endpoint_key(msg.target_url)
-        if self.breakers is not None and not self.breakers.allow(key):
-            raise BreakerOpenError(f"breaker open for {key}")
         try:
-            response = await self.client.request(
+            outcome = await self.client.request(
                 msg.target_url, _make_post(msg.envelope_bytes)
             )
-            if response.status >= 400:
-                raise TransportError(
-                    f"HTTP {response.status} from {msg.target_url}"
-                )
-        except (TransportError, ReproError):
-            if self.breakers is not None:
-                self.breakers.record(key, False)
-            raise
-        if self.breakers is not None:
-            self.breakers.record(key, True)
-        self.counters.inc("held_redelivered")
+        except (TransportError, ReproError) as exc:
+            outcome = exc
+        self.held_settled(key, msg, outcome)
 
     # -- introspection -------------------------------------------------------
     def active_destinations(self) -> int:

@@ -108,7 +108,6 @@ def _build(mode: str, clients: int, reply_connect_timeout: float):
         parallel_per_destination=4,
         connect_timeout=reply_connect_timeout,
         shed_on_full=False,  # paper-faithful: no admission control
-        passthrough_reply_prefixes=("http://iuWSD:8500/mailbox",),
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://iuWSD:8000/msg", config=config
@@ -143,8 +142,7 @@ def _build(mode: str, clients: int, reply_connect_timeout: float):
     mb_app = SoapHttpApp()
     mb_app.mount("/mailbox", msgbox)
     SimHttpServer(
-        net, wsd_host, 8500,
-        lambda req: mb_app.handle_request(req, None),
+        net, wsd_host, 8500, mb_app,  # recorded on the host: co-hosted (§4.3.2)
         workers=32,
         service_time=SOAP_SERVICE_TIME,
     )

@@ -128,7 +128,6 @@ def _build_world(service_delay: float, rpc_service: bool):
         accept_queue=128,
         destination_queue=64,
         parallel_per_destination=4,
-        passthrough_reply_prefixes=("http://iuWSD:8500/mailbox",),
     )
     msg_disp = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://iuWSD:8000/msg",
@@ -147,8 +146,7 @@ def _build_world(service_delay: float, rpc_service: bool):
     msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
     mb_app = SoapHttpApp()
     mb_app.mount("/mailbox", msgbox)
-    SimHttpServer(net, wsd_host, 8500,
-                  lambda req: mb_app.handle_request(req, None), workers=64,
+    SimHttpServer(net, wsd_host, 8500, mb_app, workers=64,
                   service_time=SOAP_SERVICE_TIME)
     handles = {"msgbox": msgbox, "msg_disp": msg_disp, "rpc_disp": rpc_disp}
     return sim, net, client, store, handles

@@ -93,6 +93,9 @@ class SoapHttpApp:
         self._services: list[tuple[str, SoapService]] = []
         self._pages: list[tuple[str, Callable[[HttpRequest], HttpResponse]]] = []
         self._raw: list[tuple[str, Callable[[HttpRequest], HttpResponse]]] = []
+        #: objects with a ``hosted_on(app)`` method told of every mount
+        #: though not mounted themselves (a simulated Host)
+        self.watchers: list = []
         self._server_header = server_header
         registry = metrics if metrics is not None else default_registry()
         self._m_fastpath = fastpath_counter(registry)
@@ -112,8 +115,10 @@ class SoapHttpApp:
         self._announce()
 
     def _announce(self) -> None:
-        """Tell the mounted services the ``POST`` routing table changed."""
-        for _, mounted in self._services:
+        """Tell the mounted services — and the ``watchers``, which hear
+        of it without being mounted — that the ``POST`` routing table
+        changed."""
+        for mounted in (*self.services(), *self.watchers):
             hook = getattr(mounted, "hosted_on", None)
             if hook is not None:
                 hook(self)

@@ -1,42 +1,37 @@
-"""Shard-aware dispatchers: consistent-hash ownership at the routing seam.
+"""Shard-aware dispatchers: consistent-hash ownership as a routing rule.
 
 A sharded deployment runs N dispatcher processes behind one shared data
 port; the kernel (SO_REUSEPORT) or the supervisor's fanout acceptor
 spreads client connections arbitrarily, so any shard can receive a
 message for any destination.  Ownership is restored at routing time:
-:class:`ShardedMsgDispatcher` overrides ``_route_one`` to consult the
-:class:`~repro.shard.ring.HashRing` and *relay* messages it does not own
-to the owner's direct endpoint, byte-verbatim, through its own
-per-destination FIFO machinery — so relays ride persistent connections
-and pipeline in batches like any other delivery.
+:meth:`repro.core.dispatch.DispatchCore.route` consults the
+:class:`~repro.shard.ring.HashRing` it was given and *relays* messages it
+does not own to the owner's direct endpoint, byte-verbatim, through its
+own per-destination FIFO machinery — so relays ride persistent
+connections and pipeline in batches like any other delivery.
 
 Everything that must be per-destination-exclusive — FIFO order, breaker
 state, hold/retry schedules, correlation entries, the duplicate filter —
 therefore lives in exactly one process per destination with no
-cross-process locking.  The check sits on ``_route_one`` (not
-``handle``) deliberately: journal replay after a crash re-enters routing
-through the same seam, so a restarted shard re-relays any foreign
-messages it had journaled before dying.
+cross-process locking.  The check sits in ``route`` (not ``handle``)
+deliberately: journal replay after a crash and hold-store redelivery
+re-enter routing through the same method, so a restarted shard re-relays
+any foreign messages it had journaled before dying.
 
-Hooks overridden here are substrate-independent (they never block), so
-one mixin serves both the threaded and asyncio dispatchers.
+The classes here only hand the ring to the core; the rule is written
+once, for every driver.
 """
 
 from __future__ import annotations
 
 from repro.core.msg_dispatcher import MsgDispatcher
-from repro.core.routing import extract_logical
-from repro.errors import ReproError, RoutingError
-from repro.obs.trace import TraceContext, attach_trace
 from repro.shard.ring import HashRing
-from repro.soap import Envelope
-from repro.wsa import AddressingHeaders
 
 __all__ = ["ShardedMsgDispatcher", "AioShardedMsgDispatcher"]
 
 
 class _ShardRoutingMixin:
-    """Consistent-hash ownership + peer relay on top of a dispatcher."""
+    """Constructor plumbing: ``shard_id``/``ring``/``peers`` for the core."""
 
     def __init__(
         self,
@@ -53,94 +48,6 @@ class _ShardRoutingMixin:
         #: pick
         self.peers = dict(peers or {})
         super().__init__(*args, **kwargs)
-        self._m_relayed = self.metrics.counter(
-            "shard_relay_total",
-            "messages relayed between shards, by direction",
-        )
-
-    # -- ownership ---------------------------------------------------------
-    def owner_of(self, logical: str) -> int:
-        assert self.ring is not None
-        return self.ring.owner(logical)
-
-    def _foreign_owner(self, envelope: Envelope, path: str) -> int | None:
-        """The owning shard id if it is not us, else None (process here)."""
-        if self.ring is None:
-            return None
-        try:
-            headers = AddressingHeaders.from_envelope(envelope)
-        except ReproError:
-            return None  # unparseable: let the local pipeline reject it
-        if headers.relates_to:
-            # responses return to the shard that forwarded the request
-            # (ReplyTo was rewritten to that shard's direct address), so a
-            # RelatesTo message is local by construction — never relayed
-            return None
-        try:
-            logical = extract_logical(headers.to or path, self.mount_prefix)
-        except RoutingError:
-            try:
-                logical = extract_logical(path, self.mount_prefix)
-            except RoutingError:
-                return None
-        owner = self.ring.owner(logical)
-        if owner == self.shard_id or owner not in self.peers:
-            return None
-        return owner
-
-    # -- routing seam ------------------------------------------------------
-    def _route_one(
-        self,
-        envelope: Envelope,
-        path: str,
-        trace: TraceContext | None = None,
-        t_start: float | None = None,
-        journal_seq: int | None = None,
-    ) -> None:
-        owner = self._foreign_owner(envelope, path)
-        if owner is None:
-            super()._route_one(
-                envelope, path, trace, t_start, journal_seq=journal_seq
-            )
-            return
-        self._relay(envelope, path, owner, trace, t_start, journal_seq)
-
-    def _relay(
-        self,
-        envelope: Envelope,
-        path: str,
-        owner: int,
-        trace: TraceContext | None,
-        t_start: float | None,
-        journal_seq: int | None,
-    ) -> None:
-        """Forward a foreign message to its owner's direct endpoint.
-
-        The inbound journal record (if any) travels with the relay item:
-        it is marked delivered only when the owner has accepted the
-        bytes, so a crash mid-relay replays — and the replay re-runs this
-        ownership check.
-        """
-        target = self.peers[owner].rstrip("/") + path
-        relay_sid = None
-        if trace is not None:
-            relay_sid = self.traces.new_span_id()
-            attach_trace(envelope, trace.child(relay_sid))
-        self._enqueue(
-            envelope.to_bytes(), target,
-            trace=trace, parent_span_id=relay_sid,
-            journal_seq=journal_seq,
-        )
-        self.counters.inc("relayed_out")
-        self._m_relayed.labels(direction="out").inc()
-        if relay_sid is not None:
-            start = t_start if t_start is not None else self.clock.now()
-            self.traces.record(
-                trace.trace_id, "shard-relay", f"shard{self.shard_id}",
-                start, self.clock.now(),
-                span_id=relay_sid, parent_id=trace.parent_span_id,
-                owner=str(owner),
-            )
 
 
 class ShardedMsgDispatcher(_ShardRoutingMixin, MsgDispatcher):

@@ -41,6 +41,11 @@ class SimHttpServer:
     pool); accepted connections beyond that queue for a worker.
     ``service_time`` is the CPU cost per request on a speed-1.0 host (the
     host's ``cpu_factor`` scales it) — this is what makes inriaSlow slow.
+
+    ``handler`` may be a :class:`~repro.rt.service.SoapHttpApp` itself:
+    its ``handle_request`` is served, and the app is recorded on the
+    ``host`` (:meth:`Host.serve_app`) so a MSG-Dispatcher on the same
+    machine can see what is mounted beside it.
     """
 
     def __init__(
@@ -58,6 +63,9 @@ class SimHttpServer:
         self.sim = net.sim
         self.host = host
         self.port = port
+        if hasattr(handler, "handle_request"):
+            host.serve_app(port, handler)
+            handler = handler.handle_request
         self.handler = handler
         self.keep_alive_timeout = keep_alive_timeout
         self.service_time = service_time

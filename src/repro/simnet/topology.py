@@ -134,12 +134,30 @@ class Host:
         self.active_connections = 0
         self.refused_connections = 0
         self.listeners: dict[int, object] = {}  # port -> SimListener
+        #: port -> the SoapHttpApp a SimHttpServer serves there, and the
+        #: components on this machine that want to hear (``hosted_on``)
+        #: when that table, or a served app's mount table, changes — how a
+        #: simulated MSG-Dispatcher learns which WS-MsgBox it is co-hosted
+        #: with (paper section 4.3.2)
+        self.apps: dict[int, object] = {}
+        self.residents: list = []
         #: True while the machine is down (crash injection): inbound SYNs
         #: are dropped, established connections break on next use
         self.failed = False
         #: bumped on every crash — connections pinned to an older epoch
         #: are dead even after the host recovers (a reboot loses TCP state)
         self.epoch = 0
+
+    def serve_app(self, port: int, app) -> None:
+        """Record that ``app`` serves ``port`` and tell the residents,
+        now and on every later mount on ``app``."""
+        self.apps[port] = app
+        app.watchers.append(self)
+        self.hosted_on(app)
+
+    def hosted_on(self, app) -> None:
+        for resident in self.residents:
+            resident.hosted_on(app)
 
     def fail(self) -> None:
         """Crash the host: no RSTs, no FINs — it just goes dark."""

@@ -208,19 +208,14 @@ class _Parser:
             raise self.start_tag_error(pos)
         raw_name, attrs, empty = tag.groups()
         scope = ns_scope
+        others = None
         if attrs:
             decls, others = self.attributes(tag)
             if decls:
                 scope = {**ns_scope, **decls}
         el = Element(self.expand(raw_name, scope, tag))
-        if attrs:
-            for aname, avalue in others:
-                q = self.expand(aname, scope, tag, is_attr=True)
-                if q in el.attrs:
-                    raise self.fail(
-                        f"duplicate attribute {aname.decode()!r}", tag.start(3)
-                    )
-                el.attrs[q] = avalue
+        if others:
+            el.attrs = self.ordinary_attributes(others, scope, tag)
         pos = tag.end()
         if empty:
             return el, pos
@@ -287,6 +282,26 @@ class _Parser:
             else:
                 others.append((name, value))
         return decls, others
+
+    def ordinary_attributes(
+        self,
+        others: list[tuple[bytes, str]],
+        scope: dict[str | None, str | None],
+        tag: re.Match[bytes],
+    ) -> dict[QName, str]:
+        """The non-xmlns attributes of start tag ``tag`` (``others`` as
+        :meth:`attributes` gives them) by qualified name, in the scope
+        inside the tag; a malformed name, an undeclared prefix and a
+        duplicate are errors."""
+        attrs: dict[QName, str] = {}
+        for aname, avalue in others:
+            q = self.expand(aname, scope, tag, is_attr=True)
+            if q in attrs:
+                raise self.fail(
+                    f"duplicate attribute {aname.decode()!r}", tag.start(3)
+                )
+            attrs[q] = avalue
+        return attrs
 
     def expand(
         self,

@@ -100,8 +100,11 @@ def _resolve(
     parser: _Parser, tag: re.Match[bytes], scope: Scope
 ) -> tuple[QName, Scope]:
     """The qualified name of start tag ``tag`` and the namespace scope
-    inside it.  Only its xmlns declarations are kept — ordinary attributes
-    matter to whoever parses the element."""
+    inside it.  Only its xmlns declarations are kept; its ordinary
+    attributes are put through the parser's own routine and dropped — the
+    Envelope and Body start tags are spliced through verbatim, so what the
+    DOM parser would refuse in them (an undeclared prefix, a duplicate)
+    must be refused here."""
     attrs = tag.group(2)
     if attrs:
         if b"&" in attrs and any(
@@ -110,9 +113,11 @@ def _resolve(
         ):
             # would be expanded here but spliced through verbatim
             _bail("unsupported", "entity reference in namespace declaration")
-        decls, _others = parser.attributes(tag)
+        decls, others = parser.attributes(tag)
         if decls:
             scope = {**scope, **decls}
+        if others:
+            parser.ordinary_attributes(others, scope, tag)
     return parser.expand(tag.group(1), scope, tag), scope
 
 

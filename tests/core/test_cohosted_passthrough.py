@@ -5,6 +5,11 @@ Run against the threaded and the asyncio dispatcher through the
 ``dispatcher_backend`` fixture.  There is no network: the dispatcher's
 HTTP client is a loopback that serves the wsd's own origin from its
 :class:`SoapHttpApp` and hands everything else to a stub service.
+
+The predicate is one (:meth:`DispatchCore.cohost`), so the mount-order and
+look-alike cases also run on the simulator (``EVERY_RUNTIME``): there the
+wsd is a :class:`Host` whose port 8000 serves the same
+:class:`SoapHttpApp` through a :class:`SimHttpServer`.
 """
 
 import time
@@ -13,13 +18,18 @@ import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
-from repro.http import HttpRequest, HttpResponse
+from repro.core.sim_dispatcher import SimMsgDispatcher
+from repro.http import Headers, HttpRequest, HttpResponse
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.service import make_mailbox_epr
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
 from repro.rt.service import FunctionService, RequestContext, SoapHttpApp
+from repro.simnet.httpsim import SimHttpServer
+from repro.simnet.kernel import Simulator
+from repro.simnet.topology import AccessLink, Network
 from repro.soap import Envelope, Fault, parse_envelope
+from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message
 from repro.wsa import AddressingHeaders, EndpointReference
@@ -102,12 +112,61 @@ class World:
         self.dispatcher.handle(msg, RequestContext(path="/msg/echo"))
 
 
+class SimWorld(World):
+    """The same wsd on the simulator: a :class:`Host` whose port 8000
+    serves ``app``; messages are admitted straight into the dispatcher's
+    HTTP handler, and the service is a recording sink on another host."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.sim = Simulator()
+        self.net = Network(self.sim)
+        link = AccessLink(5000, 5000, 0.005)
+        self.host = self.net.add_host("wsd", link)
+        self.app = SoapHttpApp()
+        SimHttpServer(self.net, self.host, 8000, self.app)
+        self.client = self  # the sink keeps ``forwarded``, as the loopback does
+        self.forwarded: list[AddressingHeaders] = []
+        SimHttpServer(self.net, self.net.add_host("ws", link), 9000, self.sink)
+        registry = ServiceRegistry()
+        registry.register("echo", "http://ws:9000/echo")
+        self.dispatcher = SimMsgDispatcher(
+            self.net, self.host, registry, own_address=OWN,
+            metrics=MetricsRegistry(), traces=TraceStore(enabled=False),
+        )
+        self.ids = IdGenerator("cohost", seed=3)
+
+    def sink(self, request):
+        envelope = parse_envelope(request.body)
+        self.forwarded.append(AddressingHeaders.from_envelope(envelope))
+        return HttpResponse(status=202)
+
+    def admit(self, reply_to, fault_to):
+        msg = make_echo_message(
+            to="urn:wsd:echo", message_id=self.ids.next(), reply_to=reply_to
+        )
+        headers = Headers()
+        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
+        post = HttpRequest("POST", "/msg/echo", headers=headers, body=msg.to_bytes())
+        self.sim.run(self.sim.process(self.dispatcher.handler(post)))
+        self.sim.run(until=self.sim.now + 1.0)
+
+
+#: the cases that exercise only the co-hosting predicate run on all three
+EVERY_RUNTIME = pytest.mark.parametrize(
+    "dispatcher_backend", ["rt", "aio", "sim"], indirect=True
+)
+
+
 @pytest.fixture
 def world(dispatcher_backend):
     worlds = []
 
     def make(**kwargs):
-        worlds.append(World(dispatcher_backend, **kwargs))
+        if dispatcher_backend.kind == "sim":
+            worlds.append(SimWorld(dispatcher_backend, **kwargs))
+        else:
+            worlds.append(World(dispatcher_backend, **kwargs))
         return worlds[-1]
 
     yield make
@@ -118,6 +177,7 @@ def world(dispatcher_backend):
 # -- mount order -------------------------------------------------------------
 
 @pytest.mark.parametrize("order", ["dispatcher-first", "mailbox-first"])
+@EVERY_RUNTIME
 def test_passthrough_does_not_depend_on_mount_order(world, order):
     w = world()
     mailbox = w.mailbox()
@@ -129,6 +189,7 @@ def test_passthrough_does_not_depend_on_mount_order(world, order):
     assert wait_for(lambda: w.dispatcher.pending_correlations() == 0)
 
 
+@EVERY_RUNTIME
 def test_a_mailbox_mounted_after_traffic_started_is_seen(world):
     w = world()
     w.app.mount("/msg", w.dispatcher)
@@ -160,6 +221,7 @@ def test_default_port_is_the_same_origin(world):
     "http://wsd:8000.evil/mailbox/deposit/x",
     "https://wsd:8000/mailbox/deposit/x",
 ])
+@EVERY_RUNTIME
 def test_look_alike_addresses_are_relayed(world, address):
     w = world()
     w.app.mount("/msg", w.dispatcher)
@@ -169,6 +231,7 @@ def test_look_alike_addresses_are_relayed(world, address):
     assert w.dispatcher.pending_correlations() == 1  # kept for the relay
 
 
+@EVERY_RUNTIME
 def test_a_declared_prefix_with_no_mailbox_behind_it_is_relayed(world):
     """The mailbox says /mailbox but is mounted elsewhere: the path it
     declares resolves to nothing (or to someone else)."""
@@ -189,6 +252,7 @@ def test_a_mailbox_without_a_base_url_declares_nothing(world):
     assert epr_shape(w.send(reply_to=epr).reply_to) == RELAYED
 
 
+@EVERY_RUNTIME
 def test_a_mailbox_on_a_different_app_is_relayed(world):
     """Same origin on paper, but not a mounted peer of this dispatcher."""
     w = world()
@@ -199,6 +263,7 @@ def test_a_mailbox_on_a_different_app_is_relayed(world):
 
 
 @pytest.mark.parametrize("mount", ["mount", "mount_raw"])
+@EVERY_RUNTIME
 def test_a_handler_inside_the_deposit_subtree_disqualifies_the_mailbox(world, mount):
     """Not every path under the declared prefix reaches the mailbox."""
     w = world()
@@ -213,15 +278,33 @@ def test_a_handler_inside_the_deposit_subtree_disqualifies_the_mailbox(world, mo
     assert epr_shape(w.send(reply_to=epr).reply_to) == RELAYED
 
 
-def test_configured_prefixes_are_still_honoured(world):
-    """The simulator's mailbox (another port of the same host) is not a
-    mounted peer; the hand-set prefix keeps working beside the derived."""
+@EVERY_RUNTIME
+def test_every_cohosted_mailbox_is_honoured(world):
+    """There is no hand-set prefix any more: each mailbox the wsd serves
+    is derived, side by side."""
     w = world()
-    w.dispatcher.config.passthrough_reply_prefixes = ("http://wsd:8500/mailbox",)
     w.app.mount("/msg", w.dispatcher)
     w.app.mount("/mailbox", w.mailbox())
-    for address in ("http://wsd:8500/mailbox/deposit/x", MAILBOX + "/deposit/y"):
+    w.app.mount("/mailbox2", w.mailbox(base_url=WSD + "/mailbox2"))
+    for address in (WSD + "/mailbox2/deposit/x", MAILBOX + "/deposit/y"):
         assert w.send(reply_to=EndpointReference(address)).reply_to.address == address
+
+
+@pytest.mark.parametrize("dispatcher_backend", ["sim"], indirect=True)
+def test_a_mailbox_on_another_port_of_the_same_host(world):
+    """The simulator's deployments put the mailbox on its own port of the
+    wsd machine: co-hosted iff that very port serves the app the mailbox
+    is mounted on — a port serving a *different* app is still relayed."""
+    w = world()
+    mb_app = SoapHttpApp()
+    mb_app.mount("/mailbox", w.mailbox(base_url="http://wsd:8500/mailbox"))
+    mb_app.mount("/other", w.mailbox(base_url="http://wsd:8700/other"))
+    SimHttpServer(w.net, w.host, 8500, mb_app)
+    SimHttpServer(w.net, w.host, 8700, SoapHttpApp())
+    here = EndpointReference("http://wsd:8500/mailbox/deposit/x")
+    assert w.send(reply_to=here).reply_to.address == here.address
+    elsewhere = EndpointReference("http://wsd:8700/other/deposit/x")
+    assert epr_shape(w.send(reply_to=elsewhere).reply_to) == RELAYED
 
 
 # -- FaultTo is decided per EPR ------------------------------------------------

@@ -1,0 +1,322 @@
+"""The dispatcher's decisions, driven directly: a fake clock, a list for
+an accept queue, no threads, no sockets, no simulator.
+
+Each place where the threaded and the simulated dispatcher used to
+disagree is settled in :class:`repro.core.dispatch.DispatchCore` and
+pinned here once, for every driver.
+"""
+
+import ast
+import asyncio
+import pathlib
+from types import SimpleNamespace
+
+from hypothesis import settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis import strategies as st
+
+import repro.core.dispatch as dispatch
+from repro.core.dispatch import DispatchCore, _OutboundItem
+from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
+from repro.core.registry import ServiceRegistry
+from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.http import HttpResponse
+from repro.msgbox import MailboxStore, MsgBoxService
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceStore
+from repro.reliable import BreakerConfig
+from repro.rt.service import SoapHttpApp
+from repro.simnet.kernel import Simulator
+from repro.simnet.topology import AccessLink, Network
+from repro.store.journal import DEAD, MessageJournal
+from repro.transport.base import Endpoint
+from repro.util.clock import ManualClock
+from repro.workload.echo import make_echo_message
+from repro.wsa import AddressingHeaders, EndpointReference
+
+OWN = "http://wsd:8000/msg"
+MAILBOX = "http://wsd:8000/mailbox"
+PRIVATE = EndpointReference("http://client:7000/inbox")
+COHOSTED = EndpointReference(MAILBOX + "/deposit/box-1")
+TTL = 120.0
+
+
+class Core(DispatchCore):
+    """The core with the smallest possible driver: a list."""
+
+    def __init__(self, **config_kw):
+        self.inbox: list[tuple] = []
+        self.metrics_registry = MetricsRegistry()
+        registry = ServiceRegistry()
+        registry.register("echo", "http://ws:9000/echo")
+        config = MsgDispatcherConfig(correlation_ttl=TTL, **config_kw)
+        super().__init__(
+            registry, OWN, "/msg", config, ManualClock(),
+            metrics=self.metrics_registry, traces=TraceStore(enabled=False),
+            durable=MessageJournal(sync="lazy"),
+        )
+
+    def _offer(self, work):
+        self.inbox.append(work)
+        return True
+
+    def _accept_depth(self):
+        return len(self.inbox)
+
+    def backlog(self):
+        return len(self.inbox)
+
+    def request(self, message_id, reply_to=PRIVATE):
+        """Route one client request; returns (outbound items, journal seq)."""
+        msg = make_echo_message(
+            to="urn:wsd:echo", message_id=message_id, reply_to=reply_to
+        )
+        jseq = self.journal_inbound("/msg/echo", msg.to_bytes())
+        return self.route(msg, "/msg/echo", journal_seq=jseq), jseq
+
+    def response(self, relates_to):
+        """Route what a service posts back for ``relates_to``."""
+        msg = make_echo_message(to="urn:wsd:echo", message_id=f"re:{relates_to}")
+        headers = AddressingHeaders.from_envelope(msg)
+        headers.relates_to.append(relates_to)
+        headers.attach(msg)
+        jseq = self.journal_inbound("/msg/echo", msg.to_bytes())
+        return self.route(msg, "/msg/echo", journal_seq=jseq), jseq
+
+
+def cohosted_core(**config_kw) -> Core:
+    core = Core(**config_kw)
+    app = SoapHttpApp()
+    app.mount("/mailbox", MsgBoxService(MailboxStore(), base_url=MAILBOX))
+    core.cohost({Endpoint("wsd", 8000): app})
+    return core
+
+
+# -- the module is substrate-free ---------------------------------------------
+
+def test_the_core_imports_no_substrate_and_never_sleeps():
+    tree = ast.parse(pathlib.Path(dispatch.__file__).read_text(encoding="utf-8"))
+    banned = ("asyncio", "socket", "repro.rt.client", "repro.aio", "repro.simnet")
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        for name in names:
+            assert not any(
+                name == b or name.startswith(b + ".") for b in banned
+            ), f"line {node.lineno}: the core imports {name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr != "sleep", f"line {node.lineno}: the core sleeps"
+
+
+# -- (a) a RelatesTo that hits an expired entry -------------------------------
+
+def test_an_expired_correlation_is_dead_lettered_never_rerouted():
+    core = Core()
+    (forwarded,), _ = core.request("uuid:late")
+    assert forwarded.target_url == "http://ws:9000/echo"
+    core.clock.advance(TTL + 1.0)
+    items, jseq = core.response("uuid:late")
+    assert items == []
+    assert core.stats.get("expired_correlations") == 1
+    assert core.stats["routed_requests"] == 1  # not taken for a client request
+    assert "routed_responses" not in core.stats
+    record = core.durable.get(jseq)
+    assert (record.state, record.reason) == (DEAD, "expired_correlation")
+    assert core.pending_correlations() == 0
+
+
+# -- (b) one family set, registered once ---------------------------------------
+
+def families_of(build) -> set[str]:
+    metrics = MetricsRegistry()
+    build(metrics)
+    return {family.name for family in metrics.families()}
+
+
+def test_the_three_runtimes_expose_the_same_metric_families():
+    quiet = dict(traces=TraceStore(enabled=False))
+
+    def rt(metrics):
+        MsgDispatcher(
+            ServiceRegistry(), SimpleNamespace(), OWN, metrics=metrics, **quiet
+        ).stop()
+
+    def aio(metrics):
+        from repro.aio import AioMsgDispatcher
+
+        async def build():
+            AioMsgDispatcher(
+                ServiceRegistry(), SimpleNamespace(), OWN, metrics=metrics, **quiet
+            ).stop()
+
+        asyncio.run(build())
+
+    def sim(metrics):
+        net = Network(Simulator())
+        host = net.add_host("wsd", AccessLink(5000, 5000, 0.005))
+        SimMsgDispatcher(net, host, ServiceRegistry(), OWN, metrics=metrics, **quiet)
+
+    expected = families_of(rt)
+    assert expected == families_of(aio) == families_of(sim)
+    assert {"msgd_retries_total", "dispatcher_drain_timeouts_total"} <= expected
+
+
+def test_every_dispatcher_family_is_registered_once_by_the_core():
+    src = pathlib.Path(dispatch.__file__).resolve().parents[1]
+    drivers = "".join(
+        (src / path).read_text(encoding="utf-8")
+        for path in (
+            "core/msg_dispatcher.py", "core/sim_dispatcher.py",
+            "aio/dispatcher.py", "shard/dispatcher.py",
+        )
+    )
+    core_text = pathlib.Path(dispatch.__file__).read_text(encoding="utf-8")
+    names = {
+        family.name for family in Core().metrics_registry.families()
+        if family.name.startswith(("msgd_", "dispatcher_"))
+    }
+    assert len(names) >= 12
+    for name in names - {"msgd_stage_seconds"}:  # named in repro.obs.slo
+        assert core_text.count(f'"{name}"') == 1, name
+        assert f'"{name}"' not in drivers, name
+
+
+def test_the_shed_label_is_the_drivers():
+    core = Core(max_inflight=0)
+    assert core.overloaded("/msg/echo", None, 0.0)
+    assert 'dispatcher_shed_total{component="msgd"} 1' in (
+        core.metrics_registry.render_prometheus()
+    )
+    net = Network(Simulator())
+    host = net.add_host("wsd", AccessLink(5000, 5000, 0.005))
+    metrics = MetricsRegistry()
+    sim = SimMsgDispatcher(
+        net, host, ServiceRegistry(), OWN, metrics=metrics,
+        config=SimMsgDispatcherConfig(max_inflight=0),
+    )
+    assert sim.overloaded("/msg/echo", None, 0.0)
+    assert 'dispatcher_shed_total{component="sim_msgd"} 1' in (
+        metrics.render_prometheus()
+    )
+
+
+# -- (c) queue-wait is observed once, before the breaker gate ------------------
+
+def destination_waits(core: Core) -> int:
+    snapshot = core.metrics_registry.snapshot()["msgd_queue_wait_seconds"]
+    return sum(
+        sample["count"] for sample in snapshot["samples"]
+        if sample["labels"] == {"queue": "destination"}
+    )
+
+
+def test_queue_wait_is_observed_once_and_before_the_breaker_gate():
+    core = Core(breaker=BreakerConfig(consecutive_failures=1, open_for=60.0))
+    item = _OutboundItem(b"<m/>", "http://ws:9000/echo", enqueued_at=core.clock.now())
+    core.clock.advance(0.25)
+    assert core.start_delivery([item])
+    assert (destination_waits(core), item.attempts) == (1, 1)
+    # an in-line retry comes back through the queue: not observed again
+    assert core.start_delivery([item])
+    assert (destination_waits(core), item.attempts) == (1, 2)
+    # the breaker opens; a refused item has still waited in the queue
+    core.record_outcome(item.target_url, False)
+    blocked = _OutboundItem(b"<n/>", "http://ws:9000/echo", enqueued_at=core.clock.now())
+    assert not core.start_delivery([blocked])
+    assert (destination_waits(core), blocked.attempts) == (2, 0)
+    assert core.stats.get("dropped_breaker_open") == 1
+
+
+# -- (d) the correlation table, as a state machine -----------------------------
+
+class CorrelationMachine(RuleBasedStateMachine):
+    """An entry leaves by pop (its reply came), with the delivery (every
+    EPR passed through and the service did not answer in-band) or by the
+    head sweep (its TTL ran out) — never otherwise — and nothing is left
+    at quiescence."""
+
+    def __init__(self):
+        super().__init__()
+        self.core = cohosted_core()
+        self.model: dict[str, tuple[float, bool]] = {}  # id -> (expiry, passed)
+        self.in_flight: dict[str, _OutboundItem] = {}
+        self.sent = 0
+
+    def sweep(self):
+        now = self.core.clock.now()
+        for mid in list(self.model):
+            if self.model[mid][0] >= now:
+                break
+            del self.model[mid]
+
+    def send(self, message_id, reply_to):
+        (item,), _ = self.core.request(message_id, reply_to)
+        self.in_flight[message_id] = item
+        self.sweep()
+        if reply_to is not None:
+            self.model.pop(message_id, None)  # a re-send moves to the back
+            self.model[message_id] = (
+                self.core.clock.now() + TTL, reply_to is COHOSTED
+            )
+
+    @rule(reply_to=st.sampled_from([PRIVATE, COHOSTED, None]))
+    def request(self, reply_to):
+        self.sent += 1
+        self.send(f"uuid:{self.sent}", reply_to)
+
+    @rule(data=st.data())
+    def resend(self, data):
+        if self.model:
+            mid = data.draw(st.sampled_from(sorted(self.model)))
+            self.send(mid, COHOSTED if self.model[mid][1] else PRIVATE)
+
+    @rule(data=st.data())
+    def reply(self, data):
+        if not self.sent:
+            return
+        mid = f"uuid:{data.draw(st.integers(1, self.sent))}"
+        items, _ = self.core.response(mid)
+        entry = self.model.pop(mid, None)
+        live = entry is not None and entry[0] >= self.core.clock.now()
+        if entry is None:
+            # no such entry: an ordinary request, which sweeps like one
+            assert items[0].target_url == "http://ws:9000/echo"
+            self.sweep()
+        else:
+            assert len(items) == (1 if live else 0)
+
+    @rule(data=st.data())
+    def delivered(self, data):
+        if self.in_flight:
+            mid = data.draw(st.sampled_from(sorted(self.in_flight)))
+            item = self.in_flight.pop(mid)
+            self.core.finish_delivery(item, HttpResponse(status=202), 0.0, 0.0, None)
+            if mid in self.model and self.model[mid][1]:
+                del self.model[mid]
+
+    @rule(seconds=st.sampled_from([1.0, 50.0, TTL + 1.0]))
+    def advance(self, seconds):
+        self.core.clock.advance(seconds)
+
+    @invariant()
+    def the_table_is_the_model(self):
+        # the sweep is lazy: the table may still hold expired heads
+        now = self.core.clock.now()
+        live = [mid for mid, (expiry, _) in self.model.items() if expiry >= now]
+        table = list(self.core._correlations)
+        assert [mid for mid in table if mid in live] == live
+        assert set(table) <= set(self.model)
+
+    def teardown(self):
+        self.core.clock.advance(TTL + 1.0)
+        self.core.request("uuid:last", None)  # one more routed message sweeps
+        assert self.core.pending_correlations() == 0
+
+
+TestCorrelationTable = CorrelationMachine.TestCase
+TestCorrelationTable.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)

@@ -4,6 +4,8 @@ via the ``dispatcher_backend`` fixture."""
 
 import time
 
+import pytest
+
 from repro.core.msg_dispatcher import MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
 from repro.core.rpc_dispatcher import RpcDispatcher
@@ -150,10 +152,15 @@ def test_recovery_closes_breaker_and_redelivers_held(dispatcher_backend):
         dispatcher.stop()
 
 
+@pytest.mark.parametrize(
+    "dispatcher_backend", ["rt", "aio", "rt-sharded", "aio-sharded"], indirect=True
+)
 def test_registry_outage_parks_then_redelivers(dispatcher_backend):
     """RegistryUnavailable mid-drain parks the message pre-resolution;
     when the registry comes back the pump re-routes and delivers it —
-    without the redelivery being absorbed as a duplicate."""
+    without the redelivery being absorbed as a duplicate.  The sharded
+    classes run it too: shard ownership is a rule of the same routing
+    pass, so the from-hold path cannot be shadowed."""
     metrics = MetricsRegistry()
     client = FakeClient(failing=False)
     registry = ServiceRegistry()

@@ -137,6 +137,9 @@ def test_failed_item_in_burst_parks_in_hold_store(inproc, sink):
     held = []
 
     class HoldStub:
+        def is_held(self, message_id):
+            return False
+
         def hold(self, message_id, target_url, body):
             held.append((message_id, target_url, body))
 

@@ -107,7 +107,6 @@ def msg_world(world):
     config = SimMsgDispatcherConfig(
         cx_workers=2, ws_workers=4, destination_idle_ttl=0.5,
         shed_on_full=True,
-        passthrough_reply_prefixes=("http://wsd:8500/mailbox",),
     )
     disp = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://wsd:8000/msg", config=config
@@ -117,7 +116,9 @@ def msg_world(world):
     msgbox = MsgBoxService(store, base_url="http://wsd:8500/mailbox")
     app = SoapHttpApp()
     app.mount("/mailbox", msgbox)
-    SimHttpServer(net, wsd_host, 8500, lambda r: app.handle_request(r, None))
+    # served as an app: the wsd host records it, so the dispatcher derives
+    # that this mailbox is co-hosted (paper section 4.3.2)
+    SimHttpServer(net, wsd_host, 8500, app)
     return net, client, registry, disp, store, echo
 
 
@@ -194,12 +195,16 @@ class TestSimMsgDispatcher:
         assert disp.pending_correlations() == 0
 
     def test_response_relayed_without_passthrough(self, msg_world):
-        net, client, registry, disp, store, echo = msg_world
+        """A mailbox on another machine is nobody's co-host: relayed."""
+        net, client, registry, disp, _, echo = msg_world
         sim = net.sim
-        disp.config.passthrough_reply_prefixes = ()
+        store = MailboxStore(clock=sim.clock)
+        app = SoapHttpApp()
+        app.mount("/mailbox", MsgBoxService(store, base_url="http://mb:8500/mailbox"))
+        SimHttpServer(net, net.add_host("mb", AccessLink(5000, 5000, 0.005)), 8500, app)
         ids = IdGenerator("t", seed=3)
         mailbox_id = store.create()
-        epr = make_mailbox_epr("http://wsd:8500/mailbox", mailbox_id)
+        epr = make_mailbox_epr("http://mb:8500/mailbox", mailbox_id)
 
         def send():
             msg = make_echo_message(

@@ -53,7 +53,6 @@ def test_soak_accounting_identities():
             ws_workers=8,
             parallel_per_destination=4,
             shed_on_full=True,
-            passthrough_reply_prefixes=("http://iuWSD:8500/mailbox",),
         ),
     )
     SimHttpServer(net, wsd_host, 8000, dispatcher.handler, workers=32,
@@ -63,8 +62,9 @@ def test_soak_accounting_identities():
     msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
     app = SoapHttpApp()
     app.mount("/mailbox", msgbox)
-    SimHttpServer(net, wsd_host, 8500, lambda r: app.handle_request(r, None),
-                  workers=32, service_time=0.002)
+    # served as an app, so the host records it: the dispatcher derives
+    # that this mailbox is co-hosted and passes its ReplyTo through
+    SimHttpServer(net, wsd_host, 8500, app, workers=32, service_time=0.002)
 
     ids = IdGenerator("soak", seed=99)
     boxes = [store.create() for _ in range(20)]

@@ -6,17 +6,16 @@ exception — or hands back a ``LazyEnvelope`` whose headers are the DOM
 parser's and whose Body is a byte-identical slice of the input.  The one
 licence the fast path has is that it never reads inside the Body: where
 the DOM parser refuses a document the scanner took, the fault must lie in
-that slice.
+that slice, past the Body's start tag.
 """
 
-import re
-
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SoapError, XmlError
 from repro.obs.metrics import MetricsRegistry
 from repro.soap import Envelope, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.wsa import WSA_NS
+from repro.xmlmini.parser import START_TAG
 
 SOAP11 = "http://schemas.xmlsoap.org/soap/envelope/"
 SOAP12 = "http://www.w3.org/2003/05/soap-envelope"
@@ -108,7 +107,26 @@ def dom_verdict(data):
         return type(exc)
 
 
+def _spliced_tag_faults():
+    """An undeclared attribute prefix and a duplicate attribute, on each of
+    the two start tags the fast path splices through unparsed."""
+    for envelope_attrs, body_attrs in (
+        (' q:x="1"', ""), (' x="1" x="2"', ""), ("", ' q:x="1"'), ("", ' x="1" x="2"'),
+    ):
+        yield (
+            f'<s:Envelope xmlns:s="{SOAP11}"{envelope_attrs}>'
+            f"<s:Body{body_attrs}></s:Body></s:Envelope>"
+        ).encode()
+
+
+_ENVELOPE_PREFIX, _ENVELOPE_TWICE, _BODY_PREFIX, _BODY_TWICE = _spliced_tag_faults()
+
+
 @given(wire_bytes())
+@example(_ENVELOPE_PREFIX)
+@example(_ENVELOPE_TWICE)
+@example(_BODY_PREFIX)
+@example(_BODY_TWICE)
 @settings(max_examples=600, deadline=None)
 def test_fast_path_agrees_with_the_dom_parser(data):
     registry = MetricsRegistry()
@@ -138,7 +156,8 @@ def test_fast_path_agrees_with_the_dom_parser(data):
     assert data.count(body) >= 1 and body in got.to_bytes()
     if not isinstance(dom, Envelope):
         # the fault is inside the Body, the one region the scanner skips
-        hollow = re.match(rb"<[^\s/>]+", body).group() + b"/>"
+        # (its start tag is not inside: the scanner vouches for that)
+        hollow = body[: START_TAG(body).start(3)] + b"/>"
         dom = dom_verdict(data.replace(body, hollow, 1))
         assert isinstance(dom, Envelope), (data, dom)
     else:

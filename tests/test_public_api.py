@@ -116,5 +116,5 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
         assert _documented_fields(cls.__name__) == set(defaults[cls])
     threaded, simulated = defaults.values()
     shared = threaded.keys() & simulated.keys()
-    assert len(shared) >= 10
+    assert len(shared) >= 9
     assert {k: threaded[k] for k in shared} == {k: simulated[k] for k in shared}

@@ -85,6 +85,12 @@ VERDICTS = [
     ('<a:b:c/>', (1, 6)),
     ('<:a/>', (1, 3)),
     ('<a>\n<b/ ></a>', (2, 6)),
+    # the two start tags the envelope scanner splices through verbatim: it
+    # must refuse there what this parser refuses (test_lazy_differential)
+    ('<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/" q:x="1"><s:Body/></s:Envelope>', (1, 71)),
+    ('<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/" x="1" x="2"><s:Body/></s:Envelope>', (1, 75)),
+    ('<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"><s:Body q:x="1"/></s:Envelope>', (1, 79)),
+    ('<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/"><s:Body x="1" x="2"/></s:Envelope>', (1, 83)),
 ]
 
 
