@@ -5,7 +5,11 @@ and replaces only the *execution* substrate:
 
 - the CxThread pool becomes one routing task draining the (unchanged,
   thread-safe) accept queue, woken by the queue's listener hook instead
-  of blocking in ``get()``;
+  of blocking in ``get()``; an admission made *on the loop* is routed
+  where it is admitted under the core's rule
+  (:meth:`~repro.core.dispatch.DispatchCore.routes_in_place`), an
+  admission from any other thread always takes the queue — destination
+  queues, writer tasks and their events are loop-bound state;
 - each WsThread becomes a per-destination writer task, created and
   retired under the same ``ws_threads`` slot budget and the same
   ``destination_idle_ttl``;
@@ -31,6 +35,7 @@ Construct it on the loop (inside a coroutine): the worker tasks bind to
 from __future__ import annotations
 
 import asyncio
+import threading
 
 from repro.core.msg_dispatcher import MsgDispatcher, _Destination, _make_post
 from repro.errors import ReproError, TransportError
@@ -42,6 +47,7 @@ class AioMsgDispatcher(MsgDispatcher):
 
     def _start_workers(self, hold_pump_interval: float) -> None:
         self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
         self._tasks: set[asyncio.Task] = set()
         self._dest_events: dict[str, asyncio.Event] = {}
         self._accept_event = asyncio.Event()
@@ -53,11 +59,22 @@ class AioMsgDispatcher(MsgDispatcher):
             )
 
     # -- plumbing ----------------------------------------------------------
+    def _on_loop(self) -> bool:
+        return threading.get_ident() == self._loop_thread
+
+    def _may_enqueue_here(self) -> bool:
+        return self._running and self._on_loop()
+
     def _wake(self, event: asyncio.Event):
-        """A listener callback that sets ``event`` from any thread."""
+        """A listener callback that sets ``event`` from any thread: a
+        producer already on the loop sets it directly, any other goes
+        through the loop's self-pipe."""
         loop = self._loop
 
         def _set() -> None:
+            if self._on_loop():
+                event.set()
+                return
             try:
                 loop.call_soon_threadsafe(event.set)
             except RuntimeError:
@@ -102,7 +119,7 @@ class AioMsgDispatcher(MsgDispatcher):
             except QueueClosed:
                 return
             # route → _enqueue → _ensure_worker spawns writer tasks
-            self._process_accepted(work)
+            self._route_pooled(work)
             # one queue entry per scheduler turn: a routing storm must not
             # starve the writer tasks (or 10k pollers) sharing the loop
             await asyncio.sleep(0)
@@ -110,7 +127,8 @@ class AioMsgDispatcher(MsgDispatcher):
     # -- writer tasks (the WsThread pool) -----------------------------------
     def _ensure_worker(self, dest: _Destination) -> None:
         # runs on the loop thread only (_enqueue is called from the
-        # routing task); the base thread variant is fully overridden
+        # routing task or an on-loop admission, see _may_enqueue_here);
+        # the base thread variant is fully overridden
         if dest.thread is not None and not dest.thread.done():
             return
         if not self._ws_slots.acquire(blocking=False):

@@ -13,9 +13,10 @@ hold parking, the dead-letter / drop taxonomy, in-band (Table 1 quadrant
 It is substrate-free: it reads the clock it is handed and never sleeps,
 blocks, spawns or touches a socket.  Decisions are plain methods whose
 return value tells the driver what to do — :meth:`DispatchCore.route`
-*returns* the outbound items, :meth:`DispatchCore.start_delivery` says
-whether to transmit, :meth:`DispatchCore.settle` whether the attempt
-failed.  The drivers (:class:`~repro.core.MsgDispatcher`,
+*returns* the outbound items, :meth:`DispatchCore.routes_in_place` says
+which thread runs it, :meth:`DispatchCore.start_delivery` says whether
+to transmit, :meth:`DispatchCore.settle` whether the attempt failed.
+The drivers (:class:`~repro.core.MsgDispatcher`,
 :class:`~repro.aio.AioMsgDispatcher`,
 :class:`~repro.core.sim_dispatcher.SimMsgDispatcher`) subclass it and
 keep what really differs by substrate: the queue primitive, the worker
@@ -223,8 +224,10 @@ class DispatchCore:
 
     # -- driver seams -------------------------------------------------------
     def _offer(self, work: tuple) -> bool:
-        """Put ``(envelope, path, trace, t_enqueued, journal_seq)`` on the
-        accept queue without blocking; False when it is full or closed."""
+        """Put ``(envelope, path, trace, t_enqueued, journal_seq)`` — plus,
+        when the driver decoded them at admission, the message's
+        :class:`AddressingHeaders` — on the accept queue without blocking;
+        False when it is full or closed."""
         raise NotImplementedError
 
     def _accept_depth(self) -> int:
@@ -426,8 +429,11 @@ class DispatchCore:
 
     def admitted(
         self, path: str, trace: TraceContext | None, t_arrival: float
-    ) -> None:
-        """The accept queue took the message: the driver answers 202."""
+    ) -> float:
+        """The dispatcher took the message — onto the accept queue, or to
+        route it in place: the driver answers 202.  Returns when the
+        ``admit`` stage ended, which is when an in-place routing pass
+        begins to wait."""
         self.counters.inc("accepted")
         self._m_accepted.inc()
         now = self.clock.now()
@@ -441,11 +447,66 @@ class DispatchCore:
             self._log, logging.DEBUG, "admit",
             trace=trace.trace_id if trace else None, path=path,
         )
+        return now
+
+    def addressing_of(self, envelope: Envelope) -> AddressingHeaders | None:
+        """Decode the addressing headers once, at admission; the result
+        rides the work tuple into :meth:`route`.  None leaves a malformed
+        block to the routing pass, which drops it as ``unroutable`` after
+        the sender has its 202."""
+        try:
+            return AddressingHeaders.from_envelope(envelope)
+        except ReproError:
+            return None
+
+    def routes_in_place(
+        self,
+        headers: AddressingHeaders | None,
+        path: str,
+        pool_idle: bool,
+        may_enqueue: bool,
+    ) -> bool:
+        """May the thread that admitted this message route it itself?
+
+        The paper's CxThreads *are* the accepting threads (Fig. 3); a
+        second pool behind them buys no asynchrony — the 202 precedes
+        delivery either way — and costs a thread change per message.  So
+        the routing pass runs where the message was admitted **iff**
+
+        (a) ``pool_idle``: nothing admitted earlier is still unrouted
+            (accept queue empty and no routing worker mid-pass), so an
+            admission never overtakes an older one;
+        (b) the pass cannot sleep: the message answers a pending
+            correlation, or its logical name is in the registry's lookup
+            cache (a non-filling ``peek``; a miss, an expired entry or a
+            registry without the peek could mean a replica sweep and its
+            back-off between a client and its 202);
+        (c) ``may_enqueue``: the driver lets this thread touch its
+            destination queues.
+
+        Otherwise the message takes the accept queue, as every message
+        once did.
+        """
+        if not (may_enqueue and pool_idle) or headers is None:
+            return False
+        for rel in headers.relates_to:
+            # unlocked: losing a race with the pop only means it is not a
+            # response any more, and route() decides that again
+            if rel in self._correlations:
+                return True
+        peek = getattr(self.registry, "peek", None)
+        if peek is None:
+            return False
+        try:
+            return peek(self._logical_of(headers, path))
+        except RoutingError:
+            return False
 
     # -- routing + rewriting (steps 2-4 of Fig. 3) ---------------------------
     def process(self, work: tuple) -> "list[_OutboundItem]":
-        """Route one accept-queue entry; returns what to enqueue."""
-        envelope, path, trace, t_enq, jseq = work
+        """Route one admitted entry (see :meth:`_offer` for its shape);
+        returns what to enqueue."""
+        envelope, path, trace, t_enq, jseq, *decoded = work
         t_deq = self.clock.now()
         self._m_wait_accept.observe(t_deq - t_enq)
         self._m_stage_queue_accept.observe(t_deq - t_enq)
@@ -455,7 +516,10 @@ class DispatchCore:
                 parent_id=trace.parent_span_id, queue="accept",
             )
         try:
-            return self.route(envelope, path, trace, t_deq, journal_seq=jseq)
+            return self.route(
+                envelope, path, trace, t_deq, journal_seq=jseq,
+                headers=decoded[0] if decoded else None,
+            )
         except ReproError:
             self._drop(
                 "unroutable", jseq, trace.trace_id if trace else None, path=path
@@ -476,6 +540,7 @@ class DispatchCore:
         t_start: float | None = None,
         journal_seq: int | None = None,
         from_hold: bool = False,
+        headers: AddressingHeaders | None = None,
     ) -> "list[_OutboundItem]":
         """The routing decision: the items to put on destination queues.
 
@@ -486,8 +551,11 @@ class DispatchCore:
         recorded on the admission pass that parked it, so the duplicate
         window is skipped (absorbing it would silently drop the message)
         and a still-unavailable registry raises, keeping it parked.
+        ``headers`` is ``envelope``'s addressing block when the caller has
+        already decoded it (:meth:`addressing_of`).
         """
-        headers = AddressingHeaders.from_envelope(envelope)
+        if headers is None:
+            headers = AddressingHeaders.from_envelope(envelope)
         now = self.clock.now()
         if t_start is None:
             t_start = now
@@ -565,7 +633,8 @@ class DispatchCore:
                 raise
 
         result = rewrite_for_forwarding(
-            envelope, physical, self.own_address, self._cohosted_deposits
+            envelope, physical, self.own_address, self._cohosted_deposits,
+            headers=headers,
         )
         expired = 0
         with self._lock:
@@ -804,9 +873,9 @@ class DispatchCore:
         parent_span_id: str | None,
     ) -> None:
         """The destination took ``item``: mark-after-settle, then look for
-        an in-band answer."""
-        self.counters.inc("delivered")
-        self._m_delivered.inc()
+        an in-band answer.  The ``delivered`` count moves last, so whoever
+        sees it move also sees the mark, the span and the correlation
+        table as this delivery left them."""
         self._m_transmit.observe(t_done - t_send)
         self._m_stage_deliver.observe(t_done - t_send)
         if self.hold_store is not None and item.message_id is not None:
@@ -827,6 +896,8 @@ class DispatchCore:
         )
         if item.message_id is not None:
             self._absorb_inband_response(item, response)
+        self.counters.inc("delivered")
+        self._m_delivered.inc()
 
     def _absorb_inband_response(
         self, item: _OutboundItem, response: HttpResponse
@@ -1021,6 +1092,9 @@ class DispatchCore:
             "backlog": self.backlog(),
             "shed": self.counters.get("shed_overload"),
             "drain_timeouts": self.counters.get("drain_timeouts"),
+            # which thread ran the routing pass (see routes_in_place)
+            "routed_in_place": self.counters.get("routed_in_place"),
+            "routed_pooled": self.counters.get("routed_pooled"),
         }
         if self.breakers is not None:
             snapshot["breakers"] = self.breakers.snapshot()

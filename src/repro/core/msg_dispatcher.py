@@ -3,10 +3,15 @@
 The threaded driver of :class:`~repro.core.dispatch.DispatchCore`
 (paper Fig. 3): two configurable thread pools.
 
-- **CxThreads** take accepted messages and run the core's routing pass —
-  map the logical address to the physical WS address via the Registry,
-  rewrite the WS-Addressing headers so replies come back to the
-  dispatcher — and put what it returns on destination queues.
+- **CxThreads** run the core's routing pass — map the logical address to
+  the physical WS address via the Registry, rewrite the WS-Addressing
+  headers so replies come back to the dispatcher — and put what it
+  returns on destination queues.  As in the paper, the thread that
+  *accepts* a message is the one that routes it whenever
+  :meth:`DispatchCore.routes_in_place` allows (nothing older unrouted, no
+  registry call that could sleep); the ``cx_threads`` pool behind the
+  accept queue takes the rest: overflow behind a backlog, lookup-cache
+  misses, journal replay, in-band answers.
 - **WsThreads** each own a FIFO queue and a persistent connection to one
   destination, and drain queued messages to it — several messages ride one
   connection ("more efficient than opening multiple short lived
@@ -146,6 +151,10 @@ class MsgDispatcher(DispatchCore):
         config = config or MsgDispatcherConfig()
         self.client = client
         self._accept_queue: ClosableQueue[tuple] = ClosableQueue(config.accept_queue)
+        #: admitted messages not yet routed — on the accept queue or in a
+        #: pool worker's hands; an admission routes in place only at zero
+        self._unrouted = 0
+        self._unrouted_lock = threading.Lock()
         self._destinations: dict[str, _Destination] = {}
         super().__init__(
             registry, own_address, mount_prefix, config,
@@ -232,11 +241,33 @@ class MsgDispatcher(DispatchCore):
         self.cohost({origin: app})
 
     # -- the core's view of the queues ----------------------------------------
+    def _pool_put(self, work: tuple) -> bool:
+        """Hand ``work`` to the routing pool: False when the accept queue
+        is full, :class:`QueueClosed` after :meth:`stop`."""
+        with self._unrouted_lock:
+            self._unrouted += 1
+        queued = False
+        try:
+            queued = self._accept_queue.try_put(work)
+        finally:
+            if not queued:
+                self._pool_done()
+        return queued
+
+    def _pool_done(self) -> None:
+        with self._unrouted_lock:
+            self._unrouted -= 1
+
     def _offer(self, work: tuple) -> bool:
         try:
-            return self._accept_queue.try_put(work)
+            return self._pool_put(work)
         except QueueClosed:
             return False
+
+    def _may_enqueue_here(self) -> bool:
+        """Condition (c) of :meth:`DispatchCore.routes_in_place`: any
+        thread may put on a destination queue while the dispatcher runs."""
+        return self._running
 
     def _accept_depth(self) -> int:
         return len(self._accept_queue)
@@ -249,7 +280,7 @@ class MsgDispatcher(DispatchCore):
 
     # -- SoapService entry point (step 1-2 of Fig. 3) ----------------------
     def handle(self, envelope: Envelope, ctx: RequestContext) -> None:
-        """Accept a one-way message; processing continues on the pools."""
+        """Accept a one-way message; delivery continues on the pools."""
         t_arrival = self.clock.now()
         trace = extract_trace(envelope)
         self._admit(envelope, ctx.path, trace, t_arrival)
@@ -269,9 +300,22 @@ class MsgDispatcher(DispatchCore):
         jseq: int | None = None
         if self.durable is not None:
             jseq = self.journal_inbound(path, envelope.to_bytes())
+        headers = self.addressing_of(envelope)
+        if self.routes_in_place(
+            headers, path,
+            pool_idle=not self._unrouted, may_enqueue=self._may_enqueue_here(),
+        ):
+            # no queue, no wait: the accept stage runs from the end of
+            # the admit stage and reads the few µs in between
+            t_admitted = self.admitted(path, trace, t_arrival)
+            self.counters.inc("routed_in_place")
+            self._process_accepted(
+                (envelope, path, trace, t_admitted, jseq, headers)
+            )
+            return
         try:
-            accepted = self._accept_queue.try_put(
-                (envelope, path, trace, t_arrival, jseq)
+            accepted = self._pool_put(
+                (envelope, path, trace, t_arrival, jseq, headers)
             )
         except QueueClosed:
             self._mark_rejected(jseq)
@@ -288,11 +332,19 @@ class MsgDispatcher(DispatchCore):
                 work = self._accept_queue.get()
             except QueueClosed:
                 return
+            self._route_pooled(work)
+
+    def _route_pooled(self, work: tuple) -> None:
+        """One accept-queue entry, in a pool worker's hands until done."""
+        self.counters.inc("routed_pooled")
+        try:
             self._process_accepted(work)
+        finally:
+            self._pool_done()
 
     def _process_accepted(self, work: tuple) -> None:
-        """Route one accepted-queue entry and enqueue what comes back
-        (shared by thread and loop backends; nothing in here blocks)."""
+        """Route one admitted entry and enqueue what comes back (shared
+        by the admitting thread, the pool and the loop backend)."""
         try:
             for item in self.process(work):
                 self._enqueue(item)
@@ -300,7 +352,7 @@ class MsgDispatcher(DispatchCore):
             self.counters.inc("internal_errors")
             # poison, not transient: replaying it would fail the same
             # way forever, so it goes to the dead-letter queue
-            _envelope, _path, trace, _t_enq, jseq = work
+            trace, jseq = work[2], work[4]
             self._dead_letter(
                 jseq, "internal_error",
                 trace_id=trace.trace_id if trace else None,

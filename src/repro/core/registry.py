@@ -115,6 +115,17 @@ class LookupCache:
         self._entries[logical] = (record, self._now() + self._ttl)
         return record
 
+    def peek(self, logical: str) -> bool:
+        """True when :meth:`get` would answer ``logical`` from memory.
+
+        Never fills, evicts or counts: a caller that may not wait (the
+        dispatcher thread that still owes its client a 202) asks this
+        first and leaves a miss to a thread that may."""
+        entry = self._entries.get(logical)
+        return (
+            entry is not None and entry[1] >= self._now() and entry[0].enabled
+        )
+
     def invalidate(self, logical: str) -> None:
         """Drop a cached lookup after any mutation of its record."""
         self._entries.pop(logical, None)
@@ -279,6 +290,12 @@ class ServiceRegistry:
         with self._lock:
             self._lookups += 1
         return record
+
+    def peek(self, logical: str) -> bool:
+        """True when :meth:`lookup` would answer from the lookup cache
+        right now (see :meth:`LookupCache.peek`); an unavailable registry
+        answers nothing."""
+        return self._available and self._cache.peek(logical)
 
     def _lookup_uncached(self, logical: str) -> ServiceRecord:
         """The locked slow path behind the cache."""

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import HttpError
+
+#: what may not appear in a field name: SP, HT, CR, LF and the colon
+_NOT_IN_A_NAME = re.compile(r"[ \t\r\n:]").search
 
 
 class Headers:
@@ -25,7 +29,7 @@ class Headers:
 
     @staticmethod
     def _check(name: str, value: str) -> None:
-        if not name or any(c in name for c in " \t\r\n:"):
+        if not name or _NOT_IN_A_NAME(name):
             raise HttpError(f"invalid header name {name!r}")
         if "\r" in value or "\n" in value:
             raise HttpError("header value may not contain CR/LF")

@@ -112,6 +112,12 @@ class ReplicatedRegistryClient:
         record = self.lookup(logical)
         return self._selector(record)
 
+    def peek(self, logical: str) -> bool:
+        """True when :meth:`lookup` would answer from the cache: no sweep,
+        no breaker charge, no back-off sleep (see
+        :meth:`~repro.core.registry.LookupCache.peek`)."""
+        return self._cache.peek(logical)
+
     # -- writes (forwarded to the first replica that accepts; gossip
     #    propagates them to the rest) --------------------------------------
     def register(

@@ -43,6 +43,7 @@ def rewrite_for_forwarding(
     physical_to: str,
     dispatcher_address: str,
     passthrough_reply_prefixes: tuple[str, ...] = (),
+    headers: AddressingHeaders | None = None,
 ) -> RewriteResult:
     """Rewrite an inbound client message for forwarding to the service.
 
@@ -60,9 +61,12 @@ def rewrite_for_forwarding(
     - The client's original reply/fault EPRs are returned to the caller for
       correlation state in every case.
 
-    The input envelope is not mutated.
+    ``headers``, when the caller has already decoded ``envelope``'s
+    addressing block, saves decoding it again.  Neither it nor the input
+    envelope is mutated.
     """
-    headers = AddressingHeaders.from_envelope(envelope)
+    if headers is None:
+        headers = AddressingHeaders.from_envelope(envelope)
     message_id = headers.require_message_id()
     headers.require_to()
 

@@ -114,7 +114,11 @@ class DispatcherBackend:
 
             self.loop_thread = AioLoopThread(name=f"test-{kind}-loop").start()
 
-    def make_dispatcher(self, registry, client, **kwargs):
+    def make_dispatcher(self, registry, client, then=None, **kwargs):
+        """``then(dispatcher)`` runs right behind the constructor, where the
+        constructor ran: for aio in the same loop step, before any task
+        the constructor scheduled has had a turn."""
+        then = then or (lambda dispatcher: None)
         if self.kind.endswith("-sharded"):
             # a one-shard ring owns everything: the ownership rule runs on
             # every routing pass and never relays
@@ -126,7 +130,9 @@ class DispatcherBackend:
             from repro.shard import ShardedMsgDispatcher
 
             cls = MsgDispatcher if self.kind == "rt" else ShardedMsgDispatcher
-            return cls(registry, client, **kwargs)
+            dispatcher = cls(registry, client, **kwargs)
+            then(dispatcher)
+            return dispatcher
         from repro.aio import AioHttpClient, AioMsgDispatcher
         from repro.shard import AioShardedMsgDispatcher
 
@@ -135,9 +141,23 @@ class DispatcherBackend:
         cls = AioMsgDispatcher if self.kind == "aio" else AioShardedMsgDispatcher
 
         async def build():
-            return cls(registry, client, **kwargs)
+            dispatcher = cls(registry, client, **kwargs)
+            then(dispatcher)
+            return dispatcher
 
         return self.loop_thread.run(build())
+
+    def call(self, fn):
+        """``fn()`` on the thread this backend's HTTP edge calls ``handle``
+        on: the caller's own for rt (any worker will do), the loop's for
+        aio."""
+        if self.loop_thread is None:
+            return fn()
+
+        async def on_loop():
+            return fn()
+
+        return self.loop_thread.run(on_loop())
 
     def close(self) -> None:
         if self.loop_thread is not None:

@@ -230,7 +230,101 @@ def test_queue_wait_is_observed_once_and_before_the_breaker_gate():
     assert core.stats.get("dropped_breaker_open") == 1
 
 
-# -- (d) the correlation table, as a state machine -----------------------------
+# -- (d) who routes: the thread that admitted, or the pool ---------------------
+
+def addressed(to="urn:wsd:echo", relates_to=None, message_id="uuid:q"):
+    msg = make_echo_message(to=to, message_id=message_id, reply_to=PRIVATE)
+    headers = AddressingHeaders.from_envelope(msg)
+    if relates_to:
+        headers.relates_to.append(relates_to)
+    return headers
+
+
+def test_routes_in_place_truth_table():
+    core = Core()
+    request, path = addressed(), "/msg/echo"
+    idle = dict(pool_idle=True, may_enqueue=True)
+    # (b) a name the lookup cache does not hold could mean a sweep: pool
+    assert not core.routes_in_place(request, path, **idle)
+    core.registry.resolve("echo")  # ... as the pool's pass does: now cached
+    asked = core.registry.cache_stats()
+    assert core.routes_in_place(request, path, **idle)
+    # (a) something older is still unrouted; (c) not this thread's queues
+    assert not core.routes_in_place(request, path, pool_idle=False, may_enqueue=True)
+    assert not core.routes_in_place(request, path, pool_idle=True, may_enqueue=False)
+    # addressing that did not decode is the pool's to drop as unroutable
+    assert not core.routes_in_place(None, path, **idle)
+    # no logical name in To or path (a routing error), or one never cached
+    assert not core.routes_in_place(addressed(to="urn:other:x"), "/elsewhere", **idle)
+    assert not core.routes_in_place(addressed(to="urn:wsd:ghost"), "/msg/ghost", **idle)
+    # (b) again: every mutation, an outage and the TTL empty the peek
+    core.registry.set_available(False)
+    assert not core.routes_in_place(request, path, **idle)
+    core.registry.set_available(True)
+    assert core.routes_in_place(request, path, **idle)
+    core.registry.register("echo", "http://ws:9001/echo")
+    assert not core.routes_in_place(request, path, **idle)
+    # the predicate asks, it never fills, counts or routes
+    assert core.registry.cache_stats() == asked
+    assert core.stats == {}
+
+
+def test_a_response_to_a_pending_correlation_needs_no_registry():
+    core = Core()
+    core.request("uuid:pending")  # leaves a correlation entry; caches "echo"
+    core.registry.register("echo", "http://ws:9000/echo")  # cache emptied again
+    idle = dict(pool_idle=True, may_enqueue=True)
+    reply = addressed(to=OWN, relates_to="uuid:pending", message_id="uuid:re")
+    assert core.routes_in_place(reply, "/msg", **idle)
+    assert not core.routes_in_place(reply, "/msg", pool_idle=False, may_enqueue=True)
+    # RelatesTo that hits nothing is an ordinary request: back to the peek
+    stray = addressed(relates_to="uuid:nobody")
+    assert not core.routes_in_place(stray, "/msg/echo", **idle)
+    core.registry.resolve("echo")
+    assert core.routes_in_place(stray, "/msg/echo", **idle)
+    assert core.pending_correlations() == 1  # asked about, not popped
+
+
+def test_a_registry_without_the_peek_always_takes_the_pool():
+    core = Core()
+    inner = core.registry
+    inner.resolve("echo")
+    core.registry = SimpleNamespace(resolve=inner.resolve, lookup=inner.lookup)
+    assert not core.routes_in_place(
+        addressed(), "/msg/echo", pool_idle=True, may_enqueue=True
+    )
+
+
+def test_addressing_decoded_at_admission_is_what_route_uses():
+    core = Core()
+    msg = make_echo_message(to="urn:wsd:echo", message_id="uuid:once", reply_to=PRIVATE)
+    headers = core.addressing_of(msg)
+    assert headers == AddressingHeaders.from_envelope(msg)
+    calls = []
+    real = AddressingHeaders.from_envelope.__func__
+
+    def counted(cls, envelope):
+        calls.append(envelope)
+        return real(cls, envelope)
+
+    AddressingHeaders.from_envelope = classmethod(counted)
+    try:
+        (with_headers,) = core.process((msg, "/msg/echo", None, 0.0, None, headers))
+        assert calls == []  # neither route() nor the rewrite decoded again
+        (bare,) = core.process((msg, "/msg/echo", None, 0.0, None))
+        assert len(calls) == 1  # the simulator's five-field entry: once, in route()
+    finally:
+        AddressingHeaders.from_envelope = classmethod(real)
+    assert with_headers.envelope_bytes == bare.envelope_bytes
+    # a block that does not decode is left to the routing pass
+    broken = make_echo_message(to="urn:wsd:echo", message_id="uuid:twice")
+    broken.headers.append(broken.headers[0].copy())
+    assert core.addressing_of(broken) is None
+    assert core.process((broken, "/msg/echo", None, 0.0, None, None)) == []
+    assert core.stats["dropped_unroutable"] == 1
+
+
+# -- (e) the correlation table, as a state machine -----------------------------
 
 class CorrelationMachine(RuleBasedStateMachine):
     """An entry leaves by pop (its reply came), with the delivery (every

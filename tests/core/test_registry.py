@@ -247,6 +247,22 @@ class TestLookupCache:
         with pytest.raises(UnknownServiceError):
             reg.lookup("svc")
 
+    def test_peek_follows_the_cache_the_mutators_and_availability(self):
+        reg = self._registry()
+        reg.register("svc", "http://a:1/svc")
+        assert not reg.peek("svc")  # registered, never looked up: a miss
+        assert reg.stats == {"lookups": 0, "misses": 0}  # and not a lookup
+        reg.lookup("svc")
+        assert reg.peek("svc")
+        reg.set_available(False)
+        assert not reg.peek("svc")  # an unavailable registry answers nothing
+        reg.set_available(True)
+        assert reg.peek("svc")
+        reg.add_physical("svc", "http://b:2/svc")  # every mutator invalidates
+        assert not reg.peek("svc")
+        assert not reg.peek("ghost")
+        assert not self._registry(ttl=0).peek("svc")
+
     def test_disabled_record_never_served_from_cache(self):
         reg = self._registry()
         reg.register("svc", "http://a:1/svc")

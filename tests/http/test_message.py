@@ -47,6 +47,42 @@ class TestHeaders:
         with pytest.raises(HttpError):
             Headers().add("X", "inject\r\nEvil: yes")
 
+    @pytest.mark.parametrize("put", [Headers.add, Headers.set])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("", "v"),  # empty name
+            ("a b", "v"), (" ab", "v"),  # SP
+            ("a\tb", "v"),  # HT
+            ("a\rb", "v"), ("ab\r", "v"),  # CR
+            ("a\nb", "v"), ("\nab", "v"),  # LF
+            ("a:b", "v"), ("ab:", "v"),  # the colon
+            ("X", "bare\rCR"),
+            ("X", "bare\nLF"),
+        ],
+    )
+    def test_rejects_what_would_split_a_field(self, put, name, value):
+        h = Headers([("Kept", "1")])
+        with pytest.raises(HttpError):
+            put(h, name, value)
+        assert list(h) == [("Kept", "1")]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # every name this repo's parser and serializers put on the wire
+            "Content-Type", "Content-Length", "Connection", "Host", "Via",
+            "User-Agent", "Retry-After", "SOAPAction",
+            # and the rest of RFC 9110's token alphabet
+            "x", "X-Trace_Id.v2", "!#$%&'*+-.^_`|~09azAZ",
+        ],
+    )
+    def test_accepts_every_token_name(self, name):
+        h = Headers()
+        h.add(name, "a value: with SP, HT\t and a colon")
+        h.set(name, "")
+        assert h.get(name) == ""
+
     def test_copy_independent(self):
         h = Headers([("A", "1")])
         dup = h.copy()

@@ -34,6 +34,7 @@ from repro.simnet.topology import AccessLink, Network
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
+from tests.core.test_dispatcher_robustness import wait_for
 
 
 def span_names(spans):
@@ -52,6 +53,9 @@ class TestThreadedStack:
     service deposits its reply itself, so the reply leg has no msgd spans."""
 
     MAILBOX_URL = "http://wsd:8000/mailbox"
+    SERVICE_URL = "http://internal:9000/echo-msg"
+    #: deliveries the dispatcher makes per round trip: the request hop
+    DELIVERIES = 1
 
     @pytest.fixture
     def deployment(self, inproc):
@@ -70,7 +74,7 @@ class TestThreadedStack:
         ).start()
 
         registry = ServiceRegistry(metrics=metrics)
-        registry.register("echo-msg", "http://internal:9000/echo-msg")
+        registry.register("echo-msg", self.SERVICE_URL)
 
         disp_client = HttpClient(inproc, metrics=metrics)
         msg_disp = MsgDispatcher(
@@ -107,7 +111,7 @@ class TestThreadedStack:
             workers=8, name="front", metrics=metrics,
         ).start())
 
-        yield inproc, metrics, traces
+        yield inproc, metrics, traces, msg_disp
         msg_disp.stop()
         for server in servers:
             server.stop()
@@ -119,7 +123,7 @@ class TestThreadedStack:
     def traced_roundtrip(self, deployment, caplog):
         """Send one traced message through the full pipeline; return
         (trace_id, spans, reply, client, traces, metrics, caplog)."""
-        inproc, metrics, traces = deployment
+        inproc, metrics, traces, msg_disp = deployment
         client = HttpClient(inproc, metrics=metrics)
         mbc = MsgBoxClient(client, self.MAILBOX_URL)
         mbc.create()
@@ -134,6 +138,13 @@ class TestThreadedStack:
             resp = client.post_envelope("http://wsd:8000/msg/echo-msg", msg)
             assert resp.status == 202
             messages = mbc.poll(expected=1, timeout=5)
+            # The reply can be taken before the dispatcher has heard the
+            # 202 of the exchange that caused it: a ``deliver`` span, its
+            # log line and the ``delivered`` count (which moves last) are
+            # written when that 202 returns.  Wait for the event.
+            assert wait_for(
+                lambda: msg_disp.stats.get("delivered", 0) >= self.DELIVERIES
+            ), "a delivery never settled"
         assert len(messages) == 1
         spans = traces.get(ctx.trace_id)
         # caplog drops setup-phase records before the test body runs;
@@ -158,8 +169,13 @@ class TestThreadedStack:
         trace_id, spans, _, _, traces, *_ = traced_roundtrip
         admit = first_span(spans, "admit")
         accept_wait = first_span(spans, "queue-wait", queue="accept")
-        dest_wait = first_span(spans, "queue-wait", queue="destination")
-        deliver = first_span(spans, "deliver")
+        # the relayed reply hop has a destination wait and a delivery of
+        # its own, recorded in whatever order the two exchanges end:
+        # select the request hop's by where they went
+        dest_wait = first_span(
+            spans, "queue-wait", queue="destination", dest=self.SERVICE_URL
+        )
+        deliver = first_span(spans, "deliver", dest=self.SERVICE_URL)
         service = first_span(spans, "service")
         # causal order along the request hop; the service handles the
         # message *inside* the delivery exchange, so it starts after the
@@ -234,6 +250,7 @@ class TestThreadedStackRelayingToAnotherOrigin(TestThreadedStack):
     reply is relayed through the dispatcher, as it always was."""
 
     MAILBOX_URL = "http://mb:8500/mailbox"
+    DELIVERIES = 2  # the request hop and the relayed reply
 
     def test_metrics_endpoint_shows_queues_and_latency(self, traced_roundtrip):
         _, spans, _, client, *_ = traced_roundtrip

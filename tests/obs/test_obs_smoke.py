@@ -33,6 +33,7 @@ from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
+from tests.core.test_dispatcher_robustness import wait_for
 
 PAGES = (
     "/metrics",
@@ -89,7 +90,7 @@ def telemetry_deployment(inproc):
     ).start()
     snapshotter.start()
 
-    yield inproc, metrics, traces, flight, snapshotter
+    yield inproc, metrics, traces, flight, snapshotter, dispatcher
     snapshotter.stop(final_sample=False)
     dispatcher.stop()
     front.stop()
@@ -105,7 +106,7 @@ def _get(client, path):
 
 
 def test_scrape_all_pages_after_traffic(telemetry_deployment):
-    inproc, metrics, traces, flight, snapshotter = telemetry_deployment
+    inproc, metrics, traces, flight, snapshotter, dispatcher = telemetry_deployment
     client = HttpClient(inproc, metrics=metrics)
     try:
         # drive one real message through the pipeline first
@@ -119,6 +120,12 @@ def test_scrape_all_pages_after_traffic(telemetry_deployment):
         ctx = ensure_trace(msg)
         assert client.post_envelope("http://wsd:8000/msg/echo-msg", msg).status == 202
         assert mbc.poll(timeout=5.0) is not None
+        # the reply can be taken before the delivery that caused it has
+        # settled, and before the snapshotter's first interval has passed:
+        # the pages below show both, so wait for both
+        assert wait_for(
+            lambda: dispatcher.stats.get("delivered") and len(snapshotter)
+        ), "no delivery or no sample"
 
         for path in PAGES:
             response = _get(client, path)

@@ -132,6 +132,26 @@ def test_cache_ttl_hit_expiry_and_write_invalidation():
     assert client.lookup("echo").physical == ["http://ws:9001/echo-v2"]
 
 
+def test_peek_answers_from_the_cache_and_never_sweeps():
+    clock = ManualClock()
+    replicas = make_cluster()
+    client = make_client(replicas, cache_ttl=5.0, clock=clock)
+    for replica in replicas.values():
+        replica.set_available(False)
+    assert not client.peek("echo")  # a miss: no sweep, no breaker charge
+    assert failover_count(client) == 0
+    for replica in replicas.values():
+        replica.set_available(True)
+    client.lookup("echo")
+    assert client.peek("echo")
+    clock.advance(6.0)
+    assert not client.peek("echo")  # expired
+    client.lookup("echo")
+    client.unregister("echo")  # a write through the client invalidates
+    assert not client.peek("echo")
+    assert not make_client(replicas, cache_ttl=0.0).peek("echo")
+
+
 def test_writes_propagate_to_peers_via_gossip():
     replicas = make_cluster(registered=())
     client = make_client(replicas, cache_ttl=0.0)

@@ -142,7 +142,12 @@ class TestDispatcherRecovery:
         ).start()
         resp = client.post_envelope("http://wsd:8000/msg/echo", msg)
         assert resp.status == 202
-        assert journal.stats["appended"] == 1  # journaled before the ack
+        # journaled before the ack: the inbound record exists by now —
+        # whatever else has happened to it since (the echo's reply is a
+        # second admission, and may already be journaled too)
+        record = journal.get(1)
+        assert (record.kind, record.target) == ("inbound", "/msg/echo")
+        assert b"uuid:jba-1" in record.body
         assert wait_for(lambda: echo.received == 1)
         assert wait_for(lambda: journal.pending_count() == 0)
         dispatcher.stop(drain=True)
