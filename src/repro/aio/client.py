@@ -1,15 +1,12 @@
 """Pooling HTTP client for the asyncio runtime.
 
-Semantically a sibling of :class:`repro.rt.client.HttpClient`: the same
-per-endpoint connection pool, the same single stale-retry on reused
-connections (and deliberately *no* retry after a response timeout — the
-server may still be processing, and a replay risks double delivery), the
-same 503 ``Retry-After`` sleep-out, and the same
-:meth:`AioConnectionLease.pipeline` burst contract with its serial
-replay-tail and timeout-poisoning rules.  Only the I/O primitive differs:
-coroutines over ``asyncio`` streams instead of blocking socket calls, so
+The asyncio wire of :mod:`repro.http.session`: the pool, the single
+stale-retry, the 503 ``Retry-After`` sleep-out and the burst's
+replay/poison rules are that module's, run here by a coroutine
+trampoline over ``asyncio`` streams instead of blocking socket calls, so
 the dispatcher's writer tasks share one loop thread instead of one
-thread each.
+thread each.  Cancelling a task mid-exchange reaches the session as a
+thrown ``CancelledError``: the connection is closed, never pooled.
 
 The wire bytes come from the identical sans-io serializer/parser
 (:mod:`repro.http.wire`) — a packet capture cannot tell the two clients
@@ -20,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -27,13 +25,12 @@ from repro.errors import (
     ConnectionClosed,
     ConnectionRefused,
     ConnectionTimeout,
-    HttpParseError,
     ReproError,
     TransportError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.http.wire import ResponseParser, serialize_request, serialize_request_burst
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease
+from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Endpoint, parse_http_url
 
 _RECV_CHUNK = 64 * 1024
@@ -51,7 +48,7 @@ class _AioConn:
             pass
 
 
-class AioHttpClient:
+class AioHttpClient(ClientSession):
     """Asyncio HTTP client with per-endpoint connection reuse."""
 
     def __init__(
@@ -64,46 +61,14 @@ class AioHttpClient:
         overload_retries: int = 0,
         retry_after_cap: float = 30.0,
     ) -> None:
+        super().__init__(
+            metrics, "aio_client", "asyncio client", time.monotonic,
+            response_timeout, pool_per_endpoint, user_agent, overload_retries,
+            retry_after_cap,
+        )
         self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
-        self._pool_per_endpoint = pool_per_endpoint
-        self._user_agent = user_agent
-        self.overload_retries = overload_retries
-        self.retry_after_cap = retry_after_cap
-        # No lock: every pool access happens on the loop thread, and no
-        # await point sits inside a check-out/check-in sequence.
-        self._pools: dict[Endpoint, list[_AioConn]] = {}
-        self._closed = False
-        registry = metrics if metrics is not None else default_registry()
-        self._m_requests = registry.counter(
-            "aio_client_requests_total",
-            "HTTP exchanges completed by the asyncio client",
-        )
-        self._m_request_time = registry.histogram(
-            "aio_client_request_seconds",
-            "wall time of one asyncio client HTTP exchange",
-            bucket_width=0.001,
-        )
-        reuse = registry.counter(
-            "aio_client_conn_reuse_total", "connection checkouts, by outcome"
-        )
-        self._m_reuse_reused = reuse.labels(outcome="reused")
-        self._m_reuse_fresh = reuse.labels(outcome="fresh")
-        self._m_reuse_stale = reuse.labels(outcome="stale_retry")
-        self._m_pipeline_bursts = registry.counter(
-            "aio_client_pipeline_bursts_total",
-            "pipelined write bursts issued on leased connections",
-        )
-        self._m_pipeline_replayed = registry.counter(
-            "aio_client_pipeline_replayed_total",
-            "pipelined requests replayed serially after a cut-short burst",
-        )
-        self._m_overload_waits = registry.counter(
-            "aio_client_overload_waits_total",
-            "503 responses the client slept out per the server's Retry-After",
-        )
 
-    # -- connection pool -------------------------------------------------
+    # -- the wire ------------------------------------------------------------
     async def _connect(self, endpoint: Endpoint) -> _AioConn:
         try:
             reader, writer = await asyncio.wait_for(
@@ -124,108 +89,14 @@ class AioHttpClient:
                 pass
         return _AioConn(reader, writer)
 
-    async def _checkout(self, endpoint: Endpoint) -> tuple[_AioConn, bool]:
-        pool = self._pools.get(endpoint)
-        if pool:
-            self._m_reuse_reused.inc()
-            return pool.pop(), True
-        self._m_reuse_fresh.inc()
-        return await self._connect(endpoint), False
+    def _alive(self, conn: _AioConn) -> bool:
+        return not conn.writer.is_closing()
 
-    def _checkin(self, endpoint: Endpoint, conn: _AioConn) -> None:
-        if self._closed or conn.writer.is_closing():
-            conn.close()
-            return
-        pool = self._pools.setdefault(endpoint, [])
-        if len(pool) < self._pool_per_endpoint:
-            pool.append(conn)
-            return
-        conn.close()
-
-    def close(self) -> None:
-        self._closed = True
-        conns = [c for pool in self._pools.values() for c in pool]
-        self._pools.clear()
-        for c in conns:
-            c.close()
-
-    # -- request execution -------------------------------------------------
-    def prepare(self, url: str, request: HttpRequest) -> Endpoint:
-        """Point ``request`` at ``url``: target, Host, User-Agent."""
-        endpoint, path = parse_http_url(url)
-        request.target = path
-        request.headers.set("Host", str(endpoint))
-        if "User-Agent" not in request.headers:
-            request.headers.set("User-Agent", self._user_agent)
-        return endpoint
-
-    async def request(self, url: str, request: HttpRequest) -> HttpResponse:
-        """One exchange; single stale retry; optional 503 sleep-out."""
-        endpoint = self.prepare(url, request)
-        response = await self._request_prepared(endpoint, request)
-        for _ in range(self.overload_retries):
-            if response.status != 503:
-                break
-            delay = self._retry_after_of(response)
-            if delay is None:
-                break
-            self._m_overload_waits.inc()
-            await asyncio.sleep(min(delay, self.retry_after_cap))
-            response = await self._request_prepared(endpoint, request)
-        return response
-
-    @staticmethod
-    def _retry_after_of(response: HttpResponse) -> float | None:
-        raw = response.headers.get("Retry-After")
-        if raw is None:
-            return None
+    async def _recv(self, conn: _AioConn, timeout: float) -> bytes:
         try:
-            delay = float(raw.strip())
-        except ValueError:
-            return None
-        return delay if delay >= 0 else None
-
-    async def _request_prepared(
-        self, endpoint: Endpoint, request: HttpRequest
-    ) -> HttpResponse:
-        loop = asyncio.get_running_loop()
-        t_start = loop.time()
-        conn, reused = await self._checkout(endpoint)
-        try:
-            response = await self._exchange(endpoint, conn, request)
-            self._m_requests.inc()
-            self._m_request_time.observe(loop.time() - t_start)
-            return response
-        except ConnectionTimeout:
-            # Not retried, even on a reused connection: the server may
-            # still be processing the request (double-delivery risk).
-            conn.close()
-            raise
-        except (ConnectionClosed, HttpParseError, TransportError):
-            conn.close()
-            if not reused:
-                raise
-        # stale pooled connection: one retry on a fresh one
-        self._m_reuse_stale.inc()
-        conn = await self._connect(endpoint)
-        try:
-            response = await self._exchange(endpoint, conn, request)
-            self._m_requests.inc()
-            self._m_request_time.observe(loop.time() - t_start)
-            return response
-        except BaseException:
-            conn.close()
-            raise
-
-    async def _recv(self, conn: _AioConn) -> bytes:
-        try:
-            return await asyncio.wait_for(
-                conn.reader.read(_RECV_CHUNK), self.response_timeout
-            )
+            return await asyncio.wait_for(conn.reader.read(_RECV_CHUNK), timeout)
         except asyncio.TimeoutError:
-            raise ConnectionTimeout(
-                f"no response within {self.response_timeout}s"
-            ) from None
+            raise ConnectionTimeout(f"no response within {timeout}s") from None
         except OSError as exc:
             raise ConnectionClosed(str(exc)) from None
 
@@ -236,177 +107,60 @@ class AioHttpClient:
         except (ConnectionError, OSError) as exc:
             raise ConnectionClosed(str(exc)) from None
 
-    async def _exchange(
-        self, endpoint: Endpoint, conn: _AioConn, request: HttpRequest
-    ) -> HttpResponse:
-        await self._send(conn, serialize_request(request))
-        parser = ResponseParser()
-        if request.method == "HEAD":
-            parser.expect_no_body = True
-        while True:
-            message = parser.next_message()
-            if message is not None:
-                response: HttpResponse = message  # type: ignore[assignment]
-                if response.keep_alive and parser.idle:
-                    self._checkin(endpoint, conn)
+    async def _run(self, steps):
+        """Perform the session's effects with awaits; whatever an await
+        raises — cancellation included — is the session's to handle or
+        pass on."""
+        try:
+            op, conn, arg = next(steps)
+            while True:
+                try:
+                    if op is RECV:
+                        result = await self._recv(conn, arg)
+                    elif op is SEND:
+                        result = await self._send(conn, arg)
+                    elif op is CONNECT:
+                        result = await self._connect(arg)
+                    else:
+                        result = await asyncio.sleep(arg)
+                except BaseException as exc:
+                    op, conn, arg = steps.throw(exc)
                 else:
-                    conn.close()
-                return response
-            data = await self._recv(conn)
-            if not data:
-                parser.feed_eof()
-                tail = parser.next_message()
-                if tail is not None:
-                    conn.close()
-                    return tail  # type: ignore[return-value]
-                raise ConnectionClosed("server closed before full response")
-            parser.feed(data)
+                    op, conn, arg = steps.send(result)
+        except StopIteration as done:
+            return done.value
+        finally:
+            steps.close()
+
+    # -- request execution -------------------------------------------------
+    async def request(self, url: str, request: HttpRequest) -> HttpResponse:
+        """One exchange; single stale retry; optional 503 sleep-out."""
+        return await self._run(self._request(url, request))
 
     # -- connection leases & pipelining ------------------------------------
     async def lease(self, url: str) -> "AioConnectionLease":
         """Check a connection to ``url``'s endpoint out for exclusive use."""
         endpoint, _path = parse_http_url(url)
-        conn, reused = await self._checkout(endpoint)
+        conn, reused = await self._run(self._checkout(endpoint))
         return AioConnectionLease(self, endpoint, conn, reused)
 
     async def pipeline(
         self, url: str, requests: Sequence[HttpRequest]
     ) -> "list[HttpResponse | ReproError]":
         """Send ``requests`` to ``url`` as one pipelined burst."""
-        prepared = list(requests)
-        for req in prepared:
-            self.prepare(url, req)
-        lease = await self.lease(url)
-        try:
-            return await lease.pipeline(prepared)
-        finally:
-            lease.release()
+        return await self._run(self._pipeline_url(url, list(requests)))
 
 
-class AioConnectionLease:
+class AioConnectionLease(Lease):
     """Exclusive checkout of one asyncio connection to an endpoint.
 
-    Same burst contract as :class:`repro.rt.client.ConnectionLease`:
-    one write burst, responses read in order; a cut-short burst replays
-    its undelivered tail serially (once each); a response timeout poisons
-    the tail instead of replaying it.
+    The burst contract is :class:`repro.http.session.Lease`'s: one write
+    burst, responses read in order; a cut-short burst replays its
+    undelivered tail serially (once each); a response timeout poisons the
+    tail instead of replaying it.
     """
 
-    def __init__(
-        self,
-        client: AioHttpClient,
-        endpoint: Endpoint,
-        conn: _AioConn,
-        reused: bool,
-    ) -> None:
-        self._client = client
-        self.endpoint = endpoint
-        self._conn: _AioConn | None = conn
-        self.reused = reused
-        self._healthy = True
-        self._released = False
-
-    # -- lifecycle ---------------------------------------------------------
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        conn, self._conn = self._conn, None
-        if conn is None:
-            return
-        if self._healthy:
-            self._client._checkin(self.endpoint, conn)
-        else:
-            conn.close()
-
-    def _demote(self) -> None:
-        self._healthy = False
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            conn.close()
-
-    # -- pipelined burst ---------------------------------------------------
     async def pipeline(
         self, requests: "Iterable[HttpRequest]"
     ) -> "list[HttpResponse | ReproError]":
-        if self._released:
-            raise ReproError("pipeline on a released lease")
-        batch = list(requests)
-        if not batch:
-            return []
-        results: "list[HttpResponse | ReproError | None]" = [None] * len(batch)
-        self._client._m_pipeline_bursts.inc()
-        try:
-            await self._client._send(self._conn, serialize_request_burst(batch))
-        except (ConnectionClosed, TransportError):
-            # nothing read back yet: the whole burst is the tail
-            self._demote()
-            return await self._replay_tail(batch, results, 0)
-        parser = ResponseParser()
-        done = 0
-        while done < len(batch):
-            message = parser.next_message()
-            if message is not None:
-                results[done] = message
-                done += 1
-                self._client._m_requests.inc()
-                if not message.keep_alive:
-                    # server demotes us to serial: no more responses will
-                    # arrive on this connection
-                    self._demote()
-                    return await self._replay_tail(batch, results, done)
-                continue
-            try:
-                data = await self._client._recv(self._conn)
-            except ConnectionTimeout as exc:
-                # the tail may still be processed: poison, don't replay
-                self._demote()
-                for i in range(done, len(batch)):
-                    results[i] = exc
-                return results  # type: ignore[return-value]
-            except (ConnectionClosed, TransportError):
-                self._demote()
-                return await self._replay_tail(batch, results, done)
-            if not data:
-                tail = self._finish_on_eof(parser)
-                if tail is not None and done < len(batch):
-                    results[done] = tail
-                    done += 1
-                    self._client._m_requests.inc()
-                self._demote()
-                return await self._replay_tail(batch, results, done)
-            try:
-                parser.feed(data)
-            except HttpParseError:
-                self._demote()
-                return await self._replay_tail(batch, results, done)
-        if not parser.idle:
-            # trailing bytes past the last response: not a clean boundary
-            self._demote()
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _finish_on_eof(parser: ResponseParser) -> HttpResponse | None:
-        try:
-            parser.feed_eof()
-        except HttpParseError:
-            return None
-        return parser.next_message()  # type: ignore[return-value]
-
-    async def _replay_tail(
-        self,
-        batch: "list[HttpRequest]",
-        results: "list[HttpResponse | ReproError | None]",
-        start: int,
-    ) -> "list[HttpResponse | ReproError]":
-        """Serial fallback for the undelivered tail, one attempt each."""
-        if start < len(batch):
-            self._client._m_pipeline_replayed.inc(len(batch) - start)
-        for i in range(start, len(batch)):
-            try:
-                results[i] = await self._client._request_prepared(
-                    self.endpoint, batch[i]
-                )
-            except ReproError as exc:
-                results[i] = exc
-        return results  # type: ignore[return-value]
+        return await self._client._run(self._burst(requests))

@@ -37,8 +37,9 @@ from __future__ import annotations
 import asyncio
 import threading
 
-from repro.core.msg_dispatcher import MsgDispatcher, _Destination, _make_post
+from repro.core.msg_dispatcher import MsgDispatcher, _Destination
 from repro.errors import ReproError, TransportError
+from repro.http.session import soap_post
 from repro.util.concurrency import QueueClosed
 
 
@@ -189,7 +190,7 @@ class AioMsgDispatcher(MsgDispatcher):
         t_send = self.clock.now()
         try:
             outcome = await self.client.request(
-                item.target_url, _make_post(item.envelope_bytes)
+                item.target_url, soap_post(item.envelope_bytes)
             )
         except (TransportError, ReproError) as exc:
             outcome = exc
@@ -260,7 +261,7 @@ class AioMsgDispatcher(MsgDispatcher):
             return
         try:
             outcome = await self.client.request(
-                msg.target_url, _make_post(msg.envelope_bytes)
+                msg.target_url, soap_post(msg.envelope_bytes)
             )
         except (TransportError, ReproError) as exc:
             outcome = exc

@@ -48,7 +48,7 @@ from repro.obs.trace import (
     default_trace_store,
     extract_trace,
 )
-from repro.reliable.breaker import BreakerOpenError, BreakerRegistry
+from repro.reliable.breaker import BreakerConfig, BreakerOpenError, BreakerRegistry
 from repro.reliable.holdretry import DuplicateFilter
 from repro.soap import Envelope, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.store.journal import ABSORBED, DEAD, DELIVERED, MessageJournal
@@ -62,6 +62,38 @@ from repro.core.routing import (
     hold_resolve_target,
     split_hold_resolve_target,
 )
+
+
+@dataclass
+class DispatcherConfigBase:
+    """The knobs every MSG-Dispatcher driver reads through the core (the
+    paper: "the sizes of the pools are configurable"); each driver's
+    config adds its own pool sizes and wire settings."""
+
+    accept_queue: int = 1024
+    destination_queue: int = 1024
+    #: messages drained per connection write burst (batching ablation A2)
+    batch_size: int = 8
+    #: how long a WsThread keeps an idle destination before releasing it
+    destination_idle_ttl: float = 10.0
+    #: correlation (MessageID → ReplyTo) lifetime
+    correlation_ttl: float = 120.0
+    #: per-destination circuit breakers on the WsThread drain path;
+    #: None = no breakers (the paper-faithful behaviour: every delivery
+    #: attempt hits the network)
+    breaker: BreakerConfig | None = None
+    #: admission control: total queued messages (accept + destination
+    #: queues) above which new messages are shed with 503 Retry-After;
+    #: None = only the individual queue capacities bound intake
+    max_inflight: int | None = None
+    #: Retry-After seconds advertised when shedding
+    shed_retry_after: float = 1.0
+    #: sliding-window duplicate suppression on the inbound absorption path
+    #: (seconds on the driver's clock); at-least-once redelivery — journal
+    #: replay, client resends, hold-store retries from an upstream
+    #: dispatcher — becomes effectively-once.  None (the default) forwards
+    #: duplicates untouched.
+    dedupe_window: float | None = None
 
 
 @dataclass

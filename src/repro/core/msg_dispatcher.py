@@ -32,56 +32,32 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import OverloadedError, ReproError, TransportError
-from repro.http import Headers, HttpRequest
+from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.logkv import log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceContext, TraceStore, extract_trace
-from repro.reliable.breaker import BreakerConfig
 from repro.reliable.policy import RetryPolicy
 from repro.rt.client import HttpClient
 from repro.rt.service import RequestContext
 from repro.soap import Envelope
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.store.journal import MessageJournal
 from repro.transport.base import parse_http_url
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.concurrency import ClosableQueue, QueueClosed
-from repro.core.dispatch import DispatchCore, _OutboundItem
+from repro.core.dispatch import DispatchCore, DispatcherConfigBase, _OutboundItem
 from repro.core.registry import ServiceRegistry
 from repro.core.routing import is_hold_resolve_target
 
 
 @dataclass
-class MsgDispatcherConfig:
-    """Tunable knobs (the paper: "the sizes of the pools are configurable")."""
+class MsgDispatcherConfig(DispatcherConfigBase):
+    """Tunable knobs of the threaded (and asyncio) MSG-Dispatcher."""
 
     cx_threads: int = 4
     ws_threads: int = 8
-    accept_queue: int = 1024
-    destination_queue: int = 1024
-    #: messages drained per connection write burst (batching ablation A2)
-    batch_size: int = 8
-    #: how long a WsThread keeps an idle destination before releasing it
-    destination_idle_ttl: float = 10.0
-    #: correlation (MessageID → ReplyTo) lifetime
-    correlation_ttl: float = 120.0
     #: per-message delivery retry policy; None = single attempt
     retry: RetryPolicy | None = None
-    #: per-destination circuit breakers on the WsThread drain path;
-    #: None = no breakers (every attempt hits the network)
-    breaker: BreakerConfig | None = None
-    #: admission control: total queued messages (accept + destination
-    #: queues) above which handle() sheds with 503 Retry-After;
-    #: None = only the individual queue capacities bound intake
-    max_inflight: int | None = None
-    #: Retry-After seconds advertised when shedding
-    shed_retry_after: float = 1.0
-    #: sliding-window duplicate suppression on the inbound absorption path
-    #: (seconds); at-least-once redelivery — journal replay, client
-    #: resends, hold-store retries from an upstream dispatcher — becomes
-    #: effectively-once.  None (the default) forwards duplicates untouched.
-    dedupe_window: float | None = None
 
 
 class _Destination:
@@ -448,7 +424,7 @@ class MsgDispatcher(DispatchCore):
         t_send = self.clock.now()
         try:
             outcome = self.client.request(
-                item.target_url, _make_post(item.envelope_bytes)
+                item.target_url, soap_post(item.envelope_bytes)
             )
         except (TransportError, ReproError) as exc:
             outcome = exc
@@ -492,7 +468,7 @@ class MsgDispatcher(DispatchCore):
         """Build the burst's prepared requests."""
         requests = []
         for item in batch:
-            req = _make_post(item.envelope_bytes)
+            req = soap_post(item.envelope_bytes)
             self.client.prepare(item.target_url, req)
             requests.append(req)
         return requests
@@ -547,7 +523,7 @@ class MsgDispatcher(DispatchCore):
             return
         try:
             outcome = self.client.request(
-                msg.target_url, _make_post(msg.envelope_bytes)
+                msg.target_url, soap_post(msg.envelope_bytes)
             )
         except (TransportError, ReproError) as exc:
             outcome = exc
@@ -601,9 +577,3 @@ class MsgDispatcher(DispatchCore):
             stuck=len(stuck),
         )
         return False
-
-
-def _make_post(body: bytes) -> HttpRequest:
-    headers = Headers()
-    headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-    return HttpRequest("POST", "/", headers=headers, body=body)

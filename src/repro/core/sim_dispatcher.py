@@ -23,11 +23,11 @@ from repro.errors import (
     XmlError,
 )
 from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace
-from repro.reliable.breaker import BreakerConfig
 from repro.reliable.holdretry import HoldRetryStore
 from repro.store.journal import DELIVERED, MessageJournal
 from repro.rt.service import soap_fault_response
@@ -36,23 +36,16 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource, Store
 from repro.simnet.topology import Host, Network
 from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter, parse_envelope
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.transport.base import Endpoint, parse_http_url
 from repro.util.stats import Counter
 from repro.wsa import AddressingHeaders, EndpointReference
-from repro.core.dispatch import DispatchCore, _OutboundItem
+from repro.core.dispatch import DispatchCore, DispatcherConfigBase, _OutboundItem
 from repro.core.registry import ServiceRegistry
 from repro.core.routing import extract_logical, is_hold_resolve_target, logical_uri
 
 
 #: reply-address scheme used by the sync-over-async bridge
 _SYNC_SCHEME = "urn:wsd:sync:"
-
-
-def _soap_post(path: str, body: bytes) -> HttpRequest:
-    headers = Headers()
-    headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-    return HttpRequest("POST", path, headers=headers, body=body)
 
 
 class SimRpcDispatcher:
@@ -127,9 +120,9 @@ class SimRpcDispatcher:
             return soap_fault_response(Fault("Client", str(exc)), status=404)
         endpoint, path = parse_http_url(physical)
         if isinstance(envelope, LazyEnvelope):
-            forward = _soap_post(path, request.body)  # verbatim, scan-validated
+            forward = soap_post(request.body, path)  # verbatim, scan-validated
         else:
-            forward = _soap_post(path, envelope.to_bytes())
+            forward = soap_post(envelope.to_bytes(), path)
         if self.balancer is not None:
             self.balancer.on_start(physical)
         t_send = self.net.sim.now
@@ -174,35 +167,20 @@ class SimRpcDispatcher:
 
 
 @dataclass
-class SimMsgDispatcherConfig:
-    """Knobs of the simulated MSG-Dispatcher (mirrors the threaded config)."""
+class SimMsgDispatcherConfig(DispatcherConfigBase):
+    """Knobs of the simulated MSG-Dispatcher (the shared ones, on sim time)."""
 
     cx_workers: int = 4
     ws_workers: int = 8
-    accept_queue: int = 1024
-    destination_queue: int = 1024
-    batch_size: int = 8
     #: concurrent WsThreads (connections) a single busy destination may use
     parallel_per_destination: int = 1
-    destination_idle_ttl: float = 10.0
-    correlation_ttl: float = 120.0
     connect_timeout: float = 21.0
     response_timeout: float = 30.0
     #: False = paper-faithful (no admission control: a full accept queue
     #: blocks the HTTP worker); True = answer 503 when saturated
     shed_on_full: bool = False
-    #: per-destination circuit breaking (None = no breakers, the
-    #: paper-faithful behaviour: every delivery attempt hits the wire)
-    breaker: BreakerConfig | None = None
-    #: total dispatcher backlog (accept + destination queues) above which
-    #: new messages are shed with 503 Retry-After (None = unbounded)
-    max_inflight: int | None = None
-    shed_retry_after: float = 1.0
     #: how often the hold/retry pump re-examines parked messages
     hold_pump_interval: float = 0.25
-    #: sliding-window duplicate suppression on the inbound absorption path
-    #: (sim seconds); None = forward duplicates untouched
-    dedupe_window: float | None = None
 
 
 class SimMsgDispatcher(DispatchCore):
@@ -468,7 +446,7 @@ class SimMsgDispatcher(DispatchCore):
 
     @staticmethod
     def _post(item: _OutboundItem) -> HttpRequest:
-        return _soap_post(parse_http_url(item.target_url)[1], item.envelope_bytes)
+        return soap_post(item.envelope_bytes, parse_http_url(item.target_url)[1])
 
     def _deliver(self, host: str, port: int, item: _OutboundItem):
         if not self.start_delivery([item]):

@@ -54,7 +54,7 @@ def serialize_request_burst(requests) -> bytes:
     responses come back in order; :class:`ResponseParser` already handles
     several messages in one buffer, so no new parse mode is needed.
     """
-    return b"".join(serialize_request(r) for r in requests)
+    return b"".join(map(serialize_request, requests))
 
 
 def serialize_response(resp: HttpResponse) -> bytes:

@@ -2,9 +2,8 @@
 
 Keeps one small pool of persistent connections per endpoint (the paper's
 WsThreads hold "an open connection for a predefined time with a specified
-WS").  A connection is reused only when the previous exchange left it at a
-message boundary; anything suspicious is discarded and the request retried
-once on a fresh connection.
+WS").  Every decision — reuse, stale-retry, the burst's replay/poison rules —
+is :mod:`repro.http.session`'s; this module is its blocking wire.
 
 Two access patterns:
 
@@ -21,36 +20,20 @@ Two access patterns:
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from repro.errors import (
-    ConnectionClosed,
-    ConnectionTimeout,
-    HttpParseError,
-    ReproError,
-    SoapError,
-    TransportError,
-    XmlError,
-)
-from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.wire import ResponseParser, serialize_request, serialize_request_burst
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.errors import ReproError, SoapError, XmlError
+from repro.http import HttpRequest, HttpResponse
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease, soap_post
+from repro.obs.metrics import MetricsRegistry
 from repro.soap import Envelope
-from repro.transport.base import Connector, Endpoint, Stream, parse_http_url
+from repro.transport.base import Connector, parse_http_url
 
 _RECV_CHUNK = 64 * 1024
 
 
-@dataclass
-class _PooledConn:
-    stream: Stream
-    endpoint: Endpoint
-
-
-class HttpClient:
+class HttpClient(ClientSession):
     """Blocking HTTP client with per-endpoint connection reuse."""
 
     def __init__(
@@ -64,79 +47,12 @@ class HttpClient:
         overload_retries: int = 0,
         retry_after_cap: float = 30.0,
     ) -> None:
+        super().__init__(
+            metrics, "rt_client", "client", time.monotonic, response_timeout,
+            pool_per_endpoint, user_agent, overload_retries, retry_after_cap,
+        )
         self._connector = connector
         self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
-        self._pool_per_endpoint = pool_per_endpoint
-        self._user_agent = user_agent
-        #: how many times :meth:`request` re-sends after a 503 that names
-        #: a ``Retry-After`` delay (0 = return the 503 to the caller)
-        self.overload_retries = overload_retries
-        #: never sleep longer than this per 503, whatever the server asks
-        self.retry_after_cap = retry_after_cap
-        self._pools: dict[Endpoint, list[Stream]] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-        registry = metrics if metrics is not None else default_registry()
-        self._m_requests = registry.counter(
-            "rt_client_requests_total", "HTTP exchanges completed by the client"
-        )
-        self._m_request_time = registry.histogram(
-            "rt_client_request_seconds",
-            "wall time of one client HTTP exchange",
-            bucket_width=0.001,
-        )
-        reuse = registry.counter(
-            "rt_client_conn_reuse_total", "connection checkouts, by outcome"
-        )
-        self._m_reuse_reused = reuse.labels(outcome="reused")
-        self._m_reuse_fresh = reuse.labels(outcome="fresh")
-        self._m_reuse_stale = reuse.labels(outcome="stale_retry")
-        self._m_pipeline_bursts = registry.counter(
-            "rt_client_pipeline_bursts_total",
-            "pipelined write bursts issued on leased connections",
-        )
-        self._m_pipeline_replayed = registry.counter(
-            "rt_client_pipeline_replayed_total",
-            "pipelined requests replayed serially after a cut-short burst",
-        )
-        self._m_overload_waits = registry.counter(
-            "rt_client_overload_waits_total",
-            "503 responses the client slept out per the server's Retry-After",
-        )
-
-    # -- connection pool -------------------------------------------------
-    def _checkout(self, endpoint: Endpoint) -> tuple[Stream, bool]:
-        """Return (stream, reused)."""
-        with self._lock:
-            pool = self._pools.get(endpoint)
-            if pool:
-                self._m_reuse_reused.inc()
-                return pool.pop(), True
-        self._m_reuse_fresh.inc()
-        return (
-            self._connector.connect(endpoint, timeout=self.connect_timeout),
-            False,
-        )
-
-    def _checkin(self, endpoint: Endpoint, stream: Stream) -> None:
-        with self._lock:
-            if self._closed:
-                stream.close()
-                return
-            pool = self._pools.setdefault(endpoint, [])
-            if len(pool) < self._pool_per_endpoint:
-                pool.append(stream)
-                return
-        stream.close()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            streams = [s for pool in self._pools.values() for s in pool]
-            self._pools.clear()
-        for s in streams:
-            s.close()
 
     def __enter__(self) -> "HttpClient":
         return self
@@ -144,20 +60,31 @@ class HttpClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _run(self, steps):
+        """Perform the session's effects with blocking calls; whatever a
+        call raises is the session's to handle or pass on."""
+        try:
+            op, stream, arg = next(steps)
+            while True:
+                try:
+                    if op is RECV:
+                        result = stream.recv(_RECV_CHUNK, timeout=arg)
+                    elif op is SEND:
+                        result = stream.send(arg)
+                    elif op is CONNECT:
+                        result = self._connector.connect(arg, timeout=self.connect_timeout)
+                    else:
+                        result = time.sleep(arg)
+                except BaseException as exc:
+                    op, stream, arg = steps.throw(exc)
+                else:
+                    op, stream, arg = steps.send(result)
+        except StopIteration as done:
+            return done.value
+        finally:
+            steps.close()
+
     # -- request execution -------------------------------------------------
-    def prepare(self, url: str, request: HttpRequest) -> Endpoint:
-        """Point ``request`` at ``url``: target, Host, User-Agent.
-
-        Returns the parsed endpoint.  Used by :meth:`request` and by
-        callers that batch prepared requests for a :class:`ConnectionLease`.
-        """
-        endpoint, path = parse_http_url(url)
-        request.target = path
-        request.headers.set("Host", str(endpoint))
-        if "User-Agent" not in request.headers:
-            request.headers.set("User-Agent", self._user_agent)
-        return endpoint
-
     def request(self, url: str, request: HttpRequest) -> HttpResponse:
         """Send one request to ``url``'s endpoint and read the response.
 
@@ -167,64 +94,7 @@ class HttpClient:
         out (capped at ``retry_after_cap``) and the request re-sent, up to
         that many times; the final response is returned either way.
         """
-        endpoint = self.prepare(url, request)
-        response = self._request_prepared(endpoint, request)
-        for _ in range(self.overload_retries):
-            if response.status != 503:
-                break
-            delay = self._retry_after_of(response)
-            if delay is None:
-                break
-            self._m_overload_waits.inc()
-            time.sleep(min(delay, self.retry_after_cap))
-            response = self._request_prepared(endpoint, request)
-        return response
-
-    @staticmethod
-    def _retry_after_of(response: HttpResponse) -> float | None:
-        """Parse a delay-seconds ``Retry-After`` header (None if absent,
-        unparsable, or negative; HTTP-date form is not supported)."""
-        raw = response.headers.get("Retry-After")
-        if raw is None:
-            return None
-        try:
-            delay = float(raw.strip())
-        except ValueError:
-            return None
-        return delay if delay >= 0 else None
-
-    def _request_prepared(
-        self, endpoint: Endpoint, request: HttpRequest
-    ) -> HttpResponse:
-        t_start = time.monotonic()
-        stream, reused = self._checkout(endpoint)
-        try:
-            response = self._exchange(endpoint, stream, request)
-            self._m_requests.inc()
-            self._m_request_time.observe(time.monotonic() - t_start)
-            return response
-        except ConnectionTimeout:
-            # Deliberately not retried, even on a reused connection: the
-            # server may still be processing the request, so a replay on a
-            # fresh connection risks delivering it twice.  Staleness shows
-            # up as an immediate close/reset, never as a silent deadline.
-            stream.close()
-            raise
-        except (ConnectionClosed, HttpParseError, TransportError):
-            stream.close()
-            if not reused:
-                raise
-        # stale pooled connection: one retry on a fresh one
-        self._m_reuse_stale.inc()
-        stream = self._connector.connect(endpoint, timeout=self.connect_timeout)
-        try:
-            response = self._exchange(endpoint, stream, request)
-            self._m_requests.inc()
-            self._m_request_time.observe(time.monotonic() - t_start)
-            return response
-        except BaseException:
-            stream.close()
-            raise
+        return self._run(self._request(url, request))
 
     # -- connection leases & pipelining ------------------------------------
     def lease(self, url: str) -> "ConnectionLease":
@@ -249,47 +119,13 @@ class HttpClient:
         the input: each slot holds the :class:`HttpResponse` or the
         exception that request ended with.
         """
-        prepared = list(requests)
-        for req in prepared:
-            self.prepare(url, req)
-        lease = self.lease(url)
-        try:
-            return lease.pipeline(prepared)
-        finally:
-            lease.release()
-
-    def _exchange(
-        self, endpoint: Endpoint, stream: Stream, request: HttpRequest
-    ) -> HttpResponse:
-        stream.send(serialize_request(request))
-        parser = ResponseParser()
-        if request.method == "HEAD":
-            parser.expect_no_body = True
-        while True:
-            message = parser.next_message()
-            if message is not None:
-                response: HttpResponse = message  # type: ignore[assignment]
-                if response.keep_alive and parser.idle:
-                    self._checkin(endpoint, stream)
-                else:
-                    stream.close()
-                return response
-            data = stream.recv(_RECV_CHUNK, timeout=self.response_timeout)
-            if not data:
-                parser.feed_eof()
-                tail = parser.next_message()
-                if tail is not None:
-                    stream.close()
-                    return tail  # type: ignore[return-value]
-                raise ConnectionClosed("server closed before full response")
-            parser.feed(data)
+        return self._run(self._pipeline_url(url, list(requests)))
 
     # -- SOAP conveniences ---------------------------------------------------
     def post_envelope(self, url: str, envelope: Envelope) -> HttpResponse:
-        headers = Headers()
-        headers.set("Content-Type", envelope.version.content_type)
-        req = HttpRequest("POST", "/", headers=headers, body=envelope.to_bytes())
-        return self.request(url, req)
+        return self.request(
+            url, soap_post(envelope.to_bytes(), content_type=envelope.version.content_type)
+        )
 
     def call_soap(self, url: str, envelope: Envelope) -> Envelope | None:
         """POST an envelope; parse the reply envelope (None for 202/204).
@@ -309,7 +145,7 @@ class HttpClient:
             ) from exc
 
 
-class ConnectionLease:
+class ConnectionLease(Lease):
     """Exclusive checkout of one connection to an endpoint.
 
     Created by :meth:`HttpClient.lease`.  The leased stream is removed
@@ -327,26 +163,8 @@ class ConnectionLease:
     those requests, and replaying would deliver them twice.
     """
 
-    def __init__(self, client: HttpClient, endpoint: Endpoint) -> None:
-        self._client = client
-        self.endpoint = endpoint
-        self._stream, self.reused = client._checkout(endpoint)
-        self._healthy = True
-        self._released = False
-
-    # -- lifecycle ---------------------------------------------------------
-    def release(self) -> None:
-        """Return the connection to the pool (healthy) or discard it."""
-        if self._released:
-            return
-        self._released = True
-        stream, self._stream = self._stream, None
-        if stream is None:
-            return
-        if self._healthy:
-            self._client._checkin(self.endpoint, stream)
-        else:
-            stream.close()
+    def __init__(self, client: HttpClient, endpoint) -> None:
+        super().__init__(client, endpoint, *client._run(client._checkout(endpoint)))
 
     def __enter__(self) -> "ConnectionLease":
         return self
@@ -354,14 +172,6 @@ class ConnectionLease:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-    def _demote(self) -> None:
-        """The leased stream is no longer usable; close and forget it."""
-        self._healthy = False
-        stream, self._stream = self._stream, None
-        if stream is not None:
-            stream.close()
-
-    # -- pipelined burst ---------------------------------------------------
     def pipeline(
         self, requests: "Iterable[HttpRequest]"
     ) -> "list[HttpResponse | ReproError]":
@@ -372,87 +182,4 @@ class ConnectionLease:
         Never raises for per-request failures — callers keep per-item
         retry/hold semantics.
         """
-        if self._released:
-            raise ReproError("pipeline on a released lease")
-        batch = list(requests)
-        if not batch:
-            return []
-        results: "list[HttpResponse | ReproError | None]" = [None] * len(batch)
-        self._client._m_pipeline_bursts.inc()
-        try:
-            self._stream.send(serialize_request_burst(batch))
-        except (ConnectionClosed, TransportError):
-            # nothing read back yet: the whole burst is the tail
-            self._demote()
-            return self._replay_tail(batch, results, 0)
-        parser = ResponseParser()
-        done = 0
-        while done < len(batch):
-            message = parser.next_message()
-            if message is not None:
-                results[done] = message
-                done += 1
-                self._client._m_requests.inc()
-                if not message.keep_alive:
-                    # server demotes us to serial: no more responses will
-                    # arrive on this connection
-                    self._demote()
-                    return self._replay_tail(batch, results, done)
-                continue
-            try:
-                data = self._stream.recv(
-                    _RECV_CHUNK, timeout=self._client.response_timeout
-                )
-            except ConnectionTimeout as exc:
-                # the tail may still be processed: poison, don't replay
-                self._demote()
-                for i in range(done, len(batch)):
-                    results[i] = exc
-                return results  # type: ignore[return-value]
-            except (ConnectionClosed, TransportError):
-                self._demote()
-                return self._replay_tail(batch, results, done)
-            if not data:
-                tail = self._finish_on_eof(parser)
-                if tail is not None and done < len(batch):
-                    results[done] = tail
-                    done += 1
-                    self._client._m_requests.inc()
-                self._demote()
-                return self._replay_tail(batch, results, done)
-            try:
-                parser.feed(data)
-            except HttpParseError:
-                self._demote()
-                return self._replay_tail(batch, results, done)
-        if not parser.idle:
-            # trailing bytes past the last response: not a clean boundary
-            self._demote()
-        return results  # type: ignore[return-value]
-
-    @staticmethod
-    def _finish_on_eof(parser: ResponseParser) -> HttpResponse | None:
-        """EOF may legally complete a read-until-close response."""
-        try:
-            parser.feed_eof()
-        except HttpParseError:
-            return None
-        return parser.next_message()  # type: ignore[return-value]
-
-    def _replay_tail(
-        self,
-        batch: "list[HttpRequest]",
-        results: "list[HttpResponse | ReproError | None]",
-        start: int,
-    ) -> "list[HttpResponse | ReproError]":
-        """Serial fallback for the undelivered tail, one attempt each."""
-        if start < len(batch):
-            self._client._m_pipeline_replayed.inc(len(batch) - start)
-        for i in range(start, len(batch)):
-            try:
-                results[i] = self._client._request_prepared(
-                    self.endpoint, batch[i]
-                )
-            except ReproError as exc:
-                results[i] = exc
-        return results  # type: ignore[return-value]
+        return self._client._run(self._burst(requests))

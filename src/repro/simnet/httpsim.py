@@ -11,21 +11,11 @@ from __future__ import annotations
 import types
 from typing import Callable
 
-from repro.errors import (
-    ConnectionClosed,
-    ConnectionTimeout,
-    HttpParseError,
-    ReproError,
-    TransportError,
-)
+from repro.errors import ConnectionTimeout, HttpParseError, TransportError
 from repro.http import HttpRequest, HttpResponse
-from repro.http.wire import (
-    RequestParser,
-    ResponseParser,
-    serialize_request,
-    serialize_request_burst,
-    serialize_response,
-)
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, exchange
+from repro.http.wire import RequestParser, serialize_response
+from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource
 from repro.simnet.tcpsim import SimTcpConnection, TcpParams, connect, listen
@@ -178,6 +168,36 @@ class SimHttpServer:
         return self.handler(request)
 
 
+def _run(steps, pool: "SimHttpClientPool | None" = None):
+    """Process step: perform the session's effects on the simulated wire;
+    whatever a step raises — ``SimInterrupt`` included — is the session's
+    to handle or pass on.  ``pool`` is who connects and whose clock
+    sleeps; a bare :func:`~repro.http.session.exchange` needs neither."""
+    try:
+        op, conn, arg = next(steps)
+        while True:
+            try:
+                if op is RECV:
+                    result = yield from conn.recv(timeout=arg)
+                elif op is SEND:
+                    result = yield from conn.send(arg)
+                elif op is CONNECT:
+                    result = yield from connect(
+                        pool.net, pool.host, *arg,
+                        TcpParams(connect_timeout=pool.connect_timeout),
+                    )
+                else:
+                    result = yield pool.net.sim.timeout(arg)
+            except BaseException as exc:
+                op, conn, arg = steps.throw(exc)
+            else:
+                op, conn, arg = steps.send(result)
+    except StopIteration as done:
+        return done.value
+    finally:
+        steps.close()
+
+
 def sim_http_exchange(
     conn: SimTcpConnection,
     request: HttpRequest,
@@ -186,23 +206,14 @@ def sim_http_exchange(
     """Process step: send a request on an open connection, read the reply.
 
     Usage: ``response = yield from sim_http_exchange(conn, req, 30.0)``.
+    The connection is left open only at a clean keep-alive boundary.
     """
-    yield from conn.send(serialize_request(request))
-    parser = ResponseParser()
-    if request.method == "HEAD":
-        parser.expect_no_body = True
-    while True:
-        message = parser.next_message()
-        if message is not None:
-            return message
-        data = yield from conn.recv(timeout=response_timeout)
-        if not data:
-            parser.feed_eof()
-            tail = parser.next_message()
-            if tail is not None:
-                return tail
-            raise ConnectionClosed("server closed before full response")
-        parser.feed(data)
+    responses, cut, _resend, _clean = yield from _run(
+        exchange(conn, [request], response_timeout)
+    )
+    if cut is not None:
+        raise cut
+    return responses[0]
 
 
 def sim_http_request(
@@ -229,12 +240,15 @@ def sim_http_request(
         conn.close()
 
 
-class SimHttpClientPool:
+class SimHttpClientPool(ClientSession):
     """Per-destination persistent connections for a simulated client host.
 
-    The WsThread model: ``exchange`` reuses an idle connection to the
-    destination when one exists and it is still usable, otherwise opens a
-    fresh one; connections return to the pool after a clean exchange.
+    The WsThread model, under :mod:`repro.http.session`'s rules:
+    ``exchange`` reuses an idle connection to the destination when one
+    exists and it is still usable, otherwise opens a fresh one;
+    connections return to the pool after a clean exchange.  Requests go
+    out as given — no ``Host`` / ``User-Agent`` is added, so simulated
+    transfer sizes are the caller's alone.
     """
 
     def __init__(
@@ -245,181 +259,61 @@ class SimHttpClientPool:
         response_timeout: float = 30.0,
         pool_per_destination: int = 2,
     ) -> None:
+        # counted in a registry of its own: the simulator exports the four
+        # attributes below, not metric families
+        super().__init__(
+            MetricsRegistry(), "sim_client", "simulated client",
+            lambda: net.sim.now, response_timeout, pool_per_destination,
+        )
         self.net = net
         self.host = host
         self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
-        self.pool_per_destination = pool_per_destination
-        self._idle: dict[tuple[str, int], list[SimTcpConnection]] = {}
-        self.reuses = 0
-        self.fresh_connects = 0
-        self.pipelined_bursts = 0
-        self.pipeline_replays = 0
 
-    def _checkout_idle(self, key: tuple[str, int]) -> SimTcpConnection | None:
-        """Pop a still-usable idle connection to ``key``, or None."""
-        pool = self._idle.get(key)
-        while pool:
-            candidate = pool.pop()
-            if (
-                not candidate.broken
-                and candidate.peer
-                and not candidate.peer.closed
-            ):
-                return candidate
-        return None
+    @property
+    def pool_per_destination(self) -> int:
+        return self._pool_size
 
-    def _checkin_idle(self, key: tuple[str, int], conn: SimTcpConnection) -> None:
-        bucket = self._idle.setdefault(key, [])
-        if len(bucket) < self.pool_per_destination:
-            bucket.append(conn)
-        else:
-            conn.close()
+    @pool_per_destination.setter
+    def pool_per_destination(self, size: int) -> None:
+        self._pool_size = size
+
+    @property
+    def reuses(self) -> int:
+        return self._m_reuse_reused.get()
+
+    @property
+    def fresh_connects(self) -> int:
+        """Connections opened, a stale-retry's included."""
+        return self._m_reuse_fresh.get() + self._m_reuse_stale.get()
+
+    @property
+    def pipelined_bursts(self) -> int:
+        return self._m_pipeline_bursts.labels().get()
+
+    @property
+    def pipeline_replays(self) -> int:
+        return self._m_pipeline_replayed.labels().get()
+
+    def _alive(self, conn: SimTcpConnection) -> bool:
+        return not conn.broken and conn.peer is not None and not conn.peer.closed
 
     def exchange(self, server_name: str, port: int, request: HttpRequest):
         """Process step: request/response with connection reuse."""
-        key = (server_name, port)
-        conn = self._checkout_idle(key)
-        reused = conn is not None
-        if conn is None:
-            params = TcpParams(connect_timeout=self.connect_timeout)
-            conn = yield from connect(self.net, self.host, server_name, port, params)
-            self.fresh_connects += 1
-        else:
-            self.reuses += 1
-        try:
-            response = yield from sim_http_exchange(
-                conn, request, self.response_timeout
-            )
-        except (TransportError, HttpParseError):
-            conn.close()
-            if reused:
-                # retry once on a fresh connection (the pooled one was stale)
-                params = TcpParams(connect_timeout=self.connect_timeout)
-                conn = yield from connect(
-                    self.net, self.host, server_name, port, params
-                )
-                self.fresh_connects += 1
-                try:
-                    response = yield from sim_http_exchange(
-                        conn, request, self.response_timeout
-                    )
-                except BaseException:
-                    conn.close()
-                    raise
-            else:
-                raise
-        if response.keep_alive:
-            self._checkin_idle(key, conn)
-        else:
-            conn.close()
-        return response
+        return _run(self._request_prepared((server_name, port), request), self)
 
     # -- pipelined bursts (the WsThread drain path) ------------------------
     def pipeline(self, server_name: str, port: int, requests):
         """Process step: send ``requests`` as one write burst; read responses.
 
-        The simulated twin of
-        :meth:`repro.rt.client.ConnectionLease.pipeline`: one send models
-        the whole burst, the N responses are read back in order, and a
-        cut-short burst (server close, ``Connection: close``) replays the
-        undelivered tail serially via :meth:`exchange` — each tail request
-        exactly once.  A response timeout poisons the tail instead (the
-        server may still process those requests).  Returns a list aligned
-        with ``requests`` of :class:`HttpResponse` or the exception.
+        The simulated wire of :class:`repro.http.session.Lease`'s burst:
+        one send models the whole burst, the N responses are read back in
+        order, and a cut-short burst (server close, ``Connection: close``)
+        replays the undelivered tail serially — each tail request exactly
+        once.  A response timeout poisons the tail instead (the server
+        may still process those requests).  Returns a list aligned with
+        ``requests`` of :class:`HttpResponse` or the exception.
         """
-        requests = list(requests)
-        if not requests:
-            return []
-        key = (server_name, port)
-        conn = self._checkout_idle(key)
-        if conn is None:
-            params = TcpParams(connect_timeout=self.connect_timeout)
-            try:
-                conn = yield from connect(
-                    self.net, self.host, server_name, port, params
-                )
-            except (TransportError, ReproError) as exc:
-                return [exc] * len(requests)
-            self.fresh_connects += 1
-        else:
-            self.reuses += 1
-        self.pipelined_bursts += 1
-        results: list = [None] * len(requests)
-        try:
-            yield from conn.send(serialize_request_burst(requests))
-        except (TransportError, HttpParseError):
-            conn.close()
-            out = yield from self._replay_tail(server_name, port, requests, results, 0)
-            return out
-        parser = ResponseParser()
-        done = 0
-        while done < len(requests):
-            message = parser.next_message()
-            if message is not None:
-                results[done] = message
-                done += 1
-                if not message.keep_alive:
-                    # server demotes the burst to serial
-                    conn.close()
-                    out = yield from self._replay_tail(
-                        server_name, port, requests, results, done
-                    )
-                    return out
-                continue
-            try:
-                data = yield from conn.recv(timeout=self.response_timeout)
-            except ConnectionTimeout as exc:
-                conn.close()
-                for i in range(done, len(requests)):
-                    results[i] = exc
-                return results
-            except (TransportError, HttpParseError):
-                conn.close()
-                out = yield from self._replay_tail(
-                    server_name, port, requests, results, done
-                )
-                return out
-            if not data:
-                try:
-                    parser.feed_eof()
-                    tail = parser.next_message()
-                except HttpParseError:
-                    tail = None
-                if tail is not None and done < len(requests):
-                    results[done] = tail
-                    done += 1
-                conn.close()
-                out = yield from self._replay_tail(
-                    server_name, port, requests, results, done
-                )
-                return out
-            try:
-                parser.feed(data)
-            except HttpParseError:
-                conn.close()
-                out = yield from self._replay_tail(
-                    server_name, port, requests, results, done
-                )
-                return out
-        self._checkin_idle(key, conn)
-        return results
-
-    def _replay_tail(self, server_name: str, port: int, requests, results, start):
-        """Serial fallback for a cut-short burst's undelivered tail."""
-        if start < len(requests):
-            self.pipeline_replays += len(requests) - start
-        for i in range(start, len(requests)):
-            try:
-                results[i] = yield from self.exchange(
-                    server_name, port, requests[i]
-                )
-            except (TransportError, ReproError) as exc:
-                results[i] = exc
-        return results
+        return _run(self._pipeline((server_name, port), list(requests)), self)
 
     def close_all(self) -> None:
-        for pool in self._idle.values():
-            for conn in pool:
-                conn.close()
-        self._idle.clear()
+        self.close_idle()

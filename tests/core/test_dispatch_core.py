@@ -16,6 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 import repro.core.dispatch as dispatch
+import repro.http.session as session
 from repro.core.dispatch import DispatchCore, _OutboundItem
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
@@ -94,21 +95,76 @@ def cohosted_core(**config_kw) -> Core:
 
 # -- the module is substrate-free ---------------------------------------------
 
-def test_the_core_imports_no_substrate_and_never_sleeps():
-    tree = ast.parse(pathlib.Path(dispatch.__file__).read_text(encoding="utf-8"))
-    banned = ("asyncio", "socket", "repro.rt.client", "repro.aio", "repro.simnet")
+def imports_and_method_calls(module) -> "tuple[list[tuple[int, str]], list[tuple[int, str]]]":
+    """(line, imported module or ``module.name``) and (line, ``.attr(`` called)."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    imports, calls = [], []
     for node in ast.walk(tree):
-        names = []
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            imports += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        for name in names:
-            assert not any(
-                name == b or name.startswith(b + ".") for b in banned
-            ), f"line {node.lineno}: the core imports {name}"
+            imports.append((node.lineno, node.module or ""))
+            imports += [
+                (node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+            ]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            imports.append((node.lineno, f"{node.value.id}.{node.attr}"))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            assert node.func.attr != "sleep", f"line {node.lineno}: the core sleeps"
+            calls.append((node.lineno, node.func.attr))
+    return imports, calls
+
+
+def assert_substrate_free(module, banned_imports, banned_calls) -> None:
+    imports, calls = imports_and_method_calls(module)
+    for lineno, name in imports:
+        assert not any(
+            name == b or name.startswith(b + ".") for b in banned_imports
+        ), f"line {lineno}: the core imports {name}"
+    for lineno, attr in calls:
+        assert attr not in banned_calls, f"line {lineno}: the core calls .{attr}("
+
+
+def test_the_core_imports_no_substrate_and_never_sleeps():
+    assert_substrate_free(
+        dispatch,
+        ("asyncio", "socket", "repro.rt.client", "repro.aio", "repro.simnet"),
+        ("sleep",),
+    )
+
+
+def test_the_client_core_imports_no_substrate_and_performs_no_effect():
+    """It yields its four effects; nothing in it is ever sent to, received
+    from or slept on."""
+    assert_substrate_free(
+        session,
+        ("asyncio", "socket", "threading.Thread", "repro.rt", "repro.aio",
+         "repro.simnet", "repro.transport.tcp"),
+        ("sleep", "recv", "send"),
+    )
+
+
+def test_the_client_contract_is_written_once():
+    """Each rule of the pipelining client has one home; the three wires
+    hold no response parser, no timeout rule, no check-in test, no
+    ``Retry-After`` parse and no loop over a batch of requests."""
+    src = pathlib.Path(dispatch.__file__).resolve().parents[1]
+    httpsim = (src / "simnet/httpsim.py").read_text(encoding="utf-8")
+    wires = {
+        "rt/client.py": (src / "rt/client.py").read_text(encoding="utf-8"),
+        "aio/client.py": (src / "aio/client.py").read_text(encoding="utf-8"),
+        # the client half: everything after the server class
+        "simnet/httpsim.py": httpsim[httpsim.index("def _run("):],
+    }
+    core_text = pathlib.Path(session.__file__).read_text(encoding="utf-8")
+    for marker in ("ResponseParser(", "except ConnectionTimeout", ".keep_alive",
+                   'get("Retry-After")'):
+        assert core_text.count(marker) == 1, marker
+        for path, text in wires.items():
+            assert marker not in text, f"{path}: {marker}"
+    for path, text in wires.items():
+        assert "ResponseParser" not in text, path
+        loops = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.For, ast.AsyncFor))]
+        assert not loops, f"{path}: line {loops[0].lineno if loops else 0} loops"
 
 
 # -- (a) a RelatesTo that hits an expired entry -------------------------------
@@ -162,6 +218,20 @@ def test_the_three_runtimes_expose_the_same_metric_families():
     expected = families_of(rt)
     assert expected == families_of(aio) == families_of(sim)
     assert {"msgd_retries_total", "dispatcher_drain_timeouts_total"} <= expected
+
+    # and one client family set under them, named per runtime
+    from repro.aio import AioHttpClient
+    from repro.rt.client import HttpClient
+
+    def suffixes(build, prefix) -> set[str]:
+        return {name.removeprefix(prefix) for name in families_of(build)}
+
+    client_families = suffixes(lambda m: HttpClient(None, metrics=m), "rt_client_")
+    assert client_families == suffixes(lambda m: AioHttpClient(metrics=m), "aio_client_")
+    assert client_families == {
+        "requests_total", "request_seconds", "conn_reuse_total",
+        "pipeline_bursts_total", "pipeline_replayed_total", "overload_waits_total",
+    }
 
 
 def test_every_dispatcher_family_is_registered_once_by_the_core():

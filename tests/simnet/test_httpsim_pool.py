@@ -32,7 +32,7 @@ def test_stale_pooled_connection_retried(world):
         results.append(resp.body)
         # restart: old connections die, a new server appears on the port
         server.stop()
-        for conns in pool._idle.values():
+        for conns in pool._pools.values():
             for conn in conns:
                 conn.close()  # the server's closure propagates as EOF
         SimHttpServer(net, server_host, 80, lambda r: HttpResponse(200, body=b"v2"))
@@ -65,9 +65,9 @@ def test_close_all_empties_pool(world):
 
     def scenario():
         yield from pool.exchange("server", 80, HttpRequest("GET", "/"))
-        assert sum(len(v) for v in pool._idle.values()) == 1
+        assert sum(len(v) for v in pool._pools.values()) == 1
         pool.close_all()
-        assert sum(len(v) for v in pool._idle.values()) == 0
+        assert sum(len(v) for v in pool._pools.values()) == 0
 
     sim.run(sim.process(scenario()))
 
@@ -86,7 +86,7 @@ def test_connection_close_response_not_pooled(world):
 
     def scenario():
         yield from pool.exchange("server", 80, HttpRequest("GET", "/"))
-        return sum(len(v) for v in pool._idle.values())
+        return sum(len(v) for v in pool._pools.values())
 
     assert sim.run(sim.process(scenario())) == 0
 

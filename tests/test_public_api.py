@@ -105,16 +105,96 @@ def _documented_fields(class_name: str) -> set[str]:
 
 def test_dispatcher_configs_are_documented_and_mirror_each_other():
     """docs/api.md lists exactly the fields each config has, and the
-    simulated config's claim to mirror the threaded one holds: every
-    field the two share has the same default."""
+    simulated config mirrors the threaded one by construction: the nine
+    shared knobs are declared once, in the base next to ``DispatchCore``."""
+    from repro.core.dispatch import DispatcherConfigBase
     from repro.core.msg_dispatcher import MsgDispatcherConfig
     from repro.core.sim_dispatcher import SimMsgDispatcherConfig
 
-    defaults = {}
-    for cls in (MsgDispatcherConfig, SimMsgDispatcherConfig):
-        defaults[cls] = {f.name: f.default for f in dataclasses.fields(cls)}
-        assert _documented_fields(cls.__name__) == set(defaults[cls])
-    threaded, simulated = defaults.values()
-    shared = threaded.keys() & simulated.keys()
-    assert len(shared) >= 9
-    assert {k: threaded[k] for k in shared} == {k: simulated[k] for k in shared}
+    shared = {f.name: f.default for f in dataclasses.fields(DispatcherConfigBase)}
+    assert shared == {
+        "accept_queue": 1024, "destination_queue": 1024, "batch_size": 8,
+        "destination_idle_ttl": 10.0, "correlation_ttl": 120.0, "breaker": None,
+        "max_inflight": None, "shed_retry_after": 1.0, "dedupe_window": None,
+    }
+    own = {
+        MsgDispatcherConfig: {"cx_threads": 4, "ws_threads": 8, "retry": None},
+        SimMsgDispatcherConfig: {
+            "cx_workers": 4, "ws_workers": 8, "parallel_per_destination": 1,
+            "connect_timeout": 21.0, "response_timeout": 30.0,
+            "shed_on_full": False, "hold_pump_interval": 0.25,
+        },
+    }
+    for cls, added in own.items():
+        assert issubclass(cls, DispatcherConfigBase)
+        assert set(cls.__annotations__) == set(added)  # nothing re-declared
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert defaults == {**shared, **added}
+        assert _documented_fields(cls.__name__) == set(defaults)
+        assert cls(batch_size=1).batch_size == 1  # keyword construction
+
+
+def test_the_clients_keep_their_constructors_and_metric_surface():
+    """One contract underneath (``repro.http.session``) adds no option and
+    renames nothing an operator or ``benchmarks/e2e`` reads."""
+    import inspect
+
+    from repro.aio import AioHttpClient
+    from repro.obs.metrics import MetricsRegistry
+    from repro.rt.client import HttpClient
+    from repro.simnet.httpsim import SimHttpClientPool
+
+    def parameters(cls) -> dict:
+        signature = inspect.signature(cls.__init__).parameters.values()
+        return {p.name: p.default for p in signature if p.name != "self"}
+
+    tail = {
+        "metrics": None, "overload_retries": 0, "retry_after_cap": 30.0,
+    }
+    assert parameters(HttpClient) == {
+        "connector": inspect.Parameter.empty, "connect_timeout": 5.0,
+        "response_timeout": 30.0, "pool_per_endpoint": 4,
+        "user_agent": "repro-client/1.0", **tail,
+    }
+    assert parameters(AioHttpClient) == {
+        "connect_timeout": 5.0, "response_timeout": 30.0, "pool_per_endpoint": 4,
+        "user_agent": "repro-aio-client/1.0", **tail,
+    }
+    assert parameters(SimHttpClientPool) == {
+        "net": inspect.Parameter.empty, "host": inspect.Parameter.empty,
+        "connect_timeout": 21.0, "response_timeout": 30.0, "pool_per_destination": 2,
+    }
+
+    def surface(build) -> dict:
+        metrics = MetricsRegistry()
+        build(metrics)
+        return {
+            family.name: (
+                family.kind, family.help,
+                {name for labels, _child in family.samples() for name in labels},
+            )
+            for family in metrics.families()
+        }
+
+    def expected(prefix: str, who: str) -> dict:
+        return {
+            f"{prefix}_requests_total": (
+                "counter", f"HTTP exchanges completed by the {who}", set()),
+            f"{prefix}_request_seconds": (
+                "histogram", f"wall time of one {who} HTTP exchange", set()),
+            f"{prefix}_conn_reuse_total": (
+                "counter", "connection checkouts, by outcome", {"outcome"}),
+            f"{prefix}_pipeline_bursts_total": (
+                "counter", "pipelined write bursts issued on leased connections", set()),
+            f"{prefix}_pipeline_replayed_total": (
+                "counter",
+                "pipelined requests replayed serially after a cut-short burst", set()),
+            f"{prefix}_overload_waits_total": (
+                "counter",
+                "503 responses the client slept out per the server's Retry-After", set()),
+        }
+
+    assert surface(lambda m: HttpClient(None, metrics=m)) == expected("rt_client", "client")
+    assert surface(lambda m: AioHttpClient(metrics=m)) == expected(
+        "aio_client", "asyncio client"
+    )
