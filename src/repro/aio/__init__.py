@@ -9,9 +9,10 @@ layer (:class:`~repro.rt.service.SoapHttpApp`), the envelope fast path,
 the journal, and the whole observability plane run on the loop verbatim;
 only the I/O substrate changes.
 
-- :class:`AioHttpServer` — accept loop + per-connection tasks.
+- :class:`AioHttpServer` — one protocol object per connection over one
+  shared receive buffer; a task only for a request that parks.
 - :class:`AioHttpClient` / :class:`AioConnectionLease` — pooled,
-  pipelining client (semantic twin of the rt client).
+  pipelining client (the asyncio wire of :mod:`repro.http.session`).
 - :class:`AioMsgDispatcher` — the MSG-Dispatcher on loop tasks.
 - :class:`AioMsgBoxService` — WS-MsgBox whose long polls park coroutines.
 - :class:`AioLoopThread` — embed the loop in a synchronous program.

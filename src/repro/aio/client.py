@@ -3,10 +3,12 @@
 The asyncio wire of :mod:`repro.http.session`: the pool, the single
 stale-retry, the 503 ``Retry-After`` sleep-out and the burst's
 replay/poison rules are that module's, run here by a coroutine
-trampoline over ``asyncio`` streams instead of blocking socket calls, so
-the dispatcher's writer tasks share one loop thread instead of one
-thread each.  Cancelling a task mid-exchange reaches the session as a
-thrown ``CancelledError``: the connection is closed, never pooled.
+trampoline over one ``asyncio`` protocol per connection instead of
+blocking socket calls, so the dispatcher's writer tasks share one loop
+thread instead of one thread each.  A ``RECV`` costs a future and a
+timer only when nothing has arrived yet — no task, no stream layer.
+Cancelling a task mid-exchange reaches the session as a thrown
+``CancelledError``: the connection is closed, never pooled.
 
 The wire bytes come from the identical sans-io serializer/parser
 (:mod:`repro.http.wire`) — a packet capture cannot tell the two clients
@@ -16,10 +18,9 @@ apart.
 from __future__ import annotations
 
 import asyncio
-import socket
 import time
+from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from repro.errors import (
     ConnectionClosed,
@@ -36,16 +37,93 @@ from repro.transport.base import Endpoint, parse_http_url
 _RECV_CHUNK = 64 * 1024
 
 
-@dataclass
-class _AioConn:
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
+class _AioConn(asyncio.BufferedProtocol):
+    """One client connection: what the peer sent waits here, in arrival
+    order, for the session's next ``RECV``.  Reading is never paused: a
+    client that stopped reading mid-``SEND`` would stall the very server
+    whose reads its own write is waiting for."""
 
-    def close(self) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop, recv_view: memoryview) -> None:
+        self._loop = loop
+        self._recv_view = recv_view
+        self.transport: asyncio.Transport | None = None
+        self._chunks: deque[bytes] = deque()
+        #: the one parked RECV or SEND (an exchange does one at a time)
+        self._waiter: asyncio.Future | None = None
+        self._write_paused = False
+        #: no more bytes will arrive: the peer's EOF, or the connection is gone
+        self._ended = False
+        self._error: Exception | None = None
+
+    # -- transport callbacks -------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._chunks.append(bytes(self._recv_view[:nbytes]))
+        self._wake()
+
+    def eof_received(self) -> None:
+        self._ended = True  # and, returning None, the transport closes
+        self._wake()
+
+    def connection_lost(self, exc) -> None:
+        self._ended, self._error = True, exc
+        self._wake()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    def _expire(self, waiter: asyncio.Future, timeout: float) -> None:
+        if not waiter.done():
+            waiter.set_exception(ConnectionTimeout(f"no response within {timeout}s"))
+
+    async def _parked(self, timeout: float | None = None) -> None:
+        """Wait for the next transport callback, under one timer."""
+        waiter = self._waiter = self._loop.create_future()
+        timer = None
+        if timeout is not None:
+            timer = self._loop.call_later(timeout, self._expire, waiter, timeout)
         try:
-            self.writer.close()
-        except Exception:  # noqa: BLE001 - closing a dead transport is fine
-            pass
+            await waiter
+        finally:
+            self._waiter = None
+            if timer is not None:
+                timer.cancel()
+
+    # -- the session's effects ----------------------------------------------
+    def close(self) -> None:
+        self.transport.close()
+
+    async def recv(self, timeout: float) -> bytes:
+        """The next chunk; ``b""`` once the peer has closed."""
+        if not self._chunks and not self._ended:
+            await self._parked(timeout)
+        if self._chunks:
+            return self._chunks.popleft()
+        if self._error is not None:
+            raise ConnectionClosed(str(self._error))
+        return b""
+
+    async def send(self, data: bytes) -> None:
+        """Write all of ``data``; waits only while the transport has
+        paused writing (what ``drain()`` gave)."""
+        self.transport.write(data)
+        while self._write_paused and not self._ended:
+            await self._parked()
+        if self._ended:
+            raise ConnectionClosed(str(self._error or "connection lost"))
 
 
 class AioHttpClient(ClientSession):
@@ -67,12 +145,19 @@ class AioHttpClient(ClientSession):
             retry_after_cap,
         )
         self.connect_timeout = connect_timeout
+        # one receive buffer for every connection of this client: the
+        # loop fills it and hands it over before it reads another socket
+        self._recv_view = memoryview(bytearray(_RECV_CHUNK))
 
     # -- the wire ------------------------------------------------------------
     async def _connect(self, endpoint: Endpoint) -> _AioConn:
+        loop = asyncio.get_running_loop()
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(endpoint.host, endpoint.port),
+            _transport, conn = await asyncio.wait_for(
+                loop.create_connection(
+                    lambda: _AioConn(loop, self._recv_view),
+                    endpoint.host, endpoint.port,
+                ),
                 self.connect_timeout,
             )
         except asyncio.TimeoutError:
@@ -81,31 +166,10 @@ class AioHttpClient(ClientSession):
             raise ConnectionRefused(f"connect to {endpoint}: {exc}") from None
         except OSError as exc:
             raise TransportError(f"connect to {endpoint}: {exc}") from None
-        sock = writer.get_extra_info("socket")
-        if sock is not None and sock.family != socket.AF_UNIX:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-        return _AioConn(reader, writer)
+        return conn
 
     def _alive(self, conn: _AioConn) -> bool:
-        return not conn.writer.is_closing()
-
-    async def _recv(self, conn: _AioConn, timeout: float) -> bytes:
-        try:
-            return await asyncio.wait_for(conn.reader.read(_RECV_CHUNK), timeout)
-        except asyncio.TimeoutError:
-            raise ConnectionTimeout(f"no response within {timeout}s") from None
-        except OSError as exc:
-            raise ConnectionClosed(str(exc)) from None
-
-    async def _send(self, conn: _AioConn, data: bytes) -> None:
-        try:
-            conn.writer.write(data)
-            await conn.writer.drain()
-        except (ConnectionError, OSError) as exc:
-            raise ConnectionClosed(str(exc)) from None
+        return not conn.transport.is_closing()
 
     async def _run(self, steps):
         """Perform the session's effects with awaits; whatever an await
@@ -116,9 +180,9 @@ class AioHttpClient(ClientSession):
             while True:
                 try:
                     if op is RECV:
-                        result = await self._recv(conn, arg)
+                        result = await conn.recv(arg)
                     elif op is SEND:
-                        result = await self._send(conn, arg)
+                        result = await conn.send(arg)
                     elif op is CONNECT:
                         result = await self._connect(arg)
                     else:

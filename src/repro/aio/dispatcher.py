@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import threading
 
+from repro.aio.runtime import loop_waker, wait_until_set
 from repro.core.msg_dispatcher import MsgDispatcher, _Destination
 from repro.errors import ReproError, TransportError
 from repro.http.session import soap_post
@@ -52,7 +53,7 @@ class AioMsgDispatcher(MsgDispatcher):
         self._tasks: set[asyncio.Task] = set()
         self._dest_events: dict[str, asyncio.Event] = {}
         self._accept_event = asyncio.Event()
-        self._accept_queue.add_listener(self._wake(self._accept_event))
+        self._accept_queue.add_listener(loop_waker(self._loop, self._accept_event.set))
         self._spawn(self._acx_loop(), name="aio-cx")
         if self.hold_store is not None:
             self._spawn(
@@ -60,28 +61,8 @@ class AioMsgDispatcher(MsgDispatcher):
             )
 
     # -- plumbing ----------------------------------------------------------
-    def _on_loop(self) -> bool:
-        return threading.get_ident() == self._loop_thread
-
     def _may_enqueue_here(self) -> bool:
-        return self._running and self._on_loop()
-
-    def _wake(self, event: asyncio.Event):
-        """A listener callback that sets ``event`` from any thread: a
-        producer already on the loop sets it directly, any other goes
-        through the loop's self-pipe."""
-        loop = self._loop
-
-        def _set() -> None:
-            if self._on_loop():
-                event.set()
-                return
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # loop already closed during shutdown
-
-        return _set
+        return self._running and threading.get_ident() == self._loop_thread
 
     def _spawn(self, coro, name: str) -> asyncio.Task:
         task = self._loop.create_task(coro, name=name)
@@ -140,7 +121,7 @@ class AioMsgDispatcher(MsgDispatcher):
         if event is None:
             event = asyncio.Event()
             self._dest_events[dest.endpoint_key] = event
-            dest.queue.add_listener(self._wake(event))
+            dest.queue.add_listener(loop_waker(self._loop, event.set))
         event.set()  # there is work now; don't park before checking
         dest.thread = self._spawn(
             self._aws_loop(dest, event), name=f"aio-ws-{dest.endpoint_key}"
@@ -156,6 +137,7 @@ class AioMsgDispatcher(MsgDispatcher):
             self._ensure_worker(d)
 
     async def _aws_loop(self, dest: _Destination, event: asyncio.Event) -> None:
+        idle_ttl = self.config.destination_idle_ttl
         try:
             while self._running:
                 try:
@@ -164,12 +146,9 @@ class AioMsgDispatcher(MsgDispatcher):
                     event.clear()
                     if len(dest.queue):
                         continue  # raced a put; don't park on a set flag
-                    try:
-                        await asyncio.wait_for(
-                            event.wait(), self.config.destination_idle_ttl
-                        )
-                    except asyncio.TimeoutError:
-                        return  # idle: release the slot
+                    await wait_until_set(self._loop, event, idle_ttl)
+                    if not len(dest.queue):
+                        return  # set on an empty queue: idle (or closed)
                     continue
                 except QueueClosed:
                     return

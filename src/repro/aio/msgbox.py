@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.aio.runtime import loop_waker, wait_until_set
 from repro.errors import SoapError
 from repro.msgbox.service import MsgBoxService
 from repro.rt.service import RequestContext
@@ -42,8 +43,8 @@ class AioMsgBoxService(MsgBoxService):
         return True
 
     def _longpoll_of(self, envelope: Envelope):
-        """(mailbox_id, owner_token, wait_s) when this is a long-poll
-        take; None routes everything else to the sync path."""
+        """(call, wait_s) when this is a long-poll take; None routes
+        everything else to the sync path."""
         if not self._is_rpc(envelope):
             return None
         try:
@@ -56,30 +57,25 @@ class AioMsgBoxService(MsgBoxService):
             wait_s = float(call.param("waitSeconds", "0") or "0")
         except ValueError:
             return None
-        if wait_s <= 0:
+        if wait_s <= 0 or not call.param("mailboxId"):
             return None
-        mailbox_id = call.param("mailboxId")
-        if not mailbox_id:
-            return None
-        return mailbox_id, call.param("ownerToken"), min(wait_s, self.max_wait_seconds)
+        return call, min(wait_s, self.max_wait_seconds)
 
     async def _handle_longpoll(
-        self,
-        envelope: Envelope,
-        ctx: RequestContext,
-        mailbox_id: str,
-        owner_token: str | None,
-        wait_s: float,
+        self, envelope: Envelope, ctx: RequestContext, call, wait_s: float
     ):
         self._check_alive()
+        mailbox_id = call.param("mailboxId")
         if self.security is not None:
             # authenticate before occupying a parked slot
-            self.security.check(mailbox_id, owner_token)
+            self.security.check(mailbox_id, call.param("ownerToken"))
         await self._await_arrival(mailbox_id, wait_s)
         # _wait_for_message is a no-op here, so this take never blocks;
         # an empty result after a racing taker is the same answer the
-        # threaded service gives in that race.
-        return super().handle(envelope, ctx)
+        # threaded service gives in that race.  The call parsed above is
+        # handed over: one parse per take.
+        self._check_alive()
+        return self._handle_rpc(envelope, ctx, call)
 
     async def _await_arrival(self, mailbox_id: str, timeout: float) -> bool:
         """Park until the mailbox has a message; False on timeout.
@@ -91,28 +87,21 @@ class AioMsgBoxService(MsgBoxService):
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
+        event = asyncio.Event()
+        fire = loop_waker(loop, event.set)
         while True:
             if self.store.peek_count(mailbox_id) > 0:
                 return True
             remaining = deadline - loop.time()
             if remaining <= 0:
                 return False
-            event = asyncio.Event()
-
-            def _fire(ev: asyncio.Event = event) -> None:
-                try:
-                    loop.call_soon_threadsafe(ev.set)
-                except RuntimeError:
-                    pass  # loop shut down mid-wait
-
-            handle = self.store.add_arrival_waiter(mailbox_id, _fire)
+            event.clear()
+            handle = self.store.add_arrival_waiter(mailbox_id, fire)
             try:
                 # re-check: a deposit may have landed between peek and
                 # registration, in which case no waiter will ever fire
                 if self.store.peek_count(mailbox_id) > 0:
                     return True
-                await asyncio.wait_for(event.wait(), remaining)
-            except asyncio.TimeoutError:
-                return False
+                await wait_until_set(loop, event, remaining)
             finally:
                 self.store.remove_arrival_waiter(handle)

@@ -13,9 +13,39 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-from typing import Awaitable, TypeVar
+from typing import Awaitable, Callable, TypeVar
 
 T = TypeVar("T")
+
+
+def loop_waker(loop: asyncio.AbstractEventLoop, callback: Callable[[], None]):
+    """Wrap ``callback`` (which touches loop-bound state: ``event.set``)
+    so any thread may call it.  Make the wrapper *on* the loop thread: a
+    caller already there runs ``callback`` directly, any other goes
+    through the loop's self-pipe."""
+    loop_thread = threading.get_ident()
+
+    def wake() -> None:
+        if threading.get_ident() == loop_thread:
+            callback()
+            return
+        try:
+            loop.call_soon_threadsafe(callback)
+        except RuntimeError:
+            pass  # loop already closed during shutdown
+
+    return wake
+
+
+async def wait_until_set(loop, event: asyncio.Event, timeout: float) -> None:
+    """Return when ``event`` is set or ``timeout`` has passed — the timer
+    sets the event too, so the caller re-checks its own deadline.  One
+    ``TimerHandle``; ``wait_for`` would build a ``Task`` as well."""
+    timer = loop.call_later(timeout, event.set)
+    try:
+        await event.wait()
+    finally:
+        timer.cancel()
 
 
 class AioLoopThread:

@@ -196,8 +196,13 @@ class MsgBoxService:
         return self.store.wait_for_message(mailbox_id, timeout)
 
     # -- RPC operations (create/take/peek/destroy) ------------------------
-    def _handle_rpc(self, envelope: Envelope, ctx: RequestContext) -> Envelope:
-        call = parse_rpc_request(envelope)
+    def _handle_rpc(
+        self, envelope: Envelope, ctx: RequestContext, call=None
+    ) -> Envelope:
+        """``call`` is the already-parsed request when the caller had to
+        read it first (the asyncio long poll)."""
+        if call is None:
+            call = parse_rpc_request(envelope)
         op = call.operation
         if op == "create":
             mailbox_id = self.store.create()
