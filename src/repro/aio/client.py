@@ -211,7 +211,8 @@ class AioHttpClient(ClientSession):
     async def pipeline(
         self, url: str, requests: Sequence[HttpRequest]
     ) -> "list[HttpResponse | ReproError]":
-        """Send ``requests`` to ``url`` as one pipelined burst."""
+        """Send ``requests`` to ``url``'s endpoint as one pipelined burst
+        (each keeps its own target path)."""
         return await self._run(self._pipeline_url(url, list(requests)))
 
 

@@ -13,20 +13,20 @@ and replaces only the *execution* substrate:
 - each WsThread becomes a per-destination writer task, created and
   retired under the same ``ws_threads`` slot budget and the same
   ``destination_idle_ttl``;
-- the hold pump becomes a task driving the store's split-phase claim API
-  (:meth:`take_due` / :meth:`complete` / :meth:`reschedule`);
-- delivery awaits an :class:`~repro.aio.client.AioHttpClient` instead of
-  blocking on the threaded one.
+- the hold pump becomes a task running the core's
+  :meth:`~repro.core.dispatch.DispatchCore.requeue_due`;
+- the core's delivery steps await an :class:`~repro.aio.client.AioHttpClient`
+  (and ``asyncio.sleep`` for the retry backoff) instead of blocking.
 
 Everything semantic is :class:`~repro.core.dispatch.DispatchCore`'s:
 admission shedding and the journal-before-ack protocol, routing /
-rewriting / correlation, the breaker gate, the batch settle bookkeeping,
-hold parking, dead-letter taxonomy, metrics, spans, and flight-recorder
-events.  Because admission runs synchronous, thread-safe code, ``handle``
-can be called from *any* thread — the HTTP edge may live on the loop
-(:class:`~repro.aio.server.AioHttpServer`) or on threads, and recovery /
-``drain()`` / ``stop()`` work from the outside exactly as they do for
-the threaded dispatcher.
+rewriting / correlation, the delivery step (breaker gate, settle, retry,
+parking), hold redelivery, dead-letter taxonomy, metrics, spans and
+flight-recorder events.  Admission runs synchronous, thread-safe code,
+so ``handle`` can be called from *any* thread — the HTTP edge may live
+on the loop (:class:`~repro.aio.server.AioHttpServer`) or on threads,
+and recovery / ``drain()`` / ``stop()`` work from the outside exactly as
+they do for the threaded dispatcher.
 
 Construct it on the loop (inside a coroutine): the worker tasks bind to
 ``asyncio.get_running_loop()``.
@@ -38,9 +38,9 @@ import asyncio
 import threading
 
 from repro.aio.runtime import loop_waker, wait_until_set
+from repro.core.dispatch import PIPELINE, REQUEST
 from repro.core.msg_dispatcher import MsgDispatcher, _Destination
-from repro.errors import ReproError, TransportError
-from repro.http.session import soap_post
+from repro.errors import ReproError
 from repro.util.concurrency import QueueClosed
 
 
@@ -107,11 +107,15 @@ class AioMsgDispatcher(MsgDispatcher):
             await asyncio.sleep(0)
 
     # -- writer tasks (the WsThread pool) -----------------------------------
+    @staticmethod
+    def _working(dest: _Destination) -> bool:
+        return dest.thread is not None and not dest.thread.done()
+
     def _ensure_worker(self, dest: _Destination) -> None:
         # runs on the loop thread only (_enqueue is called from the
         # routing task or an on-loop admission, see _may_enqueue_here);
         # the base thread variant is fully overridden
-        if dest.thread is not None and not dest.thread.done():
+        if self._working(dest):
             return
         if not self._ws_slots.acquire(blocking=False):
             # all writer slots busy; an exiting task adopts this
@@ -126,15 +130,6 @@ class AioMsgDispatcher(MsgDispatcher):
         dest.thread = self._spawn(
             self._aws_loop(dest, event), name=f"aio-ws-{dest.endpoint_key}"
         )
-
-    def _adopt_orphan(self) -> None:
-        candidates = [
-            d
-            for d in self._destinations.values()
-            if len(d.queue) and (d.thread is None or d.thread.done())
-        ]
-        for d in candidates:
-            self._ensure_worker(d)
 
     async def _aws_loop(self, dest: _Destination, event: asyncio.Event) -> None:
         idle_ttl = self.config.destination_idle_ttl
@@ -152,105 +147,39 @@ class AioMsgDispatcher(MsgDispatcher):
                     continue
                 except QueueClosed:
                     return
-                if len(batch) > 1:
-                    await self._adeliver_batch(batch)
-                else:
-                    for item in batch:
-                        await self._adeliver(item)
+                await self._deliver(batch)
         finally:
             dest.thread = None
             self._ws_slots.release()
             self._adopt_orphan()
 
     # -- delivery (await the wire; every decision is the core's) -------------
-    async def _adeliver(self, item) -> None:
-        if not self.start_delivery([item]):
-            return
-        t_send = self.clock.now()
+    async def _deliver(self, batch) -> None:
+        """:meth:`DispatchCore.deliver` on this writer task: every effect
+        is awaited, so the backoff yields the loop instead of holding it."""
+        steps = self.deliver(batch)
         try:
-            outcome = await self.client.request(
-                item.target_url, soap_post(item.envelope_bytes)
-            )
-        except (TransportError, ReproError) as exc:
-            outcome = exc
-        if not self.settle(
-            item, outcome, t_send, self.clock.now(), item.parent_span_id
-        ):
-            await self._ahandle_delivery_failure(item)
-
-    async def _adeliver_batch(self, batch: list) -> None:
-        if not self.start_delivery(batch):
-            return
-        requests = self._prepare_batch(batch)
-        t_burst = self.clock.now()
-        try:
-            lease = await self.client.lease(batch[0].target_url)
-        except (TransportError, ReproError):
-            # no connection at all: every item takes its own failure path
-            self.record_outcome(batch[0].target_url, False)
-            for item in batch:
-                await self._ahandle_delivery_failure(item)
-            return
-        try:
-            outcomes = await lease.pipeline(requests)
-        finally:
-            lease.release()
-        t_done = self.clock.now()
-        for item in self.settle_batch(batch, outcomes, t_burst, t_done):
-            await self._ahandle_delivery_failure(item)
-
-    async def _ahandle_delivery_failure(self, item) -> None:
-        """Non-blocking twin of ``_handle_delivery_failure``: the backoff
-        sleep yields the loop instead of occupying it."""
-        retry = self.config.retry
-        if retry is not None and retry.should_retry(item.attempts):
-            await asyncio.sleep(retry.delay_before(item.attempts + 1))
-            self._requeue_retry(item)
-        else:
-            self.delivery_failed(item)
+            op, url, arg = next(steps)
+            while True:
+                try:
+                    if op is REQUEST:
+                        result = await self.client.request(url, arg)
+                    elif op is PIPELINE:
+                        result = await self.client.pipeline(url, arg)
+                    else:
+                        result = await asyncio.sleep(arg)
+                except ReproError as exc:
+                    op, url, arg = steps.throw(exc)
+                else:
+                    op, url, arg = steps.send(result)
+        except StopIteration:
+            pass
 
     # -- hold pump task ------------------------------------------------------
     async def _ahold_pump_loop(self, interval: float) -> None:
         while self._running:
             try:
-                await self._apump_hold()
+                self.requeue_due(self.clock.now())
             except Exception:  # noqa: BLE001 - keep the maintenance task up
                 self.counters.inc("internal_errors")
             await asyncio.sleep(interval)
-
-    async def _apump_hold(self) -> None:
-        """One redelivery sweep via the store's split-phase claim API
-        (same protocol :meth:`HoldRetryStore.pump` drives, awaited).
-        Every claim taken is resolved: any failure means retry, so an
-        unexpected error can never strand a message as claimed."""
-        now = self.clock.now()
-        for msg in self.hold_store.take_due(now):
-            try:
-                await self._adeliver_held(msg)
-            except Exception:  # noqa: BLE001 - any failure means retry
-                self.hold_store.reschedule(msg.message_id, now)
-                continue
-            self.hold_store.complete(msg.message_id)
-
-    async def _adeliver_held(self, msg) -> None:
-        """Awaitable twin of :meth:`MsgDispatcher.deliver_held` (the
-        non-blocking halves are shared)."""
-        key = self._begin_held(msg)
-        if key is None:
-            return
-        try:
-            outcome = await self.client.request(
-                msg.target_url, soap_post(msg.envelope_bytes)
-            )
-        except (TransportError, ReproError) as exc:
-            outcome = exc
-        self.held_settled(key, msg, outcome)
-
-    # -- introspection -------------------------------------------------------
-    def active_destinations(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for d in self._destinations.values()
-                if d.thread is not None and not d.thread.done()
-            )

@@ -14,13 +14,17 @@ It is substrate-free: it reads the clock it is handed and never sleeps,
 blocks, spawns or touches a socket.  Decisions are plain methods whose
 return value tells the driver what to do — :meth:`DispatchCore.route`
 *returns* the outbound items, :meth:`DispatchCore.routes_in_place` says
-which thread runs it, :meth:`DispatchCore.start_delivery` says whether
-to transmit, :meth:`DispatchCore.settle` whether the attempt failed.
-The drivers (:class:`~repro.core.MsgDispatcher`,
+which thread runs it, :meth:`DispatchCore.requeue_due` puts due held
+messages back on the destination queues.  Delivering a drained batch is
+one generator, :meth:`DispatchCore.deliver`, that *yields* the wire
+exchange and the retry backoff as effects (the style of
+:mod:`repro.http.session`).  The drivers
+(:class:`~repro.core.MsgDispatcher`,
 :class:`~repro.aio.AioMsgDispatcher`,
 :class:`~repro.core.sim_dispatcher.SimMsgDispatcher`) subclass it and
 keep what really differs by substrate: the queue primitive, the worker
-lifecycle, the wire exchange and the retry sleep.
+lifecycle, and how an effect is performed — a blocking call, an
+``await``, a ``yield from``.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from repro.errors import (
     ReproError,
     RegistryUnavailable,
     RoutingError,
-    TransportError,
     UnknownServiceError,
 )
 from repro.http import HttpResponse
+from repro.http.session import SLEEP, soap_post
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -48,7 +52,7 @@ from repro.obs.trace import (
     default_trace_store,
     extract_trace,
 )
-from repro.reliable.breaker import BreakerConfig, BreakerOpenError, BreakerRegistry
+from repro.reliable.breaker import BreakerConfig, BreakerRegistry
 from repro.reliable.holdretry import DuplicateFilter
 from repro.soap import Envelope, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.store.journal import ABSORBED, DEAD, DELIVERED, MessageJournal
@@ -60,8 +64,12 @@ from repro.core.registry import ServiceRegistry
 from repro.core.routing import (
     extract_logical,
     hold_resolve_target,
+    is_hold_resolve_target,
     split_hold_resolve_target,
 )
+
+#: the wire effects of :meth:`DispatchCore.deliver` besides ``SLEEP``
+REQUEST, PIPELINE = "request", "pipeline"
 
 
 @dataclass
@@ -129,9 +137,11 @@ class DispatchCore:
     """One dispatcher's decisions; a driver supplies queues and the wire.
 
     Driver seams (plain overrides, no registry of strategies):
-    :meth:`_offer`, :meth:`_accept_depth` and :meth:`backlog` expose the
-    driver's queues; :meth:`_ensure_hold_pump` and :meth:`_reply_locally`
-    default to doing nothing.
+    :meth:`_offer`, :meth:`_try_enqueue`, :meth:`_accept_depth` and
+    :meth:`backlog` expose the driver's queues; :meth:`_ensure_hold_pump`
+    and :meth:`_reply_locally` default to doing nothing.  A driver runs
+    :meth:`deliver` on a drained batch and :meth:`requeue_due` from its
+    hold pump.
     """
 
     #: ``dispatcher_shed_total{component=}`` label value, set by the driver
@@ -262,6 +272,13 @@ class DispatchCore:
         False when it is full or closed."""
         raise NotImplementedError
 
+    def _try_enqueue(self, item: _OutboundItem) -> str | None:
+        """Put ``item`` on its destination queue without blocking (and
+        see that a worker drains it): None when queued, else the reason
+        it was not — ``unroutable``, ``destination_queue_full``,
+        ``shutdown``."""
+        raise NotImplementedError
+
     def _accept_depth(self) -> int:
         """Entries waiting on the accept queue."""
         raise NotImplementedError
@@ -358,6 +375,22 @@ class DispatchCore:
                 replayed=replayed,
             )
         return replayed
+
+    def _enqueue(self, item: _OutboundItem) -> None:
+        """Put a routed item on its destination queue, or drop it (counted
+        and dead-lettered) with the reason the queue gave."""
+        refusal = self._try_enqueue(item)
+        if refusal == "shutdown":
+            # shutdown race: the journal record (if any) stays enqueued,
+            # so the next incarnation replays it instead of losing it
+            self.counters.inc("dropped_shutdown")
+            self._m_dropped.labels(reason="shutdown").inc()
+        elif refusal is not None:
+            self._drop(
+                refusal, item.journal_seq,
+                item.trace.trace_id if item.trace else None,
+                dest=item.target_url,
+            )
 
     def _dead_letter(
         self,
@@ -805,7 +838,7 @@ class DispatchCore:
         with self._lock:
             return len(self._correlations)
 
-    # -- delivery bookkeeping (steps 4-5 of Fig. 3) --------------------------
+    # -- delivery (steps 4-5 of Fig. 3) ---------------------------------------
     @staticmethod
     def _endpoint_key(target_url: str) -> str:
         """``host:port`` — destinations are endpoints, not URLs: one
@@ -813,6 +846,64 @@ class DispatchCore:
         destination with one persistent connection."""
         endpoint, _path = parse_http_url(target_url)
         return str(endpoint)
+
+    def deliver(self, batch: "list[_OutboundItem]"):
+        """Steps: send one drained batch (one destination), settle each
+        item, retry or park what failed.  In the style of
+        :mod:`repro.http.session` it yields its effects and is sent the
+        result, or thrown the :class:`~repro.errors.ReproError` performing
+        it raised: ``(REQUEST, url, request)`` → the response (the
+        request goes to ``url``'s path); ``(PIPELINE, url, requests)`` →
+        one write burst on ``url``'s connection, each request to its own
+        path, a list aligned with ``requests`` of response or exception;
+        ``(SLEEP, None, seconds)`` → the in-line retry's backoff.
+
+        A lone item is a plain request/response; two or more ride the
+        destination's connection as **one pipelined write burst** — N
+        one-way messages cost one round trip instead of N.  Per-item
+        semantics are identical either way: each item still gets its own
+        retry/backoff, hold-store parking, correlation absorption, metrics
+        and trace spans; a burst only adds one ``pipeline-burst`` span (per
+        distinct trace in the batch) parenting the per-item ``deliver``
+        spans.  A burst that gets no connection fails every item with that
+        error — one breaker outcome per item.
+
+        A failed item backs off and goes back on its destination queue
+        while ``config.retry`` allows (the simulator's config has none) —
+        never a held redelivery, which is one wire attempt per claim.
+        Otherwise, or when the queue will not take it back,
+        :meth:`delivery_failed` parks or drops it.
+        """
+        if not self.start_delivery(batch):
+            return
+        t_send = self.clock.now()
+        url = batch[0].target_url
+        try:
+            if len(batch) > 1:
+                # a burst's requests keep each item's own path; a
+                # real-socket client adds Host and User-Agent to them
+                outcomes = yield PIPELINE, url, [
+                    soap_post(i.envelope_bytes, parse_http_url(i.target_url)[1])
+                    for i in batch
+                ]
+            else:
+                outcomes = [(yield REQUEST, url, soap_post(batch[0].envelope_bytes))]
+        except ReproError as exc:
+            outcomes = [exc] * len(batch)
+        retry = getattr(self.config, "retry", None)
+        for item in self.settle_batch(batch, outcomes, t_send, self.clock.now()):
+            if retry and retry.should_retry(item.attempts) and not self._is_held(item):
+                yield SLEEP, None, retry.delay_before(item.attempts + 1)
+                self.counters.inc("retries")
+                self._m_retries.inc()
+                log_event(
+                    self._log, logging.INFO, "retry",
+                    trace=item.trace.trace_id if item.trace else None,
+                    dest=item.target_url, attempts=item.attempts,
+                )
+                if self._try_enqueue(item) is None:
+                    continue
+            self.delivery_failed(item)
 
     def start_delivery(self, batch: "list[_OutboundItem]") -> bool:
         """A worker took ``batch`` (one shared destination) off its queue.
@@ -860,8 +951,7 @@ class DispatchCore:
         """One wire outcome — the :class:`HttpResponse`, or the exception
         the exchange raised — told to the breaker and, when the
         destination took the message, booked as delivered.  False means
-        the attempt failed: the driver applies its failure handling
-        (which may need to sleep)."""
+        the attempt failed: :meth:`deliver` retries, parks or drops it."""
         ok = isinstance(outcome, HttpResponse) and outcome.status < 400
         self.record_outcome(item.target_url, ok)
         if ok:
@@ -875,26 +965,28 @@ class DispatchCore:
         t_burst: float,
         t_done: float,
     ) -> "list[_OutboundItem]":
-        """Settle a finished burst item by item, under one
-        ``pipeline-burst`` span per distinct trace; returns the items that
-        failed."""
+        """Settle a finished batch item by item — a burst (two or more)
+        under one ``pipeline-burst`` span per distinct trace; returns the
+        items that failed."""
         burst_sid = None
-        traced = {i.trace.trace_id: i for i in batch if i.trace is not None}
-        if traced:
-            burst_sid = self.traces.new_span_id()
+        if len(batch) > 1:
+            traced = {i.trace.trace_id: i for i in batch if i.trace is not None}
+            if traced:
+                burst_sid = self.traces.new_span_id()
             for trace_id, first in traced.items():
                 self.traces.record(
                     trace_id, "pipeline-burst", "msgd", t_burst, t_done,
                     span_id=burst_sid, parent_id=first.parent_span_id,
                     dest=batch[0].target_url, size=len(batch),
                 )
-        return [
-            item for item, outcome in zip(batch, outcomes)
+        failed = []
+        for item, outcome in zip(batch, outcomes):
             if not self.settle(
                 item, outcome, t_burst, t_done,
                 burst_sid if item.trace is not None else item.parent_span_id,
-            )
-        ]
+            ):
+                failed.append(item)
+        return failed
 
     def finish_delivery(
         self,
@@ -911,7 +1003,8 @@ class DispatchCore:
         self._m_transmit.observe(t_done - t_send)
         self._m_stage_deliver.observe(t_done - t_send)
         if self.hold_store is not None and item.message_id is not None:
-            # a redelivery that came back through the queues is done
+            # a redelivery that came back through the queues is done — and
+            # only now (see requeue_due)
             self.hold_store.complete(item.message_id)
         if self.durable is not None and item.journal_seq is not None:
             self.durable.mark(item.journal_seq, DELIVERED)
@@ -1020,7 +1113,12 @@ class DispatchCore:
                 "breaker_open", item.journal_seq, trace_id, dest=item.target_url
             )
 
-    # -- hold parking ---------------------------------------------------------
+    # -- hold parking and redelivery -----------------------------------------
+    def _is_held(self, item: _OutboundItem) -> bool:
+        """A held message the pump put back on the queues (:meth:`requeue_due`)."""
+        store, mid = self.hold_store, item.message_id
+        return store is not None and mid is not None and store.is_held(mid)
+
     def _park(self, item: _OutboundItem) -> bool:
         """Hand an undeliverable item to the hold store; True when parked.
 
@@ -1090,27 +1188,35 @@ class DispatchCore:
             trace=extract_trace(envelope), from_hold=True,
         )
 
-    def held_gate(self, msg) -> str:
-        """Breaker gate of a direct (not re-queued) hold redelivery;
-        returns the destination key for :meth:`held_settled`.  Raising
-        keeps the message held (the store reschedules it)."""
-        key = self._endpoint_key(msg.target_url)
-        if self.breakers is not None and not self.breakers.allow(key):
-            raise BreakerOpenError(f"breaker open for {key}")
-        return key
-
-    def held_settled(self, key: str, msg, outcome: object) -> None:
-        """Second half of a direct hold redelivery: ``outcome`` is the
-        :class:`HttpResponse` or the exception the exchange raised.
-        Raises when the attempt failed, so the store reschedules."""
-        ok = isinstance(outcome, HttpResponse) and outcome.status < 400
-        if self.breakers is not None:
-            self.breakers.record(key, ok)
-        if isinstance(outcome, Exception):
-            raise outcome
-        if not ok:
-            raise TransportError(f"HTTP {outcome.status} from {msg.target_url}")
-        self.counters.inc("held_redelivered")
+    def requeue_due(self, now: float) -> None:
+        """One hold-pump sweep: every due held message goes back on its
+        destination queue — FIFO behind what is queued there, pipelined
+        with it, through the breaker gate — and that delivery resolves the
+        claim: :meth:`finish_delivery` completes the entry, a failure or an
+        open breaker reschedules it (:meth:`_park`), nothing else completes
+        it.  A message parked while the registry was unavailable is routed
+        again first: a routing error reschedules it, one handled in-band
+        (correlation, sync waiter) is done.  A claim no queue takes is
+        rescheduled — every claim taken is resolved."""
+        for msg in self.hold_store.take_due(now):
+            try:
+                if is_hold_resolve_target(msg.target_url):
+                    items = self.route_held(msg)
+                    if not items:
+                        self.hold_store.complete(msg.message_id)
+                        continue
+                else:
+                    items = [_OutboundItem(
+                        msg.envelope_bytes, msg.target_url,
+                        message_id=msg.message_id,
+                    )]
+                queued = None in [self._try_enqueue(item) for item in items]
+            except Exception:  # noqa: BLE001 - any failure means retry
+                queued = False
+            if queued:
+                self.counters.inc("held_requeued")
+            else:
+                self.hold_store.reschedule(msg.message_id, now=now)
 
     # -- introspection -----------------------------------------------------
     @property

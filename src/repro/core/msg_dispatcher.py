@@ -16,12 +16,13 @@ The threaded driver of :class:`~repro.core.dispatch.DispatchCore`
   destination, and drain queued messages to it — several messages ride one
   connection ("more efficient than opening multiple short lived
   connections").  A drained batch rides the connection as **one pipelined
-  write burst** (a :class:`~repro.rt.client.ConnectionLease`): N one-way
+  write burst** (:meth:`~repro.rt.client.HttpClient.pipeline`): N one-way
   messages cost one round trip instead of N.
 
-Every decision (admission, correlation, rewrite, breaker gate, parking,
-dead-lettering) is the core's; this module keeps the bounded queues, the
-threads, the wire exchange and the in-line retry sleep.
+Every decision (admission, correlation, rewrite, the delivery step with
+its breaker gate, retry and parking, hold redelivery, dead-lettering) is
+the core's; this module keeps the bounded queues, the threads, and a
+blocking trampoline for :meth:`DispatchCore.deliver`'s effects.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import OverloadedError, ReproError, TransportError
-from repro.http.session import soap_post
+from repro.errors import OverloadedError, ReproError
 from repro.obs.flight import FlightRecorder
 from repro.obs.logkv import log_event
 from repro.obs.metrics import MetricsRegistry
@@ -45,9 +45,14 @@ from repro.store.journal import MessageJournal
 from repro.transport.base import parse_http_url
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.concurrency import ClosableQueue, QueueClosed
-from repro.core.dispatch import DispatchCore, DispatcherConfigBase, _OutboundItem
+from repro.core.dispatch import (
+    PIPELINE,
+    REQUEST,
+    DispatchCore,
+    DispatcherConfigBase,
+    _OutboundItem,
+)
 from repro.core.registry import ServiceRegistry
-from repro.core.routing import is_hold_resolve_target
 
 
 @dataclass
@@ -95,7 +100,9 @@ class MsgDispatcher(DispatchCore):
         delivery (and in-line retries) fail are *held* and redelivered on
         the store's schedule until they expire — "hold/retry on delivery
         ... with expiration time" (paper section 4.4).  A maintenance
-        thread pumps the store every ``hold_pump_interval`` seconds.
+        thread puts due messages back on their destination queues every
+        ``hold_pump_interval`` seconds (:meth:`DispatchCore.requeue_due`);
+        a ``deliver=`` the store was constructed with is not used.
 
         ``inspector`` is the "message security inspection" hook (same
         shape as the RPC-Dispatcher's): called with (envelope, logical
@@ -140,12 +147,6 @@ class MsgDispatcher(DispatchCore):
         )
         self._ws_slots = threading.Semaphore(self.config.ws_threads)
         self._running = True
-        if self.hold_store is not None and (
-            getattr(self.hold_store, "_deliver", True) is None
-        ):
-            # a store constructed without a deliver function binds to
-            # this dispatcher's breaker-aware redelivery path
-            self.hold_store.bind_deliver(self.deliver_held)
         self._start_workers(hold_pump_interval)
         if self.durable is not None and recover:
             self.recover()
@@ -335,13 +336,13 @@ class MsgDispatcher(DispatchCore):
             )
 
     # -- WsThread: per-destination FIFO + persistent connection ------------
-    def _enqueue(self, item: _OutboundItem) -> None:
-        trace_id = item.trace.trace_id if item.trace else None
+    def _try_enqueue(self, item: _OutboundItem) -> str | None:
+        if not self._running:
+            return "shutdown"
         try:
             key = self._endpoint_key(item.target_url)
         except ReproError:
-            self._drop("unroutable", item.journal_seq, trace_id, dest=item.target_url)
-            return
+            return "unroutable"
         with self._lock:
             dest = self._destinations.get(key)
             if dest is None:
@@ -353,24 +354,24 @@ class MsgDispatcher(DispatchCore):
         item.enqueued_at = self.clock.now()
         try:
             if not dest.queue.try_put(item):
-                self._drop(
-                    "destination_queue_full", item.journal_seq, trace_id, dest=key
-                )
-                return
+                return "destination_queue_full"
         except QueueClosed:
-            # shutdown race: the journal record (if any) stays enqueued,
-            # so the next incarnation replays it instead of losing it
-            self.counters.inc("dropped_shutdown")
-            self._m_dropped.labels(reason="shutdown").inc()
-            return
+            return "shutdown"
         log_event(
-            self._log, logging.DEBUG, "enqueue", trace=trace_id, dest=key
+            self._log, logging.DEBUG, "enqueue",
+            trace=item.trace.trace_id if item.trace else None, dest=key,
         )
         self._ensure_worker(dest)
+        return None
+
+    @staticmethod
+    def _working(dest: _Destination) -> bool:
+        """A worker drains ``dest`` (a thread here, a task on ``aio``)."""
+        return dest.thread is not None and dest.thread.is_alive()
 
     def _ensure_worker(self, dest: _Destination) -> None:
         with self._lock:
-            if dest.thread is not None and dest.thread.is_alive():
+            if self._working(dest):
                 return
             if not self._ws_slots.acquire(blocking=False):
                 # all WsThreads busy; an exiting worker will pick this
@@ -396,11 +397,7 @@ class MsgDispatcher(DispatchCore):
                     return  # idle: release the slot
                 except QueueClosed:
                     return
-                if len(batch) > 1:
-                    self._deliver_batch(batch)
-                else:
-                    for item in batch:
-                        self._deliver(item)
+                self._deliver(batch)
         finally:
             with self._lock:
                 dest.thread = None
@@ -411,128 +408,37 @@ class MsgDispatcher(DispatchCore):
         """After a slot frees, start a worker for any queued-but-idle dest."""
         with self._lock:
             candidates = [
-                d
-                for d in self._destinations.values()
-                if len(d.queue) and (d.thread is None or not d.thread.is_alive())
+                d for d in self._destinations.values()
+                if len(d.queue) and not self._working(d)
             ]
         for d in candidates:
             self._ensure_worker(d)
 
-    def _deliver(self, item: _OutboundItem) -> None:
-        if not self.start_delivery([item]):
-            return
-        t_send = self.clock.now()
+    def _deliver(self, batch: "list[_OutboundItem]") -> None:
+        """:meth:`DispatchCore.deliver` on this WsThread: every effect blocks."""
+        steps = self.deliver(batch)
         try:
-            outcome = self.client.request(
-                item.target_url, soap_post(item.envelope_bytes)
-            )
-        except (TransportError, ReproError) as exc:
-            outcome = exc
-        if not self.settle(
-            item, outcome, t_send, self.clock.now(), item.parent_span_id
-        ):
-            self._handle_delivery_failure(item)
+            op, url, arg = next(steps)
+            while True:
+                try:
+                    if op is REQUEST:
+                        result = self.client.request(url, arg)
+                    elif op is PIPELINE:
+                        result = self.client.pipeline(url, arg)
+                    else:
+                        result = self.clock.sleep(arg)
+                except ReproError as exc:
+                    op, url, arg = steps.throw(exc)
+                else:
+                    op, url, arg = steps.send(result)
+        except StopIteration:
+            pass
 
-    def _deliver_batch(self, batch: "list[_OutboundItem]") -> None:
-        """Drain one batch as a single pipelined burst on a leased connection.
-
-        Per-item semantics are identical to :meth:`_deliver`: each item
-        still gets its own retry/backoff, hold-store parking, correlation
-        absorption, metrics, and trace spans.  The only difference is the
-        wire schedule — N requests ride one write burst instead of N
-        serialized round trips — plus one ``pipeline-burst`` span (per
-        distinct trace in the batch) parenting the per-item ``deliver``
-        spans.
-        """
-        if not self.start_delivery(batch):
-            return
-        requests = self._prepare_batch(batch)
-        t_burst = self.clock.now()
-        try:
-            lease = self.client.lease(batch[0].target_url)
-        except (TransportError, ReproError):
-            # no connection at all: every item takes its own failure path
-            self.record_outcome(batch[0].target_url, False)
-            for item in batch:
-                self._handle_delivery_failure(item)
-            return
-        try:
-            outcomes = lease.pipeline(requests)
-        finally:
-            lease.release()
-        t_done = self.clock.now()
-        for item in self.settle_batch(batch, outcomes, t_burst, t_done):
-            self._handle_delivery_failure(item)
-
-    def _prepare_batch(self, batch: "list[_OutboundItem]") -> list:
-        """Build the burst's prepared requests."""
-        requests = []
-        for item in batch:
-            req = soap_post(item.envelope_bytes)
-            self.client.prepare(item.target_url, req)
-            requests.append(req)
-        return requests
-
-    def _handle_delivery_failure(self, item: _OutboundItem) -> None:
-        """One failed attempt: in-line retry, or the core's park-or-drop."""
-        retry = self.config.retry
-        if retry is not None and retry.should_retry(item.attempts):
-            # the async backend mirrors this branch with a non-blocking
-            # sleep; the split keeps the bookkeeping identical on both
-            self.clock.sleep(retry.delay_before(item.attempts + 1))
-            self._requeue_retry(item)
-        else:
-            self.delivery_failed(item)
-
-    def _requeue_retry(self, item: _OutboundItem) -> None:
-        """Count and re-queue one in-line retry (after the backoff sleep)."""
-        with self._lock:
-            dest = self._destinations.get(self._endpoint_key(item.target_url))
-        try:
-            if dest is None or not dest.queue.try_put(item):
-                self.counters.inc("delivery_failures")
-        except QueueClosed:
-            self.counters.inc("delivery_failures")
-        self.counters.inc("retries")
-        self._m_retries.inc()
-        log_event(
-            self._log, logging.INFO, "retry",
-            trace=item.trace.trace_id if item.trace else None,
-            dest=item.target_url, attempts=item.attempts,
-        )
-
-    # -- hold redelivery (pump + deliver_held) --------------------------------
-    def _begin_held(self, msg) -> str | None:
-        """Non-blocking first half of a hold redelivery (the asyncio
-        driver shares it).  A message parked pre-resolution re-enters the
-        normal outbound pipeline and there is nothing left to transmit
-        (None); otherwise the breaker gate's destination key."""
-        if is_hold_resolve_target(msg.target_url):
-            for item in self.route_held(msg):
-                self._enqueue(item)
-            self.counters.inc("held_redelivered")
-            return None
-        return self.held_gate(msg)
-
-    def deliver_held(self, msg) -> None:
-        """Transmission function for a :class:`HoldRetryStore` bound to
-        this dispatcher: breaker-aware single-shot redelivery.  Raising
-        keeps the message held (the store reschedules it)."""
-        key = self._begin_held(msg)
-        if key is None:
-            return
-        try:
-            outcome = self.client.request(
-                msg.target_url, soap_post(msg.envelope_bytes)
-            )
-        except (TransportError, ReproError) as exc:
-            outcome = exc
-        self.held_settled(key, msg, outcome)
-
+    # -- hold redelivery (through the destination queues) -------------------
     def _hold_pump_loop(self, interval: float) -> None:
         while self._running:
             try:
-                self.hold_store.pump()
+                self.requeue_due(self.clock.now())
             except Exception:  # noqa: BLE001 - keep the maintenance thread up
                 self.counters.inc("internal_errors")
             time.sleep(interval)
@@ -540,11 +446,7 @@ class MsgDispatcher(DispatchCore):
     # -- introspection -----------------------------------------------------
     def active_destinations(self) -> int:
         with self._lock:
-            return sum(
-                1
-                for d in self._destinations.values()
-                if d.thread is not None and d.thread.is_alive()
-            )
+            return sum(1 for d in self._destinations.values() if self._working(d))
 
     def drain(self, timeout: float = 5.0) -> bool:
         """Wait until every queue is empty (tests); True on success."""

@@ -23,7 +23,7 @@ from repro.errors import (
     XmlError,
 )
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.session import soap_post
+from repro.http.session import SLEEP, soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -39,9 +39,14 @@ from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter, parse_en
 from repro.transport.base import Endpoint, parse_http_url
 from repro.util.stats import Counter
 from repro.wsa import AddressingHeaders, EndpointReference
-from repro.core.dispatch import DispatchCore, DispatcherConfigBase, _OutboundItem
+from repro.core.dispatch import (
+    REQUEST,
+    DispatchCore,
+    DispatcherConfigBase,
+    _OutboundItem,
+)
 from repro.core.registry import ServiceRegistry
-from repro.core.routing import extract_logical, is_hold_resolve_target, logical_uri
+from repro.core.routing import extract_logical, logical_uri
 
 
 #: reply-address scheme used by the sync-over-async bridge
@@ -378,8 +383,6 @@ class SimMsgDispatcher(DispatchCore):
         return dest_key, store
 
     def _try_enqueue(self, item: _OutboundItem) -> str | None:
-        """Non-blocking enqueue (off the CxThread path): None when queued,
-        else the reason it was not."""
         try:
             dest_key, store = self._queue_for(item)
         except ReproError:
@@ -414,8 +417,6 @@ class SimMsgDispatcher(DispatchCore):
         "the MSG-Dispatcher tried to send a response that was blocked by
         firewall leading to the slowest performance".
         """
-        host, _, port_text = dest_key.rpartition(":")
-        port = int(port_text)
         try:
             while self._running:
                 get = store.get()
@@ -431,10 +432,7 @@ class SimMsgDispatcher(DispatchCore):
                 slot = self._ws_slots.request()
                 yield slot
                 try:
-                    if len(batch) > 1:
-                        yield from self._deliver_batch(host, port, batch)
-                    else:
-                        yield from self._deliver(host, port, first)
+                    yield from self._deliver(batch)
                 finally:
                     slot.release()
         finally:
@@ -444,35 +442,30 @@ class SimMsgDispatcher(DispatchCore):
                 # messages arrived while we were exiting: restart a worker
                 self._ensure_worker(dest_key, store)
 
-    @staticmethod
-    def _post(item: _OutboundItem) -> HttpRequest:
-        return soap_post(item.envelope_bytes, parse_http_url(item.target_url)[1])
-
-    def _deliver(self, host: str, port: int, item: _OutboundItem):
-        if not self.start_delivery([item]):
-            return
-        t_send = self.sim.now
+    def _deliver(self, batch: "list[_OutboundItem]"):
+        """Process step: :meth:`DispatchCore.deliver` on the pool's
+        connection to the destination, keyed ``(host, port)``."""
+        steps = self.deliver(batch)
         try:
-            outcome = yield from self.pool.exchange(host, port, self._post(item))
-        except (TransportError, ReproError) as exc:
-            outcome = exc
-        if not self.settle(item, outcome, t_send, self.sim.now, item.parent_span_id):
-            self.delivery_failed(item)
+            op, url, arg = next(steps)
+            while True:
+                try:
+                    if op is SLEEP:
+                        result = yield self.sim.timeout(arg)
+                    else:
+                        at, path = parse_http_url(url)
+                        wire = self.pool.pipeline
+                        if op is REQUEST:
+                            wire, arg.target = self.pool.exchange, path
+                        result = yield from wire(at.host, at.port, arg)
+                except ReproError as exc:
+                    op, url, arg = steps.throw(exc)
+                else:
+                    op, url, arg = steps.send(result)
+        except StopIteration:
+            pass
 
-    def _deliver_batch(self, host: str, port: int, batch: "list[_OutboundItem]"):
-        """Drain one batch as a single pipelined burst: the wire schedule
-        is one write burst instead of N serialized round trips; per-item
-        semantics are :meth:`_deliver`'s (the core settles each outcome)."""
-        if not self.start_delivery(batch):
-            return
-        t_burst = self.sim.now
-        outcomes = yield from self.pool.pipeline(
-            host, port, [self._post(item) for item in batch]
-        )
-        for item in self.settle_batch(batch, outcomes, t_burst, self.sim.now):
-            self.delivery_failed(item)
-
-    # -- hold redelivery (take_due + requeue) ----------------------------------
+    # -- hold redelivery (through the destination queues) ----------------------
     def _ensure_hold_pump(self) -> None:
         if self.hold_store is None or self._hold_pump_active:
             return
@@ -485,41 +478,11 @@ class SimMsgDispatcher(DispatchCore):
         try:
             while self._running:
                 yield self.sim.timeout(self.config.hold_pump_interval)
-                for msg in self.hold_store.take_due(now=self.sim.now):
-                    self._requeue_held(msg)
+                self.requeue_due(self.sim.now)
                 if self.hold_store.pending() == 0:
                     return
         finally:
             self._hold_pump_active = False
-
-    def _requeue_held(self, msg) -> None:
-        """Feed one claimed held message back into a destination queue.
-
-        A message parked while the registry was unavailable runs the
-        routing pass again first: still-unavailable (or any transient
-        routing error) reschedules; a routed message re-enters the
-        outbound pipeline under its preserved MessageID, so the eventual
-        delivery completes the hold entry.
-        """
-        if is_hold_resolve_target(msg.target_url):
-            try:
-                items = self.route_held(msg)
-            except ReproError:
-                self.hold_store.reschedule(msg.message_id, now=self.sim.now)
-                return
-            if not items:
-                # handled in-band (correlation, sync waiter): nothing left
-                # to deliver, so the hold entry is done
-                self.hold_store.complete(msg.message_id)
-                return
-        else:
-            items = [_OutboundItem(
-                msg.envelope_bytes, msg.target_url, message_id=msg.message_id
-            )]
-        if None in [self._try_enqueue(item) for item in items]:
-            self.counters.inc("held_requeued")
-        else:
-            self.hold_store.reschedule(msg.message_id, now=self.sim.now)
 
     # -- sync-over-async bridge (Table 1 quadrant 2) ------------------------
     def _reply_locally(
@@ -584,13 +547,7 @@ class SimMsgDispatcher(DispatchCore):
             self.counters.inc("dropped_unroutable")
             return soap_fault_response(Fault("Client", str(exc)), status=404)
         for item in outbound:
-            refusal = self._try_enqueue(item)
-            if refusal is not None:
-                self._drop(
-                    refusal, item.journal_seq,
-                    item.trace.trace_id if item.trace else None,
-                    dest=item.target_url,
-                )
+            self._enqueue(item)
         self.counters.inc("accepted")
         idx, value = yield self.sim.any_of(
             [waiter, self.sim.timeout(bridge_timeout)]

@@ -244,10 +244,14 @@ class ClientSession:
         """
         endpoint, path = parse_http_url(url)
         request.target = path
+        self._stamp(endpoint, request)
+        return endpoint
+
+    def _stamp(self, endpoint: Endpoint, request: HttpRequest) -> None:
+        """Host and User-Agent for a request to ``endpoint``."""
         request.headers.set("Host", str(endpoint))
         if "User-Agent" not in request.headers:
             request.headers.set("User-Agent", self._user_agent)
-        return endpoint
 
     @staticmethod
     def _retry_after_of(response: HttpResponse) -> float | None:
@@ -319,12 +323,13 @@ class ClientSession:
             lease.release()
 
     def _pipeline_url(self, url: str, requests: "list[HttpRequest]"):
-        """Steps: prepare every request against ``url`` (same target
-        path), then :meth:`_pipeline` them to its endpoint."""
+        """Steps (:meth:`_pipeline`'s): ``requests`` to ``url``'s endpoint,
+        each with that endpoint's Host and User-Agent and its own target
+        path — a drained batch shares a destination endpoint, not a path."""
         endpoint, _path = parse_http_url(url)
         for request in requests:
-            self.prepare(url, request)
-        return (yield from self._pipeline(endpoint, requests))
+            self._stamp(endpoint, request)
+        return self._pipeline(endpoint, requests)
 
 
 class Lease:

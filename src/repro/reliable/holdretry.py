@@ -58,9 +58,12 @@ class _StoreStats:
 class HoldRetryStore:
     """Store-and-forward buffer with retry scheduling and expiration.
 
-    ``deliver`` is the transmission function (returns normally on success,
-    raises on failure); the store never touches the network itself, so the
-    threaded dispatcher, the simulator, and tests can all drive it.
+    ``deliver`` is the transmission function :meth:`pump` calls (returns
+    normally on success, raises on failure) when the store is driven on
+    its own; the store never touches the network itself.  A dispatcher
+    drives the claim API instead and never calls ``deliver``: its
+    redeliveries ride the destination queues
+    (:meth:`~repro.core.dispatch.DispatchCore.requeue_due`).
     """
 
     def __init__(
@@ -94,11 +97,6 @@ class HoldRetryStore:
         self._inflight: set[str] = set()
         self._lock = threading.Lock()
         self._stats = _StoreStats()
-
-    def bind_deliver(self, deliver: Callable[[HeldMessage], None]) -> None:
-        """Late-bind the transmission function (for dispatcher wiring
-        where the dispatcher itself is the deliverer)."""
-        self._deliver = deliver
 
     @property
     def durable(self) -> "MessageJournal | None":

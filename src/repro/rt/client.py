@@ -112,12 +112,13 @@ class HttpClient(ClientSession):
     def pipeline(
         self, url: str, requests: Sequence[HttpRequest]
     ) -> "list[HttpResponse | ReproError]":
-        """Send ``requests`` to ``url`` as one pipelined burst.
+        """Send ``requests`` to ``url``'s endpoint as one pipelined burst.
 
-        Every request is prepared against ``url`` (same target path), the
-        burst rides a temporary lease, and the result list is aligned with
-        the input: each slot holds the :class:`HttpResponse` or the
-        exception that request ended with.
+        Every request gets the endpoint's Host and User-Agent and keeps
+        its own target path (the WsThread drain: one destination
+        endpoint, any paths on it), the burst rides a temporary lease,
+        and the result list is aligned with the input: each slot holds the
+        :class:`HttpResponse` or the exception that request ended with.
         """
         return self._run(self._pipeline_url(url, list(requests)))
 

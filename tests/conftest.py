@@ -85,22 +85,11 @@ class _SyncClientAdapter:
     async def request(self, url, request):
         return self.inner.request(url, request)
 
-    async def lease(self, url):
-        return _SyncLeaseAdapter(self.inner.lease(url))
+    async def pipeline(self, url, requests):
+        return self.inner.pipeline(url, requests)
 
     def close(self) -> None:
         self.inner.close()
-
-
-class _SyncLeaseAdapter:
-    def __init__(self, inner) -> None:
-        self.inner = inner
-
-    async def pipeline(self, requests):
-        return self.inner.pipeline(requests)
-
-    def release(self) -> None:
-        self.inner.release()
 
 
 class DispatcherBackend:

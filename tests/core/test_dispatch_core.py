@@ -9,7 +9,10 @@ pinned here once, for every driver.
 import ast
 import asyncio
 import pathlib
+from dataclasses import dataclass, field
 from types import SimpleNamespace
+
+import pytest
 
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -17,15 +20,17 @@ from hypothesis import strategies as st
 
 import repro.core.dispatch as dispatch
 import repro.http.session as session
-from repro.core.dispatch import DispatchCore, _OutboundItem
+from repro.core.dispatch import PIPELINE, REQUEST, DispatchCore, _OutboundItem
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
 from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.errors import ConnectionRefused
 from repro.http import HttpResponse
+from repro.http.session import SLEEP
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.reliable import BreakerConfig
+from repro.reliable import BreakerConfig, ExponentialBackoff, FixedDelay, HoldRetryStore
 from repro.rt.service import SoapHttpApp
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
@@ -43,10 +48,13 @@ TTL = 120.0
 
 
 class Core(DispatchCore):
-    """The core with the smallest possible driver: a list."""
+    """The core with the smallest possible driver: lists for queues."""
 
     def __init__(self, **config_kw):
         self.inbox: list[tuple] = []
+        #: the destination queues; ``refuse`` is what they answer when set
+        self.queued: list[_OutboundItem] = []
+        self.refuse: str | None = None
         self.metrics_registry = MetricsRegistry()
         registry = ServiceRegistry()
         registry.register("echo", "http://ws:9000/echo")
@@ -60,6 +68,13 @@ class Core(DispatchCore):
     def _offer(self, work):
         self.inbox.append(work)
         return True
+
+    def _try_enqueue(self, item):
+        if self.refuse is not None:
+            return self.refuse
+        item.enqueued_at = self.clock.now()
+        self.queued.append(item)
+        return None
 
     def _accept_depth(self):
         return len(self.inbox)
@@ -394,7 +409,152 @@ def test_addressing_decoded_at_admission_is_what_route_uses():
     assert core.stats["dropped_unroutable"] == 1
 
 
-# -- (e) the correlation table, as a state machine -----------------------------
+# -- (e) one delivery step: where the three copies disagreed ----------------------
+#
+# ``DispatchCore.deliver`` driven with scripted wire outcomes.  The first
+# four rows are places where rt/aio and the simulator used to differ; the
+# simulator's rule won each (it feeds the seeded experiments).  The last
+# two pin the in-line retry, which only rt and aio configure.
+
+URL = "http://ws:9000/echo"
+
+
+def run(steps, wire) -> list:
+    """Perform ``steps``' effects: ``wire(op)`` is sent back, or thrown
+    when it is an exception.  Returns the effects in order."""
+    effects = []
+    try:
+        op, _url, _arg = next(steps)
+        while True:
+            effects.append(op)
+            result = wire(op)
+            if isinstance(result, Exception):
+                op, _url, _arg = steps.throw(result)
+            else:
+                op, _url, _arg = steps.send(result)
+    except StopIteration:
+        return effects
+
+
+def answer(outcome):
+    """The wire's answer to any effect: ``outcome`` per request (a status
+    or an exception), nothing for a sleep."""
+    def wire(op):
+        if op is SLEEP:
+            return None
+        if isinstance(outcome, Exception):
+            return outcome
+        response = HttpResponse(status=outcome)
+        return [response, response] if op is PIPELINE else response
+    return wire
+
+
+@dataclass
+class DeliveryRow:
+    name: str
+    #: the batch: "fresh" items the routing pass queued, or "held" — one
+    #: message the hold pump put back on the queue (requeue_due)
+    batch: str
+    outcome: object
+    effects: list
+    stats: dict
+    config: dict = field(default_factory=dict)
+    open_breaker: bool = False
+    refuse: str | None = None
+    #: hold store entries left (None: no hold store)
+    pending: int | None = None
+    #: extra checks on the core after the step
+    then: object = None
+
+
+def breaker_failures(core) -> int:
+    return core.breakers.snapshot()["destinations"]["ws:9000"]["consecutive_failures"]
+
+
+DELIVERY_ROWS = [
+    # rt/aio recorded one breaker outcome for the failed lease
+    DeliveryRow(
+        "burst-without-a-connection-fails-every-slot", "fresh",
+        ConnectionRefused("nothing listening"), [PIPELINE],
+        {"delivery_failures": 2},
+        config={"breaker": BreakerConfig(consecutive_failures=10, open_for=60.0)},
+        then=lambda core: breaker_failures(core) == 2,
+    ),
+    # shard workers configure retries; rt/aio used them on redeliveries
+    DeliveryRow(
+        "held-redelivery-is-one-attempt-per-claim", "held", 500, [REQUEST],
+        {"held_requeued": 1, "delivery_failures": 1, "held_for_retry": 1},
+        config={"retry": ExponentialBackoff(max_attempts=5, jitter=False)},
+        pending=1,
+        then=lambda core: "retries" not in core.stats
+        and core.hold_store.take_due(core.clock.now()) == [],
+    ),
+    # rt/aio counted held_redelivered, and a direct redelivery neither
+    # counted delivered nor waited in (or was observed leaving) a queue
+    DeliveryRow(
+        "held-redelivery-counts-delivered-and-its-queue-wait", "held", 202,
+        [REQUEST], {"held_requeued": 1, "delivered": 1}, pending=0,
+        then=lambda core: "held_redelivered" not in core.stats
+        and destination_waits(core) == 1
+        and core.hold_store.stats["delivered"] == 1,
+    ),
+    # rt/aio raised BreakerOpenError into the store
+    DeliveryRow(
+        "open-breaker-parks-a-redelivery", "held", 202, [],
+        {"held_requeued": 1, "held_breaker_open": 1},
+        config={"breaker": BreakerConfig(consecutive_failures=1, open_for=60.0)},
+        open_breaker=True, pending=1,
+    ),
+    # a fresh item still retries in line: back off, back on its queue
+    DeliveryRow(
+        "fresh-failure-retries-in-line", "fresh", 500, [PIPELINE, SLEEP, SLEEP],
+        {"retries": 2},
+        config={"retry": FixedDelay(max_attempts=2, delay=0.5)},
+        then=lambda core: len(core.queued) == 2,
+    ),
+    # rt/aio counted delivery_failures and nothing else: the item vanished
+    DeliveryRow(
+        "a-retry-the-queue-refuses-is-dropped-not-lost", "fresh", 500,
+        [PIPELINE, SLEEP, SLEEP],
+        {"retries": 2, "delivery_failures": 2},
+        config={"retry": FixedDelay(max_attempts=2, delay=0.5)},
+        refuse="destination_queue_full",
+        then=lambda core: 'msgd_dropped_total{reason="delivery_failure"} 2'
+        in core.metrics_registry.render_prometheus(),
+    ),
+]
+
+
+@pytest.mark.parametrize("row", DELIVERY_ROWS, ids=[r.name for r in DELIVERY_ROWS])
+def test_the_delivery_step(row):
+    core = Core(**row.config)
+    if row.pending is not None:
+        core.hold_store = HoldRetryStore(
+            policy=FixedDelay(max_attempts=10, delay=5.0), clock=core.clock
+        )
+    if row.open_breaker:
+        core.record_outcome(URL, False)
+    if row.batch == "held":
+        core.hold_store.hold("uuid:held", URL, b"<held/>")
+        core.requeue_due(core.clock.now())
+        batch, core.queued = core.queued, []
+    else:
+        batch = [
+            _OutboundItem(b"<m%d/>" % i, URL, message_id=f"uuid:{i}",
+                          enqueued_at=core.clock.now())
+            for i in range(2)
+        ]
+    core.refuse = row.refuse
+    core.clock.advance(0.25)
+    assert run(core.deliver(batch), answer(row.outcome)) == row.effects
+    assert {name: core.stats.get(name) for name in row.stats} == row.stats
+    if row.pending is not None:
+        assert core.hold_store.pending() == row.pending
+    if row.then is not None:
+        assert row.then(core)
+
+
+# -- (f) the correlation table, as a state machine -----------------------------
 
 class CorrelationMachine(RuleBasedStateMachine):
     """An entry leaves by pop (its reply came), with the delivery (every

@@ -1,10 +1,11 @@
 """Pipelined batch delivery on the threaded MSG-Dispatcher drain path.
 
-Exercises ``_deliver_batch`` directly (deterministic batches) and through
-the full pipeline: per-item retry/hold semantics must survive the switch
-from serial round trips to one pipelined burst, and every burst with
-traced items must record a ``pipeline-burst`` span parenting the items'
-``deliver`` spans.
+Exercises the delivery step directly (``_deliver``, the threaded
+driver's trampoline for :meth:`DispatchCore.deliver`, on deterministic
+batches) and through the full pipeline: per-item retry/hold semantics
+must survive the switch from serial round trips to one pipelined burst,
+and every burst with traced items must record a ``pipeline-burst`` span
+parenting the items' ``deliver`` spans.
 """
 
 import asyncio
@@ -89,7 +90,7 @@ def _item(body: bytes, trace: TraceContext | None = None) -> _OutboundItem:
 
 def test_deliver_batch_delivers_every_item_in_order(sink, dispatcher):
     batch = [_item(b"<m%d/>" % i) for i in range(5)]
-    dispatcher._deliver_batch(batch)
+    dispatcher._deliver(batch)
     assert dispatcher.stats.get("delivered") == 5
     assert sink == [b"<m0/>", b"<m1/>", b"<m2/>", b"<m3/>", b"<m4/>"]
     assert dispatcher.client._m_pipeline_bursts.labels().get() == 1
@@ -102,7 +103,7 @@ def test_burst_span_parents_per_item_deliver_spans(sink, dispatcher):
         for i in range(3)
     ]
     batch = [_item(b"<t%d/>" % i, trace=ctxs[i]) for i in range(3)]
-    dispatcher._deliver_batch(batch)
+    dispatcher._deliver(batch)
     burst_sids = set()
     for ctx in ctxs:
         spans = traces.get(ctx.trace_id)
@@ -122,14 +123,21 @@ def test_burst_span_parents_per_item_deliver_spans(sink, dispatcher):
 def test_failed_item_in_burst_takes_retry_path(sink, dispatcher):
     dispatcher.config.retry = FixedDelay(max_attempts=2, delay=0.0)
     batch = [_item(b"<ok-a/>"), _item(b"<fail/>"), _item(b"<ok-b/>")]
-    dispatcher._deliver_batch(batch)
+    # the burst is on the wire when the dispatcher stops: the retry backs
+    # off and then has no queue to go back on
+    dispatcher.stop()
+    dispatcher._deliver(batch)
     # the two good items delivered; the 500 item took the retry path
     assert dispatcher.stats.get("delivered") == 2
     assert dispatcher.stats.get("retries") == 1
-    # its destination queue does not exist (the batch never went through
-    # _enqueue), so the re-enqueue degrades to a counted delivery failure
-    # — which keeps this test deterministic
+    # ... and, refused by the closed queue, the core's park-or-drop: no
+    # hold store here, so a counted, dead-lettered drop — never a silent
+    # loss
     assert dispatcher.stats.get("delivery_failures") == 1
+    assert (
+        'msgd_dropped_total{reason="delivery_failure"} 1'
+        in dispatcher.metrics.render_prometheus()
+    )
     assert batch[1].attempts == 1
 
 
@@ -143,8 +151,8 @@ def test_failed_item_in_burst_parks_in_hold_store(inproc, sink):
         def hold(self, message_id, target_url, body):
             held.append((message_id, target_url, body))
 
-        def pump(self):
-            pass
+        def take_due(self, now):
+            return []
 
     metrics = MetricsRegistry()
     registry = ServiceRegistry(metrics=metrics)
@@ -160,7 +168,7 @@ def test_failed_item_in_burst_parks_in_hold_store(inproc, sink):
     try:
         good, bad = _item(b"<ok/>"), _item(b"<fail/>")
         bad.message_id = "uuid:held-1"
-        d._deliver_batch([good, bad])
+        d._deliver([good, bad])
         assert d.stats.get("delivered") == 1
         assert held == [("uuid:held-1", "http://sink:9100/svc", b"<fail/>")]
         assert d.stats.get("held_for_retry") == 1
@@ -173,7 +181,7 @@ def test_unreachable_destination_fails_every_item(inproc, dispatcher):
     batch = [
         _OutboundItem(b"<x%d/>" % i, "http://nowhere:1/x") for i in range(3)
     ]
-    dispatcher._deliver_batch(batch)
+    dispatcher._deliver(batch)
     assert dispatcher.stats.get("delivery_failures") == 3
     assert dispatcher.stats.get("delivered") is None
 
