@@ -189,7 +189,8 @@ class DispatchCore:
         self._log = component_logger("msgd")
 
         self._m_accepted = self.metrics.counter(
-            "msgd_accepted_total", "messages admitted to the accept queue"
+            "msgd_accepted_total",
+            "messages admitted and answered 202, routed in place or queued for a CxThread",
         )
         self._m_dropped = self.metrics.counter(
             "msgd_dropped_total", "messages dropped, by reason"

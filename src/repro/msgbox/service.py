@@ -9,7 +9,13 @@ Two kinds of traffic arrive here:
 - **Deposits**: one-way messages routed to a mailbox EPR.  The mailbox id
   arrives either as the ``<mb:MailboxId>`` header (the EPR reference
   property echoed by the dispatcher) or as the last path segment of the
-  deposit URL.  Deposits are stored verbatim and answered 202.
+  deposit URL.  Deposits are answered 202.  What is stored is
+  ``envelope.to_bytes()``, not the bytes that arrived: on the fast path
+  the Header is re-serialized, with every namespace it uses declared
+  again on ``<Header>``, between the arrived preamble and Body; a
+  deposit the scanner declined is re-serialized whole.  It stays that
+  way because the stored size is what a ``take`` transfers, and
+  simulated transfer times depend on it.
 
 The paper's scalability bug is reproduced behind ``delivery_mode``:
 

@@ -51,10 +51,14 @@ class Envelope:
         self.headers = [h for h in self.headers if h.name.ns != ns]
         return removed
 
-    def copy(self) -> "Envelope":
+    def copy(self, *, without: str | None = None) -> "Envelope":
+        """Deep copy.  Header blocks in namespace ``without`` are left
+        out instead of copied (the caller is about to replace them)."""
         return Envelope(
             self.body.copy() if self.body is not None else None,
-            headers=[h.copy() for h in self.headers],
+            headers=[
+                h.copy() for h in self.headers if without is None or h.name.ns != without
+            ],
             version=self.version,
         )
 

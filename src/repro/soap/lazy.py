@@ -139,10 +139,14 @@ class LazyEnvelope:
         self.headers = [h for h in self.headers if h.name.ns != ns]
         return removed
 
-    def copy(self) -> "LazyEnvelope":
-        """Independent header copy over the same (immutable) scanned bytes."""
+    def copy(self, *, without: str | None = None) -> "LazyEnvelope":
+        """Independent header copy over the same (immutable) scanned bytes.
+        Header blocks in namespace ``without`` are left out instead of
+        copied (the caller is about to replace them)."""
         return LazyEnvelope(
-            self._scan, [h.copy() for h in self.headers], self.version
+            self._scan,
+            [h.copy() for h in self.headers if without is None or h.name.ns != without],
+            self.version,
         )
 
     # -- body ----------------------------------------------------------------

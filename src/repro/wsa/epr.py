@@ -14,6 +14,9 @@ from repro.errors import AddressingError
 from repro.wsa.constants import WSA_NS, WSA_ANONYMOUS
 from repro.xmlmini import Element, QName
 
+_Q_ADDRESS = QName(WSA_NS, "Address")
+_Q_REFPROPS = QName(WSA_NS, "ReferenceProperties")
+
 
 @dataclass
 class EndpointReference:
@@ -37,16 +40,16 @@ class EndpointReference:
     # -- XML mapping -----------------------------------------------------
     def to_element(self, name: QName) -> Element:
         el = Element(name)
-        el.add(Element(QName(WSA_NS, "Address"), text=self.address))
+        el.add(Element(_Q_ADDRESS, text=self.address))
         if self.reference_properties:
-            props = Element(QName(WSA_NS, "ReferenceProperties"))
+            props = Element(_Q_REFPROPS)
             props.children.extend(p.copy() for p in self.reference_properties)
             el.children.append(props)
         return el
 
     @classmethod
     def from_element(cls, el: Element) -> "EndpointReference":
-        addr_el = el.find(QName(WSA_NS, "Address"))
+        addr_el = el.find(_Q_ADDRESS)
         if addr_el is None:
             raise AddressingError(
                 f"EPR element <{el.name.clark()}> has no wsa:Address"
@@ -54,7 +57,7 @@ class EndpointReference:
         address = addr_el.text.strip()
         if not address:
             raise AddressingError("EPR wsa:Address is empty")
-        props_el = el.find(QName(WSA_NS, "ReferenceProperties"))
+        props_el = el.find(_Q_REFPROPS)
         props = (
             [p.copy() for p in props_el.element_children()]
             if props_el is not None

@@ -25,8 +25,9 @@ _Q_FROM = QName(WSA_NS, "From")
 _Q_REPLYTO = QName(WSA_NS, "ReplyTo")
 _Q_FAULTTO = QName(WSA_NS, "FaultTo")
 
-_SINGLETON_TEXT = {_Q_TO: "to", _Q_ACTION: "action", _Q_MSGID: "message_id"}
-_EPR_FIELDS = {_Q_FROM: "from_", _Q_REPLYTO: "reply_to", _Q_FAULTTO: "fault_to"}
+#: field of each header, by local name in WSA_NS
+_SINGLETON_TEXT = {"To": "to", "Action": "action", "MessageID": "message_id"}
+_EPR_FIELDS = {"From": "from_", "ReplyTo": "reply_to", "FaultTo": "fault_to"}
 
 
 @dataclass
@@ -73,21 +74,25 @@ class AddressingHeaders:
     def from_envelope(cls, envelope: Envelope) -> "AddressingHeaders":
         """Decode the WSA headers of an envelope (ignores other headers)."""
         hdr = cls()
-        seen: set[QName] = set()
-        for el in envelope.find_headers(WSA_NS):
+        seen: set[str] = set()
+        for el in envelope.headers:
             name = el.name
-            if name in _SINGLETON_TEXT:
-                if name in seen:
+            if name.ns != WSA_NS:
+                continue
+            # keyed by local name: the namespace is settled, and a str hashes in C
+            local = name.local
+            if local in _SINGLETON_TEXT:
+                if local in seen:
                     raise AddressingError(f"duplicate {name.clark()} header")
-                seen.add(name)
-                setattr(hdr, _SINGLETON_TEXT[name], el.text.strip())
-            elif name == _Q_RELATES:
+                seen.add(local)
+                setattr(hdr, _SINGLETON_TEXT[local], el.text.strip())
+            elif local == "RelatesTo":
                 hdr.relates_to.append(el.text.strip())
-            elif name in _EPR_FIELDS:
-                if name in seen:
+            elif local in _EPR_FIELDS:
+                if local in seen:
                     raise AddressingError(f"duplicate {name.clark()} header")
-                seen.add(name)
-                setattr(hdr, _EPR_FIELDS[name], EndpointReference.from_element(el))
+                seen.add(local)
+                setattr(hdr, _EPR_FIELDS[local], EndpointReference.from_element(el))
             else:
                 raise AddressingError(f"unknown WS-Addressing header {name.clark()}")
         return hdr

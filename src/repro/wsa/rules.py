@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import AddressingError
 from repro.soap.envelope import Envelope
+from repro.wsa.constants import WSA_NS
 from repro.wsa.epr import EndpointReference
 from repro.wsa.headers import AddressingHeaders
 
@@ -73,9 +74,20 @@ def rewrite_for_forwarding(
     original_reply_to = headers.reply_to
     original_fault_to = headers.fault_to
 
-    out = envelope.copy()
-    new_headers = headers.copy()
-    new_headers.to = physical_to
+    # attach() writes every WS-Addressing block afresh from new_headers, so
+    # only the other blocks are copied; to_header_elements() copies what it
+    # takes from the EPRs, so new_headers may share them with ``headers``
+    out = envelope.copy(without=WSA_NS)
+    new_headers = AddressingHeaders(
+        to=physical_to,
+        action=headers.action,
+        message_id=message_id,
+        relates_to=headers.relates_to,
+        from_=headers.from_,
+        reply_to=original_reply_to,
+        fault_to=original_fault_to,
+        reference_headers=headers.reference_headers,
+    )
     prefixes = tuple(passthrough_reply_prefixes)
     reply_passes = original_reply_to is not None and (
         original_reply_to.address.startswith(prefixes)

@@ -45,13 +45,11 @@ def split_prefixed(name: str) -> tuple[str | None, str]:
     return prefix, local
 
 
-def expand_name(
-    raw: str, scope: dict[str | None, str | None], is_attr: bool = False
-) -> "QName":
-    """Resolve the tag or attribute name ``raw`` (``local`` or
-    ``prefix:local``) against ``scope``, which maps prefix (None = default)
-    to namespace URI (None = no namespace).  Raises :class:`XmlError` for a
-    malformed or invalid name and for an undeclared prefix.
+def split_name(raw: str) -> tuple[str | None, str]:
+    """The (prefix or None, local) parts of the tag or attribute name
+    ``raw`` (``local`` or ``prefix:local``), both valid NCNames.  Raises
+    :class:`XmlError` for a malformed or invalid name.  The answer depends
+    on the spelling alone, so a caller may keep it (the parser does).
     """
     name = _QNAME(raw)
     if name is None or not (raw.isascii() or all(map(_beyond_ascii_ok, raw.split(":")))):
@@ -60,20 +58,7 @@ def expand_name(
         except XmlError:
             raise XmlError(f"malformed name {raw!r}") from None
         raise XmlError(f"invalid name {raw!r}")
-    prefix, local = name.groups()
-    if prefix is None:
-        # Unprefixed attributes are in no namespace (XML NS rec);
-        # unprefixed elements take the default namespace.
-        ns = None if is_attr else scope.get(None)
-    elif prefix == "xml":
-        ns = XML_NS
-    elif prefix == "xmlns":
-        ns = XMLNS_NS
-    else:
-        ns = scope.get(prefix)
-        if ns is None:
-            raise XmlError(f"undeclared namespace prefix {prefix!r}")
-    return QName(ns, local)
+    return name.groups()
 
 
 class QName:

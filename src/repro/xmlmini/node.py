@@ -14,6 +14,7 @@ from repro.errors import XmlError
 from repro.xmlmini.names import QName
 
 Child = Union["Element", str]
+_new = object.__new__
 
 
 class Element:
@@ -36,12 +37,13 @@ class Element:
         if isinstance(name, str):
             name = QName.from_clark(name)
         self.name = name
-        self.attrs: dict[QName, str] = dict(attrs or {})
-        self.children: list[Child] = list(children or [])
+        self.attrs: dict[QName, str] = dict(attrs) if attrs else {}
         if text is not None:
             if children:
                 raise XmlError("pass either children or text, not both")
-            self.children = [text]
+            self.children: list[Child] = [text]
+        else:
+            self.children = list(children) if children else []
 
     # -- construction helpers ----------------------------------------------
     def add(self, child: Child) -> "Element":
@@ -71,8 +73,8 @@ class Element:
         """First child element with the given name, or None."""
         if isinstance(name, str):
             name = QName.from_clark(name)
-        for c in self.element_children():
-            if c.name == name:
+        for c in self.children:
+            if isinstance(c, Element) and c.name == name:
                 return c
         return None
 
@@ -92,7 +94,10 @@ class Element:
     @property
     def text(self) -> str:
         """Concatenated direct text content (no descent into children)."""
-        return "".join(c for c in self.children if isinstance(c, str))
+        children = self.children
+        if len(children) == 1 and type(children[0]) is str:
+            return children[0]  # the usual case: one text run
+        return "".join(c for c in children if isinstance(c, str))
 
     def full_text(self) -> str:
         """Concatenated text of the whole subtree."""
@@ -127,13 +132,13 @@ class Element:
 
     def copy(self) -> "Element":
         """Deep copy of the subtree (dispatchers mutate copies, not inputs)."""
-        return Element(
-            self.name,
-            attrs=dict(self.attrs),
-            children=[
-                c.copy() if isinstance(c, Element) else c for c in self.children
-            ],
-        )
+        el = _new(Element)  # an element's own parts need no re-checking
+        el.name = self.name
+        el.attrs = dict(self.attrs)
+        el.children = children = []
+        for c in self.children:
+            children.append(c.copy() if isinstance(c, Element) else c)
+        return el
 
 
 def _normalized(children: list[Child]) -> list[Child]:

@@ -20,17 +20,40 @@ tree.
 from __future__ import annotations
 
 import re
+import threading
 
 from repro.errors import XmlError, XmlParseError
-from repro.xmlmini.names import XML_NS, QName, expand_name, is_ncname
+from repro.xmlmini.names import XML_NS, XMLNS_NS, QName, is_ncname, split_name
 from repro.xmlmini.node import Element
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 BOM = b"\xef\xbb\xbf"
+_new = object.__new__
+
+# -- names --------------------------------------------------------------------
+#: raw name -> the (prefix, local) parts names.split_name accepted for it.
+#: Whether a spelling is a valid name never changes, so each one is checked
+#: once per process; what its prefix means is looked up on every use.
+_SPELLINGS: dict[bytes, tuple[str | None, str]] = {}
+_SPELLINGS_LOCK = threading.Lock()  # taken on a miss only
+#: the most spellings kept; past it the dict starts over, so a stream of
+#: unique names costs a check each and no memory
+SPELLINGS_MAX = 1024
+#: a longer name is checked at every use and never kept
+SPELLING_MAX_BYTES = 64
+
+
+def _remember(raw: bytes, parts: tuple[str | None, str]) -> None:
+    if len(raw) <= SPELLING_MAX_BYTES:
+        with _SPELLINGS_LOCK:
+            if len(_SPELLINGS) >= SPELLINGS_MAX:
+                _SPELLINGS.clear()
+            _SPELLINGS[raw] = parts
+
 
 # -- tokens -------------------------------------------------------------------
 # A raw name runs to the next delimiter; what it may contain is decided
-# when it is expanded (names.expand_name), not here.
+# when it is expanded (names.split_name), not here.
 _S = rb"[ \t\r\n]"
 _NAME = rb"[^ \t\r\n=/>\"'<]+"
 _VALUE = rb"(?:\"[^\"<]*\"|'[^'<]*')"
@@ -213,15 +236,16 @@ class _Parser:
             decls, others = self.attributes(tag)
             if decls:
                 scope = {**ns_scope, **decls}
-        el = Element(self.expand(raw_name, scope, tag))
-        if others:
-            el.attrs = self.ordinary_attributes(others, scope, tag)
+        # the name is checked by expand(): skip Element's constructor
+        el = _new(Element)
+        el.name = self.expand(raw_name, scope, tag)
+        el.attrs = self.ordinary_attributes(others, scope, tag) if others else {}
+        el.children = children = []
         pos = tag.end()
         if empty:
             return el, pos
 
         find = data.find
-        children = el.children
         buf: list[str] = []  # text runs, across comments, PIs and CDATA
         while True:
             lt = find(b"<", pos)
@@ -273,9 +297,14 @@ class _Parser:
             if name == b"xmlns":
                 decls[None] = value or None
             elif name.startswith(b"xmlns:"):
-                prefix = name[6:].decode()
-                if not is_ncname(prefix):
-                    raise self.fail(f"bad namespace prefix {prefix!r}", at)
+                parts = _SPELLINGS.get(name)
+                if parts is None:
+                    prefix = name[6:].decode()
+                    if not is_ncname(prefix):
+                        raise self.fail(f"bad namespace prefix {prefix!r}", at)
+                    _remember(name, ("xmlns", prefix))  # as split_name splits it
+                else:
+                    prefix = parts[1]
                 if not value:
                     raise self.fail("prefixed namespace cannot be undeclared", at)
                 decls[prefix] = value
@@ -310,11 +339,36 @@ class _Parser:
         tag: re.Match[bytes],
         is_attr: bool = False,
     ) -> QName:
-        """The qualified name of ``raw``, a name of start tag ``tag``."""
-        try:
-            return expand_name(raw.decode(), scope, is_attr)
-        except XmlError as exc:
-            raise self.fail(str(exc), tag.start(3)) from None
+        """The qualified name of ``raw``, a name of start tag ``tag``: its
+        spelling is checked once per process, its prefix looked up in
+        ``scope`` (prefix → URI, None = default) at every call."""
+        parts = _SPELLINGS.get(raw)
+        if parts is None:
+            try:
+                parts = split_name(raw.decode())
+            except XmlError as exc:
+                raise self.fail(str(exc), tag.start(3)) from None
+            _remember(raw, parts)
+        prefix, local = parts
+        if prefix is None:
+            # Unprefixed attributes are in no namespace (XML NS rec);
+            # unprefixed elements take the default namespace.
+            ns = None if is_attr else scope.get(None)
+        elif prefix == "xml":
+            ns = XML_NS
+        elif prefix == "xmlns":
+            ns = XMLNS_NS
+        else:
+            ns = scope.get(prefix)
+            if ns is None:
+                raise self.fail(f"undeclared namespace prefix {prefix!r}", tag.start(3))
+        if ns == "":  # only a caller's parse_fragment scope can hold one
+            raise self.fail("namespace URI must be None or non-empty", tag.start(3))
+        # both parts are checked: skip QName's constructor
+        q = _new(QName)
+        q.ns = ns
+        q.local = local
+        return q
 
     # -- character data --------------------------------------------------------
     def unescape(self, raw: bytes, at: int) -> str:

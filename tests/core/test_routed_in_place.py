@@ -215,9 +215,14 @@ def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
                 assert wait_for(lambda: f"uuid:{c}:{i:03d}" in sink.arrived[-40:])
 
     def churn():
+        # empty the cache, then wait for it to answer one admission in place
+        # before emptying it again: the paths flip on events, not on how
+        # fast the host runs (a fixed 1 ms churn left 0-6 of 600 in place)
         while sending.is_set():
             registry.register("echo", "http://ws:9000/echo")
-            sending.wait(0.001)
+            in_place = routed(dispatcher)[0]
+            while sending.is_set() and routed(dispatcher)[0] == in_place:
+                sending.wait(0.001)
 
     workers = [
         threading.Thread(target=connection, args=(c,)) for c in range(connections)

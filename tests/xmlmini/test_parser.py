@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import XmlParseError
 from repro.xmlmini import Element, QName, parse
+from repro.xmlmini import parser
 
 
 class TestBasicParsing:
@@ -191,3 +192,54 @@ class TestDeclaredEncoding:
 
     def test_a_str_is_already_decoded(self):
         assert parse(self.DECL % "utf-16" + "<a>é</a>").text == "é"
+
+
+class TestSpellingCache:
+    """The parser checks a raw name's spelling once per process and keeps
+    its parts; what the prefix means is still looked up at every use."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        parser._SPELLINGS.clear()
+        yield
+        parser._SPELLINGS.clear()
+
+    def test_one_spelling_under_two_bindings_is_two_names(self):
+        e = parse('<r xmlns:p="urn:one"><p:a/><x xmlns:p="urn:two"><p:a/></x></r>')
+        first, inner = e.element_children()
+        assert first.name == QName("urn:one", "a")
+        assert inner.find(QName("urn:two", "a")) is not None
+        assert parse('<p:a xmlns:p="urn:three"/>').name == QName("urn:three", "a")
+        assert b"p:a" in parser._SPELLINGS
+
+    def test_an_undeclared_prefix_fails_alike_cold_and_cached(self):
+        doc = '<r>\n  <p:a/></r>'
+
+        def failure():
+            with pytest.raises(XmlParseError) as caught:
+                parse(doc)
+            return str(caught.value), caught.value.pos, caught.value.line
+
+        cold = failure()
+        assert parser._SPELLINGS[b"p:a"] == ("p", "a")  # a good spelling, kept
+        assert failure() == cold
+        parse('<p:a xmlns:p="urn:x"/>')
+        assert failure() == cold
+        assert cold[1:] == (10, 2) and "undeclared namespace prefix 'p'" in cold[0]
+
+    @pytest.mark.parametrize("attribute_first", [True, False])
+    def test_an_unprefixed_name_is_no_namespace_on_an_attribute_only(self, attribute_first):
+        attribute, element = '<r xmlns="urn:d" a="1"/>', '<a xmlns="urn:d"/>'
+        for doc in (attribute, element) if attribute_first else (element, attribute):
+            parse(doc)
+        assert parse(attribute).get(QName(None, "a")) == "1"
+        assert parse(element).name == QName("urn:d", "a")
+
+    def test_unique_names_past_the_bound_do_not_grow_it(self):
+        names = "".join(f"<n{i}/>" for i in range(parser.SPELLINGS_MAX + 100))
+        assert len(parse(f"<r>{names}</r>").children) == parser.SPELLINGS_MAX + 100
+        assert 0 < len(parser._SPELLINGS) <= parser.SPELLINGS_MAX
+        long_name = "n" * (parser.SPELLING_MAX_BYTES + 1)
+        parse(f"<{long_name}/>")
+        assert long_name.encode() not in parser._SPELLINGS
+

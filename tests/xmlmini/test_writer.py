@@ -88,3 +88,23 @@ def test_deterministic_output():
     root.set(QName("urn:b", "x"), "1")
     root.add(Element(QName("urn:c", "child")))
     assert serialize(root) == serialize(root.copy())
+
+
+def test_serialize_keeps_no_reference_to_what_it_wrote():
+    """The one-pass walk must not leave its output list in a reference
+    cycle: the collector would free it late, and with it every text run
+    of the document (64 KiB bodies on the DOM path)."""
+    import gc
+    import sys
+
+    text = "".join(["x"] * 100)
+    tree = Element(QName("urn:a", "r"), children=[Element("c", children=[text])])
+    before = sys.getrefcount(text)
+    gc.disable()
+    try:
+        serialize(tree)
+        serialize(tree, xml_decl=True)
+        after = sys.getrefcount(text)
+    finally:
+        gc.enable()
+    assert after == before
