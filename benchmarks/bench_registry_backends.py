@@ -1,11 +1,8 @@
-"""Microbench: registry persistence backends (text file vs SQLite vs RAM),
-plus the price of replicating discovery.
+"""Microbench: registry persistence (the paper's text file vs RAM), plus
+the price of replicating discovery.
 
-The paper used text files and planned "a relational database such as
-MySQL" for performance.  This bench quantifies the trade: reads are
-served from the in-memory map either way, so the backend only prices
-*mutations* — and the text file rewrites the whole file per put while
-SQLite does a transactional upsert.
+Reads are served from the in-memory map either way, so persistence only
+prices *mutations* — the text file rewrites the whole file per put.
 
 The second half prices the PR 10 replicated registry against a single
 in-memory one: an uncached lookup through
@@ -24,7 +21,6 @@ from _perfjson import write_bench_json
 from repro.core.registry import ServiceRegistry
 from repro.registry import RegistryReplica, ReplicatedRegistryClient, sync_pair
 from repro.obs.metrics import MetricsRegistry
-from repro.util.sqldb import SqliteMap
 
 
 def _fill(registry: ServiceRegistry, n: int = 100) -> None:
@@ -32,14 +28,12 @@ def _fill(registry: ServiceRegistry, n: int = 100) -> None:
         registry.register(f"svc-{i}", f"http://host-{i}:80/svc")
 
 
-@pytest.fixture(params=["memory", "textfile", "sqlite"])
+@pytest.fixture(params=["memory", "textfile"])
 def registry(request, tmp_path):
     if request.param == "memory":
         reg = ServiceRegistry()
-    elif request.param == "textfile":
-        reg = ServiceRegistry(persist_path=str(tmp_path / "reg.txt"))
     else:
-        reg = ServiceRegistry(backend=SqliteMap(str(tmp_path / "reg.sqlite")))
+        reg = ServiceRegistry(persist_path=str(tmp_path / "reg.txt"))
     _fill(reg)
     return reg
 

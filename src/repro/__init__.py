@@ -17,10 +17,8 @@ The package rebuilds the paper's entire system in Python:
   HTTP/1.1 wire protocol (:mod:`repro.http`), threaded runtime
   (:mod:`repro.rt`), and a deterministic discrete-event network simulator
   (:mod:`repro.simnet`) that recreates the paper's trans-Atlantic testbed.
-- **Future work, implemented**: load balancing over dispatcher farms,
-  single sign-on at the dispatcher, hold/retry reliable delivery, mailbox
-  owner tokens (:mod:`repro.core.loadbalance`, :mod:`repro.core.sso`,
-  :mod:`repro.reliable`, :mod:`repro.msgbox.security`).
+- **Future work, implemented**: hold/retry reliable delivery and mailbox
+  owner tokens (:mod:`repro.reliable`, :mod:`repro.msgbox.security`).
 
 Quick taste (see ``examples/quickstart.py`` for the full tour)::
 

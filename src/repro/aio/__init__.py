@@ -14,12 +14,13 @@ only the I/O substrate changes.
 - :class:`AioHttpClient` / :class:`AioConnectionLease` — pooled,
   pipelining client (the asyncio wire of :mod:`repro.http.session`).
 - :class:`AioMsgDispatcher` — the MSG-Dispatcher on loop tasks.
+- :class:`AioRpcDispatcher` — the RPC-Dispatcher, its forward awaited.
 - :class:`AioMsgBoxService` — WS-MsgBox whose long polls park coroutines.
 - :class:`AioLoopThread` — embed the loop in a synchronous program.
 """
 
 from repro.aio.client import AioConnectionLease, AioHttpClient
-from repro.aio.dispatcher import AioMsgDispatcher
+from repro.aio.dispatcher import AioMsgDispatcher, AioRpcDispatcher
 from repro.aio.msgbox import AioMsgBoxService
 from repro.aio.runtime import AioLoopThread
 from repro.aio.server import AioHttpServer
@@ -31,4 +32,5 @@ __all__ = [
     "AioLoopThread",
     "AioMsgBoxService",
     "AioMsgDispatcher",
+    "AioRpcDispatcher",
 ]

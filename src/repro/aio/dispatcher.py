@@ -1,4 +1,4 @@
-"""MSG-Dispatcher on an event loop: tasks where the paper had thread pools.
+"""The dispatchers on an event loop: tasks where the paper had thread pools.
 
 :class:`AioMsgDispatcher` subclasses :class:`~repro.core.MsgDispatcher`
 and replaces only the *execution* substrate:
@@ -30,6 +30,11 @@ they do for the threaded dispatcher.
 
 Construct it on the loop (inside a coroutine): the worker tasks bind to
 ``asyncio.get_running_loop()``.
+
+:class:`AioRpcDispatcher` is the RPC-Dispatcher's loop driver: every
+decision is :class:`~repro.core.rpc.RpcCore`'s, and its handler is a
+coroutine that :class:`~repro.aio.server.AioHttpServer` parks while the
+forward is awaited on an :class:`~repro.aio.client.AioHttpClient`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ import threading
 from repro.aio.runtime import loop_waker, wait_until_set
 from repro.core.dispatch import PIPELINE, REQUEST
 from repro.core.msg_dispatcher import MsgDispatcher, _Destination
+from repro.core.rpc import RpcCore
 from repro.errors import ReproError
+from repro.http import HttpRequest
 from repro.util.concurrency import QueueClosed
 
 
@@ -175,6 +182,28 @@ class AioMsgDispatcher(MsgDispatcher):
         except StopIteration:
             pass
 
+    # -- sync-over-async bridge (Table 1 quadrant 2) ------------------------
+    def _waiter(self) -> asyncio.Future:
+        return self._loop.create_future()
+
+    async def bridge_handler(
+        self, request: HttpRequest, bridge_timeout: float = 30.0, mount_prefix="/bridge"
+    ):
+        """:meth:`DispatchCore.bridge`, parked by :class:`~repro.aio.AioHttpServer`."""
+        steps = self.bridge(request, bridge_timeout, mount_prefix)
+        try:
+            _op, waiter, timeout = next(steps)
+            # the timeout answers None: one TimerHandle, no wait_for task
+            timer = self._loop.call_later(
+                timeout, lambda: waiter.done() or waiter.set_result(None)
+            )
+            try:
+                steps.send(await waiter)
+            finally:
+                timer.cancel()
+        except StopIteration as done:
+            return done.value
+
     # -- hold pump task ------------------------------------------------------
     async def _ahold_pump_loop(self, interval: float) -> None:
         while self._running:
@@ -183,3 +212,21 @@ class AioMsgDispatcher(MsgDispatcher):
             except Exception:  # noqa: BLE001 - keep the maintenance task up
                 self.counters.inc("internal_errors")
             await asyncio.sleep(interval)
+
+
+class AioRpcDispatcher(RpcCore):
+    """The RPC-Dispatcher on the loop; construct it with an
+    :class:`~repro.aio.client.AioHttpClient`."""
+
+    async def handle_request(self, request: HttpRequest, peer: str | None = None):
+        """:class:`~repro.aio.AioHttpServer` handler, parked by the server."""
+        steps = self.forward(request)
+        try:
+            _op, url, forward = next(steps)
+            try:
+                response = await self.client.request(url, forward)
+            except BaseException as exc:
+                steps.throw(exc)
+            steps.send(response)
+        except StopIteration as done:
+            return done.value

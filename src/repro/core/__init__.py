@@ -6,20 +6,17 @@ Layout:
   module, "independent from forwarding requests" per the paper).
 - :mod:`repro.core.routing` — pure address-extraction and forwarding
   decisions shared by every dispatcher hosting.
-- :mod:`repro.core.rpc_dispatcher` — the HTTP-proxy-style forwarder.
-- :mod:`repro.core.msg_dispatcher` — the asynchronous WS-Addressing
-  router with CxThread/WsThread pools.
-- :mod:`repro.core.loadbalance` — registry-integrated load balancing over
-  a dispatcher farm (paper §"Conclusions and Future Work").
-- :mod:`repro.core.sso` — single sign-on gate (future work).
+- :mod:`repro.core.rpc` — the RPC-Dispatcher's decisions, written once;
+  :mod:`repro.core.rpc_dispatcher` is its threaded driver.
+- :mod:`repro.core.dispatch` — the MSG-Dispatcher's decisions, written
+  once; :mod:`repro.core.msg_dispatcher` is its threaded driver, with
+  CxThread/WsThread pools.
 """
 
 from repro.core.registry import ServiceRecord, ServiceRegistry, RegistryService
 from repro.core.routing import extract_logical, logical_uri
 from repro.core.rpc_dispatcher import RpcDispatcher
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
-from repro.core.loadbalance import BalancerPolicy, DispatcherFarm
-from repro.core.sso import SsoGate, TokenIssuer
 from repro.core.status import StatusPage
 
 __all__ = [
@@ -31,9 +28,5 @@ __all__ = [
     "RpcDispatcher",
     "MsgDispatcher",
     "MsgDispatcherConfig",
-    "BalancerPolicy",
-    "DispatcherFarm",
-    "SsoGate",
-    "TokenIssuer",
     "StatusPage",
 ]

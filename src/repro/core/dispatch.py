@@ -8,7 +8,8 @@ bookkeeping and the journal-before-ack / mark-after-settle protocol, the
 duplicate window, the correlation table, the WS-Addressing rewrite and
 the §4.3.2 co-hosting predicate, shard ownership, the breaker gate and
 hold parking, the dead-letter / drop taxonomy, in-band (Table 1 quadrant
-3) absorption, journal recovery and the health view.
+3) absorption, the quadrant-2 sync bridge, journal recovery and the
+health view.
 
 It is substrate-free: it reads the clock it is handed and never sleeps,
 blocks, spawns or touches a socket.  Decisions are plain methods whose
@@ -18,7 +19,8 @@ which thread runs it, :meth:`DispatchCore.requeue_due` puts due held
 messages back on the destination queues.  Delivering a drained batch is
 one generator, :meth:`DispatchCore.deliver`, that *yields* the wire
 exchange and the retry backoff as effects (the style of
-:mod:`repro.http.session`).  The drivers
+:mod:`repro.http.session`); a bridged request is another,
+:meth:`DispatchCore.bridge`, that yields its one wait.  The drivers
 (:class:`~repro.core.MsgDispatcher`,
 :class:`~repro.aio.AioMsgDispatcher`,
 :class:`~repro.core.sim_dispatcher.SimMsgDispatcher`) subclass it and
@@ -37,9 +39,11 @@ from repro.errors import (
     ReproError,
     RegistryUnavailable,
     RoutingError,
+    SoapError,
     UnknownServiceError,
+    XmlError,
 )
-from repro.http import HttpResponse
+from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import SLEEP, soap_post
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.logkv import component_logger, log_event
@@ -54,7 +58,8 @@ from repro.obs.trace import (
 )
 from repro.reliable.breaker import BreakerConfig, BreakerRegistry
 from repro.reliable.holdretry import DuplicateFilter
-from repro.soap import Envelope, LazyEnvelope, fastpath_counter, parse_envelope
+from repro.rt.service import soap_fault_response
+from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.store.journal import ABSORBED, DEAD, DELIVERED, MessageJournal
 from repro.transport.base import parse_http_url
 from repro.util.clock import Clock
@@ -65,11 +70,17 @@ from repro.core.routing import (
     extract_logical,
     hold_resolve_target,
     is_hold_resolve_target,
+    logical_uri,
     split_hold_resolve_target,
 )
 
 #: the wire effects of :meth:`DispatchCore.deliver` besides ``SLEEP``
 REQUEST, PIPELINE = "request", "pipeline"
+#: the one effect of :meth:`DispatchCore.bridge`
+WAIT = "wait"
+
+#: reply-address scheme of the sync-over-async bridge's sentinels
+_SYNC_SCHEME = "urn:wsd:sync:"
 
 
 @dataclass
@@ -139,9 +150,10 @@ class DispatchCore:
     Driver seams (plain overrides, no registry of strategies):
     :meth:`_offer`, :meth:`_try_enqueue`, :meth:`_accept_depth` and
     :meth:`backlog` expose the driver's queues; :meth:`_ensure_hold_pump`
-    and :meth:`_reply_locally` default to doing nothing.  A driver runs
-    :meth:`deliver` on a drained batch and :meth:`requeue_due` from its
-    hold pump.
+    defaults to doing nothing; ``_waiter()`` makes the sync bridge's
+    one-shot waiter, which :meth:`_wake` wakes.  A driver runs
+    :meth:`deliver` on a drained batch, :meth:`requeue_due` from its hold
+    pump and :meth:`bridge` for each request to its bridge handler.
     """
 
     #: ``dispatcher_shed_total{component=}`` label value, set by the driver
@@ -263,6 +275,8 @@ class DispatchCore:
         #: deposit prefixes of the WS-MsgBox services co-hosted with this
         #: dispatcher, derived from the mount table (see :meth:`cohost`)
         self._cohosted_deposits: tuple[str, ...] = ()
+        #: the sync bridge's waiters, by ``urn:wsd:sync:`` sentinel
+        self._waiters: dict[str, object] = {}
         self._lock = threading.Lock()
 
     # -- driver seams -------------------------------------------------------
@@ -292,13 +306,13 @@ class DispatchCore:
         """Something was parked in the hold store (a driver whose pump is
         not always running starts it here)."""
 
-    def _reply_locally(
-        self, target: EndpointReference, envelope: Envelope,
-        journal_seq: int | None,
-    ) -> bool:
-        """True when the driver consumed a response addressed to
-        ``target`` itself (the simulator's sync-bridge waiters)."""
-        return False
+    def _wake(self, waiter, envelope: Envelope) -> bool:
+        """Hand ``envelope`` to a bridge waiter (by default one with a
+        future's ``done`` / ``set_result``); False when its wait is over."""
+        if waiter.done():
+            return False
+        waiter.set_result(envelope)
+        return True
 
     # -- co-hosting (paper §4.3.2) -----------------------------------------
     def cohost(self, served: dict) -> None:
@@ -838,6 +852,72 @@ class DispatchCore:
     def pending_correlations(self) -> int:
         with self._lock:
             return len(self._correlations)
+
+    # -- sync-over-async bridge (Table 1 quadrant 2) -------------------------
+    def _reply_locally(
+        self, target: EndpointReference, envelope: Envelope,
+        journal_seq: int | None,
+    ) -> bool:
+        """A response addressed to a bridge sentinel wakes its waiter (or,
+        after the bridge timeout, goes nowhere): True when it was one."""
+        if not target.address.startswith(_SYNC_SCHEME):
+            return False
+        with self._lock:
+            waiter = self._waiters.pop(target.address, None)
+        if waiter is not None and self._wake(waiter, envelope):
+            self.counters.inc("bridged_responses")
+            if journal_seq is not None and self.durable is not None:
+                self.durable.mark(journal_seq, DELIVERED)
+        return True
+
+    def bridge(self, request: HttpRequest, timeout: float, mount_prefix: str):
+        """Steps: an RPC client in front of a messaging service.  The
+        message is routed with a ``urn:wsd:sync:`` sentinel for ReplyTo
+        (and, if it has none, a MessageID and a ``wsa:To`` from the path
+        under ``mount_prefix``); one ``(WAIT, waiter, timeout)`` effect is
+        sent the reply, or None — a 504, "may not work at all if message
+        reply comes too late".  Returns the client's response."""
+        if request.method != "POST":
+            return HttpResponse(status=405)
+        try:
+            envelope = Envelope.from_bytes(request.body)
+            headers = AddressingHeaders.from_envelope(envelope)
+        except (XmlError, SoapError) as exc:
+            return soap_fault_response(Fault("Client", str(exc)), status=400)
+        if not headers.to:
+            try:
+                headers.to = logical_uri(extract_logical(request.target, mount_prefix))
+            except RoutingError as exc:
+                return soap_fault_response(Fault("Client", str(exc)), status=404)
+        message_id = headers.message_id or f"uuid:bridge-{id(request)}-{self.clock.now()}"
+        sentinel = f"{_SYNC_SCHEME}{message_id}"
+        headers.message_id = message_id
+        headers.reply_to = EndpointReference(sentinel)
+        headers.attach(envelope)
+        waiter = self._waiter()
+        with self._lock:
+            self._waiters[sentinel] = waiter
+        try:
+            outbound = self.route(envelope, request.target, extract_trace(envelope))
+        except ReproError as exc:
+            with self._lock:
+                self._waiters.pop(sentinel, None)
+            self.counters.inc("dropped_unroutable")
+            return soap_fault_response(Fault("Client", str(exc)), status=404)
+        for item in outbound:
+            self._enqueue(item)
+        self.counters.inc("accepted")
+        reply = yield WAIT, waiter, timeout
+        if reply is None:
+            with self._lock:
+                self._waiters.pop(sentinel, None)
+            self.counters.inc("bridge_timeouts")
+            return soap_fault_response(
+                Fault("Server", "no response before bridge timeout"), status=504
+            )
+        out = Headers()
+        out.set("Content-Type", reply.version.content_type)
+        return HttpResponse(status=200, headers=out, body=reply.to_bytes())
 
     # -- delivery (steps 4-5 of Fig. 3) ---------------------------------------
     @staticmethod

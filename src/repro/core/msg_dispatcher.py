@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import OverloadedError, ReproError
+from repro.http import HttpRequest, HttpResponse
 from repro.obs.flight import FlightRecorder
 from repro.obs.logkv import log_event
 from repro.obs.metrics import MetricsRegistry
@@ -73,6 +74,20 @@ class _Destination:
         self.endpoint_key = endpoint_key
         self.queue: ClosableQueue[_OutboundItem] = ClosableQueue(capacity)
         self.thread: threading.Thread | None = None
+
+
+class _Waiter(threading.Event):
+    """The sync bridge's one-shot waiter on threads: an event that carries
+    the reply, woken by whichever thread routes it."""
+
+    reply = None
+
+    def done(self) -> bool:
+        return self.is_set()
+
+    def set_result(self, reply) -> None:
+        self.reply = reply
+        self.set()
 
 
 class MsgDispatcher(DispatchCore):
@@ -433,6 +448,20 @@ class MsgDispatcher(DispatchCore):
                     op, url, arg = steps.send(result)
         except StopIteration:
             pass
+
+    # -- sync-over-async bridge (Table 1 quadrant 2) ------------------------
+    _waiter = _Waiter
+
+    def bridge_handler(
+        self, request: HttpRequest, bridge_timeout: float = 30.0, mount_prefix="/bridge"
+    ) -> HttpResponse:
+        """:meth:`DispatchCore.bridge`, blocking the calling server thread."""
+        steps = self.bridge(request, bridge_timeout, mount_prefix)
+        try:
+            _op, waiter, timeout = next(steps)
+            steps.send(waiter.reply if waiter.wait(timeout) else None)
+        except StopIteration as done:
+            return done.value
 
     # -- hold redelivery (through the destination queues) -------------------
     def _hold_pump_loop(self, interval: float) -> None:

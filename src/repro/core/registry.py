@@ -13,8 +13,7 @@ Implementation notes mirroring §4.2: the registry is a concurrent map
 Library's hash map) optionally persisted to a text file
 (:class:`~repro.util.textdb.TextFileMap`).  Entries may carry several
 physical addresses; selection among them is delegated to a pluggable
-policy, which is where the future-work load balancing plugs in
-(:mod:`repro.core.loadbalance`).
+policy (the first address, unless a ``selector`` is given).
 """
 
 from __future__ import annotations
@@ -149,24 +148,20 @@ class ServiceRegistry:
         self,
         persist_path: str | None = None,
         selector: Callable[[ServiceRecord], str] | None = None,
-        backend: object | None = None,
         metrics: MetricsRegistry | None = None,
         lookup_cache_ttl: float = 5.0,
     ) -> None:
-        """``backend`` is any TextFileMap-shaped store (put/get/remove/items)
-        — e.g. :class:`~repro.util.sqldb.SqliteMap` for the paper's
-        relational-database future work.  ``persist_path`` is shorthand
-        for the text-file backend.
+        """``persist_path`` keeps the registry in the paper's text file
+        (:class:`~repro.util.textdb.TextFileMap`), reloaded at construction.
 
         ``lookup_cache_ttl`` enables a read-through :class:`LookupCache`
         in front of :meth:`lookup`: the dispatchers resolve the same
         handful of logical names once per message, and the CxThread path
-        should not pay the registry lock (or, with a database backend, the
-        backing store) per message.  Every mutation of a record —
+        should not pay the registry lock per message.  Every mutation of a record —
         :meth:`register`, :meth:`unregister`, :meth:`add_physical`,
         :meth:`remove_physical`, :meth:`set_enabled` — invalidates that
         record's cache entry immediately; the TTL only bounds staleness
-        against *external* mutation of a shared backend.  ``0`` disables
+        against *external* mutation of the backing file.  ``0`` disables
         the cache."""
         self._lock = threading.RLock()
         self._records: dict[str, ServiceRecord] = {}
@@ -185,10 +180,7 @@ class ServiceRegistry:
         self.metrics.gauge(
             "registry_services", "registered logical services"
         ).set_function(lambda: len(self))
-        if backend is not None:
-            self._db = backend
-        else:
-            self._db = TextFileMap(persist_path) if persist_path else None
+        self._db = TextFileMap(persist_path) if persist_path else None
         self._selector = selector or (lambda record: record.physical[0])
         self._lookups = 0
         self._misses = 0

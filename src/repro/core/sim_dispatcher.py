@@ -1,6 +1,7 @@
 """Simulated hostings of the RPC- and MSG-Dispatchers.
 
-:class:`SimMsgDispatcher` is the event-kernel driver of
+:class:`SimRpcDispatcher` and :class:`SimMsgDispatcher` are the
+event-kernel drivers of :class:`~repro.core.rpc.RpcCore` and
 :class:`~repro.core.dispatch.DispatchCore` — every decision is the
 core's, the same one the threaded and asyncio drivers run.  The
 execution substrate is the event kernel instead of thread pools:
@@ -11,34 +12,23 @@ the FIFO queue is a :class:`~repro.simnet.resources.Store`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-from repro.errors import (
-    ReproError,
-    RoutingError,
-    SoapError,
-    TransportError,
-    UnknownServiceError,
-    XmlError,
-)
+from repro.errors import ReproError, SoapError, XmlError
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.session import SLEEP, soap_post
+from repro.http.session import SLEEP
 from repro.obs.flight import FlightRecorder
-from repro.obs.logkv import component_logger, log_event
-from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.trace import TraceStore, default_trace_store, extract_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import TraceStore, extract_trace
 from repro.reliable.holdretry import HoldRetryStore
-from repro.store.journal import DELIVERED, MessageJournal
+from repro.store.journal import MessageJournal
 from repro.rt.service import soap_fault_response
 from repro.simnet.httpsim import SimHttpClientPool
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource, Store
 from repro.simnet.topology import Host, Network
-from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter, parse_envelope
+from repro.soap import Envelope, Fault, parse_envelope
 from repro.transport.base import Endpoint, parse_http_url
-from repro.util.stats import Counter
-from repro.wsa import AddressingHeaders, EndpointReference
 from repro.core.dispatch import (
     REQUEST,
     DispatchCore,
@@ -46,20 +36,16 @@ from repro.core.dispatch import (
     _OutboundItem,
 )
 from repro.core.registry import ServiceRegistry
-from repro.core.routing import extract_logical, logical_uri
+from repro.core.rpc import RpcCore
 
 
-#: reply-address scheme used by the sync-over-async bridge
-_SYNC_SCHEME = "urn:wsd:sync:"
+class SimRpcDispatcher(RpcCore):
+    """The RPC-Dispatcher as a simulated HTTP handler: a generator, so the
+    worker slot serving the client connection stays occupied for the whole
+    forwarded exchange — the blocking that gives RPC its Table 1 limits."""
 
-
-class SimRpcDispatcher:
-    """RPC forwarding proxy as a simulated HTTP handler.
-
-    The handler is a generator: the worker slot serving the client
-    connection stays occupied for the whole forwarded exchange — the
-    blocking behaviour that gives RPC forwarding its Table 1 limits.
-    """
+    component = "sim_rpcd"
+    time_bucket = 0.005
 
     def __init__(
         self,
@@ -69,106 +55,28 @@ class SimRpcDispatcher:
         mount_prefix: str = "/rpc",
         connect_timeout: float = 21.0,
         response_timeout: float = 30.0,
-        balancer: object | None = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
     ) -> None:
-        """``balancer`` (a :class:`~repro.core.loadbalance.BalancerPolicy`)
-        receives on_start/on_finish load feedback per forwarded call so
-        least-pending selection can see in-flight work."""
-        self.net = net
-        self.registry = registry
-        self.mount_prefix = mount_prefix
-        self.balancer = balancer
-        self.pool = SimHttpClientPool(
-            net,
-            host,
-            connect_timeout=connect_timeout,
-            response_timeout=response_timeout,
+        super().__init__(
+            registry, SimHttpClientPool(net, host, connect_timeout, response_timeout),
+            mount_prefix, metrics=metrics, traces=traces,
         )
-        self.counters = Counter()
-        self.metrics = metrics if metrics is not None else default_registry()
-        self.traces = traces if traces is not None else default_trace_store()
-        self._log = component_logger("rpcd")
-        self._m_forwarded = self.metrics.counter(
-            "rpcd_forwarded_total", "RPC exchanges proxied to a service"
-        )
-        self._m_rejected = self.metrics.counter(
-            "rpcd_rejected_total", "RPC requests rejected, by reason"
-        )
-        self._m_failed = self.metrics.counter(
-            "rpcd_failed_total", "RPC forwards that could not reach the service"
-        )
-        self._m_forward_time = self.metrics.histogram(
-            "rpcd_forward_seconds",
-            "blocking dispatcher-to-service exchange time",
-        )
-        self._m_fastpath = fastpath_counter(self.metrics)
+        self.clock = net.sim.clock
 
     def handler(self, request: HttpRequest):
         """Generator handler for :class:`~repro.simnet.httpsim.SimHttpServer`."""
-        if request.method != "POST":
-            return HttpResponse(status=405, body=b"RPC dispatcher accepts POST")
+        steps = self.forward(request)
         try:
-            logical = extract_logical(request.target, self.mount_prefix)
-            envelope = parse_envelope(request.body, counter=self._m_fastpath)
-        except (RoutingError, XmlError, SoapError) as exc:
-            self.counters.inc("rejected")
-            self._m_rejected.labels(reason="bad_request").inc()
-            return soap_fault_response(Fault("Client", str(exc)), status=400)
-        trace = extract_trace(envelope)
-        try:
-            physical = self.registry.resolve(logical)
-        except UnknownServiceError as exc:
-            self.counters.inc("rejected")
-            self._m_rejected.labels(reason="unknown_service").inc()
-            return soap_fault_response(Fault("Client", str(exc)), status=404)
-        endpoint, path = parse_http_url(physical)
-        if isinstance(envelope, LazyEnvelope):
-            forward = soap_post(request.body, path)  # verbatim, scan-validated
-        else:
-            forward = soap_post(envelope.to_bytes(), path)
-        if self.balancer is not None:
-            self.balancer.on_start(physical)
-        t_send = self.net.sim.now
-        try:
-            response = yield from self.pool.exchange(
-                endpoint.host, endpoint.port, forward
-            )
-        except (TransportError, ReproError) as exc:
-            self.counters.inc("failed")
-            self._m_failed.inc()
-            return soap_fault_response(
-                Fault("Server", f"cannot reach {logical}: {exc}"), status=502
-            )
-        finally:
-            if self.balancer is not None:
-                self.balancer.on_finish(physical)
-        t_done = self.net.sim.now
-        self.counters.inc("forwarded")
-        self._m_forwarded.inc()
-        self._m_forward_time.observe(t_done - t_send)
-        if trace is not None:
-            self.traces.record(
-                trace.trace_id, "forward", "rpcd",
-                t_send, t_done,
-                parent_id=trace.parent_span_id,
-                logical=logical, dest=physical,
-            )
-        log_event(
-            self._log, logging.DEBUG, "forward",
-            trace=trace.trace_id if trace else None,
-            logical=logical, dest=physical,
-        )
-        out = Headers()
-        ct = response.headers.get("Content-Type")
-        if ct:
-            out.set("Content-Type", ct)
-        return HttpResponse(status=response.status, headers=out, body=response.body)
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return self.counters.as_dict()
+            _op, url, forward = next(steps)
+            at, _path = parse_http_url(url)
+            try:
+                response = yield from self.client.exchange(at.host, at.port, forward)
+            except BaseException as exc:
+                steps.throw(exc)
+            steps.send(response)
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass
@@ -244,7 +152,6 @@ class SimMsgDispatcher(DispatchCore):
             hold_store=hold_store, metrics=metrics, traces=traces,
             durable=durable, flight=flight,
         )
-        self._waiters: dict[str, object] = {}  # sync-bridge events by URI
         self._dest_workers: dict[str, int] = {}
         self._ws_slots = Resource(self.sim, capacity=self.config.ws_workers)
         self._hold_pump_active = False
@@ -485,80 +392,24 @@ class SimMsgDispatcher(DispatchCore):
             self._hold_pump_active = False
 
     # -- sync-over-async bridge (Table 1 quadrant 2) ------------------------
-    def _reply_locally(
-        self, target: EndpointReference, envelope: Envelope,
-        journal_seq: int | None,
-    ) -> bool:
-        """A response addressed to a bridge sentinel wakes its waiter (or,
-        after the bridge timeout, goes nowhere)."""
-        if not target.address.startswith(_SYNC_SCHEME):
+    def _waiter(self):
+        return self.sim.event()
+
+    def _wake(self, waiter, envelope: Envelope) -> bool:
+        if waiter.triggered:
             return False
-        waiter = self._waiters.pop(target.address, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(envelope)
-            self.counters.inc("bridged_responses")
-            if journal_seq is not None and self.durable is not None:
-                self.durable.mark(journal_seq, DELIVERED)
+        waiter.succeed(envelope)
         return True
 
     def bridge_handler(
-        self,
-        request: HttpRequest,
-        bridge_timeout: float = 30.0,
-        mount_prefix: str = "/bridge",
+        self, request: HttpRequest, bridge_timeout: float = 30.0, mount_prefix="/bridge"
     ):
-        """Generator handler: RPC client in, messaging service behind.
-
-        Forwards the message through the normal pipeline but holds the
-        client's HTTP connection open until the asynchronous response
-        comes back (or the bridge timeout fires — "may not work at all if
-        message reply comes too late").  Plain RPC envelopes without any
-        WS-Addressing are accepted: the bridge synthesises a MessageID and
-        derives ``wsa:To`` from the request path.
-        """
-        if request.method != "POST":
-            return HttpResponse(status=405)
+        """Generator handler: :meth:`DispatchCore.bridge`, its wait a race
+        of the waiter against a simulated timeout."""
+        steps = self.bridge(request, bridge_timeout, mount_prefix)
         try:
-            envelope = Envelope.from_bytes(request.body)
-            headers = AddressingHeaders.from_envelope(envelope)
-        except (XmlError, SoapError) as exc:
-            return soap_fault_response(Fault("Client", str(exc)), status=400)
-        if not headers.to:
-            try:
-                headers.to = logical_uri(
-                    extract_logical(request.target, mount_prefix)
-                )
-            except RoutingError as exc:
-                return soap_fault_response(Fault("Client", str(exc)), status=404)
-        message_id = headers.message_id or f"uuid:bridge-{id(request)}-{self.sim.now}"
-        sentinel = f"{_SYNC_SCHEME}{message_id}"
-        headers.message_id = message_id
-        headers.reply_to = EndpointReference(sentinel)
-        headers.attach(envelope)
-
-        waiter = self.sim.event()
-        self._waiters[sentinel] = waiter
-        try:
-            outbound = self.route(
-                envelope, request.target, extract_trace(envelope)
-            )
-        except ReproError as exc:
-            self._waiters.pop(sentinel, None)
-            self.counters.inc("dropped_unroutable")
-            return soap_fault_response(Fault("Client", str(exc)), status=404)
-        for item in outbound:
-            self._enqueue(item)
-        self.counters.inc("accepted")
-        idx, value = yield self.sim.any_of(
-            [waiter, self.sim.timeout(bridge_timeout)]
-        )
-        if idx == 1:
-            self._waiters.pop(sentinel, None)
-            self.counters.inc("bridge_timeouts")
-            return soap_fault_response(
-                Fault("Server", "no response before bridge timeout"), status=504
-            )
-        reply: Envelope = value
-        out = Headers()
-        out.set("Content-Type", reply.version.content_type)
-        return HttpResponse(status=200, headers=out, body=reply.to_bytes())
+            _op, waiter, timeout = next(steps)
+            idx, reply = yield self.sim.any_of([waiter, self.sim.timeout(timeout)])
+            steps.send(reply if idx == 0 else None)
+        except StopIteration as done:
+            return done.value

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ReproError
-from repro.transport.base import parse_http_url
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.util.clock import Clock, MonotonicClock
@@ -208,9 +207,8 @@ class BreakerRegistry:
     """One :class:`CircuitBreaker` per destination key (``host:port``).
 
     The registry is the integration surface: dispatchers call
-    :meth:`allow` / :meth:`record`, balancers call :meth:`url_allowed`
-    to exclude open destinations from selection, and the introspection
-    surface renders :meth:`snapshot`.  Metrics:
+    :meth:`allow` / :meth:`record`, and the introspection surface renders
+    :meth:`snapshot`.  Metrics:
 
     - ``rt_breaker_state{dest}`` — 0 closed, 1 open, 2 half-open
     - ``rt_breaker_transitions_total{dest,to}``
@@ -280,22 +278,6 @@ class BreakerRegistry:
 
     def state(self, dest: str) -> str:
         return self.breaker_for(dest).state
-
-    # -- balancer integration ---------------------------------------------
-    def url_allowed(self, url: str) -> bool:
-        """Health predicate over physical URLs: False while the breaker
-        for that endpoint is open (half-open destinations stay eligible
-        so probes have traffic to ride on)."""
-        try:
-            endpoint, _path = parse_http_url(url)
-        except ReproError:
-            return True
-        key = str(endpoint)
-        with self._lock:
-            breaker = self._breakers.get(key)
-        if breaker is None:
-            return True
-        return breaker.state != BreakerState.OPEN
 
     # -- introspection -----------------------------------------------------
     def snapshot(self) -> dict:

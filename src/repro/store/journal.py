@@ -4,8 +4,7 @@ The paper is explicit that the dispatcher's reliability story ends in a
 database: "messages stored in DB with expiration time".  This module is
 that database — an append-only journal of every message a durable
 component has taken responsibility for, built on the standard library's
-SQLite exactly like :class:`~repro.util.sqldb.SqliteMap` (no external
-dependencies).
+SQLite (no external dependencies).
 
 Each record moves through a tiny state machine::
 

@@ -9,6 +9,7 @@ pinned here once, for every driver.
 import ast
 import asyncio
 import pathlib
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -19,13 +20,14 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 import repro.core.dispatch as dispatch
+import repro.core.rpc as rpc
 import repro.http.session as session
-from repro.core.dispatch import PIPELINE, REQUEST, DispatchCore, _OutboundItem
+from repro.core.dispatch import PIPELINE, REQUEST, WAIT, DispatchCore, _OutboundItem
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
 from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
 from repro.errors import ConnectionRefused
-from repro.http import HttpResponse
+from repro.http import HttpRequest, HttpResponse
 from repro.http.session import SLEEP
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.obs.metrics import MetricsRegistry
@@ -34,10 +36,11 @@ from repro.reliable import BreakerConfig, ExponentialBackoff, FixedDelay, HoldRe
 from repro.rt.service import SoapHttpApp
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
+from repro.soap import parse_envelope
 from repro.store.journal import DEAD, MessageJournal
 from repro.transport.base import Endpoint
 from repro.util.clock import ManualClock
-from repro.workload.echo import make_echo_message
+from repro.workload.echo import make_echo_message, make_echo_request
 from repro.wsa import AddressingHeaders, EndpointReference
 
 OWN = "http://wsd:8000/msg"
@@ -81,6 +84,9 @@ class Core(DispatchCore):
 
     def backlog(self):
         return len(self.inbox)
+
+    def _waiter(self):
+        return Future()
 
     def request(self, message_id, reply_to=PRIVATE):
         """Route one client request; returns (outbound items, journal seq)."""
@@ -144,6 +150,14 @@ def test_the_core_imports_no_substrate_and_never_sleeps():
         dispatch,
         ("asyncio", "socket", "repro.rt.client", "repro.aio", "repro.simnet"),
         ("sleep",),
+    )
+
+
+def test_the_rpc_core_imports_no_substrate_and_never_sleeps():
+    assert_substrate_free(
+        rpc,
+        ("asyncio", "socket", "repro.rt.client", "repro.aio", "repro.simnet"),
+        ("sleep", "request"),
     )
 
 
@@ -323,6 +337,49 @@ def addressed(to="urn:wsd:echo", relates_to=None, message_id="uuid:q"):
     if relates_to:
         headers.relates_to.append(relates_to)
     return headers
+
+
+# -- (d) the sync bridge: one wait, woken by the routing pass -----------------
+
+def bridged(core: Core):
+    """Start one bridged request: (steps, waiter, the item it queued)."""
+    request = HttpRequest("POST", "/bridge/echo", body=make_echo_request().to_bytes())
+    steps = core.bridge(request, 5.0, "/bridge")
+    op, waiter, timeout = next(steps)
+    assert (op, timeout) == (WAIT, 5.0)
+    return steps, waiter, core.queued.pop()
+
+
+def reply_to(item: _OutboundItem):
+    """The service's one-way reply to a forwarded item."""
+    sent = AddressingHeaders.from_envelope(parse_envelope(item.envelope_bytes))
+    assert sent.reply_to.address == OWN  # the sentinel stayed in the table
+    reply = make_echo_message(to=OWN, message_id=f"re:{sent.message_id}")
+    headers = AddressingHeaders.from_envelope(reply)
+    headers.relates_to.append(sent.message_id)
+    headers.attach(reply)
+    return reply
+
+
+def test_the_bridge_answers_in_band_or_times_out():
+    core = Core()
+    steps, waiter, item = bridged(core)
+    assert item.target_url == "http://ws:9000/echo"
+    assert core.route(reply_to(item), "/msg/echo") == []
+    with pytest.raises(StopIteration) as done:
+        steps.send(waiter.result(0))
+    assert done.value.value.status == 200
+    assert core.stats["bridged_responses"] == 1
+
+    # nothing before the timeout: 504, and the late reply goes nowhere
+    steps, waiter, item = bridged(core)
+    with pytest.raises(StopIteration) as done:
+        steps.send(None)
+    assert done.value.value.status == 504
+    assert core.route(reply_to(item), "/msg/echo") == []
+    assert not waiter.done()
+    assert (core.stats["bridge_timeouts"], core.stats["bridged_responses"]) == (1, 1)
+    assert core.pending_correlations() == 0
 
 
 def test_routes_in_place_truth_table():

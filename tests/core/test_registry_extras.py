@@ -1,4 +1,4 @@
-"""Tests for registry extensions: SQLite backend, WSDL browsing, ping."""
+"""Tests for registry extensions: WSDL browsing, ping."""
 
 import pytest
 
@@ -7,59 +7,12 @@ from repro.errors import RegistryError
 from repro.http import HttpRequest
 from repro.rt.service import RequestContext
 from repro.soap import RpcRequest, build_rpc_request, parse_rpc_response
-from repro.util.sqldb import SqliteMap
 from repro.xmlmini import parse
 
 
 def call(svc, op, params):
     env = build_rpc_request(RpcRequest(REGISTRY_NS, op, params))
     return parse_rpc_response(svc.handle(env, RequestContext(path="/registry")))
-
-
-class TestSqliteBackend:
-    def test_put_get_roundtrip(self):
-        db = SqliteMap()
-        db.put("echo", "http://a/", {"owner": "x"})
-        assert db.get("echo") == ("http://a/", {"owner": "x"})
-        assert db.get("missing") is None
-
-    def test_update_replaces_attrs(self):
-        db = SqliteMap()
-        db.put("echo", "http://a/", {"k1": "v1"})
-        db.put("echo", "http://b/", {"k2": "v2"})
-        assert db.get("echo") == ("http://b/", {"k2": "v2"})
-
-    def test_remove_cascades(self):
-        db = SqliteMap()
-        db.put("echo", "http://a/", {"k": "v"})
-        assert db.remove("echo") is True
-        assert db.remove("echo") is False
-        assert len(db) == 0
-
-    def test_keys_items_sorted(self):
-        db = SqliteMap()
-        db.put("z", "1")
-        db.put("a", "2")
-        assert db.keys() == ["a", "z"]
-        assert [k for k, _, _ in db.items()] == ["a", "z"]
-
-    def test_contains(self):
-        db = SqliteMap()
-        db.put("echo", "http://a/")
-        assert "echo" in db and "nope" not in db
-
-    def test_durable_on_disk(self, tmp_path):
-        path = str(tmp_path / "registry.sqlite")
-        SqliteMap(path).put("echo", "http://a/", {"k": "v"})
-        assert SqliteMap(path).get("echo") == ("http://a/", {"k": "v"})
-
-    def test_registry_uses_sqlite_backend(self, tmp_path):
-        path = str(tmp_path / "reg.sqlite")
-        reg = ServiceRegistry(backend=SqliteMap(path))
-        reg.register("echo", ["http://a/", "http://b/"], metadata={"o": "me"})
-        reloaded = ServiceRegistry(backend=SqliteMap(path))
-        assert reloaded.lookup("echo").physical == ["http://a/", "http://b/"]
-        assert reloaded.lookup("echo").metadata == {"o": "me"}
 
 
 class TestWsdlBrowsing:

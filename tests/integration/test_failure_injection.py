@@ -74,9 +74,7 @@ class TestServiceDeathMidTraffic:
 
     def test_failover_to_surviving_replica(self, inproc):
         """Registry-level redundancy: second physical address takes over."""
-        from repro.core.loadbalance import LeastPending
-
-        registry = ServiceRegistry(selector=LeastPending())
+        registry = ServiceRegistry()
         apps = []
         for i in range(2):
             app = SoapHttpApp()

@@ -14,7 +14,7 @@ from repro.core import (
     RpcDispatcher,
     ServiceRegistry,
 )
-from repro.core.sso import SsoGate, TokenIssuer, attach_token
+from repro.errors import AuthError
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
@@ -22,6 +22,7 @@ from repro.rt.service import SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.transport.tcp import TcpConnector, TcpListener
 from repro.util.ids import IdGenerator
+from repro.xmlmini import Element, QName
 from repro.workload.echo import AsyncEchoService, EchoService, make_echo_message, make_echo_request
 
 
@@ -111,12 +112,17 @@ def test_sustained_keep_alive_traffic(tcp_deployment):
         assert parse_rpc_response(reply).result("return") is not None
 
 
+CALLER = QName("urn:test:caller", "Caller")
+
+
 def test_sso_over_real_sockets():
+    """Authentication through the inspector hook, over genuine sockets: an
+    anonymous call is refused before any forward."""
     connector = TcpConnector()
-    issuer = TokenIssuer(b"tcp-sso")
-    issuer.add_principal("alice", "pw")
-    gate = SsoGate(issuer)
-    gate.restrict("echo", ["alice"])
+
+    def inspector(envelope, logical):
+        if not any(h.name == CALLER for h in envelope.headers):
+            raise AuthError("anonymous caller")
 
     app = SoapHttpApp()
     app.mount("/echo", EchoService())
@@ -125,15 +131,15 @@ def test_sso_over_real_sockets():
 
     registry = ServiceRegistry()
     registry.register("echo", f"http://127.0.0.1:{ws_listener.endpoint.port}/echo")
-    dispatcher = RpcDispatcher(registry, HttpClient(connector), inspector=gate)
+    dispatcher = RpcDispatcher(registry, HttpClient(connector), inspector=inspector)
     wsd_listener = TcpListener("127.0.0.1:0")
     front = HttpServer(wsd_listener, dispatcher.handle_request).start()
     url = f"http://127.0.0.1:{wsd_listener.endpoint.port}/rpc/echo"
 
     client = HttpClient(connector)
     assert client.post_envelope(url, make_echo_request()).status == 401
-    token = issuer.login("alice", "pw")
-    env = attach_token(make_echo_request(), token)
+    env = make_echo_request()
+    env.headers.append(Element(CALLER, text="alice"))
     assert client.post_envelope(url, env).status == 200
     ws.stop()
     front.stop()

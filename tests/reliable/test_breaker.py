@@ -148,23 +148,15 @@ class TestRegistry:
         assert reg.allow("fine:80")
         assert reg.rejected == 1
 
-    def test_url_allowed_maps_to_endpoint_key(self, clock):
-        reg = BreakerRegistry(CFG, clock, metrics=MetricsRegistry())
-        for _ in range(3):
-            reg.record("dead:80", ok=False)
-        assert not reg.url_allowed("http://dead:80/mailbox/abc")
-        assert reg.url_allowed("http://dead:81/other")
-        assert reg.url_allowed("not a url")  # never vetoes on parse failure
-        # unknown destinations are healthy by default
-        assert reg.url_allowed("http://fresh:80/")
-
     def test_half_open_urls_stay_eligible(self, clock):
         reg = BreakerRegistry(CFG, clock, metrics=MetricsRegistry())
         for _ in range(3):
             reg.record("d:80", ok=False)
-        assert not reg.url_allowed("http://d:80/")
+        assert reg.state("d:80") == "open"
+        assert not reg.allow("d:80")
         clock.advance(5.0)
-        assert reg.url_allowed("http://d:80/")  # half-open: probes ride traffic
+        assert reg.state("d:80") == "half_open"
+        assert reg.allow("d:80")  # half-open: probes ride traffic
 
     def test_snapshot_and_metrics(self, clock):
         metrics = MetricsRegistry()

@@ -38,7 +38,6 @@ def test_top_level_exports():
         "repro.simnet.metrics",
         "repro.store",
         "repro.util",
-        "repro.util.sqldb",
         "repro.workload",
         "repro.experiments",
     ],
@@ -52,14 +51,11 @@ def test_module_all_exports_resolve(module):
 def test_documented_entry_points_exist():
     """Spot-check the names docs/api.md leans on."""
     from repro.core import (
-        DispatcherFarm,
         MsgDispatcher,
         RegistryService,
         RpcDispatcher,
         ServiceRegistry,
-        SsoGate,
         StatusPage,
-        TokenIssuer,
     )
     from repro.aio import (
         AioHttpClient,
@@ -67,8 +63,8 @@ def test_documented_entry_points_exist():
         AioLoopThread,
         AioMsgBoxService,
         AioMsgDispatcher,
+        AioRpcDispatcher,
     )
-    from repro.core.loadbalance import make_policy
     from repro.msgbox import MailboxStore, MsgBoxClient, MsgBoxService
     from repro.msgbox.service import make_mailbox_epr
     from repro.obs import (
@@ -86,7 +82,7 @@ def test_documented_entry_points_exist():
     assert all(
         callable(x)
         for x in (
-            make_policy, make_mailbox_epr,
+            make_mailbox_epr,
             make_echo_message, make_echo_request,
             make_reply_headers, rewrite_for_forwarding, make_network,
         )
@@ -198,3 +194,37 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
     assert surface(lambda m: AioHttpClient(metrics=m)) == expected(
         "aio_client", "asyncio client"
     )
+
+
+def test_the_rpc_dispatchers_keep_their_constructors_and_add_no_option():
+    """One core underneath (``repro.core.rpc``): the RPC-Dispatchers lost
+    their load-spreading hook (both), ``max_body`` and ``clock``
+    (threaded), and gained nothing; every MSG driver's bridge handler has
+    one signature."""
+    import inspect
+
+    from repro.aio import AioMsgDispatcher, AioRpcDispatcher
+    from repro.core import MsgDispatcher, RpcDispatcher
+    from repro.core.sim_dispatcher import SimMsgDispatcher, SimRpcDispatcher
+
+    def parameters(fn) -> dict:
+        signature = inspect.signature(fn).parameters.values()
+        return {p.name: p.default for p in signature if p.name != "self"}
+
+    empty = inspect.Parameter.empty
+    rt = {
+        "registry": empty, "client": empty, "mount_prefix": "/rpc",
+        "inspector": None, "metrics": None, "traces": None,
+        "max_inflight": None, "shed_retry_after": 1.0,
+    }
+    assert parameters(RpcDispatcher.__init__) == rt
+    assert parameters(AioRpcDispatcher.__init__) == rt
+    assert parameters(SimRpcDispatcher.__init__) == {
+        "net": empty, "host": empty, "registry": empty, "mount_prefix": "/rpc",
+        "connect_timeout": 21.0, "response_timeout": 30.0,
+        "metrics": None, "traces": None,
+    }
+    for driver in (MsgDispatcher, AioMsgDispatcher, SimMsgDispatcher):
+        assert parameters(driver.bridge_handler) == {
+            "request": empty, "bridge_timeout": 30.0, "mount_prefix": "/bridge",
+        }, driver
