@@ -19,7 +19,7 @@ import pytest
 
 from _perfjson import write_bench_json
 from repro.core.registry import ServiceRegistry
-from repro.registry import RegistryReplica, ReplicatedRegistryClient, sync_pair
+from repro.registry import ReplicatedRegistryClient, sync_pair
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -63,7 +63,7 @@ def _ops_per_sec(fn, n: int) -> float:
 
 def _make_replica_set(n_replicas: int = 3, services: int = 100):
     replicas = {
-        f"r{i}": RegistryReplica(f"r{i}", metrics=MetricsRegistry())
+        f"r{i}": ServiceRegistry(peer_id=f"r{i}", metrics=MetricsRegistry())
         for i in range(1, n_replicas + 1)
     }
     first = next(iter(replicas.values()))

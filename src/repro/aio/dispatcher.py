@@ -54,7 +54,7 @@ from repro.util.concurrency import QueueClosed
 class AioMsgDispatcher(MsgDispatcher):
     """The asynchronous dispatcher, multiplexed on one event loop."""
 
-    def _start_workers(self, hold_pump_interval: float) -> None:
+    def _start_workers(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._loop_thread = threading.get_ident()
         self._tasks: set[asyncio.Task] = set()
@@ -64,7 +64,8 @@ class AioMsgDispatcher(MsgDispatcher):
         self._spawn(self._acx_loop(), name="aio-cx")
         if self.hold_store is not None:
             self._spawn(
-                self._ahold_pump_loop(hold_pump_interval), name="aio-hold-pump"
+                self._ahold_pump_loop(self.config.hold_pump_interval),
+                name="aio-hold-pump",
             )
 
     # -- plumbing ----------------------------------------------------------

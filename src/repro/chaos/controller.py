@@ -39,7 +39,7 @@ class ChaosController:
     faults, and ``servers`` (:class:`~repro.simnet.httpsim.SimHttpServer`
     instances) only for :class:`ServiceStop` faults.  ``replicas`` maps
     replica name → handle (anything with ``set_available``, e.g.
-    :class:`~repro.registry.replica.RegistryReplica`) and is needed for
+    a :class:`~repro.core.registry.ServiceRegistry` peer) and is needed for
     replica-targeted outages; a :class:`ServiceCrash` whose host name
     matches a replica also flips that replica's availability, so killing
     a registry host kills the registry process on it.
@@ -92,7 +92,7 @@ class ChaosController:
                     )
                 if fault.replica is not None and fault.replica not in self._replicas:
                     raise SimulationError(
-                        f"plan targets unknown registry replica {fault.replica!r}"
+                        f"plan targets unknown registry peer {fault.replica!r}"
                     )
             if isinstance(fault, ServiceStop):
                 if (fault.host, fault.port) not in self._servers:

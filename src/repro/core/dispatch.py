@@ -107,6 +107,9 @@ class DispatcherConfigBase:
     max_inflight: int | None = None
     #: Retry-After seconds advertised when shedding
     shed_retry_after: float = 1.0
+    #: how often the hold/retry pump puts due parked messages back on
+    #: their destination queues (:meth:`DispatchCore.requeue_due`)
+    hold_pump_interval: float = 0.25
     #: sliding-window duplicate suppression on the inbound absorption path
     #: (seconds on the driver's clock); at-least-once redelivery — journal
     #: replay, client resends, hold-store retries from an upstream
@@ -558,9 +561,9 @@ class DispatchCore:
             admission never overtakes an older one;
         (b) the pass cannot sleep: the message answers a pending
             correlation, or its logical name is in the registry's lookup
-            cache (a non-filling ``peek``; a miss, an expired entry or a
-            registry without the peek could mean a replica sweep and its
-            back-off between a client and its 202);
+            cache (a non-filling ``peek``; a miss or an expired entry
+            could mean a replica sweep and its back-off between a client
+            and its 202);
         (c) ``may_enqueue``: the driver lets this thread touch its
             destination queues.
 
@@ -574,11 +577,8 @@ class DispatchCore:
             # response any more, and route() decides that again
             if rel in self._correlations:
                 return True
-        peek = getattr(self.registry, "peek", None)
-        if peek is None:
-            return False
         try:
-            return peek(self._logical_of(headers, path))
+            return self.registry.peek(self._logical_of(headers, path))
         except RoutingError:
             return False
 

@@ -102,7 +102,6 @@ class MsgDispatcher(DispatchCore):
         config: MsgDispatcherConfig | None = None,
         clock: Clock | None = None,
         hold_store: "object | None" = None,
-        hold_pump_interval: float = 0.25,
         inspector: "object | None" = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
@@ -116,8 +115,8 @@ class MsgDispatcher(DispatchCore):
         the store's schedule until they expire — "hold/retry on delivery
         ... with expiration time" (paper section 4.4).  A maintenance
         thread puts due messages back on their destination queues every
-        ``hold_pump_interval`` seconds (:meth:`DispatchCore.requeue_due`);
-        a ``deliver=`` the store was constructed with is not used.
+        ``config.hold_pump_interval`` seconds; a ``deliver=`` the store
+        was constructed with is not used.
 
         ``inspector`` is the "message security inspection" hook (same
         shape as the RPC-Dispatcher's): called with (envelope, logical
@@ -162,11 +161,11 @@ class MsgDispatcher(DispatchCore):
         )
         self._ws_slots = threading.Semaphore(self.config.ws_threads)
         self._running = True
-        self._start_workers(hold_pump_interval)
+        self._start_workers()
         if self.durable is not None and recover:
             self.recover()
 
-    def _start_workers(self, hold_pump_interval: float) -> None:
+    def _start_workers(self) -> None:
         """Spawn the CxThread pool and (when reliable) the hold pump.
 
         Subclass seam: the asyncio backend overrides this to schedule
@@ -182,7 +181,7 @@ class MsgDispatcher(DispatchCore):
         if self.hold_store is not None:
             self._hold_pump = threading.Thread(
                 target=self._hold_pump_loop,
-                args=(hold_pump_interval,),
+                args=(self.config.hold_pump_interval,),
                 name="hold-pump",
                 daemon=True,
             )

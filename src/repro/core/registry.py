@@ -14,25 +14,63 @@ Library's hash map) optionally persisted to a text file
 (:class:`~repro.util.textdb.TextFileMap`).  Entries may carry several
 physical addresses; selection among them is delegated to a pluggable
 policy (the first address, unless a ``selector`` is given).
+
+The same class is one peer of a replicated registry (the P2P discovery
+line of PAPERS.md): N peers each hold the full entry set, accept writes
+locally, and converge by anti-entropy gossip (:mod:`repro.registry.gossip`).
+A lone registry is simply a peer nobody gossips with.  The state model is
+last-writer-wins per field, with tombstones:
+
+- Every mutation is stamped ``(lamport, peer_id)``; stamps are totally
+  ordered (lamport first, peer id breaks ties), so any two peers merge
+  any two values of one field identically.
+- An entry carries four independently-stamped slots: ``life`` (alive or
+  tombstone — the register/unregister axis), ``physical``, ``metadata``
+  and ``enabled``.  ``unregister`` writes a *tombstone* into ``life``, so
+  a removal gossips and cannot be resurrected by a peer that still holds
+  the older register; resurrection needs a register with a higher stamp.
+- The version vector ``{peer: max lamport seen}`` summarises what a peer
+  holds.  A digest exchange compares vectors; the delta is every entry
+  holding a stamp the other side's vector does not dominate.  Merging
+  whole entries per field is idempotent and order-insensitive.
+
+Durability: besides the paper's text file, each changed entry state can
+be journaled to a :class:`~repro.store.MessageJournal`
+(``kind="registry"``), the previous record for that name retired as
+``absorbed(superseded)``.  A SIGKILL'd peer rebuilds from the journal's
+``undelivered`` scan and converges with its peers by ordinary gossip.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import RegistryError, RegistryUnavailable, UnknownServiceError
 from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap import Envelope, RpcResponse, build_rpc_response, parse_rpc_request
+from repro.store.journal import ABSORBED, MessageJournal
 from repro.util.concurrency import SingleFlight
 from repro.util.textdb import TextFileMap
 
 #: SOAP RPC interface namespace of the registry service.
 REGISTRY_NS = "urn:repro:registry"
+
+#: the peer id of a registry nobody gossips with
+LOCAL_PEER = "local"
+
+#: journal ``kind`` under which registry entry states are logged
+REGISTRY_KIND = "registry"
+
+#: a stamp: (lamport, peer_id) — lexicographic order is the LWW order
+Stamp = tuple[int, str]
+
+_SLOTS = ("life", "physical", "metadata", "enabled")
 
 
 @dataclass
@@ -141,8 +179,72 @@ class LookupCache:
         }
 
 
+@dataclass
+class _Entry:
+    """Per-name replicated state: four independently-stamped slots."""
+
+    logical: str
+    life: tuple[Stamp, bool]            # alive=True / tombstone=False
+    physical: tuple[Stamp, list[str]]
+    metadata: tuple[Stamp, dict[str, str]]
+    enabled: tuple[Stamp, bool]
+
+    @property
+    def alive(self) -> bool:
+        return self.life[1]
+
+    def stamps(self) -> list[Stamp]:
+        return [self.life[0], self.physical[0], self.metadata[0],
+                self.enabled[0]]
+
+    def to_wire(self) -> dict:
+        """JSON-safe dict; stamps flattened to ``[lamport, peer, value]``."""
+        out: dict = {"logical": self.logical}
+        for slot in _SLOTS:
+            (lamport, peer), value = getattr(self, slot)
+            out[slot] = [lamport, peer, value]
+        return out
+
+    @classmethod
+    def from_wire(cls, payload: dict) -> "_Entry":
+        logical = payload.get("logical")
+        if not isinstance(logical, str) or not logical:
+            raise RegistryError(f"bad gossip entry (logical): {payload!r}")
+        slots = {}
+        for slot in _SLOTS:
+            triple = payload.get(slot)
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+                raise RegistryError(f"bad gossip entry ({slot}): {payload!r}")
+            lamport, peer, value = triple
+            if not isinstance(lamport, int) or not isinstance(peer, str):
+                raise RegistryError(f"bad gossip stamp ({slot}): {payload!r}")
+            slots[slot] = ((lamport, peer), value)
+        life, physical, metadata, enabled = (slots[s] for s in _SLOTS)
+        return cls(
+            logical,
+            (life[0], bool(life[1])),
+            (physical[0], [str(u) for u in (physical[1] or [])]),
+            (metadata[0], {str(k): str(v)
+                           for k, v in (metadata[1] or {}).items()}),
+            (enabled[0], bool(enabled[1])),
+        )
+
+    def merge(self, other: "_Entry") -> bool:
+        """Per-field LWW merge of ``other`` into self; True if changed."""
+        changed = False
+        for slot in _SLOTS:
+            mine = getattr(self, slot)
+            theirs = getattr(other, slot)
+            if theirs[0] > mine[0]:
+                setattr(self, slot, theirs)
+                changed = True
+        return changed
+
+
 class ServiceRegistry:
-    """Thread-safe logical→physical mapping with optional persistence."""
+    """Thread-safe logical→physical mapping with optional persistence —
+    and one gossip peer (:meth:`digest`, :meth:`delta_for`,
+    :meth:`apply_delta`, :meth:`merge_vv`) of a replicated registry."""
 
     def __init__(
         self,
@@ -150,21 +252,36 @@ class ServiceRegistry:
         selector: Callable[[ServiceRecord], str] | None = None,
         metrics: MetricsRegistry | None = None,
         lookup_cache_ttl: float = 5.0,
+        peer_id: str = LOCAL_PEER,
+        journal: MessageJournal | None = None,
     ) -> None:
         """``persist_path`` keeps the registry in the paper's text file
         (:class:`~repro.util.textdb.TextFileMap`), reloaded at construction.
+        ``journal`` logs every entry state instead (or as well), and a
+        registry reopening a journal rebuilds itself from it.
 
         ``lookup_cache_ttl`` enables a read-through :class:`LookupCache`
         in front of :meth:`lookup`: the dispatchers resolve the same
         handful of logical names once per message, and the CxThread path
-        should not pay the registry lock per message.  Every mutation of a record —
-        :meth:`register`, :meth:`unregister`, :meth:`add_physical`,
-        :meth:`remove_physical`, :meth:`set_enabled` — invalidates that
-        record's cache entry immediately; the TTL only bounds staleness
-        against *external* mutation of the backing file.  ``0`` disables
-        the cache."""
+        should not pay the registry lock per message.  Every change of an
+        entry — local (:meth:`register`, :meth:`unregister`,
+        :meth:`set_enabled`) or gossip-applied — invalidates that name's
+        cache entry immediately; the TTL only bounds staleness against
+        *external* mutation of the backing file.  ``0`` disables the cache.
+
+        ``peer_id`` names this registry in the stamps of its writes; peers
+        that gossip with each other need distinct ones."""
+        if not peer_id:
+            raise RegistryError("a registry needs a non-empty peer_id")
+        self.peer_id = peer_id
+        self.journal = journal
         self._lock = threading.RLock()
+        self._entries: dict[str, _Entry] = {}
+        #: alive entries materialised as ServiceRecords (the lookup path)
         self._records: dict[str, ServiceRecord] = {}
+        self._vv: dict[str, int] = {}
+        self._journal_seq: dict[str, int] = {}
+        self._append_n = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._log = component_logger("registry")
         self._m_lookups = self.metrics.counter(
@@ -173,30 +290,51 @@ class ServiceRegistry:
         self._m_misses = self.metrics.counter(
             "registry_misses_total", "resolutions that found no enabled service"
         )
+        self._m_applied = self.metrics.counter(
+            "registry_gossip_entries_applied_total",
+            "remote entry states merged in, by peer",
+        ).labels(peer=peer_id)
         self._cache = LookupCache(
             self._lookup_uncached, time.monotonic, lookup_cache_ttl,
             self.metrics,
         )
         self.metrics.gauge(
-            "registry_services", "registered logical services"
-        ).set_function(lambda: len(self))
+            "registry_services", "registered logical services, by peer"
+        ).labels(peer=peer_id).set_function(lambda: len(self))
         self._db = TextFileMap(persist_path) if persist_path else None
         self._selector = selector or (lambda record: record.physical[0])
         self._lookups = 0
         self._misses = 0
-        #: fault injection: while False every lookup/resolve raises
-        #: RegistryUnavailable (a crashed or partitioned registry server)
+        self._applied = 0
+        #: fault injection: while False every read, write and gossip
+        #: exchange raises RegistryUnavailable (a crashed or partitioned
+        #: registry server)
         self._available = True
-        self._unavailable_rejects = 0
         if self._db is not None:
             for logical, primary, attrs in self._db.items():
                 extra = attrs.pop("_alt", "")
-                physical = [primary] + [a for a in extra.split(",") if a]
-                self._records[logical] = ServiceRecord(
-                    logical, physical, metadata=attrs
-                )
+                stamp = self._next_stamp()
+                self._merge(_Entry(
+                    logical, (stamp, True),
+                    (stamp, [primary] + [a for a in extra.split(",") if a]),
+                    (stamp, attrs), (stamp, True),
+                ))
+        self.restored = self._restore() if journal is not None else 0
 
-    # -- mutation -----------------------------------------------------------
+    # -- mutation (stamped, persisted) ---------------------------------------
+    def _check_available(self) -> None:
+        """A crashed or faulted registry refuses writes as well as reads —
+        accepting a registration it cannot gossip or journal would
+        silently strand it."""
+        if not self._available:
+            raise RegistryUnavailable(f"registry {self.peer_id} is unavailable")
+
+    def _next_stamp(self) -> Stamp:
+        """A stamp dominating everything this peer has ever seen."""
+        lamport = max(self._vv.values(), default=0) + 1
+        self._vv[self.peer_id] = lamport
+        return (lamport, self.peer_id)
+
     def register(
         self,
         logical: str,
@@ -204,67 +342,127 @@ class ServiceRegistry:
         metadata: dict[str, str] | None = None,
     ) -> ServiceRecord:
         addresses = [physical] if isinstance(physical, str) else list(physical)
-        record = ServiceRecord(logical, addresses, metadata=dict(metadata or {}))
+        # validate through the record type before stamping anything
+        ServiceRecord(logical, addresses)
         with self._lock:
-            self._records[logical] = record
-            self._persist(record)
-            self._cache.invalidate(logical)
+            self._check_available()
+            stamp = self._next_stamp()
+            self._persist(self._merge(_Entry(
+                logical, (stamp, True), (stamp, addresses),
+                (stamp, dict(metadata or {})), (stamp, True),
+            )))
+            record = self._records[logical]
         log_event(
             self._log, logging.INFO, "register",
             logical=logical, physical=",".join(addresses),
         )
         return record
 
-    def add_physical(self, logical: str, physical: str) -> None:
-        with self._lock:
-            record = self._require(logical)
-            if physical not in record.physical:
-                record.physical.append(physical)
-                self._persist(record)
-                self._cache.invalidate(logical)
-
-    def remove_physical(self, logical: str, physical: str) -> None:
-        with self._lock:
-            record = self._require(logical)
-            if physical in record.physical:
-                if len(record.physical) == 1:
-                    raise RegistryError(
-                        f"cannot remove last physical address of {logical!r}"
-                    )
-                record.physical.remove(physical)
-                self._persist(record)
-                self._cache.invalidate(logical)
-
     def unregister(self, logical: str) -> bool:
+        """Tombstone ``logical`` — also a name never seen here, which
+        guards against a concurrent register still in flight on a peer.
+        True when it was registered."""
         with self._lock:
-            existed = self._records.pop(logical, None) is not None
-            if existed and self._db is not None:
-                self._db.remove(logical)
-            self._cache.invalidate(logical)
+            self._check_available()
+            entry = self._entries.get(logical)
+            existed = entry is not None and entry.alive
+            stamp = self._next_stamp()
+            if entry is None:
+                entry = _Entry(
+                    logical, (stamp, False), (stamp, []), (stamp, {}),
+                    (stamp, True),
+                )
+            else:
+                entry = replace(entry, life=(stamp, False))
+            self._persist(self._merge(entry))
         if existed:
             log_event(self._log, logging.INFO, "unregister", logical=logical)
         return existed
 
     def set_enabled(self, logical: str, enabled: bool) -> None:
         with self._lock:
-            self._require(logical).enabled = enabled
-            self._cache.invalidate(logical)
+            self._check_available()
+            entry = self._entries.get(logical)
+            if entry is None or not entry.alive:
+                raise UnknownServiceError(logical)
+            self._persist(self._merge(
+                replace(entry, enabled=(self._next_stamp(), enabled))
+            ))
 
-    def _persist(self, record: ServiceRecord) -> None:
-        if self._db is None:
-            return
-        attrs = dict(record.metadata)
-        if len(record.physical) > 1:
-            attrs["_alt"] = ",".join(record.physical[1:])
-        self._db.put(record.logical, record.physical[0], attrs)
+    def _merge(self, incoming: _Entry) -> _Entry | None:
+        """Merge ``incoming`` into its name's entry (call with the lock
+        held): advance the vector, and on a change rebuild the lookup
+        record and drop the cached one.  Returns the changed entry."""
+        for lamport, peer in incoming.stamps():
+            if lamport > self._vv.get(peer, 0):
+                self._vv[peer] = lamport
+        entry = self._entries.get(incoming.logical)
+        if entry is None:
+            self._entries[incoming.logical] = entry = incoming
+        elif not entry.merge(incoming):
+            return None
+        if entry.alive and entry.physical[1]:
+            self._records[entry.logical] = ServiceRecord(
+                entry.logical,
+                list(entry.physical[1]),
+                metadata=dict(entry.metadata[1]),
+                enabled=entry.enabled[1],
+            )
+        else:
+            self._records.pop(entry.logical, None)
+        self._cache.invalidate(entry.logical)
+        return entry
+
+    def _persist(self, entry: _Entry) -> None:
+        """Write a changed entry to the text file and the journal; the
+        journal's previous state for the name is retired."""
+        record = self._records.get(entry.logical)
+        if self._db is not None:
+            if record is None:
+                self._db.remove(entry.logical)
+            else:
+                attrs = dict(record.metadata)
+                if len(record.physical) > 1:
+                    attrs["_alt"] = ",".join(record.physical[1:])
+                self._db.put(record.logical, record.physical[0], attrs)
+        if self.journal is not None:
+            self._append_n += 1
+            body = json.dumps(entry.to_wire(), sort_keys=True).encode()
+            seq = self.journal.append(
+                f"{self.peer_id}:{entry.logical}:{self._append_n}",
+                entry.logical, body, kind=REGISTRY_KIND,
+            )
+            prev = self._journal_seq.get(entry.logical)
+            if prev is not None:
+                self.journal.mark(prev, ABSORBED, reason="superseded")
+            self._journal_seq[entry.logical] = seq
+
+    def _restore(self) -> int:
+        """Rebuild state from the journal (crash rejoin).  Records are
+        scanned in sequence order; marks lost in the crash can leave more
+        than one ``enqueued`` state per name, so the latest wins and the
+        stragglers are retired."""
+        count = 0
+        with self._lock:
+            for rec in self.journal.undelivered(kind=REGISTRY_KIND):
+                try:
+                    entry = _Entry.from_wire(json.loads(rec.body.decode()))
+                except (RegistryError, ValueError, UnicodeDecodeError):
+                    continue
+                prev_seq = self._journal_seq.get(entry.logical)
+                if prev_seq is not None:
+                    self.journal.mark(prev_seq, ABSORBED, reason="superseded")
+                self._journal_seq[entry.logical] = rec.seq
+                self._merge(entry)
+                count += 1
+        if count:
+            log_event(
+                self._log, logging.INFO, "restore", peer=self.peer_id,
+                entries=count,
+            )
+        return count
 
     # -- lookup ---------------------------------------------------------------
-    def _require(self, logical: str) -> ServiceRecord:
-        record = self._records.get(logical)
-        if record is None:
-            raise UnknownServiceError(logical)
-        return record
-
     def lookup(self, logical: str) -> ServiceRecord:
         """Full record for a logical address (raises UnknownServiceError).
 
@@ -275,9 +473,7 @@ class ServiceRegistry:
         """
         self._m_lookups.inc()
         if not self._available:
-            with self._lock:
-                self._unavailable_rejects += 1
-            raise RegistryUnavailable("registry is unavailable")
+            raise RegistryUnavailable(f"registry {self.peer_id} is unavailable")
         record = self._cache.get(logical)
         with self._lock:
             self._lookups += 1
@@ -314,12 +510,13 @@ class ServiceRegistry:
 
     def set_available(self, available: bool) -> None:
         """Fault injection switch: an unavailable registry refuses every
-        lookup/resolve with :class:`RegistryUnavailable` until restored."""
+        read, write and gossip exchange with :class:`RegistryUnavailable`
+        until restored."""
         with self._lock:
             self._available = available
         log_event(
             self._log, logging.WARNING,
-            "available" if available else "unavailable",
+            "available" if available else "unavailable", peer=self.peer_id,
         )
 
     @property
@@ -338,10 +535,90 @@ class ServiceRegistry:
         with self._lock:
             return len(self._records)
 
+    # -- anti-entropy surface --------------------------------------------------
+    @property
+    def vv(self) -> dict[str, int]:
+        """Version vector: max lamport seen per peer (a copy)."""
+        with self._lock:
+            return dict(self._vv)
+
+    def merge_vv(self, remote_vv: dict[str, int]) -> None:
+        """Adopt a peer's frontier element-wise.  ONLY sound after a full
+        exchange — the caller must already hold every entry the remote
+        vector summarizes (a superseded event's stamp survives in no
+        entry, so without this step the losing side of an LWW tie could
+        never be marked as seen and convergence would never be reached).
+        """
+        with self._lock:
+            self._check_available()
+            for peer, lamport in remote_vv.items():
+                if lamport > self._vv.get(peer, 0):
+                    self._vv[peer] = lamport
+
+    def digest(self) -> dict:
+        """The summary exchanged each gossip round: who am I, what do I
+        hold.  Content depends only on applied stamps — two converged
+        peers always produce equal vectors regardless of arrival order or
+        PYTHONHASHSEED."""
+        with self._lock:
+            return {"peer": self.peer_id, "vv": dict(self._vv)}
+
+    def delta_for(self, remote_vv: dict[str, int]) -> list[dict]:
+        """Entries holding any stamp the remote vector does not dominate,
+        sorted by logical name (deterministic wire order)."""
+        out = []
+        with self._lock:
+            for logical in sorted(self._entries):
+                entry = self._entries[logical]
+                if any(
+                    lamport > remote_vv.get(peer, 0)
+                    for lamport, peer in entry.stamps()
+                ):
+                    out.append(entry.to_wire())
+        return out
+
+    def apply_delta(self, entries: list[dict]) -> int:
+        """State-based merge of received entries; returns how many local
+        entries changed.  Idempotent: re-applying a delta changes nothing
+        and advances nothing."""
+        changed = 0
+        with self._lock:
+            self._check_available()
+            for payload in entries:
+                entry = self._merge(_Entry.from_wire(payload))
+                if entry is not None:
+                    changed += 1
+                    self._persist(entry)
+            self._applied += changed
+        if changed:
+            self._m_applied.inc(changed)
+        return changed
+
+    # -- introspection ---------------------------------------------------------
     @property
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"lookups": self._lookups, "misses": self._misses}
+            return {
+                "lookups": self._lookups,
+                "misses": self._misses,
+                "entries": len(self._records),
+                "tombstones": sum(
+                    1 for e in self._entries.values() if not e.alive
+                ),
+                "applied": self._applied,
+                "restored": self.restored,
+            }
+
+    def snapshot(self) -> dict:
+        """Health-surface view of this peer (per-replica ``/health``)."""
+        with self._lock:
+            return {
+                "peer": self.peer_id,
+                "available": self._available,
+                "vv": dict(sorted(self._vv.items())),
+                "durable": self.journal is not None,
+                **self.stats,
+            }
 
     def cache_stats(self) -> dict[str, float]:
         """Lookup-cache effectiveness (also exported as
@@ -352,7 +629,10 @@ class ServiceRegistry:
     def check_alive(
         self, logical: str, probe: Callable[[str], bool], now: float | None = None
     ) -> bool:
-        """Probe the selected physical address; record and return liveness."""
+        """Probe the selected physical address; record and return liveness.
+
+        The result is kept on the current record: any later change of the
+        entry rebuilds the record, and its ``last_health`` starts over."""
         record = self.lookup(logical)
         address = record.physical[0]
         alive = False

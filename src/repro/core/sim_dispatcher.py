@@ -92,8 +92,6 @@ class SimMsgDispatcherConfig(DispatcherConfigBase):
     #: False = paper-faithful (no admission control: a full accept queue
     #: blocks the HTTP worker); True = answer 503 when saturated
     shed_on_full: bool = False
-    #: how often the hold/retry pump re-examines parked messages
-    hold_pump_interval: float = 0.25
 
 
 class SimMsgDispatcher(DispatchCore):

@@ -110,7 +110,6 @@ def run_point(
             connect_timeout=3.0,
             response_timeout=5.0,
             breaker=BreakerConfig(consecutive_failures=3, open_for=2.0),
-            hold_pump_interval=0.25,
             dedupe_window=horizon,
         )
         return SimMsgDispatcher(

@@ -1,7 +1,7 @@
 """Registry-failover experiment: replicated discovery under replica loss.
 
 The acceptance test for the replicated registry (ROADMAP item 2).  Three
-:class:`~repro.registry.replica.RegistryReplica` peers gossip over the
+:class:`~repro.core.registry.ServiceRegistry` peers gossip over the
 simulated network while a :class:`~repro.registry.client.ReplicatedRegistryClient`
 streams lookups; a seeded :class:`~repro.chaos.plan.ServiceCrash`
 SIGKILLs the client's *first-preference* replica mid-run (host dark,
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from repro.chaos.controller import ChaosController
 from repro.chaos.plan import FaultPlan, ServiceCrash
+from repro.core.registry import ServiceRegistry
 from repro.errors import ReproError
 from repro.experiments.common import ExperimentReport
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.registry import RegistryReplica, ReplicatedRegistryClient, SimGossipPeer
+from repro.registry import ReplicatedRegistryClient, SimGossipPeer
 from repro.registry.gossip import GossipHandler
 from repro.simnet.kernel import Simulator
 from repro.simnet.httpsim import SimHttpServer
@@ -82,7 +83,9 @@ def run_point(
         for name in REPLICAS
     }
     slots = {
-        name: _Slot(RegistryReplica(name, journal=journals[name], metrics=metrics))
+        name: _Slot(ServiceRegistry(
+            metrics=metrics, peer_id=name, journal=journals[name],
+        ))
         for name in REPLICAS
     }
     for name in REPLICAS:
@@ -130,9 +133,11 @@ def run_point(
         # controller darkens the host and flips availability)
         journals[victim].drop_unflushed()
         yield sim.timeout(restart_after)
-        replica = RegistryReplica(victim, journal=journals[victim], metrics=metrics)
+        replica = ServiceRegistry(
+            metrics=metrics, peer_id=victim, journal=journals[victim],
+        )
         slots[victim].obj = replica
-        restored["count"] = replica.stats.get("restored", 0)
+        restored["count"] = replica.restored
 
     sim.process(crash_and_restart(), name="crash-restart")
 
@@ -232,9 +237,10 @@ def run(
     report = ExperimentReport(
         experiment="Registry failover",
         description=(
-            "SIGKILL one of three gossiping registry replicas mid-run: "
-            "zero lookup failures, rejoin from journal, convergence "
-            "within two anti-entropy intervals, bit-reproducible"
+            "SIGKILL one of three gossiping registry "
+            "replicas mid-run: zero lookup failures, rejoin from journal, "
+            "convergence within two anti-entropy intervals, "
+            "bit-reproducible"
         ),
     )
     rows = []

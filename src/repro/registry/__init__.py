@@ -1,9 +1,10 @@
-"""Replicated, gossip-synced service discovery (ROADMAP item 2).
+"""Replicated, gossip-synced service discovery.
 
-The package splits along the paper's registry seam:
+One peer is the paper's registry itself,
+:class:`~repro.core.registry.ServiceRegistry` (version-vectored LWW
+entries with tombstones, journal-backed when given one); this package
+adds what N of them need:
 
-- :mod:`repro.registry.replica` — one peer's version-vectored,
-  journal-backed entry store (LWW-per-field merge, tombstones);
 - :mod:`repro.registry.gossip` — the anti-entropy exchange: digest
   compare, delta sync, HTTP endpoint, threaded and simulated drivers;
 - :mod:`repro.registry.client` — replica failover for the dispatchers:
@@ -19,14 +20,11 @@ from repro.registry.gossip import (
     SimGossipPeer,
     sync_pair,
 )
-from repro.registry.replica import REGISTRY_KIND, RegistryReplica
 
 __all__ = [
     "GOSSIP_PATH",
     "GossipDaemon",
     "GossipHandler",
-    "REGISTRY_KIND",
-    "RegistryReplica",
     "ReplicatedRegistryClient",
     "SimGossipPeer",
     "sync_pair",

@@ -1,4 +1,4 @@
-"""Client-side failover over a set of registry replicas.
+"""Client-side failover over a set of replicated registries.
 
 :class:`ReplicatedRegistryClient` is a drop-in for the dispatchers'
 ``registry`` slot (threaded, simnet, and aio alike — they only call
@@ -44,13 +44,13 @@ from repro.util.clock import Clock, MonotonicClock
 
 
 class ReplicatedRegistryClient:
-    """Fronts N registry replicas with failover, breakers, retry, cache.
+    """Fronts N replicated registries with failover, breakers, retry, cache.
 
-    ``replicas`` maps replica name → any registry-shaped handle
-    (:class:`~repro.registry.replica.RegistryReplica`, a plain
-    :class:`~repro.core.registry.ServiceRegistry`, or a remote proxy);
-    the handle's methods raise :class:`RegistryUnavailable` / transport
-    errors when that replica cannot answer.
+    ``replicas`` maps replica name → a registry handle (a
+    :class:`~repro.core.registry.ServiceRegistry` peer, or a remote proxy
+    with the same surface); the handle's methods raise
+    :class:`RegistryUnavailable` / transport errors when that replica
+    cannot answer.
 
     ``max_passes`` bounds full sweeps per call; between passes the retry
     policy's decorrelated-jitter delay is slept on ``clock``.  Simulation
@@ -188,7 +188,7 @@ class ReplicatedRegistryClient:
                 # enough — retry passes are for outages, not staleness
                 raise unknown
         raise RegistryUnavailable(
-            f"no registry replica answered after {self.max_passes} pass(es) "
+            f"no registry peer answered after {self.max_passes} pass(es) "
             f"over {len(self._order)} replica(s)"
         ) from last_error
 
@@ -204,22 +204,14 @@ class ReplicatedRegistryClient:
     def health_snapshot(self) -> dict:
         """Per-replica health for ``GET /health`` (register via
         ``Introspection.add_health_source("registry", ...)``)."""
-        replicas = {}
-        for name in self._order:
-            handle = self._replicas[name]
-            entry: dict = {"breaker": self.breakers.state(name)}
-            snap = getattr(handle, "snapshot", None)
-            if callable(snap):
-                entry.update(snap())
-            else:
-                entry["available"] = bool(getattr(handle, "available", True))
-                try:
-                    entry["entries"] = len(handle)
-                except TypeError:
-                    pass
-            replicas[name] = entry
         return {
             "order": list(self._order),
-            "replicas": replicas,
+            "replicas": {
+                name: {
+                    "breaker": self.breakers.state(name),
+                    **self._replicas[name].snapshot(),
+                }
+                for name in self._order
+            },
             "cache": self.cache_stats(),
         }

@@ -1,4 +1,4 @@
-"""Anti-entropy gossip between registry replicas.
+"""Anti-entropy gossip between registry peers.
 
 One *round* is a push-pull digest exchange initiated by replica A against
 peer B, needing at most two POSTs:
@@ -11,7 +11,7 @@ peer B, needing at most two POSTs:
 After a round the initiator compares vectors: equality means the pair is
 converged (flight event ``gossip-converged`` on the divergent→converged
 edge).  Transport failures flip the peer's health edge (``replica-down``
-/ ``replica-rejoin`` events) and feed ``registry_replica_lag_seconds``.
+/ ``replica-rejoin`` events) and feed ``registry_gossip_lag_seconds``.
 
 The wire format is deterministic JSON (sorted keys, entries sorted by
 logical name) on the operator plane — like span reports, gossip is
@@ -31,11 +31,11 @@ import random
 import threading
 import time
 
+from repro.core.registry import ServiceRegistry
 from repro.errors import RegistryUnavailable, ReproError, TransportError
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.registry.replica import RegistryReplica
 
 #: default mount path of a replica's gossip endpoint
 GOSSIP_PATH = "/gossip"
@@ -67,14 +67,14 @@ def decode_gossip(body: bytes) -> dict:
     return payload
 
 
-def gossip_payload(replica: RegistryReplica, entries: list[dict] | None = None) -> dict:
+def gossip_payload(replica: ServiceRegistry, entries: list[dict] | None = None) -> dict:
     payload = replica.digest()
     if entries:
         payload["entries"] = entries
     return payload
 
 
-def handle_gossip(replica: RegistryReplica, payload: dict) -> dict:
+def handle_gossip(replica: ServiceRegistry, payload: dict) -> dict:
     """Responder side of one POST: merge what the sender pushed, reply
     with the sender's missing entries and our (updated) vector.
 
@@ -83,13 +83,7 @@ def handle_gossip(replica: RegistryReplica, payload: dict) -> dict:
     them) we hold everything the sender has and may adopt its frontier —
     the step that lets the losing side of an LWW tie still be counted as
     seen."""
-    entries = payload.get("entries") or []
-    if entries:
-        replica.apply_delta(entries)
-    elif not replica.available:
-        raise RegistryUnavailable(
-            f"registry replica {replica.peer_id} is unavailable"
-        )
+    replica.apply_delta(payload.get("entries") or [])  # refuses when down
     if payload.get("sync"):
         replica.merge_vv(payload.get("vv") or {})
     reply = replica.digest()
@@ -97,7 +91,7 @@ def handle_gossip(replica: RegistryReplica, payload: dict) -> dict:
     return reply
 
 
-def run_round_steps(replica: RegistryReplica):
+def run_round_steps(replica: ServiceRegistry):
     """Sans-io initiator round: a generator that yields request payloads
     and receives reply payloads via ``send()``; its return value is
     ``(converged, applied)``.
@@ -121,7 +115,7 @@ def run_round_steps(replica: RegistryReplica):
     return replica.vv == (final.get("vv") or {}), applied
 
 
-def drive_round(replica: RegistryReplica, post) -> tuple[bool, int]:
+def drive_round(replica: ServiceRegistry, post) -> tuple[bool, int]:
     """Run one round through a synchronous ``post(payload) -> payload``."""
     steps = run_round_steps(replica)
     request = next(steps)
@@ -132,7 +126,7 @@ def drive_round(replica: RegistryReplica, post) -> tuple[bool, int]:
         return stop.value
 
 
-def sync_pair(a: RegistryReplica, b: RegistryReplica) -> tuple[bool, int]:
+def sync_pair(a: ServiceRegistry, b: ServiceRegistry) -> tuple[bool, int]:
     """One in-process anti-entropy round from ``a`` against ``b``."""
     return drive_round(a, lambda payload: handle_gossip(b, payload))
 
@@ -148,7 +142,7 @@ class GossipHandler:
 
     def __init__(
         self,
-        replica: RegistryReplica,
+        replica: ServiceRegistry,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.replica = replica
@@ -191,7 +185,7 @@ class GossipHealth:
     """Per-peer round accounting shared by both gossip drivers.
 
     Owns the obs surface: ``registry_gossip_rounds_total{peer,outcome}``,
-    the ``registry_replica_lag_seconds{peer}`` gauge (seconds since the
+    the ``registry_gossip_lag_seconds{peer}`` gauge (seconds since the
     last successful exchange with that peer), and the flight-recorder
     edges ``replica-down`` / ``replica-rejoin`` / ``gossip-converged``.
     """
@@ -213,7 +207,7 @@ class GossipHealth:
             "anti-entropy rounds initiated, by peer and outcome",
         )
         lag = self.metrics.gauge(
-            "registry_replica_lag_seconds",
+            "registry_gossip_lag_seconds",
             "seconds since the last successful exchange with the peer",
         )
         self._m_ok = {p: rounds.labels(peer=p, outcome="ok") for p in peers}
@@ -287,7 +281,7 @@ class GossipDaemon:
 
     def __init__(
         self,
-        replica: RegistryReplica,
+        replica: ServiceRegistry,
         peers: dict[str, str],
         client,
         interval: float = 0.5,
@@ -359,7 +353,7 @@ class SimGossipPeer:
         self,
         net,
         host,
-        replica: RegistryReplica,
+        replica: ServiceRegistry,
         peers: dict[str, tuple[str, int]],
         interval: float = 0.5,
         seed: int | None = None,

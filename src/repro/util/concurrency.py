@@ -332,7 +332,7 @@ class SingleFlight(Generic[T]):
 
     This is stampede protection for read-through caches: N concurrent
     misses for one registry name collapse into one trip to the backing
-    store (or one failover sweep across registry replicas).
+    store (or one failover sweep across replicated registries).
     """
 
     def __init__(self) -> None:

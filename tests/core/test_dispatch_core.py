@@ -427,16 +427,6 @@ def test_a_response_to_a_pending_correlation_needs_no_registry():
     assert core.pending_correlations() == 1  # asked about, not popped
 
 
-def test_a_registry_without_the_peek_always_takes_the_pool():
-    core = Core()
-    inner = core.registry
-    inner.resolve("echo")
-    core.registry = SimpleNamespace(resolve=inner.resolve, lookup=inner.lookup)
-    assert not core.routes_in_place(
-        addressed(), "/msg/echo", pool_idle=True, may_enqueue=True
-    )
-
-
 def test_addressing_decoded_at_admission_is_what_route_uses():
     core = Core()
     msg = make_echo_message(to="urn:wsd:echo", message_id="uuid:once", reply_to=PRIVATE)

@@ -66,7 +66,8 @@ def make_dispatcher(
         registry.register("echo", "http://dead:9000/echo")
     config_kw = {
         k: kwargs.pop(k)
-        for k in ("max_inflight", "dedupe_window") if k in kwargs
+        for k in ("max_inflight", "dedupe_window", "hold_pump_interval")
+        if k in kwargs
     }
     config = MsgDispatcherConfig(
         cx_threads=1, ws_threads=2, batch_size=1,

@@ -46,9 +46,10 @@ def test_held_message_delivered_after_service_comes_up(inproc):
         registry,
         disp_client,
         own_address="http://wsd:8000/msg",
-        config=MsgDispatcherConfig(cx_threads=1, ws_threads=2),
+        config=MsgDispatcherConfig(
+            cx_threads=1, ws_threads=2, hold_pump_interval=0.05
+        ),
         hold_store=hold_store,
-        hold_pump_interval=0.05,
     )
     app = SoapHttpApp()
     app.mount("/msg", dispatcher)

@@ -34,21 +34,6 @@ class TestRegistry:
         assert reg.lookup("echo").physical == ["http://a/", "http://b/"]
         assert reg.resolve("echo") == "http://a/"  # default selector: first
 
-    def test_add_remove_physical(self):
-        reg = ServiceRegistry()
-        reg.register("echo", "http://a/")
-        reg.add_physical("echo", "http://b/")
-        reg.add_physical("echo", "http://b/")  # idempotent
-        assert reg.lookup("echo").physical == ["http://a/", "http://b/"]
-        reg.remove_physical("echo", "http://a/")
-        assert reg.lookup("echo").physical == ["http://b/"]
-
-    def test_cannot_remove_last_physical(self):
-        reg = ServiceRegistry()
-        reg.register("echo", "http://a/")
-        with pytest.raises(RegistryError):
-            reg.remove_physical("echo", "http://a/")
-
     def test_unregister(self):
         reg = ServiceRegistry()
         reg.register("echo", "http://a/")
@@ -76,7 +61,10 @@ class TestRegistry:
         reg.resolve("echo")
         with pytest.raises(UnknownServiceError):
             reg.resolve("nope")
-        assert reg.stats == {"lookups": 2, "misses": 1}
+        assert reg.stats == {
+            "lookups": 2, "misses": 1, "entries": 1, "tombstones": 0,
+            "applied": 0, "restored": 0,
+        }
 
     def test_persistence_roundtrip(self, tmp_path):
         path = str(tmp_path / "reg.txt")
@@ -219,7 +207,8 @@ class TestLookupCache:
         assert reg.lookup("ghost").logical == "ghost"
 
     def test_every_mutator_invalidates(self):
-        """All five mutators must drop the cached record immediately."""
+        """All three mutators must drop the cached record immediately
+        (a gossip-applied change does too: tests/registry/test_model.py)."""
         reg = self._registry()
         reg.register("svc", "http://a:1/svc")
 
@@ -228,11 +217,8 @@ class TestLookupCache:
 
         assert cached_physical() == ["http://a:1/svc"]
 
-        reg.add_physical("svc", "http://b:2/svc")
+        reg.register("svc", ["http://a:1/svc", "http://b:2/svc"])
         assert cached_physical() == ["http://a:1/svc", "http://b:2/svc"]
-
-        reg.remove_physical("svc", "http://a:1/svc")
-        assert cached_physical() == ["http://b:2/svc"]
 
         reg.register("svc", "http://c:3/svc")  # re-register replaces record
         assert cached_physical() == ["http://c:3/svc"]
@@ -251,14 +237,14 @@ class TestLookupCache:
         reg = self._registry()
         reg.register("svc", "http://a:1/svc")
         assert not reg.peek("svc")  # registered, never looked up: a miss
-        assert reg.stats == {"lookups": 0, "misses": 0}  # and not a lookup
+        assert reg.stats["lookups"] == reg.stats["misses"] == 0  # not a lookup
         reg.lookup("svc")
         assert reg.peek("svc")
         reg.set_available(False)
         assert not reg.peek("svc")  # an unavailable registry answers nothing
         reg.set_available(True)
         assert reg.peek("svc")
-        reg.add_physical("svc", "http://b:2/svc")  # every mutator invalidates
+        reg.set_enabled("svc", True)  # every mutator invalidates
         assert not reg.peek("svc")
         assert not reg.peek("ghost")
         assert not self._registry(ttl=0).peek("svc")

@@ -94,7 +94,7 @@ class TestServiceDeathMidTraffic:
         client = HttpClient(inproc)
 
         apps[0][0].stop()
-        registry.remove_physical("echo", "http://r0:9000/echo")
+        registry.register("echo", "http://r1:9000/echo")  # drop the dead one
         ok = 0
         for _ in range(5):
             if client.post_envelope(

@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.registry import RegistryReplica, ReplicatedRegistryClient, sync_pair
+from repro.registry import ReplicatedRegistryClient, sync_pair
 from repro.reliable import BreakerConfig
 from repro.util.clock import ManualClock
 from repro.util.ids import IdGenerator
@@ -26,7 +26,7 @@ SEED = 7
 
 def make_cluster(n=3, registered=("echo",)):
     replicas = {
-        f"r{i}": RegistryReplica(f"r{i}", metrics=MetricsRegistry())
+        f"r{i}": ServiceRegistry(peer_id=f"r{i}", metrics=MetricsRegistry())
         for i in range(1, n + 1)
     }
     first = next(iter(replicas.values()))

@@ -3,13 +3,13 @@ health accounting, and full simulated-network convergence."""
 
 import pytest
 
+from repro.core.registry import ServiceRegistry
 from repro.http import HttpRequest
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.registry import (
     GOSSIP_PATH,
     GossipHandler,
-    RegistryReplica,
     SimGossipPeer,
     sync_pair,
 )
@@ -50,7 +50,7 @@ def _counter(metrics, outcome):
 
 def test_handler_status_codes():
     metrics = MetricsRegistry()
-    replica = RegistryReplica("srv")
+    replica = ServiceRegistry(peer_id="srv")
     handler = GossipHandler(replica, metrics=metrics)
 
     assert handler(HttpRequest("GET", GOSSIP_PATH)).status == 405
@@ -75,7 +75,7 @@ def test_handler_status_codes():
 def test_round_over_http_handler_converges_both_ways():
     """A full initiator round driven through the HTTP endpoint reaches
     the same fixpoint as the in-process sync_pair."""
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("only-a", "http://h:1/a")
     b.register("only-b", "http://h:2/b")
     handler = GossipHandler(b, metrics=MetricsRegistry())
@@ -148,7 +148,7 @@ def test_sim_gossip_peers_converge_cluster():
         n: add_site(net, BACKBONE_IU, name=n, open_ports=(port,))
         for n in names
     }
-    replicas = {n: RegistryReplica(n, metrics=metrics) for n in names}
+    replicas = {n: ServiceRegistry(peer_id=n, metrics=metrics) for n in names}
     for n in names:
         SimHttpServer(
             net, hosts[n], port, GossipHandler(replicas[n], metrics=metrics),
@@ -182,7 +182,7 @@ def test_sim_gossip_peers_converge_cluster():
 
 
 def test_idempotent_round_after_convergence():
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://h:1/svc")
     sync_pair(a, b)
     # wire bytes are stable too: the same digest encodes identically

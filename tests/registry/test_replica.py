@@ -1,4 +1,4 @@
-"""Version-vector merge semantics of one registry replica.
+"""Version-vector merge semantics of one registry peer.
 
 The merge rules are the whole correctness story of the replicated
 registry: per-field last-writer-wins with ``(lamport, peer)`` stamps,
@@ -11,13 +11,14 @@ import sys
 
 import pytest
 
+from repro.core.registry import ServiceRegistry
 from repro.errors import RegistryUnavailable, UnknownServiceError
-from repro.registry import RegistryReplica, sync_pair
+from repro.registry import sync_pair
 from repro.store.journal import MessageJournal
 
 
 def test_register_lookup_roundtrip():
-    replica = RegistryReplica("a")
+    replica = ServiceRegistry(peer_id="a")
     replica.register("echo", "http://ws:9000/echo", metadata={"ver": "1"})
     record = replica.lookup("echo")
     assert record.physical == ["http://ws:9000/echo"]
@@ -27,7 +28,7 @@ def test_register_lookup_roundtrip():
 
 
 def test_concurrent_registers_converge_to_one_winner():
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://a:1/svc")
     b.register("svc", "http://b:2/svc")
     sync_pair(a, b)
@@ -40,7 +41,7 @@ def test_concurrent_registers_converge_to_one_winner():
 
 
 def test_concurrent_register_and_unregister_tombstone_wins_tie():
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://a:1/svc")
     sync_pair(a, b)
     # concurrent, equal-lamport conflict: a re-registers, b unregisters
@@ -56,7 +57,7 @@ def test_concurrent_register_and_unregister_tombstone_wins_tie():
 
 
 def test_register_after_tombstone_resurrects():
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://a:1/svc")
     sync_pair(a, b)
     b.unregister("svc")
@@ -72,7 +73,7 @@ def test_register_after_tombstone_resurrects():
 def test_tombstone_suppresses_stale_register_replay():
     """An *older* register gossiped after the unregister must not
     resurrect the name (the LWW stamps, not arrival order, decide)."""
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://a:1/svc")
     stale_delta = a.delta_for({})
     a.unregister("svc")
@@ -83,12 +84,12 @@ def test_tombstone_suppresses_stale_register_replay():
 
 
 def test_regossip_of_same_digest_is_idempotent():
-    a = RegistryReplica("a")
+    a = ServiceRegistry(peer_id="a")
     a.register("one", "http://h:1/one")
     a.register("two", "http://h:2/two")
     a.unregister("two")
     delta = a.delta_for({})
-    c = RegistryReplica("c")
+    c = ServiceRegistry(peer_id="c")
     assert c.apply_delta(delta) > 0
     assert c.apply_delta(delta) == 0
     assert c.vv == a.vv
@@ -99,7 +100,7 @@ def test_regossip_of_same_digest_is_idempotent():
 
 
 def test_delta_for_returns_only_missing_entries():
-    a = RegistryReplica("a")
+    a = ServiceRegistry(peer_id="a")
     a.register("one", "http://h:1/one")
     a.register("two", "http://h:2/two")
     assert a.delta_for(a.vv) == []
@@ -108,7 +109,7 @@ def test_delta_for_returns_only_missing_entries():
 
 
 def test_set_enabled_state_gossips():
-    a, b = RegistryReplica("a"), RegistryReplica("b")
+    a, b = ServiceRegistry(peer_id="a"), ServiceRegistry(peer_id="b")
     a.register("svc", "http://h:1/svc")
     sync_pair(a, b)
     a.set_enabled("svc", False)
@@ -121,7 +122,7 @@ def test_set_enabled_state_gossips():
 
 
 def test_unavailable_replica_refuses_reads_writes_and_gossip():
-    replica = RegistryReplica("a")
+    replica = ServiceRegistry(peer_id="a")
     replica.register("echo", "http://h:1/echo")
     delta = replica.delta_for({})
     replica.set_available(False)
@@ -141,14 +142,14 @@ def test_unavailable_replica_refuses_reads_writes_and_gossip():
 
 def test_journal_restore_rebuilds_state_and_vector():
     journal = MessageJournal(sync="always")
-    replica = RegistryReplica("a", journal=journal)
+    replica = ServiceRegistry(peer_id="a", journal=journal)
     replica.register("echo", "http://h:1/echo")
     replica.register("gone", "http://h:2/gone")
     replica.unregister("gone")
     replica.register("dark", "http://h:3/dark")
     replica.set_enabled("dark", False)
     # a new incarnation reopens the same journal (the disk survived)
-    reborn = RegistryReplica("a", journal=journal)
+    reborn = ServiceRegistry(peer_id="a", journal=journal)
     assert reborn.restored > 0
     # tombstoned "gone" is dropped; disabled "dark" stays listed (it is
     # still registered, just not resolvable) — same as the live replica
@@ -167,9 +168,9 @@ def test_gossip_wire_bytes_are_hashseed_independent():
     """Digest + delta bytes must not depend on dict iteration order:
     every replica process has a different PYTHONHASHSEED."""
     code = (
-        "from repro.registry import RegistryReplica\n"
+        "from repro.core.registry import ServiceRegistry\n"
         "from repro.registry.gossip import encode_gossip, gossip_payload\n"
-        "r = RegistryReplica('p')\n"
+        "r = ServiceRegistry(peer_id='p')\n"
         "for i in range(10):\n"
         "    r.register(f'svc-{i}', f'http://h:{i}/s',\n"
         "               metadata={f'k{i}': 'v', 'zz': 'y', 'aa': 'x'})\n"

@@ -101,7 +101,7 @@ def _documented_fields(class_name: str) -> set[str]:
 
 def test_dispatcher_configs_are_documented_and_mirror_each_other():
     """docs/api.md lists exactly the fields each config has, and the
-    simulated config mirrors the threaded one by construction: the nine
+    simulated config mirrors the threaded one by construction: the ten
     shared knobs are declared once, in the base next to ``DispatchCore``."""
     from repro.core.dispatch import DispatcherConfigBase
     from repro.core.msg_dispatcher import MsgDispatcherConfig
@@ -111,14 +111,15 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
     assert shared == {
         "accept_queue": 1024, "destination_queue": 1024, "batch_size": 8,
         "destination_idle_ttl": 10.0, "correlation_ttl": 120.0, "breaker": None,
-        "max_inflight": None, "shed_retry_after": 1.0, "dedupe_window": None,
+        "max_inflight": None, "shed_retry_after": 1.0,
+        "hold_pump_interval": 0.25, "dedupe_window": None,
     }
     own = {
         MsgDispatcherConfig: {"cx_threads": 4, "ws_threads": 8, "retry": None},
         SimMsgDispatcherConfig: {
             "cx_workers": 4, "ws_workers": 8, "parallel_per_destination": 1,
             "connect_timeout": 21.0, "response_timeout": 30.0,
-            "shed_on_full": False, "hold_pump_interval": 0.25,
+            "shed_on_full": False,
         },
     }
     for cls, added in own.items():
