@@ -30,11 +30,9 @@ from repro.errors import (
     TransportError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease
+from repro.http.session import CONNECT, RECV, RECV_CHUNK, SEND, ClientSession, Lease
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Endpoint, parse_http_url
-
-_RECV_CHUNK = 64 * 1024
 
 
 class _AioConn(asyncio.BufferedProtocol):
@@ -147,7 +145,7 @@ class AioHttpClient(ClientSession):
         self.connect_timeout = connect_timeout
         # one receive buffer for every connection of this client: the
         # loop fills it and hands it over before it reads another socket
-        self._recv_view = memoryview(bytearray(_RECV_CHUNK))
+        self._recv_view = memoryview(bytearray(RECV_CHUNK))
 
     # -- the wire ------------------------------------------------------------
     async def _connect(self, endpoint: Endpoint) -> _AioConn:

@@ -6,17 +6,17 @@ This is the C10k half of the asyncio runtime.  The threaded
 pooled worker thread for its whole lifetime — exactly the
 thread-per-connection model whose stacks OOM'd the paper's WS-MsgBox
 once enough firewalled clients held long-poll connections open.  Here an
-accepted connection costs one :class:`asyncio.BufferedProtocol` (a parser
+accepted connection costs one :class:`asyncio.BufferedProtocol` (a session
 and a timer, ~KB), and the loop reads every connection into the server's
 *single* receive buffer, so ten thousand idle long-pollers multiplex onto
 one loop thread without owning a stack, a coroutine or 64 KiB each.
 
-The wire protocol is the same sans-io parser/serializer the threaded and
-simulated runtimes use (:mod:`repro.http.wire`), and the handler contract
-is :meth:`repro.rt.service.SoapHttpApp.handle_request` unchanged — with
-one extension: a handler may return an *awaitable* response (the
-long-poll escape hatch), which becomes the one task this server ever
-creates: for that request, until it is answered.
+The server contract is the sans-io session the threaded and simulated
+runtimes drive too (:class:`repro.http.session.ServerSession`), and the
+handler contract is :meth:`repro.rt.service.SoapHttpApp.handle_request`
+unchanged — with one extension: a handler may return an *awaitable*
+response (the long-poll escape hatch), which becomes the one task this
+server ever creates: for that request, until it is answered.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from typing import Callable
 
 from repro.errors import HttpParseError
 from repro.http import HttpRequest, HttpResponse
-from repro.http.wire import RequestParser, serialize_response
+from repro.http.session import RECV_CHUNK, ServerSession
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.transport.base import Endpoint
-
-_RECV_CHUNK = 64 * 1024
 
 #: drops a connection without a word (ConnectionError is an OSError)
 _DROP = (HttpParseError, OSError)
@@ -71,7 +69,7 @@ class AioHttpServer:
         # The one receive buffer: the loop fills it and calls
         # buffer_updated() before it reads any other socket, and the
         # parser copies what it keeps, so every connection can share it.
-        self._recv_view = memoryview(bytearray(_RECV_CHUNK))
+        self._recv_view = memoryview(bytearray(RECV_CHUNK))
         # Single-writer counters: every increment happens on the loop
         # thread, so plain ints are exact (no GIL-race caveat here).
         self._connections_served = 0
@@ -153,12 +151,12 @@ class AioHttpServer:
 
 
 class _Connection(asyncio.BufferedProtocol):
-    """One accepted connection: parser, pump and keep-alive timer."""
+    """One accepted connection: session, pump and keep-alive timer."""
 
     def __init__(self, server: AioHttpServer, loop: asyncio.AbstractEventLoop) -> None:
         self._server = server
         self._loop = loop
-        self._parser = RequestParser()
+        self._session = ServerSession()
         self._transport: asyncio.Transport | None = None
         self._peer: str | None = None
         #: the parked handler of the request being answered, if any
@@ -204,12 +202,12 @@ class _Connection(asyncio.BufferedProtocol):
     def buffer_updated(self, nbytes: int) -> None:
         self._last_activity = self._loop.time()
         try:
-            self._parser.feed(self._server._recv_view[:nbytes])
+            self._session.feed(self._server._recv_view[:nbytes])
         except HttpParseError:
             self.drop()
             return
         if self._task is not None:
-            # pipelined behind a parked request: it waits in the parser,
+            # pipelined behind a parked request: it waits in the session,
             # and nothing more is read until that one is answered
             self._pause_reading()
         self._pump()
@@ -243,7 +241,7 @@ class _Connection(asyncio.BufferedProtocol):
         serve, go back to reading (or, after the peer's EOF, close)."""
         transport = self._transport
         while not (self._write_paused or self._task or transport.is_closing()):
-            request = self._parser.next_message()
+            request = self._session.next_request()
             if request is None:
                 if self._eof:
                     self.drop()  # client EOF, idle or mid-request
@@ -281,11 +279,9 @@ class _Connection(asyncio.BufferedProtocol):
             raise
 
     def _answer(self, request: HttpRequest, response: HttpResponse) -> None:
-        if not request.keep_alive:
-            response.headers.set("Connection", "close")
-        self._transport.write(serialize_response(response))
+        self._transport.write(self._session.answer(request, response))
         self._server._requests_served += 1
-        if not request.keep_alive or not response.keep_alive:
+        if self._session.closing:
             self.drop()
 
     def _check_idle(self) -> None:

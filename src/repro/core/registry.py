@@ -101,9 +101,11 @@ class LookupCache:
     takes no lock.  Concurrent misses for one name are single-flighted
     (one caller resolves, the rest share its result and count as
     ``coalesced``), so an expiry under load cannot stampede the backing
-    store.  A ``resolve`` that raises caches nothing; ``ttl <= 0``
-    disables the cache.  Outcomes are exported as
-    ``registry_cache_total{outcome=hit|miss|coalesced}`` on ``metrics``.
+    store.  A ``resolve`` that raises caches nothing, and neither does one
+    an :meth:`invalidate` of its name overtook (what it found may predate
+    the mutation); ``ttl <= 0`` disables the cache.  Outcomes are
+    exported as ``registry_cache_total{outcome=hit|miss|coalesced}`` on
+    ``metrics``.
     """
 
     def __init__(
@@ -127,6 +129,11 @@ class LookupCache:
         #: get/set/pop are atomic under the GIL and a racing reader at
         #: worst re-resolves through the owner's slow path
         self._entries: dict[str, tuple[ServiceRecord, float]] = {}
+        #: logical -> fill generation, bumped by every invalidate: a fill
+        #: stores only if its name's has not moved while it resolved
+        self._generations: dict[str, int] = {}
+        #: makes a fill's check-and-store atomic against an invalidate
+        self._fill_lock = threading.Lock()
 
     def get(self, logical: str) -> ServiceRecord:
         if self._ttl <= 0:
@@ -148,8 +155,11 @@ class LookupCache:
         return record
 
     def _fill(self, logical: str) -> ServiceRecord:
+        generation = self._generations.get(logical)
         record = self._resolve(logical)
-        self._entries[logical] = (record, self._now() + self._ttl)
+        with self._fill_lock:
+            if self._generations.get(logical) == generation:
+                self._entries[logical] = (record, self._now() + self._ttl)
         return record
 
     def peek(self, logical: str) -> bool:
@@ -164,8 +174,11 @@ class LookupCache:
         )
 
     def invalidate(self, logical: str) -> None:
-        """Drop a cached lookup after any mutation of its record."""
-        self._entries.pop(logical, None)
+        """Drop a cached lookup after any mutation of its record, and
+        keep a fill already resolving it from storing what it found."""
+        with self._fill_lock:
+            self._generations[logical] = self._generations.get(logical, 0) + 1
+            self._entries.pop(logical, None)
 
     def stats(self) -> dict[str, float]:
         hits = float(self._m_hits.get())

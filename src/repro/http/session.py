@@ -1,4 +1,8 @@
-"""The pipelining HTTP client contract, written once and sans-io.
+"""The HTTP contracts, client and server, each written once and sans-io.
+
+:class:`ServerSession` is the servlet container's half: one accepted
+connection's requests answered in order, kept alive or closed.  The rest
+of this module is the client's.
 
 The paper's WsThread "holds an open connection for a predefined time with
 a specified WS" and drains its queue over it (§4, Fig 3).  Everything a
@@ -49,12 +53,20 @@ from repro.errors import (
     TransportError,
 )
 from repro.http.message import Headers, HttpRequest, HttpResponse
-from repro.http.wire import ResponseParser, serialize_request_burst
+from repro.http.wire import (
+    RequestParser,
+    ResponseParser,
+    serialize_request_burst,
+    serialize_response,
+)
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.transport.base import Endpoint, parse_http_url
 
 CONNECT, SEND, RECV, SLEEP = "connect", "send", "recv", "sleep"
+
+#: what a socket driver asks for per read, client or server
+RECV_CHUNK = 64 * 1024
 
 #: what a wire can do to an exchange short of answering it
 _WIRE_ERRORS = (TransportError, HttpParseError)
@@ -388,3 +400,42 @@ class Lease:
                     outcome = exc
             results.append(outcome)
         return results
+
+
+class ServerSession:
+    """One accepted connection's side of the server contract.
+
+    A driver feeds it what it reads, answers each :meth:`next_request` in
+    order with the bytes of :meth:`answer`, and closes the connection
+    when ``closing`` is set and those bytes are written.  What the driver
+    keeps is its wire: accept, the worker, slot or park a handler runs in,
+    the write, EOF (close once nothing ready is left) and the idle clock.
+    A :class:`~repro.errors.HttpParseError` from :meth:`feed` drops the
+    connection, whatever was parsed before the bad bytes unanswered; a
+    handler that raises closes it once the answers already made are
+    written.
+    """
+
+    __slots__ = ("_parser", "closing")
+
+    def __init__(self) -> None:
+        self._parser = RequestParser()
+        #: the last answer ended the exchange: nothing more is answered
+        self.closing = False
+
+    def feed(self, data) -> None:
+        self._parser.feed(data)
+
+    def next_request(self) -> "HttpRequest | None":
+        """The next ready request, or None (none buffered, or closing)."""
+        if self.closing:
+            return None
+        return self._parser.next_message()
+
+    def answer(self, request: HttpRequest, response: HttpResponse) -> bytes:
+        """The wire bytes of ``response`` to ``request``.  ``Connection:
+        close`` in either direction ends the exchange."""
+        if not request.keep_alive:
+            response.headers.set("Connection", "close")
+        self.closing = not response.keep_alive
+        return serialize_response(response)

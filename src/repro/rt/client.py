@@ -25,12 +25,18 @@ from collections.abc import Iterable, Sequence
 
 from repro.errors import ReproError, SoapError, XmlError
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease, soap_post
+from repro.http.session import (
+    CONNECT,
+    RECV,
+    RECV_CHUNK,
+    SEND,
+    ClientSession,
+    Lease,
+    soap_post,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.soap import Envelope
 from repro.transport.base import Connector, parse_http_url
-
-_RECV_CHUNK = 64 * 1024
 
 
 class HttpClient(ClientSession):
@@ -68,7 +74,7 @@ class HttpClient(ClientSession):
             while True:
                 try:
                     if op is RECV:
-                        result = stream.recv(_RECV_CHUNK, timeout=arg)
+                        result = stream.recv(RECV_CHUNK, timeout=arg)
                     elif op is SEND:
                         result = stream.send(arg)
                     elif op is CONNECT:

@@ -13,20 +13,11 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from repro.errors import (
-    ConnectionTimeout,
-    HttpParseError,
-    TransportError,
-)
-from repro.http import HttpRequest, HttpResponse
-from repro.http.wire import RequestParser, serialize_response
+from repro.errors import ConnectionTimeout, HttpParseError, TransportError
+from repro.http.session import RECV_CHUNK, ServerSession
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.transport.base import Listener, Stream
 from repro.util.concurrency import BoundedExecutor, RejectedExecution
-
-Handler = Callable[[HttpRequest, str | None], HttpResponse]
-
-_RECV_CHUNK = 64 * 1024
 
 
 class HttpServer:
@@ -35,7 +26,7 @@ class HttpServer:
     def __init__(
         self,
         listener: Listener,
-        handler: Handler,
+        handler: Callable,
         workers: int = 16,
         keep_alive_timeout: float = 15.0,
         name: str = "http",
@@ -116,37 +107,21 @@ class HttpServer:
                 stream.close()
 
     def _serve_connection(self, stream: Stream) -> None:
-        parser = RequestParser()
+        session = ServerSession()
         try:
             while self._running:
-                request = self._read_request(stream, parser)
-                if request is None or not self._running:
-                    return  # idle expiry, client EOF, or server stopped
-                response = self._handler(request, None)
-                if not request.keep_alive:
-                    response.headers.set("Connection", "close")
-                stream.send(serialize_response(response))
-                self._requests_served += 1
-                if not request.keep_alive or not response.keep_alive:
+                request = session.next_request()
+                if request is not None:
+                    stream.send(session.answer(request, self._handler(request, None)))
+                    self._requests_served += 1
+                elif session.closing:
                     return
+                else:
+                    data = stream.recv(RECV_CHUNK, timeout=self._keep_alive_timeout)
+                    if not data:
+                        return  # client EOF, idle or mid-request
+                    session.feed(data)
         except (TransportError, HttpParseError):
-            return  # drop the connection; client sees reset/EOF
+            return  # idle expiry or a dropped connection; client sees EOF
         finally:
             stream.close()
-
-    def _read_request(
-        self, stream: Stream, parser: RequestParser
-    ) -> HttpRequest | None:
-        while True:
-            message = parser.next_message()
-            if message is not None:
-                return message  # type: ignore[return-value]
-            try:
-                data = stream.recv(_RECV_CHUNK, timeout=self._keep_alive_timeout)
-            except ConnectionTimeout:
-                return None  # idle keep-alive expiry
-            if not data:
-                if parser.idle:
-                    return None
-                raise HttpParseError("connection closed mid-request")
-            parser.feed(data)

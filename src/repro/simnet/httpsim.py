@@ -1,4 +1,6 @@
-"""HTTP over the simulated transport, reusing the production wire codec.
+"""HTTP over the simulated transport, under the production contracts:
+the server drives a :class:`~repro.http.session.ServerSession` per
+connection and the client pool is a :class:`~repro.http.session.ClientSession`.
 
 Handlers may be plain functions (``HttpRequest -> HttpResponse``) or
 generator functions that yield simulation events and return the response
@@ -11,18 +13,14 @@ from __future__ import annotations
 import types
 from typing import Callable
 
-from repro.errors import ConnectionTimeout, HttpParseError, TransportError
-from repro.http import HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, SEND, ClientSession, exchange
-from repro.http.wire import RequestParser, serialize_response
+from repro.errors import HttpParseError, TransportError
+from repro.http import HttpRequest
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, ServerSession, exchange
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource
 from repro.simnet.tcpsim import SimTcpConnection, TcpParams, connect, listen
 from repro.simnet.topology import Host, Network
-
-Handler = Callable[[HttpRequest], "HttpResponse | types.GeneratorType"]
-
 
 class SimHttpServer:
     """HTTP server hosted on a simulated machine.
@@ -43,7 +41,7 @@ class SimHttpServer:
         net: Network,
         host: Host,
         port: int,
-        handler: Handler,
+        handler: Callable,
         workers: int = 32,
         keep_alive_timeout: float = 15.0,
         service_time: float = 0.0005,
@@ -63,7 +61,7 @@ class SimHttpServer:
         self.workers = Resource(self.sim, capacity=workers)
         self.listener = listen(self.sim, host, port, self.params)
         self.requests_served = 0
-        self.connections_accepted = 0
+        self.connections_served = 0
         self._running = True
         self.paused = False
         self.sim.process(self._accept_loop(), name=f"http-accept-{host.name}:{port}")
@@ -99,73 +97,58 @@ class SimHttpServer:
                 conn = yield self.listener.accept()
             except Exception:
                 return
-            self.connections_accepted += 1
+            self.connections_served += 1
             self.sim.process(
                 self._serve(conn), name=f"http-conn-{self.host.name}:{self.port}"
             )
 
     def _serve(self, conn: SimTcpConnection):
-        parser = RequestParser()
+        session = ServerSession()
         try:
             while self._running and not self.paused:
-                request = None
+                request = session.next_request()
                 while request is None:
-                    request = parser.next_message()
-                    if request is not None:
-                        break
-                    try:
-                        data = yield from conn.recv(timeout=self.keep_alive_timeout)
-                    except ConnectionTimeout:
-                        return
+                    data = yield from conn.recv(timeout=self.keep_alive_timeout)
                     if not data:
                         return
-                    parser.feed(data)
-
+                    session.feed(data)
+                    request = session.next_request()
                 # A pipelined client may have several requests already
-                # buffered; process them all and coalesce the responses
-                # into one write, the way a real server's socket buffer
-                # streams back-to-back responses (one propagation delay
-                # for the whole burst, not one per response).  A serial
-                # client never has more than one request buffered, so its
-                # timing is unchanged.
-                pending = [request]
-                while True:
-                    more = parser.next_message()
-                    if more is None:
-                        break
-                    pending.append(more)
-                responses = []
-                close_after = False
-                for req in pending:
-                    req_slot = self.workers.request()
-                    yield req_slot
+                # buffered; serve them all and coalesce the answers into
+                # one write, the way a real server's socket buffer streams
+                # back-to-back responses (one propagation delay for the
+                # whole burst, not one per response).  A serial client
+                # never has more than one request buffered, so its timing
+                # is unchanged.
+                answers, failure = [], None
+                while request is not None:
+                    slot = self.workers.request()
+                    yield slot
                     try:
                         if self.service_time > 0:
                             yield self.host.compute(self.service_time)
-                        response = self._invoke(req)
+                        response = self.handler(request)
                         if isinstance(response, types.GeneratorType):
                             response = yield from response
-                    finally:
-                        req_slot.release()
-                    if not req.keep_alive:
-                        response.headers.set("Connection", "close")
-                    responses.append(response)
-                    if not req.keep_alive or not response.keep_alive:
-                        close_after = True
+                    except Exception as exc:
+                        failure = exc
                         break
-                yield from conn.send(
-                    b"".join(serialize_response(r) for r in responses)
-                )
-                self.requests_served += len(responses)
-                if close_after:
+                    finally:
+                        slot.release()
+                    answers.append(session.answer(request, response))
+                    request = session.next_request()
+                # what was answered before a handler raised still goes out
+                if answers:
+                    yield from conn.send(b"".join(answers))
+                    self.requests_served += len(answers)
+                if failure is not None:
+                    raise failure
+                if session.closing:
                     return
         except (TransportError, HttpParseError):
-            return
+            return  # idle expiry or a dropped connection
         finally:
             conn.close()
-
-    def _invoke(self, request: HttpRequest):
-        return self.handler(request)
 
 
 def _run(steps, pool: "SimHttpClientPool | None" = None):

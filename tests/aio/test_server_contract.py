@@ -1,9 +1,13 @@
-"""What AioHttpServer promises a peer, and AioHttpClient's two wire rules
-the shared client contract cannot see, one row each.
+"""What AioHttpServer promises a peer beyond the shared server contract,
+and AioHttpClient's two wire rules the shared client contract cannot see,
+one row each.
 
-The server speaks the wire itself (an ``asyncio.BufferedProtocol`` per
-connection over one shared receive buffer), so every rule a stream layer
-used to give for free is pinned here against real loopback sockets.  The
+Order, keep-alive, ``Connection: close``, EOF, idle expiry and what a
+broken request or a raising handler drops are rows of the shared table,
+``tests/http/test_server_contract.py``, run on every runtime.  What is
+pinned here is the aio wire's own: the one receive buffer every
+connection shares, back-pressure, ``TCP_NODELAY`` on a pre-bound socket
+and ``stop()`` with parked polls — against real loopback sockets.  The
 scripted peers are asyncio streams — test-side only.  Every test runs on
 one loop; waits are events, loop turns and deadlines of at most 50 ms.
 """
@@ -137,172 +141,6 @@ def test_two_connections_interleaving_halves_never_see_each_others_bytes():
                 await turns()
         for peer, body in zip(peers, bodies):
             assert (await peer.response()).body == b"echo:" + body
-
-    run(main)
-
-
-# -- order: one request at a time per connection --------------------------------------
-
-def test_pipelined_requests_behind_a_parked_one_wait_their_turn():
-    calls: list[tuple[bytes, int]] = []
-    release = asyncio.Event()
-    srv = None
-
-    def handler(request, peer):
-        calls.append((request.body, srv.requests_served))
-        if request.body == b"2":
-            async def parked():
-                await release.wait()
-                return echo(request, peer)
-            return parked()
-        return echo(request, peer)
-
-    async def main(serve):
-        nonlocal srv
-        srv = await serve(handler)
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"1") + wire(b"2") + wire(b"3"))
-        assert (await peer.response()).body == b"echo:1"
-        await turns(10)
-        assert [body for body, _ in calls] == [b"1", b"2"]  # 3 waits in the parser
-        release.set()
-        assert (await peer.response()).body == b"echo:2"
-        assert (await peer.response()).body == b"echo:3"
-        # the third handler call started after the second response was written
-        assert calls[2] == (b"3", 2)
-
-    run(main)
-
-
-# -- keep-alive expiry: idle, and only idle -------------------------------------------
-
-def test_an_idle_connection_expires_at_the_keep_alive_timeout():
-    async def main(serve):
-        srv = await serve(echo, keep_alive_timeout=0.05)
-        loop = asyncio.get_running_loop()
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"a"))
-        assert (await peer.response()).status == 200
-        answered = loop.time()
-        assert await peer.response() is None  # the server closed
-        assert 0.04 <= loop.time() - answered < 0.5
-        await until(lambda: srv.open_connections == 0)
-
-    run(main)
-
-
-def test_a_connection_parked_in_a_handler_is_not_idle():
-    def handler(request, peer):
-        async def parked():
-            await asyncio.sleep(0.05)  # 2.5 keep-alive timeouts
-            return echo(request, peer)
-        return parked()
-
-    async def main(serve):
-        srv = await serve(handler, keep_alive_timeout=0.02)
-        loop = asyncio.get_running_loop()
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"slow"))
-        response = await peer.response()
-        assert response is not None and response.body == b"echo:slow"
-        answered = loop.time()
-        assert await peer.response() is None  # and idle from the answer on
-        assert 0.015 <= loop.time() - answered < 0.5
-
-    run(main)
-
-
-# -- what drops a connection drops that connection only -------------------------------
-
-@pytest.mark.parametrize("poison", ["eof-mid-request", "malformed-start-line"])
-def test_a_broken_request_drops_that_connection_only(poison):
-    async def main(serve):
-        srv = await serve(echo)
-        bystander, broken = await Peer.connect(srv), await Peer.connect(srv)
-        bystander.send(wire(b"before"))
-        assert (await bystander.response()).body == b"echo:before"
-        if poison == "eof-mid-request":
-            broken.send(wire(b"never finished")[:-5])
-            broken.writer.write_eof()
-        else:
-            broken.send(b"NOT-HTTP\r\n\r\n")
-        assert await broken.response() is None
-        bystander.send(wire(b"after"))
-        assert (await bystander.response()).body == b"echo:after"
-        await until(lambda: srv.open_connections == 1)
-        assert srv.requests_served == 2
-
-    run(main)
-
-
-@pytest.mark.parametrize("parked", [False, True], ids=["sync", "parked"])
-def test_a_handler_raising_connection_error_drops_the_connection(parked):
-    def handler(request, peer):
-        if request.body != b"boom":
-            return echo(request, peer)
-        if not parked:
-            raise ConnectionResetError("backend went away")
-
-        async def fail():
-            await asyncio.sleep(0)
-            raise ConnectionResetError("backend went away")
-        return fail()
-
-    async def main(serve):
-        srv = await serve(handler)
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"boom") + wire(b"unreached"))
-        assert await peer.response() is None
-        other = await Peer.connect(srv)
-        other.send(wire(b"fine"))
-        assert (await other.response()).body == b"echo:fine"
-        assert srv.requests_served == 1
-
-    run(main)
-
-
-def test_a_half_closed_peer_still_gets_its_answers():
-    async def main(serve):
-        srv = await serve(echo)
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"1") + wire(b"2"))
-        peer.writer.write_eof()
-        assert (await peer.response()).body == b"echo:1"
-        assert (await peer.response()).body == b"echo:2"
-        assert await peer.response() is None
-
-    run(main)
-
-
-# -- Connection: close, asked for or answered -----------------------------------------
-
-def test_connection_close_on_the_request():
-    async def main(serve):
-        srv = await serve(echo)
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"bye", Connection="close") + wire(b"unreached"))
-        response = await peer.response()
-        assert response.body == b"echo:bye"
-        assert response.headers.get("Connection") == "close"
-        assert await peer.response() is None
-        assert srv.requests_served == 1
-
-    run(main)
-
-
-def test_connection_close_on_the_response():
-    def handler(request, peer):
-        response = echo(request, peer)
-        response.headers.set("Connection", "close")
-        return response
-
-    async def main(serve):
-        srv = await serve(handler)
-        peer = await Peer.connect(srv)
-        peer.send(wire(b"last") + wire(b"unreached"))
-        assert (await peer.response()).body == b"echo:last"
-        assert await peer.response() is None
-        assert srv.requests_served == 1
 
     run(main)
 

@@ -9,6 +9,7 @@ pinned here once, for every driver.
 import ast
 import asyncio
 import pathlib
+import re
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -185,6 +186,8 @@ def test_the_client_contract_is_written_once():
         "simnet/httpsim.py": httpsim[httpsim.index("def _run("):],
     }
     core_text = pathlib.Path(session.__file__).read_text(encoding="utf-8")
+    # the client half: everything before the server session
+    core_text = core_text[:core_text.index("class ServerSession")]
     for marker in ("ResponseParser(", "except ConnectionTimeout", ".keep_alive",
                    'get("Retry-After")'):
         assert core_text.count(marker) == 1, marker
@@ -194,6 +197,21 @@ def test_the_client_contract_is_written_once():
         assert "ResponseParser" not in text, path
         loops = [n for n in ast.walk(ast.parse(text)) if isinstance(n, (ast.For, ast.AsyncFor))]
         assert not loops, f"{path}: line {loops[0].lineno if loops else 0} loops"
+
+
+def test_the_server_contract_is_written_once():
+    """The server's rules — parse, the ``Connection: close`` stamp, the
+    keep-alive test, the serializer — live in ``ServerSession`` only."""
+    src = pathlib.Path(dispatch.__file__).resolve().parents[1]
+    core_text = pathlib.Path(session.__file__).read_text(encoding="utf-8")
+    core_text = core_text[core_text.index("class ServerSession"):]
+    for marker in ("RequestParser(", '"Connection", "close"', "serialize_response("):
+        assert core_text.count(marker) == 1, marker
+    for path in ("rt/server.py", "aio/server.py", "simnet/httpsim.py"):
+        text = (src / path).read_text(encoding="utf-8")
+        for marker in ("RequestParser", '"Connection", "close"',
+                       "serialize_response", r"\.keep_alive\b"):
+            assert not re.search(marker, text), f"{path}: {marker}"
 
 
 # -- (a) a RelatesTo that hits an expired entry -------------------------------

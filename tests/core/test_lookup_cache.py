@@ -137,3 +137,81 @@ def test_peek_on_a_disabled_cache_is_always_a_miss():
     cache = LookupCache(backing.resolve, ManualClock().now, 0.0, MetricsRegistry())
     cache.get("echo")
     assert not cache.peek("echo")
+
+
+# -- a fill never stores what an invalidate overtook ---------------------------
+
+def test_an_invalidate_landing_mid_fill_is_not_lost():
+    """The fill resolved before the mutation and stores after its
+    invalidate: what it found must not be cached for the TTL."""
+    backing = Backing(echo="http://ws:9000/echo")
+    resolved, gate = threading.Event(), threading.Event()
+
+    def slow_resolve(logical):
+        record = backing.resolve(logical)
+        resolved.set()
+        assert gate.wait(5.0)  # resolved, not yet stored
+        return record
+
+    cache = LookupCache(slow_resolve, ManualClock().now, 5.0, MetricsRegistry())
+    filler = threading.Thread(target=cache.get, args=("echo",))
+    filler.start()
+    assert resolved.wait(5.0)
+    backing.records["echo"] = ServiceRecord("echo", ["http://ws:9001/echo-v2"])
+    cache.invalidate("echo")  # the mutation lands while the fill is out
+    gate.set()
+    filler.join(5.0)
+    assert not filler.is_alive()
+    assert cache.get("echo").physical == ["http://ws:9001/echo-v2"]
+
+
+def test_stress_no_lookup_outlives_the_mutation_it_raced():
+    """Readers fill the cache from a backing store that takes a while (the
+    replicated client resolves over HTTP) while a writer mutates it in
+    bursts, invalidating after each mutation as every owner does.  Once
+    every reader is parked, a lookup answers the last write."""
+    backing = Backing(svc="http://ws/0")
+
+    def slow_resolve(logical):
+        record = backing.resolve(logical)
+        time.sleep(0.0002)
+        return record
+
+    cache = LookupCache(slow_resolve, time.monotonic, 5.0, MetricsRegistry())
+    rounds, readers = 100, 3
+    barrier = threading.Barrier(readers + 1, timeout=10.0)
+    written = threading.Event()
+
+    def reader():
+        for _ in range(rounds):
+            barrier.wait()
+            while not written.is_set():
+                cache.get("svc")
+            barrier.wait()
+
+    threads = [threading.Thread(target=reader) for _ in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    for t in threads:
+        t.start()
+    stale = []
+    try:
+        for n in range(rounds):
+            barrier.wait()
+            for k in range(3):
+                last = f"http://ws/{n}.{k}"
+                backing.records["svc"] = ServiceRecord("svc", [last])
+                cache.invalidate("svc")
+                time.sleep(0.0001)
+            written.set()
+            barrier.wait()  # no fill is in flight from here on
+            written.clear()
+            if cache.get("svc").physical != [last]:
+                stale.append(n)
+    finally:
+        barrier.abort()
+        for t in threads:
+            t.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert stale == []

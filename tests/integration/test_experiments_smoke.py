@@ -1,8 +1,9 @@
 """Scaled-down smoke runs of every experiment, with shape assertions.
 
-The full-scale paper parameters run in ``benchmarks/``; here each
-experiment runs a reduced grid so the whole suite stays fast while still
-verifying the qualitative claims end-to-end.
+The full-scale paper parameters run from ``python -m repro.experiments``
+(EXPERIMENTS.md names the flags per table); here each experiment runs a
+reduced grid so the whole suite stays fast while still verifying the
+qualitative claims end-to-end.
 """
 
 import pytest

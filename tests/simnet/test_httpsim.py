@@ -110,7 +110,7 @@ class TestSimHttpServer:
 
         fresh, reuses = sim.run(sim.process(client_proc()))
         assert fresh == 1 and reuses == 2
-        assert server.connections_accepted == 1
+        assert server.connections_served == 1
         assert server.requests_served == 3
 
     def test_stop_closes_listener(self, world):

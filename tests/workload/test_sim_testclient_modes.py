@@ -28,7 +28,7 @@ def test_keep_alive_uses_one_connection_per_client():
     tester = SimRampTester(net, client, "server", 80, "/echo")
     result = tester.run(SimRampConfig(clients=3, duration=5.0, keep_alive=True))
     assert result.transmitted > 20
-    assert server.connections_accepted == 3
+    assert server.connections_served == 3
 
 
 def test_connection_per_call_mode():
@@ -37,7 +37,7 @@ def test_connection_per_call_mode():
     result = tester.run(SimRampConfig(clients=3, duration=5.0, keep_alive=False))
     assert result.transmitted > 10
     # one connection per call (give or take the last in-flight ones)
-    assert server.connections_accepted >= result.transmitted
+    assert server.connections_served >= result.transmitted
 
 def test_keep_alive_is_faster_than_reconnecting():
     net1, client1, _ = build_world()
