@@ -198,6 +198,11 @@ def run(
             result = tester.run(config)
             series.add(result)
             key = f"{mode}@{clients}"
+            # what the point cost the simulator (not rendered)
+            report.extras[key + ":kernel"] = {
+                "events": net.sim.events_processed,
+                "processes": net.sim.processes_started,
+            }
             if "dispatcher" in extras:
                 report.extras[key] = dict(extras["dispatcher"].stats)
             if "msgbox" in extras:

@@ -28,6 +28,8 @@ from repro.errors import SimInterrupt, SimulationError
 
 ProcessGen = Generator["Event", Any, Any]
 
+_FOREVER = float("inf")
+
 
 class Event:
     """A one-shot occurrence processes can wait on.
@@ -64,27 +66,21 @@ class Event:
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         if self._triggered:
             raise SimulationError("event already triggered")
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
         self._triggered = True
         self._value = value
-        self.sim._schedule(delay, self)
+        sim = self.sim  # queued at (time, seq): ties fire in scheduling order
+        sim._seq += 1
+        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
-        if self._triggered:
-            raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() needs an exception instance")
-        self._triggered = True
+        self.succeed(None, delay)
         self._exc = exc
-        self.sim._schedule(delay, self)
         return self
-
-    # kernel hook
-    def _process_callbacks(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
 
 
 class Timeout(Event):
@@ -95,10 +91,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout {delay}")
-        super().__init__(sim)
-        self._triggered = True
+        # Event.__init__ and succeed(), inlined: the most made event
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(delay, self)
+        self._exc = None
+        self._triggered = True
+        self._processed = False
+        sim._seq += 1
+        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
 
 
 class Process(Event):
@@ -111,9 +112,8 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Event | None = None
         self.name = name
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        sim.processes_started += 1
+        Timeout(sim, 0.0).callbacks.append(self._resume)  # bootstrap
 
     @property
     def is_alive(self) -> bool:
@@ -124,9 +124,7 @@ class Process(Event):
         if self._triggered:
             return  # completed; nothing to interrupt
         target = self._waiting_on
-        if target is not None and self in [
-            getattr(cb, "__self__", None) for cb in target.callbacks
-        ]:
+        if target is not None:
             target.callbacks = [
                 cb for cb in target.callbacks if getattr(cb, "__self__", None) is not self
             ]
@@ -163,16 +161,18 @@ class Process(Event):
         if next_event.sim is not self.sim:
             self._gen.throw(SimulationError("event belongs to another simulator"))
             return
-        self._waiting_on = next_event
         if next_event._processed:
-            # already fired: resume on the next kernel step
+            # already fired: resume on the next kernel step, from an event
+            # an interrupt can withdraw the resume from
             immediate = Event(self.sim)
             immediate.callbacks.append(self._resume)
+            self._waiting_on = immediate
             if next_event._exc is not None:
                 immediate.fail(next_event._exc)
             else:
                 immediate.succeed(next_event._value)
         else:
+            self._waiting_on = next_event
             next_event.callbacks.append(self._resume)
 
 
@@ -251,6 +251,7 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
+        self.processes_started = 0
         self.clock = _SimClock(self)
 
     # -- event factories ---------------------------------------------------
@@ -269,24 +270,12 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _schedule(self, delay: float, event: Event) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
-
     # -- execution -----------------------------------------------------------
     def step(self) -> bool:
         """Process one event; False when the queue is empty."""
         if not self._queue:
             return False
-        when, _seq, event = heapq.heappop(self._queue)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        self.events_processed += 1
-        event._process_callbacks()
+        self._advance(_FOREVER, None, 1)
         return True
 
     def run(self, until: float | Event | None = None) -> Any:
@@ -295,24 +284,41 @@ class Simulator:
         Running until an event returns (or raises) that event's value.
         """
         if isinstance(until, Event):
-            target = until
-            while not target._processed:
-                if not self.step():
-                    if not target._triggered:
-                        raise SimulationError(
-                            "queue exhausted before target event fired"
-                        )
-            return target.value
+            if not until._processed:
+                self._advance(_FOREVER, until, -1)
+                if not until._processed:
+                    raise SimulationError("queue exhausted before target event fired")
+            return until.value
         if until is None:
-            while self.step():
-                pass
+            self._advance(_FOREVER, None, -1)
             return None
         if until < self.now:
             raise SimulationError(f"cannot run to the past ({until} < {self.now})")
-        while self._queue and self._queue[0][0] <= until:
-            self.step()
+        self._advance(until, None, -1)
         self.now = until
         return None
+
+    def _advance(self, until: float, target: Event | None, budget: int) -> None:
+        """The one event loop, inlined so an event costs no call of its own:
+        fire events due by ``until`` until ``target`` or ``budget`` fired."""
+        queue = self._queue
+        pop = heapq.heappop
+        fired = 0
+        try:
+            while queue and queue[0][0] <= until:
+                when, _seq, event = pop(queue)
+                if when < self.now:
+                    raise SimulationError("time went backwards")
+                self.now = when
+                fired += 1
+                event._processed = True
+                callbacks, event.callbacks = event.callbacks, []
+                for cb in callbacks:
+                    cb(event)
+                if event is target or fired == budget:
+                    return
+        finally:
+            self.events_processed += fired
 
     @property
     def queue_size(self) -> int:

@@ -1,8 +1,10 @@
 """Simulation resources: FIFO stores and capacity-limited resources.
 
 Both support *cancelable* pending requests so processes can race a request
-against a timeout (``sim.any_of([store.get(), sim.timeout(1)])``) and then
-``cancel()`` the loser without leaking a queued claim.
+against a timeout and then ``cancel()`` the loser without leaking a queued
+claim.  A timed ``SimTcpConnection.recv`` cancels its own claim: the
+reader yields the ``get()`` alone, and the timer's callback cancels it and
+fails it with ``ConnectionTimeout``.
 
 The same rule applies to interrupts: a process interrupted while waiting
 on a ``get()``/``request()`` must ``cancel()`` the event it was waiting
@@ -80,10 +82,16 @@ class Store:
         return evt
 
     def try_put(self, item: Any) -> bool:
-        """Immediate put; False when the store is full."""
-        if len(self.items) >= self.capacity and not self._getters:
+        """Immediate put; False when the store is full.  Nobody waits on
+        it, so unless a putter is queued ahead it schedules no event."""
+        full = len(self.items) >= self.capacity
+        if full and not self._getters:
             return False
-        self.put(item)
+        if full or self._putters:
+            self.put(item)
+        else:
+            self.items.append(item)
+            self._settle()
         return True
 
     def _settle(self) -> None:

@@ -134,7 +134,7 @@ class SimTcpConnection:
         if self.remote.failed or self._stale():
             raise ConnectionClosed(f"{self.remote.name} went down during send")
         self.bytes_sent += len(data)
-        self.peer.inbox.put(data)
+        self.peer.inbox.try_put(data)
 
     def recv(self, timeout: float | None = None):
         """Process step: next segment, b"" on EOF.
@@ -151,18 +151,17 @@ class SimTcpConnection:
                 f"{self.remote.name} restarted; connection lost"
             )
         get = self.inbox.get()
-        if timeout is None:
-            item = yield get
-        else:
-            idx, value = yield self.sim.any_of([get, self.sim.timeout(timeout)])
-            if idx == 1:
-                get.cancel()
-                raise ConnectionTimeout(
-                    f"recv timed out after {timeout}s on {self.local.name}"
-                )
-            item = value
+        if timeout is not None:
+            def expire(_event) -> None:
+                if not get.triggered:
+                    get.cancel()
+                    get.fail(ConnectionTimeout(
+                        f"recv timed out after {timeout}s on {self.local.name}"
+                    ))
+            self.sim.timeout(timeout).callbacks.append(expire)
+        item = yield get
         if item is _EOF:
-            self.inbox.put(_EOF)  # keep EOF visible for subsequent reads
+            self.inbox.try_put(_EOF)  # keep EOF visible for subsequent reads
             return b""
         return item
 
@@ -174,7 +173,7 @@ class SimTcpConnection:
             self.local.release_connection()
         peer = self.peer
         if peer is not None and not peer.closed:
-            peer.inbox.put(_EOF)
+            peer.inbox.try_put(_EOF)
 
 
 def listen(sim: Simulator, host: Host, port: int, params: TcpParams | None = None) -> SimListener:

@@ -39,8 +39,9 @@ class Pipe:
         self.bytes_carried = 0
         self.transfers = 0
 
-    def transmit(self, nbytes: int) -> Timeout:
-        """Event firing when the last bit of ``nbytes`` leaves the pipe."""
+    def reserve(self, nbytes: int) -> float:
+        """Queue ``nbytes`` behind the backlog; seconds from now until its
+        last bit leaves the pipe."""
         if nbytes < 0:
             raise SimulationError("cannot transmit negative bytes")
         now = self.sim.now
@@ -49,7 +50,11 @@ class Pipe:
         self._free_at = start + duration
         self.bytes_carried += nbytes
         self.transfers += 1
-        return self.sim.timeout(self._free_at - now)
+        return self._free_at - now
+
+    def transmit(self, nbytes: int) -> Timeout:
+        """Event firing when the last bit of ``nbytes`` leaves the pipe."""
+        return self.sim.timeout(self.reserve(nbytes))
 
     @property
     def backlog_seconds(self) -> float:
@@ -246,51 +251,58 @@ class Network:
         down the receiver's link (store-and-forward at the core).  A
         transfer from a host to itself (co-located services) bypasses the
         access link entirely — loopback is not metered.
+
+        A chain of kernel callbacks, not a process: start → links up? →
+        up pipe → loss / RTO → propagation → down pipe → ``done``.  The
+        links are first read one kernel step after the call, so a fault
+        applied at the calling instant is seen.
         """
         sim = self.sim
-        done = sim.event()
-
         if src is dst:
             return sim.timeout(0.0001, value=nbytes)
+        done = Event(sim)
+        stalled = False
+        loss = None
 
-        def _links_up():
+        def start(_event: Event) -> None:
             # Fault injection: a downed link carries nothing.  TCP keeps
             # retransmitting, so the transfer waits out the outage rather
             # than failing — the caller's own connect/read deadline is
             # what turns a long outage into an error.
-            stalled = False
-            while True:
-                until = max(src.link.down_until, dst.link.down_until)
-                if until <= sim.now:
-                    return
+            nonlocal stalled
+            until = max(src.link.down_until, dst.link.down_until)
+            if until > sim.now:
                 if not stalled:
                     stalled = True
                     for link in (src.link, dst.link):
                         if link.down_until > sim.now:
                             link.stalled_transfers += 1
-                yield sim.timeout(until - sim.now)
+                sim.timeout(until - sim.now).callbacks.append(start)
+                return
+            stalled = False  # a retry's wait for the links counts again
+            sim.timeout(src.link.up.reserve(nbytes)).callbacks.append(sent)
 
-        def _run():
-            yield from _links_up()
-            yield src.link.up.transmit(nbytes)
+        def sent(_event: Event) -> None:
             # Loss on either access link: TCP retransmits after an RTO, so
             # the transfer still completes — just late (and the resend
             # loads the pipes again).  Counted per link for diagnostics.
-            loss = max(src.link.loss, dst.link.loss)
-            while loss > 0.0 and self._loss_rng.random() < loss:
+            nonlocal loss
+            if loss is None:
+                loss = max(src.link.loss, dst.link.loss)
+            if loss > 0.0 and self._loss_rng.random() < loss:
                 lossy = src.link if src.link.loss >= dst.link.loss else dst.link
                 lossy.dropped_transfers += 1
-                yield sim.timeout(self.rto)
-                yield from _links_up()
-                yield src.link.up.transmit(nbytes)
+                sim.timeout(self.rto).callbacks.append(start)
+                return
             delay = self.propagation(src, dst)
             delay += src.link.extra_latency + dst.link.extra_latency
             spread = src.link.jitter + dst.link.jitter
             if spread > 0.0:
                 delay += self._loss_rng.random() * spread
-            yield sim.timeout(delay)
-            yield dst.link.down.transmit(nbytes)
-            done.succeed(nbytes)
+            sim.timeout(delay).callbacks.append(arrived)
 
-        sim.process(_run(), name=f"xfer-{src.name}->{dst.name}")
+        def arrived(_event: Event) -> None:
+            done.succeed(nbytes, dst.link.down.reserve(nbytes))
+
+        sim.timeout(0.0).callbacks.append(start)
         return done

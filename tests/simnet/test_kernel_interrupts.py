@@ -124,3 +124,29 @@ def test_process_can_continue_after_interrupt(sim):
     value, now = sim.run(v)
     assert value == "late"
     assert now == 2.0
+
+
+def test_interrupt_withdraws_a_parked_resume(sim):
+    """A process that yields an already-fired event resumes from a fresh
+    kernel event one step later.  An interrupt that lands before that step
+    must withdraw the parked resume; otherwise the process is resumed
+    twice, and the stale wake-up lands in the middle of its ``except``."""
+    early = sim.event()
+    early.succeed("early")
+    sim.run()
+    woke = []
+
+    def victim():
+        try:
+            yield early
+            yield sim.timeout(5.0)
+        except SimInterrupt:
+            yield sim.timeout(10.0)
+            woke.append(sim.now)
+
+    p = sim.process(victim())
+    sim.step()  # the bootstrap: the victim yields ``early`` and parks
+    p.interrupt()
+    sim.run()
+    assert woke == [10.0]
+    assert not p.is_alive
