@@ -10,7 +10,8 @@ here=$(cd "$(dirname "$0")" && pwd)
 out=$(mkdir -p "${1:-$here}" && cd "${1:-$here}" && pwd)
 cd "$here/../../.."
 for args in "fig4 --duration 5" "fig5 --duration 5" "fig6 --duration 5" \
-            table1 chaos crash-recovery registry-failover; do
+            table1 chaos crash-recovery registry-failover \
+            "pool-sizing --duration 5" "batching --duration 5"; do
     name=${args%% *}
     PYTHONPATH=src python -m repro.experiments $args \
         > "$out/$name.stdout" 2> "$out/$name.stderr"
