@@ -195,10 +195,8 @@ def _msgbox_scenario(
 
 def _run_msgbox_load(sim, net, client, store, clients: int, duration: float):
     ids = IdGenerator("abl", seed=clients)
-    eprs = [
-        make_mailbox_epr("http://iuWSD:8500/mailbox", store.create())
-        for _ in range(clients)
-    ]
+    boxes = [store.create() for _ in range(clients)]
+    eprs = [make_mailbox_epr("http://iuWSD:8500/mailbox", b) for b in boxes]
 
     def factory(counter=[0]):
         counter[0] += 1
@@ -211,7 +209,7 @@ def _run_msgbox_load(sim, net, client, store, clients: int, duration: float):
         return HttpRequest("POST", "/msg/echo", headers=headers, body=env.to_bytes())
 
     tester = SimRampTester(net, client, "iuWSD", 8000, "/msg/echo", factory)
-    return tester.run(SimRampConfig(clients=clients, duration=duration))
+    return tester.run(SimRampConfig(clients=clients, duration=duration)), boxes
 
 
 def pool_sizing(
@@ -230,15 +228,14 @@ def pool_sizing(
         sim, net, client, store, dispatcher = _msgbox_scenario(
             ws_workers=size, batch_size=8, pool_per_destination=2
         )
-        result = _run_msgbox_load(sim, net, client, store, clients, duration)
+        result, boxes = _run_msgbox_load(sim, net, client, store, clients, duration)
         delivered = dispatcher.stats.get("delivered", 0)
-        rows.append(
-            f"{size}\t{result.per_minute:.0f}\t{delivered}\t"
-            f"{sum(store.stats(b)['deposits'] for b in [])}"
-        )
+        deposits = sum(store.stats(b)["deposits"] for b in boxes)
+        rows.append(f"{size}\t{result.per_minute:.0f}\t{delivered}\t{deposits}")
         report.extras[f"ws={size}"] = {
             "accepted_per_min": result.per_minute,
             "delivered": delivered,
+            "deposits": deposits,
         }
     report.tables = ["\n".join(rows)]
     return report
@@ -270,7 +267,7 @@ def batching(
         sim, net, client, store, dispatcher = _msgbox_scenario(
             ws_workers=8, batch_size=batch, pool_per_destination=pool,
         )
-        result = _run_msgbox_load(sim, net, client, store, clients, duration)
+        result, _boxes = _run_msgbox_load(sim, net, client, store, clients, duration)
         rows.append(
             f"{label}\t{result.per_minute:.0f}\t"
             f"{dispatcher.stats.get('delivered', 0)}\t"

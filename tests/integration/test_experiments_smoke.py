@@ -75,3 +75,4 @@ class TestAblations:
         one = report.extras["ws=1"]["delivered"]
         eight = report.extras["ws=8"]["delivered"]
         assert eight >= one
+        assert report.extras["ws=8"]["deposits"] > 0
