@@ -15,31 +15,22 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 
-from repro.core.registry import ServiceRegistry
-from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.core.sim_dispatcher import SimMsgDispatcherConfig
 from repro.experiments.common import (
-    DISPATCHER_SERVICE_TIME,
     ExperimentReport,
-    SOAP_SERVICE_TIME,
+    IuDeployment,
+    build_iu_deployment,
 )
-from repro.http import Headers, HttpRequest
-from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxService
-from repro.msgbox.service import SimulatedOutOfMemory, make_mailbox_epr
+from repro.msgbox import MailboxStore, MsgBoxService
+from repro.msgbox.service import SimulatedOutOfMemory
 from repro.reliable import ExponentialBackoff, FixedDelay, HeldMessage, HoldRetryStore
-from repro.rt.service import RequestContext, SoapHttpApp
-from repro.simnet.httpsim import SimHttpServer
-from repro.simnet.kernel import Simulator
-from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
-from repro.simnet.services import SimAsyncEchoService
-from repro.simnet.topology import Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
+from repro.rt.service import RequestContext
 from repro.util.clock import ManualClock
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
-from repro.workload.results import Series, render_table
-from repro.workload.sim_testclient import SimRampConfig, SimRampTester
+from repro.workload.results import RunResult
+from repro.workload.sim_testclient import SimRampConfig
 
 
 # ---------------------------------------------------------------------------
@@ -158,58 +149,30 @@ def check_msgbox_bug(report: ExperimentReport) -> list[str]:
 # A1: dispatcher pool sizing
 # ---------------------------------------------------------------------------
 
-def _msgbox_scenario(
+def _msgbox_load(
     ws_workers: int,
     batch_size: int,
     pool_per_destination: int,
-):
-    sim = Simulator()
-    net = Network(sim)
-    client = add_site(net, INRIA, name="inria")
-    ws_host = add_site(net, replace(BACKBONE_IU, name="iuWS"), open_ports=(9000,))
-    wsd_host = add_site(
-        net, replace(BACKBONE_IU, name="iuWSD"), open_ports=(8000, 8500)
+    clients: int,
+    duration: float,
+) -> tuple[IuDeployment, RunResult]:
+    """Echo load through the MSG-Dispatcher into per-client mailboxes.
+
+    The mailbox is relayed: the host cannot see it, so the dispatcher
+    delivers every reply itself and its WsThreads serve two destinations
+    (the echo WS and the mailbox) — the contention A1 and A2 measure.
+    """
+    world = build_iu_deployment(
+        dispatcher=SimMsgDispatcherConfig(
+            cx_workers=4, ws_workers=ws_workers, batch_size=batch_size,
+        ),
+        mailbox="relayed",
     )
-    echo = SimAsyncEchoService(net, ws_host, reply_senders=32)
-    SimHttpServer(net, ws_host, 9000, echo.handler, workers=32,
-                  service_time=SOAP_SERVICE_TIME)
-    registry = ServiceRegistry()
-    registry.register("echo", "http://iuWS:9000/echo")
-    config = SimMsgDispatcherConfig(
-        cx_workers=4, ws_workers=ws_workers, batch_size=batch_size,
+    world.dispatcher.pool.pool_per_destination = pool_per_destination
+    tester = world.tester(
+        IdGenerator("abl", seed=clients), world.open_mailboxes(clients)
     )
-    dispatcher = SimMsgDispatcher(
-        net, wsd_host, registry, own_address="http://iuWSD:8000/msg", config=config
-    )
-    dispatcher.pool.pool_per_destination = pool_per_destination
-    SimHttpServer(net, wsd_host, 8000, dispatcher.handler, workers=32,
-                  service_time=DISPATCHER_SERVICE_TIME)
-    store = MailboxStore(clock=sim.clock, max_messages_per_box=100_000)
-    msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
-    app = SoapHttpApp()
-    app.mount("/mailbox", msgbox)
-    SimHttpServer(net, wsd_host, 8500, lambda r: app.handle_request(r, None),
-                  workers=32, service_time=SOAP_SERVICE_TIME)
-    return sim, net, client, store, dispatcher
-
-
-def _run_msgbox_load(sim, net, client, store, clients: int, duration: float):
-    ids = IdGenerator("abl", seed=clients)
-    boxes = [store.create() for _ in range(clients)]
-    eprs = [make_mailbox_epr("http://iuWSD:8500/mailbox", b) for b in boxes]
-
-    def factory(counter=[0]):
-        counter[0] += 1
-        env = make_echo_message(
-            to="urn:wsd:echo", message_id=ids.next(),
-            reply_to=eprs[counter[0] % len(eprs)],
-        )
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        return HttpRequest("POST", "/msg/echo", headers=headers, body=env.to_bytes())
-
-    tester = SimRampTester(net, client, "iuWSD", 8000, "/msg/echo", factory)
-    return tester.run(SimRampConfig(clients=clients, duration=duration)), boxes
+    return world, tester.run(SimRampConfig(clients=clients, duration=duration))
 
 
 def pool_sizing(
@@ -225,12 +188,9 @@ def pool_sizing(
     )
     rows = ["ws_workers\taccepted/min\tdelivered\tdeposits"]
     for size in sizes:
-        sim, net, client, store, dispatcher = _msgbox_scenario(
-            ws_workers=size, batch_size=8, pool_per_destination=2
-        )
-        result, boxes = _run_msgbox_load(sim, net, client, store, clients, duration)
-        delivered = dispatcher.stats.get("delivered", 0)
-        deposits = sum(store.stats(b)["deposits"] for b in boxes)
+        world, result = _msgbox_load(size, 8, 2, clients, duration)
+        delivered = world.dispatcher.stats.get("delivered", 0)
+        deposits = world.deposits()
         rows.append(f"{size}\t{result.per_minute:.0f}\t{delivered}\t{deposits}")
         report.extras[f"ws={size}"] = {
             "accepted_per_min": result.per_minute,
@@ -264,10 +224,8 @@ def batching(
         "batch=1, conn-per-msg": (1, 0),
     }
     for label, (batch, pool) in variants.items():
-        sim, net, client, store, dispatcher = _msgbox_scenario(
-            ws_workers=8, batch_size=batch, pool_per_destination=pool,
-        )
-        result, _boxes = _run_msgbox_load(sim, net, client, store, clients, duration)
+        world, result = _msgbox_load(8, batch, pool, clients, duration)
+        dispatcher = world.dispatcher
         rows.append(
             f"{label}\t{result.per_minute:.0f}\t"
             f"{dispatcher.stats.get('delivered', 0)}\t"

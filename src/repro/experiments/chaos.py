@@ -39,7 +39,8 @@ from repro.experiments.common import (
     ExperimentReport,
     SOAP_SERVICE_TIME,
 )
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
+from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.history import MetricsSnapshotter
 from repro.obs.metrics import MetricsRegistry
@@ -55,7 +56,6 @@ from repro.simnet.httpsim import SimHttpClientPool, SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
 from repro.simnet.topology import Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
 from repro.wsa import AddressingHeaders
@@ -214,11 +214,7 @@ def run_point(
             ctx = TraceContext(f"trace-{mid}")
             send_sid = client_traces.new_span_id()
             attach_trace(env, ctx.child(send_sid))
-            headers = Headers()
-            headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-            request = HttpRequest(
-                "POST", "/msg/echo", headers=headers, body=env.to_bytes()
-            )
+            request = soap_post(env.to_bytes(), "/msg/echo")
             sent.append(mid)
             t_send = sim.now
             send_times[mid] = t_send

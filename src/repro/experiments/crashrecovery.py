@@ -33,7 +33,8 @@ from repro.experiments.common import (
     ExperimentReport,
     SOAP_SERVICE_TIME,
 )
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
+from repro.http.session import soap_post
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
 from repro.reliable import BreakerConfig, DuplicateFilter, FixedDelay, HoldRetryStore
@@ -42,7 +43,6 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
 from repro.simnet.topology import Network
 from repro.soap import Envelope
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.store.journal import DEAD, MessageJournal
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
@@ -168,11 +168,7 @@ def run_point(
             for attempt in range(40):
                 if attempt:
                     resends += 1
-                headers = Headers()
-                headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-                request = HttpRequest(
-                    "POST", "/msg/echo", headers=headers, body=body
-                )
+                request = soap_post(body, "/msg/echo")
                 try:
                     response = yield from pool.exchange("wsd", 8000, request)
                 except ReproError:

@@ -24,150 +24,22 @@ entry point (the paper's "how many calls were made").
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.registry import ServiceRegistry
-from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.core.sim_dispatcher import SimMsgDispatcherConfig
 from repro.experiments.common import (
     CLIENT_CALL_OVERHEAD,
-    DISPATCHER_SERVICE_TIME,
     ExperimentReport,
-    SOAP_SERVICE_TIME,
+    build_iu_deployment,
     paper_shape_summary,
 )
-from repro.http import Headers, HttpRequest
-from repro.msgbox import MailboxStore, MsgBoxService
-from repro.msgbox.service import make_mailbox_epr
-from repro.rt.service import RequestContext, SoapHttpApp
-from repro.simnet.httpsim import SimHttpServer
-from repro.simnet.kernel import Simulator
-from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
-from repro.simnet.services import SimAsyncEchoService
-from repro.simnet.topology import Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
 from repro.workload.results import Series, render_table
-from repro.workload.sim_testclient import SimRampConfig, SimRampTester
+from repro.workload.sim_testclient import SimRampConfig
 from repro.wsa import EndpointReference
 
 PAPER_CLIENT_COUNTS = [1, 5, 10, 20, 30, 40, 50]
 PAPER_DURATION = 60.0
 
 MODES = ("one-way direct (response blocked)", "MSG-Dispatcher", "MSG-D + MsgBox")
-
-
-def _build(mode: str, clients: int, reply_connect_timeout: float):
-    """Assemble one fig6 configuration; returns (net, tester pieces)."""
-    sim = Simulator()
-    net = Network(sim)
-    client_host = add_site(net, INRIA, name="inria")
-    ws_host = add_site(net, replace(BACKBONE_IU, name="iuWS"), open_ports=(9000,))
-    wsd_host = add_site(
-        net, replace(BACKBONE_IU, name="iuWSD"), open_ports=(8000, 8500)
-    )
-
-    echo_ws = SimAsyncEchoService(
-        net,
-        ws_host,
-        reply_senders=32,  # a container-default pool; the dispatcher's
-        connect_timeout=reply_connect_timeout,  # WsThread pool is smaller
-    )
-    SimHttpServer(
-        net, ws_host, 9000, echo_ws.handler, workers=32,
-        service_time=SOAP_SERVICE_TIME,
-    )
-
-    ids = IdGenerator("fig6", seed=clients)
-    extras: dict[str, object] = {"echo_ws": echo_ws}
-
-    if mode == "one-way direct (response blocked)":
-        # replies target per-client endpoints on the firewalled host
-        def factory(counter=[0]):
-            counter[0] += 1
-            port = 20000 + counter[0] % max(clients, 1)
-            env = make_echo_message(
-                to=f"http://iuWS:9000/echo",
-                message_id=ids.next(),
-                reply_to=EndpointReference(f"http://inria:{port}/reply"),
-            )
-            headers = Headers()
-            headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-            return HttpRequest("POST", "/echo", headers=headers, body=env.to_bytes())
-
-        tester = SimRampTester(net, client_host, "iuWS", 9000, "/echo", factory)
-        return net, tester, extras
-
-    registry = ServiceRegistry()
-    registry.register("echo", "http://iuWS:9000/echo")
-    config = SimMsgDispatcherConfig(
-        cx_workers=4,
-        ws_workers=8,
-        accept_queue=128,
-        destination_queue=16,
-        parallel_per_destination=4,
-        connect_timeout=reply_connect_timeout,
-        shed_on_full=False,  # paper-faithful: no admission control
-    )
-    dispatcher = SimMsgDispatcher(
-        net, wsd_host, registry, own_address="http://iuWSD:8000/msg", config=config
-    )
-    SimHttpServer(
-        net, wsd_host, 8000, dispatcher.handler, workers=32,
-        service_time=DISPATCHER_SERVICE_TIME,
-    )
-    extras["dispatcher"] = dispatcher
-
-    if mode == "MSG-Dispatcher":
-        def factory(counter=[0]):
-            counter[0] += 1
-            port = 20000 + counter[0] % max(clients, 1)
-            env = make_echo_message(
-                to="urn:wsd:echo",
-                message_id=ids.next(),
-                reply_to=EndpointReference(f"http://inria:{port}/reply"),
-            )
-            headers = Headers()
-            headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-            return HttpRequest(
-                "POST", "/msg/echo", headers=headers, body=env.to_bytes()
-            )
-
-        tester = SimRampTester(net, client_host, "iuWSD", 8000, "/msg/echo", factory)
-        return net, tester, extras
-
-    # MSG-D + MsgBox: mailbox service co-located with the dispatcher
-    store = MailboxStore(clock=sim.clock, max_messages_per_box=100_000)
-    msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
-    mb_app = SoapHttpApp()
-    mb_app.mount("/mailbox", msgbox)
-    SimHttpServer(
-        net, wsd_host, 8500, mb_app,  # recorded on the host: co-hosted (§4.3.2)
-        workers=32,
-        service_time=SOAP_SERVICE_TIME,
-    )
-    extras["msgbox"] = msgbox
-
-    # one mailbox per client (created out of band; the RPC create call is
-    # cheap and not part of the measured steady state)
-    eprs = [
-        make_mailbox_epr("http://iuWSD:8500/mailbox", store.create())
-        for _ in range(max(clients, 1))
-    ]
-
-    def factory(counter=[0]):
-        counter[0] += 1
-        env = make_echo_message(
-            to="urn:wsd:echo",
-            message_id=ids.next(),
-            reply_to=eprs[counter[0] % len(eprs)],
-        )
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        return HttpRequest("POST", "/msg/echo", headers=headers, body=env.to_bytes())
-
-    tester = SimRampTester(net, client_host, "iuWSD", 8000, "/msg/echo", factory)
-    return net, tester, extras
 
 
 def run(
@@ -187,7 +59,31 @@ def run(
     for mode in MODES:
         series = Series(mode)
         for clients in counts:
-            net, tester, extras = _build(mode, clients, reply_connect_timeout)
+            # the WS's 32 reply senders are a container-default pool; the
+            # dispatcher's WsThread pool is smaller
+            world = build_iu_deployment(
+                reply_connect_timeout=reply_connect_timeout,
+                dispatcher=None if mode == MODES[0] else SimMsgDispatcherConfig(
+                    cx_workers=4,
+                    ws_workers=8,
+                    accept_queue=128,
+                    destination_queue=16,
+                    parallel_per_destination=4,
+                    connect_timeout=reply_connect_timeout,
+                    shed_on_full=False,  # paper-faithful: no admission control
+                ),
+                mailbox="cohosted" if mode == MODES[2] else None,
+            )
+            if world.msgbox is not None:
+                # one mailbox per client, co-hosted with the dispatcher
+                reply_tos = world.open_mailboxes(max(clients, 1))
+            else:
+                # replies target per-client endpoints on the firewalled host
+                reply_tos = [
+                    EndpointReference(f"http://inria:{20000 + i}/reply")
+                    for i in range(max(clients, 1))
+                ]
+            tester = world.tester(IdGenerator("fig6", seed=clients), reply_tos)
             config = SimRampConfig(
                 clients=clients,
                 duration=duration,
@@ -200,13 +96,13 @@ def run(
             key = f"{mode}@{clients}"
             # what the point cost the simulator (not rendered)
             report.extras[key + ":kernel"] = {
-                "events": net.sim.events_processed,
-                "processes": net.sim.processes_started,
+                "events": world.sim.events_processed,
+                "processes": world.sim.processes_started,
             }
-            if "dispatcher" in extras:
-                report.extras[key] = dict(extras["dispatcher"].stats)
-            if "msgbox" in extras:
-                report.extras[key + ":deposits"] = extras["msgbox"].stats.get(
+            if world.dispatcher is not None:
+                report.extras[key] = dict(world.dispatcher.stats)
+            if world.msgbox is not None:
+                report.extras[key + ":deposits"] = world.msgbox.stats.get(
                     "deposits", 0
                 )
         report.series.append(series)

@@ -26,31 +26,20 @@ We operationalise each verdict:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core.registry import ServiceRegistry
-from repro.core.sim_dispatcher import (
-    SimMsgDispatcher,
-    SimMsgDispatcherConfig,
-    SimRpcDispatcher,
-)
+from repro.core.sim_dispatcher import SimMsgDispatcherConfig
 from repro.experiments.common import (
-    DISPATCHER_SERVICE_TIME,
+    BRIDGE_PORT,
+    MSGD_PORT,
+    RPCD_PORT,
     ExperimentReport,
-    SOAP_SERVICE_TIME,
+    build_iu_deployment,
 )
-from repro.http import Headers, HttpRequest
-from repro.msgbox import MailboxStore, MsgBoxService
-from repro.msgbox.service import make_mailbox_epr
-from repro.rt.service import SoapHttpApp
-from repro.simnet.httpsim import SimHttpServer, sim_http_request
-from repro.simnet.kernel import Simulator
-from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
-from repro.simnet.services import SimAsyncEchoService
-from repro.simnet.topology import Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
+from repro.http.session import soap_post
+from repro.simnet.httpsim import sim_http_request
 from repro.util.ids import IdGenerator
-from repro.workload.echo import EchoService, make_echo_message, make_echo_request
+from repro.workload.echo import make_echo_message, make_echo_request
 from repro.workload.results import RunResult
 from repro.workload.sim_testclient import SimRampConfig, SimRampTester
 
@@ -66,6 +55,15 @@ QUADRANTS = {
     3: "MSG client -> RPC service",
     4: "MSG client -> MSG service",
 }
+
+#: the MSG-Dispatcher in front of every quadrant's echo
+MSGD_CONFIG = SimMsgDispatcherConfig(
+    ws_workers=16,
+    response_timeout=30.0,
+    accept_queue=128,
+    destination_queue=64,
+    parallel_per_destination=4,
+)
 
 PAPER_VERDICTS = {
     1: "limited but very popular",
@@ -91,82 +89,21 @@ class QuadrantResult:
         return "broken"
 
 
-def _build_world(service_delay: float, rpc_service: bool):
-    """Common world: firewalled client, service + dispatcher stack at IU."""
-    sim = Simulator()
-    net = Network(sim)
-    client = add_site(net, INRIA, name="inria")
-    ws_host = add_site(net, replace(BACKBONE_IU, name="iuWS"), open_ports=(9000,))
-    wsd_host = add_site(
-        net, replace(BACKBONE_IU, name="iuWSD"),
-        open_ports=(8000, 8100, 8200, 8500),
-    )
-    registry = ServiceRegistry()
-    registry.register("echo", "http://iuWS:9000/echo")
-
-    if rpc_service:
-        app = SoapHttpApp()
-        app.mount("/echo", EchoService())
-
-        def slow_handler(request):
-            yield sim.timeout(service_delay)
-            return app.handle_request(request, None)
-
-        SimHttpServer(net, ws_host, 9000, slow_handler, workers=64,
-                      service_time=SOAP_SERVICE_TIME)
-        echo_service = None
-    else:
-        echo_service = SimAsyncEchoService(
-            net, ws_host, reply_senders=64, response_delay=service_delay
-        )
-        SimHttpServer(net, ws_host, 9000, echo_service.handler, workers=64,
-                      service_time=SOAP_SERVICE_TIME)
-
-    msg_config = SimMsgDispatcherConfig(
-        ws_workers=16,
-        response_timeout=30.0,
-        accept_queue=128,
-        destination_queue=64,
-        parallel_per_destination=4,
-    )
-    msg_disp = SimMsgDispatcher(
-        net, wsd_host, registry, own_address="http://iuWSD:8000/msg",
-        config=msg_config,
-    )
-    SimHttpServer(net, wsd_host, 8000, msg_disp.handler, workers=64,
-                  service_time=DISPATCHER_SERVICE_TIME)
-    SimHttpServer(net, wsd_host, 8100,
-                  lambda req: msg_disp.bridge_handler(req, bridge_timeout=30.0),
-                  workers=64, service_time=DISPATCHER_SERVICE_TIME)
-    rpc_disp = SimRpcDispatcher(net, wsd_host, registry, response_timeout=30.0)
-    SimHttpServer(net, wsd_host, 8200, rpc_disp.handler, workers=64,
-                  service_time=DISPATCHER_SERVICE_TIME)
-
-    store = MailboxStore(clock=sim.clock, max_messages_per_box=100_000)
-    msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
-    mb_app = SoapHttpApp()
-    mb_app.mount("/mailbox", msgbox)
-    SimHttpServer(net, wsd_host, 8500, mb_app, workers=64,
-                  service_time=SOAP_SERVICE_TIME)
-    handles = {"msgbox": msgbox, "msg_disp": msg_disp, "rpc_disp": rpc_disp}
-    return sim, net, client, store, handles
-
-
 def _single_call(quadrant: int, service_delay: float) -> bool:
     """One call through the quadrant's path; True when the reply arrives."""
-    rpc_service = quadrant in (1, 3)
-    sim, net, client, store, _handles = _build_world(service_delay, rpc_service)
+    world = build_iu_deployment(
+        workers=64, rpc_echo=quadrant in (1, 3), echo_delay=service_delay,
+        dispatcher=MSGD_CONFIG, rpc_doors=True,
+    )
+    sim = world.sim
     ids = IdGenerator("t1", seed=quadrant)
     outcome: list[bool] = []
 
     def rpc_style_call(port: int, path: str):
-        body = make_echo_request().to_bytes()
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        req = HttpRequest("POST", path, headers=headers, body=body)
+        req = soap_post(make_echo_request().to_bytes(), path)
         try:
             resp = yield from sim_http_request(
-                net, client, "iuWSD", port, req,
+                world.net, world.client, "iuWSD", port, req,
                 connect_timeout=10.0, response_timeout=60.0,
             )
             outcome.append(resp.status == 200 and bool(resp.body))
@@ -174,18 +111,14 @@ def _single_call(quadrant: int, service_delay: float) -> bool:
             outcome.append(False)
 
     def msg_style_call():
-        mailbox_id = store.create()
-        epr = make_mailbox_epr("http://iuWSD:8500/mailbox", mailbox_id)
+        (epr,) = world.open_mailboxes(1)
         env = make_echo_message(
             to="urn:wsd:echo", message_id=ids.next(), reply_to=epr
         )
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        req = HttpRequest("POST", "/msg/echo", headers=headers,
-                          body=env.to_bytes())
+        req = soap_post(env.to_bytes(), "/msg/echo")
         try:
             resp = yield from sim_http_request(
-                net, client, "iuWSD", 8000, req,
+                world.net, world.client, "iuWSD", MSGD_PORT, req,
                 connect_timeout=10.0, response_timeout=10.0,
             )
             if resp.status != 202:
@@ -197,16 +130,16 @@ def _single_call(quadrant: int, service_delay: float) -> bool:
         # poll the mailbox (in simulated time) for the response
         deadline = sim.now + service_delay + 90.0
         while sim.now < deadline:
-            if store.peek_count(mailbox_id) > 0:
+            if world.store.peek_count(world.mailboxes[0]) > 0:
                 outcome.append(True)
                 return
             yield sim.timeout(1.0)
         outcome.append(False)
 
     if quadrant == 1:
-        proc = sim.process(rpc_style_call(8200, "/rpc/echo"))
+        proc = sim.process(rpc_style_call(RPCD_PORT, "/rpc/echo"))
     elif quadrant == 2:
-        proc = sim.process(rpc_style_call(8100, "/bridge/echo"))
+        proc = sim.process(rpc_style_call(BRIDGE_PORT, "/bridge/echo"))
     else:
         proc = sim.process(msg_style_call())
     sim.run(until=proc)
@@ -215,32 +148,20 @@ def _single_call(quadrant: int, service_delay: float) -> bool:
 
 def _throughput(quadrant: int, clients: int, duration: float) -> RunResult:
     """Concurrent echo load at a moderate service delay."""
-    rpc_service = quadrant in (1, 3)
-    sim, net, client, store, handles = _build_world(MODERATE_DELAY, rpc_service)
-    ids = IdGenerator("t1-load", seed=quadrant)
-
+    world = build_iu_deployment(
+        workers=64, rpc_echo=quadrant in (1, 3), echo_delay=MODERATE_DELAY,
+        dispatcher=MSGD_CONFIG, rpc_doors=True,
+    )
     if quadrant in (1, 2):
-        port, path = (8200, "/rpc/echo") if quadrant == 1 else (8100, "/bridge/echo")
-        tester = SimRampTester(net, client, "iuWSD", port, path)
+        port, path = (
+            (RPCD_PORT, "/rpc/echo") if quadrant == 1
+            else (BRIDGE_PORT, "/bridge/echo")
+        )
+        tester = SimRampTester(world.net, world.client, "iuWSD", port, path)
     else:
-        eprs = [
-            make_mailbox_epr("http://iuWSD:8500/mailbox", store.create())
-            for _ in range(clients)
-        ]
-
-        def factory(counter=[0]):
-            counter[0] += 1
-            env = make_echo_message(
-                to="urn:wsd:echo",
-                message_id=ids.next(),
-                reply_to=eprs[counter[0] % len(eprs)],
-            )
-            headers = Headers()
-            headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-            return HttpRequest("POST", "/msg/echo", headers=headers,
-                               body=env.to_bytes())
-
-        tester = SimRampTester(net, client, "iuWSD", 8000, "/msg/echo", factory)
+        tester = world.tester(
+            IdGenerator("t1-load", seed=quadrant), world.open_mailboxes(clients)
+        )
     result = tester.run(SimRampConfig(
         clients=clients, duration=duration,
         connect_timeout=10.0, response_timeout=35.0,
@@ -248,8 +169,7 @@ def _throughput(quadrant: int, clients: int, duration: float) -> RunResult:
     if quadrant in (3, 4):
         # the throughput that matters is *completed* exchanges: responses
         # actually landing in mailboxes (acceptance alone just buffers)
-        deposits = handles["msgbox"].stats.get("deposits", 0)
-        result.transmitted = deposits
+        result.transmitted = world.msgbox.stats.get("deposits", 0)
     return result
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.errors import ReproError, SoapError, TransportError, XmlError
 from repro.http import HttpRequest, HttpResponse
+from repro.http.session import soap_post
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace, propagate_trace
 from repro.rt.service import soap_fault_response
 from repro.simnet.httpsim import SimHttpClientPool
@@ -24,7 +25,6 @@ from repro.soap import (
     build_rpc_response,
     parse_rpc_request,
 )
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.transport.base import parse_http_url
 from repro.util.ids import IdGenerator
 from repro.util.stats import Counter
@@ -135,12 +135,9 @@ class SimAsyncEchoService:
             slot.release()
             return
         try:
-            from repro.http import Headers
-
-            headers = Headers()
-            headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-            req = HttpRequest("POST", path, headers=headers, body=body)
-            response = yield from self.pool.exchange(endpoint.host, endpoint.port, req)
+            response = yield from self.pool.exchange(
+                endpoint.host, endpoint.port, soap_post(body, path)
+            )
             if response.status >= 400:
                 raise TransportError(f"HTTP {response.status}")
             self.counters.inc("replies_sent")

@@ -9,6 +9,7 @@ aggregates transmitted / not-sent counts exactly like the paper's tool.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,15 +20,17 @@ from repro.errors import (
     SimInterrupt,
     TransportError,
 )
-from repro.http import Headers, HttpRequest
+from repro.http import HttpRequest
+from repro.http.session import soap_post
 from repro.simnet.httpsim import sim_http_exchange
 from repro.simnet.kernel import Simulator
 from repro.simnet.tcpsim import SimTcpConnection, TcpParams, connect
 from repro.simnet.topology import Host, Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
+from repro.util.ids import IdGenerator
 from repro.util.stats import OnlineStats
-from repro.workload.echo import make_echo_request
+from repro.workload.echo import make_echo_message, make_echo_request
 from repro.workload.results import RunResult
+from repro.wsa import EndpointReference
 
 
 @dataclass
@@ -48,11 +51,25 @@ class SimRampConfig:
 
 
 def default_request_factory() -> HttpRequest:
-    headers = Headers()
-    headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-    return HttpRequest(
-        "POST", "/", headers=headers, body=make_echo_request().to_bytes()
-    )
+    return soap_post(make_echo_request().to_bytes())
+
+
+def echo_request_factory(
+    to: str, path: str, ids: IdGenerator, reply_tos: list[EndpointReference]
+) -> Callable[[], HttpRequest]:
+    """One-way echo POSTs to ``to``: the n-th (from 1) is ``ids.next()``
+    and replies to ``reply_tos[n % len(reply_tos)]``."""
+    counter = itertools.count(1)
+
+    def factory() -> HttpRequest:
+        env = make_echo_message(
+            to=to,
+            message_id=ids.next(),
+            reply_to=reply_tos[next(counter) % len(reply_tos)],
+        )
+        return soap_post(env.to_bytes(), path)
+
+    return factory
 
 
 class SimRampTester:

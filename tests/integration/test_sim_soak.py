@@ -13,7 +13,6 @@ from dataclasses import replace
 
 from repro.core.registry import ServiceRegistry
 from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
-from repro.http import Headers, HttpRequest
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.service import make_mailbox_epr
 from repro.rt.service import SoapHttpApp
@@ -22,10 +21,12 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
 from repro.simnet.services import SimAsyncEchoService
 from repro.simnet.topology import Network
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
-from repro.workload.sim_testclient import SimRampConfig, SimRampTester
+from repro.workload.sim_testclient import (
+    SimRampConfig,
+    SimRampTester,
+    echo_request_factory,
+)
 
 
 @pytest.mark.slow
@@ -70,17 +71,7 @@ def test_soak_accounting_identities():
     boxes = [store.create() for _ in range(20)]
     eprs = [make_mailbox_epr("http://iuWSD:8500/mailbox", b) for b in boxes]
 
-    def factory(counter=[0]):
-        counter[0] += 1
-        env = make_echo_message(
-            to="urn:wsd:echo",
-            message_id=ids.next(),
-            reply_to=eprs[counter[0] % len(eprs)],
-        )
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        return HttpRequest("POST", "/msg/echo", headers=headers, body=env.to_bytes())
-
+    factory = echo_request_factory("urn:wsd:echo", "/msg/echo", ids, eprs)
     tester = SimRampTester(net, client_host, "iuWSD", 8000, "/msg/echo", factory)
     result = tester.run(SimRampConfig(clients=20, duration=120.0))
     # drain: let in-flight deliveries and replies settle
