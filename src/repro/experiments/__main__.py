@@ -110,14 +110,14 @@ def main(argv: list[str] | None = None) -> int:
             duration=args.duration or 15.0,
         )
         print(report.render())
-        failures = []
+        failures = ablations.check_pool_sizing(report)
     elif name == "batching":
         report = ablations.batching(
             clients=counts[0] if counts else 20,
             duration=args.duration or 15.0,
         )
         print(report.render())
-        failures = []
+        failures = ablations.check_batching(report)
     elif name == "chaos":
         messages = counts[0] if counts else 120
         report = chaos.run(messages=messages)
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     else:  # reliability
         report = ablations.reliability()
         print(report.render())
-        failures = []
+        failures = ablations.check_reliability(report)
 
     if failures:
         print("\nSHAPE CHECK FAILURES:", file=sys.stderr)

@@ -201,6 +201,20 @@ def pool_sizing(
     return report
 
 
+def check_pool_sizing(report: ExperimentReport) -> list[str]:
+    """The biggest WsThread pool delivers no less than the smallest, and
+    replies reach the mailboxes at every size."""
+    points: dict[str, dict] = report.extras  # type: ignore[assignment]
+    (small, first), *_, (big, last) = points.items()
+    failures = [
+        f"no reply reached a mailbox at {label}"
+        for label, point in points.items() if not point["deposits"]
+    ]
+    if last["delivered"] < first["delivered"]:
+        failures.append(f"{big} delivered less than {small}")
+    return failures
+
+
 # ---------------------------------------------------------------------------
 # A2: delivery batching / connection reuse
 # ---------------------------------------------------------------------------
@@ -242,6 +256,23 @@ def batching(
         }
     report.tables = ["\n".join(rows)]
     return report
+
+
+def check_batching(report: ExperimentReport) -> list[str]:
+    """§4.1: batching over persistent connections "is more efficient than
+    opening multiple short lived connections"."""
+    variants: dict[str, dict] = report.extras  # type: ignore[assignment]
+    batched = variants["batch=8, pipelined"]
+    serial = variants["batch=1, persistent"]
+    per_msg = variants["batch=1, conn-per-msg"]
+    failures = []
+    if batched["delivered"] <= per_msg["delivered"]:
+        failures.append("batching delivered no more than connection-per-message")
+    if batched["delivered"] < serial["delivered"]:
+        failures.append("batching delivered less than one-by-one delivery")
+    if batched["fresh_connects"] >= per_msg["fresh_connects"]:
+        failures.append("batching opened no fewer connections")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +319,17 @@ def reliability(
         report.extras[label] = stats
     report.tables = ["\n".join(rows)]
     return report
+
+
+def check_reliability(report: ExperimentReport) -> list[str]:
+    """One attempt loses every message to the outage; backoff loses none."""
+    policies: dict[str, dict] = report.extras  # type: ignore[assignment]
+    failures = []
+    if policies["no-retry"]["delivered"] != 0:
+        failures.append("a single attempt delivered across the outage")
+    backoff = policies["backoff x8"]
+    if backoff["delivered"] != backoff["held"]:
+        failures.append(
+            f"backoff delivered {backoff['delivered']} of {backoff['held']}"
+        )
+    return failures

@@ -5,7 +5,7 @@ tests pin their behaviour on hand-built series so a regression in a check
 is distinguishable from a regression in the simulation.
 """
 
-from repro.experiments import fig4, fig5, fig6, table1
+from repro.experiments import ablations, fig4, fig5, fig6, table1
 from repro.experiments.common import ExperimentReport, paper_shape_summary
 from repro.experiments.table1 import QuadrantResult
 from repro.workload.results import RunResult, Series
@@ -164,6 +164,74 @@ class TestTable1Checks:
         assert QuadrantResult(4, True, True, 1.0).verdict == "unlimited"
         assert QuadrantResult(1, True, False, 1.0).verdict == "limited"
         assert QuadrantResult(2, False, False, 1.0).verdict == "broken"
+
+
+def extras_report(extras) -> ExperimentReport:
+    report = ExperimentReport(experiment="x", description="")
+    report.extras.update(extras)
+    return report
+
+
+class TestPoolSizingChecks:
+    def report(self, one=(531, 258), sixteen=(691, 346)) -> ExperimentReport:
+        return extras_report({
+            f"ws={size}": {"accepted_per_min": 7800.0, "delivered": d, "deposits": dep}
+            for size, (d, dep) in ((1, one), (16, sixteen))
+        })
+
+    def test_good_sweep_passes(self):
+        assert ablations.check_pool_sizing(self.report()) == []
+
+    def test_bigger_pool_delivering_less_fails(self):
+        bad = self.report(sixteen=(400, 200))
+        assert any("delivered less" in f for f in ablations.check_pool_sizing(bad))
+
+    def test_no_deposits_fails(self):
+        bad = self.report(one=(531, 0))
+        assert any("ws=1" in f for f in ablations.check_pool_sizing(bad))
+
+
+class TestBatchingChecks:
+    def report(self, **batched) -> ExperimentReport:
+        return extras_report({
+            "batch=8, pipelined": {"delivered": 691, "fresh_connects": 2, **batched},
+            "batch=1, persistent": {"delivered": 192, "fresh_connects": 2},
+            "batch=1, conn-per-msg": {"delivered": 105, "fresh_connects": 106},
+        })
+
+    def test_good_variants_pass(self):
+        assert ablations.check_batching(self.report()) == []
+
+    def test_batching_no_better_than_conn_per_msg_fails(self):
+        bad = self.report(delivered=105)
+        assert any("connection-per-message" in f for f in ablations.check_batching(bad))
+
+    def test_batching_behind_one_by_one_fails(self):
+        bad = self.report(delivered=150)
+        assert any("one-by-one" in f for f in ablations.check_batching(bad))
+
+    def test_batching_opening_as_many_connections_fails(self):
+        bad = self.report(fresh_connects=106)
+        assert any("fewer connections" in f for f in ablations.check_batching(bad))
+
+
+class TestReliabilityChecks:
+    def report(self, no_retry=0, backoff=50) -> ExperimentReport:
+        return extras_report({
+            "no-retry": {"held": 50, "delivered": no_retry, "expired": 50 - no_retry},
+            "backoff x8": {"held": 50, "delivered": backoff, "expired": 50 - backoff},
+        })
+
+    def test_good_policies_pass(self):
+        assert ablations.check_reliability(self.report()) == []
+
+    def test_single_attempt_surviving_outage_fails(self):
+        bad = self.report(no_retry=3)
+        assert any("single attempt" in f for f in ablations.check_reliability(bad))
+
+    def test_backoff_losing_messages_fails(self):
+        bad = self.report(backoff=49)
+        assert any("49 of 50" in f for f in ablations.check_reliability(bad))
 
 
 def test_paper_shape_summary_renders():

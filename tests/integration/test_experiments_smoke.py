@@ -58,21 +58,15 @@ class TestAblations:
 
     def test_batching_beats_connection_per_message(self):
         report = ablations.batching(clients=15, duration=10.0)
-        batched = report.extras["batch=8, pipelined"]
-        per_msg = report.extras["batch=1, conn-per-msg"]
-        assert batched["delivered"] > per_msg["delivered"]
-        assert batched["fresh_connects"] < per_msg["fresh_connects"]
+        assert ablations.check_batching(report) == []
 
     def test_reliability_backoff_survives_outage(self):
         report = ablations.reliability(downtime=5.0, messages=20, ttl=30.0)
-        assert report.extras["no-retry"]["delivered"] == 0
+        assert ablations.check_reliability(report) == []
         assert report.extras["backoff x8"]["delivered"] == 20
 
     def test_pool_sizing_monotone_delivery(self):
         report = ablations.pool_sizing(
             ws_worker_counts=[1, 8], clients=15, duration=10.0
         )
-        one = report.extras["ws=1"]["delivered"]
-        eight = report.extras["ws=8"]["delivered"]
-        assert eight >= one
-        assert report.extras["ws=8"]["deposits"] > 0
+        assert ablations.check_pool_sizing(report) == []
