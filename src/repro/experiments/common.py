@@ -139,7 +139,9 @@ def build_rpc_scenario(
 #: the §4.3 testbed's doors: the echo WS on ``iuWS``; on ``iuWSD`` the
 #: MSG-Dispatcher, Table 1's sync bridge and RPC-Dispatcher, and the
 #: WS-MsgBox
-WS_PORT, MSGD_PORT, BRIDGE_PORT, RPCD_PORT, MAILBOX_PORT = 9000, 8000, 8100, 8200, 8500
+WS_PORT, MSGD_PORT, BRIDGE_PORT, RPCD_PORT, MAILBOX_PORT = (
+    9000, 8000, 8100, 8200, 8500
+)
 MAILBOX_URL = f"http://iuWSD:{MAILBOX_PORT}/mailbox"
 #: every transport timeout behind Table 1's bridge and RPC-Dispatcher
 DOOR_TIMEOUT = 30.0
@@ -278,13 +280,10 @@ def build_iu_deployment(
     world.msgbox = MsgBoxService(world.store, base_url=MAILBOX_URL)
     mb_app = SoapHttpApp()
     mb_app.mount("/mailbox", world.msgbox)
-    if mailbox == "relayed":
-        serve(
-            world.wsd_host, MAILBOX_PORT,
-            lambda req: mb_app.handle_request(req, None), SOAP_SERVICE_TIME,
-        )
-    else:
-        serve(world.wsd_host, MAILBOX_PORT, mb_app, SOAP_SERVICE_TIME)
+    # the app itself is recorded on the host; its bound handle_request is
+    # a plain handler the host cannot see behind
+    served = mb_app.handle_request if mailbox == "relayed" else mb_app
+    serve(world.wsd_host, MAILBOX_PORT, served, SOAP_SERVICE_TIME)
     return world
 
 
