@@ -56,6 +56,9 @@ QUADRANTS = {
     4: "MSG client -> MSG service",
 }
 
+#: where an RPC client calls each RPC quadrant: the RPC-Dispatcher, the
+#: sync bridge
+RPC_DOORS = {1: (RPCD_PORT, "/rpc/echo"), 2: (BRIDGE_PORT, "/bridge/echo")}
 #: the MSG-Dispatcher in front of every quadrant's echo
 MSGD_CONFIG = SimMsgDispatcherConfig(
     ws_workers=16,
@@ -136,10 +139,8 @@ def _single_call(quadrant: int, service_delay: float) -> bool:
             yield sim.timeout(1.0)
         outcome.append(False)
 
-    if quadrant == 1:
-        proc = sim.process(rpc_style_call(RPCD_PORT, "/rpc/echo"))
-    elif quadrant == 2:
-        proc = sim.process(rpc_style_call(BRIDGE_PORT, "/bridge/echo"))
+    if quadrant in RPC_DOORS:
+        proc = sim.process(rpc_style_call(*RPC_DOORS[quadrant]))
     else:
         proc = sim.process(msg_style_call())
     sim.run(until=proc)
@@ -152,11 +153,8 @@ def _throughput(quadrant: int, clients: int, duration: float) -> RunResult:
         workers=64, rpc_echo=quadrant in (1, 3), echo_delay=MODERATE_DELAY,
         dispatcher=MSGD_CONFIG, rpc_doors=True,
     )
-    if quadrant in (1, 2):
-        port, path = (
-            (RPCD_PORT, "/rpc/echo") if quadrant == 1
-            else (BRIDGE_PORT, "/bridge/echo")
-        )
+    if quadrant in RPC_DOORS:
+        port, path = RPC_DOORS[quadrant]
         tester = SimRampTester(world.net, world.client, "iuWSD", port, path)
     else:
         tester = world.tester(

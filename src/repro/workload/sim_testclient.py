@@ -57,8 +57,9 @@ def default_request_factory() -> HttpRequest:
 def echo_request_factory(
     to: str, path: str, ids: IdGenerator, reply_tos: list[EndpointReference]
 ) -> Callable[[], HttpRequest]:
-    """One-way echo POSTs to ``to``: the n-th (from 1) is ``ids.next()``
-    and replies to ``reply_tos[n % len(reply_tos)]``."""
+    """One-way echo POSTs to ``to``, each with the next of ``ids`` as its
+    MessageID; the n-th, counting from 1, replies to
+    ``reply_tos[n % len(reply_tos)]``."""
     counter = itertools.count(1)
 
     def factory() -> HttpRequest:
