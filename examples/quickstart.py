@@ -14,15 +14,12 @@ setup):
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    MsgDispatcher,
-    MsgDispatcherConfig,
-    RpcDispatcher,
-    ServiceRegistry,
-    StatusPage,
-)
+import re
+
+from repro.core import MsgDispatcher, MsgDispatcherConfig, RpcDispatcher, ServiceRegistry
 from repro.http import HttpRequest
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
+from repro.obs import Introspection
 from repro.rt import HttpClient, HttpServer, SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.transport import InprocNetwork
@@ -71,16 +68,16 @@ def main() -> None:
         security=MailboxSecurity(b"quickstart-secret"),
         base_url="http://wsd.example:8000/mailbox",
     )
-    status = StatusPage()
-    status.add("msg-dispatcher", msg_dispatcher)
-    status.add("rpc-dispatcher", rpc_dispatcher)
-    status.add("msgbox", msgbox)
-    status.add("registry", lambda: registry.stats)
+    intro = Introspection(title="WS-Dispatcher status")
+    intro.add_source("msg-dispatcher", msg_dispatcher)
+    intro.add_source("rpc-dispatcher", rpc_dispatcher)
+    intro.add_source("msgbox", msgbox)
+    intro.add_source("registry", lambda: registry.stats)
 
     app = SoapHttpApp()
     app.mount("/msg", msg_dispatcher)
     app.mount("/mailbox", msgbox)
-    app.mount_page("/status", status.page_handler)
+    intro.mount(app)  # GET /metrics, /trace, /health, ...
 
     def front_door(request, peer=None):
         if request.target.startswith("/rpc"):
@@ -119,13 +116,22 @@ def main() -> None:
     print(f"[mbox] picked up {len(responses)} response; echo payload intact: "
           f"{body.result('return') is not None}")
 
-    # the ops view: live counters of every component over plain GET
-    status_text = client.request(
-        "http://wsd.example:8000/status", HttpRequest("GET", "/")
+    # the ops view: live counters of every component over plain GET, one
+    # repro_component_stat{component=,stat=} line per counter
+    exposition = client.request(
+        "http://wsd.example:8000/metrics", HttpRequest("GET", "/metrics")
     ).body.decode()
     print("[status]")
-    for line in status_text.splitlines():
-        print("   ", line)
+    shown = None
+    for line in exposition.splitlines():
+        if not line.startswith("repro_component_stat{"):
+            continue
+        labels, value = line.rsplit(" ", 1)
+        component, stat = re.findall(r'"([^"]*)"', labels)
+        if component != shown:
+            print(f"    [{component}]")
+            shown = component
+        print(f"      {stat} = {value}")
     mailbox.destroy()
     client.close()
     msg_dispatcher.stop()

@@ -17,7 +17,6 @@ from repro.core.registry import ServiceRecord, ServiceRegistry, RegistryService
 from repro.core.routing import extract_logical, logical_uri
 from repro.core.rpc_dispatcher import RpcDispatcher
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
-from repro.core.status import StatusPage
 
 __all__ = [
     "ServiceRecord",
@@ -28,5 +27,4 @@ __all__ = [
     "RpcDispatcher",
     "MsgDispatcher",
     "MsgDispatcherConfig",
-    "StatusPage",
 ]

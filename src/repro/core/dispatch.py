@@ -166,7 +166,8 @@ class DispatchCore:
     time_bucket = 0.001
     #: shard ownership (an ordinary routing rule): with a
     #: :class:`~repro.shard.ring.HashRing`, a request this shard does not
-    #: own is relayed to ``peers[owner]`` (shard id -> direct base URL)
+    #: own is relayed to ``peers[owner]`` (shard id -> direct base URL);
+    #: :class:`~repro.core.msg_dispatcher.MsgDispatcher` takes all three
     ring = None
     shard_id = 0
     peers: dict = {}
@@ -643,7 +644,10 @@ class DispatchCore:
 
         # Shard ownership.  Responses return to the shard that forwarded
         # the request (ReplyTo was rewritten to that shard's direct
-        # address), so a RelatesTo message is local by construction.
+        # address), so a RelatesTo message is local by construction.  The
+        # rule sits here, not in ``handle``: journal replay and hold
+        # redelivery re-enter routing here, so a restarted shard re-relays
+        # the foreign messages it had journaled before dying.
         if self.ring is not None and not headers.relates_to:
             try:
                 owner = self.ring.owner(self._logical_of(headers, path))

@@ -31,6 +31,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import OverloadedError, ReproError
 from repro.http import HttpRequest, HttpResponse
@@ -54,6 +55,9 @@ from repro.core.dispatch import (
     _OutboundItem,
 )
 from repro.core.registry import ServiceRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.shard.ring import HashRing
 
 
 @dataclass
@@ -108,6 +112,9 @@ class MsgDispatcher(DispatchCore):
         durable: MessageJournal | None = None,
         recover: bool = True,
         flight: FlightRecorder | None = None,
+        ring: HashRing | None = None,
+        shard_id: int = 0,
+        peers: dict[int, str] | None = None,
     ) -> None:
         """``hold_store`` (a :class:`~repro.reliable.HoldRetryStore`) turns
         on the future-work reliable delivery: messages whose immediate
@@ -144,8 +151,17 @@ class MsgDispatcher(DispatchCore):
         transitions (sheds, deadletters, drain timeouts, journal
         recovery, breaker trips) are recorded into it, and deadletters
         trigger a postmortem dump when the recorder has a dump
-        directory."""
+        directory.
+
+        ``ring`` (a :class:`~repro.shard.ring.HashRing`) makes this
+        dispatcher shard ``shard_id`` of a fleet: a request it does not
+        own is relayed, byte-verbatim, to ``peers[owner]`` (shard id ->
+        the owner's *direct* base URL, so the relay lands on the owner
+        rather than on the shared port's pick)."""
         config = config or MsgDispatcherConfig()
+        self.ring = ring
+        self.shard_id = shard_id
+        self.peers = dict(peers or {})
         self.client = client
         self._accept_queue: ClosableQueue[tuple] = ClosableQueue(config.accept_queue)
         #: admitted messages not yet routed — on the accept queue or in a
@@ -472,10 +488,6 @@ class MsgDispatcher(DispatchCore):
             time.sleep(interval)
 
     # -- introspection -----------------------------------------------------
-    def active_destinations(self) -> int:
-        with self._lock:
-            return sum(1 for d in self._destinations.values() if self._working(d))
-
     def drain(self, timeout: float = 5.0) -> bool:
         """Wait until every queue is empty (tests); True on success."""
         deadline = time.monotonic() + timeout

@@ -2,9 +2,8 @@
 
 :class:`Introspection` aggregates the three observability feeds — the
 :class:`~repro.obs.metrics.MetricsRegistry`, the
-:class:`~repro.obs.trace.TraceStore`, and legacy per-component ``stats``
-dict sources (what :class:`~repro.core.status.StatusPage` used to scrape)
-— behind two GET endpoints mounted on any
+:class:`~repro.obs.trace.TraceStore`, and per-component ``stats`` dict
+sources — behind two GET endpoints mounted on any
 :class:`~repro.rt.service.SoapHttpApp`:
 
 - ``GET /metrics`` — Prometheus-style text exposition by default;
@@ -24,10 +23,10 @@ dict sources (what :class:`~repro.core.status.StatusPage` used to scrape)
 - ``GET /metrics/history`` — the :class:`~repro.obs.history.MetricsSnapshotter`
   time-series ring of periodic registry samples.
 
-Component sources keep working so existing deployments lose nothing: a
-source is anything with a ``stats`` dict property or a callable returning
-a dict, exactly as :meth:`StatusPage.add` accepted — but duplicate names
-are now rejected (or suffixed, opt-in) instead of silently shadowing.
+A component source is anything with a ``stats`` dict property or a
+callable returning a dict; ``GET /metrics`` shows each numeric stat as a
+``repro_component_stat{component=,stat=}`` gauge.  Duplicate names are
+rejected (or suffixed, opt-in), never silently shadowed.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ class Introspection:
                 out[name] = {"error": repr(exc)}
         return out
 
-    # -- legacy component sources (StatusPage semantics) ------------------
+    # -- component sources ------------------------------------------------
     def add_source(
         self, name: str, source: object, on_duplicate: str = "error"
     ) -> str:
@@ -161,7 +160,7 @@ class Introspection:
         ``source`` must expose a ``stats`` dict property or be callable.
         Duplicate names raise :class:`ValueError` (``on_duplicate="error"``)
         or get a ``#2``-style suffix (``on_duplicate="suffix"``) — never
-        the silent shadowing the old StatusPage allowed.
+        silently shadowed.
         """
         if on_duplicate not in ("error", "suffix"):
             raise ValueError(f"unknown on_duplicate policy {on_duplicate!r}")

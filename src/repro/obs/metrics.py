@@ -1,11 +1,11 @@
 """Unified metrics registry: labeled counters, gauges, and histograms.
 
-Before this module the reproduction had three unconnected bookkeeping
-mechanisms (``util.stats`` accumulators, the simnet sampler, per-component
-ad-hoc ``stats`` dicts).  :class:`MetricsRegistry` is the one sink they
-all feed: every message-path component records into a process-wide default
-registry (or an explicitly injected one), and a single exposition surface
-(:mod:`repro.obs.http`) renders the lot as Prometheus-style text or JSON.
+:class:`MetricsRegistry` is the one sink every message-path component
+records into — a process-wide default registry or an explicitly injected
+one — and a single exposition surface (:mod:`repro.obs.http`) renders the
+lot as Prometheus-style text or JSON.  In a simulation,
+:meth:`~repro.obs.history.MetricsSnapshotter.sim_process` samples it on
+simulated time.
 
 Design constraints, in order:
 
@@ -97,7 +97,7 @@ class GaugeChild:
                 return self._value
         try:
             return float(fn())
-        except Exception:  # noqa: BLE001 - a dead gauge reads 0, like the sampler
+        except Exception:  # noqa: BLE001 - a dead gauge reads 0
             return 0.0
 
 

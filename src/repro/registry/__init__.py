@@ -6,7 +6,8 @@ entries with tombstones, journal-backed when given one); this package
 adds what N of them need:
 
 - :mod:`repro.registry.gossip` — the anti-entropy exchange: digest
-  compare, delta sync, HTTP endpoint, threaded and simulated drivers;
+  compare, delta sync, the HTTP endpoint, and the simulated periodic
+  driver;
 - :mod:`repro.registry.client` — replica failover for the dispatchers:
   shuffled preference order, per-replica breakers, jittered retry, TTL
   cache with single-flight misses.
@@ -15,7 +16,6 @@ adds what N of them need:
 from repro.registry.client import ReplicatedRegistryClient
 from repro.registry.gossip import (
     GOSSIP_PATH,
-    GossipDaemon,
     GossipHandler,
     SimGossipPeer,
     sync_pair,
@@ -23,7 +23,6 @@ from repro.registry.gossip import (
 
 __all__ = [
     "GOSSIP_PATH",
-    "GossipDaemon",
     "GossipHandler",
     "ReplicatedRegistryClient",
     "SimGossipPeer",

@@ -16,12 +16,11 @@ edge).  Transport failures flip the peer's health edge (``replica-down``
 The wire format is deterministic JSON (sorted keys, entries sorted by
 logical name) on the operator plane — like span reports, gossip is
 co-operating-process traffic that lives next to ``/metrics``, not on the
-SOAP message path.  Both substrates are covered:
-:class:`GossipDaemon` runs a thread over :class:`~repro.rt.client.HttpClient`,
-:class:`SimGossipPeer` runs a simulation process over
-:class:`~repro.simnet.httpsim.SimHttpClientPool`, and the sans-io round
-(:func:`run_round_steps`) plus :func:`sync_pair` drive the same state
-machine in-process for tests and benchmarks.
+SOAP message path.  :class:`GossipHandler` is a replica's socket
+endpoint; :class:`SimGossipPeer` is the one periodic driver, a simulation
+process over :class:`~repro.simnet.httpsim.SimHttpClientPool`; the
+sans-io round (:func:`run_round_steps`) plus :func:`sync_pair` drive the
+same state machine in-process for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ def make_gossip_request(payload: dict, path: str = GOSSIP_PATH) -> HttpRequest:
 
 # -- shared round bookkeeping ----------------------------------------------
 class GossipHealth:
-    """Per-peer round accounting shared by both gossip drivers.
+    """Per-peer round accounting of a gossip driver.
 
     Owns the obs surface: ``registry_gossip_rounds_total{peer,outcome}``,
     the ``registry_gossip_lag_seconds{peer}`` gauge (seconds since the
@@ -272,82 +271,11 @@ class GossipHealth:
             }
 
 
-# -- drivers ----------------------------------------------------------------
-class GossipDaemon:
-    """Threaded anti-entropy driver: every ``interval`` seconds pick one
-    peer (seeded RNG) and run a round over an rt HTTP client.
-
-    ``peers`` maps peer name → base URL of its gossip endpoint."""
-
-    def __init__(
-        self,
-        replica: ServiceRegistry,
-        peers: dict[str, str],
-        client,
-        interval: float = 0.5,
-        seed: int | None = None,
-        metrics: MetricsRegistry | None = None,
-        flight: FlightRecorder | None = None,
-    ) -> None:
-        self.replica = replica
-        self.peers = dict(peers)
-        self.client = client
-        self.interval = interval
-        self._rng = random.Random(seed)
-        self.health = GossipHealth(
-            replica.peer_id, sorted(self.peers), metrics=metrics,
-            flight=flight,
-        )
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> "GossipDaemon":
-        if self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name=f"gossip-{self.replica.peer_id}",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if not self.replica.available or not self.peers:
-                continue
-            self.round(self._rng.choice(sorted(self.peers)))
-
-    def round(self, peer: str) -> bool:
-        """One synchronous round against ``peer``; True when it converged."""
-        url = self.peers[peer]
-
-        def post(payload: dict) -> dict:
-            response = self.client.request(url, make_gossip_request(payload, url))
-            if response.status >= 300:
-                raise TransportError(f"HTTP {response.status} from {url}")
-            return decode_gossip(response.body)
-
-        try:
-            converged, applied = drive_round(self.replica, post)
-        except (TransportError, ReproError, ValueError):
-            self.health.note_fail(peer)
-            return False
-        self.health.note_ok(peer, converged, applied)
-        return converged
-
-    def snapshot(self) -> dict:
-        return {"peer": self.replica.peer_id, "peers": self.health.snapshot()}
-
-
+# -- driver -----------------------------------------------------------------
 class SimGossipPeer:
-    """Simulation-process anti-entropy driver (deterministic twin of
-    :class:`GossipDaemon`).  ``peers`` maps peer name → (host, port)."""
+    """Simulation-process anti-entropy driver: every ``interval`` seconds
+    pick one peer (seeded RNG) and run a round.  ``peers`` maps peer
+    name → (host, port)."""
 
     def __init__(
         self,

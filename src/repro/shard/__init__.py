@@ -6,11 +6,11 @@ guarantee:
 
 - :mod:`repro.shard.ring` — deterministic consistent hashing from
   logical destination names to owning shards (:class:`HashRing`).
-- :mod:`repro.shard.dispatcher` — :class:`ShardedMsgDispatcher` /
-  ``AioShardedMsgDispatcher``: the routing seam consults the ring and
-  relays foreign messages to the owner's direct endpoint, so
-  per-destination FIFO order, breaker state, hold/retry schedules, and
-  correlations stay shard-local with no cross-process locking.
+  A :class:`~repro.core.msg_dispatcher.MsgDispatcher` (or
+  ``AioMsgDispatcher``) given a ring relays the messages it does not own
+  to the owner's direct endpoint, so per-destination FIFO order, breaker
+  state, hold/retry schedules, and correlations stay shard-local with no
+  cross-process locking.
 - :mod:`repro.shard.spec` — :class:`ShardSpec`, the JSON boot contract
   between supervisor and worker.
 - :mod:`repro.shard.worker` — :class:`ShardWorker`, one shard's full
@@ -36,21 +36,13 @@ def __getattr__(name: str):
 
         globals()[name] = ShardWorker
         return ShardWorker
-    if name in ("ShardedMsgDispatcher", "AioShardedMsgDispatcher"):
-        from repro.shard import dispatcher
-
-        value = getattr(dispatcher, name)
-        globals()[name] = value
-        return value
     raise AttributeError(name)
 
 
 __all__ = [
-    "AioShardedMsgDispatcher",
     "HashRing",
     "ShardSpec",
     "ShardSupervisor",
     "ShardWorker",
-    "ShardedMsgDispatcher",
     "SupervisorConfig",
 ]

@@ -13,7 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["ShardSpec"]
+__all__ = ["RUNTIMES", "ShardSpec"]
+
+#: the worker runtimes: "threaded" runs a MsgDispatcher, "aio" an
+#: AioMsgDispatcher on one event loop
+RUNTIMES = ("threaded", "aio")
 
 
 @dataclass
@@ -33,21 +37,13 @@ class ShardSpec:
     #: logical name -> physical URL seed for the worker's ServiceRegistry
     registry: dict[str, str] = field(default_factory=dict)
     mount_prefix: str = "/msg"
-    #: "threaded" (MsgDispatcher) or "aio" (AioMsgDispatcher, one loop)
+    #: one of :data:`RUNTIMES`
     runtime: str = "threaded"
     #: per-shard journal file; None runs the shard non-durable
     journal_path: str | None = None
-    journal_sync: str = "group"
-    ring_replicas: int = 64
-    dedupe_window: float | None = 60.0
-    cx_threads: int = 2
     ws_threads: int = 8
     server_workers: int = 16
     batch_size: int = 8
-    #: retry knobs cover the relay path while a crashed peer restarts
-    retry_attempts: int = 8
-    retry_base: float = 0.05
-    retry_max_delay: float = 0.5
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

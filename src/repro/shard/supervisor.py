@@ -45,7 +45,7 @@ from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.shard.ring import HashRing
-from repro.shard.spec import ShardSpec
+from repro.shard.spec import RUNTIMES, ShardSpec
 from repro.store.journal import merged_recovery_report, shard_journal_path
 from repro.transport.base import Endpoint
 from repro.transport.tcp import TcpConnector, TcpListener, reuse_port_supported
@@ -55,33 +55,36 @@ import logging
 __all__ = ["SupervisorConfig", "ShardSupervisor"]
 
 
+#: pause before respawning a dead worker (crash-loop damping)
+RESTART_BACKOFF = 0.2
+#: how often the monitor thread looks for dead workers
+POLL_INTERVAL = 0.05
+
+
 @dataclass
 class SupervisorConfig:
     """Deployment geometry + knobs forwarded into every worker's spec."""
 
     shards: int = 2
-    runtime: str = "threaded"  # "threaded" | "aio"
+    #: one of :data:`~repro.shard.spec.RUNTIMES`
+    runtime: str = "threaded"
     data_host: str = "127.0.0.1"
     #: directory for per-shard journals; None runs the fleet non-durable
     journal_dir: str | None = None
-    journal_sync: str = "group"
     mount_prefix: str = "/msg"
-    ring_replicas: int = 64
-    dedupe_window: float | None = 60.0
-    cx_threads: int = 2
     ws_threads: int = 8
     server_workers: int = 16
     batch_size: int = 8
-    retry_attempts: int = 8
-    retry_base: float = 0.05
-    retry_max_delay: float = 0.5
     #: how long to wait for a worker's ready line at first boot
     ready_timeout: float = 20.0
-    #: pause before respawning a dead worker (crash-loop damping)
-    restart_backoff: float = 0.2
-    poll_interval: float = 0.05
-    #: serve the aggregated /metrics /health /slo control endpoint
-    control: bool = True
+
+    def __post_init__(self) -> None:
+        # a worker would die of a bad runtime on its own stderr, and the
+        # supervisor would only see it miss ready_timeout
+        if self.runtime not in RUNTIMES:
+            raise ValueError(f"unknown shard runtime {self.runtime!r}")
+        if self.shards < 1:
+            raise ValueError("need at least one shard")
 
 
 class _Worker:
@@ -109,11 +112,7 @@ class ShardSupervisor:
     ) -> None:
         self.registry = dict(registry)
         self.config = config or SupervisorConfig()
-        if self.config.shards < 1:
-            raise ValueError("need at least one shard")
-        self.ring = HashRing(
-            self.config.shards, replicas=self.config.ring_replicas
-        )
+        self.ring = HashRing(self.config.shards)
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder()
         self._log = component_logger("shardsup")
@@ -233,17 +232,16 @@ class ShardSupervisor:
             target=self._monitor_loop, name="shard-monitor", daemon=True
         )
         self._monitor.start()
-        if cfg.control:
-            self._scrape_client = HttpClient(TcpConnector())
-            app = SoapHttpApp(metrics=self.metrics)
-            app.mount_page("/metrics", self._metrics_page)
-            app.mount_page("/health", self._health_page)
-            app.mount_page("/slo", self._slo_page)
-            self._control_server = HttpServer(
-                TcpListener(Endpoint(cfg.data_host, 0)),
-                app.handle_request, workers=4, name="shard-control",
-                metrics=self.metrics,
-            ).start()
+        self._scrape_client = HttpClient(TcpConnector())
+        app = SoapHttpApp(metrics=self.metrics)
+        app.mount_page("/metrics", self._metrics_page)
+        app.mount_page("/health", self._health_page)
+        app.mount_page("/slo", self._slo_page)
+        self._control_server = HttpServer(
+            TcpListener(Endpoint(cfg.data_host, 0)),
+            app.handle_request, workers=4, name="shard-control",
+            metrics=self.metrics,
+        ).start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -297,16 +295,9 @@ class ShardSupervisor:
             mount_prefix=cfg.mount_prefix,
             runtime=cfg.runtime,
             journal_path=journal_path,
-            journal_sync=cfg.journal_sync,
-            ring_replicas=cfg.ring_replicas,
-            dedupe_window=cfg.dedupe_window,
-            cx_threads=cfg.cx_threads,
             ws_threads=cfg.ws_threads,
             server_workers=cfg.server_workers,
             batch_size=cfg.batch_size,
-            retry_attempts=cfg.retry_attempts,
-            retry_base=cfg.retry_base,
-            retry_max_delay=cfg.retry_max_delay,
         )
 
     def _spawn(self, worker: _Worker) -> None:
@@ -353,9 +344,8 @@ class ShardSupervisor:
             pass  # stdout closed mid-read during shutdown
 
     def _monitor_loop(self) -> None:
-        cfg = self.config
         while self._running:
-            time.sleep(cfg.poll_interval)
+            time.sleep(POLL_INTERVAL)
             for shard_id, worker in list(self._workers.items()):
                 if not self._running:
                     return
@@ -374,7 +364,7 @@ class ShardSupervisor:
                     shard=shard_id, returncode=returncode,
                     restarts=worker.restarts,
                 )
-                time.sleep(cfg.restart_backoff)
+                time.sleep(RESTART_BACKOFF)
                 if not self._running:
                     return
                 # same spec: same direct port, same journal file — the

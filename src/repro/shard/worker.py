@@ -20,7 +20,7 @@ import sys
 import threading
 
 from repro.core.registry import ServiceRegistry
-from repro.core.msg_dispatcher import MsgDispatcherConfig
+from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.obs.flight import FlightRecorder
 from repro.obs.http import Introspection
 from repro.obs.metrics import MetricsRegistry
@@ -30,32 +30,42 @@ from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.shard.ring import HashRing
-from repro.shard.spec import ShardSpec
+from repro.shard.spec import RUNTIMES, ShardSpec
 from repro.store.journal import MessageJournal
 from repro.transport.base import Endpoint
 from repro.transport.tcp import TcpConnector, TcpListener
 
 __all__ = ["ShardWorker", "main"]
 
+#: what every shard runs with; the spec carries only what the
+#: supervisor's config sets
+JOURNAL_SYNC = "group"
+DEDUPE_WINDOW = 60.0
+CX_THREADS = 2
+#: relay retries cover the path to a crashed peer while it restarts
+RETRY_ATTEMPTS = 8
+RETRY_BASE = 0.05
+RETRY_MAX_DELAY = 0.5
+
 
 class ShardWorker:
     """Builds and runs one shard's servers + dispatcher from a spec."""
 
     def __init__(self, spec: ShardSpec) -> None:
-        if spec.runtime not in ("threaded", "aio"):
+        if spec.runtime not in RUNTIMES:
             raise ValueError(f"unknown shard runtime {spec.runtime!r}")
         self.spec = spec
         self.metrics = MetricsRegistry()
         self.traces = TraceStore(span_prefix=f"shard{spec.shard_id}")
         self.flight = FlightRecorder()
-        self.ring = HashRing(spec.shards, replicas=spec.ring_replicas)
+        self.ring = HashRing(spec.shards)
         self.registry = ServiceRegistry(metrics=self.metrics)
         for logical, physical in spec.registry.items():
             self.registry.register(logical, physical)
         self.journal = None
         if spec.journal_path:
             self.journal = MessageJournal(
-                spec.journal_path, sync=spec.journal_sync, flight=self.flight
+                spec.journal_path, sync=JOURNAL_SYNC, flight=self.flight
             )
         self.dispatcher = None
         self._loop_thread = None
@@ -69,14 +79,14 @@ class ShardWorker:
     def _dispatcher_config(self) -> MsgDispatcherConfig:
         spec = self.spec
         return MsgDispatcherConfig(
-            cx_threads=spec.cx_threads,
+            cx_threads=CX_THREADS,
             ws_threads=spec.ws_threads,
             batch_size=spec.batch_size,
-            dedupe_window=spec.dedupe_window,
+            dedupe_window=DEDUPE_WINDOW,
             retry=ExponentialBackoff(
-                max_attempts=spec.retry_attempts,
-                base=spec.retry_base,
-                max_delay=spec.retry_max_delay,
+                max_attempts=RETRY_ATTEMPTS,
+                base=RETRY_BASE,
+                max_delay=RETRY_MAX_DELAY,
             ),
         )
 
@@ -115,12 +125,10 @@ class ShardWorker:
         return self
 
     def _start_threaded(self) -> None:
-        from repro.shard.dispatcher import ShardedMsgDispatcher
-
         spec = self.spec
         client = HttpClient(TcpConnector(), metrics=self.metrics)
         self._clients.append(client)
-        self.dispatcher = ShardedMsgDispatcher(
+        self.dispatcher = MsgDispatcher(
             self.registry, client, self.own_address,
             mount_prefix=spec.mount_prefix,
             config=self._dispatcher_config(),
@@ -148,8 +156,9 @@ class ShardWorker:
         )
 
     def _start_aio(self) -> None:
-        from repro.aio import AioHttpClient, AioHttpServer, AioLoopThread
-        from repro.shard.dispatcher import AioShardedMsgDispatcher
+        from repro.aio import (
+            AioHttpClient, AioHttpServer, AioLoopThread, AioMsgDispatcher,
+        )
 
         spec = self.spec
         self._loop_thread = AioLoopThread(
@@ -159,7 +168,7 @@ class ShardWorker:
         async def boot():
             client = AioHttpClient(metrics=self.metrics)
             self._clients.append(client)
-            dispatcher = AioShardedMsgDispatcher(
+            dispatcher = AioMsgDispatcher(
                 self.registry, client, self.own_address,
                 mount_prefix=spec.mount_prefix,
                 config=self._dispatcher_config(),

@@ -18,7 +18,6 @@ from repro.simnet.kernel import Simulator, Process, Timeout, Event, AllOf, AnyOf
 from repro.simnet.resources import Store, Resource
 from repro.simnet.topology import Host, AccessLink, Network
 from repro.simnet.firewall import FirewallPolicy
-from repro.simnet.metrics import MetricsSampler
 from repro.simnet.tcpsim import SimTcpConnection, TcpParams
 from repro.simnet.httpsim import SimHttpServer, SimHttpClientPool, sim_http_request
 from repro.simnet.scenarios import (
@@ -42,7 +41,6 @@ __all__ = [
     "AccessLink",
     "Network",
     "FirewallPolicy",
-    "MetricsSampler",
     "SimTcpConnection",
     "TcpParams",
     "SimHttpServer",

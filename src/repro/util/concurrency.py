@@ -187,7 +187,6 @@ class BoundedExecutor:
         self._started = 0
         self._completed = 0
         self._rejected = 0
-        self._task_errors = 0
         self._peak_threads = 0
         self._shutdown = False
         if policy != "unbounded":
@@ -200,11 +199,6 @@ class BoundedExecutor:
 
     # -- metrics ----------------------------------------------------------
     @property
-    def tasks_started(self) -> int:
-        with self._lock:
-            return self._started
-
-    @property
     def tasks_completed(self) -> int:
         with self._lock:
             return self._completed
@@ -213,11 +207,6 @@ class BoundedExecutor:
     def tasks_rejected(self) -> int:
         with self._lock:
             return self._rejected
-
-    @property
-    def task_errors(self) -> int:
-        with self._lock:
-            return self._task_errors
 
     @property
     def peak_threads(self) -> int:
@@ -276,15 +265,13 @@ class BoundedExecutor:
         except QueueClosed:
             raise RejectedExecution(f"{self.name} is shut down") from None
         with self._lock:
-            self._started += 1
             self._peak_threads = max(self._peak_threads, len(self._threads))
 
     def _run_one(self, fn: Callable[[], None]) -> None:
         try:
             fn()
         except Exception:  # noqa: BLE001 - a task failure must not kill a worker
-            with self._lock:
-                self._task_errors += 1
+            pass
         finally:
             with self._lock:
                 self._completed += 1
@@ -364,11 +351,6 @@ class SingleFlight(Generic[T]):
         if flight.exc is not None:
             raise flight.exc
         return flight.result, True
-
-    def inflight(self) -> int:
-        """Number of keys with a flight currently executing."""
-        with self._lock:
-            return len(self._flights)
 
 
 def join_all(threads: Iterable[threading.Thread], timeout: float = 5.0) -> None:

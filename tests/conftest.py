@@ -116,21 +116,17 @@ class DispatcherBackend:
             kwargs.update(shard_id=0, ring=HashRing(1), peers={0: "http://wsd:8000"})
         if self.kind.startswith("rt"):
             from repro.core.msg_dispatcher import MsgDispatcher
-            from repro.shard import ShardedMsgDispatcher
 
-            cls = MsgDispatcher if self.kind == "rt" else ShardedMsgDispatcher
-            dispatcher = cls(registry, client, **kwargs)
+            dispatcher = MsgDispatcher(registry, client, **kwargs)
             then(dispatcher)
             return dispatcher
         from repro.aio import AioHttpClient, AioMsgDispatcher
-        from repro.shard import AioShardedMsgDispatcher
 
         if not isinstance(client, AioHttpClient):
             client = _SyncClientAdapter(client)
-        cls = AioMsgDispatcher if self.kind == "aio" else AioShardedMsgDispatcher
 
         async def build():
-            dispatcher = cls(registry, client, **kwargs)
+            dispatcher = AioMsgDispatcher(registry, client, **kwargs)
             then(dispatcher)
             return dispatcher
 

@@ -287,7 +287,7 @@ def test_every_dispatcher_family_is_registered_once_by_the_core():
         (src / path).read_text(encoding="utf-8")
         for path in (
             "core/msg_dispatcher.py", "core/sim_dispatcher.py",
-            "aio/dispatcher.py", "shard/dispatcher.py",
+            "aio/dispatcher.py",
         )
     )
     core_text = pathlib.Path(dispatch.__file__).read_text(encoding="utf-8")

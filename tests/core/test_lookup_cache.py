@@ -208,8 +208,12 @@ def test_stress_no_lookup_outlives_the_mutation_it_raced():
             written.clear()
             if cache.get("svc").physical != [last]:
                 stale.append(n)
-    finally:
+    except BaseException:
+        # free the readers from a round that will never trip; aborting
+        # after the last round would break a reader still waking from it
         barrier.abort()
+        raise
+    finally:
         for t in threads:
             t.join(timeout=10.0)
         sys.setswitchinterval(interval)

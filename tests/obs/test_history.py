@@ -90,6 +90,42 @@ class TestSimDriver:
         # each sample sees the previous second's count)
         assert [s["values"]["ticks_total"] for s in history] == [1, 3, 5, 7, 9]
 
+    def test_sim_process_diagnoses_fig4_congestion(self):
+        """Registry gauges sampled in simulated time make Figure 4's
+        mechanism visible: the consumer host's connection table and its
+        uplink backlog climbing with offered load."""
+        from repro.rt.service import SoapHttpApp
+        from repro.simnet.httpsim import SimHttpServer
+        from repro.simnet.scenarios import CABLE_MODEM_US, INRIA_SLOW, make_network
+        from repro.workload.echo import EchoService
+        from repro.workload.sim_testclient import SimRampConfig, SimRampTester
+
+        sim, net, hosts = make_network(CABLE_MODEM_US, INRIA_SLOW)
+        client_host, server_host = hosts["iuLow"], hosts["inriaSlow"]
+        server_host.firewall.open_ports = frozenset({8080})
+        app = SoapHttpApp()
+        app.mount("/echo", EchoService())
+        SimHttpServer(net, server_host, 8080, app)
+
+        metrics = MetricsRegistry()
+        metrics.gauge("cable_connections", "open connections").set_function(
+            lambda: client_host.active_connections
+        )
+        metrics.gauge("cable_up_backlog_seconds", "queued uplink").set_function(
+            lambda: client_host.link.up.backlog_seconds
+        )
+        snapshotter = MetricsSnapshotter(metrics, interval=2.0)
+        sim.process(snapshotter.sim_process(sim, until=20.0))
+
+        tester = SimRampTester(net, client_host, "inriaSlow", 8080, "/echo")
+        tester.run(SimRampConfig(clients=400, duration=20.0))
+
+        history = snapshotter.history()
+        # the consumer connection table pegs at its 256 limit...
+        assert max(s["values"]["cable_connections"] for s in history) == 256
+        # ...and the 288 kbps uplink runs a persistent backlog
+        assert max(s["values"]["cable_up_backlog_seconds"] for s in history) > 0.5
+
 
 class TestThreadedDriver:
     def test_start_stop_takes_final_sample(self):

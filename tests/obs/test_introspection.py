@@ -189,3 +189,46 @@ class TestDeadletters:
         snapshot = intro.deadletters_snapshot()
         assert snapshot["msgd"] == {"total": 0}
         assert "journal gone" in snapshot["broken"]["error"]
+
+
+def test_live_deployment_status(inproc):
+    """GET /metrics on a live deployment reflects real traffic counters."""
+    from repro.core import RpcDispatcher, ServiceRegistry
+    from repro.rt.client import HttpClient
+    from repro.rt.server import HttpServer
+    from repro.rt.service import SoapHttpApp
+    from repro.workload.echo import EchoService, make_echo_request
+
+    app = SoapHttpApp()
+    app.mount("/echo", EchoService())
+    ws = HttpServer(inproc.listen("ws:9000"), app.handle_request).start()
+
+    registry = ServiceRegistry()
+    registry.register("echo", "http://ws:9000/echo")
+    dispatcher = RpcDispatcher(registry, HttpClient(inproc))
+
+    intro = make_introspection()
+    intro.add_source("rpc-dispatcher", dispatcher)
+    intro.add_source("registry", lambda: registry.stats)
+
+    front_app = SoapHttpApp()
+    intro.mount(front_app)
+
+    def front(request, peer=None):
+        if request.target.startswith("/rpc"):
+            return dispatcher.handle_request(request, peer)
+        return front_app.handle_request(request, peer)
+
+    wsd = HttpServer(inproc.listen("wsd:8000"), front).start()
+    client = HttpClient(inproc)
+    for _ in range(3):
+        client.post_envelope("http://wsd:8000/rpc/echo", make_echo_request())
+
+    resp = client.request("http://wsd:8000/metrics", get("/metrics"))
+    text = resp.body.decode()
+    assert resp.status == 200
+    assert 'repro_component_stat{component="rpc-dispatcher",stat="forwarded"} 3' in text
+    assert 'repro_component_stat{component="registry",stat="lookups"} 3' in text
+    ws.stop()
+    wsd.stop()
+    client.close()

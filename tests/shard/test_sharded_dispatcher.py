@@ -1,4 +1,4 @@
-"""The routing seam: ShardedMsgDispatcher relays what it doesn't own.
+"""The routing seam: a MsgDispatcher given a ring relays what it doesn't own.
 
 These are single-process tests — one real dispatcher, plain HTTP sinks
 standing in for the peer shard and the local service — exercising the
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.msg_dispatcher import MsgDispatcherConfig
+from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
 from repro.http import HttpResponse
 from repro.obs.metrics import MetricsRegistry
@@ -18,7 +18,7 @@ from repro.obs.trace import TraceStore
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import RequestContext
-from repro.shard import HashRing, ShardedMsgDispatcher
+from repro.shard import HashRing
 from repro.soap import Envelope
 from repro.transport.tcp import TcpConnector, TcpListener
 from repro.util.ids import IdGenerator
@@ -62,7 +62,7 @@ def seam():
     peer = _Recorder()    # stands in for shard 1's direct endpoint
     registry = ServiceRegistry(metrics=MetricsRegistry())
     metrics = MetricsRegistry()
-    dispatcher = ShardedMsgDispatcher(
+    dispatcher = MsgDispatcher(
         registry,
         HttpClient(TcpConnector()),
         "http://127.0.0.1:9/msg",
@@ -156,7 +156,7 @@ def test_unsharded_ring_never_relays(seam):
     _, _, _, local, _, _ = seam
     ring = HashRing(1)
     registry = ServiceRegistry(metrics=MetricsRegistry())
-    dispatcher = ShardedMsgDispatcher(
+    dispatcher = MsgDispatcher(
         registry,
         HttpClient(TcpConnector()),
         "http://127.0.0.1:9/msg",

@@ -136,6 +136,30 @@ def test_start_refuses_a_host_without_reuseport(monkeypatch):
     assert sup.pids() == {}  # nothing was spawned
 
 
+class _Forbidden:
+    """Stands in for a module the code under test must not touch."""
+
+    def __init__(self, what):
+        self.what = what
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{self.what}.{name} was used")
+
+
+def test_a_mistyped_runtime_is_refused_before_a_port_or_a_process(monkeypatch):
+    """A worker would die of an unknown runtime on its own stderr, and the
+    supervisor would report a missed ready_timeout instead of the cause."""
+    monkeypatch.setattr("repro.shard.supervisor.socket", _Forbidden("socket"))
+    monkeypatch.setattr(
+        "repro.shard.supervisor.subprocess", _Forbidden("subprocess")
+    )
+    with pytest.raises(ValueError, match="unknown shard runtime 'asyncio'"):
+        ShardSupervisor(
+            {"svc0": "http://127.0.0.1:9/svc0"},
+            SupervisorConfig(shards=2, runtime="asyncio"),
+        ).start()
+
+
 def test_single_shard_fleet_still_works():
     """shards=1 must behave exactly like one plain dispatcher deployment."""
     sink = _Sink()

@@ -22,7 +22,6 @@ def test_top_level_exports():
         "repro.aio",
         "repro.core",
         "repro.core.sim_dispatcher",
-        "repro.core.status",
         "repro.msgbox",
         "repro.obs",
         "repro.registry",
@@ -35,7 +34,6 @@ def test_top_level_exports():
         "repro.rt",
         "repro.shard",
         "repro.simnet",
-        "repro.simnet.metrics",
         "repro.store",
         "repro.util",
         "repro.workload",
@@ -55,7 +53,6 @@ def test_documented_entry_points_exist():
         RegistryService,
         RpcDispatcher,
         ServiceRegistry,
-        StatusPage,
     )
     from repro.aio import (
         AioHttpClient,
@@ -75,7 +72,7 @@ def test_documented_entry_points_exist():
         ensure_trace,
     )
     from repro.reliable import DuplicateFilter, ExponentialBackoff, HoldRetryStore
-    from repro.simnet import MetricsSampler, Simulator, make_network
+    from repro.simnet import Simulator, make_network
     from repro.workload import make_echo_message, make_echo_request
     from repro.wsa import make_reply_headers, rewrite_for_forwarding
 
@@ -129,6 +126,36 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
         assert defaults == {**shared, **added}
         assert _documented_fields(cls.__name__) == set(defaults)
         assert cls(batch_size=1).batch_size == 1  # keyword construction
+
+
+def test_the_fleet_configs_are_documented_and_keep_their_constants():
+    """docs/api.md lists exactly the fields of the shard fleet's two
+    configs; what they do not carry is a constant every shard shares."""
+    from repro.shard import HashRing, ShardSpec, SupervisorConfig, supervisor, worker
+
+    supervisor_fields = {
+        "shards": 2, "runtime": "threaded", "data_host": "127.0.0.1",
+        "journal_dir": None, "mount_prefix": "/msg", "ws_threads": 8,
+        "server_workers": 16, "batch_size": 8, "ready_timeout": 20.0,
+    }
+    defaults = {f.name: f.default for f in dataclasses.fields(SupervisorConfig)}
+    assert defaults == supervisor_fields
+    assert _documented_fields("SupervisorConfig") == set(defaults)
+
+    spec_fields = {f.name for f in dataclasses.fields(ShardSpec)}
+    assert spec_fields == {
+        "shard_id", "shards", "data_host", "data_port", "direct_port", "peers",
+        "registry", "mount_prefix", "runtime", "journal_path", "ws_threads",
+        "server_workers", "batch_size",
+    }
+    assert _documented_fields("ShardSpec") == spec_fields
+
+    assert (
+        worker.JOURNAL_SYNC, worker.DEDUPE_WINDOW, worker.CX_THREADS,
+        worker.RETRY_ATTEMPTS, worker.RETRY_BASE, worker.RETRY_MAX_DELAY,
+    ) == ("group", 60.0, 2, 8, 0.05, 0.5)
+    assert (supervisor.RESTART_BACKOFF, supervisor.POLL_INTERVAL) == (0.2, 0.05)
+    assert HashRing(2).replicas == 64
 
 
 def test_the_clients_keep_their_constructors_and_metric_surface():
