@@ -11,8 +11,6 @@ replay identically event for event.
 
 from __future__ import annotations
 
-import logging
-
 from repro.chaos.plan import (
     AddedLatency,
     FaultPlan,
@@ -26,7 +24,6 @@ from repro.chaos.plan import (
 )
 from repro.errors import SimulationError
 from repro.obs.flight import FlightRecorder, default_flight_recorder
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.simnet.topology import Network
 
@@ -67,7 +64,6 @@ class ChaosController:
         self._servers = {(s.host.name, s.port): s for s in servers}
         self.metrics = metrics if metrics is not None else default_registry()
         self.flight = flight if flight is not None else default_flight_recorder()
-        self._log = component_logger("chaos")
         self._m_injected = self.metrics.counter(
             "chaos_faults_injected_total", "fault windows begun, by kind"
         )
@@ -107,11 +103,6 @@ class ChaosController:
         self.injected += 1
         self._active += 1
         self._m_injected.labels(kind=kind).inc()
-        log_event(
-            self._log, logging.WARNING, "inject",
-            kind=kind, host=getattr(fault, "host", "-"), t=round(self.sim.now, 6),
-            **fields,
-        )
         self.flight.record(
             "fault-inject", "chaos", t=self.sim.now,
             fault=kind, host=getattr(fault, "host", None), **fields,
@@ -119,11 +110,6 @@ class ChaosController:
 
     def _end(self, fault) -> None:
         self._active -= 1
-        log_event(
-            self._log, logging.INFO, "restore",
-            kind=type(fault).__name__, host=getattr(fault, "host", "-"),
-            t=round(self.sim.now, 6),
-        )
         self.flight.record(
             "fault-restore", "chaos", t=self.sim.now,
             fault=type(fault).__name__, host=getattr(fault, "host", None),

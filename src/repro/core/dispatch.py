@@ -31,7 +31,6 @@ lifecycle, and how an effect is performed — a blocking call, an
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ from repro.errors import (
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import SLEEP, soap_post
 from repro.obs.flight import FlightRecorder, default_flight_recorder
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slo import stage_histogram
 from repro.obs.trace import (
@@ -202,7 +200,6 @@ class DispatchCore:
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
         self.flight = flight if flight is not None else default_flight_recorder()
-        self._log = component_logger("msgd")
 
         self._m_accepted = self.metrics.counter(
             "msgd_accepted_total",
@@ -388,7 +385,6 @@ class DispatchCore:
                 self._ensure_hold_pump()
         if replayed:
             self.counters.inc("recovered", replayed)
-            log_event(self._log, logging.INFO, "recover", replayed=replayed)
             self.flight.record(
                 "journal-recover", "msgd", t=self.clock.now(),
                 replayed=replayed,
@@ -420,10 +416,10 @@ class DispatchCore:
     ) -> None:
         """Move a journaled message to the dead-letter queue.
 
-        Logs with the message's trace id (so logs and ``GET /trace/<id>``
-        correlate by grep), records a flight-recorder event, and triggers
-        a postmortem dump — a deadletter is exactly the moment the
-        preceding ring of events is worth keeping.
+        Records a flight-recorder event carrying the message's trace id
+        (the key of ``GET /trace/<id>``) and triggers a postmortem dump —
+        a deadletter is exactly the moment the preceding ring of events
+        is worth keeping.
         """
         if self.durable is None or journal_seq is None:
             return
@@ -431,10 +427,6 @@ class DispatchCore:
         self.counters.inc("dead_lettered")
         self._m_deadletter.labels(reason=reason).inc()
         now = self.clock.now()
-        log_event(
-            self._log, logging.WARNING, "deadletter",
-            trace=trace_id, reason=reason, seq=journal_seq, dest=dest,
-        )
         self.flight.record(
             "deadletter", "msgd", t=now,
             trace=trace_id, reason=reason, seq=journal_seq, dest=dest,
@@ -449,12 +441,12 @@ class DispatchCore:
         dest: str | None = None,
         **fields,
     ) -> None:
-        """Count, dead-letter and log one message leaving by ``reason``."""
+        """Count, dead-letter and record one message leaving by ``reason``."""
         self.counters.inc("dropped_" + reason)
         self._m_dropped.labels(reason=reason).inc()
         self._dead_letter(journal_seq, reason, trace_id=trace_id, dest=dest)
-        log_event(
-            self._log, logging.WARNING, "drop",
+        self.flight.record(
+            "drop", "msgd", t=self.clock.now(),
             trace=trace_id, reason=reason, dest=dest, **fields,
         )
 
@@ -462,7 +454,7 @@ class DispatchCore:
     def overloaded(
         self, path: str, trace: TraceContext | None, t_arrival: float
     ) -> bool:
-        """Admission control: True (counted, logged, flight-recorded) when
+        """Admission control: True (counted and flight-recorded) when
         the backlog has reached ``config.max_inflight`` — the driver sheds
         with 503 Retry-After."""
         limit = self.config.max_inflight
@@ -474,10 +466,6 @@ class DispatchCore:
         trace_id = trace.trace_id if trace else None
         self.counters.inc("shed_overload")
         self._m_shed.labels(component=self.component).inc()
-        log_event(
-            self._log, logging.WARNING, "shed",
-            trace=trace_id, path=path, backlog=backlog, max_inflight=limit,
-        )
         self.flight.record(
             "shed", "msgd", t=t_arrival,
             trace=trace_id, path=path, backlog=backlog, max_inflight=limit,
@@ -505,8 +493,8 @@ class DispatchCore:
         self._mark_rejected(journal_seq)
         self.counters.inc("dropped_accept_queue_full")
         self._m_dropped.labels(reason="accept_queue_full").inc()
-        log_event(
-            self._log, logging.WARNING, "drop",
+        self.flight.record(
+            "drop", "msgd", t=self.clock.now(),
             trace=trace.trace_id if trace else None,
             reason="accept_queue_full", path=path,
         )
@@ -527,10 +515,6 @@ class DispatchCore:
                 trace.trace_id, "admit", "msgd", t_arrival, now,
                 parent_id=trace.parent_span_id, path=path,
             )
-        log_event(
-            self._log, logging.DEBUG, "admit",
-            trace=trace.trace_id if trace else None, path=path,
-        )
         return now
 
     def addressing_of(self, envelope: Envelope) -> AddressingHeaders | None:
@@ -669,8 +653,8 @@ class DispatchCore:
             self._m_duplicates.inc()
             if journal_seq is not None and self.durable is not None:
                 self.durable.mark(journal_seq, ABSORBED, reason="duplicate")
-            log_event(
-                self._log, logging.DEBUG, "duplicate",
+            self.flight.record(
+                "duplicate", "msgd", t=now,
                 trace=trace_id, message_id=headers.message_id,
             )
             return []
@@ -811,10 +795,6 @@ class DispatchCore:
                 trace.trace_id, "route", "msgd", t_start, self.clock.now(),
                 span_id=route_sid, parent_id=trace.parent_span_id, **span_attrs,
             )
-        log_event(
-            self._log, logging.DEBUG, "route",
-            trace=trace.trace_id if trace else None, **span_attrs,
-        )
         return item
 
     def _relay(
@@ -981,11 +961,6 @@ class DispatchCore:
                 yield SLEEP, None, retry.delay_before(item.attempts + 1)
                 self.counters.inc("retries")
                 self._m_retries.inc()
-                log_event(
-                    self._log, logging.INFO, "retry",
-                    trace=item.trace.trace_id if item.trace else None,
-                    dest=item.target_url, attempts=item.attempts,
-                )
                 if self._try_enqueue(item) is None:
                     continue
             self.delivery_failed(item)
@@ -1099,11 +1074,6 @@ class DispatchCore:
                 parent_id=parent_span_id,
                 dest=item.target_url, attempts=item.attempts,
             )
-        log_event(
-            self._log, logging.DEBUG, "deliver",
-            trace=item.trace.trace_id if item.trace else None,
-            dest=item.target_url,
-        )
         if item.message_id is not None:
             self._absorb_inband_response(item, response)
         self.counters.inc("delivered")
@@ -1167,8 +1137,8 @@ class DispatchCore:
         trace_id = item.trace.trace_id if item.trace else None
         if self._park(item):
             self.counters.inc("held_for_retry")
-            log_event(
-                self._log, logging.INFO, "hold", trace=trace_id,
+            self.flight.record(
+                "hold", "msgd", t=self.clock.now(), trace=trace_id,
                 reason="delivery_failure", dest=item.target_url,
             )
             return
@@ -1177,8 +1147,8 @@ class DispatchCore:
             item.journal_seq, "delivery_failure",
             trace_id=trace_id, dest=item.target_url,
         )
-        log_event(
-            self._log, logging.WARNING, "drop",
+        self.flight.record(
+            "drop", "msgd", t=self.clock.now(),
             trace=trace_id, reason="delivery_failure",
             dest=item.target_url, attempts=item.attempts,
         )
@@ -1189,8 +1159,8 @@ class DispatchCore:
         trace_id = item.trace.trace_id if item.trace else None
         if self._park(item):
             self.counters.inc("held_breaker_open")
-            log_event(
-                self._log, logging.INFO, "hold", trace=trace_id,
+            self.flight.record(
+                "hold", "msgd", t=self.clock.now(), trace=trace_id,
                 reason="breaker_open", dest=item.target_url,
             )
         else:
@@ -1255,8 +1225,8 @@ class DispatchCore:
             journal_seq,
         )
         self.counters.inc("hold_registry_unavailable")
-        log_event(
-            self._log, logging.INFO, "hold",
+        self.flight.record(
+            "hold", "msgd", t=self.clock.now(),
             trace=trace_id, reason="registry_unavailable", path=path,
         )
         self._ensure_hold_pump()

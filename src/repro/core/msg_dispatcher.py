@@ -27,7 +27,6 @@ blocking trampoline for :meth:`DispatchCore.deliver`'s effects.
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from typing import TYPE_CHECKING
 from repro.errors import OverloadedError, ReproError
 from repro.http import HttpRequest, HttpResponse
 from repro.obs.flight import FlightRecorder
-from repro.obs.logkv import log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceContext, TraceStore, extract_trace
 from repro.reliable.policy import RetryPolicy
@@ -329,7 +327,10 @@ class MsgDispatcher(DispatchCore):
             raise ReproError("dispatcher is shut down") from None
         if not accepted:
             self.refused(jseq, trace, path)
-            raise ReproError("dispatcher accept queue full")
+            raise OverloadedError(
+                "dispatcher accept queue full",
+                retry_after=self.config.shed_retry_after,
+            )
         self.admitted(path, trace, t_arrival)
 
     # -- CxThread: routing + rewriting (steps 2-4 of Fig. 3) ---------------
@@ -387,10 +388,6 @@ class MsgDispatcher(DispatchCore):
                 return "destination_queue_full"
         except QueueClosed:
             return "shutdown"
-        log_event(
-            self._log, logging.DEBUG, "enqueue",
-            trace=item.trace.trace_id if item.trace else None, dest=key,
-        )
         self._ensure_worker(dest)
         return None
 
@@ -502,20 +499,10 @@ class MsgDispatcher(DispatchCore):
         self.counters.inc("drain_timeouts")
         self._m_drain_timeouts.inc()
         with self._lock:
-            stuck = {
-                key: len(d.queue)
-                for key, d in self._destinations.items()
-                if len(d.queue)
-            }
+            stuck = sum(1 for d in self._destinations.values() if len(d.queue))
             accept_depth = len(self._accept_queue)
-        log_event(
-            self._log, logging.WARNING, "drain-timeout",
-            timeout=timeout, accept_queue=accept_depth,
-            stuck=";".join(f"{k}={n}" for k, n in sorted(stuck.items())) or "-",
-        )
         self.flight.record(
             "drain-timeout", "msgd", t=self.clock.now(),
-            timeout=timeout, accept_queue=accept_depth,
-            stuck=len(stuck),
+            timeout=timeout, accept_queue=accept_depth, stuck=stuck,
         )
         return False

@@ -44,14 +44,12 @@ be journaled to a :class:`~repro.store.MessageJournal`
 from __future__ import annotations
 
 import json
-import logging
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import RegistryError, RegistryUnavailable, UnknownServiceError
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap import Envelope, RpcResponse, build_rpc_response, parse_rpc_request
 from repro.store.journal import ABSORBED, MessageJournal
@@ -296,7 +294,6 @@ class ServiceRegistry:
         self._journal_seq: dict[str, int] = {}
         self._append_n = 0
         self.metrics = metrics if metrics is not None else default_registry()
-        self._log = component_logger("registry")
         self._m_lookups = self.metrics.counter(
             "registry_lookups_total", "logical address resolutions attempted"
         )
@@ -365,10 +362,6 @@ class ServiceRegistry:
                 (stamp, dict(metadata or {})), (stamp, True),
             )))
             record = self._records[logical]
-        log_event(
-            self._log, logging.INFO, "register",
-            logical=logical, physical=",".join(addresses),
-        )
         return record
 
     def unregister(self, logical: str) -> bool:
@@ -388,8 +381,6 @@ class ServiceRegistry:
             else:
                 entry = replace(entry, life=(stamp, False))
             self._persist(self._merge(entry))
-        if existed:
-            log_event(self._log, logging.INFO, "unregister", logical=logical)
         return existed
 
     def set_enabled(self, logical: str, enabled: bool) -> None:
@@ -468,11 +459,6 @@ class ServiceRegistry:
                 self._journal_seq[entry.logical] = rec.seq
                 self._merge(entry)
                 count += 1
-        if count:
-            log_event(
-                self._log, logging.INFO, "restore", peer=self.peer_id,
-                entries=count,
-            )
         return count
 
     # -- lookup ---------------------------------------------------------------
@@ -511,7 +497,6 @@ class ServiceRegistry:
                 miss = False
         if miss:
             self._m_misses.inc()
-            log_event(self._log, logging.DEBUG, "miss", logical=logical)
             raise UnknownServiceError(logical)
         return record
 
@@ -527,10 +512,6 @@ class ServiceRegistry:
         until restored."""
         with self._lock:
             self._available = available
-        log_event(
-            self._log, logging.WARNING,
-            "available" if available else "unavailable", peer=self.peer_id,
-        )
 
     @property
     def available(self) -> bool:

@@ -13,7 +13,6 @@ timeout limits.
 
 from __future__ import annotations
 
-import logging
 import threading
 
 from repro.errors import (
@@ -28,10 +27,9 @@ from repro.errors import (
 )
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import soap_post
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace
-from repro.rt.service import soap_fault_response
+from repro.rt.service import overloaded_response, soap_fault_response
 from repro.soap import Fault, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.transport.base import parse_http_url
 from repro.util.clock import Clock, MonotonicClock
@@ -87,7 +85,6 @@ class RpcCore:
         self.counters = Counter()
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
-        self._log = component_logger("rpcd")
         self._m_forwarded = self.metrics.counter(
             "rpcd_forwarded_total", "RPC exchanges proxied to a service"
         )
@@ -128,10 +125,9 @@ class RpcCore:
             if shed:
                 self.counters.inc("shed")
                 self._m_shed.labels(component=self.component).inc()
-                log_event(self._log, logging.WARNING, "shed", max_inflight=limit)
-                return self._retry_later(soap_fault_response(
-                    Fault("Server", "dispatcher overloaded"), status=503
-                ))
+                return overloaded_response(
+                    "dispatcher overloaded", self.shed_retry_after
+                )
         try:
             return (yield from self._forward_admitted(request))
         finally:
@@ -151,22 +147,20 @@ class RpcCore:
         except (XmlError, SoapError) as exc:
             return self._reject("invalid_soap", 400, f"invalid SOAP request: {exc}")
         trace = extract_trace(envelope)
-        trace_id = trace.trace_id if trace else None
-        log_event(self._log, logging.DEBUG, "admit", trace=trace_id, logical=logical)
         if self.inspector is not None:
             try:
                 self.inspector(envelope, logical)
             except AuthError as exc:
-                return self._reject("auth", 401, str(exc), trace_id)
+                return self._reject("auth", 401, str(exc))
             except ReproError as exc:
-                return self._reject("inspector", 403, str(exc), trace_id)
+                return self._reject("inspector", 403, str(exc))
         try:
             physical = self.registry.resolve(logical)
         except UnknownServiceError as exc:
-            return self._reject("unknown_service", 404, str(exc), trace_id)
+            return self._reject("unknown_service", 404, str(exc))
         except RegistryUnavailable as exc:
             return self._retry_later(self._reject(
-                "registry_unavailable", 503, str(exc), trace_id, code="Server"
+                "registry_unavailable", 503, str(exc), code="Server"
             ))
         forward = soap_post(
             request.body if isinstance(envelope, LazyEnvelope) else envelope.to_bytes(),
@@ -182,10 +176,6 @@ class RpcCore:
         except (TransportError, HttpParseError) as exc:  # the wire: 502
             self.counters.inc("failed")
             self._m_failed.inc()
-            log_event(
-                self._log, logging.WARNING, "drop",
-                trace=trace_id, reason="unreachable", dest=physical,
-            )
             return soap_fault_response(
                 Fault("Server", f"cannot reach {logical}: {exc}"), status=502
             )
@@ -198,10 +188,6 @@ class RpcCore:
                 trace.trace_id, "forward", "rpcd", t_send, t_done,
                 parent_id=trace.parent_span_id, logical=logical, dest=physical,
             )
-        log_event(
-            self._log, logging.DEBUG, "forward",
-            trace=trace_id, logical=logical, dest=physical,
-        )
         headers = Headers()
         content_type = response.headers.get("Content-Type")
         if content_type:
@@ -209,12 +195,10 @@ class RpcCore:
         return HttpResponse(status=response.status, headers=headers, body=response.body)
 
     def _reject(
-        self, reason: str, status: int, text: str,
-        trace_id: str | None = None, code: str = "Client",
+        self, reason: str, status: int, text: str, code: str = "Client"
     ) -> HttpResponse:
         self.counters.inc("rejected")
         self._m_rejected.labels(reason=reason).inc()
-        log_event(self._log, logging.WARNING, "reject", trace=trace_id, reason=reason)
         return soap_fault_response(Fault(code, text), status=status)
 
     def _retry_later(self, response: HttpResponse) -> HttpResponse:

@@ -15,14 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ReproError, SoapError, XmlError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
 from repro.http.session import SLEEP
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore, extract_trace
 from repro.reliable.holdretry import HoldRetryStore
 from repro.store.journal import MessageJournal
-from repro.rt.service import soap_fault_response
+from repro.rt.service import overloaded_response, soap_fault_response
 from repro.simnet.httpsim import SimHttpClientPool
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource, Store
@@ -218,7 +218,8 @@ class SimMsgDispatcher(DispatchCore):
         control, so the default is to *block* the HTTP worker until a
         CxThread frees a slot — saturation then propagates to the TCP
         front door and clients slow down or time out.  With shedding on,
-        the dispatcher answers 503 instead (the load-shedding redesign).
+        the dispatcher answers the 503 fault every runtime refuses with
+        (the load-shedding redesign).
         """
         if request.method != "POST":
             return HttpResponse(status=405, body=b"MSG dispatcher accepts POST")
@@ -231,7 +232,7 @@ class SimMsgDispatcher(DispatchCore):
         t_arrival = self.sim.now
         trace = extract_trace(envelope)
         if self.overloaded(request.target, trace, t_arrival):
-            return self._shed_response()
+            return self._refusal("dispatcher overloaded", envelope)
         jseq: int | None = None
         if self.durable is not None:
             jseq = self.journal_inbound(request.target, request.body)
@@ -240,15 +241,13 @@ class SimMsgDispatcher(DispatchCore):
             yield self._accept.put(work)
         elif not self._accept.try_put(work):
             self.refused(jseq, trace, request.target)
-            return self._shed_response()
+            return self._refusal("dispatcher accept queue full", envelope)
         self.admitted(request.target, trace, t_arrival)
         return HttpResponse(status=202)
 
-    def _shed_response(self) -> HttpResponse:
-        headers = Headers()
-        headers.set("Retry-After", f"{self.config.shed_retry_after:g}")
-        return HttpResponse(
-            status=503, headers=headers, body=b"dispatcher overloaded"
+    def _refusal(self, text: str, envelope: Envelope) -> HttpResponse:
+        return overloaded_response(
+            text, self.config.shed_retry_after, envelope.version
         )
 
     # -- CxThread processes ---------------------------------------------------

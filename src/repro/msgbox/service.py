@@ -36,14 +36,12 @@ were working on) uses a bounded pool with load-shedding instead.
 from __future__ import annotations
 
 import base64
-import logging
 import threading
 from typing import Callable
 
 from repro.errors import MailboxError, MailboxNotFound, SoapError
 from repro.msgbox.security import MailboxSecurity
 from repro.msgbox.store import MailboxStore
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace
 from repro.rt.service import RequestContext
@@ -105,7 +103,6 @@ class MsgBoxService:
         self.clock = clock or MonotonicClock()
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
-        self._log = component_logger("msgbox")
         self._m_deposits = self.metrics.counter(
             "msgbox_deposits_total", "one-way messages deposited into mailboxes"
         )
@@ -239,10 +236,6 @@ class MsgBoxService:
                 self.counters.inc("messages_taken", len(messages))
                 self._m_takes.inc()
                 self._m_taken.inc(len(messages))
-                log_event(
-                    self._log, logging.DEBUG, "take",
-                    mailbox=mailbox_id, messages=len(messages),
-                )
                 results = [
                     ("message", base64.b64encode(m).decode("ascii"))
                     for m in messages
@@ -279,10 +272,6 @@ class MsgBoxService:
                 t_arrival, self.clock.now(),
                 parent_id=trace.parent_span_id, mailbox=mailbox_id,
             )
-        log_event(
-            self._log, logging.DEBUG, "deposit",
-            trace=trace.trace_id if trace else None, mailbox=mailbox_id,
-        )
         self._send_ack(data)
         return None
 

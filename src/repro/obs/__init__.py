@@ -14,13 +14,12 @@ This package is that visibility — the telemetry plane:
   stores ship completed spans to the dispatcher's store so
   ``GET /trace/<id>`` shows the whole multi-hop tree.
 - :mod:`repro.obs.flight` — the :class:`FlightRecorder`: an always-on
-  ring of state-transition events with postmortem dump-to-file.
+  ring of state-transition events — and of each message dropped, held
+  or suppressed as a duplicate — with postmortem dump-to-file.
 - :mod:`repro.obs.slo` — declared pipeline-stage latency objectives and
   delivery-success error budgets (:class:`SloTracker`).
 - :mod:`repro.obs.history` — the :class:`MetricsSnapshotter` sampling
   the registry into a bounded time-series ring.
-- :mod:`repro.obs.logkv` — structured key=value logging on stdlib
-  :mod:`logging`, one named logger per component.
 - :mod:`repro.obs.http` — the :class:`Introspection` surface serving
   ``GET /metrics``, ``/trace/<id>``, ``/health``, ``/deadletters``,
   ``/slo``, ``/flightrecorder``, and ``/metrics/history``.
@@ -41,13 +40,6 @@ from repro.obs.flight import (
 )
 from repro.obs.history import MetricsSnapshotter
 from repro.obs.http import Introspection
-from repro.obs.logkv import (
-    KeyValueFormatter,
-    component_logger,
-    configure_logging,
-    kv_line,
-    log_event,
-)
 from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
@@ -78,7 +70,6 @@ __all__ = [
     "FlightRecorder",
     "HttpSpanShipper",
     "Introspection",
-    "KeyValueFormatter",
     "MergeError",
     "MetricsRegistry",
     "MetricsSnapshotter",
@@ -94,15 +85,11 @@ __all__ = [
     "TraceContext",
     "TraceStore",
     "attach_trace",
-    "component_logger",
-    "configure_logging",
     "default_flight_recorder",
     "default_registry",
     "default_trace_store",
     "ensure_trace",
     "extract_trace",
-    "kv_line",
-    "log_event",
     "merge_expositions",
     "parse_exposition",
     "propagate_trace",

@@ -5,10 +5,11 @@ the postmortem question — *what happened in the five seconds before this
 deadletter?*  The :class:`FlightRecorder` keeps a bounded deque of
 structured events recorded at every interesting state transition in the
 pipeline: breaker trips, overload sheds, deadletters, journal recovery,
-chaos fault activations, drain timeouts, simulated crashes.  Recording is
-a dict append under a lock — cheap enough to leave on in production, which
-is the whole point: the recorder is most valuable for the failure nobody
-reproduced.
+chaos fault activations, drain timeouts, simulated crashes — and the fate
+of each message the dispatcher drops, holds or suppresses as a duplicate,
+under its trace id.  Recording is a dict append under a lock — cheap
+enough to leave on in production, which is the whole point: the recorder
+is most valuable for the failure nobody reproduced.
 
 On a terminal event (crash, deadletter) the owning component calls
 :meth:`FlightRecorder.postmortem`, which dumps the current ring to a JSON
@@ -85,13 +86,17 @@ class FlightRecorder:
 
     # -- retrieval ---------------------------------------------------------
     def snapshot(self, last: int | None = None, kind: str | None = None) -> list[dict]:
-        """Recent events oldest-first, optionally filtered by kind."""
+        """Recent events oldest-first, optionally filtered by kind and cut
+        to the newest ``last`` (``0`` keeps none; a negative ``last`` is a
+        :class:`ValueError`)."""
+        if last is not None and last < 0:
+            raise ValueError(f"last must be >= 0, got {last}")
         with self._lock:
             events = list(self._events)
         if kind is not None:
             events = [e for e in events if e["kind"] == kind]
         if last is not None:
-            events = events[-last:]
+            events = events[-last:] if last else []
         return [dict(e) for e in events]
 
     def __len__(self) -> int:

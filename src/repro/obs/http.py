@@ -18,8 +18,8 @@ sources — behind two GET endpoints mounted on any
   delivery-success error budget, evaluated live by an
   :class:`~repro.obs.slo.SloTracker`; also embedded in ``GET /health``.
 - ``GET /flightrecorder`` — the :class:`~repro.obs.flight.FlightRecorder`
-  ring of recent state-transition events (``?kind=<k>`` filters,
-  ``?last=<n>`` truncates).
+  ring of recent state-transition events and message fates
+  (``?kind=<k>`` filters, ``?last=<n>`` keeps the newest ``n``).
 - ``GET /metrics/history`` — the :class:`~repro.obs.history.MetricsSnapshotter`
   time-series ring of periodic registry samples.
 
@@ -279,35 +279,24 @@ class Introspection:
             return _json_response(self.flight.to_json())
         try:
             last_n = int(last) if last is not None else None
+            events = self.flight.snapshot(last=last_n, kind=kind)
         except ValueError:
             return _json_response({"error": f"bad last={last!r}"}, status=400)
-        return _json_response(
-            {"events": self.flight.snapshot(last=last_n, kind=kind)}
-        )
+        return _json_response({"events": events})
 
     def history_handler(self, request: HttpRequest) -> HttpResponse:
         return _json_response(self.history.to_json())
 
-    def mount(
-        self,
-        app,
-        metrics_path: str = "/metrics",
-        trace_path: str = "/trace",
-        health_path: str = "/health",
-        deadletters_path: str = "/deadletters",
-        slo_path: str = "/slo",
-        flight_path: str = "/flightrecorder",
-        history_path: str = "/metrics/history",
-    ) -> None:
+    def mount(self, app) -> None:
         """Mount the endpoints on a :class:`~repro.rt.service.SoapHttpApp`.
 
         ``/metrics/history`` coexists with ``/metrics`` because page
         routing is longest-prefix-first.
         """
-        app.mount_page(metrics_path, self.metrics_handler)
-        app.mount_page(trace_path, self.trace_handler)
-        app.mount_page(health_path, self.health_handler)
-        app.mount_page(deadletters_path, self.deadletters_handler)
-        app.mount_page(slo_path, self.slo_handler)
-        app.mount_page(flight_path, self.flight_handler)
-        app.mount_page(history_path, self.history_handler)
+        app.mount_page("/metrics", self.metrics_handler)
+        app.mount_page("/trace", self.trace_handler)
+        app.mount_page("/health", self.health_handler)
+        app.mount_page("/deadletters", self.deadletters_handler)
+        app.mount_page("/slo", self.slo_handler)
+        app.mount_page("/flightrecorder", self.flight_handler)
+        app.mount_page("/metrics/history", self.history_handler)

@@ -72,6 +72,17 @@ def soap_fault_response(
     return soap_response(envelope, status=status)
 
 
+def overloaded_response(
+    text: str, retry_after: float, version: SoapVersion = SoapVersion.V11
+) -> HttpResponse:
+    """Admission control refused the request: the client should back off
+    and retry, so the fault rides a 503 with ``Retry-After`` rather than a
+    hard 500.  Every runtime's dispatcher answers a refusal with this."""
+    response = soap_fault_response(Fault("Server", text), status=503, version=version)
+    response.headers.set("Retry-After", f"{retry_after:g}")
+    return response
+
+
 class SoapHttpApp:
     """HTTP request handler that dispatches SOAP posts to mounted services.
 
@@ -222,14 +233,7 @@ class SoapHttpApp:
     ) -> HttpResponse:
         """The service fault barrier, shared by sync and async paths."""
         if isinstance(exc, OverloadedError):
-            # Admission control shed the request: the client should back
-            # off and retry, so the fault rides a 503 with Retry-After
-            # rather than a hard 500.
-            response = soap_fault_response(
-                Fault("Server", str(exc)), status=503, version=version
-            )
-            response.headers.set("Retry-After", f"{exc.retry_after:g}")
-            return response
+            return overloaded_response(str(exc), exc.retry_after, version)
         if isinstance(exc, ReproError):
             return soap_fault_response(
                 Fault("Server", str(exc)), status=500, version=version

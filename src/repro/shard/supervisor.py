@@ -39,7 +39,6 @@ from repro.http import HttpRequest
 from repro.obs.aggregate import MergeError, merge_expositions
 from repro.obs.flight import FlightRecorder
 from repro.obs.http import _json_response, _text_response
-from repro.obs.logkv import component_logger, log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
@@ -49,8 +48,6 @@ from repro.shard.spec import RUNTIMES, ShardSpec
 from repro.store.journal import merged_recovery_report, shard_journal_path
 from repro.transport.base import Endpoint
 from repro.transport.tcp import TcpConnector, TcpListener, reuse_port_supported
-
-import logging
 
 __all__ = ["SupervisorConfig", "ShardSupervisor"]
 
@@ -115,7 +112,6 @@ class ShardSupervisor:
         self.ring = HashRing(self.config.shards)
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder()
-        self._log = component_logger("shardsup")
         self._workers: dict[int, _Worker] = {}
         self._peers: dict[int, str] = {}
         self._data_reservation: socket.socket | None = None
@@ -185,10 +181,6 @@ class ShardSupervisor:
                 self.flight.record(
                     "merged-recovery", "shardsup",
                     pending=pending, per_shard=dict(self.recovery_report),
-                )
-                log_event(
-                    self._log, logging.INFO, "merged-recovery",
-                    pending=pending,
                 )
 
         # reserve the shared port for the supervisor's lifetime: a
@@ -356,11 +348,6 @@ class ShardSupervisor:
                 self._m_restarts.labels(shard=str(shard_id)).inc()
                 self.flight.record(
                     "shard-exit", "shardsup",
-                    shard=shard_id, returncode=returncode,
-                    restarts=worker.restarts,
-                )
-                log_event(
-                    self._log, logging.WARNING, "shard-exit",
                     shard=shard_id, returncode=returncode,
                     restarts=worker.restarts,
                 )

@@ -15,13 +15,15 @@ from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
 from repro.errors import TransportError
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import soap_post
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceStore
+from repro.obs.trace import TraceStore, ensure_trace
 from repro.reliable import BreakerConfig, FixedDelay, HoldRetryStore
 from repro.rt.service import RequestContext, SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
+from repro.soap import parse_envelope
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.store.journal import MessageJournal
 from repro.util.ids import IdGenerator
@@ -134,6 +136,9 @@ class LiveRig:
     def feed(self, dispatcher, n, seed=1) -> None:
         feed(dispatcher, n, seed)
 
+    def send(self, dispatcher, body: bytes) -> None:
+        dispatcher.handle(parse_envelope(body), RequestContext(path="/msg/echo"))
+
     wait_for = staticmethod(wait_for)
 
 
@@ -167,7 +172,7 @@ class SimRig:
 
     def dispatcher(
         self, metrics, hold_store, breaker=None, registry=None,
-        hold_pump_interval=0.25, dedupe_window=None,
+        hold_pump_interval=0.25, dedupe_window=None, flight=None,
     ):
         if registry is None:
             registry = ServiceRegistry()
@@ -180,15 +185,17 @@ class SimRig:
         return SimMsgDispatcher(
             self.net, self.host, registry, own_address="http://wsd:8000/msg",
             config=config, metrics=metrics, traces=TraceStore(enabled=False),
-            hold_store=hold_store,
+            hold_store=hold_store, flight=flight,
         )
 
     def feed(self, dispatcher, n, seed=1) -> None:
         ids = IdGenerator("rob", seed=seed)
         for _ in range(n):
             env = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
-            post = soap_post(env.to_bytes(), "/msg/echo")
-            self.sim.process(dispatcher.handler(post))
+            self.send(dispatcher, env.to_bytes())
+
+    def send(self, dispatcher, body: bytes) -> None:
+        self.sim.process(dispatcher.handler(soap_post(body, "/msg/echo")))
 
     def wait_for(self, predicate, timeout=5.0) -> bool:
         deadline = self.sim.now + timeout
@@ -311,6 +318,65 @@ def test_registry_outage_parks_then_redelivers(rig):
         # them; the from-hold routing pass must skip the duplicate filter
         assert dispatcher.stats.get("duplicates_suppressed", 0) == 0
         assert hold_store.stats["delivered"] == 3
+    finally:
+        dispatcher.stop()
+
+
+# -- a message's fate is one flight event under its trace id ----------------------
+#
+# A message the dispatcher drops, holds or suppresses as a duplicate has no
+# span that says so: ``GET /flightrecorder?kind=<fate>`` is where its story
+# ends, keyed by the trace id ``GET /trace/<id>`` shows the rest of it under.
+
+FATES = [
+    # fate, the counter that moves when it happens, the field that says why
+    ("drop", "dropped_unroutable", ("reason", "unroutable")),
+    ("hold", "held_breaker_open", ("reason", "breaker_open")),
+    ("duplicate", "duplicates_suppressed", ("message_id", "uuid:fate")),
+]
+
+
+@EVERY_RUNTIME
+@pytest.mark.parametrize(
+    "fate, counter, field", FATES, ids=[row[0] for row in FATES]
+)
+def test_a_message_fate_is_one_flight_event_under_its_trace_id(
+    rig, fate, counter, field
+):
+    flight = FlightRecorder()
+    # no service by the name "nowhere": routing drops it as unroutable
+    to = "urn:wsd:nowhere" if fate == "drop" else "urn:wsd:echo"
+    env = make_echo_message(to=to, message_id="uuid:fate")
+    trace_id = ensure_trace(env).trace_id
+    hold_store = None
+    if fate == "hold":
+        hold_store = rig.store(
+            policy=FixedDelay(max_attempts=1000, delay=30.0), default_ttl=600.0
+        )
+    if fate == "duplicate":
+        rig.sink.failing = False
+    dispatcher = rig.dispatcher(
+        MetricsRegistry(), hold_store=hold_store, flight=flight,
+        dedupe_window=600.0 if fate == "duplicate" else None,
+    )
+    try:
+        if fate == "hold":
+            # two failed deliveries open the breaker; the traced message
+            # is parked behind it without a network attempt
+            rig.feed(dispatcher, 2)
+            assert rig.wait_for(
+                lambda: dispatcher.stats.get("held_for_retry", 0) == 2
+            ), dispatcher.stats
+        for _ in range(2 if fate == "duplicate" else 1):
+            rig.send(dispatcher, env.to_bytes())
+        assert rig.wait_for(
+            lambda: dispatcher.stats.get(counter, 0) == 1
+        ), dispatcher.stats
+        events = [e for e in flight.snapshot() if e.get("trace") == trace_id]
+        assert [e["kind"] for e in events] == [fate]
+        key, value = field
+        assert events[0][key] == value
+        assert flight.snapshot(kind=fate, last=1) == events
     finally:
         dispatcher.stop()
 

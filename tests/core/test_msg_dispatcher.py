@@ -1,4 +1,4 @@
-"""Tests for the threaded MSG-Dispatcher."""
+"""Tests for the threaded MSG-Dispatcher, and its refusals on every runtime."""
 
 import time
 
@@ -6,17 +6,23 @@ import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
+from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.http.session import soap_post
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.client import MsgBoxClient
+from repro.obs import MetricsRegistry, TraceStore
 from repro.reliable import FixedDelay
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
-from repro.soap import parse_rpc_response
+from repro.simnet.kernel import Simulator
+from repro.simnet.topology import AccessLink, Network
+from repro.soap import Fault, parse_envelope, parse_rpc_response
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message
 from repro.wsa import EndpointReference
 from tests.conftest import RecordingEcho, epr_shape
+from tests.core.test_dispatcher_robustness import FakeClient
 
 #: a second WS-MsgBox, on an origin of its own: replies to it are relayed
 REMOTE_MAILBOX = "http://mb:8500/mailbox"
@@ -165,15 +171,62 @@ def test_retry_policy_applied(world, inproc):
     assert dispatcher.stats.get("retries", 0) == 2
 
 
-def test_rejects_when_accept_queue_full(world):
-    registry, dispatcher, msgbox, client, ids, echo = world
-    dispatcher.config.accept_queue = 1  # note: queue object already built
-    # fill the real accept queue by stopping cx consumption
-    # simpler: verify the handler raises cleanly on a closed dispatcher
-    dispatcher.stop()
-    msg = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
-    resp = client.post_envelope("http://wsd:8000/msg/echo", msg)
-    assert resp.status == 500  # fault barrier converts ReproError
+def answer_back_to_back(backend, n, **config):
+    """The dispatcher's HTTP answers to ``n`` messages admitted back to
+    back on ``backend``'s runtime, with nothing routing in between: rt
+    has no CxThread, aio admits all ``n`` in one loop step, and sim runs
+    each handler without a kernel step."""
+    registry = ServiceRegistry()
+    registry.register("echo", "http://ws:9000/echo")
+    ids = IdGenerator("full", seed=3)
+    requests = [
+        soap_post(make_echo_message(to="urn:wsd:echo", message_id=ids.next())
+                  .to_bytes(), "/msg/echo")
+        for _ in range(n)
+    ]
+    if backend.kind == "sim":
+        net = Network(Simulator())
+        host = net.add_host("wsd", AccessLink(5000, 5000, 0.005))
+        dispatcher = SimMsgDispatcher(
+            net, host, registry, own_address="http://wsd:8000/msg",
+            config=SimMsgDispatcherConfig(shed_on_full=True, **config),
+            metrics=MetricsRegistry(), traces=TraceStore(enabled=False),
+        )
+        answers = []
+        for request in requests:
+            with pytest.raises(StopIteration) as done:
+                next(dispatcher.handler(request))  # a refusal never waits
+            answers.append(done.value.value)
+        return answers
+    dispatcher = backend.make_dispatcher(
+        registry, FakeClient(failing=False), own_address="http://wsd:8000/msg",
+        config=MsgDispatcherConfig(cx_threads=0, **config),
+        metrics=MetricsRegistry(), traces=TraceStore(enabled=False),
+    )
+    app = SoapHttpApp()
+    app.mount("/msg", dispatcher)
+    try:
+        return backend.call(lambda: [app.handle_request(r) for r in requests])
+    finally:
+        dispatcher.stop()
+
+
+def refusal(response) -> tuple:
+    fault = Fault.from_element(parse_envelope(response.body).body)
+    return response.status, response.headers.get("Retry-After"), fault.code, fault.reason
+
+
+@pytest.mark.parametrize(
+    "dispatcher_backend", ["rt", "aio", "sim"], indirect=True
+)
+def test_rejects_when_accept_queue_full(dispatcher_backend):
+    """A full accept queue and an overload shed are the same refusal on
+    every runtime: a SOAP Fault in a 503 that says when to come back."""
+    first, second = answer_back_to_back(dispatcher_backend, 2, accept_queue=1)
+    assert first.status == 202
+    assert refusal(second) == (503, "1", "Server", "dispatcher accept queue full")
+    [shed] = answer_back_to_back(dispatcher_backend, 1, max_inflight=0)
+    assert refusal(shed) == (503, "1", "Server", "dispatcher overloaded")
 
 
 def test_inband_rpc_response_translated(world, inproc):

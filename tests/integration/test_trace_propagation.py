@@ -8,7 +8,6 @@ network, and the deterministic simulator.
 """
 
 import json
-import logging
 
 import pytest
 
@@ -120,9 +119,9 @@ class TestThreadedStack:
         disp_client.close()
 
     @pytest.fixture
-    def traced_roundtrip(self, deployment, caplog):
+    def traced_roundtrip(self, deployment):
         """Send one traced message through the full pipeline; return
-        (trace_id, spans, reply, client, traces, metrics, caplog)."""
+        (trace_id, spans, reply, client, traces, metrics)."""
         inproc, metrics, traces, msg_disp = deployment
         client = HttpClient(inproc, metrics=metrics)
         mbc = MsgBoxClient(client, self.MAILBOX_URL)
@@ -134,23 +133,19 @@ class TestThreadedStack:
             reply_to=mbc.epr(),
         )
         ctx = ensure_trace(msg)
-        with caplog.at_level(logging.DEBUG, logger="repro"):
-            resp = client.post_envelope("http://wsd:8000/msg/echo-msg", msg)
-            assert resp.status == 202
-            messages = mbc.poll(expected=1, timeout=5)
-            # The reply can be taken before the dispatcher has heard the
-            # 202 of the exchange that caused it: a ``deliver`` span, its
-            # log line and the ``delivered`` count (which moves last) are
-            # written when that 202 returns.  Wait for the event.
-            assert wait_for(
-                lambda: msg_disp.stats.get("delivered", 0) >= self.DELIVERIES
-            ), "a delivery never settled"
+        resp = client.post_envelope("http://wsd:8000/msg/echo-msg", msg)
+        assert resp.status == 202
+        messages = mbc.poll(expected=1, timeout=5)
+        # The reply can be taken before the dispatcher has heard the 202
+        # of the exchange that caused it: a ``deliver`` span and the
+        # ``delivered`` count (which moves last) are written when that
+        # 202 returns.  Wait for the event.
+        assert wait_for(
+            lambda: msg_disp.stats.get("delivered", 0) >= self.DELIVERIES
+        ), "a delivery never settled"
         assert len(messages) == 1
         spans = traces.get(ctx.trace_id)
-        # caplog drops setup-phase records before the test body runs;
-        # snapshot them here
-        records = list(caplog.records)
-        yield ctx.trace_id, spans, messages[0], client, traces, metrics, records
+        yield ctx.trace_id, spans, messages[0], client, traces, metrics
         client.close()
 
     def test_one_trace_id_spans_every_hop(self, traced_roundtrip):
@@ -232,21 +227,8 @@ class TestThreadedStack:
         assert first_span(spans, "deposit").parent_id == first_span(spans, "service").span_id
         assert not [s for s in spans if s.attrs.get("direction") == "response"]
 
-    def test_log_lines_carry_the_trace_id_at_each_hop(self, traced_roundtrip):
-        trace_id, *_, records = traced_roundtrip
-        by_logger = {}
-        for record in records:
-            if f"trace={trace_id}" in record.getMessage():
-                by_logger.setdefault(record.name, set()).add(
-                    record.getMessage().split(" ", 1)[0]
-                )
-        assert "event=admit" in by_logger.get("repro.msgd", set())
-        assert "event=deliver" in by_logger.get("repro.msgd", set())
-        assert "event=deposit" in by_logger.get("repro.msgbox", set())
-
-
 class TestThreadedStackRelayingToAnotherOrigin(TestThreadedStack):
-    """The same five checks with the mailbox on an origin of its own: the
+    """The same four checks with the mailbox on an origin of its own: the
     reply is relayed through the dispatcher, as it always was."""
 
     MAILBOX_URL = "http://mb:8500/mailbox"

@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs.flight import (
     FlightRecorder,
     default_flight_recorder,
@@ -41,6 +43,9 @@ class TestRing:
         rec.record("shed", "msgd", t=2.0)
         assert [e["t"] for e in rec.snapshot(kind="shed")] == [0.0, 2.0]
         assert [e["t"] for e in rec.snapshot(last=1)] == [2.0]
+        assert rec.snapshot(last=0) == []
+        with pytest.raises(ValueError):
+            rec.snapshot(last=-2)
         assert rec.counts_by_kind() == {"shed": 2, "breaker-open": 1}
 
     def test_disabled_recorder_is_a_noop(self):

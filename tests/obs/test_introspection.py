@@ -1,10 +1,12 @@
 """Unit tests for the /metrics + /trace introspection surface."""
 
+import inspect
 import json
 
 import pytest
 
 from repro.http import Headers, HttpRequest
+from repro.obs.flight import FlightRecorder
 from repro.obs.http import Introspection
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
@@ -153,6 +155,41 @@ class TestMount:
             "/metrics", "/trace", "/health", "/deadletters",
             "/slo", "/flightrecorder", "/metrics/history",
         }
+
+    def test_the_paths_are_not_options(self):
+        assert list(inspect.signature(Introspection.mount).parameters) == [
+            "self", "app",
+        ]
+
+
+class TestFlightRecorderEndpoint:
+    @staticmethod
+    def page(target: str):
+        flight = FlightRecorder()
+        for i in range(5):
+            flight.record("drop" if i % 2 else "hold", "msgd", t=float(i))
+        intro = Introspection(
+            metrics=MetricsRegistry(), traces=TraceStore(), flight=flight
+        )
+        response = intro.flight_handler(get(target))
+        return response.status, json.loads(response.body)
+
+    def test_last_keeps_the_newest(self):
+        status, payload = self.page("/flightrecorder?last=2")
+        assert status == 200
+        assert [e["t"] for e in payload["events"]] == [3.0, 4.0]
+
+    def test_last_zero_is_no_events(self):
+        assert self.page("/flightrecorder?last=0") == (200, {"events": []})
+
+    @pytest.mark.parametrize("last", ["-1", "-2", "two"])
+    def test_a_bad_last_is_a_400(self, last):
+        status, payload = self.page(f"/flightrecorder?last={last}")
+        assert status == 400 and "bad last" in payload["error"]
+
+    def test_kind_and_last_filter_together(self):
+        status, payload = self.page("/flightrecorder?kind=drop&last=1")
+        assert [(e["kind"], e["t"]) for e in payload["events"]] == [("drop", 3.0)]
 
 
 class TestDeadletters:

@@ -68,7 +68,6 @@ def test_documented_entry_points_exist():
         Introspection,
         MetricsRegistry,
         TraceStore,
-        configure_logging,
         ensure_trace,
     )
     from repro.reliable import DuplicateFilter, ExponentialBackoff, HoldRetryStore
