@@ -4,16 +4,10 @@ The mediated-peer world the paper targets treats hostile networks as the
 normal case: links flap, residential last miles drop packets, services
 crash and restart, and the registry itself can vanish.  This package
 turns those conditions into data — a :class:`FaultPlan` of timed faults —
-and two drivers that apply the same plan to either runtime:
-
-- :class:`ChaosController` schedules the plan onto a simulated
-  :class:`~repro.simnet.topology.Network` (link state, loss rates, host
-  crashes, CPU slowdowns, registry availability), so simnet scenarios
-  replay bit-identically under a seed.
-- :class:`FaultyHttpClient` wraps the threaded runtime's
-  :class:`~repro.rt.client.HttpClient` and injects the same plan at the
-  call boundary, so the threaded ``MsgDispatcher`` is testable against
-  identical fault schedules without a simulated network.
+and :class:`ChaosController`, which schedules the plan onto a simulated
+:class:`~repro.simnet.topology.Network` (link state, loss rates, host
+crashes, CPU slowdowns, registry availability), so simnet scenarios
+replay bit-identically under a seed.
 """
 
 from repro.chaos.plan import (
@@ -28,13 +22,11 @@ from repro.chaos.plan import (
     SlowResponder,
 )
 from repro.chaos.controller import ChaosController
-from repro.chaos.shim import FaultyHttpClient
 
 __all__ = [
     "AddedLatency",
     "ChaosController",
     "FaultPlan",
-    "FaultyHttpClient",
     "LinkDown",
     "LinkFlap",
     "PacketLoss",

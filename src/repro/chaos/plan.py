@@ -2,10 +2,9 @@
 
 A plan is pure data.  Every fault names the host it applies to and a
 start time (seconds from the start of the run), and the plan can answer
-point-in-time queries (`is_link_down(host, t)`, `loss_rate(host, t)`, …)
-— which is how the real-mode shim evaluates it.  The simulation driver
-(:class:`~repro.chaos.controller.ChaosController`) instead walks the
-same windows as scheduled processes, so both runtimes see one schedule.
+point-in-time queries (`is_link_down(host, t)`, `loss_rate(host, t)`, …).
+The simulation driver (:class:`~repro.chaos.controller.ChaosController`)
+walks the same windows as scheduled processes.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ class FaultPlan:
     def _of(self, kind) -> list:
         return [f for f in self.faults if isinstance(f, kind)]
 
-    # -- point-in-time queries (the real-mode shim's evaluation API) -------
+    # -- point-in-time queries ---------------------------------------------
     def link_down_windows(self, host: str) -> list[tuple[float, float]]:
         windows = [
             (f.at, f.at + f.duration)

@@ -20,10 +20,13 @@ class Headers:
     order (needed for e.g. Via chains a forwarding proxy appends to).
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_index")
 
     def __init__(self, items: list[tuple[str, str]] | None = None) -> None:
         self._items: list[tuple[str, str]] = []
+        #: lower-cased name -> the values of the fields so called, in order
+        #: (repro.http.wire reads both lists and builds them for a parsed head)
+        self._index: dict[str, list[str]] = {}
         for name, value in items or []:
             self.add(name, value)
 
@@ -37,31 +40,31 @@ class Headers:
     def add(self, name: str, value: str) -> None:
         self._check(name, value)
         self._items.append((name, value))
+        self._index.setdefault(name.lower(), []).append(value)
 
     def set(self, name: str, value: str) -> None:
         """Replace all fields called ``name`` with a single one."""
         self._check(name, value)
         lowered = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        if lowered in self._index:
+            self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
         self._items.append((name, value))
+        self._index[lowered] = [value]
 
     def get(self, name: str, default: str | None = None) -> str | None:
-        lowered = name.lower()
-        for n, v in self._items:
-            if n.lower() == lowered:
-                return v
-        return default
+        values = self._index.get(name.lower())
+        return values[0] if values else default
 
     def get_all(self, name: str) -> list[str]:
-        lowered = name.lower()
-        return [v for n, v in self._items if n.lower() == lowered]
+        return list(self._index.get(name.lower(), ()))
 
     def remove(self, name: str) -> None:
         lowered = name.lower()
-        self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
+        if self._index.pop(lowered, None) is not None:
+            self._items = [(n, v) for n, v in self._items if n.lower() != lowered]
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name.lower() in self._index
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)
@@ -102,9 +105,6 @@ class HttpRequest:
         if self.version == "HTTP/1.0":
             return conn is not None and _token_in_list(conn, "keep-alive")
         return conn is None or not _token_in_list(conn, "close")
-
-    def content_type(self) -> str | None:
-        return self.headers.get("Content-Type")
 
 
 @dataclass

@@ -25,6 +25,8 @@ and falls back to the full parse.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import FastPathUnsupported
 from repro.soap.constants import SOAP11_NS, SOAP12_NS, SoapVersion
 from repro.soap.envelope import Envelope
@@ -42,6 +44,25 @@ KNOWN_HEADER_NAMESPACES = frozenset({WSA_NS, "urn:repro:obs"})
 
 _SOAP_NAMESPACES = (SOAP11_NS, SOAP12_NS)
 _MUST_UNDERSTAND_TRUE = ("1", "true")
+
+
+class _Names(NamedTuple):
+    """What this module asks of one SOAP version, built once."""
+
+    version: SoapVersion
+    must_understand: QName
+    header: QName
+    fault: QName
+
+
+#: envelope namespace -> its version and names (``version._value_`` is the
+#: namespace without the Python-level ``Enum`` property call)
+_BY_NS = {
+    v.ns: _Names(
+        v, QName(v.ns, "mustUnderstand"), QName(v.ns, "Header"), QName(v.ns, "Fault")
+    )
+    for v in SoapVersion
+}
 
 
 class LazyEnvelope:
@@ -95,21 +116,22 @@ class LazyEnvelope:
             raise FastPathUnsupported(
                 "not_envelope", f"root is {scan.root_name.clark()}"
             )
-        try:
-            version = SoapVersion.from_ns(scan.root_name.ns)
-        except ValueError:
+        names = _BY_NS.get(scan.root_name.ns)
+        if names is None:
             raise FastPathUnsupported(
                 "not_envelope", f"root namespace {scan.root_name.ns!r}"
-            ) from None
+            )
         if scan.body_children > 1:
             # the slow path rejects multi-child bodies; never splice one
             raise FastPathUnsupported("structure", "Body has multiple children")
-        headers = (
-            list(scan.header.element_children()) if scan.header is not None else []
-        )
-        mu = QName(version.ns, "mustUnderstand")
+        headers = []
+        if scan.header is not None:
+            for child in scan.header.children:
+                if isinstance(child, Element):
+                    headers.append(child)
+        mu = names.must_understand
         for block in headers:
-            value = block.attrs.get(mu)
+            value = block.attrs.get(mu) if block.attrs else None
             if (
                 value is not None
                 and value.strip() in _MUST_UNDERSTAND_TRUE
@@ -119,13 +141,14 @@ class LazyEnvelope:
                     "mustunderstand",
                     f"unknown mustUnderstand header {block.name.clark()}",
                 )
-        return cls(scan, headers, version)
+        return cls(scan, headers, names.version)
 
     # -- header access (same contract as Envelope) ---------------------------
     def find_header(self, name: QName) -> Element | None:
         """First header block with the given qualified name, or None."""
+        local, ns = name.local, name.ns  # compared as strings: no QName.__eq__ call
         for h in self.headers:
-            if h.name == name:
+            if h.name.local == local and h.name.ns == ns:
                 return h
         return None
 
@@ -182,7 +205,7 @@ class LazyEnvelope:
     def is_fault(self) -> bool:
         """True when the body element is a SOAP Fault of this version
         (no Body parse: see :attr:`body_name`)."""
-        return self.body_name == QName(self.version.ns, "Fault")
+        return self._scan.body_first_child == _BY_NS[self.version._value_].fault
 
     # -- conversions ---------------------------------------------------------
     def materialize(self) -> Envelope:
@@ -206,7 +229,7 @@ class LazyEnvelope:
             if scan.splice_start == scan.tail_start:
                 return scan.data  # no headers before, none now: verbatim
             return scan.data[: scan.splice_start] + scan.data[scan.tail_start :]
-        header = Element(QName(self.version.ns, "Header"))
+        header = Element(_BY_NS[self.version._value_].header)
         header.children.extend(self.headers)
         text = serialize(header)
         if scan.scope.get(None) is not None:

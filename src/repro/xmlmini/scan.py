@@ -26,6 +26,7 @@ the full DOM parse, which is the arbiter of validity.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -44,6 +45,17 @@ from repro.xmlmini.parser import (
 )
 
 Scope = dict[str | None, str | None]
+
+#: root start tag, byte for byte -> its (name, scope).  A sender writes
+#: the same ``<soapenv:Envelope xmlns:…>`` on every message, so its
+#: declarations are read once per process.  A refused tag is never kept;
+#: the scope handed out is shared, so nothing may mutate it.
+_ROOTS: dict[bytes, tuple[QName, Scope]] = {}
+_ROOTS_LOCK = threading.Lock()  # taken on a miss only
+#: the most root tags kept; past it the dict starts over
+ROOTS_MAX = 64
+#: a longer root tag is read at every use and never kept
+ROOT_MAX_BYTES = 1024
 
 
 @dataclass
@@ -82,8 +94,10 @@ def _skip_misc(parser: _Parser, pos: int) -> int:
     Stops at anything else; ``<!`` that is neither a comment nor CDATA
     is a markup declaration (DOCTYPE) and bails.
     """
-    pos = parser.skip_misc(pos)
     data = parser.data
+    if data.startswith(b"<", pos) and data[pos + 1 : pos + 2] not in b"!?":
+        return pos  # a tag: nothing to skip, as between most envelope parts
+    pos = parser.skip_misc(pos)
     if data.startswith(b"<!", pos) and not data.startswith(b"<![", pos):
         _bail("doctype", "markup declaration")
     return pos
@@ -204,7 +218,16 @@ def _scan(data: bytes) -> EnvelopeScan:
     root = _start_tag(parser, pos)
     if root.group(3):
         _bail("structure", "document element is empty")
-    root_name, scope = _resolve(parser, root, {None: None, "xml": XML_NS})
+    raw = root.group()
+    known = _ROOTS.get(raw)
+    if known is None:
+        known = _resolve(parser, root, {None: None, "xml": XML_NS})
+        if len(raw) <= ROOT_MAX_BYTES:
+            with _ROOTS_LOCK:
+                if len(_ROOTS) >= ROOTS_MAX:
+                    _ROOTS.clear()
+                _ROOTS[raw] = known
+    root_name, scope = known
     if root_name.local != "Envelope":
         _bail("not_envelope", f"document element is {root_name.clark()}")
 
