@@ -182,15 +182,26 @@ _points = st.lists(st.integers(0, 400), max_size=8)
 
 
 @given(stream(response=False), _points, st.booleans())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_requests_parse_as_before(wire, points, eof):
     differ(RequestParser, reference_parser.RequestParser, wire, points, eof)
 
 
 @given(stream(response=True), _points, st.booleans())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_responses_parse_as_before(wire, points, eof):
     differ(ResponseParser, reference_parser.ResponseParser, wire, points, eof)
+
+
+@given(st.booleans().flatmap(lambda response: st.tuples(st.just(response), stream(response))))
+@settings(max_examples=100, deadline=None)
+def test_byte_at_a_time_parses_as_before(case):
+    """Every boundary at once: a line is refused by the feed that ends it."""
+    response, wire = case
+    if response:
+        differ(ResponseParser, reference_parser.ResponseParser, wire, [*range(len(wire))], True)
+    else:
+        differ(RequestParser, reference_parser.RequestParser, wire, [*range(len(wire))], True)
 
 
 @given(st.integers(1, 3), st.sampled_from(["start", "field"]),
