@@ -14,7 +14,6 @@ from repro.workload.echo import (
     make_echo_message,
 )
 from repro.workload.results import RunResult, Series, render_table
-from repro.workload.testclient import RampTestClient, RampConfig
 
 __all__ = [
     "ECHO_NS",
@@ -25,6 +24,4 @@ __all__ = [
     "RunResult",
     "Series",
     "render_table",
-    "RampTestClient",
-    "RampConfig",
 ]

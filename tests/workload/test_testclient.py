@@ -1,62 +1,13 @@
-"""Tests for the threaded and simulated ramp test clients."""
+"""Tests for the simulated ramp test client."""
 
 import pytest
 
-from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
 from repro.workload.echo import EchoService
 from repro.workload.sim_testclient import SimRampConfig, SimRampTester
-from repro.workload.testclient import RampConfig, RampTestClient
-
-
-class TestThreadedRampClient:
-    @pytest.fixture
-    def echo_url(self, inproc):
-        app = SoapHttpApp()
-        app.mount("/echo", EchoService())
-        server = HttpServer(
-            inproc.listen("ws:9000"), app.handle_request, workers=8
-        ).start()
-        yield "http://ws:9000/echo"
-        server.stop()
-
-    def test_single_client_run(self, inproc, echo_url):
-        tester = RampTestClient(inproc, echo_url)
-        result = tester.run(RampConfig(clients=1, duration=0.3))
-        assert result.clients == 1
-        assert result.transmitted > 0
-        assert result.not_sent == 0
-        assert result.latency.count == result.transmitted
-
-    def test_multiple_clients_increase_throughput(self, inproc):
-        # a slow service makes concurrency the dominant factor (robust to
-        # GIL/scheduler noise, unlike raw CPU-bound throughput)
-        app = SoapHttpApp()
-        app.mount("/slow", EchoService(response_delay=0.05))
-        server = HttpServer(
-            inproc.listen("slowws:9001"), app.handle_request, workers=8
-        ).start()
-        tester = RampTestClient(inproc, "http://slowws:9001/slow")
-        one = tester.run(RampConfig(clients=1, duration=0.6))
-        four = tester.run(RampConfig(clients=4, duration=0.6))
-        server.stop()
-        assert four.transmitted > one.transmitted * 2
-
-    def test_unreachable_target_counts_not_sent(self, inproc):
-        tester = RampTestClient(inproc, "http://ghost:1/echo")
-        result = tester.run(
-            RampConfig(clients=2, duration=0.2, connect_timeout=0.1)
-        )
-        assert result.transmitted == 0
-        assert result.not_sent > 0
-
-    def test_sweep_produces_one_result_per_count(self, inproc, echo_url):
-        tester = RampTestClient(inproc, echo_url)
-        results = tester.sweep([1, 2], duration=0.2)
-        assert [r.clients for r in results] == [1, 2]
 
 
 class TestSimRampClient:
