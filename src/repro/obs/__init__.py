@@ -48,7 +48,6 @@ from repro.obs.metrics import (
 from repro.obs.slo import SloPolicy, SloTracker, StageObjective
 from repro.obs.spanreport import (
     SPAN_REPORT_PATH,
-    HttpSpanShipper,
     ReportingTraceStore,
     SimSpanShipper,
     SpanReportHandler,
@@ -68,7 +67,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "FlightRecorder",
-    "HttpSpanShipper",
     "Introspection",
     "MergeError",
     "MetricsRegistry",

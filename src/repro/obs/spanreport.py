@@ -19,10 +19,8 @@ sits next to ``/metrics``, not next to the message path.  Span-id
 collisions between per-process stores (each counts ``span-1, span-2 ...``)
 are avoided by giving every store a distinct ``span_prefix``.
 
-Two shippers cover both substrates: :class:`SimSpanShipper` runs as a
-simulation process over :class:`~repro.simnet.httpsim.SimHttpClientPool`,
-:class:`HttpSpanShipper` runs a daemon thread over
-:class:`~repro.rt.client.HttpClient`.
+:class:`SimSpanShipper` ships as a simulation process over
+:class:`~repro.simnet.httpsim.SimHttpClientPool`.
 """
 
 from __future__ import annotations
@@ -240,70 +238,3 @@ class SimSpanShipper:
                 self.failed += len(spans)
                 self.store.requeue_reports(spans)
                 return
-
-
-class HttpSpanShipper:
-    """Ships a :class:`ReportingTraceStore`'s outbox over real sockets.
-
-    A daemon thread drains the outbox every ``interval`` seconds and
-    POSTs batches to ``url`` with an :class:`~repro.rt.client.HttpClient`.
-    ``flush()`` ships synchronously (used on shutdown and in tests).
-    """
-
-    def __init__(
-        self,
-        client,
-        url: str,
-        store: ReportingTraceStore,
-        interval: float = 0.5,
-        batch: int = 64,
-    ) -> None:
-        self.client = client
-        self.url = url
-        self.store = store
-        self.interval = interval
-        self.batch = batch
-        self.shipped = 0
-        self.failed = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="span-shipper", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, final_flush: bool = True) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-        if final_flush:
-            self.flush()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.flush()
-
-    def flush(self) -> int:
-        """Ship everything currently buffered; returns spans shipped."""
-        total = 0
-        while True:
-            spans = self.store.drain_reports(self.batch)
-            if not spans:
-                return total
-            request = make_span_report_request(spans, path=self.url)
-            try:
-                response = self.client.request(self.url, request)
-                if response.status >= 300:
-                    raise TransportError(f"HTTP {response.status}")
-                self.shipped += len(spans)
-                total += len(spans)
-            except (TransportError, ReproError):
-                self.failed += len(spans)
-                self.store.requeue_reports(spans)
-                return total

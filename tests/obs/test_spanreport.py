@@ -1,14 +1,13 @@
-"""Span-report protocol: codec, handler, outbox store, shippers."""
+"""Span-report protocol: codec, handler, outbox store."""
 
 import json
 
 import pytest
 
-from repro.http import HttpRequest, HttpResponse
+from repro.http import HttpRequest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spanreport import (
     SPAN_REPORT_PATH,
-    HttpSpanShipper,
     ReportingTraceStore,
     SpanReportHandler,
     decode_span_report,
@@ -97,62 +96,3 @@ class TestReportingTraceStore:
         for i in range(4):
             store.record("t", f"op-{i}", "c", 0.0, 1.0)
         assert [s["name"] for s in store.drain_reports()] == ["op-2", "op-3"]
-
-
-class _StubClient:
-    """Duck-typed HttpClient feeding a SpanReportHandler directly."""
-
-    def __init__(self, handler, fail_first=0):
-        self.handler = handler
-        self.fail_first = fail_first
-        self.calls = 0
-
-    def request(self, url, request):
-        self.calls += 1
-        if self.calls <= self.fail_first:
-            return HttpResponse(status=503, body=b"down")
-        return self.handler(request)
-
-
-class TestHttpSpanShipper:
-    def test_flush_ships_everything_in_batches(self):
-        aggregator = TraceStore(span_prefix="wsd")
-        handler = SpanReportHandler(aggregator, metrics=MetricsRegistry())
-        store = ReportingTraceStore(span_prefix="client")
-        for i in range(5):
-            store.record("trace-f", f"op-{i}", "client", 0.0, 1.0)
-        shipper = HttpSpanShipper(
-            _StubClient(handler), SPAN_REPORT_PATH, store, batch=2
-        )
-        assert shipper.flush() == 5
-        assert shipper.shipped == 5
-        assert store.pending == 0
-        assert len(aggregator.get("trace-f")) == 5
-
-    def test_failed_batch_is_requeued_for_retry(self):
-        aggregator = TraceStore(span_prefix="wsd")
-        handler = SpanReportHandler(aggregator, metrics=MetricsRegistry())
-        store = ReportingTraceStore(span_prefix="client")
-        for i in range(3):
-            store.record("trace-r", f"op-{i}", "client", 0.0, 1.0)
-        shipper = HttpSpanShipper(
-            _StubClient(handler, fail_first=1), SPAN_REPORT_PATH, store, batch=8
-        )
-        assert shipper.flush() == 0
-        assert shipper.failed == 3
-        assert store.pending == 3  # nothing lost
-        assert shipper.flush() == 3  # retry succeeds
-        assert len(aggregator.get("trace-r")) == 3
-
-    def test_start_stop_final_flush(self):
-        aggregator = TraceStore(span_prefix="wsd")
-        handler = SpanReportHandler(aggregator, metrics=MetricsRegistry())
-        store = ReportingTraceStore(span_prefix="client")
-        shipper = HttpSpanShipper(
-            _StubClient(handler), SPAN_REPORT_PATH, store, interval=60.0
-        )
-        shipper.start()
-        shipper.start()  # idempotent
-        store.record("trace-s", "late", "client", 0.0, 1.0)
-        shipper.stop(final_flush=True)
-        assert len(aggregator.get("trace-s")) == 1
