@@ -1,15 +1,14 @@
 """Fault plans: declarative, seeded schedules of network/service faults.
 
 A plan is pure data.  Every fault names the host it applies to and a
-start time (seconds from the start of the run), and the plan can answer
-point-in-time queries (`is_link_down(host, t)`, `loss_rate(host, t)`, …).
-The simulation driver (:class:`~repro.chaos.controller.ChaosController`)
-walks the same windows as scheduled processes.
+start time (seconds from the start of the run); the plan only validates
+them.  The simulation driver (:class:`~repro.chaos.controller.ChaosController`)
+says what each fault does by playing it as a scheduled process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
@@ -33,14 +32,6 @@ class LinkFlap:
     period: float
     down_for: float
     until: float
-
-    def windows(self) -> list[tuple[float, float]]:
-        out = []
-        start = self.at
-        while start < self.until:
-            out.append((start, start + self.down_for))
-            start += self.period
-        return out
 
 
 @dataclass(frozen=True)
@@ -158,84 +149,3 @@ class FaultPlan:
         object.__setattr__(self, "faults", tuple(self.faults))
         for fault in self.faults:
             _validate(fault)
-
-    def _of(self, kind) -> list:
-        return [f for f in self.faults if isinstance(f, kind)]
-
-    # -- point-in-time queries ---------------------------------------------
-    def link_down_windows(self, host: str) -> list[tuple[float, float]]:
-        windows = [
-            (f.at, f.at + f.duration)
-            for f in self._of(LinkDown)
-            if f.host == host
-        ]
-        for flap in self._of(LinkFlap):
-            if flap.host == host:
-                windows.extend(flap.windows())
-        return sorted(windows)
-
-    def is_link_down(self, host: str, t: float) -> bool:
-        return any(a <= t < b for a, b in self.link_down_windows(host))
-
-    def loss_rate(self, host: str, t: float) -> float:
-        rates = [
-            f.rate
-            for f in self._of(PacketLoss)
-            if f.host == host and f.at <= t < f.at + f.duration
-        ]
-        return max(rates, default=0.0)
-
-    def extra_latency(self, host: str, t: float) -> tuple[float, float]:
-        """(extra, jitter) in effect on the host's link at ``t``."""
-        extra = jitter = 0.0
-        for f in self._of(AddedLatency):
-            if f.host == host and f.at <= t < f.at + f.duration:
-                extra += f.extra
-                jitter += f.jitter
-        return extra, jitter
-
-    def is_crashed(self, host: str, t: float) -> bool:
-        for f in self._of(ServiceCrash):
-            if f.host != host or t < f.at:
-                continue
-            if f.restart_after is None or t < f.at + f.restart_after:
-                return True
-        return False
-
-    def is_stopped(self, host: str, port: int, t: float) -> bool:
-        return any(
-            f.host == host and f.port == port and f.at <= t < f.at + f.duration
-            for f in self._of(ServiceStop)
-        )
-
-    def slow_factor(self, host: str, t: float) -> float:
-        factor = 1.0
-        for f in self._of(SlowResponder):
-            if f.host == host and f.at <= t < f.at + f.duration:
-                factor *= f.factor
-        return factor
-
-    def registry_down(self, t: float, replica: str | None = None) -> bool:
-        """Is the registry (or, when ``replica`` is given, that one
-        replica) down at ``t``?  Replica-targeted outages do not count as
-        whole-registry outages and vice versa — a targeted fault is
-        exactly what the other replicas are expected to absorb."""
-        return any(
-            f.at <= t < f.at + f.duration and f.replica == replica
-            for f in self._of(RegistryOutage)
-        )
-
-    def horizon(self) -> float:
-        """Time by which every fault has fully played out."""
-        end = 0.0
-        for f in self.faults:
-            if isinstance(f, LinkFlap):
-                end = max(end, f.until + f.down_for)
-            elif isinstance(f, ServiceCrash):
-                if f.restart_after is not None:
-                    end = max(end, f.at + f.restart_after)
-                else:
-                    end = max(end, f.at)
-            else:
-                end = max(end, f.at + getattr(f, "duration", 0.0))
-        return end

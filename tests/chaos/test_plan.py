@@ -1,16 +1,13 @@
-"""FaultPlan unit tests: validation, window expansion, point queries."""
+"""FaultPlan unit tests: validation."""
 
 import pytest
 
 from repro.chaos import (
-    AddedLatency,
     FaultPlan,
     LinkDown,
     LinkFlap,
     PacketLoss,
-    RegistryOutage,
     ServiceCrash,
-    ServiceStop,
     SlowResponder,
 )
 from repro.errors import SimulationError
@@ -52,78 +49,3 @@ class TestValidation:
     def test_faults_coerced_to_tuple(self):
         plan = FaultPlan([LinkDown("a", at=0.0, duration=1.0)])
         assert isinstance(plan.faults, tuple)
-
-
-class TestQueries:
-    def test_flap_expands_to_windows(self):
-        flap = LinkFlap("a", at=10.0, period=5.0, down_for=2.0, until=22.0)
-        assert flap.windows() == [(10.0, 12.0), (15.0, 17.0), (20.0, 22.0)]
-
-    def test_link_down_combines_static_and_flap(self):
-        plan = FaultPlan((
-            LinkDown("a", at=1.0, duration=2.0),
-            LinkFlap("a", at=10.0, period=4.0, down_for=1.0, until=15.0),
-            LinkDown("b", at=0.0, duration=100.0),
-        ))
-        assert plan.link_down_windows("a") == [
-            (1.0, 3.0), (10.0, 11.0), (14.0, 15.0)
-        ]
-        assert plan.is_link_down("a", 1.5)
-        assert not plan.is_link_down("a", 5.0)
-        assert plan.is_link_down("b", 50.0)
-
-    def test_loss_rate_takes_maximum_of_overlaps(self):
-        plan = FaultPlan((
-            PacketLoss("a", at=0.0, duration=10.0, rate=0.1),
-            PacketLoss("a", at=5.0, duration=10.0, rate=0.4),
-        ))
-        assert plan.loss_rate("a", 2.0) == 0.1
-        assert plan.loss_rate("a", 7.0) == 0.4
-        assert plan.loss_rate("a", 20.0) == 0.0
-
-    def test_latency_sums_overlapping_windows(self):
-        plan = FaultPlan((
-            AddedLatency("a", at=0.0, duration=10.0, extra=0.1, jitter=0.02),
-            AddedLatency("a", at=5.0, duration=10.0, extra=0.2),
-        ))
-        assert plan.extra_latency("a", 7.0) == (
-            pytest.approx(0.3), pytest.approx(0.02)
-        )
-        assert plan.extra_latency("a", 2.0) == (0.1, 0.02)
-
-    def test_crash_with_and_without_restart(self):
-        plan = FaultPlan((
-            ServiceCrash("perm", at=5.0),
-            ServiceCrash("reboot", at=5.0, restart_after=10.0),
-        ))
-        assert not plan.is_crashed("perm", 4.0)
-        assert plan.is_crashed("perm", 1000.0)
-        assert plan.is_crashed("reboot", 10.0)
-        assert not plan.is_crashed("reboot", 15.0)
-
-    def test_service_stop_is_port_scoped(self):
-        plan = FaultPlan((ServiceStop("a", port=80, at=0.0, duration=5.0),))
-        assert plan.is_stopped("a", 80, 1.0)
-        assert not plan.is_stopped("a", 81, 1.0)
-        assert not plan.is_stopped("a", 80, 6.0)
-
-    def test_slow_factor_multiplies(self):
-        plan = FaultPlan((
-            SlowResponder("a", at=0.0, duration=10.0, factor=2.0),
-            SlowResponder("a", at=0.0, duration=10.0, factor=3.0),
-        ))
-        assert plan.slow_factor("a", 1.0) == 6.0
-        assert plan.slow_factor("a", 11.0) == 1.0
-
-    def test_registry_down_window(self):
-        plan = FaultPlan((RegistryOutage(at=3.0, duration=2.0),))
-        assert plan.registry_down(4.0)
-        assert not plan.registry_down(5.5)
-
-    def test_horizon_covers_every_fault(self):
-        plan = FaultPlan((
-            LinkFlap("a", at=0.0, period=5.0, down_for=1.0, until=20.0),
-            ServiceCrash("b", at=30.0, restart_after=5.0),
-            PacketLoss("c", at=1.0, duration=2.0, rate=0.5),
-        ))
-        assert plan.horizon() == 35.0
