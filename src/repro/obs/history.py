@@ -9,9 +9,8 @@ gauges by value, histograms as ``_count``/``_sum``/``_p99`` derivatives),
 so a whole chaos run compresses to a few hundred small dicts regardless
 of message volume.
 
-Three driving modes cover every substrate:
+Two driving modes:
 
-- :meth:`start`/:meth:`stop` — a daemon thread for the threaded runtime;
 - :meth:`sim_process` — a generator to hand to ``sim.process(...)`` so
   sampling happens in *simulated* time (deterministic under a seed);
 - :meth:`sample` — manual, for tests and teardown snapshots.
@@ -54,8 +53,6 @@ class MetricsSnapshotter:
         self.clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._samples: deque[dict] = deque(maxlen=capacity)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # -- sampling ----------------------------------------------------------
     def _flatten(self) -> dict[str, float]:
@@ -115,29 +112,6 @@ class MetricsSnapshotter:
             json.dump(self.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-    # -- threaded driver ---------------------------------------------------
-    def start(self) -> None:
-        """Begin background sampling (daemon thread; idempotent)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="metrics-snapshotter", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, final_sample: bool = True) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-        if final_sample:
-            self.sample()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()
 
     # -- simulated driver --------------------------------------------------
     def sim_process(self, sim, until: float | None = None):

@@ -125,15 +125,3 @@ class TestSimDriver:
         assert max(s["values"]["cable_connections"] for s in history) == 256
         # ...and the 288 kbps uplink runs a persistent backlog
         assert max(s["values"]["cable_up_backlog_seconds"] for s in history) > 0.5
-
-
-class TestThreadedDriver:
-    def test_start_stop_takes_final_sample(self):
-        snapshotter = MetricsSnapshotter(
-            MetricsRegistry(), interval=60.0, clock=lambda: 0.0
-        )
-        snapshotter.start()
-        snapshotter.start()  # idempotent
-        snapshotter.stop(final_sample=True)
-        assert len(snapshotter) == 1
-        snapshotter.stop()  # stop after stop is safe

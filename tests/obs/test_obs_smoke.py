@@ -51,7 +51,7 @@ def telemetry_deployment(inproc):
     metrics = MetricsRegistry()
     traces = TraceStore(span_prefix="wsd")
     flight = FlightRecorder()
-    snapshotter = MetricsSnapshotter(metrics, interval=0.05, capacity=64)
+    snapshotter = MetricsSnapshotter(metrics, capacity=64)
 
     ws_client = HttpClient(inproc, metrics=metrics)
     echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1), traces=traces)
@@ -88,10 +88,8 @@ def telemetry_deployment(inproc):
         inproc.listen("wsd:8000"), app.handle_request,
         workers=8, name="front", metrics=metrics,
     ).start()
-    snapshotter.start()
 
     yield inproc, metrics, traces, flight, snapshotter, dispatcher
-    snapshotter.stop(final_sample=False)
     dispatcher.stop()
     front.stop()
     ws_server.stop()
@@ -121,11 +119,9 @@ def test_scrape_all_pages_after_traffic(telemetry_deployment):
         assert client.post_envelope("http://wsd:8000/msg/echo-msg", msg).status == 202
         assert mbc.poll(timeout=5.0) is not None
         # the reply can be taken before the delivery that caused it has
-        # settled, and before the snapshotter's first interval has passed:
-        # the pages below show both, so wait for both
-        assert wait_for(
-            lambda: dispatcher.stats.get("delivered") and len(snapshotter)
-        ), "no delivery or no sample"
+        # settled, and the pages below show it
+        assert wait_for(lambda: dispatcher.stats.get("delivered")), "no delivery"
+        snapshotter.sample()
 
         for path in PAGES:
             response = _get(client, path)
@@ -157,9 +153,9 @@ def test_scrape_all_pages_after_traffic(telemetry_deployment):
         fr = json.loads(_get(client, "/flightrecorder").body)
         assert fr["enabled"] is True and "events" in fr
 
-        # /metrics/history has at least one sample from the snapshotter
+        # /metrics/history serves the snapshotter's sample
         history = json.loads(_get(client, "/metrics/history").body)
-        assert len(history["samples"]) >= 1
+        assert len(history["samples"]) == 1
 
         # POSTing a span report lands remote spans in the local store
         remote = ReportingTraceStore(span_prefix="probe")
