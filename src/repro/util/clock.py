@@ -39,45 +39,27 @@ class MonotonicClock:
 class ManualClock:
     """A clock advanced explicitly by tests.
 
-    ``sleep`` advances time immediately (it never blocks) and wakes any
-    concurrent waiters; this keeps timeout-handling code testable without
-    real delays.
+    ``sleep`` advances time immediately (it never blocks); this keeps
+    timeout-handling code testable without real delays.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._cond:
+        with self._lock:
             return self._now
 
     def advance(self, seconds: float) -> None:
-        """Move time forward and wake every sleeper whose deadline passed."""
+        """Move time forward."""
         if seconds < 0:
             raise ValueError("cannot move time backwards")
-        with self._cond:
+        with self._lock:
             self._now += seconds
-            self._cond.notify_all()
 
     def sleep(self, seconds: float) -> None:
         if seconds <= 0:
             return
-        with self._cond:
+        with self._lock:
             self._now += seconds
-            self._cond.notify_all()
-
-    def wait_until(self, deadline: float, real_timeout: float = 5.0) -> bool:
-        """Block (in real time) until simulated time reaches ``deadline``.
-
-        Returns False if ``real_timeout`` wall seconds elapse first.  Used
-        by tests that coordinate a ManualClock across threads.
-        """
-        end = time.monotonic() + real_timeout
-        with self._cond:
-            while self._now < deadline:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True

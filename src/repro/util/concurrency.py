@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Callable, Generic, Iterable, Optional, TypeVar
+from typing import Callable, Generic, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -351,15 +351,3 @@ class SingleFlight(Generic[T]):
         if flight.exc is not None:
             raise flight.exc
         return flight.result, True
-
-
-def join_all(threads: Iterable[threading.Thread], timeout: float = 5.0) -> None:
-    """Join helper that bounds total wait instead of per-thread wait."""
-    import time
-
-    deadline = time.monotonic() + timeout
-    for t in threads:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return
-        t.join(remaining)

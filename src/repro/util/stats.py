@@ -2,9 +2,9 @@
 
 The paper's test client "records statistical data" (number of calls made,
 packets transmitted / not sent).  We keep richer per-run statistics but all
-of them are computed online in O(1) memory per sample (Welford mean and
-variance, fixed-bucket histogram), so a 60-second simulated run with
-thousands of clients does not accumulate per-message lists.
+of them are computed online in O(1) memory per sample (running mean,
+fixed-bucket histogram), so a 60-second simulated run with thousands of
+clients does not accumulate per-message lists.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 
 class OnlineStats:
-    """Welford online mean/variance plus min/max.
+    """Online mean plus min/max.
 
     >>> s = OnlineStats()
     >>> for x in (1.0, 2.0, 3.0): s.add(x)
@@ -23,20 +23,17 @@ class OnlineStats:
     2.0
     """
 
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
+    __slots__ = ("count", "_mean", "min", "max")
 
     def __init__(self) -> None:
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def add(self, value: float) -> None:
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -45,40 +42,6 @@ class OnlineStats:
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator); 0 for fewer than 2 samples."""
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> None:
-        """Fold another accumulator into this one (parallel combine)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OnlineStats(n={self.count}, mean={self.mean:.6g}, "
-            f"sd={self.stdev:.6g}, min={self.min:.6g}, max={self.max:.6g})"
-        )
 
 
 class Histogram:
@@ -155,15 +118,6 @@ class Counter:
     def get(self, name: str) -> int:
         with self._lock:
             return self.values.get(name, 0)
-
-    def merge(self, other: "Counter") -> None:
-        # Snapshot the source first (its own lock), then fold under ours:
-        # never holds both locks, so concurrent a.merge(b) / b.merge(a)
-        # cannot deadlock.
-        snapshot = other.as_dict()
-        with self._lock:
-            for name, v in snapshot.items():
-                self.values[name] = self.values.get(name, 0) + v
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:

@@ -25,30 +25,12 @@ class RunResult:
     latency: OnlineStats = field(default_factory=OnlineStats)
 
     @property
-    def attempted(self) -> int:
-        return self.transmitted + self.not_sent
-
-    @property
     def per_minute(self) -> float:
         """Messages per minute — the y-axis of Figures 5 and 6."""
         if self.duration <= 0:
             return 0.0
         return self.transmitted * 60.0 / self.duration
 
-    @property
-    def loss_ratio(self) -> float:
-        total = self.attempted
-        return self.not_sent / total if total else 0.0
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "clients": self.clients,
-            "transmitted": self.transmitted,
-            "not_sent": self.not_sent,
-            "errors": self.errors,
-            "msgs_per_min": round(self.per_minute, 1),
-            "mean_latency_ms": round(self.latency.mean * 1000, 2),
-        }
 
 
 @dataclass
@@ -84,7 +66,6 @@ def render_table(
         "per_minute": lambda r: f"{r.per_minute:.0f}",
         "transmitted": lambda r: str(r.transmitted),
         "not_sent": lambda r: str(r.not_sent),
-        "loss_ratio": lambda r: f"{r.loss_ratio:.3f}",
     }[value]
     xs = sorted({x for s in series_list for x in s.xs()})
     lines = []

@@ -1,6 +1,5 @@
 """Tests for clock abstractions."""
 
-import threading
 import time
 
 import pytest
@@ -44,26 +43,6 @@ def test_manual_clock_sleep_advances_immediately():
     clock.sleep(100.0)  # must not block
     assert clock.now() == 100.0
     assert time.monotonic() - t0 < 0.5
-
-
-def test_manual_clock_wait_until_crossing_threads():
-    clock = ManualClock()
-    reached = threading.Event()
-
-    def waiter():
-        if clock.wait_until(5.0, real_timeout=2.0):
-            reached.set()
-
-    t = threading.Thread(target=waiter)
-    t.start()
-    clock.advance(5.0)
-    t.join(2.0)
-    assert reached.is_set()
-
-
-def test_manual_clock_wait_until_times_out():
-    clock = ManualClock()
-    assert clock.wait_until(1.0, real_timeout=0.05) is False
 
 
 def test_clocks_satisfy_protocol():

@@ -10,7 +10,6 @@ from repro.util.concurrency import (
     ClosableQueue,
     QueueClosed,
     RejectedExecution,
-    join_all,
 )
 
 
@@ -235,17 +234,3 @@ class TestBoundedExecutor:
         pool.submit(done.set)
         assert done.wait(2)
         pool.shutdown()
-
-
-def test_join_all_bounds_total_wait():
-    stop = threading.Event()
-    threads = [
-        threading.Thread(target=stop.wait, args=(5,), daemon=True)
-        for _ in range(3)
-    ]
-    for t in threads:
-        t.start()
-    t0 = time.monotonic()
-    join_all(threads, timeout=0.2)
-    assert time.monotonic() - t0 < 1.0
-    stop.set()

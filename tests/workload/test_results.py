@@ -1,7 +1,5 @@
 """Tests for run results and rendering."""
 
-import pytest
-
 from repro.workload.results import (
     RunResult,
     Series,
@@ -22,17 +20,6 @@ class TestRunResult:
     def test_per_minute_zero_duration(self):
         assert result(1, 10, duration=0.0).per_minute == 0.0
 
-    def test_loss_ratio(self):
-        assert result(1, 50, lost=50).loss_ratio == 0.5
-        assert result(1, 0, lost=0).loss_ratio == 0.0
-
-    def test_attempted(self):
-        assert result(1, 10, lost=5).attempted == 15
-
-    def test_as_row(self):
-        row = result(10, 600).as_row()
-        assert row["clients"] == 10
-        assert row["msgs_per_min"] == 600.0
 
 
 class TestSeries:
@@ -60,13 +47,11 @@ class TestRenderTable:
         assert lines[2] == "10\t100\t90"
         assert lines[3] == "20\t-\t180"
 
-    def test_per_minute_and_loss_values(self):
+    def test_per_minute_values(self):
         s = Series("x")
         s.add(result(5, 30, lost=30, duration=30.0))
         table = render_table([s], "per_minute")
         assert "60" in table
-        table = render_table([s], "loss_ratio")
-        assert "0.500" in table
 
 
 class TestRenderAsciiPlot:
