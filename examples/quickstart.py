@@ -11,10 +11,15 @@ setup):
 - a client that calls the service both ways: synchronous SOAP-RPC through
   the RPC-Dispatcher, and asynchronous messaging with a mailbox.
 
+The Registry keeps its entries in the paper's text file; a second registry
+opened on that file resolves the same services.
+
 Run:  python examples/quickstart.py
 """
 
+import os
 import re
+import tempfile
 
 from repro.core import MsgDispatcher, MsgDispatcherConfig, RpcDispatcher, ServiceRegistry
 from repro.http import HttpRequest
@@ -28,7 +33,11 @@ from repro.workload import AsyncEchoService, EchoService, make_echo_message, mak
 
 
 def main() -> None:
-    net = InprocNetwork()
+    with tempfile.TemporaryDirectory() as scratch:
+        run(InprocNetwork(), os.path.join(scratch, "registry.txt"))
+
+
+def run(net: InprocNetwork, registry_file: str) -> None:
 
     # ------------------------------------------------------------------
     # Inaccessible zone: the Web Service host (think: behind a firewall)
@@ -45,7 +54,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Intermediary: Registry + both dispatchers + WS-MsgBox
     # ------------------------------------------------------------------
-    registry = ServiceRegistry()
+    registry = ServiceRegistry(persist_path=registry_file)
     registry.register(
         "echo-rpc", "http://internal.example:9000/echo-rpc",
         metadata={"desc": "RPC echo"},
@@ -132,6 +141,10 @@ def main() -> None:
             print(f"    [{component}]")
             shown = component
         print(f"      {stat} = {value}")
+
+    # the registry file outlives the process that wrote it
+    reopened = ServiceRegistry(persist_path=registry_file)
+    print(f"[reg]  registry file reopened: echo-msg -> {reopened.resolve('echo-msg')}")
     mailbox.destroy()
     client.close()
     msg_dispatcher.stop()
