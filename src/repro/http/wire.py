@@ -56,13 +56,16 @@ def serialize_request_burst(requests) -> bytes:
 
 
 def serialize_response(resp: HttpResponse) -> bytes:
-    """Wire bytes for a response; always emits explicit Content-Length."""
-    index, framing = resp.headers._index, "\r\n"
-    if "content-length" not in index and "transfer-encoding" not in index:
-        framing = f"Content-Length: {len(resp.body)}\r\n\r\n"
+    """Wire bytes for a response; adds Content-Length if no framing given.
+    A 1xx, 204 or 304 ends at its head, so its body is never written."""
+    index, body, framing = resp.headers._index, resp.body, "\r\n"
+    if resp.status in _NO_BODY:
+        body = b""
+    elif "content-length" not in index and "transfer-encoding" not in index:
+        framing = f"Content-Length: {len(body)}\r\n\r\n"
     reason = resp.reason if resp.reason is not None else reason_phrase(resp.status)
     start = f"{resp.version} {resp.status} {reason}\r\n"
-    return _wire(start, resp.headers, framing, resp.body)
+    return _wire(start, resp.headers, framing, body)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +221,7 @@ class MessageParser:
                 status = int(start[1])
             except ValueError:
                 status = None  # refused below, or when the message is built
-            # A 204 or 304 with a Content-Length is the exception kept:
-            # serialize_response writes the body it is given, and this
-            # parser reads it back.
-            if status in _NO_BODY and (status < 200 or cl is None):
+            if status in _NO_BODY:
                 te = cl = None
             elif te is None and cl is None:
                 if status is None:

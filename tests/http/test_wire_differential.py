@@ -8,9 +8,8 @@ same exception class with the same text on that same feed.
 Two differences are made on purpose, and the streams here steer round
 them (each has its own test):
 
-- a 1xx response with ``Content-Length`` or ``Transfer-Encoding``, and a
-  204 or 304 with ``Transfer-Encoding``, end at their head
-  (``test_bodiless_responses.py``);
+- a 1xx, 204 or 304 response with ``Content-Length`` or
+  ``Transfer-Encoding`` ends at its head (``test_bodiless_responses.py``);
 - the header block limit counts the whole head.  The old parser started
   the count again on every ``feed``, so a block over the limit that came
   in pieces could get through; here it is refused no later than the old
@@ -80,12 +79,8 @@ def message(draw, response: bool) -> bytes:
                            else plain_field(), max_size=4))
     framing = draw(st.sampled_from(FRAMINGS))
     code = start.split(" ")[1] if start.count(" ") else ""
-    if response and code.startswith("1"):
+    if response and (code.startswith("1") or code in ("204", "304")):
         framing = "none"  # a stated difference: see the module docstring
-    if response and code in ("204", "304") and framing in (
-        "chunked", "trailers", "gzip", "bad-chunk"
-    ):
-        framing = "length"
     body = draw(st.binary(max_size=40))
     n = len(body)
     tail = b""

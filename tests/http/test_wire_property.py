@@ -87,7 +87,7 @@ def test_response_roundtrip(resp):
     p.feed(serialize_response(resp))
     parsed = p.next_message()
     assert parsed.status == resp.status
-    assert parsed.body == resp.body
+    assert parsed.body == (b"" if resp.status in (204, 304) else resp.body)
 
 
 @given(requests(), st.lists(st.integers(0, 500), max_size=8))
