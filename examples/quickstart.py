@@ -145,6 +145,9 @@ def run(net: InprocNetwork, registry_file: str) -> None:
     # the registry file outlives the process that wrote it
     reopened = ServiceRegistry(persist_path=registry_file)
     print(f"[reg]  registry file reopened: echo-msg -> {reopened.resolve('echo-msg')}")
+    reopened.unregister("echo-rpc")
+    left = [r.logical for r in ServiceRegistry(persist_path=registry_file).list_services()]
+    print(f"[reg]  after unregistering echo-rpc the file lists {left}")
     mailbox.destroy()
     client.close()
     msg_dispatcher.stop()

@@ -94,11 +94,6 @@ class TextFileMap:
             self._data[key] = (primary, attrs)
             self._flush()
 
-    def get(self, key: str) -> tuple[str, dict[str, str]] | None:
-        with self._lock:
-            hit = self._data.get(key)
-            return (hit[0], dict(hit[1])) if hit else None
-
     def remove(self, key: str) -> bool:
         with self._lock:
             if key in self._data:
@@ -107,21 +102,9 @@ class TextFileMap:
                 return True
             return False
 
-    def keys(self) -> list[str]:
-        with self._lock:
-            return sorted(self._data)
-
     def items(self) -> list[tuple[str, str, dict[str, str]]]:
         with self._lock:
             return [
                 (k, primary, dict(attrs))
                 for k, (primary, attrs) in sorted(self._data.items())
             ]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data

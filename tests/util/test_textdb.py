@@ -7,16 +7,20 @@ import pytest
 from repro.util.textdb import TextFileMap
 
 
+def mapping(db: TextFileMap) -> dict:
+    return {key: (primary, attrs) for key, primary, attrs in db.items()}
+
+
 def test_in_memory_when_no_path():
     db = TextFileMap()
     db.put("echo", "http://a:1/echo")
-    assert db.get("echo") == ("http://a:1/echo", {})
+    assert mapping(db) == {"echo": ("http://a:1/echo", {})}
 
 
 def test_put_get_roundtrip(tmp_path):
     db = TextFileMap(tmp_path / "registry.txt")
     db.put("echo", "http://inside:8080/echo", {"owner": "alice"})
-    assert db.get("echo") == ("http://inside:8080/echo", {"owner": "alice"})
+    assert mapping(db) == {"echo": ("http://inside:8080/echo", {"owner": "alice"})}
 
 
 def test_persistence_across_instances(tmp_path):
@@ -25,9 +29,7 @@ def test_persistence_across_instances(tmp_path):
     db.put("a", "x", {"k": "v"})
     db.put("b", "y")
     reloaded = TextFileMap(path)
-    assert reloaded.get("a") == ("x", {"k": "v"})
-    assert reloaded.get("b") == ("y", {})
-    assert len(reloaded) == 2
+    assert mapping(reloaded) == {"a": ("x", {"k": "v"}), "b": ("y", {})}
 
 
 def test_remove(tmp_path):
@@ -36,7 +38,7 @@ def test_remove(tmp_path):
     db.put("a", "x")
     assert db.remove("a") is True
     assert db.remove("a") is False
-    assert "a" not in TextFileMap(path)
+    assert mapping(TextFileMap(path)) == {}
 
 
 def test_file_format_is_line_oriented(tmp_path):
@@ -52,7 +54,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "reg.txt"
     path.write_text("# comment\n\nsvc\thttp://h:1/\n")
     db = TextFileMap(path)
-    assert db.get("svc") == ("http://h:1/", {})
+    assert mapping(db) == {"svc": ("http://h:1/", {})}
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -75,19 +77,18 @@ def test_tabs_in_values_rejected():
         db.put("a\tb", "x")
 
 
-def test_get_returns_copy():
+def test_items_returns_copies():
     db = TextFileMap()
     db.put("a", "x", {"k": "v"})
-    _, attrs = db.get("a")
+    [(_, _, attrs)] = db.items()
     attrs["k"] = "mutated"
-    assert db.get("a")[1] == {"k": "v"}
+    assert mapping(db) == {"a": ("x", {"k": "v"})}
 
 
-def test_keys_and_items_sorted():
+def test_items_sorted():
     db = TextFileMap()
     db.put("zebra", "z")
     db.put("ant", "a")
-    assert db.keys() == ["ant", "zebra"]
     assert [k for k, _, _ in db.items()] == ["ant", "zebra"]
 
 
@@ -103,5 +104,5 @@ def test_concurrent_writes(tmp_path):
         t.start()
     for t in threads:
         t.join()
-    assert len(db) == 200
-    assert len(TextFileMap(tmp_path / "reg.txt")) == 200
+    assert len(db.items()) == 200
+    assert len(TextFileMap(tmp_path / "reg.txt").items()) == 200
