@@ -14,9 +14,11 @@ from repro.chaos import (
     ServiceStop,
 )
 from repro.core.registry import ServiceRegistry
-from repro.errors import RegistryUnavailable, SimulationError
+from repro.errors import ConnectionRefused, RegistryUnavailable, SimulationError
 from repro.obs.metrics import MetricsRegistry
+from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
+from repro.simnet.tcpsim import connect
 from repro.simnet.topology import AccessLink, Network
 
 
@@ -143,6 +145,31 @@ def test_service_stop_requires_known_server(world):
     plan = FaultPlan((ServiceStop("a", port=80, at=0.0, duration=1.0),))
     with pytest.raises(SimulationError):
         ChaosController(net, plan).start()
+
+
+def test_service_stop_refuses_connects_for_its_window(world):
+    sim, net, a, b = world
+    server = SimHttpServer(net, b, 80, lambda request: None)
+    plan = FaultPlan((ServiceStop("b", port=80, at=1.0, duration=2.0),))
+    ChaosController(net, plan, servers=[server]).start()
+    observed = {}
+
+    def attempt():
+        try:
+            conn = yield from connect(net, a, "b", 80)
+        except ConnectionRefused:
+            return "refused"
+        conn.close()
+        return "accepted"
+
+    def watcher():
+        yield sim.timeout(1.5)
+        observed["during"] = yield from attempt()
+        yield sim.timeout(2.0)
+        observed["after"] = yield from attempt()
+
+    sim.run(sim.process(watcher()))
+    assert observed == {"during": "refused", "after": "accepted"}
 
 
 def test_injection_metrics_and_counts(world):
