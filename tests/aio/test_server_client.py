@@ -153,3 +153,21 @@ def test_many_parked_connections_on_one_loop():
                 c.close()
 
     asyncio.run(main())
+
+
+def test_a_body_larger_than_the_socket_buffers_arrives_whole():
+    """The transport pauses the client's writing part-way through the body
+    and resumes it as the server reads: nothing is lost and nothing sticks."""
+
+    def length(request, peer):
+        return HttpResponse(status=200, body=b"%d" % len(request.body))
+
+    async def main():
+        async with AioHttpServer(length) as srv:
+            client = AioHttpClient()
+            body = b"x" * (8 << 20)
+            response = await asyncio.wait_for(client.request(srv.url, post(body)), 30)
+            assert response.body == b"%d" % len(body)
+            client.close()
+
+    asyncio.run(main())
