@@ -227,12 +227,6 @@ class MsgDispatcher(DispatchCore):
             self.durable.checkpoint()
         return drained
 
-    def __enter__(self) -> "MsgDispatcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     def hosted_on(self, app) -> None:
         """:meth:`SoapHttpApp.mount` hook (called again on every later
         mount): this dispatcher's host serves one origin — host and port

@@ -168,7 +168,7 @@ def _msgbox_load(
         ),
         mailbox="relayed",
     )
-    world.dispatcher.pool.pool_per_destination = pool_per_destination
+    world.dispatcher.pool.pool_size = pool_per_destination
     tester = world.tester(
         IdGenerator("abl", seed=clients), world.open_mailboxes(clients)
     )

@@ -165,7 +165,7 @@ class ClientSession:
         retry_after_cap: float = 30.0,
     ) -> None:
         self.response_timeout = response_timeout
-        self._pool_size = pool_size
+        self.pool_size = pool_size
         self._user_agent = user_agent
         #: how many times a request is re-sent after a 503 that names a
         #: ``Retry-After`` delay (0 = return the 503 to the caller)
@@ -228,7 +228,7 @@ class ClientSession:
         with self._lock:
             if not self._closed:
                 pool = self._pools.setdefault(key, [])
-                if len(pool) < self._pool_size:
+                if len(pool) < self.pool_size:
                     pool.append(conn)
                     return
         conn.close()

@@ -167,9 +167,6 @@ class _NoopChild:
     def inc(self, amount: float = 1) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -182,22 +179,9 @@ class _NoopChild:
     def get(self) -> float:
         return 0.0
 
-    def quantile(self, q: float) -> float:
-        return 0.0
-
     @property
     def count(self) -> int:
         return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-    def summary(self, quantiles: tuple[float, ...] = (0.5, 0.9, 0.99)) -> dict:
-        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "quantiles": {}}
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        return []
 
     def labels(self, **labels: str) -> "_NoopChild":
         return self

@@ -210,9 +210,6 @@ class SimSpanShipper:
         self._running = True
         self.sim.process(self._pump())
 
-    def stop(self) -> None:
-        self._running = False
-
     def _pump(self):
         while self._running:
             yield self.sim.timeout(self.interval)

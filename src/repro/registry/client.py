@@ -137,10 +137,6 @@ class ReplicatedRegistryClient:
         self._cache.invalidate(logical)
         return existed
 
-    def set_enabled(self, logical: str, enabled: bool) -> None:
-        self._sweep(lambda h: h.set_enabled(logical, enabled))
-        self._cache.invalidate(logical)
-
     # -- the failover sweep ------------------------------------------------
     def _sweep(self, op: Callable[[object], object]):
         """Apply ``op`` to replicas in preference order until one answers.

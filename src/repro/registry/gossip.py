@@ -318,14 +318,9 @@ class SimGossipPeer:
             )
         return self
 
-    def stop(self) -> None:
-        self._running = False
-
     def _pump(self):
         while self._running:
             yield self.sim.timeout(self.interval)
-            if not self._running:
-                return
             if not self.replica.available or not self.peers:
                 continue
             yield from self.round(self._rng.choice(sorted(self.peers)))
@@ -351,6 +346,3 @@ class SimGossipPeer:
         except (TransportError, ReproError, ValueError):
             self.health.note_fail(peer)
             return False
-
-    def snapshot(self) -> dict:
-        return {"peer": self.replica.peer_id, "peers": self.health.snapshot()}

@@ -68,7 +68,3 @@ class HashRing:
     def __len__(self) -> int:
         return len(self.shard_ids)
 
-    def __repr__(self) -> str:
-        return (
-            f"HashRing(shards={self.shard_ids!r}, replicas={self.replicas})"
-        )

@@ -150,9 +150,6 @@ class ShardSupervisor:
             raise RuntimeError("control endpoint is not running")
         return f"http://{self._control_server.endpoint}"
 
-    def shard_urls(self) -> dict[int, str]:
-        return dict(self._peers)
-
     def pids(self) -> dict[int, int | None]:
         return {
             shard_id: (worker.proc.pid if worker.proc else None)

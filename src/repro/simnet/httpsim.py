@@ -253,14 +253,6 @@ class SimHttpClientPool(ClientSession):
         self.connect_timeout = connect_timeout
 
     @property
-    def pool_per_destination(self) -> int:
-        return self._pool_size
-
-    @pool_per_destination.setter
-    def pool_per_destination(self, size: int) -> None:
-        self._pool_size = size
-
-    @property
     def reuses(self) -> int:
         return self._m_reuse_reused.get()
 

@@ -54,10 +54,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
     def value(self) -> Any:
         if self._exc is not None:
             raise self._exc
@@ -319,7 +315,3 @@ class Simulator:
                     return
         finally:
             self.events_processed += fired
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._queue)

@@ -40,17 +40,12 @@ class StoreGet(Event):
 class StorePut(Event):
     """Pending insert into a bounded :class:`Store`."""
 
-    __slots__ = ("_store", "_cancelled", "item")
+    __slots__ = ("_store", "item")
 
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store.sim)
         self._store = store
-        self._cancelled = False
         self.item = item
-
-    def cancel(self) -> None:
-        if not self._triggered:
-            self._cancelled = True
 
 
 class Store:
@@ -98,8 +93,6 @@ class Store:
         progress = True
         while progress:
             progress = False
-            while self._putters and self._putters[0]._cancelled:
-                self._putters.popleft()
             while self._getters and self._getters[0]._cancelled:
                 self._getters.popleft()
             if self._putters and len(self.items) < self.capacity:

@@ -61,10 +61,6 @@ class Pipe:
         """How far behind real time the pipe currently is."""
         return max(0.0, self._free_at - self.sim.now)
 
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_carried
-
 
 @dataclass
 class AccessLink:
@@ -192,9 +188,6 @@ class Host:
         """Event firing after ``seconds`` of work scaled by host speed."""
         return self.sim.timeout(seconds * self.cpu_factor)
 
-    def __repr__(self) -> str:
-        return f"Host({self.name!r}, conns={self.active_connections})"
-
 
 class Network:
     """Name → host registry plus path characteristics."""
@@ -234,9 +227,6 @@ class Network:
             return self._hosts[name]
         except KeyError:
             raise SimulationError(f"unknown host {name!r}") from None
-
-    def hosts(self) -> list[Host]:
-        return list(self._hosts.values())
 
     def propagation(self, a: Host, b: Host) -> float:
         """One-way propagation delay between two hosts."""

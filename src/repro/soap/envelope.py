@@ -125,10 +125,3 @@ class Envelope:
     def is_fault(self) -> bool:
         """True when the body element is a SOAP Fault of this version."""
         return self.body_name == QName(self.version.ns, "Fault")
-
-    def __repr__(self) -> str:
-        body = self.body.name.clark() if self.body is not None else None
-        return (
-            f"Envelope({self.version.name}, headers={len(self.headers)}, "
-            f"body={body!r})"
-        )

@@ -213,9 +213,6 @@ class LazyEnvelope:
         envelope's header/body Elements — treat it as taking ownership."""
         return Envelope(self.body, headers=list(self.headers), version=self.version)
 
-    def to_element(self) -> Element:
-        return self.materialize().to_element()
-
     def to_bytes(self) -> bytes:
         """Wire form by byte splicing.
 
@@ -245,17 +242,6 @@ class LazyEnvelope:
                 text.encode("utf-8"),
                 memoryview(scan.data)[scan.tail_start :],
             )
-        )
-
-    def __repr__(self) -> str:
-        body = (
-            self._scan.body_first_child.clark()
-            if self._scan.body_first_child is not None
-            else None
-        )
-        return (
-            f"LazyEnvelope({self.version.name}, headers={len(self.headers)}, "
-            f"body={body!r}, body_bytes={self._scan.body_end - self._scan.body_start})"
         )
 
 

@@ -66,11 +66,6 @@ class ClosableQueue(Generic[T]):
         with self._lock:
             return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
     def put(self, item: T, timeout: float | None = None) -> bool:
         """Enqueue; returns False if the queue stayed full for ``timeout``.
 

@@ -39,10 +39,6 @@ class IdGenerator:
         self._lock = threading.Lock()
         self._counter = 0
 
-    @property
-    def namespace(self) -> str:
-        return self._namespace
-
     def next(self) -> str:
         """Return the next id, e.g. ``uuid:msg-1f3a...-17``."""
         with self._lock:

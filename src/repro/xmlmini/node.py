@@ -121,9 +121,6 @@ class Element:
             and _normalized(self.children) == _normalized(other.children)
         )
 
-    def __hash__(self) -> int:  # structural objects are mutable; identity hash
-        return id(self)
-
     def __repr__(self) -> str:
         return (
             f"Element({self.name.clark()!r}, attrs={len(self.attrs)}, "

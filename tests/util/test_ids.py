@@ -1,5 +1,6 @@
 """Tests for id generation."""
 
+import itertools
 import threading
 
 import pytest
@@ -38,7 +39,7 @@ def test_ids_carry_namespace_and_counter():
 
 def test_generator_is_iterable():
     gen = IdGenerator(seed=3)
-    seen = [next(gen) for _ in range(3)]
+    seen = list(itertools.islice(gen, 3))
     assert len(set(seen)) == 3
 
 
