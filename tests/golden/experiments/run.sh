@@ -13,7 +13,7 @@ for args in "fig4 --duration 5" "fig5 --duration 5" "fig6 --duration 5" \
             table1 chaos crash-recovery registry-failover \
             "pool-sizing --duration 5" "batching --duration 5"; do
     name=${args%% *}
-    PYTHONPATH=src python -m repro.experiments $args \
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.experiments $args \
         > "$out/$name.stdout" 2> "$out/$name.stderr"
     echo $? > "$out/$name.exit"
 done
