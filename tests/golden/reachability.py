@@ -201,7 +201,7 @@ def stub(node) -> bool:
     return False
 
 
-def functions(root: str, base: str = ROOT) -> dict[tuple[str, int, str], str]:
+def functions(root: str) -> dict[tuple[str, int, str], str]:
     """Every ``def`` / ``async def`` in the ``.py`` files under ``root``
     except :func:`stub` ones: ``(file, first line, name)`` ->
     ``file::Qualified.name``.  A name that repeats in one scope (a
@@ -215,7 +215,7 @@ def functions(root: str, base: str = ROOT) -> dict[tuple[str, int, str], str]:
             if not filename.endswith(".py"):
                 continue
             path = os.path.join(folder, filename)
-            rel = os.path.relpath(path, base)
+            rel = os.path.relpath(path, ROOT)
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), path)
             labels: set[str] = set()
@@ -259,13 +259,13 @@ def read_allowlist(path: str) -> dict[str, tuple[str, str]]:
     return entries
 
 
-def names_a_test(test: str, base: str = ROOT) -> bool:
+def names_a_test(test: str) -> bool:
     """Whether ``tests/x.py::[Class::]test_name[param]`` names a ``def`` in
     an existing file."""
     path, _, rest = test.partition("::")
     name = rest.rpartition("::")[2].partition("[")[0]
     try:
-        with open(os.path.join(base, path), encoding="utf-8") as handle:
+        with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
             text = handle.read()
     except OSError:
         return False
@@ -276,7 +276,6 @@ def check(
     defined: dict[tuple[str, int, str], str],
     ran: set[tuple[str, int, str]],
     allowed: dict[str, tuple[str, str]],
-    base: str = ROOT,
 ) -> list[str]:
     """What is wrong: every function neither run nor allowlisted, and every
     stale allowlist entry."""
@@ -290,7 +289,7 @@ def check(
             problems.append(f"allowlist: {label} is no longer defined")
         elif labels[label] in ran and not comment.startswith("flips:"):
             problems.append(f"allowlist: {label} now runs on an entry point; drop its entry")
-        if not names_a_test(test, base):
+        if not names_a_test(test):
             problems.append(f"allowlist: {label} names {test}, which does not exist")
     return problems
 
