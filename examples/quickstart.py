@@ -38,7 +38,6 @@ def main() -> None:
 
 
 def run(net: InprocNetwork, registry_file: str) -> None:
-
     # ------------------------------------------------------------------
     # Inaccessible zone: the Web Service host (think: behind a firewall)
     # ------------------------------------------------------------------
@@ -142,7 +141,7 @@ def run(net: InprocNetwork, registry_file: str) -> None:
             shown = component
         print(f"      {stat} = {value}")
 
-    # the registry file outlives the process that wrote it
+    # the text file is the registry: a fresh one opened on it sees every change
     reopened = ServiceRegistry(persist_path=registry_file)
     print(f"[reg]  registry file reopened: echo-msg -> {reopened.resolve('echo-msg')}")
     reopened.unregister("echo-rpc")
