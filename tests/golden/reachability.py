@@ -25,6 +25,8 @@ others; it is exempt from the last rule only.
 
 from __future__ import annotations
 
+# every recorded process loads this module as its sitecustomize, so the
+# imports only the check needs wait for the functions that use them
 import json
 import os
 import sys
