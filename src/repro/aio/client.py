@@ -1,11 +1,10 @@
 """Pooling HTTP client for the asyncio runtime.
 
 The asyncio wire of :mod:`repro.http.session`: the pool, the single
-stale-retry, the 503 ``Retry-After`` sleep-out and the burst's
-replay/poison rules are that module's, run here by a coroutine
-trampoline over one ``asyncio`` protocol per connection instead of
-blocking socket calls, so the dispatcher's writer tasks share one loop
-thread instead of one thread each.  A ``RECV`` costs a future and a
+stale-retry and the burst's replay/poison rules are that module's, run
+here by a coroutine trampoline over one ``asyncio`` protocol per
+connection instead of blocking socket calls, so the dispatcher's writer
+tasks share one loop thread instead of one thread each.  A ``RECV`` costs a future and a
 timer only when nothing has arrived yet — no task, no stream layer.
 Cancelling a task mid-exchange reaches the session as a thrown
 ``CancelledError``: the connection is closed, never pooled.
@@ -30,7 +29,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, RECV_CHUNK, SEND, ClientSession, Lease
+from repro.http.session import RECV, RECV_CHUNK, SEND, ClientSession, Lease
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Endpoint, parse_http_url
 
@@ -127,20 +126,19 @@ class _AioConn(asyncio.BufferedProtocol):
 class AioHttpClient(ClientSession):
     """Asyncio HTTP client with per-endpoint connection reuse."""
 
+    #: the ``User-Agent`` of every request that does not name its own
+    user_agent = "repro-aio-client/1.0"
+
     def __init__(
         self,
         connect_timeout: float = 5.0,
         response_timeout: float = 30.0,
         pool_per_endpoint: int = 4,
-        user_agent: str = "repro-aio-client/1.0",
         metrics: MetricsRegistry | None = None,
-        overload_retries: int = 0,
-        retry_after_cap: float = 30.0,
     ) -> None:
         super().__init__(
             metrics, "aio_client", "asyncio client", time.monotonic,
-            response_timeout, pool_per_endpoint, user_agent, overload_retries,
-            retry_after_cap,
+            response_timeout, pool_per_endpoint, self.user_agent,
         )
         self.connect_timeout = connect_timeout
         # one receive buffer for every connection of this client: the
@@ -181,10 +179,8 @@ class AioHttpClient(ClientSession):
                         result = await conn.recv(arg)
                     elif op is SEND:
                         result = await conn.send(arg)
-                    elif op is CONNECT:
-                        result = await self._connect(arg)
                     else:
-                        result = await asyncio.sleep(arg)
+                        result = await self._connect(arg)
                 except BaseException as exc:
                     op, conn, arg = steps.throw(exc)
                 else:
@@ -196,7 +192,7 @@ class AioHttpClient(ClientSession):
 
     # -- request execution -------------------------------------------------
     async def request(self, url: str, request: HttpRequest) -> HttpResponse:
-        """One exchange; single stale retry; optional 503 sleep-out."""
+        """One exchange; single stale retry."""
         return await self._run(self._request(url, request))
 
     # -- connection leases & pipelining ------------------------------------

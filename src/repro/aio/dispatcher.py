@@ -19,7 +19,7 @@ and replaces only the *execution* substrate:
   (and ``asyncio.sleep`` for the retry backoff) instead of blocking.
 
 Everything semantic is :class:`~repro.core.dispatch.DispatchCore`'s:
-admission shedding and the journal-before-ack protocol, routing /
+admission and the journal-before-ack protocol, routing /
 rewriting / correlation, the delivery step (breaker gate, settle, retry,
 parking), hold redelivery, dead-letter taxonomy, metrics, spans and
 flight-recorder events.  Admission runs synchronous, thread-safe code,

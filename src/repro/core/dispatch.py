@@ -43,7 +43,7 @@ from repro.errors import (
     XmlError,
 )
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.session import SLEEP, soap_post
+from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slo import stage_histogram
@@ -72,8 +72,9 @@ from repro.core.routing import (
     split_hold_resolve_target,
 )
 
-#: the wire effects of :meth:`DispatchCore.deliver` besides ``SLEEP``
-REQUEST, PIPELINE = "request", "pipeline"
+#: the effects of :meth:`DispatchCore.deliver`: two on the wire, and the
+#: in-line retry's backoff
+REQUEST, PIPELINE, SLEEP = "request", "pipeline", "sleep"
 #: the one effect of :meth:`DispatchCore.bridge`
 WAIT = "wait"
 
@@ -99,12 +100,6 @@ class DispatcherConfigBase:
     #: None = no breakers (the paper-faithful behaviour: every delivery
     #: attempt hits the network)
     breaker: BreakerConfig | None = None
-    #: admission control: total queued messages (accept + destination
-    #: queues) above which new messages are shed with 503 Retry-After;
-    #: None = only the individual queue capacities bound intake
-    max_inflight: int | None = None
-    #: Retry-After seconds advertised when shedding
-    shed_retry_after: float = 1.0
     #: how often the hold/retry pump puts due parked messages back on
     #: their destination queues (:meth:`DispatchCore.requeue_due`)
     hold_pump_interval: float = 0.25
@@ -157,8 +152,6 @@ class DispatchCore:
     pump and :meth:`bridge` for each request to its bridge handler.
     """
 
-    #: ``dispatcher_shed_total{component=}`` label value, set by the driver
-    component = "msgd"
     #: bucket width (seconds) of the queue-wait and transmit histograms:
     #: loopback deliveries take milliseconds, simulated WAN ones seconds
     time_bucket = 0.001
@@ -178,7 +171,6 @@ class DispatchCore:
         config,
         clock: Clock,
         hold_store: "object | None" = None,
-        inspector: "object | None" = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
         durable: MessageJournal | None = None,
@@ -190,7 +182,6 @@ class DispatchCore:
         self.config = config
         self.clock = clock
         self.hold_store = hold_store
-        self.inspector = inspector
         self.durable = durable
         self._replayed_seqs: set[int] = set()
         self._dedupe: DuplicateFilter | None = None
@@ -232,10 +223,6 @@ class DispatchCore:
         self._m_dest_depth = self.metrics.gauge(
             "msgd_destination_queue_depth",
             "messages waiting for a WsThread, by destination",
-        )
-        self._m_shed = self.metrics.counter(
-            "dispatcher_shed_total",
-            "requests shed by admission control, by component",
         )
         self._m_drain_timeouts = self.metrics.counter(
             "dispatcher_drain_timeouts_total",
@@ -451,27 +438,6 @@ class DispatchCore:
         )
 
     # -- admission (steps 1-2 of Fig. 3) -------------------------------------
-    def overloaded(
-        self, path: str, trace: TraceContext | None, t_arrival: float
-    ) -> bool:
-        """Admission control: True (counted and flight-recorded) when
-        the backlog has reached ``config.max_inflight`` — the driver sheds
-        with 503 Retry-After."""
-        limit = self.config.max_inflight
-        if limit is None:
-            return False
-        backlog = self.backlog()
-        if backlog < limit:
-            return False
-        trace_id = trace.trace_id if trace else None
-        self.counters.inc("shed_overload")
-        self._m_shed.labels(component=self.component).inc()
-        self.flight.record(
-            "shed", "msgd", t=t_arrival,
-            trace=trace_id, path=path, backlog=backlog, max_inflight=limit,
-        )
-        return True
-
     def journal_inbound(self, path: str, body: bytes) -> int:
         """Journal before ack: once this commits the dispatcher owns the
         message — a crash at any later point replays it."""
@@ -692,13 +658,6 @@ class DispatchCore:
                 )
                 return []
             raise
-        if self.inspector is not None:
-            try:
-                self.inspector(envelope, logical)
-            except ReproError:
-                self.counters.inc("rejected_by_inspector")
-                self._m_dropped.labels(reason="inspector").inc()
-                raise
 
         result = rewrite_for_forwarding(
             envelope, physical, self.own_address, self._cohosted_deposits,
@@ -1279,11 +1238,10 @@ class DispatchCore:
         return self.counters.as_dict()
 
     def health_snapshot(self) -> dict:
-        """Breaker/overload state for the introspection surface
+        """Breaker and queue state for the introspection surface
         (``Introspection.add_health_source``)."""
         snapshot: dict = {
             "backlog": self.backlog(),
-            "shed": self.counters.get("shed_overload"),
             "drain_timeouts": self.counters.get("drain_timeouts"),
             # which thread ran the routing pass (see routes_in_place)
             "routed_in_place": self.counters.get("routed_in_place"),

@@ -36,7 +36,7 @@ from repro.errors import OverloadedError, ReproError
 from repro.http import HttpRequest, HttpResponse
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceContext, TraceStore, extract_trace
+from repro.obs.trace import TraceStore, extract_trace
 from repro.reliable.policy import RetryPolicy
 from repro.rt.client import HttpClient
 from repro.rt.service import RequestContext
@@ -104,7 +104,6 @@ class MsgDispatcher(DispatchCore):
         config: MsgDispatcherConfig | None = None,
         clock: Clock | None = None,
         hold_store: "object | None" = None,
-        inspector: "object | None" = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
         durable: MessageJournal | None = None,
@@ -122,10 +121,6 @@ class MsgDispatcher(DispatchCore):
         thread puts due messages back on their destination queues every
         ``config.hold_pump_interval`` seconds; a ``deliver=`` the store
         was constructed with is not used.
-
-        ``inspector`` is the "message security inspection" hook (same
-        shape as the RPC-Dispatcher's): called with (envelope, logical
-        name) before forwarding; raising rejects the message.
 
         ``metrics``/``traces`` override the process-wide observability
         sinks (:func:`~repro.obs.metrics.default_registry`,
@@ -146,7 +141,7 @@ class MsgDispatcher(DispatchCore):
 
         ``flight`` overrides the process-wide
         :func:`~repro.obs.flight.default_flight_recorder`; state
-        transitions (sheds, deadletters, drain timeouts, journal
+        transitions (drops, deadletters, drain timeouts, journal
         recovery, breaker trips) are recorded into it, and deadletters
         trigger a postmortem dump when the recorder has a dump
         directory.
@@ -170,7 +165,7 @@ class MsgDispatcher(DispatchCore):
         super().__init__(
             registry, own_address, mount_prefix, config,
             clock or MonotonicClock(),
-            hold_store=hold_store, inspector=inspector, metrics=metrics,
+            hold_store=hold_store, metrics=metrics,
             traces=traces, durable=durable, flight=flight,
         )
         self._ws_slots = threading.Semaphore(self.config.ws_threads)
@@ -279,23 +274,11 @@ class MsgDispatcher(DispatchCore):
 
     # -- SoapService entry point (step 1-2 of Fig. 3) ----------------------
     def handle(self, envelope: Envelope, ctx: RequestContext) -> None:
-        """Accept a one-way message; delivery continues on the pools."""
+        """Accept a one-way message; delivery continues on the pools.  The
+        HTTP layer answers 202 Accepted once this returns."""
         t_arrival = self.clock.now()
         trace = extract_trace(envelope)
-        self._admit(envelope, ctx.path, trace, t_arrival)
-        return None  # HTTP layer answers 202 Accepted
-
-    def _admit(
-        self,
-        envelope: Envelope,
-        path: str,
-        trace: TraceContext | None,
-        t_arrival: float,
-    ) -> None:
-        if self.overloaded(path, trace, t_arrival):
-            raise OverloadedError(
-                "dispatcher overloaded", retry_after=self.config.shed_retry_after
-            )
+        path = ctx.path
         jseq: int | None = None
         if self.durable is not None:
             jseq = self.journal_inbound(path, envelope.to_bytes())
@@ -321,10 +304,7 @@ class MsgDispatcher(DispatchCore):
             raise ReproError("dispatcher is shut down") from None
         if not accepted:
             self.refused(jseq, trace, path)
-            raise OverloadedError(
-                "dispatcher accept queue full",
-                retry_after=self.config.shed_retry_after,
-            )
+            raise OverloadedError("dispatcher accept queue full")
         self.admitted(path, trace, t_arrival)
 
     # -- CxThread: routing + rewriting (steps 2-4 of Fig. 3) ---------------

@@ -13,10 +13,7 @@ timeout limits.
 
 from __future__ import annotations
 
-import threading
-
 from repro.errors import (
-    AuthError,
     HttpParseError,
     RegistryUnavailable,
     ReproError,
@@ -29,7 +26,7 @@ from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import soap_post
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import TraceStore, default_trace_store, extract_trace
-from repro.rt.service import overloaded_response, soap_fault_response
+from repro.rt.service import RETRY_AFTER, soap_fault_response
 from repro.soap import Fault, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.transport.base import parse_http_url
 from repro.util.clock import Clock, MonotonicClock
@@ -47,15 +44,8 @@ class RpcCore:
     ``client`` (an :class:`~repro.rt.client.HttpClient`, an
     :class:`~repro.aio.AioHttpClient`, a simulated pool), which the core
     never calls.
-
-    ``inspector(envelope, logical)`` raises :class:`~repro.errors.AuthError`
-    for a 401 or another :class:`~repro.errors.ReproError` for a 403;
-    ``max_inflight`` sheds forwards beyond it with 503 Retry-After.  Both
-    are attributes, like :attr:`max_body`, and may be set at any time.
     """
 
-    #: ``dispatcher_shed_total{component=}`` label value, set by the driver
-    component = "rpcd"
     #: bucket width (seconds) of ``rpcd_forward_seconds``, set by the driver
     time_bucket = 0.001
     #: validity check: larger request bodies are refused with 413
@@ -68,20 +58,12 @@ class RpcCore:
         registry: ServiceRegistry,
         client,
         mount_prefix: str = "/rpc",
-        inspector=None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
-        max_inflight: int | None = None,
-        shed_retry_after: float = 1.0,
     ) -> None:
         self.registry = registry
         self.client = client
         self.mount_prefix = mount_prefix
-        self.inspector = inspector
-        self.max_inflight = max_inflight
-        self.shed_retry_after = shed_retry_after
-        self._inflight = 0
-        self._lock = threading.Lock()
         self.counters = Counter()
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
@@ -99,10 +81,6 @@ class RpcCore:
             "blocking dispatcher-to-service exchange time",
             bucket_width=self.time_bucket,
         )
-        self._m_shed = self.metrics.counter(
-            "dispatcher_shed_total",
-            "requests shed by admission control, by component",
-        )
         self._m_fastpath = fastpath_counter(self.metrics)
 
     @property
@@ -113,29 +91,9 @@ class RpcCore:
         """Steps: answer one client request.  At most one effect,
         ``(REQUEST, url, request)``, sent the service's response or thrown
         what performing it raised: a wire error is a 502, anything else
-        propagates once the admission slot is free.  Returns the reply."""
+        propagates.  Returns the reply."""
         if request.method != "POST":
             return HttpResponse(status=405, body=b"RPC dispatcher accepts POST")
-        limit = self.max_inflight
-        if limit is not None:
-            with self._lock:
-                shed = self._inflight >= limit
-                if not shed:
-                    self._inflight += 1
-            if shed:
-                self.counters.inc("shed")
-                self._m_shed.labels(component=self.component).inc()
-                return overloaded_response(
-                    "dispatcher overloaded", self.shed_retry_after
-                )
-        try:
-            return (yield from self._forward_admitted(request))
-        finally:
-            if limit is not None:
-                with self._lock:
-                    self._inflight -= 1
-
-    def _forward_admitted(self, request: HttpRequest):
         if len(request.body) > self.max_body:
             return self._reject("body_too_large", 413, "request body too large")
         try:
@@ -147,13 +105,6 @@ class RpcCore:
         except (XmlError, SoapError) as exc:
             return self._reject("invalid_soap", 400, f"invalid SOAP request: {exc}")
         trace = extract_trace(envelope)
-        if self.inspector is not None:
-            try:
-                self.inspector(envelope, logical)
-            except AuthError as exc:
-                return self._reject("auth", 401, str(exc))
-            except ReproError as exc:
-                return self._reject("inspector", 403, str(exc))
         try:
             physical = self.registry.resolve(logical)
         except UnknownServiceError as exc:
@@ -202,5 +153,5 @@ class RpcCore:
         return soap_fault_response(Fault(code, text), status=status)
 
     def _retry_later(self, response: HttpResponse) -> HttpResponse:
-        response.headers.set("Retry-After", f"{self.shed_retry_after:g}")
+        response.headers.set("Retry-After", RETRY_AFTER)
         return response

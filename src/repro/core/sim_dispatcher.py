@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError, SoapError, XmlError
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import SLEEP
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore, extract_trace
@@ -31,6 +30,7 @@ from repro.soap import Envelope, Fault, parse_envelope
 from repro.transport.base import Endpoint, parse_http_url
 from repro.core.dispatch import (
     REQUEST,
+    SLEEP,
     DispatchCore,
     DispatcherConfigBase,
     _OutboundItem,
@@ -44,7 +44,6 @@ class SimRpcDispatcher(RpcCore):
     worker slot serving the client connection stays occupied for the whole
     forwarded exchange — the blocking that gives RPC its Table 1 limits."""
 
-    component = "sim_rpcd"
     time_bucket = 0.005
 
     def __init__(
@@ -97,7 +96,6 @@ class SimMsgDispatcherConfig(DispatcherConfigBase):
 class SimMsgDispatcher(DispatchCore):
     """MSG-Dispatcher as a family of simulation processes."""
 
-    component = "sim_msgd"
     time_bucket = 0.005
 
     def __init__(
@@ -129,7 +127,7 @@ class SimMsgDispatcher(DispatchCore):
         Construct the store with ``clock=net.sim.clock`` so TTLs follow
         sim time.
 
-        ``flight`` receives the state-transition events (sheds,
+        ``flight`` receives the state-transition events (drops,
         dead-letters, recoveries, crashes) on the simulation clock, so a
         seeded run dumps a bit-identical flight record."""
         self.net = net
@@ -231,8 +229,6 @@ class SimMsgDispatcher(DispatchCore):
             return soap_fault_response(Fault("Client", str(exc)), status=400)
         t_arrival = self.sim.now
         trace = extract_trace(envelope)
-        if self.overloaded(request.target, trace, t_arrival):
-            return self._refusal("dispatcher overloaded", envelope)
         jseq: int | None = None
         if self.durable is not None:
             jseq = self.journal_inbound(request.target, request.body)
@@ -241,14 +237,11 @@ class SimMsgDispatcher(DispatchCore):
             yield self._accept.put(work)
         elif not self._accept.try_put(work):
             self.refused(jseq, trace, request.target)
-            return self._refusal("dispatcher accept queue full", envelope)
+            return overloaded_response(
+                "dispatcher accept queue full", envelope.version
+            )
         self.admitted(request.target, trace, t_arrival)
         return HttpResponse(status=202)
-
-    def _refusal(self, text: str, envelope: Envelope) -> HttpResponse:
-        return overloaded_response(
-            text, self.config.shed_retry_after, envelope.version
-        )
 
     # -- CxThread processes ---------------------------------------------------
     def _cx_loop(self):

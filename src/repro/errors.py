@@ -171,11 +171,8 @@ class RegistryUnavailable(RegistryError):
 
 
 class OverloadedError(ReproError):
-    """Admission control shed the request; retry after ``retry_after``."""
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
+    """The dispatcher's accept queue is full: the client hears a 503 with
+    ``Retry-After``."""
 
 
 class JournalError(ReproError):

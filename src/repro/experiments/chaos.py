@@ -18,7 +18,7 @@ record spans into their own :class:`ReportingTraceStore` and ship them to
 the dispatcher's aggregating store over the span-report endpoint (so one
 trace id shows the full client → WSD → sink tree), a
 :class:`~repro.obs.flight.FlightRecorder` on the simulated clock captures
-sheds/breaker trips/fault windows and dumps postmortems, and a
+drops/breaker trips/fault windows and dumps postmortems, and a
 :class:`~repro.obs.history.MetricsSnapshotter` samples the registry in
 simulated time and exports ``metrics_history.json``.  Everything runs on
 the seeded simulation clock, so two runs of one grid point produce

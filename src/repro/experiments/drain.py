@@ -10,7 +10,9 @@ backend drain it to a sink?
 :class:`~repro.aio.AioMsgDispatcher` on one loop thread, and
 ``runtime="sharded"`` stands up a whole
 :class:`~repro.shard.ShardSupervisor` fleet (worker subprocesses behind
-one SO_REUSEPORT endpoint).  The sink is the same threaded HTTP server in
+one SO_REUSEPORT endpoint) twice, with one shard and with two, so the
+fleet's number is always read beside the one-shard number it has to
+beat.  The sink is the same threaded HTTP server in
 all cases, so the variable under test is the dispatcher substrate — this
 is the ROADMAP item 3 follow-on wiring ``repro.aio`` (and now
 ``repro.shard``) into ``python -m repro.experiments``.
@@ -60,7 +62,9 @@ def _start_sink(delivered: set, done: threading.Event, expected: int):
     ).start()
 
 
-def _run_point(runtime: str, messages: int, batch_size: int) -> dict:
+def _run_point(
+    runtime: str, messages: int, batch_size: int, shards: int = 2
+) -> dict:
     delivered: set = set()
     done = threading.Event()
     sink = _start_sink(delivered, done, messages)
@@ -86,7 +90,7 @@ def _run_point(runtime: str, messages: int, batch_size: int) -> dict:
 
             supervisor = ShardSupervisor(
                 {"drain-echo": sink.url + "/echo"},
-                SupervisorConfig(shards=2, batch_size=batch_size),
+                SupervisorConfig(shards=shards, batch_size=batch_size),
             ).start()
             stop_fns.append(supervisor.stop)
             feeder = HttpClient(TcpConnector())
@@ -142,7 +146,7 @@ def _run_point(runtime: str, messages: int, batch_size: int) -> dict:
                 pass
         sink.stop()
     return {
-        "runtime": runtime,
+        "runtime": f"{runtime}/{shards}" if runtime == "sharded" else runtime,
         "messages": messages,
         "delivered": len(delivered),
         "elapsed_s": round(elapsed, 4),
@@ -155,7 +159,8 @@ def run(
     messages: int = 400,
     batch_size: int = 8,
 ) -> ExperimentReport:
-    """Drain ``messages`` through the chosen runtime; one row per run."""
+    """Drain ``messages`` through the chosen runtime; one row per run
+    (``sharded``: a 1-shard and a 2-shard fleet, one row each)."""
     if runtime not in RUNTIMES:
         raise ValueError(f"runtime must be one of {RUNTIMES}, not {runtime!r}")
     report = ExperimentReport(
@@ -165,14 +170,22 @@ def run(
             "variable is the dispatcher runtime"
         ),
     )
-    point = _run_point(runtime, messages, batch_size)
-    report.extras[runtime] = point
+    if runtime == "sharded":
+        points = [
+            _run_point(runtime, messages, batch_size, shards) for shards in (1, 2)
+        ]
+    else:
+        points = [_run_point(runtime, messages, batch_size)]
     lines = [
         "# backlog drain [one-way msgs to delivery at the sink]",
         "runtime\tmessages\tdelivered\telapsed_s\tmsgs_per_s",
-        f"{point['runtime']}\t{point['messages']}\t{point['delivered']}\t"
-        f"{point['elapsed_s']}\t{point['msgs_per_s']}",
     ]
+    for point in points:
+        report.extras[point["runtime"]] = point
+        lines.append(
+            f"{point['runtime']}\t{point['messages']}\t{point['delivered']}\t"
+            f"{point['elapsed_s']}\t{point['msgs_per_s']}"
+        )
     report.tables = ["\n".join(lines)]
     report.notes.append(
         f"batch_size={batch_size}, pipelined bursts on; sink is the "

@@ -7,10 +7,9 @@ of this module is the client's.
 The paper's WsThread "holds an open connection for a predefined time with
 a specified WS" and drains its queue over it (§4, Fig 3).  Everything a
 client *decides* while doing that lives here — the per-endpoint pool, the
-single exchange, stale-retry-once, the 503 ``Retry-After`` sleep-out, the
-pipelined burst, the counters — and nothing here touches a socket, a loop
-or a clock it was not handed.  Every method whose docstring starts with
-*Steps:* is a generator that yields the four blocking effects as
+single exchange, stale-retry-once, the pipelined burst, the counters —
+and nothing here touches a socket, a loop or a clock it was not handed.  Every method whose docstring starts with
+*Steps:* is a generator that yields the three blocking effects as
 ``(op, connection, argument)`` and is sent the result, or thrown the
 :mod:`repro.errors` exception:
 
@@ -18,7 +17,6 @@ or a clock it was not handed.  Every method whose docstring starts with
 ``CONNECT, None, key``    open a connection to the pool key → connection
 ``SEND, conn, data``      write all of ``data``
 ``RECV, conn, timeout``   read some bytes (``b""`` = the peer closed)
-``SLEEP, None, seconds``  wait
 ========================  ============================================
 
 A runtime is a trampoline that performs them — a blocking call on ``rt``,
@@ -63,7 +61,7 @@ from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.transport.base import Endpoint, parse_http_url
 
-CONNECT, SEND, RECV, SLEEP = "connect", "send", "recv", "sleep"
+CONNECT, SEND, RECV = "connect", "send", "recv"
 
 #: what a socket driver asks for per read, client or server
 RECV_CHUNK = 64 * 1024
@@ -161,17 +159,10 @@ class ClientSession:
         response_timeout: float,
         pool_size: int,
         user_agent: str = "",
-        overload_retries: int = 0,
-        retry_after_cap: float = 30.0,
     ) -> None:
         self.response_timeout = response_timeout
         self.pool_size = pool_size
         self._user_agent = user_agent
-        #: how many times a request is re-sent after a 503 that names a
-        #: ``Retry-After`` delay (0 = return the 503 to the caller)
-        self.overload_retries = overload_retries
-        #: never sleep longer than this per 503, whatever the server asks
-        self.retry_after_cap = retry_after_cap
         self._clock = clock
         self._pools: dict[Hashable, list] = {}
         # Uncontended on aio and simnet, where every pool access happens
@@ -200,10 +191,6 @@ class ClientSession:
         self._m_pipeline_replayed = registry.counter(
             f"{family}_pipeline_replayed_total",
             "pipelined requests replayed serially after a cut-short burst",
-        )
-        self._m_overload_waits = registry.counter(
-            f"{family}_overload_waits_total",
-            "503 responses the client slept out per the server's Retry-After",
         )
 
     # -- connection pool -------------------------------------------------
@@ -265,34 +252,11 @@ class ClientSession:
         if "User-Agent" not in request.headers:
             request.headers.set("User-Agent", self._user_agent)
 
-    @staticmethod
-    def _retry_after_of(response: HttpResponse) -> float | None:
-        """Parse a delay-seconds ``Retry-After`` header (None if absent,
-        unparsable, or negative; HTTP-date form is not supported)."""
-        raw = response.headers.get("Retry-After")
-        if raw is None:
-            return None
-        try:
-            delay = float(raw.strip())
-        except ValueError:
-            return None
-        return delay if delay >= 0 else None
-
     def _request(self, url: str, request: HttpRequest):
-        """Steps: prepare ``request`` for ``url``, exchange it, and sleep
-        out up to ``overload_retries`` 503s that name a ``Retry-After``."""
-        endpoint = self.prepare(url, request)
-        response = yield from self._request_prepared(endpoint, request)
-        for _ in range(self.overload_retries):
-            if response.status != 503:
-                break
-            delay = self._retry_after_of(response)
-            if delay is None:
-                break
-            self._m_overload_waits.inc()
-            yield SLEEP, None, min(delay, self.retry_after_cap)
-            response = yield from self._request_prepared(endpoint, request)
-        return response
+        """Steps: prepare ``request`` for ``url`` and exchange it.  A 503
+        is the caller's answer like any other: never slept out, never
+        re-sent."""
+        return self._request_prepared(self.prepare(url, request), request)
 
     def _request_prepared(self, key: Hashable, request: HttpRequest):
         """Steps: one exchange on a pooled or fresh connection to ``key``."""

@@ -107,10 +107,10 @@ class Introspection:
         self._health_sources: dict[str, Callable[[], dict]] = {}
         self._deadletter_sources: dict[str, Callable[[], dict]] = {}
 
-    # -- breaker / overload health ----------------------------------------
+    # -- breaker / queue health -------------------------------------------
     def add_health_source(self, name: str, fetch: Callable[[], dict]) -> None:
         """Register a health feed (e.g. a dispatcher's
-        ``health_snapshot`` bound method): breaker states, shed counts,
+        ``health_snapshot`` bound method): breaker states, backlog,
         hold-store stats.  Rendered as a ``health`` section of the JSON
         snapshot and a ``GET /health`` endpoint."""
         with self._lock:

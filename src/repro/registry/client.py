@@ -39,7 +39,7 @@ from repro.errors import (
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.reliable.breaker import BreakerConfig, BreakerRegistry
-from repro.reliable.policy import ExponentialBackoff, RetryPolicy
+from repro.reliable.policy import ExponentialBackoff
 from repro.util.clock import Clock, MonotonicClock
 
 
@@ -63,11 +63,8 @@ class ReplicatedRegistryClient:
         replicas: "dict[str, object] | Iterable[tuple[str, object]]",
         seed: int | None = None,
         cache_ttl: float = 5.0,
-        breaker_config: BreakerConfig | None = None,
-        retry: RetryPolicy | None = None,
         max_passes: int = 3,
         clock: Clock | None = None,
-        selector: Callable[[ServiceRecord], str] | None = None,
         metrics: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
     ) -> None:
@@ -79,19 +76,17 @@ class ReplicatedRegistryClient:
         self.max_passes = max_passes
         self.clock = clock or MonotonicClock()
         self.metrics = metrics if metrics is not None else default_registry()
-        self._selector = selector or (lambda record: record.physical[0])
         #: fixed per-client preference order: a seeded shuffle spreads
         #: load across replicas fleet-wide while keeping each client's
         #: sweep (and therefore each seeded run) deterministic
         self._order = sorted(self._replicas)
         random.Random(seed).shuffle(self._order)
-        self.retry = retry if retry is not None else ExponentialBackoff(
+        self.retry = ExponentialBackoff(
             max_attempts=max_passes, base=0.02, max_delay=1.0,
             jitter=True, seed=seed,
         )
         self.breakers = BreakerRegistry(
-            config=breaker_config
-            or BreakerConfig(consecutive_failures=2, open_for=1.0),
+            config=BreakerConfig(consecutive_failures=2, open_for=1.0),
             clock=self.clock, metrics=self.metrics, flight=flight,
         )
         self._m_failover = self.metrics.counter(
@@ -109,8 +104,7 @@ class ReplicatedRegistryClient:
         return self._cache.get(logical)
 
     def resolve(self, logical: str) -> str:
-        record = self.lookup(logical)
-        return self._selector(record)
+        return self.lookup(logical).physical[0]
 
     def peek(self, logical: str) -> bool:
         """True when :meth:`lookup` would answer from the cache: no sweep,

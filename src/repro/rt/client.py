@@ -26,7 +26,6 @@ from collections.abc import Iterable, Sequence
 from repro.errors import ReproError, SoapError, XmlError
 from repro.http import HttpRequest, HttpResponse
 from repro.http.session import (
-    CONNECT,
     RECV,
     RECV_CHUNK,
     SEND,
@@ -42,20 +41,20 @@ from repro.transport.base import Connector, parse_http_url
 class HttpClient(ClientSession):
     """Blocking HTTP client with per-endpoint connection reuse."""
 
+    #: the ``User-Agent`` of every request that does not name its own
+    user_agent = "repro-client/1.0"
+
     def __init__(
         self,
         connector: Connector,
         connect_timeout: float = 5.0,
         response_timeout: float = 30.0,
         pool_per_endpoint: int = 4,
-        user_agent: str = "repro-client/1.0",
         metrics: MetricsRegistry | None = None,
-        overload_retries: int = 0,
-        retry_after_cap: float = 30.0,
     ) -> None:
         super().__init__(
             metrics, "rt_client", "client", time.monotonic, response_timeout,
-            pool_per_endpoint, user_agent, overload_retries, retry_after_cap,
+            pool_per_endpoint, self.user_agent,
         )
         self._connector = connector
         self.connect_timeout = connect_timeout
@@ -77,10 +76,8 @@ class HttpClient(ClientSession):
                         result = stream.recv(RECV_CHUNK, timeout=arg)
                     elif op is SEND:
                         result = stream.send(arg)
-                    elif op is CONNECT:
-                        result = self._connector.connect(arg, timeout=self.connect_timeout)
                     else:
-                        result = time.sleep(arg)
+                        result = self._connector.connect(arg, timeout=self.connect_timeout)
                 except BaseException as exc:
                     op, stream, arg = steps.throw(exc)
                 else:
@@ -95,10 +92,8 @@ class HttpClient(ClientSession):
         """Send one request to ``url``'s endpoint and read the response.
 
         The request's ``target`` is overwritten with the URL's path.
-        Retries exactly once on a stale pooled connection.  With
-        ``overload_retries > 0`` a 503 carrying ``Retry-After`` is slept
-        out (capped at ``retry_after_cap``) and the request re-sent, up to
-        that many times; the final response is returned either way.
+        Retries exactly once on a stale pooled connection; a 503 is
+        returned like any other response.
         """
         return self._run(self._request(url, request))
 

@@ -72,14 +72,18 @@ def soap_fault_response(
     return soap_response(envelope, status=status)
 
 
+#: the ``Retry-After`` (seconds) of every 503 a dispatcher answers
+RETRY_AFTER = "1"
+
+
 def overloaded_response(
-    text: str, retry_after: float, version: SoapVersion = SoapVersion.V11
+    text: str, version: SoapVersion = SoapVersion.V11
 ) -> HttpResponse:
-    """Admission control refused the request: the client should back off
+    """A full accept queue refused the request: the client should back off
     and retry, so the fault rides a 503 with ``Retry-After`` rather than a
     hard 500.  Every runtime's dispatcher answers a refusal with this."""
     response = soap_fault_response(Fault("Server", text), status=503, version=version)
-    response.headers.set("Retry-After", f"{retry_after:g}")
+    response.headers.set("Retry-After", RETRY_AFTER)
     return response
 
 
@@ -91,11 +95,7 @@ class SoapHttpApp:
     browsable Yellow-Pages listing).
     """
 
-    def __init__(
-        self,
-        server_header: str = "repro-wsd/1.0",
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         """Envelopes are parsed with the zero-copy scanner
         (:func:`repro.soap.parse_envelope`): headers become Elements,
         the Body stays an unparsed byte slice until a service actually
@@ -107,7 +107,6 @@ class SoapHttpApp:
         #: objects with a ``hosted_on(app)`` method told of every mount
         #: though not mounted themselves (a simulated Host)
         self.watchers: list = []
-        self._server_header = server_header
         registry = metrics if metrics is not None else default_registry()
         self._m_fastpath = fastpath_counter(registry)
 
@@ -233,7 +232,7 @@ class SoapHttpApp:
     ) -> HttpResponse:
         """The service fault barrier, shared by sync and async paths."""
         if isinstance(exc, OverloadedError):
-            return overloaded_response(str(exc), exc.retry_after, version)
+            return overloaded_response(str(exc), version)
         if isinstance(exc, ReproError):
             return soap_fault_response(
                 Fault("Server", str(exc)), status=500, version=version

@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.errors import HttpParseError, TransportError
 from repro.http import HttpRequest
-from repro.http.session import CONNECT, RECV, SEND, ClientSession, ServerSession, exchange
+from repro.http.session import RECV, SEND, ClientSession, ServerSession, exchange
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource
@@ -154,8 +154,8 @@ class SimHttpServer:
 def _run(steps, pool: "SimHttpClientPool | None" = None):
     """Process step: perform the session's effects on the simulated wire;
     whatever a step raises — ``SimInterrupt`` included — is the session's
-    to handle or pass on.  ``pool`` is who connects and whose clock
-    sleeps; a bare :func:`~repro.http.session.exchange` needs neither."""
+    to handle or pass on.  ``pool`` is who connects; a bare
+    :func:`~repro.http.session.exchange` needs none."""
     try:
         op, conn, arg = next(steps)
         while True:
@@ -164,13 +164,11 @@ def _run(steps, pool: "SimHttpClientPool | None" = None):
                     result = yield from conn.recv(timeout=arg)
                 elif op is SEND:
                     result = yield from conn.send(arg)
-                elif op is CONNECT:
+                else:
                     result = yield from connect(
                         pool.net, pool.host, *arg,
                         TcpParams(connect_timeout=pool.connect_timeout),
                     )
-                else:
-                    result = yield pool.net.sim.timeout(arg)
             except BaseException as exc:
                 op, conn, arg = steps.throw(exc)
             else:

@@ -15,7 +15,7 @@ header API (``headers``, ``find_header``, ``find_headers``,
 ``repro.wsa.rules.rewrite_for_forwarding`` and the tracing helpers work
 on either without knowing which they hold.  ``.body`` parses the Body
 slice on first access — touching it forfeits the savings for this
-message but keeps inspectors and services working unmodified.
+message but keeps services working unmodified.
 
 Anything the scanner cannot prove safe raises
 :class:`~repro.errors.FastPathUnsupported`; :func:`parse_envelope` is the

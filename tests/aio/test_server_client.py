@@ -69,28 +69,6 @@ def test_awaitable_handler_is_awaited():
     asyncio.run(main())
 
 
-def test_503_retry_after_sleep_out():
-    calls = []
-
-    def handler(request, peer):
-        calls.append(1)
-        if len(calls) == 1:
-            headers = Headers()
-            headers.set("Retry-After", "0.05")
-            return HttpResponse(status=503, headers=headers, body=b"busy")
-        return HttpResponse(status=200, body=b"ok")
-
-    async def main():
-        async with AioHttpServer(handler) as srv:
-            client = AioHttpClient(overload_retries=1)
-            response = await client.request(srv.url, post())
-            assert response.status == 200
-            assert len(calls) == 2
-            client.close()
-
-    asyncio.run(main())
-
-
 def test_stale_pooled_connection_retried_once():
     async def main():
         async with AioHttpServer(ok_handler, keep_alive_timeout=0.1) as srv:

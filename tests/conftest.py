@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import settings
 
@@ -23,6 +25,21 @@ from repro.wsa import AddressingHeaders
 settings.register_profile("tier1", derandomize=True)
 settings.register_profile("fuzz", derandomize=False)
 settings.load_profile("tier1")
+
+
+# -- waiting on other threads -----------------------------------------------
+
+
+def wait_for(predicate, timeout: float = 5.0) -> bool:
+    """Poll ``predicate`` on the wall clock until it holds (True) or
+    ``timeout`` seconds have passed (False): for state that another
+    thread or process moves."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
 
 
 @pytest.fixture

@@ -33,8 +33,7 @@ from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message
 from repro.wsa import AddressingHeaders, EndpointReference
-from tests.conftest import epr_shape
-from tests.core.test_dispatcher_robustness import wait_for
+from tests.conftest import epr_shape, wait_for
 
 WSD = "http://wsd:8000"
 OWN = WSD + "/msg"

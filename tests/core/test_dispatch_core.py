@@ -23,13 +23,12 @@ from hypothesis import strategies as st
 import repro.core.dispatch as dispatch
 import repro.core.rpc as rpc
 import repro.http.session as session
-from repro.core.dispatch import PIPELINE, REQUEST, WAIT, DispatchCore, _OutboundItem
+from repro.core.dispatch import PIPELINE, REQUEST, SLEEP, WAIT, DispatchCore, _OutboundItem
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
-from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
+from repro.core.sim_dispatcher import SimMsgDispatcher
 from repro.errors import ConnectionRefused
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import SLEEP
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
@@ -175,8 +174,8 @@ def test_the_client_core_imports_no_substrate_and_performs_no_effect():
 
 def test_the_client_contract_is_written_once():
     """Each rule of the pipelining client has one home; the three wires
-    hold no response parser, no timeout rule, no check-in test, no
-    ``Retry-After`` parse and no loop over a batch of requests."""
+    hold no response parser, no timeout rule, no check-in test and no
+    loop over a batch of requests."""
     src = pathlib.Path(dispatch.__file__).resolve().parents[1]
     httpsim = (src / "simnet/httpsim.py").read_text(encoding="utf-8")
     wires = {
@@ -188,8 +187,7 @@ def test_the_client_contract_is_written_once():
     core_text = pathlib.Path(session.__file__).read_text(encoding="utf-8")
     # the client half: everything before the server session
     core_text = core_text[:core_text.index("class ServerSession")]
-    for marker in ("ResponseParser(", "except ConnectionTimeout", ".keep_alive",
-                   'get("Retry-After")'):
+    for marker in ("ResponseParser(", "except ConnectionTimeout", ".keep_alive"):
         assert core_text.count(marker) == 1, marker
         for path, text in wires.items():
             assert marker not in text, f"{path}: {marker}"
@@ -277,7 +275,7 @@ def test_the_three_runtimes_expose_the_same_metric_families():
     assert client_families == suffixes(lambda m: AioHttpClient(metrics=m), "aio_client_")
     assert client_families == {
         "requests_total", "request_seconds", "conn_reuse_total",
-        "pipeline_bursts_total", "pipeline_replayed_total", "overload_waits_total",
+        "pipeline_bursts_total", "pipeline_replayed_total",
     }
 
 
@@ -299,25 +297,6 @@ def test_every_dispatcher_family_is_registered_once_by_the_core():
     for name in names - {"msgd_stage_seconds"}:  # named in repro.obs.slo
         assert core_text.count(f'"{name}"') == 1, name
         assert f'"{name}"' not in drivers, name
-
-
-def test_the_shed_label_is_the_drivers():
-    core = Core(max_inflight=0)
-    assert core.overloaded("/msg/echo", None, 0.0)
-    assert 'dispatcher_shed_total{component="msgd"} 1' in (
-        core.metrics_registry.render_prometheus()
-    )
-    net = Network(Simulator())
-    host = net.add_host("wsd", AccessLink(5000, 5000, 0.005))
-    metrics = MetricsRegistry()
-    sim = SimMsgDispatcher(
-        net, host, ServiceRegistry(), OWN, metrics=metrics,
-        config=SimMsgDispatcherConfig(max_inflight=0),
-    )
-    assert sim.overloaded("/msg/echo", None, 0.0)
-    assert 'dispatcher_shed_total{component="sim_msgd"} 1' in (
-        metrics.render_prometheus()
-    )
 
 
 # -- (c) queue-wait is observed once, before the breaker gate ------------------

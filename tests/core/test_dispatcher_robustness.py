@@ -1,33 +1,30 @@
-"""Breakers, hold-store parking, and overload shedding — the same
-semantic matrix asserted against the threaded and asyncio dispatchers
-via the ``dispatcher_backend`` fixture, and the hold-redelivery cases on
-the simulator as well."""
+"""Breakers and hold-store parking — the same semantic matrix asserted
+against the threaded and asyncio dispatchers via the ``dispatcher_backend``
+fixture, and the hold-redelivery cases on the simulator as well."""
 
 import threading
-import time
 
 import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
-from repro.core.rpc_dispatcher import RpcDispatcher
 from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
 from repro.errors import TransportError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpResponse
 from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore, ensure_trace
 from repro.reliable import BreakerConfig, FixedDelay, HoldRetryStore
-from repro.rt.service import RequestContext, SoapHttpApp
+from repro.rt.service import RequestContext
 from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
 from repro.soap import parse_envelope
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.store.journal import MessageJournal
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
+from tests.conftest import wait_for
 
 
 class FakeClient:
@@ -50,15 +47,6 @@ class FakeClient:
         pass
 
 
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
-
-
 def make_dispatcher(
     backend, client, metrics, hold_store=None, breaker=None, registry=None,
     **kwargs
@@ -68,7 +56,7 @@ def make_dispatcher(
         registry.register("echo", "http://dead:9000/echo")
     config_kw = {
         k: kwargs.pop(k)
-        for k in ("max_inflight", "dedupe_window", "hold_pump_interval")
+        for k in ("dedupe_window", "hold_pump_interval")
         if k in kwargs
     }
     config = MsgDispatcherConfig(
@@ -511,48 +499,3 @@ def test_registry_outage_without_hold_store_dead_letters(dispatcher_backend):
         assert client.calls == 0
     finally:
         dispatcher.stop()
-
-
-def test_msg_dispatcher_shed_maps_to_503_with_retry_after(dispatcher_backend):
-    metrics = MetricsRegistry()
-    dispatcher = make_dispatcher(
-        dispatcher_backend, FakeClient(), metrics, max_inflight=0
-    )
-    app = SoapHttpApp()
-    app.mount("/msg", dispatcher)
-    try:
-        env = make_echo_message(to="urn:wsd:echo", message_id="uuid:shed-1")
-        headers = Headers()
-        headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-        request = HttpRequest("POST", "/msg/echo", headers=headers,
-                              body=env.to_bytes())
-        response = app.handle_request(request, None)
-        assert response.status == 503
-        assert response.headers.get("Retry-After") == "1"
-        assert b"overloaded" in response.body
-        assert dispatcher.stats.get("shed_overload") == 1
-        assert (
-            'dispatcher_shed_total{component="msgd"} 1'
-            in metrics.render_prometheus()
-        )
-        assert dispatcher.health_snapshot()["shed"] == 1
-    finally:
-        dispatcher.stop()
-
-
-def test_rpc_dispatcher_shed_maps_to_503_with_retry_after():
-    metrics = MetricsRegistry()
-    dispatcher = RpcDispatcher(
-        ServiceRegistry(), FakeClient(), metrics=metrics,
-        traces=TraceStore(enabled=False), max_inflight=0,
-        shed_retry_after=2.5,
-    )
-    request = HttpRequest("POST", "/rpc/echo", body=b"<x/>")
-    response = dispatcher.handle_request(request)
-    assert response.status == 503
-    assert response.headers.get("Retry-After") == "2.5"
-    assert dispatcher.stats["shed"] == 1
-    assert (
-        'dispatcher_shed_total{component="rpcd"} 1'
-        in metrics.render_prometheus()
-    )

@@ -2,7 +2,6 @@
 back to a full DOM parse, and an envelope the scanner refuses must be
 delivered identically through the DOM slow path on every hosting."""
 
-import time
 
 import pytest
 
@@ -34,17 +33,8 @@ from repro.workload.echo import (
     make_echo_request,
 )
 from repro.wsa import AddressingHeaders
-from tests.conftest import DispatcherBackend, RecordingEcho, epr_shape
+from tests.conftest import DispatcherBackend, RecordingEcho, epr_shape, wait_for
 from tests.core.test_sim_dispatcher import soap_post
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 def fastpath_outcomes(registry) -> dict[str, float]:

@@ -21,7 +21,7 @@ from repro.soap import Fault, parse_envelope, parse_rpc_response
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message
 from repro.wsa import EndpointReference
-from tests.conftest import RecordingEcho, epr_shape
+from tests.conftest import RecordingEcho, epr_shape, wait_for
 from tests.core.test_dispatcher_robustness import FakeClient
 
 #: a second WS-MsgBox, on an origin of its own: replies to it are relayed
@@ -65,15 +65,6 @@ def world(inproc):
     remote.stop()
     client.close()
     ws_client.close()
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 def test_one_way_message_forwarded(world):
@@ -220,13 +211,11 @@ def refusal(response) -> tuple:
     "dispatcher_backend", ["rt", "aio", "sim"], indirect=True
 )
 def test_rejects_when_accept_queue_full(dispatcher_backend):
-    """A full accept queue and an overload shed are the same refusal on
-    every runtime: a SOAP Fault in a 503 that says when to come back."""
+    """A full accept queue is the same refusal on every runtime: a SOAP
+    Fault in a 503 that says when to come back."""
     first, second = answer_back_to_back(dispatcher_backend, 2, accept_queue=1)
     assert first.status == 202
     assert refusal(second) == (503, "1", "Server", "dispatcher accept queue full")
-    [shed] = answer_back_to_back(dispatcher_backend, 1, max_inflight=0)
-    assert refusal(shed) == (503, "1", "Server", "dispatcher overloaded")
 
 
 def test_inband_rpc_response_translated(world, inproc):

@@ -10,7 +10,6 @@ parenting the items' ``deliver`` spans.
 
 import asyncio
 import threading
-import time
 
 import pytest
 
@@ -32,15 +31,7 @@ from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
 from repro.rt.service import RequestContext, SoapHttpApp
 from repro.transport.tcp import TcpConnector, TcpListener
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
+from tests.conftest import wait_for
 
 
 @pytest.fixture

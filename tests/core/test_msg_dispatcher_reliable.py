@@ -1,6 +1,5 @@
 """Tests for the MSG-Dispatcher + HoldRetryStore integration (WS-RM mode)."""
 
-import time
 
 import pytest
 
@@ -14,15 +13,7 @@ from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
-
-
-def wait_for(predicate, timeout=8.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.05)
-    return False
+from tests.conftest import wait_for
 
 
 def test_held_message_delivered_after_service_comes_up(inproc):
@@ -63,7 +54,7 @@ def test_held_message_delivered_after_service_comes_up(inproc):
     # delivery fails (nothing listening); the message must be held — and
     # each failed redelivery (through the destination queue, the store's
     # own ``deliver`` unused) parks it again, so count at least one
-    assert wait_for(lambda: dispatcher.stats.get("held_for_retry", 0) >= 1)
+    assert wait_for(lambda: dispatcher.stats.get("held_for_retry", 0) >= 1, timeout=8.0)
     assert hold_store.pending() == 1
 
     # now the service appears — the pump should deliver the held message
@@ -73,7 +64,7 @@ def test_held_message_delivered_after_service_comes_up(inproc):
     ws_app.mount("/echo", echo)
     ws = HttpServer(inproc.listen("late:9500"), ws_app.handle_request).start()
 
-    assert wait_for(lambda: echo.received == 1)
+    assert wait_for(lambda: echo.received == 1, timeout=8.0)
     assert hold_store.pending() == 0
     assert hold_store.stats["delivered"] == 1
 
@@ -99,6 +90,6 @@ def test_without_hold_store_failures_are_final(inproc):
     from repro.rt.service import RequestContext
 
     dispatcher.handle(msg, RequestContext(path="/msg/void"))
-    assert wait_for(lambda: dispatcher.stats.get("delivery_failures", 0) == 1)
+    assert wait_for(lambda: dispatcher.stats.get("delivery_failures", 0) == 1, timeout=8.0)
     assert dispatcher.stats.get("held_for_retry", 0) == 0
     dispatcher.stop()

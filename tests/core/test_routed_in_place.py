@@ -5,8 +5,8 @@ pool takes the rest.  Three properties, held by events and never by
 timing: nothing overtakes an older admission still in the pool; no
 registry call that can sleep runs on a thread that owes a 202; an aio
 admission from off the loop never touches loop-bound state.  And what an
-admission *means* — shedding, journal-before-ack, the 202 in front of
-every drop — is what it was.
+admission *means* — journal-before-ack, the 202 in front of every drop —
+is what it was.
 
 ``backend.call(fn)`` runs ``fn`` on the thread a connection's handler runs
 on: the test's own for rt, the loop's for aio.
@@ -19,18 +19,16 @@ import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
-from repro.errors import OverloadedError, ReproError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.errors import ReproError
+from repro.http import HttpResponse
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.rt.service import RequestContext, SoapHttpApp
+from repro.rt.service import RequestContext
 from repro.soap import parse_envelope
-from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.store import DEAD, MessageJournal
 from repro.workload.echo import make_echo_message
 from repro.wsa import AddressingHeaders
-from tests.conftest import DispatcherBackend
-from tests.core.test_dispatcher_robustness import wait_for
+from tests.conftest import DispatcherBackend, wait_for
 
 CTX = RequestContext(path="/msg/echo")
 #: how long a message that *could* overtake is given to do so before the
@@ -66,19 +64,38 @@ class Sink:
         pass
 
 
-class Parking:
-    """An inspector that parks one message until released, and records
-    every thread it is called on."""
+class Resolving:
+    """A registry whose lookup cache always answers (so any thread may
+    route), and whose ``resolve`` — the step of the routing pass that
+    maps the name — records the thread it runs on and then calls
+    ``on_resolve(n)``, ``n`` counting the calls from 1."""
 
-    def __init__(self, park: str):
+    def __init__(self, on_resolve=None):
+        self.on_resolve = on_resolve
+        self.threads: list[int] = []
+
+    def peek(self, logical):
+        return True
+
+    def resolve(self, logical):
+        self.threads.append(threading.get_ident())
+        if self.on_resolve is not None:
+            self.on_resolve(len(self.threads))
+        return "http://ws:9000/echo"
+
+
+class Parking(Resolving):
+    """Parks the routing pass of the ``park``-th message to be resolved
+    (0: none) until released."""
+
+    def __init__(self, park: int):
+        super().__init__(self._maybe_park)
         self.park = park
         self.parked = threading.Event()
         self.release = threading.Event()
-        self.threads: list[int] = []
 
-    def __call__(self, envelope, logical):
-        self.threads.append(threading.get_ident())
-        if message_id_of(envelope) == self.park:
+    def _maybe_park(self, n):
+        if n == self.park:
             self.parked.set()
             assert self.release.wait(10), "never released"
 
@@ -95,7 +112,7 @@ def warm_registry():
 def make(backend, sink, registry=None, then=None, **kwargs):
     config_kw = {
         k: kwargs.pop(k)
-        for k in ("cx_threads", "ws_threads", "max_inflight") if k in kwargs
+        for k in ("cx_threads", "ws_threads") if k in kwargs
     }
     config_kw.setdefault("cx_threads", 1)
     config_kw.setdefault("ws_threads", 2)
@@ -124,10 +141,10 @@ def routed(dispatcher) -> tuple[int, int]:
 def test_two_messages_of_one_connection_arrive_in_admission_order(dispatcher_backend):
     """A connection's worker admits strictly one after the other.  With a
     pool in between, a second CxThread could take the second message while
-    the first was still with the inspector — and the destination FIFO saw
+    the first was still being resolved — and the destination FIFO saw
     them swapped."""
-    sink, inspector = Sink(), Parking("uuid:first")
-    dispatcher = make(dispatcher_backend, sink, inspector=inspector, cx_threads=4)
+    sink, registry = Sink(), Parking(1)
+    dispatcher = make(dispatcher_backend, sink, registry=registry, cx_threads=4)
 
     def connection():
         dispatcher.handle(echo("uuid:first"), CTX)
@@ -136,9 +153,9 @@ def test_two_messages_of_one_connection_arrive_in_admission_order(dispatcher_bac
     worker = threading.Thread(target=dispatcher_backend.call, args=(connection,))
     try:
         worker.start()
-        assert inspector.parked.wait(5)
+        assert registry.parked.wait(5)
         overtook = wait_for(lambda: "uuid:second" in sink.arrived, timeout=GRACE)
-        inspector.release.set()
+        registry.release.set()
         worker.join(5)
         assert not worker.is_alive()
         assert wait_for(lambda: len(sink.arrived) == 2)
@@ -146,7 +163,7 @@ def test_two_messages_of_one_connection_arrive_in_admission_order(dispatcher_bac
         assert sink.arrived == ["uuid:first", "uuid:second"]
         assert routed(dispatcher) == (2, 0)
     finally:
-        inspector.release.set()
+        registry.release.set()
         dispatcher.stop()
 
 
@@ -158,7 +175,7 @@ def test_an_admission_waits_behind_a_replay_still_in_the_pool(dispatcher_backend
     for mid in ("uuid:replay-1", "uuid:replay-2"):
         journal.append(mid, "/msg/echo", echo(mid).to_bytes(), kind="inbound")
     aio = dispatcher_backend.kind == "aio"
-    sink, inspector = Sink(), Parking("nothing" if aio else "uuid:replay-1")
+    sink, registry = Sink(), Parking(0 if aio else 1)
 
     def admit_late(dispatcher):
         dispatcher.handle(echo("uuid:late"), CTX)
@@ -169,15 +186,15 @@ def test_an_admission_waits_behind_a_replay_still_in_the_pool(dispatcher_backend
     # admitted once the one CxThread holds the first replay, parked, with
     # the second queued behind it.
     dispatcher = make(
-        dispatcher_backend, sink, inspector=inspector, durable=journal,
+        dispatcher_backend, sink, registry=registry, durable=journal,
         then=admit_late if aio else None,
     )
     try:
         if not aio:
-            assert inspector.parked.wait(5)
+            assert registry.parked.wait(5)
             admit_late(dispatcher)  # returns: it queued, it did not park
             assert not wait_for(lambda: "uuid:late" in sink.arrived, timeout=GRACE)
-            inspector.release.set()
+            registry.release.set()
         assert wait_for(lambda: len(sink.arrived) == 3)
         assert sink.arrived == ["uuid:replay-1", "uuid:replay-2", "uuid:late"]
         assert routed(dispatcher) == (0, 3)
@@ -186,7 +203,7 @@ def test_an_admission_waits_behind_a_replay_still_in_the_pool(dispatcher_backend
         dispatcher_backend.call(lambda: dispatcher.handle(echo("uuid:next"), CTX))
         assert routed(dispatcher) == (1, 3)
     finally:
-        inspector.release.set()
+        registry.release.set()
         dispatcher.stop(drain=True)
         journal.close()
 
@@ -337,17 +354,17 @@ def count_threadsafe_calls(loop) -> list[int]:
 
 
 def test_an_admission_from_a_foreign_thread_takes_the_queue(aio_backend):
-    sink, inspector = Sink(), Parking(park="nothing")
+    sink, registry = Sink(), Resolving()
     loop_thread = aio_backend.call(threading.get_ident)
     callers = count_threadsafe_calls(aio_backend.loop_thread.loop)
-    dispatcher = make(aio_backend, sink, inspector=inspector)
+    dispatcher = make(aio_backend, sink, registry=registry)
     try:
         callers.clear()
         dispatcher.handle(echo("uuid:foreign"), CTX)  # this thread is not the loop's
         assert wait_for(lambda: sink.arrived == ["uuid:foreign"])
         assert routed(dispatcher) == (0, 1)
         # routed, enqueued and sent by the loop; woken through its self-pipe
-        assert inspector.threads == sink.threads == [loop_thread]
+        assert registry.threads == sink.threads == [loop_thread]
         assert callers == [threading.get_ident()]
     finally:
         dispatcher.stop()
@@ -374,49 +391,22 @@ def test_an_admission_on_the_loop_wakes_nothing_through_the_self_pipe(aio_backen
 
 # -- (4) what an admission means is what it was ----------------------------------------
 
-def post(body: bytes) -> HttpRequest:
-    headers = Headers()
-    headers.set("Content-Type", SOAP11_CONTENT_TYPE)
-    return HttpRequest("POST", "/msg/echo", headers=headers, body=body)
-
-
-def test_overload_still_sheds_with_503_and_retry_after(dispatcher_backend):
-    # no WsThread at all: what is routed stays on its destination queue
-    sink = Sink()
-    dispatcher = make(dispatcher_backend, sink, ws_threads=0, max_inflight=2)
-    app = SoapHttpApp()
-    app.mount("/msg", dispatcher)
-    try:
-        statuses = [
-            dispatcher_backend.call(
-                lambda i=i: app.handle_request(post(echo(f"uuid:{i}").to_bytes()))
-            )
-            for i in range(3)
-        ]
-        assert [r.status for r in statuses] == [202, 202, 503]
-        assert statuses[2].headers.get("Retry-After") == "1"
-        assert routed(dispatcher) == (2, 0) and dispatcher.backlog() == 2
-        assert dispatcher.health_snapshot()["shed"] == 1
-        with pytest.raises(OverloadedError):
-            dispatcher_backend.call(lambda: dispatcher.handle(echo("uuid:3"), CTX))
-    finally:
-        dispatcher.stop()
-
-
 def test_the_journal_record_precedes_the_routing_pass_and_the_ack(dispatcher_backend):
     journal = MessageJournal(sync="lazy", flush_threshold=1)
     sink = Sink()
-    seen_by_inspector = []
+    seen_by_the_pass = []
 
-    def inspector(envelope, logical):
+    def look(n):
         record = journal.get(1)
-        seen_by_inspector.append((record.kind, record.state, record.target))
+        seen_by_the_pass.append((record.kind, record.state, record.target))
 
-    dispatcher = make(dispatcher_backend, sink, inspector=inspector, durable=journal)
+    dispatcher = make(
+        dispatcher_backend, sink, registry=Resolving(look), durable=journal
+    )
     try:
         dispatcher_backend.call(lambda: dispatcher.handle(echo("uuid:j"), CTX))
         # routed in place, so the pass has run by now — after the append
-        assert seen_by_inspector == [("inbound", "enqueued", "/msg/echo")]
+        assert seen_by_the_pass == [("inbound", "enqueued", "/msg/echo")]
         assert routed(dispatcher) == (1, 0)
         assert wait_for(lambda: journal.pending_count() == 0)  # mark after settle
         assert sink.arrived == ["uuid:j"]
@@ -439,16 +429,18 @@ def with_two_to_headers():
     return envelope
 
 
-def rejecting(envelope, logical):
-    raise ReproError("not on my watch")
+def rejecting(n):
+    if n == 1:
+        raise ReproError("not on my watch")
 
 
-def exploding(envelope, logical):
-    raise ZeroDivisionError("poison")
+def exploding(n):
+    if n == 1:
+        raise ZeroDivisionError("poison")
 
 
 @pytest.mark.parametrize(
-    "message, inspector, where, reason, counters",
+    "message, on_resolve, where, reason, counters",
     [
         # decodes, names a cached service, cannot be rewritten: in place
         (without_message_id, None, (1, 0), "unroutable", {"dropped_unroutable": 1}),
@@ -456,21 +448,22 @@ def exploding(envelope, logical):
         (with_two_to_headers, None, (0, 1), "unroutable", {"dropped_unroutable": 1}),
         (
             lambda: echo("uuid:rejected"), rejecting, (1, 0), "unroutable",
-            {"dropped_unroutable": 1, "rejected_by_inspector": 1},
+            {"dropped_unroutable": 1},
         ),
         (
             lambda: echo("uuid:poison"), exploding, (1, 0), "internal_error",
             {"internal_errors": 1},
         ),
     ],
-    ids=["no-message-id", "undecodable", "inspector-rejects", "poison"],
+    ids=["no-message-id", "undecodable", "registry-rejects", "poison"],
 )
 def test_a_message_that_cannot_be_routed_still_gets_its_202(
-    dispatcher_backend, message, inspector, where, reason, counters
+    dispatcher_backend, message, on_resolve, where, reason, counters
 ):
     journal = MessageJournal(sync="lazy", flush_threshold=1)
     sink = Sink()
-    dispatcher = make(dispatcher_backend, sink, inspector=inspector, durable=journal)
+    registry = Resolving(on_resolve) if on_resolve else None
+    dispatcher = make(dispatcher_backend, sink, registry=registry, durable=journal)
     try:
         # handle() returns None — the HTTP layer answers 202 — and raises nothing
         assert dispatcher_backend.call(lambda: dispatcher.handle(message(), CTX)) is None
@@ -481,7 +474,6 @@ def test_a_message_that_cannot_be_routed_still_gets_its_202(
         assert stats["accepted"] == 1 and "delivered" not in stats
         assert journal.get(1).state == DEAD
         # the admitting thread survived, and so did the dispatcher
-        dispatcher.inspector = None
         dispatcher_backend.call(lambda: dispatcher.handle(echo("uuid:after"), CTX))
         assert wait_for(lambda: sink.arrived == ["uuid:after"])
     finally:

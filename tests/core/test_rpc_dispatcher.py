@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.registry import ServiceRegistry
 from repro.core.rpc_dispatcher import RpcDispatcher
-from repro.errors import AuthError, ReproError
 from repro.http import Headers, HttpRequest
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
@@ -136,30 +135,3 @@ def test_via_header_added(world, inproc):
     assert seen["via"] is None
     assert response.headers.get("Via") is None
     ws.stop()
-
-
-def test_sso_inspector_enforced(world, inproc):
-    """The paper's "security or validity checks" hook, which authentication
-    plugs into: a plain function that raises AuthError answers 401, any
-    other ReproError 403."""
-    registry, dispatcher, client = world
-
-    def inspector(envelope, logical):
-        if logical == "echo" and not inspector.allow:
-            raise AuthError("no credentials")
-        if logical == "sealed":
-            raise ReproError("service sealed")
-
-    inspector.allow = False
-    dispatcher.inspector = inspector
-    registry.register("sealed", "http://ws:9000/echo")
-
-    resp = client.post_envelope("http://wsd:8000/rpc/echo", make_echo_request())
-    assert resp.status == 401
-    resp = client.post_envelope("http://wsd:8000/rpc/sealed", make_echo_request())
-    assert resp.status == 403
-    assert dispatcher.stats["rejected"] == 2
-
-    inspector.allow = True
-    reply = client.call_soap("http://wsd:8000/rpc/echo", make_echo_request())
-    assert parse_rpc_response(reply).result("return") is not None

@@ -33,7 +33,7 @@ from repro.errors import (
     SimInterrupt,
 )
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, SEND, SLEEP, ClientSession, Lease
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease
 from repro.http.wire import RequestParser, serialize_response
 from repro.obs.metrics import MetricsRegistry
 from repro.rt.client import HttpClient
@@ -91,10 +91,7 @@ class Row:
     counters: dict[str, int]
     #: first make one plain exchange, so connection 1 is a pooled one
     warm: bool = False
-    overload_retries: int = 0
-    retry_after_cap: float = 30.0
-    #: [core] only: what the session slept, what each connection was sent
-    sleeps: list[float] = field(default_factory=list)
+    #: [core] only: what each connection was sent
     sent: "list[bytes] | None" = None
     #: [sim] only, where it differs: the simulated pool reads the peer's
     #: state at check-out, so a dead pooled connection is skipped for a
@@ -113,7 +110,6 @@ def burst(n: int) -> tuple:
 ONE = ("request", "POST", b"m0")
 WARM = Round(1, [reply(b"warm")])
 UNTIL_CLOSE = b"HTTP/1.1 200 OK\r\nX-Framing: none\r\n\r\n"
-BUSY = dict(status=503, body=b"busy")
 
 ROWS = [
     # -- the single exchange ---------------------------------------------------
@@ -144,23 +140,10 @@ ROWS = [
         [[WARM, Round(1, [], SILENT)]], ONE,
         ["timeout"], [[b"warm", b"m0"]], 0, dict(requests=1, fresh=1, reused=1),
         warm=True),
-    # -- 503 Retry-After ---------------------------------------------------------
-    Row("retry-after-absent", [[Round(1, [reply(**BUSY)])]], ONE, [503], [[b"m0"]], 1,
-        dict(requests=1, fresh=1), overload_retries=2),
-    Row("retry-after-unparsable", [[Round(1, [reply(Retry_After="soon", **BUSY)])]], ONE,
-        [503], [[b"m0"]], 1, dict(requests=1, fresh=1), overload_retries=2),
-    Row("retry-after-negative", [[Round(1, [reply(Retry_After="-1", **BUSY)])]], ONE,
-        [503], [[b"m0"]], 1, dict(requests=1, fresh=1), overload_retries=2),
-    Row("retry-after-capped",
-        [[Round(1, [reply(Retry_After="5", **BUSY)]), Round(1, [reply(b"in")])]], ONE,
-        [b"in"], [[b"m0", b"m0"]], 1,
-        dict(requests=2, fresh=1, reused=1, overload_waits=1),
-        overload_retries=2, retry_after_cap=0.01, sleeps=[0.01]),
-    Row("retry-after-retries-exhausted",
-        [times(3, Round(1, [reply(Retry_After="0.01", **BUSY)]))], ONE,
-        [503], [[b"m0", b"m0", b"m0"]], 1,
-        dict(requests=3, fresh=1, reused=2, overload_waits=2),
-        overload_retries=2, sleeps=[0.01, 0.01]),
+    # -- a 503 is an answer like any other: never slept out, never re-sent -------
+    Row("503-with-retry-after-is-returned-not-re-sent",
+        [[Round(1, [reply(Retry_After="1", status=503, body=b"busy")])]], ONE,
+        [503], [[b"m0"]], 1, dict(requests=1, fresh=1)),
     # -- the pipelined burst (the cases of tests/rt/test_client_pipeline.py) -------
     Row("burst", [[Round(4, [b"".join(reply(b"r%d" % i) for i in range(4))])]], burst(4),
         [b"r0", b"r1", b"r2", b"r3"], [[b"m0", b"m1", b"m2", b"m3"]], 1,
@@ -234,14 +217,8 @@ def check(
         "stale_retry": client._m_reuse_stale.get(),
         "bursts": client._m_pipeline_bursts.labels().get(),
         "replayed": client._m_pipeline_replayed.labels().get(),
-        "overload_waits": client._m_overload_waits.labels().get(),
     }
     assert {k: v for k, v in counted.items() if v} == (counters or row.counters)
-
-
-def configure(row: Row, client: ClientSession) -> None:
-    client.overload_retries = row.overload_retries
-    client.retry_after_cap = row.retry_after_cap
 
 
 def single_outcome(call):
@@ -272,11 +249,8 @@ class FakeWire:
     def __init__(self, conns: "list[list[Round]] | None") -> None:
         self.scripts = list(conns or [])
         self.opened: list[FakeConn] = []
-        self.sleeps: list[float] = []
 
     def perform(self, op, conn: FakeConn, arg):
-        if op is SLEEP:
-            return self.sleeps.append(arg)
         if op is CONNECT:
             if len(self.opened) == len(self.scripts):
                 raise ConnectionRefused("nothing listens")
@@ -334,7 +308,6 @@ def core_session() -> ClientSession:
 @pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 def test_contract_core(row):
     session, wire = core_session(), FakeWire(row.conns)
-    configure(row, session)
     url = "http://peer:80/x"
     if row.warm:
         wire.run(session._request(url, post(b"warm")))
@@ -346,7 +319,6 @@ def test_contract_core(row):
     else:
         outcomes = wire.run(session._pipeline_url(url, [post(b) for b in row.op[1]]))
     check(row, outcomes, [conn.seen for conn in wire.opened], session)
-    assert wire.sleeps == row.sleeps
     if row.sent is not None:
         assert [conn.sent for conn in wire.opened] == row.sent
     # pooled or closed, never neither: nothing leaks
@@ -411,7 +383,6 @@ def test_contract_rt(row, inproc):
         acceptor = threading.Thread(target=accept_loop, daemon=True)
         acceptor.start()
     client = HttpClient(inproc, response_timeout=TIMEOUT, metrics=MetricsRegistry())
-    configure(row, client)
     url = "http://peer:80/x"
     try:
         if row.warm:
@@ -490,7 +461,6 @@ def test_contract_aio(row):
             server.close()
             await server.wait_closed()
         client = AioHttpClient(response_timeout=TIMEOUT, metrics=MetricsRegistry())
-        configure(row, client)
         url = f"http://127.0.0.1:{port}/x"
         try:
             if row.warm:
@@ -552,12 +522,7 @@ def play_sim(conn, rounds: "list[Round]", seen: list[bytes]):
     conn.close()
 
 
-# The pool sends requests as given and takes no ``overload_retries``: the
-# 503 sleep-out is not reachable there, so those rows have no [sim] node.
-SIM_ROWS = [row for row in ROWS if not row.overload_retries]
-
-
-@pytest.mark.parametrize("row", SIM_ROWS, ids=[row.name for row in SIM_ROWS])
+@pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 def test_contract_sim(row, sim):
     net = Network(sim)
     link = AccessLink(5000, 5000, 0.005)
@@ -807,19 +772,6 @@ def test_sim_an_interrupt_mid_burst_closes_the_connection(sim):
     sim.process(interrupter())
     assert sim.run(victim) == "interrupted"
     assert here.active_connections == 0 and not any(pool._pools.values())
-
-
-def test_sim_trampoline_sleeps_on_the_simulation_clock(sim):
-    from repro.simnet.httpsim import _run
-
-    pool = SimHttpClientPool(Network(sim), None)
-
-    def steps():
-        yield SLEEP, None, 1.5
-        return "slept"
-
-    assert sim.run(sim.process(_run(steps(), pool))) == "slept"
-    assert sim.now == 1.5
 
 
 # -- one property over the core ----------------------------------------------------

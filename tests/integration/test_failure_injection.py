@@ -7,7 +7,6 @@ tests make the failure modes deterministic and assert the system degrades
 the way it is designed to.
 """
 
-import time
 
 import pytest
 
@@ -26,15 +25,7 @@ from repro.rt.service import FunctionService, SoapHttpApp
 from repro.soap import Envelope, parse_rpc_response
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, EchoService, make_echo_message, make_echo_request
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
+from tests.conftest import wait_for
 
 
 class TestServiceDeathMidTraffic:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import socket
 import sys
 import threading
-import time
 from contextlib import contextmanager
 
 import pytest
@@ -28,6 +27,7 @@ from repro.rt.service import SoapHttpApp
 from repro.soap import Envelope, parse_rpc_request, parse_rpc_response
 from repro.transport.tcp import TcpConnector, TcpListener
 from repro.workload.echo import AsyncEchoService, make_echo_request
+from tests.conftest import wait_for
 
 
 class Gated:
@@ -40,15 +40,6 @@ class Gated:
     def handle(self, envelope, ctx):
         self.release.wait(10.0)
         return self.echo.handle(envelope, ctx)
-
-
-def wait_for(predicate, timeout=5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return False
 
 
 @contextmanager

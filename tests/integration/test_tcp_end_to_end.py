@@ -14,7 +14,6 @@ from repro.core import (
     RpcDispatcher,
     ServiceRegistry,
 )
-from repro.errors import AuthError
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
@@ -22,7 +21,6 @@ from repro.rt.service import SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.transport.tcp import TcpConnector, TcpListener
 from repro.util.ids import IdGenerator
-from repro.xmlmini import Element, QName
 from repro.workload.echo import AsyncEchoService, EchoService, make_echo_message, make_echo_request
 
 
@@ -110,37 +108,3 @@ def test_sustained_keep_alive_traffic(tcp_deployment):
     for _ in range(20):
         reply = client.call_soap(f"{wsd_base}/rpc/echo-rpc", make_echo_request())
         assert parse_rpc_response(reply).result("return") is not None
-
-
-CALLER = QName("urn:test:caller", "Caller")
-
-
-def test_sso_over_real_sockets():
-    """Authentication through the inspector hook, over genuine sockets: an
-    anonymous call is refused before any forward."""
-    connector = TcpConnector()
-
-    def inspector(envelope, logical):
-        if not any(h.name == CALLER for h in envelope.headers):
-            raise AuthError("anonymous caller")
-
-    app = SoapHttpApp()
-    app.mount("/echo", EchoService())
-    ws_listener = TcpListener("127.0.0.1:0")
-    ws = HttpServer(ws_listener, app.handle_request).start()
-
-    registry = ServiceRegistry()
-    registry.register("echo", f"http://127.0.0.1:{ws_listener.endpoint.port}/echo")
-    dispatcher = RpcDispatcher(registry, HttpClient(connector), inspector=inspector)
-    wsd_listener = TcpListener("127.0.0.1:0")
-    front = HttpServer(wsd_listener, dispatcher.handle_request).start()
-    url = f"http://127.0.0.1:{wsd_listener.endpoint.port}/rpc/echo"
-
-    client = HttpClient(connector)
-    assert client.post_envelope(url, make_echo_request()).status == 401
-    env = make_echo_request()
-    env.headers.append(Element(CALLER, text="alice"))
-    assert client.post_envelope(url, env).status == 200
-    ws.stop()
-    front.stop()
-    client.close()

@@ -33,7 +33,7 @@ from repro.simnet.topology import AccessLink, Network
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
-from tests.core.test_dispatcher_robustness import wait_for
+from tests.conftest import wait_for
 
 
 def span_names(spans):

@@ -33,7 +33,7 @@ from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
-from tests.core.test_dispatcher_robustness import wait_for
+from tests.conftest import wait_for
 
 PAGES = (
     "/metrics",

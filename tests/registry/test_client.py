@@ -14,7 +14,6 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
 from repro.registry import ReplicatedRegistryClient, sync_pair
-from repro.reliable import BreakerConfig
 from repro.util.clock import ManualClock
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
@@ -97,10 +96,7 @@ def test_all_replicas_down_raises_registry_unavailable():
     replicas = make_cluster()
     for replica in replicas.values():
         replica.set_available(False)
-    client = make_client(
-        replicas, cache_ttl=0.0, clock=clock, max_passes=2,
-        breaker_config=BreakerConfig(consecutive_failures=100, open_for=1.0),
-    )
+    client = make_client(replicas, cache_ttl=0.0, clock=clock, max_passes=2)
     with pytest.raises(RegistryUnavailable):
         client.lookup("echo")
     assert clock.now() > 0.0  # backoff between the two passes

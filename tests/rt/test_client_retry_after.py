@@ -1,19 +1,18 @@
-"""The client's Retry-After handling on 503 overload responses."""
+"""A 503 that names a ``Retry-After`` is the caller's answer: the client
+returns it as it came and never re-sends the request; so is a 503
+without one."""
 
 import threading
 
-import pytest
-
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.obs.metrics import MetricsRegistry
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 
 
 class _Overloaded:
-    """Answers 503 + Retry-After for the first ``reject`` requests."""
+    """Answers 503 (+ Retry-After, if given) for the first ``reject`` requests."""
 
-    def __init__(self, reject: int, retry_after: str = "0.05"):
+    def __init__(self, reject: int, retry_after="0.05"):
         self.reject = reject
         self.retry_after = retry_after
         self.requests = 0
@@ -31,71 +30,29 @@ class _Overloaded:
         return HttpResponse(status=202)
 
 
-@pytest.fixture
-def serve(inproc):
-    servers = []
-
-    def _serve(service: _Overloaded) -> str:
-        srv = HttpServer(
-            inproc.listen(f"busy{len(servers)}:80"), service.handler, workers=2
-        ).start()
-        servers.append(srv)
-        return f"http://busy{len(servers) - 1}:80/msg"
-
-    yield _serve
-    for srv in servers:
-        srv.stop()
+def test_default_client_returns_503_untouched(inproc):
+    service = _Overloaded(reject=1)
+    server = HttpServer(inproc.listen("busy:80"), service.handler, workers=2).start()
+    client = HttpClient(inproc)
+    try:
+        resp = client.request("http://busy:80/msg", HttpRequest("POST", "/", body=b"x"))
+        assert resp.status == 503
+        assert resp.headers.get("Retry-After") == "0.05"
+        assert service.requests == 1
+    finally:
+        client.close()
+        server.stop()
 
 
-def test_503_with_retry_after_is_slept_out_and_resent(inproc, serve):
-    service = _Overloaded(reject=2)
-    url = serve(service)
-    metrics = MetricsRegistry()
-    client = HttpClient(inproc, metrics=metrics, overload_retries=3)
-    resp = client.request(url, HttpRequest("POST", "/", body=b"x"))
-    assert resp.status == 202
-    assert service.requests == 3
-    sample = metrics.snapshot()["rt_client_overload_waits_total"]["samples"]
-    assert sample[0]["value"] == 2
-    client.close()
-
-
-def test_default_client_returns_503_untouched(inproc, serve):
-    url = serve(_Overloaded(reject=1))
-    client = HttpClient(inproc)  # overload_retries defaults to 0
-    resp = client.request(url, HttpRequest("POST", "/", body=b"x"))
-    assert resp.status == 503
-    client.close()
-
-
-def test_503_without_retry_after_is_not_retried(inproc, serve):
+def test_503_without_retry_after_is_not_retried(inproc):
     service = _Overloaded(reject=5, retry_after=None)
-    url = serve(service)
-    client = HttpClient(inproc, overload_retries=3)
-    resp = client.request(url, HttpRequest("POST", "/", body=b"x"))
-    assert resp.status == 503
-    assert service.requests == 1  # no header, no license to resend
-    client.close()
-
-
-def test_retries_exhausted_returns_final_503(inproc, serve):
-    service = _Overloaded(reject=10)
-    url = serve(service)
-    client = HttpClient(inproc, overload_retries=2)
-    resp = client.request(url, HttpRequest("POST", "/", body=b"x"))
-    assert resp.status == 503
-    assert service.requests == 3  # initial + 2 retries
-    client.close()
-
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [("2", 2.0), ("0.5", 0.5), (" 3 ", 3.0), ("-1", None),
-     ("soon", None), (None, None)],
-)
-def test_retry_after_parsing(raw, expected):
-    headers = Headers()
-    if raw is not None:
-        headers.set("Retry-After", raw)
-    response = HttpResponse(status=503, headers=headers)
-    assert HttpClient._retry_after_of(response) == expected
+    server = HttpServer(inproc.listen("busy:80"), service.handler, workers=2).start()
+    client = HttpClient(inproc)
+    try:
+        resp = client.request("http://busy:80/msg", HttpRequest("POST", "/", body=b"x"))
+        assert resp.status == 503
+        assert resp.headers.get("Retry-After") is None
+        assert service.requests == 1  # no header, no license to resend
+    finally:
+        client.close()
+        server.stop()

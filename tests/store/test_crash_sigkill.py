@@ -22,6 +22,7 @@ from repro.transport.tcp import TcpConnector, TcpListener
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
 from repro.wsa import AddressingHeaders
+from tests.conftest import wait_for
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 _CHILD = pathlib.Path(__file__).with_name("_crash_child.py")
@@ -51,15 +52,6 @@ class _Sink:
             if mid:
                 self.unique.add(mid)
         return HttpResponse(status=202)
-
-
-def wait_for(predicate, timeout=20.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.05)
-    return False
 
 
 def test_sigkill_mid_drain_recovers_all_messages_exactly_once(tmp_path):

@@ -16,15 +16,7 @@ from repro.rt.service import SoapHttpApp
 from repro.store import DEAD, ENQUEUED, MessageJournal
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
-
-
-def wait_for(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
+from tests.conftest import wait_for
 
 
 @pytest.fixture

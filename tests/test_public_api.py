@@ -97,7 +97,7 @@ def _documented_fields(class_name: str) -> set[str]:
 
 def test_dispatcher_configs_are_documented_and_mirror_each_other():
     """docs/api.md lists exactly the fields each config has, and the
-    simulated config mirrors the threaded one by construction: the ten
+    simulated config mirrors the threaded one by construction: the eight
     shared knobs are declared once, in the base next to ``DispatchCore``."""
     from repro.core.dispatch import DispatcherConfigBase
     from repro.core.msg_dispatcher import MsgDispatcherConfig
@@ -107,7 +107,6 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
     assert shared == {
         "accept_queue": 1024, "destination_queue": 1024, "batch_size": 8,
         "destination_idle_ttl": 10.0, "correlation_ttl": 120.0, "breaker": None,
-        "max_inflight": None, "shed_retry_after": 1.0,
         "hold_pump_interval": 0.25, "dedupe_window": None,
     }
     own = {
@@ -171,18 +170,17 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
         signature = inspect.signature(cls.__init__).parameters.values()
         return {p.name: p.default for p in signature if p.name != "self"}
 
-    tail = {
-        "metrics": None, "overload_retries": 0, "retry_after_cap": 30.0,
-    }
     assert parameters(HttpClient) == {
         "connector": inspect.Parameter.empty, "connect_timeout": 5.0,
-        "response_timeout": 30.0, "pool_per_endpoint": 4,
-        "user_agent": "repro-client/1.0", **tail,
+        "response_timeout": 30.0, "pool_per_endpoint": 4, "metrics": None,
     }
     assert parameters(AioHttpClient) == {
         "connect_timeout": 5.0, "response_timeout": 30.0, "pool_per_endpoint": 4,
-        "user_agent": "repro-aio-client/1.0", **tail,
+        "metrics": None,
     }
+    assert (HttpClient.user_agent, AioHttpClient.user_agent) == (
+        "repro-client/1.0", "repro-aio-client/1.0",
+    )
     assert parameters(SimHttpClientPool) == {
         "net": inspect.Parameter.empty, "host": inspect.Parameter.empty,
         "connect_timeout": 21.0, "response_timeout": 30.0, "pool_per_destination": 2,
@@ -212,9 +210,6 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
             f"{prefix}_pipeline_replayed_total": (
                 "counter",
                 "pipelined requests replayed serially after a cut-short burst", set()),
-            f"{prefix}_overload_waits_total": (
-                "counter",
-                "503 responses the client slept out per the server's Retry-After", set()),
         }
 
     assert surface(lambda m: HttpClient(None, metrics=m)) == expected("rt_client", "client")
@@ -226,8 +221,8 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
 def test_the_rpc_dispatchers_keep_their_constructors_and_add_no_option():
     """One core underneath (``repro.core.rpc``): the RPC-Dispatchers lost
     their load-spreading hook (both), ``max_body`` and ``clock``
-    (threaded), and gained nothing; every MSG driver's bridge handler has
-    one signature."""
+    (threaded), the inspector hook and admission shedding (both), and
+    gained nothing; every MSG driver's bridge handler has one signature."""
     import inspect
 
     from repro.aio import AioMsgDispatcher, AioRpcDispatcher
@@ -241,8 +236,7 @@ def test_the_rpc_dispatchers_keep_their_constructors_and_add_no_option():
     empty = inspect.Parameter.empty
     rt = {
         "registry": empty, "client": empty, "mount_prefix": "/rpc",
-        "inspector": None, "metrics": None, "traces": None,
-        "max_inflight": None, "shed_retry_after": 1.0,
+        "metrics": None, "traces": None,
     }
     assert parameters(RpcDispatcher.__init__) == rt
     assert parameters(AioRpcDispatcher.__init__) == rt
