@@ -2,9 +2,8 @@
 
 Runs the Figure 6 "MSG-D + MsgBox" configuration with every message
 traced, twice: once with the **whole telemetry plane** enabled — metrics
-registry, trace store, flight recorder, SLO stage histograms, and a
-metrics snapshotter sampling in simulated time — and once with all of it
-in no-op mode.  The guard asserts the enabled run's throughput stays
+registry, trace store, flight recorder and SLO stage histograms — and
+once with all of it in no-op mode.  The guard asserts the enabled run's throughput stays
 within 5 % of the disabled baseline.
 
 Recording consumes no *simulated* time and trace headers are attached to
@@ -35,7 +34,6 @@ from repro.msgbox.service import make_mailbox_epr
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
-    MetricsSnapshotter,
     SloTracker,
     TraceStore,
     ensure_trace,
@@ -54,7 +52,7 @@ from repro.workload.sim_testclient import SimRampConfig, SimRampTester
 
 def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
     """One fig6-style MsgBox run with traced traffic; returns a dict of
-    (per_minute, wall_seconds, metrics, traces, flight, snapshotter)."""
+    (per_minute, wall_seconds, metrics, traces, flight)."""
     metrics = MetricsRegistry(enabled=enabled)
     traces = TraceStore(enabled=enabled)
     flight = FlightRecorder(enabled=enabled)
@@ -94,12 +92,6 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
         net, wsd_host, 8000, dispatcher.handler, workers=32,
         service_time=DISPATCHER_SERVICE_TIME,
     )
-    snapshotter = MetricsSnapshotter(metrics, interval=1.0, capacity=4096)
-    if enabled:
-        sim.process(
-            snapshotter.sim_process(sim, until=duration),
-            name="metrics-snapshotter",
-        )
 
     store = MailboxStore(clock=sim.clock, max_messages_per_box=100_000)
     msgbox = MsgBoxService(
@@ -150,7 +142,6 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
         "metrics": metrics,
         "traces": traces,
         "flight": flight,
-        "snapshotter": snapshotter,
     }
 
 
@@ -171,7 +162,6 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
     assert base["metrics"].snapshot() == {}
     assert len(base["traces"]) == 0
     assert len(base["flight"]) == 0
-    assert len(base["snapshotter"]) == 0
     # ... and the enabled run really observed the traffic
     obs_snap = obs["metrics"].snapshot()
     delivered = obs_snap["msgd_delivered_total"]["samples"][0]["value"]
@@ -182,8 +172,6 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
         s["count"] for s in obs_snap["msgd_stage_seconds"]["samples"]
     )
     assert stage_count > 0
-    # and the snapshotter sampled once per simulated second
-    assert len(obs["snapshotter"]) >= duration - 1
     slo = SloTracker(obs["metrics"]).snapshot()
 
     assert base_pm > 0
@@ -193,14 +181,13 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
         (
             f"Observability overhead guard ({clients} clients, "
             f"{duration:.0f}s simulated; metrics + traces + flight + "
-            f"SLO histograms + snapshotter)\n"
+            f"SLO histograms)\n"
             f"  disabled: {base_pm:.0f} msgs/min  (wall {base['wall']:.2f}s)\n"
             f"  enabled:  {obs_pm:.0f} msgs/min  (wall {obs['wall']:.2f}s)\n"
             f"  throughput delta: {overhead:.2%} (guard: <= 5%)\n"
             f"  traces captured: {len(obs['traces'])} (ring capacity "
             f"{obs['traces'].capacity})\n"
-            f"  history samples: {len(obs['snapshotter'])}; "
-            f"slo met: {slo['met']}"
+            f"  slo met: {slo['met']}"
         ),
     )
     write_bench_json(
@@ -217,7 +204,6 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
                     "per_minute": obs_pm,
                     "wall_seconds": obs["wall"],
                     "traces": len(obs["traces"]),
-                    "history_samples": len(obs["snapshotter"]),
                     "stage_observations": stage_count,
                     "slo_met": slo["met"],
                 },

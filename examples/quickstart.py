@@ -9,7 +9,8 @@ setup):
 - the intermediary host with Registry, RPC-Dispatcher, MSG-Dispatcher and
   WS-MsgBox,
 - a client that calls the service both ways: synchronous SOAP-RPC through
-  the RPC-Dispatcher, and asynchronous messaging with a mailbox.
+  the RPC-Dispatcher, and asynchronous messaging with a mailbox, tracing
+  the message to show where it spent its time.
 
 The Registry keeps its entries in the paper's text file; a second registry
 opened on that file resolves the same services.
@@ -17,14 +18,14 @@ opened on that file resolves the same services.
 Run:  python examples/quickstart.py
 """
 
+import json
 import os
-import re
 import tempfile
 
 from repro.core import MsgDispatcher, MsgDispatcherConfig, RpcDispatcher, ServiceRegistry
 from repro.http import HttpRequest
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
-from repro.obs import Introspection
+from repro.obs import Introspection, ensure_trace
 from repro.rt import HttpClient, HttpServer, SoapHttpApp
 from repro.soap import parse_rpc_response
 from repro.transport import InprocNetwork
@@ -116,6 +117,7 @@ def run(net: InprocNetwork, registry_file: str) -> None:
     message = make_echo_message(
         to="urn:wsd:echo-msg", message_id=ids.next(), reply_to=mailbox.epr()
     )
+    trace = ensure_trace(message)  # the dispatchers record spans only for traced messages
     status = client.post_envelope("http://wsd.example:8000/msg/echo-msg", message).status
     print(f"[msg]  one-way message accepted with HTTP {status}")
 
@@ -124,22 +126,26 @@ def run(net: InprocNetwork, registry_file: str) -> None:
     print(f"[mbox] picked up {len(responses)} response; echo payload intact: "
           f"{body.result('return') is not None}")
 
-    # the ops view: live counters of every component over plain GET, one
-    # repro_component_stat{component=,stat=} line per counter
-    exposition = client.request(
-        "http://wsd.example:8000/metrics", HttpRequest("GET", "/metrics")
-    ).body.decode()
+    # where the message spent its time: its hops, from GET /trace/<id>
+    spans = json.loads(client.request(
+        f"http://wsd.example:8000/trace/{trace.trace_id}",
+        HttpRequest("GET", f"/trace/{trace.trace_id}"),
+    ).body)["spans"]
+    print(f"[trace] {trace.trace_id[:18]}…")
+    for span in spans:
+        print(f"      {span['component']}/{span['name']}: "
+              f"{span['duration'] * 1000:.2f} ms")
+
+    # the ops view: live counters of every component over plain GET
+    snapshot = json.loads(client.request(
+        "http://wsd.example:8000/metrics?format=json",
+        HttpRequest("GET", "/metrics?format=json"),
+    ).body)
     print("[status]")
-    shown = None
-    for line in exposition.splitlines():
-        if not line.startswith("repro_component_stat{"):
-            continue
-        labels, value = line.rsplit(" ", 1)
-        component, stat = re.findall(r'"([^"]*)"', labels)
-        if component != shown:
-            print(f"    [{component}]")
-            shown = component
-        print(f"      {stat} = {value}")
+    for component, stats in snapshot["components"].items():
+        print(f"    [{component}]")
+        for stat, value in stats.items():
+            print(f"      {stat} = {value}")
 
     # the text file is the registry: a fresh one opened on it sees every change
     reopened = ServiceRegistry(persist_path=registry_file)

@@ -144,17 +144,15 @@ class DispatchCore:
     """One dispatcher's decisions; a driver supplies queues and the wire.
 
     Driver seams (plain overrides, no registry of strategies):
-    :meth:`_offer`, :meth:`_try_enqueue`, :meth:`_accept_depth` and
-    :meth:`backlog` expose the driver's queues; :meth:`_ensure_hold_pump`
-    defaults to doing nothing; ``_waiter()`` makes the sync bridge's
-    one-shot waiter, which :meth:`_wake` wakes.  A driver runs
-    :meth:`deliver` on a drained batch, :meth:`requeue_due` from its hold
-    pump and :meth:`bridge` for each request to its bridge handler.
+    :meth:`_offer`, :meth:`_try_enqueue` and :meth:`backlog` expose the
+    driver's queues, and its accept queue is its ``_accept_queue``;
+    :meth:`_ensure_hold_pump` defaults to doing nothing; ``_waiter()``
+    makes the sync bridge's one-shot waiter, which :meth:`_wake` wakes.
+    A driver runs :meth:`deliver` on a drained batch, :meth:`requeue_due`
+    from its hold pump and :meth:`bridge` for each request to its bridge
+    handler.
     """
 
-    #: bucket width (seconds) of the queue-wait and transmit histograms:
-    #: loopback deliveries take milliseconds, simulated WAN ones seconds
-    time_bucket = 0.001
     #: shard ownership (an ordinary routing rule): with a
     #: :class:`~repro.shard.ring.HashRing`, a request this shard does not
     #: own is relayed to ``peers[owner]`` (shard id -> direct base URL);
@@ -204,18 +202,6 @@ class DispatchCore:
         )
         self._m_retries = self.metrics.counter(
             "msgd_retries_total", "in-line delivery retries"
-        )
-        queue_wait = self.metrics.histogram(
-            "msgd_queue_wait_seconds",
-            "time spent waiting in dispatcher queues, by queue",
-            bucket_width=self.time_bucket,
-        )
-        self._m_wait_accept = queue_wait.labels(queue="accept")
-        self._m_wait_dest = queue_wait.labels(queue="destination")
-        self._m_transmit = self.metrics.histogram(
-            "msgd_transmit_seconds",
-            "time spent transmitting to the destination",
-            bucket_width=self.time_bucket,
         )
         self.metrics.gauge(
             "msgd_accept_queue_depth", "messages waiting for a CxThread"
@@ -284,7 +270,7 @@ class DispatchCore:
 
     def _accept_depth(self) -> int:
         """Entries waiting on the accept queue."""
-        raise NotImplementedError
+        return len(self._accept_queue)
 
     def backlog(self) -> int:
         """Total messages queued anywhere in the dispatcher."""
@@ -539,7 +525,6 @@ class DispatchCore:
         returns what to enqueue."""
         envelope, path, trace, t_enq, jseq, *decoded = work
         t_deq = self.clock.now()
-        self._m_wait_accept.observe(t_deq - t_enq)
         self._m_stage_queue_accept.observe(t_deq - t_enq)
         if trace is not None:
             self.traces.record(
@@ -935,9 +920,7 @@ class DispatchCore:
         for item in batch:
             if item.attempts:
                 continue  # an in-line retry: its wait was already observed
-            wait = t_deq - item.enqueued_at
-            self._m_wait_dest.observe(wait)
-            self._m_stage_queue_dest.observe(wait)
+            self._m_stage_queue_dest.observe(t_deq - item.enqueued_at)
             if item.trace is not None:
                 self.traces.record(
                     item.trace.trace_id, "queue-wait", "msgd",
@@ -1019,7 +1002,6 @@ class DispatchCore:
         an in-band answer.  The ``delivered`` count moves last, so whoever
         sees it move also sees the mark, the span and the correlation
         table as this delivery left them."""
-        self._m_transmit.observe(t_done - t_send)
         self._m_stage_deliver.observe(t_done - t_send)
         if self.hold_store is not None and item.message_id is not None:
             # a redelivery that came back through the queues is done — and

@@ -263,9 +263,6 @@ class MsgDispatcher(DispatchCore):
         thread may put on a destination queue while the dispatcher runs."""
         return self._running
 
-    def _accept_depth(self) -> int:
-        return len(self._accept_queue)
-
     def backlog(self) -> int:
         with self._lock:
             return len(self._accept_queue) + sum(

@@ -96,8 +96,6 @@ class SimMsgDispatcherConfig(DispatcherConfigBase):
 class SimMsgDispatcher(DispatchCore):
     """MSG-Dispatcher as a family of simulation processes."""
 
-    time_bucket = 0.005
-
     def __init__(
         self,
         net: Network,
@@ -141,7 +139,7 @@ class SimMsgDispatcher(DispatchCore):
             response_timeout=config.response_timeout,
             pool_per_destination=max(2, config.parallel_per_destination),
         )
-        self._accept: Store = Store(self.sim, capacity=config.accept_queue)
+        self._accept_queue: Store = Store(self.sim, capacity=config.accept_queue)
         self._destinations: dict[str, Store] = {}
         super().__init__(
             registry, own_address, mount_prefix, config, self.sim.clock,
@@ -199,13 +197,10 @@ class SimMsgDispatcher(DispatchCore):
 
     # -- the core's view of the queues ----------------------------------------
     def _offer(self, work: tuple) -> bool:
-        return self._accept.try_put(work)
-
-    def _accept_depth(self) -> int:
-        return len(self._accept)
+        return self._accept_queue.try_put(work)
 
     def backlog(self) -> int:
-        return len(self._accept) + sum(len(s) for s in self._destinations.values())
+        return len(self._accept_queue) + sum(len(s) for s in self._destinations.values())
 
     # -- HTTP handler (accepts one-way messages, answers 202) --------------
     def handler(self, request: HttpRequest):
@@ -234,8 +229,8 @@ class SimMsgDispatcher(DispatchCore):
             jseq = self.journal_inbound(request.target, request.body)
         work = (envelope, request.target, trace, t_arrival, jseq)
         if not self.config.shed_on_full:
-            yield self._accept.put(work)
-        elif not self._accept.try_put(work):
+            yield self._accept_queue.put(work)
+        elif not self._accept_queue.try_put(work):
             self.refused(jseq, trace, request.target)
             return overloaded_response(
                 "dispatcher accept queue full", envelope.version
@@ -246,7 +241,7 @@ class SimMsgDispatcher(DispatchCore):
     # -- CxThread processes ---------------------------------------------------
     def _cx_loop(self):
         while self._running:
-            work = yield self._accept.get()
+            work = yield self._accept_queue.get()
             for item in self.process(work):
                 try:
                     dest_key, store = self._queue_for(item)

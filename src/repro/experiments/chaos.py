@@ -13,16 +13,12 @@ messages that arrive at the sink (a :class:`DuplicateFilter` collapses
 hold/retry redeliveries).  Reported per point: delivery success ratio and
 p50/p99 end-to-end latency.
 
-The run doubles as the telemetry-plane acceptance rig: client and sink
-record spans into their own :class:`ReportingTraceStore` and ship them to
-the dispatcher's aggregating store over the span-report endpoint (so one
-trace id shows the full client → WSD → sink tree), a
-:class:`~repro.obs.flight.FlightRecorder` on the simulated clock captures
-drops/breaker trips/fault windows and dumps postmortems, and a
-:class:`~repro.obs.history.MetricsSnapshotter` samples the registry in
-simulated time and exports ``metrics_history.json``.  Everything runs on
-the seeded simulation clock, so two runs of one grid point produce
-bit-identical telemetry artefacts.
+A :class:`~repro.obs.flight.FlightRecorder` on the simulated clock
+captures drops, breaker trips and fault windows and dumps postmortems.
+Nothing else rides the faulted link or the dispatcher's workers: the
+sender's messages carry no trace header, so the latencies are the
+messages' own.  Everything runs on the seeded simulation clock, so two
+runs of one grid point produce bit-identical postmortems.
 """
 
 from __future__ import annotations
@@ -42,15 +38,7 @@ from repro.experiments.common import (
 from repro.http import HttpRequest, HttpResponse
 from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
-from repro.obs.history import MetricsSnapshotter
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spanreport import (
-    SPAN_REPORT_PATH,
-    ReportingTraceStore,
-    SimSpanShipper,
-    SpanReportHandler,
-)
-from repro.obs.trace import TraceContext, TraceStore, attach_trace, extract_trace
 from repro.reliable import BreakerConfig, DuplicateFilter, FixedDelay, HoldRetryStore
 from repro.simnet.httpsim import SimHttpClientPool, SimHttpServer
 from repro.simnet.kernel import Simulator
@@ -84,11 +72,9 @@ def run_point(
 ) -> dict:
     """One grid point; returns the per-point summary dict.
 
-    ``telemetry_dir`` turns on the file-producing half of the telemetry
-    plane: flight-recorder postmortems land in
-    ``<telemetry_dir>/postmortem-loss<loss>-flap<period>/`` and the
-    metrics time-series in ``<telemetry_dir>/metrics_history.json``.
-    In-memory telemetry (spans, flight ring, history ring) is always on.
+    ``telemetry_dir`` turns on flight-recorder postmortems, written to
+    ``<telemetry_dir>/postmortem-loss<loss>-flap<period>/``; the flight
+    ring itself is always on.
     """
     sim = Simulator()
     net = Network(sim, loss_seed=seed)
@@ -97,18 +83,12 @@ def run_point(
     sink_host = add_site(net, BACKBONE_IU, name="sink", open_ports=(9000,))
 
     metrics = MetricsRegistry()
-    # the dispatcher's store is the aggregator: client and sink ship their
-    # spans into it, so one /trace/<id> lookup shows all three processes
-    traces = TraceStore(span_prefix="wsd")
-    client_traces = ReportingTraceStore(span_prefix="client")
-    svc_traces = ReportingTraceStore(span_prefix="svc")
     postmortem_dir = None
     if telemetry_dir is not None:
         postmortem_dir = os.path.join(
             telemetry_dir, f"postmortem-loss{loss:g}-flap{flap_period:g}"
         )
     flight = FlightRecorder(clock=lambda: sim.now, postmortem_dir=postmortem_dir)
-    snapshotter = MetricsSnapshotter(metrics, interval=5.0, capacity=600)
     registry = ServiceRegistry(metrics=metrics)
     registry.register("echo", "http://sink:9000/echo")
 
@@ -118,18 +98,11 @@ def run_point(
     delivered: set[str] = set()
 
     def sink_handler(request: HttpRequest) -> HttpResponse:
-        t_in = sim.now
         try:
             envelope = Envelope.from_bytes(request.body)
             mid = AddressingHeaders.from_envelope(envelope).message_id
         except ReproError:
             return HttpResponse(status=400)
-        ctx = extract_trace(envelope)
-        if ctx is not None:
-            svc_traces.record(
-                ctx.trace_id, "absorb", "sink", t_in, sim.now,
-                parent_id=ctx.parent_span_id,
-            )
         if mid and not dupes.seen(mid):
             delivered.add(mid)
             if mid in send_times:
@@ -154,30 +127,11 @@ def run_point(
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://wsd:8000/msg",
-        config=config, metrics=metrics, traces=traces, hold_store=hold_store,
-        flight=flight,
+        config=config, metrics=metrics, hold_store=hold_store, flight=flight,
     )
-    report_handler = SpanReportHandler(traces, metrics=metrics)
-
-    def wsd_handler(request: HttpRequest):
-        # operator-plane span reports share the dispatcher's port but not
-        # its pipeline: route them straight to the aggregator
-        if request.target.split("?", 1)[0] == SPAN_REPORT_PATH:
-            return report_handler(request)
-        return (yield from dispatcher.handler(request))
-
     SimHttpServer(
-        net, wsd_host, 8000, wsd_handler, workers=16,
+        net, wsd_host, 8000, dispatcher.handler, workers=16,
         service_time=DISPATCHER_SERVICE_TIME,
-    )
-    shippers = [
-        SimSpanShipper(net, client_host, client_traces, "wsd", 8000),
-        SimSpanShipper(net, sink_host, svc_traces, "wsd", 8000),
-    ]
-    for shipper in shippers:
-        shipper.start()
-    sim.process(
-        snapshotter.sim_process(sim, until=horizon), name="metrics-snapshotter"
     )
 
     faults = []
@@ -209,49 +163,23 @@ def run_point(
         for _ in range(messages):
             mid = ids.next()
             env = make_echo_message(to="urn:wsd:echo", message_id=mid)
-            # deterministic trace ids (derived from the seeded MessageID
-            # generator) keep the telemetry artefacts bit-reproducible
-            ctx = TraceContext(f"trace-{mid}")
-            send_sid = client_traces.new_span_id()
-            attach_trace(env, ctx.child(send_sid))
             request = soap_post(env.to_bytes(), "/msg/echo")
             sent.append(mid)
-            t_send = sim.now
-            send_times[mid] = t_send
+            send_times[mid] = sim.now
             try:
                 yield from pool.exchange("wsd", 8000, request)
             except ReproError:
                 send_errors += 1
-            client_traces.record(
-                ctx.trace_id, "send", "client", t_send, sim.now,
-                span_id=send_sid,
-            )
             yield sim.timeout(send_gap)
 
     sim.process(sender(), name="chaos-sender")
     sim.run(until=horizon)
 
-    snapshotter.sample(t=sim.now)  # final state, after the horizon
     postmortem_path = None
     if telemetry_dir is not None:
         postmortem_path = flight.postmortem(
             "chaos-run-end", t=sim.now, loss=loss, flap_period=flap_period
         )
-        snapshotter.export_json(
-            os.path.join(telemetry_dir, "metrics_history.json")
-        )
-
-    # components seen on the first fully-shipped trace — ≥3 distinct
-    # processes proves cross-process aggregation worked
-    trace_components: list[str] = []
-    sample_trace = None
-    for mid in sent:
-        tid = f"trace-{mid}"
-        components = {s.component for s in traces.get(tid)}
-        if len(components) >= 3:
-            sample_trace = tid
-            trace_components = sorted(components)
-            break
 
     success = len(delivered & set(sent))
     return {
@@ -267,11 +195,7 @@ def run_point(
         "breaker_blocked": dispatcher.stats.get("held_breaker_open", 0),
         "expired": hold_store.stats["expired"],
         "faults_injected": controller.injected,
-        "sample_trace": sample_trace,
-        "trace_components": trace_components,
-        "spans_shipped": sum(s.shipped for s in shippers),
         "flight_events": flight.counts_by_kind(),
-        "history_samples": len(snapshotter),
         "postmortem": postmortem_path,
     }
 

@@ -12,7 +12,9 @@ backend drain it to a sink?
 :class:`~repro.shard.ShardSupervisor` fleet (worker subprocesses behind
 one SO_REUSEPORT endpoint) twice, with one shard and with two, so the
 fleet's number is always read beside the one-shard number it has to
-beat.  The sink is the same threaded HTTP server in
+beat.  A fleet is fed over HTTP by :data:`FEEDERS` keep-alive clients on
+threads of their own, since one serial client would cap both rows at
+what it can post.  The sink is the same threaded HTTP server in
 all cases, so the variable under test is the dispatcher substrate — this
 is the ROADMAP item 3 follow-on wiring ``repro.aio`` (and now
 ``repro.shard``) into ``python -m repro.experiments``.
@@ -39,6 +41,10 @@ from repro.workload.echo import make_echo_message
 from repro.wsa import AddressingHeaders
 
 RUNTIMES = ("threaded", "aio", "sharded")
+
+#: concurrent keep-alive clients feeding a shard fleet, each posting every
+#: FEEDERS-th envelope
+FEEDERS = 8
 
 
 def _start_sink(delivered: set, done: threading.Event, expected: int):
@@ -83,6 +89,7 @@ def _run_point(
     ]
 
     stop_fns = []
+    feeders: list[threading.Thread] = []
     try:
         if runtime == "sharded":
             from repro.shard import ShardSupervisor, SupervisorConfig
@@ -93,13 +100,22 @@ def _run_point(
                 SupervisorConfig(shards=shards, batch_size=batch_size),
             ).start()
             stop_fns.append(supervisor.stop)
-            feeder = HttpClient(TcpConnector())
-            stop_fns.append(feeder.close)
+            url = supervisor.data_url + "/msg/drain-echo"
+
+            def feed(client, share):
+                for envelope in share:
+                    client.post_envelope(url, envelope)
+
+            for i in range(FEEDERS):
+                client = HttpClient(TcpConnector())
+                stop_fns.append(client.close)
+                feeders.append(threading.Thread(
+                    target=feed, args=(client, envelopes[i::FEEDERS]),
+                    name=f"drain-feeder-{i}", daemon=True,
+                ))
             t0 = time.perf_counter()
-            for envelope in envelopes:
-                feeder.post_envelope(
-                    supervisor.data_url + "/msg/drain-echo", envelope
-                )
+            for feeder in feeders:
+                feeder.start()
         elif runtime == "aio":
             from repro.aio import AioHttpClient, AioLoopThread, AioMsgDispatcher
 
@@ -138,6 +154,8 @@ def _run_point(
                 )
         done.wait(timeout=60.0)
         elapsed = time.perf_counter() - t0
+        for feeder in feeders:
+            feeder.join(timeout=10.0)
     finally:
         for stop in stop_fns:
             try:

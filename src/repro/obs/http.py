@@ -20,8 +20,6 @@ sources — behind two GET endpoints mounted on any
 - ``GET /flightrecorder`` — the :class:`~repro.obs.flight.FlightRecorder`
   ring of recent state-transition events and message fates
   (``?kind=<k>`` filters, ``?last=<n>`` keeps the newest ``n``).
-- ``GET /metrics/history`` — the :class:`~repro.obs.history.MetricsSnapshotter`
-  time-series ring of periodic registry samples.
 
 A component source is anything with a ``stats`` dict property or a
 callable returning a dict; ``GET /metrics`` shows each numeric stat as a
@@ -37,7 +35,6 @@ from typing import Callable
 
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.flight import FlightRecorder, default_flight_recorder
-from repro.obs.history import MetricsSnapshotter
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.slo import SloTracker
 from repro.obs.trace import TraceStore, default_trace_store
@@ -87,20 +84,15 @@ class Introspection:
         title: str = "WS-Dispatcher introspection",
         flight: FlightRecorder | None = None,
         slo: SloTracker | None = None,
-        history: MetricsSnapshotter | None = None,
     ) -> None:
-        """``flight``/``slo``/``history`` feed the ``/flightrecorder``,
-        ``/slo``, and ``/metrics/history`` pages; defaults are the
-        process-wide flight recorder, a tracker with the default policy
-        over ``metrics``, and an (unstarted) snapshotter over ``metrics``
-        — so every endpoint answers even on a bare deployment."""
+        """``flight``/``slo`` feed the ``/flightrecorder`` and ``/slo``
+        pages; defaults are the process-wide flight recorder and a tracker
+        with the default policy over ``metrics`` — so every endpoint
+        answers even on a bare deployment."""
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
         self.flight = flight if flight is not None else default_flight_recorder()
         self.slo = slo if slo is not None else SloTracker(self.metrics)
-        self.history = (
-            history if history is not None else MetricsSnapshotter(self.metrics)
-        )
         self.title = title
         self._lock = threading.Lock()
         self._sources: dict[str, Callable[[], dict]] = {}
@@ -284,19 +276,11 @@ class Introspection:
             return _json_response({"error": f"bad last={last!r}"}, status=400)
         return _json_response({"events": events})
 
-    def history_handler(self, request: HttpRequest) -> HttpResponse:
-        return _json_response(self.history.to_json())
-
     def mount(self, app) -> None:
-        """Mount the endpoints on a :class:`~repro.rt.service.SoapHttpApp`.
-
-        ``/metrics/history`` coexists with ``/metrics`` because page
-        routing is longest-prefix-first.
-        """
+        """Mount the endpoints on a :class:`~repro.rt.service.SoapHttpApp`."""
         app.mount_page("/metrics", self.metrics_handler)
         app.mount_page("/trace", self.trace_handler)
         app.mount_page("/health", self.health_handler)
         app.mount_page("/deadletters", self.deadletters_handler)
         app.mount_page("/slo", self.slo_handler)
         app.mount_page("/flightrecorder", self.flight_handler)
-        app.mount_page("/metrics/history", self.history_handler)

@@ -3,9 +3,7 @@
 :class:`MetricsRegistry` is the one sink every message-path component
 records into — a process-wide default registry or an explicitly injected
 one — and a single exposition surface (:mod:`repro.obs.http`) renders the
-lot as Prometheus-style text or JSON.  In a simulation,
-:meth:`~repro.obs.history.MetricsSnapshotter.sim_process` samples it on
-simulated time.
+lot as Prometheus-style text or JSON.
 
 Design constraints, in order:
 
@@ -76,14 +74,6 @@ class GaugeChild:
         with self._lock:
             self._fn = None
             self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._fn = None
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Bind a live read callback (re-binding replaces the old one)."""

@@ -168,8 +168,8 @@ class TraceStore:
         """Pre-allocate a span id (to advertise downstream before recording).
 
         ``span_prefix`` keeps ids from colliding when several processes —
-        each with its own store counting from 1 — report spans into one
-        aggregating store (the cross-process span-report path).
+        each with its own store counting from 1 — hand one message on
+        (a shard fleet's relays), so a parent id names one process.
         """
         return f"{self.span_prefix}-{next(self._span_seq)}"
 
@@ -207,45 +207,6 @@ class TraceStore:
             spans.append(span)
         return span
 
-    def ingest(self, spans: list[dict]) -> int:
-        """Absorb spans reported by another process's store.
-
-        Each entry is a :meth:`Span.to_dict` payload shipped over the
-        span-report protocol (:mod:`repro.obs.spanreport`); malformed
-        entries are skipped.  Returns the number of spans absorbed.
-        Reported span ids are kept verbatim — remote stores use distinct
-        ``span_prefix`` values so parent links resolve unambiguously.
-        """
-        absorbed = 0
-        for payload in spans:
-            try:
-                trace_id = payload["trace_id"]
-                span_id = payload["span_id"]
-                name = payload["name"]
-                component = payload["component"]
-                start = float(payload["start"])
-                end = float(payload["end"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            if not trace_id or not span_id:
-                continue
-            attrs = payload.get("attrs") or {}
-            if not isinstance(attrs, dict):
-                attrs = {}
-            span = self.record(
-                str(trace_id),
-                str(name),
-                str(component),
-                start,
-                end,
-                span_id=str(span_id),
-                parent_id=payload.get("parent_id") or None,
-                **{str(k): str(v) for k, v in attrs.items()},
-            )
-            if span is not None:
-                absorbed += 1
-        return absorbed
-
     # -- retrieval --------------------------------------------------------
     def get(self, trace_id: str) -> list[Span]:
         with self._lock:
@@ -263,13 +224,6 @@ class TraceStore:
         """Trace ids, oldest first."""
         with self._lock:
             return list(self._traces)
-
-    def wall_time(self, trace_id: str) -> float:
-        """Last span end minus first span start (0.0 for unknown traces)."""
-        spans = self.get(trace_id)
-        if not spans:
-            return 0.0
-        return max(s.end for s in spans) - min(s.start for s in spans)
 
     def to_json(self, trace_id: str) -> dict:
         spans = sorted(self.get(trace_id), key=lambda s: (s.start, s.end))

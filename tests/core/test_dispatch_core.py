@@ -293,7 +293,7 @@ def test_every_dispatcher_family_is_registered_once_by_the_core():
         family.name for family in Core().metrics_registry.families()
         if family.name.startswith(("msgd_", "dispatcher_"))
     }
-    assert len(names) >= 12
+    assert len(names) >= 10
     for name in names - {"msgd_stage_seconds"}:  # named in repro.obs.slo
         assert core_text.count(f'"{name}"') == 1, name
         assert f'"{name}"' not in drivers, name
@@ -302,10 +302,10 @@ def test_every_dispatcher_family_is_registered_once_by_the_core():
 # -- (c) queue-wait is observed once, before the breaker gate ------------------
 
 def destination_waits(core: Core) -> int:
-    snapshot = core.metrics_registry.snapshot()["msgd_queue_wait_seconds"]
+    snapshot = core.metrics_registry.snapshot()["msgd_stage_seconds"]
     return sum(
         sample["count"] for sample in snapshot["samples"]
-        if sample["labels"] == {"queue": "destination"}
+        if sample["labels"] == {"stage": "queue_destination"}
     )
 
 

@@ -226,8 +226,8 @@ class TestSimMsgDispatcher:
         # replace accept store with a zero-capacity... smallest is 1
         from repro.simnet.resources import Store
 
-        disp._accept = Store(sim, capacity=1)
-        disp._accept.try_put(("blocker", "/msg/echo"))
+        disp._accept_queue = Store(sim, capacity=1)
+        disp._accept_queue.try_put(("blocker", "/msg/echo"))
         ids = IdGenerator("t", seed=4)
 
         def send():
@@ -373,7 +373,7 @@ class TestSimPipelinedDrain:
             msg = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
             trace = TraceContext(f"sim-{prefix}-{i}") if traced else None
             traces.append(trace)
-            assert disp._accept.try_put((msg, "/msg/echo", trace, 0.0, None))
+            assert disp._accept_queue.try_put((msg, "/msg/echo", trace, 0.0, None))
         return traces
 
     def test_backlog_drains_as_pipelined_bursts(self, sim):

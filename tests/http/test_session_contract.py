@@ -33,7 +33,7 @@ from repro.errors import (
     SimInterrupt,
 )
 from repro.http import Headers, HttpRequest, HttpResponse
-from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease
+from repro.http.session import CONNECT, RECV, SEND, ClientSession, Lease, exchange
 from repro.http.wire import RequestParser, serialize_response
 from repro.obs.metrics import MetricsRegistry
 from repro.rt.client import HttpClient
@@ -818,3 +818,95 @@ def test_every_request_ends_answered_replayed_or_poisoned_never_two(data):
     pooled = [conn for pool in session._pools.values() for conn in pool]
     assert burst_conn.closed != (burst_conn in pooled)
     assert whole == n or burst_conn.closed
+
+
+# -- the client half of the parser at any chunk boundary ---------------------
+
+RESPONSES = st.lists(
+    st.tuples(
+        st.sampled_from(["length", "chunked", "close", "204", "304"]),
+        st.binary(max_size=40),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def response_stream(specs, until_eof: bool) -> bytes:
+    """The responses of ``specs``, plus one read-until-close response."""
+    out = []
+    for framing, body in specs:
+        if framing in ("204", "304"):
+            # a 304 may name the length it would have had; it ends at its head
+            out.append(b"HTTP/1.1 %s X\r\nContent-Length: 9\r\n\r\n" % framing.encode())
+        elif framing == "chunked":
+            pieces = [body[i:i + 7] for i in range(0, len(body), 7)]
+            out.append(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                + b"".join(b"%x\r\n%s\r\n" % (len(p), p) for p in pieces)
+                + b"0\r\n\r\n"
+            )
+        else:
+            close = b"Connection: close\r\n" if framing == "close" else b""
+            out.append(
+                b"HTTP/1.1 200 OK\r\n" + close
+                + b"Content-Length: %d\r\n\r\n" % len(body) + body
+            )
+    if until_eof:
+        out.append(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nto the end")
+    return b"".join(out)
+
+
+class PieceConn:
+    """Answers each ``RECV`` with its next piece, then with EOF."""
+
+    def __init__(self, pieces: "list[bytes]") -> None:
+        self.pieces = [piece for piece in pieces if piece]
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def exchange_over(pieces: "list[bytes]", n: int):
+    conn = PieceConn(pieces)
+    steps = exchange(conn, [HttpRequest("GET", "/r") for _ in range(n)], TIMEOUT)
+    try:
+        op, _conn, _arg = next(steps)
+        while True:
+            data = (conn.pieces.pop(0) if conn.pieces else b"") if op == RECV else None
+            op, _conn, _arg = steps.send(data)
+    except StopIteration as done:
+        responses, cut, resend, clean = done.value
+    return (
+        [(r.status, list(r.headers), r.body) for r in responses],
+        None if cut is None else (type(cut), str(cut)),
+        resend, clean, conn.closed,
+    )
+
+
+@settings(max_examples=150)
+@given(
+    RESPONSES, st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=2000), max_size=8),
+)
+def test_any_split_reads_what_one_recv_reads(specs, until_eof, cuts):
+    wire_bytes = response_stream(specs, until_eof)
+    n = len(specs) + until_eof
+    bounds = sorted({c % (len(wire_bytes) + 1) for c in cuts})
+    pieces = [wire_bytes[a:b] for a, b in zip([0, *bounds], [*bounds, len(wire_bytes)])]
+    whole = exchange_over([wire_bytes], n)
+    assert exchange_over(pieces, n) == whole
+    # what was read is each response up to and including the first close
+    framings = [framing for framing, _body in specs] + ["eof"] * until_eof
+    upto = next(
+        (i + 1 for i, f in enumerate(framings) if f in ("close", "eof")), n
+    )
+    responses, cut, resend, clean, closed = whole
+    assert [(status, body) for status, _h, body in responses] == [
+        (int(f), b"") if f in ("204", "304")
+        else (200, b"to the end" if f == "eof" else body)
+        for f, body in [*specs, ("eof", b"")][:upto]
+    ]
+    assert (cut is None) == (upto == n) and resend
+    assert clean == (upto == n and framings[-1] not in ("close", "eof"))
+    assert closed != clean

@@ -178,7 +178,7 @@ class TestThreadedStack:
         assert admit.start <= accept_wait.start <= dest_wait.start
         assert dest_wait.start <= deliver.start <= service.start
         # the three acceptance spans fit inside the trace's wall time
-        wall = traces.wall_time(trace_id)
+        wall = traces.to_json(trace_id)["wall_time"]
         assert wall > 0
         total = admit.duration + accept_wait.duration + deliver.duration
         assert total <= wall * 1.001 + 1e-6
@@ -216,10 +216,10 @@ class TestThreadedStack:
         text = resp.body.decode()
         # per-destination queue depth gauge, labeled by destination
         assert "msgd_destination_queue_depth{dest=" in text
-        # latency histogram exposes cumulative buckets and totals
-        assert "# TYPE msgd_queue_wait_seconds histogram" in text
-        assert 'msgd_queue_wait_seconds_bucket{' in text
-        assert "msgd_transmit_seconds_count" in text
+        # the stage histogram exposes cumulative buckets and totals
+        assert "# TYPE msgd_stage_seconds histogram" in text
+        assert 'msgd_stage_seconds_bucket{le="0.02",stage="queue_destination"}' in text
+        assert 'msgd_stage_seconds_count{stage="deliver"}' in text
         assert "msgd_delivered_total 1" in text  # the ws hop, and only it
         # the reply leg is the service's own: its deposit hangs off the
         # service span, and the dispatcher routed nothing back
@@ -330,7 +330,7 @@ class TestSimnetStack:
         snap = metrics.snapshot()
         delivered = snap["msgd_delivered_total"]["samples"][0]["value"]
         assert delivered >= 1
-        assert snap["msgd_queue_wait_seconds"]["samples"]
+        assert snap["msgd_stage_seconds"]["samples"]
 
     def test_trace_survives_the_simulated_wire(self, world):
         """The deposited reply still carries the originating trace id."""

@@ -153,7 +153,7 @@ class TestMount:
         intro.mount(FakeApp())
         assert set(mounted) == {
             "/metrics", "/trace", "/health", "/deadletters",
-            "/slo", "/flightrecorder", "/metrics/history",
+            "/slo", "/flightrecorder",
         }
 
     def test_the_paths_are_not_options(self):

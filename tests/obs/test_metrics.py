@@ -63,12 +63,14 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_inc_dec(self):
+    def test_set_replaces_the_value_and_a_callback(self):
         g = MetricsRegistry().gauge("depth").labels()
         g.set(10)
-        g.inc(2)
-        g.dec()
+        g.set(11)
         assert g.get() == 11.0
+        g.set_function(lambda: 3)
+        g.set(12)
+        assert g.get() == 12.0
 
     def test_live_callback(self):
         queue = [1, 2, 3]

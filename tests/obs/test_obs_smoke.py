@@ -1,9 +1,9 @@
 """Operator-plane smoke: boot a dispatcher, scrape every telemetry page.
 
 A threaded deployment serving the message path *and* the full
-introspection surface (metrics, traces, SLOs, flight recorder, metrics
-history, span-report ingestion) on one server, with every page returning
-a well-formed body after real traffic.
+introspection surface (metrics, traces, SLOs, flight recorder, dead
+letters) on one server, with every page returning a well-formed body
+after real traffic.
 """
 
 import json
@@ -17,16 +17,9 @@ from repro.obs import (
     FlightRecorder,
     Introspection,
     MetricsRegistry,
-    MetricsSnapshotter,
     SloTracker,
     TraceStore,
     ensure_trace,
-)
-from repro.obs.spanreport import (
-    SPAN_REPORT_PATH,
-    ReportingTraceStore,
-    SpanReportHandler,
-    make_span_report_request,
 )
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
@@ -40,7 +33,6 @@ PAGES = (
     "/health",
     "/slo",
     "/flightrecorder",
-    "/metrics/history",
     "/deadletters",
 )
 
@@ -49,9 +41,8 @@ PAGES = (
 def telemetry_deployment(inproc):
     """A one-process WSD deployment with the full telemetry plane on."""
     metrics = MetricsRegistry()
-    traces = TraceStore(span_prefix="wsd")
+    traces = TraceStore()
     flight = FlightRecorder()
-    snapshotter = MetricsSnapshotter(metrics, capacity=64)
 
     ws_client = HttpClient(inproc, metrics=metrics)
     echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1), traces=traces)
@@ -77,19 +68,18 @@ def telemetry_deployment(inproc):
     )
     intro = Introspection(
         metrics=metrics, traces=traces, flight=flight,
-        slo=SloTracker(metrics), history=snapshotter,
+        slo=SloTracker(metrics),
     )
     app = SoapHttpApp()
     app.mount("/msg", dispatcher)
     app.mount("/mailbox", msgbox)
-    app.mount_raw(SPAN_REPORT_PATH, SpanReportHandler(traces, metrics=metrics))
     intro.mount(app)
     front = HttpServer(
         inproc.listen("wsd:8000"), app.handle_request,
         workers=8, name="front", metrics=metrics,
     ).start()
 
-    yield inproc, metrics, traces, flight, snapshotter, dispatcher
+    yield inproc, metrics, dispatcher
     dispatcher.stop()
     front.stop()
     ws_server.stop()
@@ -104,7 +94,7 @@ def _get(client, path):
 
 
 def test_scrape_all_pages_after_traffic(telemetry_deployment):
-    inproc, metrics, traces, flight, snapshotter, dispatcher = telemetry_deployment
+    inproc, metrics, dispatcher = telemetry_deployment
     client = HttpClient(inproc, metrics=metrics)
     try:
         # drive one real message through the pipeline first
@@ -121,7 +111,6 @@ def test_scrape_all_pages_after_traffic(telemetry_deployment):
         # the reply can be taken before the delivery that caused it has
         # settled, and the pages below show it
         assert wait_for(lambda: dispatcher.stats.get("delivered")), "no delivery"
-        snapshotter.sample()
 
         for path in PAGES:
             response = _get(client, path)
@@ -153,21 +142,7 @@ def test_scrape_all_pages_after_traffic(telemetry_deployment):
         fr = json.loads(_get(client, "/flightrecorder").body)
         assert fr["enabled"] is True and "events" in fr
 
-        # /metrics/history serves the snapshotter's sample
-        history = json.loads(_get(client, "/metrics/history").body)
-        assert len(history["samples"]) == 1
-
-        # POSTing a span report lands remote spans in the local store
-        remote = ReportingTraceStore(span_prefix="probe")
-        remote.record(ctx.trace_id, "probe", "probe", 0.0, 0.1)
-        report = make_span_report_request(remote.drain_reports())
-        response = client.request(
-            f"http://wsd:8000{SPAN_REPORT_PATH}", report
-        )
-        assert response.status == 202
-        assert json.loads(response.body)["absorbed"] == 1
-        assert any(
-            s.component == "probe" for s in traces.get(ctx.trace_id)
-        )
+        # /deadletters answers with no journal registered
+        assert json.loads(_get(client, "/deadletters").body) == {}
     finally:
         client.close()

@@ -112,8 +112,8 @@ class TestTraceStore:
         store = TraceStore()
         store.record("t1", "a", "c", 1.0, 2.0)
         store.record("t1", "b", "c", 1.5, 4.0)
-        assert store.wall_time("t1") == pytest.approx(3.0)
-        assert store.wall_time("missing") == 0.0
+        assert store.to_json("t1")["wall_time"] == pytest.approx(3.0)
+        assert store.to_json("missing")["wall_time"] == 0.0
 
     def test_disabled_store_records_nothing(self):
         store = TraceStore(enabled=False)

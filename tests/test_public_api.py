@@ -249,3 +249,31 @@ def test_the_rpc_dispatchers_keep_their_constructors_and_add_no_option():
         assert parameters(driver.bridge_handler) == {
             "request": empty, "bridge_timeout": 30.0, "mount_prefix": "/bridge",
         }, driver
+
+
+def test_the_introspection_row_matches_the_code():
+    """docs/api.md names every ``Introspection`` parameter and every page
+    ``mount`` serves, and nothing else."""
+    import inspect
+
+    from repro.obs import Introspection
+
+    assert _documented_fields("Introspection") == set(
+        inspect.signature(Introspection.__init__).parameters
+    ) - {"self"}
+    mounted = set()
+
+    class App:
+        def mount_page(self, path, handler):
+            mounted.add(path)
+
+    Introspection().mount(App())
+    api_md = pathlib.Path(__file__).resolve().parents[1] / "docs" / "api.md"
+    row = next(
+        line for line in api_md.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `Introspection(")
+    )
+    pages = row.split("`mount(app)` →", 1)[1].split("at those fixed paths", 1)[0]
+    assert {
+        path.split("/<", 1)[0] for path in re.findall(r"`(?:GET )?(/[^`]*)`", pages)
+    } == mounted
