@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -69,6 +70,34 @@ REGISTRY_KIND = "registry"
 Stamp = tuple[int, str]
 
 _SLOTS = ("life", "physical", "metadata", "enabled")
+
+
+#: the live registries each ``registry_services{peer}`` child counts, per
+#: metrics registry: two registries with one peer id on one metrics
+#: registry (two lone ones, say) share the child, which reads their sum
+_SERVICE_GAUGES: "weakref.WeakKeyDictionary[MetricsRegistry, dict[str, weakref.WeakSet]]" = (
+    weakref.WeakKeyDictionary()
+)
+_SERVICE_GAUGES_LOCK = threading.Lock()
+
+
+def _count_services(metrics: MetricsRegistry, peer_id: str, registry: "ServiceRegistry") -> None:
+    """Add ``registry`` to what ``registry_services{peer=peer_id}`` reads."""
+    with _SERVICE_GAUGES_LOCK:
+        peers = _SERVICE_GAUGES.setdefault(metrics, {})
+        live = peers.get(peer_id)
+        if live is None:
+            live = peers[peer_id] = weakref.WeakSet()
+
+            def services() -> int:
+                with _SERVICE_GAUGES_LOCK:
+                    registries = list(live)
+                return sum(len(r) for r in registries)
+
+            metrics.gauge(
+                "registry_services", "registered logical services, by peer"
+            ).labels(peer=peer_id).set_function(services)
+        live.add(registry)
 
 
 @dataclass
@@ -308,9 +337,7 @@ class ServiceRegistry:
             self._lookup_uncached, time.monotonic, lookup_cache_ttl,
             self.metrics,
         )
-        self.metrics.gauge(
-            "registry_services", "registered logical services, by peer"
-        ).labels(peer=peer_id).set_function(lambda: len(self))
+        _count_services(self.metrics, peer_id, self)
         self._db = TextFileMap(persist_path) if persist_path else None
         self._selector = selector or (lambda record: record.physical[0])
         self._lookups = 0

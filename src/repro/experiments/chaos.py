@@ -45,7 +45,7 @@ from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
 from repro.simnet.topology import Network
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
+from repro.workload.echo import EchoMessageTemplate
 from repro.wsa import AddressingHeaders
 from repro.soap import Envelope
 
@@ -157,13 +157,13 @@ def run_point(
     )
     sent: list[str] = []
     send_errors = 0
+    template = EchoMessageTemplate("urn:wsd:echo")
 
     def sender():
         nonlocal send_errors
         for _ in range(messages):
             mid = ids.next()
-            env = make_echo_message(to="urn:wsd:echo", message_id=mid)
-            request = soap_post(env.to_bytes(), "/msg/echo")
+            request = soap_post(template.render(mid), "/msg/echo")
             sent.append(mid)
             send_times[mid] = sim.now
             try:

@@ -45,7 +45,7 @@ from repro.simnet.topology import Network
 from repro.soap import Envelope
 from repro.store.journal import DEAD, MessageJournal
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
+from repro.workload.echo import EchoMessageTemplate
 from repro.wsa import AddressingHeaders
 
 #: (crash_at, restart_after) points swept by :func:`run`
@@ -157,13 +157,13 @@ def run_point(
     sent: list[str] = []
     accepted: set[str] = set()
     resends = 0
+    template = EchoMessageTemplate("urn:wsd:echo")
 
     def sender():
         nonlocal resends
         for _ in range(messages):
             mid = ids.next()
-            env = make_echo_message(to="urn:wsd:echo", message_id=mid)
-            body = env.to_bytes()
+            body = template.render(mid)
             sent.append(mid)
             for attempt in range(40):
                 if attempt:

@@ -28,7 +28,7 @@ from repro.simnet.tcpsim import SimTcpConnection, TcpParams, connect
 from repro.simnet.topology import Host, Network
 from repro.util.ids import IdGenerator
 from repro.util.stats import OnlineStats
-from repro.workload.echo import make_echo_message, make_echo_request
+from repro.workload.echo import EchoMessageTemplate, make_echo_request
 from repro.workload.results import RunResult
 from repro.wsa import EndpointReference
 
@@ -61,14 +61,15 @@ def echo_request_factory(
     MessageID; the n-th, counting from 1, replies to
     ``reply_tos[n % len(reply_tos)]``."""
     counter = itertools.count(1)
+    templates: dict[int, EchoMessageTemplate] = {}  # one per ReplyTo, made on first use
 
     def factory() -> HttpRequest:
-        env = make_echo_message(
-            to=to,
-            message_id=ids.next(),
-            reply_to=reply_tos[next(counter) % len(reply_tos)],
-        )
-        return soap_post(env.to_bytes(), path)
+        message_id = ids.next()
+        index = next(counter) % len(reply_tos)
+        template = templates.get(index)
+        if template is None:
+            template = templates[index] = EchoMessageTemplate(to, reply_tos[index])
+        return soap_post(template.render(message_id), path)
 
     return factory
 

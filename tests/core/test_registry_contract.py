@@ -13,6 +13,7 @@ peer's rule is everyone's.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,3 +110,24 @@ def test_contract(row, shape):
     registry.register("echo", ECHO)
     registry.lookup("echo")
     assert row.act(registry) == row.expect
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_registries_sharing_a_peer_id_add_up_in_registry_services(shape):
+    """Two registries with one peer id on one metrics registry share the
+    ``registry_services{peer}`` child: it reads the sum over the live
+    ones, so a fresh registry does not hide one holding two services, and
+    one that is gone stops counting."""
+    metrics = MetricsRegistry()
+    full = SHAPES[shape](metrics)
+    full.register("echo", ECHO)
+    full.register("sink", "http://ws:9002/sink")
+    fresh = SHAPES[shape](metrics)
+    peer = full.peer_id
+    line = f'registry_services{{peer="{peer}"}} '
+    assert line + "2" in metrics.render_prometheus().splitlines()
+    fresh.register("echo", ECHO)
+    assert line + "3" in metrics.render_prometheus().splitlines()
+    del full
+    gc.collect()
+    assert line + "1" in metrics.render_prometheus().splitlines()

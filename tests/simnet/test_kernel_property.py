@@ -1,7 +1,9 @@
 """Property-based tests of kernel invariants.
 
 Invariants: time never goes backwards; every scheduled timeout fires at
-exactly its due time; FIFO stores conserve and order items under any
+exactly its due time; whatever is queued (a bare callback, a timeout or a
+delayed ``succeed``) fires in time order and, at equal times, in
+scheduling order; FIFO stores conserve and order items under any
 interleaving of producers and consumers; resources never exceed capacity.
 """
 
@@ -31,6 +33,35 @@ def test_timeouts_fire_at_due_time_in_order(delays):
         assert actual == due
     actuals = [a for _, a in fired]
     assert actuals == sorted(actuals)  # monotone time
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from(["bare", "timeout", "succeed"]), st.sampled_from([0.0, 0.5, 1.0])),
+    min_size=1, max_size=40,
+))
+@settings(max_examples=100, deadline=None)
+def test_bare_callbacks_timeouts_and_succeeds_fire_in_scheduling_order(entries):
+    sim = Simulator()
+    fired: list[tuple[float, int]] = []
+    for index, (kind, delay) in enumerate(entries):
+        def record(_event, index=index):
+            fired.append((sim.now, index))
+
+        if kind == "bare":
+            sim.call_later(delay, record)
+        elif kind == "timeout":
+            sim.timeout(delay).callbacks.append(record)
+        else:
+            event = sim.event()
+            event.callbacks.append(record)
+            event.succeed(delay=delay)
+    sim.run()
+    # time order first, then the order they were scheduled in (a stable sort)
+    expected = sorted(
+        ((delay, index) for index, (_, delay) in enumerate(entries)), key=lambda e: e[0]
+    )
+    assert fired == expected
+    assert sim.events_processed == len(entries)
 
 
 @given(_delays)

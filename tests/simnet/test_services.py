@@ -11,8 +11,8 @@ from repro.simnet.tcpsim import listen
 from repro.simnet.topology import AccessLink, Network
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
-from repro.wsa import EndpointReference
+from repro.workload.echo import make_echo_message, make_echo_request
+from repro.wsa import AddressingHeaders, EndpointReference
 
 
 @pytest.fixture
@@ -104,6 +104,30 @@ def test_no_reply_to_means_no_send(world):
     assert sim.run(sim.process(send())) == 202
     sim.run(until=sim.now + 1.0)
     assert echo.stats == {"received": 1}
+
+
+def test_a_reply_to_without_message_id_is_a_client_fault(world):
+    """Nothing can relate a reply to it, so the echo answers 400 and
+    sends nothing, as for any request it cannot read."""
+    net, client, ws = world
+    sim = net.sim
+    echo = SimAsyncEchoService(net, ws)
+    SimHttpServer(net, ws, 9000, echo.handler)
+    msg = make_echo_request()
+    AddressingHeaders(
+        to="http://ws:9000/echo", reply_to=EndpointReference("http://client:7000/inbox")
+    ).attach(msg)
+
+    def send():
+        resp = yield from sim_http_request(
+            net, client, "ws", 9000, soap_post("/echo", msg.to_bytes())
+        )
+        return resp.status, resp.body
+
+    status, body = sim.run(sim.process(send()))
+    assert status == 400 and b"MessageID" in body
+    sim.run(until=sim.now + 1.0)
+    assert echo.stats == {}
 
 
 def test_sender_pool_saturation_throttles_acceptance(world):

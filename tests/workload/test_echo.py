@@ -1,12 +1,15 @@
 """Tests for the echo workload."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.msgbox.service import make_mailbox_epr
 from repro.rt.service import RequestContext
 from repro.soap import Envelope, parse_rpc_request, parse_rpc_response
 from repro.util.clock import ManualClock
 from repro.workload.echo import (
     PAPER_XML_BYTES,
+    EchoMessageTemplate,
     EchoService,
     make_echo_message,
     make_echo_request,
@@ -59,3 +62,46 @@ class TestEchoService:
         svc = EchoService(response_delay=1.5, sleep=slept.append)
         svc.handle(make_echo_request(), RequestContext(path="/echo"))
         assert slept == [1.5]
+
+
+# ids with markup to escape and characters past ASCII, beside plain ones
+_ids = st.text(
+    st.sampled_from("&<>\"'é漢🙂") | st.characters(blacklist_categories=("Cs",)),
+    max_size=40,
+)
+_reply_tos = st.sampled_from([
+    None,
+    EndpointReference("http://inria:20001/reply"),
+    make_mailbox_epr("http://iuWSD:8000/mailbox", "6513270e269e0d37"),
+])
+
+
+class TestEchoMessageTemplate:
+    @given(
+        message_id=_ids,
+        reply_to=_reply_tos,
+        to=st.sampled_from(["urn:wsd:echo", "http://iuWS:9000/echo?a=1&b=<2>"]),
+        target_bytes=st.sampled_from([1, PAPER_XML_BYTES, 400]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_render_writes_what_make_echo_message_writes(
+        self, message_id, reply_to, to, target_bytes
+    ):
+        template = EchoMessageTemplate(to, reply_to, target_bytes)
+        assert template.render(message_id) == make_echo_message(
+            to, message_id, reply_to, target_bytes
+        ).to_bytes()
+
+    def test_rendered_message_parses_back(self):
+        wire = EchoMessageTemplate("urn:wsd:echo").render("uuid:a&b<c>")
+        assert AddressingHeaders.from_envelope(Envelope.from_bytes(wire)).message_id == (
+            "uuid:a&b<c>"
+        )
+
+    def test_a_slot_that_occurs_twice_raises(self):
+        with pytest.raises(ValueError, match="2 times"):
+            EchoMessageTemplate(EchoMessageTemplate.SLOT)
+        with pytest.raises(ValueError, match="2 times"):
+            EchoMessageTemplate(
+                "urn:wsd:echo", EndpointReference("http://c/" + EchoMessageTemplate.SLOT)
+            )

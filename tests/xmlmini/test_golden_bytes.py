@@ -15,20 +15,20 @@ import pytest
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.service import MSGBOX_NS, make_mailbox_epr
 from repro.rt.service import RequestContext
-from repro.soap import (
-    RpcRequest,
-    RpcResponse,
-    build_rpc_request,
-    build_rpc_response,
-    parse_envelope,
-    parse_rpc_request,
-    parse_rpc_response,
-)
+from repro.soap import RpcRequest, build_rpc_request, parse_envelope, parse_rpc_response
 from repro.util.ids import IdGenerator
-from repro.workload.echo import make_echo_message
-from repro.wsa import AddressingHeaders, make_reply_headers, rewrite_for_forwarding
+from repro.obs.trace import TraceStore
+from repro.workload.echo import echo_reply, make_echo_message
+from repro.wsa import rewrite_for_forwarding
 
 MAILBOX = "http://127.0.0.1:8000/mailbox"
+
+
+class _ReplyIds:
+    """The echo's id generator, pinned to one MessageID."""
+
+    def next(self) -> str:
+        return "uuid:echo-0001"
 
 
 def round_trip() -> dict[str, bytes]:
@@ -49,13 +49,8 @@ def round_trip() -> dict[str, bytes]:
         passthrough_reply_prefixes=(service.deposit_prefix,),
     ).envelope.to_bytes()
 
-    # what the echo service sends back, as AsyncEchoService builds it
-    request = parse_envelope(forward)
-    call = parse_rpc_request(request)
-    reply = build_rpc_response(
-        RpcResponse(call.interface_ns, call.operation, [("return", call.param("text"))])
-    )
-    make_reply_headers(AddressingHeaders.from_envelope(request), "uuid:echo-0001").attach(reply)
+    # what both messaging echoes send back
+    reply = echo_reply(parse_envelope(forward), _ReplyIds(), TraceStore()).envelope
     deposit_path = f"/mailbox/deposit/{box}"
     assert service.handle(parse_envelope(reply.to_bytes()), RequestContext(path=deposit_path)) is None
 
