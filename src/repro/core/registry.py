@@ -74,7 +74,8 @@ _SLOTS = ("life", "physical", "metadata", "enabled")
 
 #: the live registries each ``registry_services{peer}`` child counts, per
 #: metrics registry: two registries with one peer id on one metrics
-#: registry (two lone ones, say) share the child, which reads their sum
+#: registry (two lone ones, say) share the child, which reads their sum.
+#: Registries opened on one persisted file each count its services.
 _SERVICE_GAUGES: "weakref.WeakKeyDictionary[MetricsRegistry, dict[str, weakref.WeakSet]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -95,7 +96,8 @@ def _count_services(metrics: MetricsRegistry, peer_id: str, registry: "ServiceRe
                 return sum(len(r) for r in registries)
 
             metrics.gauge(
-                "registry_services", "registered logical services, by peer"
+                "registry_services",
+                "registered logical services, by peer, summed over its live registries",
             ).labels(peer=peer_id).set_function(services)
         live.add(registry)
 
@@ -333,9 +335,12 @@ class ServiceRegistry:
             "registry_gossip_entries_applied_total",
             "remote entry states merged in, by peer",
         ).labels(peer=peer_id)
+        # the cache reaches back weakly: a registry nobody holds is freed
+        # at once, and leaves what registry_services{peer} reads
+        this = weakref.ref(self)
         self._cache = LookupCache(
-            self._lookup_uncached, time.monotonic, lookup_cache_ttl,
-            self.metrics,
+            lambda logical: this()._lookup_uncached(logical), time.monotonic,
+            lookup_cache_ttl, self.metrics,
         )
         _count_services(self.metrics, peer_id, self)
         self._db = TextFileMap(persist_path) if persist_path else None

@@ -68,7 +68,7 @@ class Event:
         self._value = value
         sim = self.sim  # queued at (time, seq): ties fire in scheduling order
         sim._seq += 1
-        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self, None))
+        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -95,7 +95,7 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         sim._seq += 1
-        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self, None))
+        heapq.heappush(sim._queue, (sim.now + delay, sim._seq, self))
 
 
 class Process(Event):
@@ -109,7 +109,7 @@ class Process(Event):
         self._waiting_on: Event | None = None
         self.name = name
         sim.processes_started += 1
-        sim.call_later(0.0, self._resume)  # bootstrap: _resume(FIRED) starts the generator
+        Timeout(sim, 0.0).callbacks.append(self._resume)  # bootstrap
 
     @property
     def is_alive(self) -> bool:
@@ -170,19 +170,6 @@ class Process(Event):
         else:
             self._waiting_on = next_event
             next_event.callbacks.append(self._resume)
-
-
-class _Fired:
-    """What a bare callback (:meth:`Simulator.call_later`) is called with
-    in place of an event: fired, with no value and no exception, which is
-    all ``Process._resume`` reads."""
-
-    __slots__ = ()
-    _value = None
-    _exc = None
-
-
-FIRED = _Fired()
 
 
 class _Condition(Event):
@@ -257,8 +244,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        # (time, seq, event, None) or, for a bare callback, (time, seq, None, fn)
-        self._queue: list[tuple[float, int, Event | None, Callable[[Any], None] | None]] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
         self.processes_started = 0
@@ -273,15 +259,6 @@ class Simulator:
 
     def process(self, gen: ProcessGen, name: str = "proc") -> Process:
         return Process(self, gen, name=name)
-
-    def call_later(self, delay: float, callback: Callable[[Any], None]) -> None:
-        """Run ``callback(FIRED)`` after ``delay``: a ``Timeout`` that only
-        carries one callback, without the event.  It takes the queue slot
-        that ``Timeout`` would take and counts in ``events_processed``."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, None, callback))
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -325,21 +302,16 @@ class Simulator:
         fired = 0
         try:
             while queue and queue[0][0] <= until:
-                when, _seq, event, call = pop(queue)
+                when, _seq, event = pop(queue)
                 if when < self.now:
                     raise SimulationError("time went backwards")
                 self.now = when
                 fired += 1
-                if call is not None:
-                    call(FIRED)
-                else:
-                    event._processed = True
-                    callbacks, event.callbacks = event.callbacks, []
-                    for cb in callbacks:
-                        cb(event)
-                    if event is target:
-                        return
-                if fired == budget:
+                event._processed = True
+                callbacks, event.callbacks = event.callbacks, []
+                for cb in callbacks:
+                    cb(event)
+                if event is target or fired == budget:
                     return
         finally:
             self.events_processed += fired

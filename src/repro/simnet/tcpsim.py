@@ -152,13 +152,13 @@ class SimTcpConnection:
             )
         get = self.inbox.get()
         if timeout is not None:
-            def expire(_fired) -> None:
+            def expire(_event) -> None:
                 if not get.triggered:
                     get.cancel()
                     get.fail(ConnectionTimeout(
                         f"recv timed out after {timeout}s on {self.local.name}"
                     ))
-            self.sim.call_later(timeout, expire)
+            self.sim.timeout(timeout).callbacks.append(expire)
         item = yield get
         if item is _EOF:
             self.inbox.try_put(_EOF)  # keep EOF visible for subsequent reads

@@ -242,9 +242,8 @@ class Network:
         transfer from a host to itself (co-located services) bypasses the
         access link entirely — loopback is not metered.
 
-        A chain of bare kernel callbacks (``sim.call_later``), not a
-        process: start → links up? → up pipe → loss / RTO → propagation →
-        down pipe → ``done``, the one event a caller waits on.  The
+        A chain of kernel callbacks, not a process: start → links up? →
+        up pipe → loss / RTO → propagation → down pipe → ``done``.  The
         links are first read one kernel step after the call, so a fault
         applied at the calling instant is seen.
         """
@@ -255,7 +254,7 @@ class Network:
         stalled = False
         loss = None
 
-        def start(_fired: object) -> None:
+        def start(_event: Event) -> None:
             # Fault injection: a downed link carries nothing.  TCP keeps
             # retransmitting, so the transfer waits out the outage rather
             # than failing — the caller's own connect/read deadline is
@@ -268,12 +267,12 @@ class Network:
                     for link in (src.link, dst.link):
                         if link.down_until > sim.now:
                             link.stalled_transfers += 1
-                sim.call_later(until - sim.now, start)
+                sim.timeout(until - sim.now).callbacks.append(start)
                 return
             stalled = False  # a retry's wait for the links counts again
-            sim.call_later(src.link.up.reserve(nbytes), sent)
+            sim.timeout(src.link.up.reserve(nbytes)).callbacks.append(sent)
 
-        def sent(_fired: object) -> None:
+        def sent(_event: Event) -> None:
             # Loss on either access link: TCP retransmits after an RTO, so
             # the transfer still completes — just late (and the resend
             # loads the pipes again).  Counted per link for diagnostics.
@@ -283,17 +282,17 @@ class Network:
             if loss > 0.0 and self._loss_rng.random() < loss:
                 lossy = src.link if src.link.loss >= dst.link.loss else dst.link
                 lossy.dropped_transfers += 1
-                sim.call_later(self.rto, start)
+                sim.timeout(self.rto).callbacks.append(start)
                 return
             delay = self.propagation(src, dst)
             delay += src.link.extra_latency + dst.link.extra_latency
             spread = src.link.jitter + dst.link.jitter
             if spread > 0.0:
                 delay += self._loss_rng.random() * spread
-            sim.call_later(delay, arrived)
+            sim.timeout(delay).callbacks.append(arrived)
 
-        def arrived(_fired: object) -> None:
+        def arrived(_event: Event) -> None:
             done.succeed(nbytes, dst.link.down.reserve(nbytes))
 
-        sim.call_later(0.0, start)
+        sim.timeout(0.0).callbacks.append(start)
         return done

@@ -92,7 +92,7 @@ class EchoMessageTemplate:
     similar to the ping command"; a caller that does the same renders each
     message by splicing its id into the slot instead of building and
     writing an envelope.  ``render(message_id)`` is byte for byte
-    ``make_echo_message(to, message_id, reply_to, target_bytes).to_bytes()``.
+    ``make_echo_message(to, message_id, reply_to).to_bytes()``.
     """
 
     #: the MessageID the template is written with; it must occur nowhere
@@ -101,13 +101,8 @@ class EchoMessageTemplate:
 
     __slots__ = ("_head", "_tail")
 
-    def __init__(
-        self,
-        to: str,
-        reply_to: EndpointReference | None = None,
-        target_bytes: int = PAPER_XML_BYTES,
-    ) -> None:
-        document = make_echo_message(to, self.SLOT, reply_to, target_bytes).to_bytes()
+    def __init__(self, to: str, reply_to: EndpointReference | None = None) -> None:
+        document = make_echo_message(to, self.SLOT, reply_to).to_bytes()
         parts = document.split(self.SLOT.encode())
         if len(parts) != 2:
             raise ValueError(

@@ -61,14 +61,11 @@ def echo_request_factory(
     MessageID; the n-th, counting from 1, replies to
     ``reply_tos[n % len(reply_tos)]``."""
     counter = itertools.count(1)
-    templates: dict[int, EchoMessageTemplate] = {}  # one per ReplyTo, made on first use
+    templates = [EchoMessageTemplate(to, reply_to) for reply_to in reply_tos]
 
     def factory() -> HttpRequest:
         message_id = ids.next()
-        index = next(counter) % len(reply_tos)
-        template = templates.get(index)
-        if template is None:
-            template = templates[index] = EchoMessageTemplate(to, reply_tos[index])
+        template = templates[next(counter) % len(templates)]
         return soap_post(template.render(message_id), path)
 
     return factory

@@ -252,35 +252,6 @@ def test_events_processed_counter(sim):
     assert sim.events_processed >= 3
 
 
-class TestBareCallbacks:
-    def test_events_processed_counts_bare_callbacks(self, sim):
-        seen = []
-        sim.call_later(1.0, seen.append)
-        sim.call_later(0.0, seen.append)
-        sim.timeout(2.0)
-        sim.run()
-        assert sim.events_processed == 3
-        assert sim.now == 2.0
-        # called with a fired, valueless stand-in for the event
-        assert [(f._value, f._exc) for f in seen] == [(None, None)] * 2
-
-    def test_step_fires_one_bare_callback(self, sim):
-        seen = []
-        sim.call_later(0.5, seen.append)
-        assert sim.step() and len(seen) == 1 and sim.now == 0.5
-        assert not sim.step()
-
-    def test_a_bare_callback_is_no_run_target(self, sim):
-        seen = []
-        sim.call_later(1.0, seen.append)
-        target = sim.timeout(2.0, value="done")
-        assert sim.run(until=target) == "done" and len(seen) == 1
-
-    def test_negative_delay_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.call_later(-1.0, lambda _fired: None)
-
-
 def test_run_until_event_with_empty_queue_raises(sim):
     evt = sim.event()
     with pytest.raises(SimulationError):

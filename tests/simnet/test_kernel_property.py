@@ -1,9 +1,8 @@
 """Property-based tests of kernel invariants.
 
 Invariants: time never goes backwards; every scheduled timeout fires at
-exactly its due time; whatever is queued (a bare callback, a timeout or a
-delayed ``succeed``) fires in time order and, at equal times, in
-scheduling order; FIFO stores conserve and order items under any
+exactly its due time; timeouts and delayed ``succeed``s fire in time
+order and, at equal times, in scheduling order; FIFO stores conserve and order items under any
 interleaving of producers and consumers; resources never exceed capacity.
 """
 
@@ -36,20 +35,18 @@ def test_timeouts_fire_at_due_time_in_order(delays):
 
 
 @given(st.lists(
-    st.tuples(st.sampled_from(["bare", "timeout", "succeed"]), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.sampled_from(["timeout", "succeed"]), st.sampled_from([0.0, 0.5, 1.0])),
     min_size=1, max_size=40,
 ))
 @settings(max_examples=100, deadline=None)
-def test_bare_callbacks_timeouts_and_succeeds_fire_in_scheduling_order(entries):
+def test_timeouts_and_succeeds_fire_in_scheduling_order(entries):
     sim = Simulator()
     fired: list[tuple[float, int]] = []
     for index, (kind, delay) in enumerate(entries):
         def record(_event, index=index):
             fired.append((sim.now, index))
 
-        if kind == "bare":
-            sim.call_later(delay, record)
-        elif kind == "timeout":
+        if kind == "timeout":
             sim.timeout(delay).callbacks.append(record)
         else:
             event = sim.event()

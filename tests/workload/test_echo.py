@@ -81,15 +81,12 @@ class TestEchoMessageTemplate:
         message_id=_ids,
         reply_to=_reply_tos,
         to=st.sampled_from(["urn:wsd:echo", "http://iuWS:9000/echo?a=1&b=<2>"]),
-        target_bytes=st.sampled_from([1, PAPER_XML_BYTES, 400]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_render_writes_what_make_echo_message_writes(
-        self, message_id, reply_to, to, target_bytes
-    ):
-        template = EchoMessageTemplate(to, reply_to, target_bytes)
+    def test_render_writes_what_make_echo_message_writes(self, message_id, reply_to, to):
+        template = EchoMessageTemplate(to, reply_to)
         assert template.render(message_id) == make_echo_message(
-            to, message_id, reply_to, target_bytes
+            to, message_id, reply_to
         ).to_bytes()
 
     def test_rendered_message_parses_back(self):
