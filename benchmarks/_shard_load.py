@@ -70,7 +70,8 @@ def run_feed(data_url: str, logicals: list[str], messages: int, seed: int) -> No
 
     ids = IdGenerator(f"shardfeed{seed}", seed=seed)
     stats = {"fed": 0, "errors": 0}
-    with HttpClient(TcpConnector()) as client:
+    client = HttpClient(TcpConnector())
+    try:
         for i in range(messages):
             logical = logicals[i % len(logicals)]
             envelope = make_echo_message(
@@ -88,6 +89,8 @@ def run_feed(data_url: str, logicals: list[str], messages: int, seed: int) -> No
                     break
             else:
                 stats["errors"] += 1
+    finally:
+        client.close()
     print(json.dumps(stats), flush=True)
 
 

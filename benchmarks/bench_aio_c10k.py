@@ -74,7 +74,8 @@ def test_c10k_long_pollers_one_loop(
         app = SoapHttpApp(metrics=MetricsRegistry())
         app.mount("/mailbox", service)
         rss_before = _rss_mb()
-        with AioLoopThread(name="c10k-loop") as loop_thread:
+        loop_thread = AioLoopThread(name="c10k-loop").start()
+        try:
 
             async def boot():
                 srv = AioHttpServer(
@@ -126,6 +127,8 @@ def test_c10k_long_pollers_one_loop(
                 if swarm.poll() is None:
                     swarm.kill()
                 loop_thread.run(server.stop())
+        finally:
+            loop_thread.stop()
         return {
             "clients": CLIENTS,
             "parked_peak": peak,
@@ -197,7 +200,8 @@ def test_aio_drain_matches_threaded_pipeline(
 
     def run():
         received = []
-        with AioLoopThread(name="drain-loop") as loop_thread:
+        loop_thread = AioLoopThread(name="drain-loop").start()
+        try:
 
             async def boot():
                 sink = AioHttpServer(
@@ -245,6 +249,8 @@ def test_aio_drain_matches_threaded_pipeline(
             delivered = dispatcher.stats.get("delivered", 0)
             dispatcher.stop()
             loop_thread.run(sink.stop())
+        finally:
+            loop_thread.stop()
         return {
             "delivered": delivered,
             "received": len(received),

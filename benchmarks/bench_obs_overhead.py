@@ -94,10 +94,7 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
     )
 
     store = MailboxStore(clock=sim.clock, max_messages_per_box=100_000)
-    msgbox = MsgBoxService(
-        store, base_url="http://iuWSD:8500/mailbox",
-        clock=sim.clock, metrics=metrics, traces=traces,
-    )
+    msgbox = MsgBoxService(store, base_url="http://iuWSD:8500/mailbox")
     mb_app = SoapHttpApp()
     mb_app.mount("/mailbox", msgbox)
     SimHttpServer(

@@ -53,7 +53,7 @@ def _drain_backlog(messages: int, batch_size: int):
     ids = IdGenerator("pipe", seed=messages)
     for _ in range(messages):
         envelope = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
-        assert dispatcher._accept.try_put(
+        assert dispatcher._offer(
             (envelope, "/msg/echo", None, 0.0, None)
         )
     while dispatcher.stats.get("delivered", 0) < messages and sim.step():

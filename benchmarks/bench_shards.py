@@ -81,12 +81,15 @@ def _run_point(shards: int, messages: int) -> dict:
         expected = per_feeder * FEEDERS
         deadline = t0 + 180.0
         total = 0
-        with HttpClient(TcpConnector()) as poll:
+        poll = HttpClient(TcpConnector())
+        try:
             while time.perf_counter() < deadline:
                 total = sum(_sink_count(poll, port) for port in ports)
                 if total >= expected:
                     break
                 time.sleep(0.05)
+        finally:
+            poll.close()
         elapsed = time.perf_counter() - t0
         feed_stats = [json.loads(f.communicate(timeout=60.0)[0]) for f in feeders]
     finally:

@@ -22,12 +22,19 @@ import json
 import os
 import tempfile
 
-from repro.core import MsgDispatcher, MsgDispatcherConfig, RpcDispatcher, ServiceRegistry
+from repro.core import (
+    MsgDispatcher,
+    MsgDispatcherConfig,
+    RegistryService,
+    RpcDispatcher,
+    ServiceRegistry,
+)
+from repro.core.registry import REGISTRY_NS
 from repro.http import HttpRequest
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
 from repro.obs import Introspection, ensure_trace
 from repro.rt import HttpClient, HttpServer, SoapHttpApp
-from repro.soap import parse_rpc_response
+from repro.soap import RpcRequest, build_rpc_request, parse_rpc_response
 from repro.transport import InprocNetwork
 from repro.util.ids import IdGenerator
 from repro.workload import AsyncEchoService, EchoService, make_echo_message, make_echo_request
@@ -86,6 +93,9 @@ def run(net: InprocNetwork, registry_file: str) -> None:
     app = SoapHttpApp()
     app.mount("/msg", msg_dispatcher)
     app.mount("/mailbox", msgbox)
+    yellow_pages = RegistryService(registry)
+    app.mount("/registry", yellow_pages)  # SOAP register/unregister/lookup/list
+    app.mount_page("/registry", yellow_pages.page_handler)  # HTML listing, WSDL
     intro.mount(app)  # GET /metrics, /trace, /health, ...
 
     def front_door(request, peer=None):
@@ -146,6 +156,21 @@ def run(net: InprocNetwork, registry_file: str) -> None:
         print(f"    [{component}]")
         for stat, value in stats.items():
             print(f"      {stat} = {value}")
+
+    # the registry is browsable: a SOAP ``list``, an HTML page and a WSDL per service
+    listed = parse_rpc_response(client.call_soap(
+        "http://wsd.example:8000/registry",
+        build_rpc_request(RpcRequest(REGISTRY_NS, "list", [])),
+    )).results
+    page = client.request(
+        "http://wsd.example:8000/registry", HttpRequest("GET", "/registry")
+    )
+    wsdl = client.request(
+        "http://wsd.example:8000/registry/wsdl/echo-msg",
+        HttpRequest("GET", "/registry/wsdl/echo-msg"),
+    )
+    print(f"[reg]  yellow pages list {[name for _, name in listed]}; "
+          f"listing {page.status}, echo-msg WSDL {wsdl.status} ({len(wsdl.body)} bytes)")
 
     # the text file is the registry: a fresh one opened on it sees every change
     reopened = ServiceRegistry(persist_path=registry_file)

@@ -29,7 +29,9 @@ from repro.errors import (
     TransportError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.http.session import RECV, RECV_CHUNK, SEND, ClientSession, Lease
+from repro.http.session import (
+    POOL_PER_ENDPOINT, RECV, RECV_CHUNK, SEND, ClientSession, Lease,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.base import Endpoint, parse_http_url
 
@@ -129,18 +131,18 @@ class AioHttpClient(ClientSession):
     #: the ``User-Agent`` of every request that does not name its own
     user_agent = "repro-aio-client/1.0"
 
+    #: seconds to wait for a connection to open
+    connect_timeout = 5.0
+
     def __init__(
         self,
-        connect_timeout: float = 5.0,
         response_timeout: float = 30.0,
-        pool_per_endpoint: int = 4,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(
             metrics, "aio_client", "asyncio client", time.monotonic,
-            response_timeout, pool_per_endpoint, self.user_agent,
+            response_timeout, POOL_PER_ENDPOINT, self.user_agent,
         )
-        self.connect_timeout = connect_timeout
         # one receive buffer for every connection of this client: the
         # loop fills it and hands it over before it reads another socket
         self._recv_view = memoryview(bytearray(RECV_CHUNK))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.aio.runtime import loop_waker, wait_until_set
-from repro.errors import SoapError
+from repro.errors import BadParameter, SoapError
 from repro.msgbox.service import MsgBoxService
 from repro.rt.service import RequestContext
 from repro.soap import Envelope, parse_rpc_request
@@ -54,9 +54,9 @@ class AioMsgBoxService(MsgBoxService):
         if call.operation != "take":
             return None
         try:
-            wait_s = float(call.param("waitSeconds", "0") or "0")
-        except ValueError:
-            return None
+            _, wait_s = self.take_params(call)
+        except BadParameter:
+            return None  # the sync path answers the malformed parameter
         if wait_s <= 0 or not call.param("mailboxId"):
             return None
         return call, min(wait_s, self.max_wait_seconds)

@@ -104,19 +104,7 @@ class AioLoopThread:
         self._thread = None
         self._started.clear()
 
-    def __enter__(self) -> "AioLoopThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- the bridge ---------------------------------------------------------
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            raise RuntimeError("loop thread is not running")
-        return self._loop
-
     def run(self, coro: "Awaitable[T]", timeout: float | None = 30.0) -> T:
         """Run a coroutine on the loop; block this thread for the result."""
         if self._loop is None:
@@ -131,7 +119,3 @@ class AioLoopThread:
             raise TimeoutError(
                 f"coroutine did not finish within {timeout}s"
             ) from None
-
-    def call_soon(self, callback, *args) -> None:
-        """Schedule a plain callable on the loop from any thread."""
-        self.loop.call_soon_threadsafe(callback, *args)

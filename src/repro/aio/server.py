@@ -119,12 +119,6 @@ class AioHttpServer:
         if self._server is not None:
             await self._server.wait_closed()
 
-    async def __aenter__(self) -> "AioHttpServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
     @property
     def endpoint(self) -> Endpoint:
         if self._server is None or not self._server.sockets:

@@ -43,7 +43,7 @@ from repro.rt.service import RequestContext
 from repro.soap import Envelope
 from repro.store.journal import MessageJournal
 from repro.transport.base import parse_http_url
-from repro.util.clock import Clock, MonotonicClock
+from repro.util.clock import MonotonicClock
 from repro.util.concurrency import ClosableQueue, QueueClosed
 from repro.core.dispatch import (
     PIPELINE,
@@ -100,14 +100,11 @@ class MsgDispatcher(DispatchCore):
         registry: ServiceRegistry,
         client: HttpClient,
         own_address: str,
-        mount_prefix: str = "/msg",
         config: MsgDispatcherConfig | None = None,
-        clock: Clock | None = None,
         hold_store: "object | None" = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
         durable: MessageJournal | None = None,
-        recover: bool = True,
         flight: FlightRecorder | None = None,
         ring: HashRing | None = None,
         shard_id: int = 0,
@@ -133,9 +130,9 @@ class MsgDispatcher(DispatchCore):
         write-ahead journaling: every admitted message is journaled
         before the 202 ack and marked when it leaves the dispatcher
         (delivered, absorbed into the hold store, or dead-lettered).
-        With ``recover=True`` (the default) construction replays
-        undelivered records from a previous incarnation back into the
-        pipeline — at-least-once, so pair it with ``dedupe_window`` (and
+        Construction replays undelivered records from a previous
+        incarnation back into the pipeline — at-least-once, so pair it
+        with ``dedupe_window`` (and
         a sink-side :class:`~repro.reliable.DuplicateFilter`) for
         effectively-once.
 
@@ -163,15 +160,14 @@ class MsgDispatcher(DispatchCore):
         self._unrouted_lock = threading.Lock()
         self._destinations: dict[str, _Destination] = {}
         super().__init__(
-            registry, own_address, mount_prefix, config,
-            clock or MonotonicClock(),
+            registry, own_address, "/msg", config, MonotonicClock(),
             hold_store=hold_store, metrics=metrics,
             traces=traces, durable=durable, flight=flight,
         )
         self._ws_slots = threading.Semaphore(self.config.ws_threads)
         self._running = True
         self._start_workers()
-        if self.durable is not None and recover:
+        if self.durable is not None:
             self.recover()
 
     def _start_workers(self) -> None:

@@ -680,19 +680,13 @@ class RegistryService:
     """SOAP RPC facade over a :class:`ServiceRegistry`.
 
     Operations (namespace ``urn:repro:registry``): ``register``,
-    ``unregister``, ``lookup``, ``list``, and ``ping`` (the future-work
-    "checking if service is alive", backed by a pluggable prober).  This
-    is the management interface the paper sketches; the dispatchers call
-    the registry in-process.
+    ``unregister``, ``lookup`` and ``list``.  This is the management
+    interface the paper sketches; the dispatchers call the registry
+    in-process.
     """
 
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        prober: Callable[[str], bool] | None = None,
-    ) -> None:
+    def __init__(self, registry: ServiceRegistry) -> None:
         self.registry = registry
-        self.prober = prober
 
     def handle(self, envelope: Envelope, ctx) -> Envelope:
         call = parse_rpc_request(envelope)
@@ -721,13 +715,6 @@ class RegistryService:
             results = [("physical", addr) for addr in record.physical]
         elif op == "list":
             results = [("logical", r.logical) for r in self.registry.list_services()]
-        elif op == "ping":
-            if self.prober is None:
-                raise RegistryError("registry has no liveness prober configured")
-            alive = self.registry.check_alive(
-                call.require_param("logical"), self.prober
-            )
-            results = [("alive", "true" if alive else "false")]
         else:
             raise RegistryError(f"unknown registry operation {op!r}")
         return build_rpc_response(
@@ -770,8 +757,8 @@ class RegistryService:
 
         record = self.registry.lookup(logical)
         definitions = Element(QName(_WSDL_NS, "definitions"))
-        definitions.set("name", logical)
-        definitions.set("targetNamespace", f"urn:wsd:{logical}")
+        definitions.attrs[QName(None, "name")] = logical
+        definitions.attrs[QName(None, "targetNamespace")] = f"urn:wsd:{logical}"
 
         doc = Element(QName(_WSDL_NS, "documentation"))
         lines = [f"Service {logical!r} registered at the WS-Dispatcher."]
@@ -785,12 +772,12 @@ class RegistryService:
         definitions.children.append(doc)
 
         service = Element(QName(_WSDL_NS, "service"))
-        service.set("name", logical)
+        service.attrs[QName(None, "name")] = logical
         port = Element(QName(_WSDL_NS, "port"))
-        port.set("name", f"{logical}Port")
-        port.set("binding", f"tns:{logical}Binding")
+        port.attrs[QName(None, "name")] = f"{logical}Port"
+        port.attrs[QName(None, "binding")] = f"tns:{logical}Binding"
         address = Element(QName(_WSDL_SOAP_NS, "address"))
-        address.set("location", f"urn:wsd:{logical}")
+        address.attrs[QName(None, "location")] = f"urn:wsd:{logical}"
         port.children.append(address)
         service.children.append(port)
         definitions.children.append(service)

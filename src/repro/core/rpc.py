@@ -24,8 +24,8 @@ from repro.errors import (
 )
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.http.session import soap_post
-from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.trace import TraceStore, default_trace_store, extract_trace
+from repro.obs.metrics import default_registry
+from repro.obs.trace import default_trace_store, extract_trace
 from repro.rt.service import RETRY_AFTER, soap_fault_response
 from repro.soap import Fault, LazyEnvelope, fastpath_counter, parse_envelope
 from repro.transport.base import parse_http_url
@@ -37,6 +37,8 @@ from repro.core.routing import extract_logical
 
 #: the default validity bound on a request body (bytes)
 MAX_BODY = 4 * 1024 * 1024
+#: the path under which the dispatcher serves ``/rpc/<logical name>``
+MOUNT_PREFIX = "/rpc"
 
 
 class RpcCore:
@@ -53,20 +55,12 @@ class RpcCore:
     #: the driver's clock (the simulator's is its own)
     clock: Clock = MonotonicClock()
 
-    def __init__(
-        self,
-        registry: ServiceRegistry,
-        client,
-        mount_prefix: str = "/rpc",
-        metrics: MetricsRegistry | None = None,
-        traces: TraceStore | None = None,
-    ) -> None:
+    def __init__(self, registry: ServiceRegistry, client) -> None:
         self.registry = registry
         self.client = client
-        self.mount_prefix = mount_prefix
         self.counters = Counter()
-        self.metrics = metrics if metrics is not None else default_registry()
-        self.traces = traces if traces is not None else default_trace_store()
+        self.metrics = default_registry()
+        self.traces = default_trace_store()
         self._m_forwarded = self.metrics.counter(
             "rpcd_forwarded_total", "RPC exchanges proxied to a service"
         )
@@ -97,7 +91,7 @@ class RpcCore:
         if len(request.body) > self.max_body:
             return self._reject("body_too_large", 413, "request body too large")
         try:
-            logical = extract_logical(request.target, self.mount_prefix)
+            logical = extract_logical(request.target, MOUNT_PREFIX)
         except ReproError as exc:
             return self._reject("bad_target", 404, str(exc))
         try:

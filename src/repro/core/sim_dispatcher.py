@@ -51,15 +51,11 @@ class SimRpcDispatcher(RpcCore):
         net: Network,
         host: Host,
         registry: ServiceRegistry,
-        mount_prefix: str = "/rpc",
         connect_timeout: float = 21.0,
         response_timeout: float = 30.0,
-        metrics: MetricsRegistry | None = None,
-        traces: TraceStore | None = None,
     ) -> None:
         super().__init__(
-            registry, SimHttpClientPool(net, host, connect_timeout, response_timeout),
-            mount_prefix, metrics=metrics, traces=traces,
+            registry, SimHttpClientPool(net, host, connect_timeout, response_timeout)
         )
         self.clock = net.sim.clock
 
@@ -102,19 +98,17 @@ class SimMsgDispatcher(DispatchCore):
         host: Host,
         registry: ServiceRegistry,
         own_address: str,
-        mount_prefix: str = "/msg",
         config: SimMsgDispatcherConfig | None = None,
         metrics: MetricsRegistry | None = None,
         traces: TraceStore | None = None,
         hold_store: HoldRetryStore | None = None,
         durable: MessageJournal | None = None,
-        recover: bool = True,
         flight: FlightRecorder | None = None,
     ) -> None:
-        """``durable`` / ``recover`` mirror the threaded dispatcher: a
+        """``durable`` mirrors the threaded dispatcher: a
         :class:`~repro.store.MessageJournal` journals every admitted
-        message before the 202 ack, and ``recover=True`` replays a
-        previous incarnation's undelivered records at construction —
+        message before the 202 ack, and construction replays a
+        previous incarnation's undelivered records —
         the simulated twin of restarting after a
         :class:`~repro.chaos.ServiceCrash`.  Construct the journal with
         ``sync="lazy"`` (group commit would really sleep) and a
@@ -142,7 +136,7 @@ class SimMsgDispatcher(DispatchCore):
         self._accept_queue: Store = Store(self.sim, capacity=config.accept_queue)
         self._destinations: dict[str, Store] = {}
         super().__init__(
-            registry, own_address, mount_prefix, config, self.sim.clock,
+            registry, own_address, "/msg", config, self.sim.clock,
             hold_store=hold_store, metrics=metrics, traces=traces,
             durable=durable, flight=flight,
         )
@@ -157,7 +151,7 @@ class SimMsgDispatcher(DispatchCore):
         self.hosted_on()
         for i in range(self.config.cx_workers):
             self.sim.process(self._cx_loop(), name=f"sim-cx-{i}")
-        if self.durable is not None and recover:
+        if self.durable is not None:
             self.recover()
 
     def stop(self) -> None:
@@ -171,7 +165,7 @@ class SimMsgDispatcher(DispatchCore):
         operations are lost, and this incarnation can no longer touch the
         journal or the hold store (a dead process writes nothing).  The
         journal *object* plays the disk that survives the crash — hand it
-        to the next incarnation with ``recover=True``."""
+        to the next incarnation."""
         self._running = False
         now = self.sim.now
         self.flight.record(

@@ -74,6 +74,11 @@ class AddressingError(SoapError):
     """WS-Addressing headers are missing, duplicated, or invalid."""
 
 
+class BadParameter(SoapError):
+    """An RPC parameter is present but its value is malformed: the
+    service answers a 400 ``Client`` fault naming the parameter."""
+
+
 # ---------------------------------------------------------------------------
 # Wire / transport layer
 # ---------------------------------------------------------------------------

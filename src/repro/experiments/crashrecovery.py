@@ -115,7 +115,7 @@ def run_point(
         return SimMsgDispatcher(
             net, wsd_host, registry, own_address="http://wsd:8000/msg",
             config=config, metrics=metrics, traces=traces,
-            hold_store=hold_store, durable=journal, recover=True,
+            hold_store=hold_store, durable=journal,
         )
 
     incarnation = {"disp": make_dispatcher()}

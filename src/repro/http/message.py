@@ -69,14 +69,8 @@ class Headers:
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._items)
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def copy(self) -> "Headers":
         return Headers(list(self._items))
-
-    def __repr__(self) -> str:
-        return f"Headers({self._items!r})"
 
 
 def _token_in_list(header_value: str, token: str) -> bool:

@@ -66,6 +66,9 @@ CONNECT, SEND, RECV = "connect", "send", "recv"
 #: what a socket driver asks for per read, client or server
 RECV_CHUNK = 64 * 1024
 
+#: idle connections the socket clients keep per endpoint
+POOL_PER_ENDPOINT = 4
+
 #: what a wire can do to an exchange short of answering it
 _WIRE_ERRORS = (TransportError, HttpParseError)
 

@@ -18,7 +18,7 @@ from repro.soap import (
     build_rpc_request,
     parse_rpc_response,
 )
-from repro.util.clock import Clock, MonotonicClock
+from repro.util.clock import MonotonicClock
 from repro.wsa import EndpointReference
 
 
@@ -29,11 +29,10 @@ class MsgBoxClient:
         self,
         http: HttpClient,
         service_url: str,
-        clock: Clock | None = None,
     ) -> None:
         self.http = http
         self.service_url = service_url
-        self.clock = clock or MonotonicClock()
+        self.clock = MonotonicClock()
         self.mailbox_id: str | None = None
         self.owner_token: str | None = None
 
@@ -60,10 +59,6 @@ class MsgBoxClient:
         return make_mailbox_epr(self.service_url, self.mailbox_id)
 
     # -- message retrieval -------------------------------------------------
-    def peek(self) -> int:
-        reply = self._call("peek", self._auth_params())
-        return int(reply.result("count") or "0")
-
     def take(self, max_messages: int = 10, wait: float = 0.0) -> list[Envelope]:
         """Take up to ``max_messages``; ``wait > 0`` long-polls server-side."""
         params = self._auth_params() + [("maxMessages", str(max_messages))]

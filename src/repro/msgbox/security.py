@@ -22,11 +22,10 @@ from repro.errors import MailboxAuthError
 class MailboxSecurity:
     """Stateless owner-token mint/verify for mailbox operations."""
 
-    def __init__(self, secret: bytes, enabled: bool = True) -> None:
+    def __init__(self, secret: bytes) -> None:
         if not secret:
             raise ValueError("secret must be non-empty")
         self._secret = secret
-        self.enabled = enabled
 
     def mint(self, mailbox_id: str) -> str:
         return hmac.new(
@@ -35,11 +34,8 @@ class MailboxSecurity:
 
     def check(self, mailbox_id: str, token: str | None) -> None:
         """Raise :class:`~repro.errors.MailboxAuthError` on a bad token.
-
-        No-op when security is disabled (the paper's original posture).
-        """
-        if not self.enabled:
-            return
+        (A service without a :class:`MailboxSecurity` checks nothing: the
+        paper's original posture.)"""
         if not token:
             raise MailboxAuthError("owner token required")
         if not hmac.compare_digest(self.mint(mailbox_id), token):

@@ -39,13 +39,12 @@ import base64
 import threading
 from typing import Callable
 
-from repro.errors import MailboxError, MailboxNotFound, SoapError
+from repro.errors import BadParameter, MailboxError, MailboxNotFound, SoapError
 from repro.msgbox.security import MailboxSecurity
 from repro.msgbox.store import MailboxStore
-from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.trace import TraceStore, default_trace_store, extract_trace
+from repro.obs.metrics import default_registry
+from repro.obs.trace import default_trace_store, extract_trace
 from repro.rt.service import RequestContext
-from repro.util.clock import Clock, MonotonicClock
 from repro.soap import (
     Envelope,
     RpcResponse,
@@ -59,6 +58,8 @@ from repro.xmlmini import Element, QName
 
 MSGBOX_NS = "urn:repro:msgbox"
 Q_MAILBOX_ID = QName(MSGBOX_NS, "MailboxId")
+#: what each live delivery thread costs the modelled JVM heap
+THREAD_STACK_BYTES = 512 * 1024
 
 
 class SimulatedOutOfMemory(MailboxError):
@@ -89,20 +90,15 @@ class MsgBoxService:
         ack_sender: Callable[[bytes], None] | None = None,
         ack_workers: int = 8,
         heap_limit_bytes: int = 64 * 1024 * 1024,
-        thread_stack_bytes: int = 512 * 1024,
-        clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
-        traces: TraceStore | None = None,
     ) -> None:
-        """``clock`` sets the timebase of recorded trace spans — pass the
-        deployment's shared clock (sim clock under simnet) so a trace's
-        spans stay in one clock domain."""
+        """Recorded trace spans read the store's clock (the simulator's
+        under simnet), so a trace's spans stay in one clock domain."""
         if delivery_mode not in ("pooled", "thread-per-message", "none"):
             raise ValueError(f"unknown delivery_mode {delivery_mode!r}")
         self.store = store or MailboxStore()
-        self.clock = clock or MonotonicClock()
-        self.metrics = metrics if metrics is not None else default_registry()
-        self.traces = traces if traces is not None else default_trace_store()
+        self.clock = self.store.clock
+        self.metrics = default_registry()
+        self.traces = default_trace_store()
         self._m_deposits = self.metrics.counter(
             "msgbox_deposits_total", "one-way messages deposited into mailboxes"
         )
@@ -123,7 +119,6 @@ class MsgBoxService:
         #: occupies a server worker; keep it below HTTP timeouts)
         self.max_wait_seconds = 20.0
         self.heap_limit_bytes = heap_limit_bytes
-        self.thread_stack_bytes = thread_stack_bytes
         self.counters = Counter()
         self._dead_reason: str | None = None
         self._lock = threading.Lock()
@@ -157,13 +152,13 @@ class MsgBoxService:
         """Model the JVM: every live ack thread owns a stack allocation."""
         assert self._ack_pool is not None
         live = self._ack_pool.live_threads()
-        used = live * self.thread_stack_bytes
+        used = live * THREAD_STACK_BYTES
         if used > self.heap_limit_bytes:
             with self._lock:
                 if self._dead_reason is None:
                     self._dead_reason = (
                         f"OutOfMemoryError: {live} delivery threads x "
-                        f"{self.thread_stack_bytes}B stack > heap "
+                        f"{THREAD_STACK_BYTES}B stack > heap "
                         f"{self.heap_limit_bytes}B"
                     )
             self.counters.inc("oom_crashes")
@@ -198,6 +193,23 @@ class MsgBoxService:
         before the take runs and overrides this with a no-op."""
         return self.store.wait_for_message(mailbox_id, timeout)
 
+    @staticmethod
+    def take_params(call) -> tuple[int, float]:
+        """``take``'s ``(maxMessages, waitSeconds)``; a value that is not a
+        positive integer or a number raises :class:`BadParameter`."""
+        raw = call.param("maxMessages", "10") or "10"
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise BadParameter(f"maxMessages must be a positive integer, not {raw!r}")
+        raw = call.param("waitSeconds", "0") or "0"
+        try:
+            return limit, float(raw)
+        except ValueError:
+            raise BadParameter(f"waitSeconds must be a number, not {raw!r}") from None
+
     # -- RPC operations (create/take/peek/destroy) ------------------------
     def _handle_rpc(
         self, envelope: Envelope, ctx: RequestContext, call=None
@@ -211,7 +223,7 @@ class MsgBoxService:
             mailbox_id = self.store.create()
             self.counters.inc("creates")
             results = [("mailboxId", mailbox_id)]
-            if self.security is not None and self.security.enabled:
+            if self.security is not None:
                 results.append(("ownerToken", self.security.mint(mailbox_id)))
             if self.base_url:
                 results.append(
@@ -222,11 +234,10 @@ class MsgBoxService:
             if self.security is not None:
                 self.security.check(mailbox_id, call.param("ownerToken"))
             if op == "take":
-                limit = int(call.param("maxMessages", "10") or "10")
+                limit, wait_s = self.take_params(call)
                 # long poll: hold the request until a message arrives (or
                 # the wait budget runs out) instead of returning empty —
                 # saves the firewalled client a storm of empty polls
-                wait_s = float(call.param("waitSeconds", "0") or "0")
                 if wait_s > 0:
                     self._wait_for_message(
                         mailbox_id, min(wait_s, self.max_wait_seconds)

@@ -68,7 +68,6 @@ class MailboxStore:
         max_bytes_per_box: int = 8 * 1024 * 1024,
         message_ttl: float | None = None,
         clock: Clock | None = None,
-        ids: IdGenerator | None = None,
         durable: "MessageJournal | None" = None,
     ) -> None:
         self.max_mailboxes = max_mailboxes
@@ -76,7 +75,7 @@ class MailboxStore:
         self.max_bytes_per_box = max_bytes_per_box
         self.message_ttl = message_ttl
         self.clock = clock or MonotonicClock()
-        self._ids = ids or IdGenerator("mb")
+        self._ids = IdGenerator("mb")
         self.durable = durable
         self._boxes: dict[str, _Mailbox] = {}
         self._lock = threading.Lock()
@@ -165,10 +164,6 @@ class MailboxStore:
                     self.durable.mark(
                         msg.journal_seq, ABSORBED, reason="mailbox_destroyed"
                     )
-
-    def exists(self, mailbox_id: str) -> bool:
-        with self._lock:
-            return mailbox_id in self._boxes
 
     # -- deposit / take (Fig. 2: steps 2 and 3) -----------------------------
     def deposit(self, mailbox_id: str, data: bytes) -> None:
@@ -322,10 +317,6 @@ class MailboxStore:
     def mailbox_count(self) -> int:
         with self._lock:
             return len(self._boxes)
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(b.bytes_used for b in self._boxes.values())
 
     def stats(self, mailbox_id: str) -> dict[str, int]:
         with self._lock:

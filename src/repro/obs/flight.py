@@ -99,13 +99,9 @@ class FlightRecorder:
             events = events[-last:] if last else []
         return [dict(e) for e in events]
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
     @property
     def total_recorded(self) -> int:
-        """Events ever recorded (monotonic, unlike ``len`` on a full ring)."""
+        """Events ever recorded (monotonic, unlike the ring's ``snapshot()``)."""
         with self._lock:
             return self._seq
 

@@ -83,16 +83,15 @@ class Introspection:
         traces: TraceStore | None = None,
         title: str = "WS-Dispatcher introspection",
         flight: FlightRecorder | None = None,
-        slo: SloTracker | None = None,
     ) -> None:
-        """``flight``/``slo`` feed the ``/flightrecorder`` and ``/slo``
-        pages; defaults are the process-wide flight recorder and a tracker
-        with the default policy over ``metrics`` — so every endpoint
-        answers even on a bare deployment."""
+        """``flight`` feeds the ``/flightrecorder`` page (default: the
+        process-wide flight recorder) and ``/slo`` is a tracker with the
+        default policy over ``metrics`` — so every endpoint answers even
+        on a bare deployment."""
         self.metrics = metrics if metrics is not None else default_registry()
         self.traces = traces if traces is not None else default_trace_store()
         self.flight = flight if flight is not None else default_flight_recorder()
-        self.slo = slo if slo is not None else SloTracker(self.metrics)
+        self.slo = SloTracker(self.metrics)
         self.title = title
         self._lock = threading.Lock()
         self._sources: dict[str, Callable[[], dict]] = {}

@@ -220,9 +220,6 @@ class MetricFamily:
     def inc(self, amount: float = 1) -> None:
         self.labels().inc(amount)
 
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         self.labels().set_function(fn)
 

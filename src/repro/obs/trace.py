@@ -216,10 +216,6 @@ class TraceStore:
         with self._lock:
             return trace_id in self._traces
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
     def ids(self) -> list[str]:
         """Trace ids, oldest first."""
         with self._lock:

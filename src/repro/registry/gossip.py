@@ -173,10 +173,10 @@ class GossipHandler:
         return HttpResponse(status=200, headers=headers, body=encode_gossip(reply))
 
 
-def make_gossip_request(payload: dict, path: str = GOSSIP_PATH) -> HttpRequest:
+def make_gossip_request(payload: dict) -> HttpRequest:
     headers = Headers()
     headers.set("Content-Type", GOSSIP_CONTENT_TYPE)
-    return HttpRequest("POST", path, headers=headers, body=encode_gossip(payload))
+    return HttpRequest("POST", GOSSIP_PATH, headers=headers, body=encode_gossip(payload))
 
 
 # -- shared round bookkeeping ----------------------------------------------
@@ -285,11 +285,8 @@ class SimGossipPeer:
         peers: dict[str, tuple[str, int]],
         interval: float = 0.5,
         seed: int | None = None,
-        path: str = GOSSIP_PATH,
         metrics: MetricsRegistry | None = None,
         flight: FlightRecorder | None = None,
-        connect_timeout: float = 1.0,
-        response_timeout: float = 2.0,
     ) -> None:
         from repro.simnet.httpsim import SimHttpClientPool
 
@@ -297,7 +294,6 @@ class SimGossipPeer:
         self.replica = replica
         self.peers = dict(peers)
         self.interval = interval
-        self.path = path
         self._rng = random.Random(seed)
         self.health = GossipHealth(
             replica.peer_id, sorted(self.peers), metrics=metrics,
@@ -305,8 +301,8 @@ class SimGossipPeer:
         )
         self.pool = SimHttpClientPool(
             net, host,
-            connect_timeout=connect_timeout,
-            response_timeout=response_timeout,
+            connect_timeout=1.0,
+            response_timeout=2.0,
         )
         self._running = False
 
@@ -334,7 +330,7 @@ class SimGossipPeer:
             while True:
                 response = yield from self.pool.exchange(
                     dest_host, dest_port,
-                    make_gossip_request(request_payload, self.path),
+                    make_gossip_request(request_payload),
                 )
                 if response.status >= 300:
                     raise TransportError(f"HTTP {response.status} from {peer}")

@@ -28,7 +28,6 @@ from repro.store.journal import DEAD, DELIVERED
 from repro.util.clock import Clock, MonotonicClock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.obs.metrics import MetricsRegistry
     from repro.store import MessageJournal
 
 
@@ -73,7 +72,6 @@ class HoldRetryStore:
         default_ttl: float = 300.0,
         clock: Clock | None = None,
         durable: "MessageJournal | None" = None,
-        metrics: "MetricsRegistry | None" = None,
         flight: FlightRecorder | None = None,
     ) -> None:
         self._deliver = deliver
@@ -82,14 +80,6 @@ class HoldRetryStore:
         self.clock = clock or MonotonicClock()
         self._durable = durable
         self.flight = flight if flight is not None else default_flight_recorder()
-        self._m_dead = (
-            metrics.counter(
-                "dispatcher_deadletter_total",
-                "Messages moved to the dead-letter queue, by reason",
-            )
-            if metrics is not None
-            else None
-        )
         self._held: dict[str, HeldMessage] = {}
         #: MessageIDs claimed by take_due() and not yet resolved — the
         #: expiry scan must not touch these, or a message whose redelivery
@@ -106,8 +96,6 @@ class HoldRetryStore:
     def _dead_letter(self, msg: HeldMessage, reason: str) -> None:
         if self._durable is not None and msg.journal_seq is not None:
             self._durable.mark(msg.journal_seq, DEAD, reason=reason)
-        if self._m_dead is not None:
-            self._m_dead.labels(reason=reason).inc()
         self.flight.record(
             "hold-expired", "holdretry", t=self.clock.now(),
             message_id=msg.message_id, reason=reason,
@@ -355,7 +343,3 @@ class DuplicateFilter:
                 return True
             self._seen[message_id] = now
             return False
-
-    def size(self) -> int:
-        with self._lock:
-            return len(self._seen)

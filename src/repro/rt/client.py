@@ -26,6 +26,7 @@ from collections.abc import Iterable, Sequence
 from repro.errors import ReproError, SoapError, XmlError
 from repro.http import HttpRequest, HttpResponse
 from repro.http.session import (
+    POOL_PER_ENDPOINT,
     RECV,
     RECV_CHUNK,
     SEND,
@@ -49,21 +50,14 @@ class HttpClient(ClientSession):
         connector: Connector,
         connect_timeout: float = 5.0,
         response_timeout: float = 30.0,
-        pool_per_endpoint: int = 4,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(
             metrics, "rt_client", "client", time.monotonic, response_timeout,
-            pool_per_endpoint, self.user_agent,
+            POOL_PER_ENDPOINT, self.user_agent,
         )
         self._connector = connector
         self.connect_timeout = connect_timeout
-
-    def __enter__(self) -> "HttpClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _run(self, steps):
         """Perform the session's effects with blocking calls; whatever a

@@ -76,12 +76,6 @@ class HttpServer:
         self._listener.close()
         self._pool.shutdown(wait=False)
 
-    def __enter__(self) -> "HttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- metrics ----------------------------------------------------------
     @property
     def connections_served(self) -> int:

@@ -15,7 +15,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Protocol
 
-from repro.errors import OverloadedError, ReproError, SoapError, XmlError
+from repro.errors import BadParameter, OverloadedError, ReproError, SoapError, XmlError
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap import Envelope, Fault, fastpath_counter, parse_envelope
@@ -233,6 +233,10 @@ class SoapHttpApp:
         """The service fault barrier, shared by sync and async paths."""
         if isinstance(exc, OverloadedError):
             return overloaded_response(str(exc), version)
+        if isinstance(exc, BadParameter):
+            return soap_fault_response(
+                Fault("Client", str(exc)), status=400, version=version
+            )
         if isinstance(exc, ReproError):
             return soap_fault_response(
                 Fault("Server", str(exc)), status=500, version=version

@@ -23,6 +23,9 @@ from typing import Iterable
 
 __all__ = ["HashRing"]
 
+#: virtual nodes per shard
+REPLICAS = 64
+
 
 def _point(data: str) -> int:
     digest = hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest()
@@ -32,20 +35,18 @@ def _point(data: str) -> int:
 class HashRing:
     """Maps string keys to shard ids, identically in every process."""
 
-    def __init__(self, shards: int | Iterable[int], replicas: int = 64) -> None:
+    def __init__(self, shards: int | Iterable[int]) -> None:
         if isinstance(shards, int):
             shard_ids = list(range(shards))
         else:
             shard_ids = sorted(set(shards))
         if not shard_ids:
             raise ValueError("a ring needs at least one shard")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shard_ids = shard_ids
-        self.replicas = replicas
+        self.replicas = REPLICAS
         points: list[tuple[int, int]] = []
         for shard_id in shard_ids:
-            for replica in range(replicas):
+            for replica in range(REPLICAS):
                 points.append((_point(f"shard{shard_id}:{replica}"), shard_id))
         points.sort()
         self._points = [p for p, _ in points]

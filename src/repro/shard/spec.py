@@ -36,7 +36,6 @@ class ShardSpec:
     peers: dict[int, str] = field(default_factory=dict)
     #: logical name -> physical URL seed for the worker's ServiceRegistry
     registry: dict[str, str] = field(default_factory=dict)
-    mount_prefix: str = "/msg"
     #: one of :data:`RUNTIMES`
     runtime: str = "threaded"
     #: per-shard journal file; None runs the shard non-durable

@@ -94,13 +94,13 @@ class ShardWorker:
     def own_address(self) -> str:
         spec = self.spec
         return (
-            f"http://{spec.data_host}:{spec.direct_port}{spec.mount_prefix}"
+            f"http://{spec.data_host}:{spec.direct_port}/msg"
         )
 
     def _build_app(self) -> SoapHttpApp:
         spec = self.spec
         app = SoapHttpApp(metrics=self.metrics)
-        app.mount(spec.mount_prefix, self.dispatcher)
+        app.mount("/msg", self.dispatcher)
         intro = Introspection(
             metrics=self.metrics, traces=self.traces, flight=self.flight,
             title=f"shard {spec.shard_id}",
@@ -130,10 +130,9 @@ class ShardWorker:
         self._clients.append(client)
         self.dispatcher = MsgDispatcher(
             self.registry, client, self.own_address,
-            mount_prefix=spec.mount_prefix,
             config=self._dispatcher_config(),
             metrics=self.metrics, traces=self.traces, flight=self.flight,
-            durable=self.journal, recover=True,
+            durable=self.journal,
             shard_id=spec.shard_id, ring=self.ring, peers=spec.peers,
         )
         app = self._build_app()
@@ -170,10 +169,9 @@ class ShardWorker:
             self._clients.append(client)
             dispatcher = AioMsgDispatcher(
                 self.registry, client, self.own_address,
-                mount_prefix=spec.mount_prefix,
                 config=self._dispatcher_config(),
                 metrics=self.metrics, traces=self.traces, flight=self.flight,
-                durable=self.journal, recover=True,
+                durable=self.journal,
                 shard_id=spec.shard_id, ring=self.ring, peers=spec.peers,
             )
             self.dispatcher = dispatcher

@@ -45,7 +45,6 @@ class SimHttpServer:
         workers: int = 32,
         keep_alive_timeout: float = 15.0,
         service_time: float = 0.0005,
-        params: TcpParams | None = None,
     ) -> None:
         self.net = net
         self.sim = net.sim
@@ -57,7 +56,7 @@ class SimHttpServer:
         self.handler = handler
         self.keep_alive_timeout = keep_alive_timeout
         self.service_time = service_time
-        self.params = params or TcpParams()
+        self.params = TcpParams()
         self.workers = Resource(self.sim, capacity=workers)
         self.listener = listen(self.sim, host, port, self.params)
         self.requests_served = 0
@@ -287,6 +286,3 @@ class SimHttpClientPool(ClientSession):
         ``requests`` of :class:`HttpResponse` or the exception.
         """
         return _run(self._pipeline((server_name, port), list(requests)), self)
-
-    def close_all(self) -> None:
-        self.close_idle()

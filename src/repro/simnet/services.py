@@ -112,7 +112,3 @@ class SimAsyncEchoService:
             self.counters.inc("replies_blocked")
         finally:
             slot.release()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return self.counters.as_dict()

@@ -41,10 +41,6 @@ class Envelope:
                 return h
         return None
 
-    def find_headers(self, ns: str) -> list[Element]:
-        """All header blocks whose name lives in namespace ``ns``."""
-        return [h for h in self.headers if h.name.ns == ns]
-
     def remove_headers(self, ns: str) -> list[Element]:
         """Remove and return all header blocks in namespace ``ns``."""
         removed = [h for h in self.headers if h.name.ns == ns]

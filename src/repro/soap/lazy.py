@@ -10,8 +10,8 @@ them between the untouched preamble and Body byte slices of the original
 message.  A 256 KB payload costs the same header work as a 256 B one.
 
 ``LazyEnvelope`` mirrors the :class:`~repro.soap.envelope.Envelope`
-header API (``headers``, ``find_header``, ``find_headers``,
-``remove_headers``, ``copy``, ``is_fault``, ``version``) so
+header API (``headers``, ``find_header``, ``remove_headers``,
+``copy``, ``is_fault``, ``version``) so
 ``repro.wsa.rules.rewrite_for_forwarding`` and the tracing helpers work
 on either without knowing which they hold.  ``.body`` parses the Body
 slice on first access — touching it forfeits the savings for this
@@ -151,10 +151,6 @@ class LazyEnvelope:
             if h.name.local == local and h.name.ns == ns:
                 return h
         return None
-
-    def find_headers(self, ns: str) -> list[Element]:
-        """All header blocks whose name lives in namespace ``ns``."""
-        return [h for h in self.headers if h.name.ns == ns]
 
     def remove_headers(self, ns: str) -> list[Element]:
         """Remove and return all header blocks in namespace ``ns``."""

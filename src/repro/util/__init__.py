@@ -4,7 +4,7 @@ These helpers are shared by every other subsystem and deliberately have no
 dependencies outside the standard library.
 """
 
-from repro.util.ids import IdGenerator, new_message_id, new_uuid
+from repro.util.ids import IdGenerator, new_uuid
 from repro.util.clock import Clock, MonotonicClock, ManualClock
 from repro.util.stats import OnlineStats, Histogram, Counter
 from repro.util.concurrency import BoundedExecutor, ClosableQueue, SingleFlight
@@ -12,7 +12,6 @@ from repro.util.textdb import TextFileMap
 
 __all__ = [
     "IdGenerator",
-    "new_message_id",
     "new_uuid",
     "Clock",
     "MonotonicClock",

@@ -180,8 +180,6 @@ class BoundedExecutor:
         self._unbounded_threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._started = 0
-        self._completed = 0
-        self._rejected = 0
         self._peak_threads = 0
         self._shutdown = False
         if policy != "unbounded":
@@ -193,16 +191,6 @@ class BoundedExecutor:
                 self._threads.append(t)
 
     # -- metrics ----------------------------------------------------------
-    @property
-    def tasks_completed(self) -> int:
-        with self._lock:
-            return self._completed
-
-    @property
-    def tasks_rejected(self) -> int:
-        with self._lock:
-            return self._rejected
-
     @property
     def peak_threads(self) -> int:
         with self._lock:
@@ -252,8 +240,6 @@ class BoundedExecutor:
         try:
             if self.policy == "reject":
                 if not self._queue.try_put(fn):
-                    with self._lock:
-                        self._rejected += 1
                     raise RejectedExecution(f"{self.name} queue full")
             else:
                 self._queue.put(fn)
@@ -267,9 +253,6 @@ class BoundedExecutor:
             fn()
         except Exception:  # noqa: BLE001 - a task failure must not kill a worker
             pass
-        finally:
-            with self._lock:
-                self._completed += 1
 
     def _worker(self) -> None:
         while True:

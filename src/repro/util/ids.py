@@ -19,11 +19,6 @@ def new_uuid() -> str:
     return str(uuid.uuid4())
 
 
-def new_message_id() -> str:
-    """Return a WS-Addressing MessageID URI (``uuid:`` scheme, as XSUL did)."""
-    return f"uuid:{new_uuid()}"
-
-
 class IdGenerator:
     """Deterministic, thread-safe id factory.
 
@@ -52,9 +47,3 @@ class IdGenerator:
             raise ValueError("token size must be positive")
         with self._lock:
             return f"{self._rng.getrandbits(bits):0{(bits + 3) // 4}x}"
-
-    def __iter__(self) -> "IdGenerator":
-        return self
-
-    def __next__(self) -> str:
-        return self.next()

@@ -26,7 +26,7 @@ from repro.obs.trace import (
 )
 from repro.rt.client import HttpClient
 from repro.rt.service import RequestContext
-from repro.util.clock import Clock, MonotonicClock
+from repro.util.clock import MonotonicClock
 from repro.soap import (
     Envelope,
     RpcRequest,
@@ -160,15 +160,9 @@ def echo_reply(
 
 
 class EchoService:
-    """RPC echo: replies in-band with the received text.
+    """RPC echo: replies in-band with the received text."""
 
-    ``response_delay`` models a slow service (the Table 1 quadrant where
-    "message reply comes too late" for an RPC transport).
-    """
-
-    def __init__(self, response_delay: float = 0.0, sleep=None) -> None:
-        self.response_delay = response_delay
-        self._sleep = sleep or (lambda s: threading.Event().wait(s))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.calls = 0
 
@@ -176,8 +170,6 @@ class EchoService:
         call = parse_rpc_request(envelope)
         with self._lock:
             self.calls += 1
-        if self.response_delay > 0:
-            self._sleep(self.response_delay)
         response = build_rpc_response(
             RpcResponse(
                 call.interface_ns, call.operation, [("return", call.param("text") or "")]
@@ -203,13 +195,11 @@ class AsyncEchoService:
         self,
         http: HttpClient,
         ids: IdGenerator | None = None,
-        clock: Clock | None = None,
-        traces: TraceStore | None = None,
     ) -> None:
         self.http = http
         self.ids = ids or IdGenerator("echo-reply")
-        self.clock = clock or MonotonicClock()
-        self.traces = traces if traces is not None else default_trace_store()
+        self.clock = MonotonicClock()
+        self.traces = default_trace_store()
         self._lock = threading.Lock()
         self.received = 0
         self.replies_sent = 0

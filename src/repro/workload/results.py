@@ -46,15 +46,6 @@ class Series:
     def xs(self) -> list[int]:
         return [r.clients for r in self.results]
 
-    def per_minute(self) -> list[float]:
-        return [r.per_minute for r in self.results]
-
-    def transmitted(self) -> list[int]:
-        return [r.transmitted for r in self.results]
-
-    def not_sent(self) -> list[int]:
-        return [r.not_sent for r in self.results]
-
 
 def render_table(
     series_list: list[Series],

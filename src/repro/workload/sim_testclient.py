@@ -46,8 +46,6 @@ class SimRampConfig:
     retry_backoff: float = 0.050
     #: optional pacing between successful calls
     think_time: float = 0.0
-    #: reuse the connection across calls (HTTP keep-alive)
-    keep_alive: bool = True
 
 
 def default_request_factory() -> HttpRequest:
@@ -98,8 +96,6 @@ class SimRampTester:
         while sim.now < end_at:
             request = self.request_factory()
             request.target = self.path
-            if not config.keep_alive:
-                request.headers.set("Connection", "close")
             t0 = sim.now
             try:
                 if conn is None or conn.closed or (conn.peer and conn.peer.closed):
@@ -110,7 +106,7 @@ class SimRampTester:
                 response = yield from sim_http_exchange(
                     conn, request, config.response_timeout
                 )
-                if not response.keep_alive or not config.keep_alive:
+                if not response.keep_alive:
                     conn.close()
                     conn = None
                 if response.status < 400:

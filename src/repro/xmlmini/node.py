@@ -21,8 +21,8 @@ class Element:
     """A namespaced XML element.
 
     ``children`` holds :class:`Element` nodes and ``str`` text runs in
-    document order.  ``text=`` in the constructor is shorthand for a single
-    text child.
+    document order.  ``text=`` in the constructor is its single text
+    child; ``attrs`` and ``children`` start empty otherwise.
     """
 
     __slots__ = ("name", "attrs", "children")
@@ -30,20 +30,13 @@ class Element:
     def __init__(
         self,
         name: QName | str,
-        attrs: dict[QName, str] | None = None,
-        children: list[Child] | None = None,
         text: str | None = None,
     ) -> None:
         if isinstance(name, str):
             name = QName.from_clark(name)
         self.name = name
-        self.attrs: dict[QName, str] = dict(attrs) if attrs else {}
-        if text is not None:
-            if children:
-                raise XmlError("pass either children or text, not both")
-            self.children: list[Child] = [text]
-        else:
-            self.children = list(children) if children else []
+        self.attrs: dict[QName, str] = {}
+        self.children: list[Child] = [] if text is None else [text]
 
     # -- construction helpers ----------------------------------------------
     def add(self, child: Child) -> "Element":
@@ -52,16 +45,6 @@ class Element:
             raise XmlError(f"child must be Element or str, not {type(child)!r}")
         self.children.append(child)
         return child if isinstance(child, Element) else self
-
-    def set(self, name: QName | str, value: str) -> None:
-        if isinstance(name, str):
-            name = QName.from_clark(name)
-        self.attrs[name] = value
-
-    def get(self, name: QName | str, default: str | None = None) -> str | None:
-        if isinstance(name, str):
-            name = QName.from_clark(name)
-        return self.attrs.get(name, default)
 
     # -- navigation ----------------------------------------------------------
     def element_children(self) -> Iterator["Element"]:
@@ -77,11 +60,6 @@ class Element:
             if isinstance(c, Element) and c.name == name:
                 return c
         return None
-
-    def find_all(self, name: QName | str) -> list["Element"]:
-        if isinstance(name, str):
-            name = QName.from_clark(name)
-        return [c for c in self.element_children() if c.name == name]
 
     def require(self, name: QName | str) -> "Element":
         """Like :meth:`find` but raises :class:`XmlError` when absent."""
@@ -119,12 +97,6 @@ class Element:
             self.name == other.name
             and self.attrs == other.attrs
             and _normalized(self.children) == _normalized(other.children)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Element({self.name.clark()!r}, attrs={len(self.attrs)}, "
-            f"children={len(self.children)})"
         )
 
     def copy(self) -> "Element":

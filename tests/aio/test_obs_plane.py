@@ -15,6 +15,7 @@ from repro.obs.http import Introspection
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
 from repro.rt.service import SoapHttpApp
+from tests.conftest import serving
 
 
 def get(target):
@@ -29,9 +30,9 @@ def test_obs_endpoints_scrape_on_the_loop():
         intro.add_health_source("fake", lambda: {"ok": True})
         app = SoapHttpApp()
         intro.mount(app)
-        async with AioHttpServer(
+        async with serving(AioHttpServer(
             app.handle_request, metrics=metrics, name="obs"
-        ) as srv:
+        )) as srv:
             client = AioHttpClient(metrics=metrics)
 
             warmup = await client.request(srv.url + "/health", get("/health"))
@@ -68,7 +69,8 @@ def test_scrape_from_a_thread_while_loop_serves():
     app = SoapHttpApp()
     intro = Introspection(metrics=metrics, traces=TraceStore())
     intro.mount(app)
-    with AioLoopThread() as loop_thread:
+    loop_thread = AioLoopThread().start()
+    try:
 
         async def boot():
             srv = AioHttpServer(app.handle_request, metrics=metrics)
@@ -88,3 +90,5 @@ def test_scrape_from_a_thread_while_loop_serves():
         assert response.status == 200
         assert b"aio_http_connections_served" in response.body
         loop_thread.run(srv.stop())
+    finally:
+        loop_thread.stop()

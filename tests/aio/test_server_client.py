@@ -9,6 +9,7 @@ import asyncio
 from repro.aio import AioHttpClient, AioHttpServer
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.metrics import MetricsRegistry
+from tests.conftest import serving
 
 
 def ok_handler(request, peer):
@@ -22,7 +23,7 @@ def post(body=b"", target="/x"):
 def test_roundtrip_and_keep_alive_reuse():
     async def main():
         metrics = MetricsRegistry()
-        async with AioHttpServer(ok_handler, metrics=metrics) as srv:
+        async with serving(AioHttpServer(ok_handler, metrics=metrics)) as srv:
             client = AioHttpClient(metrics=metrics)
             first = await client.request(srv.url, post(b"one"))
             second = await client.request(srv.url, post(b"two"))
@@ -38,7 +39,7 @@ def test_roundtrip_and_keep_alive_reuse():
 
 def test_pipeline_burst_in_order():
     async def main():
-        async with AioHttpServer(ok_handler) as srv:
+        async with serving(AioHttpServer(ok_handler)) as srv:
             client = AioHttpClient()
             batch = [post(b"%d" % i) for i in range(5)]
             results = await client.pipeline(srv.url, batch)
@@ -60,7 +61,7 @@ def test_awaitable_handler_is_awaited():
         return slow(request, peer)  # sync handler returning a coroutine
 
     async def main():
-        async with AioHttpServer(handler) as srv:
+        async with serving(AioHttpServer(handler)) as srv:
             client = AioHttpClient()
             response = await client.request(srv.url, post())
             assert response.body == b"later"
@@ -71,7 +72,7 @@ def test_awaitable_handler_is_awaited():
 
 def test_stale_pooled_connection_retried_once():
     async def main():
-        async with AioHttpServer(ok_handler, keep_alive_timeout=0.1) as srv:
+        async with serving(AioHttpServer(ok_handler, keep_alive_timeout=0.1)) as srv:
             client = AioHttpClient()
             assert (await client.request(srv.url, post(b"a"))).status == 200
             # the server expires the idle keep-alive connection; the
@@ -86,7 +87,7 @@ def test_stale_pooled_connection_retried_once():
 
 def test_connection_close_honoured():
     async def main():
-        async with AioHttpServer(ok_handler) as srv:
+        async with serving(AioHttpServer(ok_handler)) as srv:
             client = AioHttpClient()
             request = post(b"bye")
             request.headers.set("Connection", "close")
@@ -116,8 +117,8 @@ def test_many_parked_connections_on_one_loop():
     async def main():
         nonlocal release
         release = asyncio.Event()
-        async with AioHttpServer(handler) as srv:
-            clients = [AioHttpClient(pool_per_endpoint=1) for _ in range(200)]
+        async with serving(AioHttpServer(handler)) as srv:
+            clients = [AioHttpClient() for _ in range(200)]
             pending = [
                 asyncio.ensure_future(c.request(srv.url, post()))
                 for c in clients
@@ -141,7 +142,7 @@ def test_a_body_larger_than_the_socket_buffers_arrives_whole():
         return HttpResponse(status=200, body=b"%d" % len(request.body))
 
     async def main():
-        async with AioHttpServer(length) as srv:
+        async with serving(AioHttpServer(length)) as srv:
             client = AioHttpClient()
             body = b"x" * (8 << 20)
             response = await asyncio.wait_for(client.request(srv.url, post(body)), 30)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import pytest
@@ -40,6 +41,35 @@ def wait_for(predicate, timeout: float = 5.0) -> bool:
             return True
         time.sleep(0.02)
     return False
+
+
+@contextlib.asynccontextmanager
+async def serving(server):
+    """An :class:`~repro.aio.AioHttpServer` started for the block and
+    stopped after it."""
+    await server.start()
+    try:
+        yield server
+    finally:
+        await server.stop()
+
+
+@pytest.fixture
+def own_sinks():
+    """A fresh process-wide metrics registry and trace store for one test:
+    the components that take no ``metrics=`` / ``traces=`` record there."""
+    from repro.obs import (
+        MetricsRegistry,
+        TraceStore,
+        set_default_registry,
+        set_default_trace_store,
+    )
+
+    metrics, traces = MetricsRegistry(), TraceStore()
+    previous = set_default_registry(metrics), set_default_trace_store(traces)
+    yield metrics, traces
+    set_default_registry(previous[0])
+    set_default_trace_store(previous[1])
 
 
 @pytest.fixture

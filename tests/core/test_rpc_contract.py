@@ -34,7 +34,6 @@ from repro.core.sim_dispatcher import SimRpcDispatcher
 from repro.errors import ConnectionRefused, HttpParseError, SimInterrupt
 from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceStore
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import soap_fault_response, soap_response
@@ -51,7 +50,11 @@ from repro.soap import (
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.clock import ManualClock
 from repro.workload.echo import make_echo_request
+from tests.conftest import serving
 from tests.core.test_fastpath import declare_latin1
+
+#: every dispatcher here counts into a registry of its own test's
+pytestmark = pytest.mark.usefixtures("own_sinks")
 
 ACTION = '"urn:repro:echo#echo"'
 FAST = make_echo_request().to_bytes()
@@ -175,10 +178,6 @@ def check(row: Row, dispatcher: RpcCore, response: HttpResponse, spy: Spy) -> No
     assert response.body == answer(spy.kind).body
 
 
-def quiet() -> dict:
-    return dict(metrics=MetricsRegistry(), traces=TraceStore(enabled=False))
-
-
 # -- [core]: the steps, the service's answer in place of the wire ----------------
 
 DEAD = "http://nowhere:1/svc"
@@ -192,7 +191,7 @@ def test_the_copy_is_a_new_document():
 
 @pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 def test_contract_core(row):
-    core = RpcCore(registry_for("http://ws:9000/echo", DEAD), None, **quiet())
+    core = RpcCore(registry_for("http://ws:9000/echo", DEAD), None)
     core.clock = ManualClock()
     apply(row, core)
     spy = Spy(row.service)
@@ -210,7 +209,7 @@ def test_contract_core(row):
 
 @pytest.mark.parametrize("error", [SimInterrupt("stop"), ValueError("bug")])
 def test_only_a_wire_error_is_a_502(error):
-    core = RpcCore(registry_for("http://ws:9000/echo", DEAD), None, **quiet())
+    core = RpcCore(registry_for("http://ws:9000/echo", DEAD), None)
     steps = core.forward(client_request(ROWS[0]))
     next(steps)
     with pytest.raises(type(error)):
@@ -242,7 +241,7 @@ def test_contract_rt(row, inproc):
     spy = Spy(row.service)
     ws = HttpServer(inproc.listen("ws:9000"), spy, workers=2).start()
     dispatcher = RpcDispatcher(
-        registry_for("http://ws:9000/echo", DEAD), HttpClient(inproc), **quiet()
+        registry_for("http://ws:9000/echo", DEAD), HttpClient(inproc),
     )
     apply(row, dispatcher)
     front = HttpServer(inproc.listen("wsd:8000"), dispatcher.handle_request, workers=2).start()
@@ -269,13 +268,13 @@ def test_contract_aio(row):
     spy = Spy(row.service)
 
     async def main():
-        async with AioHttpServer(spy) as ws:
+        async with serving(AioHttpServer(spy)) as ws:
             dispatcher = AioRpcDispatcher(
                 registry_for(f"{ws.url}/echo", f"http://127.0.0.1:{closed_port()}/svc"),
-                AioHttpClient(), **quiet(),
+                AioHttpClient(),
             )
             apply(row, dispatcher)
-            async with AioHttpServer(dispatcher.handle_request) as front:
+            async with serving(AioHttpServer(dispatcher.handle_request)) as front:
                 client = AioHttpClient()
                 response = await client.request(f"{front.url}{row.path}", client_request(row))
                 client.close()
@@ -296,7 +295,7 @@ def test_contract_sim(row):
     spy = Spy(row.service)
     SimHttpServer(net, ws, 9000, spy)
     dispatcher = SimRpcDispatcher(
-        net, wsd, registry_for("http://ws:9000/echo", "http://ws:9999/dead"), **quiet()
+        net, wsd, registry_for("http://ws:9000/echo", "http://ws:9999/dead"),
     )
     apply(row, dispatcher)
     SimHttpServer(net, wsd, 8000, dispatcher.handler)

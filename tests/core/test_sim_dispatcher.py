@@ -137,7 +137,7 @@ class TestSimMsgDispatcher:
 
         assert sim.run(sim.process(send())) == 202
         sim.run(until=sim.now + 5.0)
-        assert echo.stats["received"] == 1
+        assert echo.counters.get("received") == 1
         assert disp.stats["delivered"] == 1
 
     def test_response_deposited_directly_to_mailbox(self, msg_world):
@@ -161,7 +161,7 @@ class TestSimMsgDispatcher:
         assert store.peek_count(mailbox_id) == 1
         # no relay hop: dispatcher routed zero responses
         assert disp.stats.get("routed_responses", 0) == 0
-        assert echo.stats["replies_sent"] == 1
+        assert echo.counters.get("replies_sent") == 1
         # and nothing will ever pop the entry: it left with the delivery
         assert disp.pending_correlations() == 0
 
@@ -287,11 +287,11 @@ class TestSimMsgDispatcher:
         assert disp.stats.get("hold_registry_unavailable") == 3
         assert disp.stats.get("dropped_unroutable", 0) == 0
         assert hold_store.pending() == 3
-        assert echo.stats.get("received", 0) == 0
+        assert echo.counters.get("received") == 0
         sim.run(until=10.0)
         assert hold_store.pending() == 0
         assert disp.stats.get("delivered") == 3
-        assert echo.stats["received"] == 3
+        assert echo.counters.get("received") == 3
         # redelivered MessageIDs were recorded when they parked; the
         # from-hold pass must bypass the duplicate filter
         assert disp.stats.get("duplicates_suppressed", 0) == 0
@@ -381,7 +381,7 @@ class TestSimPipelinedDrain:
         self._feed(disp, 8)
         sim.run(until=10.0)
         assert disp.stats["delivered"] == 8
-        assert echo.stats["received"] == 8
+        assert echo.counters.get("received") == 8
         assert disp.pool.pipelined_bursts >= 1
         assert disp.pool.pipeline_replays == 0
 

@@ -574,8 +574,11 @@ def test_the_wires_send_the_bytes_they_always_sent(inproc, sim):
 
     server = threading.Thread(target=capture_rt, daemon=True)
     server.start()
-    with HttpClient(inproc, metrics=MetricsRegistry()) as client:
+    client = HttpClient(inproc, metrics=MetricsRegistry())
+    try:
         client.request("http://peer:80/x", post(b"m0"))
+    finally:
+        client.close()
     server.join(5.0)
     listener.close()
 

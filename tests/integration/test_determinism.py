@@ -15,8 +15,9 @@ def test_fig5_is_bit_identical_across_runs():
     a = fig5.run(client_counts=[10, 50], duration=5.0)
     b = fig5.run(client_counts=[10, 50], duration=5.0)
     for series_a, series_b in zip(a.series, b.series):
-        assert series_a.transmitted() == series_b.transmitted()
-        assert series_a.not_sent() == series_b.not_sent()
+        assert [(r.transmitted, r.not_sent) for r in series_a.results] == [
+            (r.transmitted, r.not_sent) for r in series_b.results
+        ]
         for ra, rb in zip(series_a.results, series_b.results):
             assert ra.latency.mean == rb.latency.mean
 
@@ -26,7 +27,9 @@ def test_fig6_is_bit_identical_across_runs():
     a = fig6.run(client_counts=[10], duration=10.0)
     b = fig6.run(client_counts=[10], duration=10.0)
     for series_a, series_b in zip(a.series, b.series):
-        assert series_a.transmitted() == series_b.transmitted()
+        assert [r.transmitted for r in series_a.results] == [
+            r.transmitted for r in series_b.results
+        ]
 
 
 def test_sim_ramp_deterministic():

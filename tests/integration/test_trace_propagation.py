@@ -20,7 +20,7 @@ from repro.msgbox.service import make_mailbox_epr
 from repro.obs import (
     Introspection,
     MetricsRegistry,
-    TraceStore,
+    default_trace_store,
     ensure_trace,
     extract_trace,
 )
@@ -59,12 +59,10 @@ class TestThreadedStack:
     @pytest.fixture
     def deployment(self, inproc):
         metrics = MetricsRegistry()
-        traces = TraceStore()
+        traces = default_trace_store()  # where the echo and the mailbox record
 
         ws_client = HttpClient(inproc, metrics=metrics)
-        async_echo = AsyncEchoService(
-            ws_client, ids=IdGenerator("ws", seed=1), traces=traces
-        )
+        async_echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
         ws_app = SoapHttpApp()
         ws_app.mount("/echo-msg", async_echo)
         ws_server = HttpServer(
@@ -88,8 +86,6 @@ class TestThreadedStack:
             MailboxStore(),
             security=MailboxSecurity(b"trace-test-secret"),
             base_url=self.MAILBOX_URL,
-            metrics=metrics,
-            traces=traces,
         )
         intro = Introspection(metrics=metrics, traces=traces)
         app = SoapHttpApp()
@@ -249,7 +245,7 @@ class TestSimnetStack:
     @pytest.fixture
     def world(self, sim):
         metrics = MetricsRegistry()
-        traces = TraceStore()
+        traces = default_trace_store()  # where the echo and the mailbox record
         net = Network(sim)
         link = AccessLink(5000, 5000, 0.005)
         client = net.add_host("client", link)
@@ -271,10 +267,7 @@ class TestSimnetStack:
         SimHttpServer(net, wsd_host, 8000, disp.handler)
 
         store = MailboxStore(clock=sim.clock)
-        msgbox = MsgBoxService(
-            store, base_url="http://wsd:8500/mailbox",
-            clock=sim.clock, metrics=metrics, traces=traces,
-        )
+        msgbox = MsgBoxService(store, base_url="http://wsd:8500/mailbox")
         app = SoapHttpApp()
         app.mount("/mailbox", msgbox)
         SimHttpServer(net, wsd_host, 8500, lambda r: app.handle_request(r, None))

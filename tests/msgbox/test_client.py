@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MailboxError
+from repro.errors import MailboxError, MailboxNotFound
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxService, MsgBoxClient
 from repro.msgbox.service import Q_MAILBOX_ID
 from repro.rt.client import HttpClient
@@ -38,7 +38,7 @@ def test_create_stores_credentials(served):
     box = client.create()
     assert client.mailbox_id == box
     assert client.owner_token
-    assert store.exists(box)
+    assert store.peek_count(box) == 0
 
 
 def test_epr_requires_mailbox(served):
@@ -60,10 +60,10 @@ def test_peek_and_take(served):
     box = client.create()
     deposit(service, box, "m1")
     deposit(service, box, "m2")
-    assert client.peek() == 2
+    assert store.peek_count(box) == 2
     messages = client.take(max_messages=1)
     assert len(messages) == 1
-    assert client.peek() == 1
+    assert store.peek_count(box) == 1
 
 
 def test_poll_collects_expected(served):
@@ -87,13 +87,14 @@ def test_destroy_clears_state(served):
     box = client.create()
     client.destroy()
     assert client.mailbox_id is None
-    assert not store.exists(box)
+    with pytest.raises(MailboxNotFound):
+        store.peek_count(box)
 
 
 def test_operations_require_mailbox(served):
     _, _, client = served
     with pytest.raises(MailboxError):
-        client.peek()
+        client.take()
 
 
 def test_server_fault_wrapped_as_mailbox_error(served):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.errors import MailboxNotFound
+from repro.errors import MailboxError, MailboxNotFound
 from repro.msgbox import MSGBOX_NS, MailboxStore
 from repro.msgbox.service import Q_MAILBOX_ID
 from repro.rt.service import RequestContext
@@ -116,6 +116,30 @@ class TestServiceLongPoll:
         assert long_poll_takes == 1
         assert short_poll_takes > 3
 
+    def test_a_destroyed_mailbox_ends_a_parked_take(self, served):
+        """``rt`` notices on its re-poll, ``aio`` through the store's
+        waiters: either way well inside the take's ``waitSeconds``."""
+        store, service, client = served
+        box = client.create()
+        failed: list = []
+
+        def take():
+            try:
+                client.take(wait=5.0)
+            except MailboxError as exc:
+                failed.append(exc)
+
+        thread = threading.Thread(target=take, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        destroyed_at = time.monotonic()
+        store.destroy(box)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - destroyed_at < 2.0
+        (exc,) = failed
+        assert str(exc) == f"WS-MsgBox take failed: {box}"  # MailboxNotFound(box)
+
 
 # -- the asyncio long poll's own seams ----------------------------------------------
 
@@ -156,7 +180,7 @@ class TestAioLongPollWakeUp:
         box = client.create()
         loop_ident = aio.loop_thread.run(_ident())
         thread, taken = parked_take(store, client, box)
-        callers = count_threadsafe_calls(aio.loop_thread.loop)
+        callers = count_threadsafe_calls(aio.loop_thread._loop)
 
         async def on_loop():
             deposit(service, box)
@@ -170,7 +194,7 @@ class TestAioLongPollWakeUp:
         store, service, client = aio.serve()
         box = client.create()
         thread, taken = parked_take(store, client, box)
-        callers = count_threadsafe_calls(aio.loop_thread.loop)
+        callers = count_threadsafe_calls(aio.loop_thread._loop)
         deposit(service, box)  # this thread is not the loop's
         thread.join(5.0)
         assert not thread.is_alive() and len(taken) == 1
@@ -204,9 +228,7 @@ def test_a_long_poll_take_parses_its_rpc_once(inproc, monkeypatch):
         backend.close()
 
 
-#: operation, parameters — each refused with a SOAP fault (a value the
-#: service trips over, like a non-numeric wait, is an internal error whose
-#: detail is a traceback: never the same bytes on two runtimes)
+#: operation, parameters — each refused with a SOAP fault
 MALFORMED_TAKES = {
     "no-mailbox-id": ("take", [("waitSeconds", "0.05")]),
     "unknown-mailbox": ("take", [("mailboxId", "no-such-box"), ("waitSeconds", "0.05")]),
@@ -223,7 +245,8 @@ def test_a_malformed_take_is_the_same_fault_on_rt_and_aio(operation, params):
     for kind in ("rt", "aio"):
         backend = MsgBoxBackend(kind, InprocNetwork())
         try:
-            store = MailboxStore(ids=IdGenerator("mb", seed=7))
+            store = MailboxStore()
+            store._ids = IdGenerator("mb", seed=7)  # one mailbox id on both runtimes
             store, service, client = backend.serve(store=store)
             box = client.create()
             call = RpcRequest(

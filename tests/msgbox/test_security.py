@@ -38,12 +38,6 @@ def test_different_secrets_incompatible():
         b.check("box", a.mint("box"))
 
 
-def test_disabled_allows_anything():
-    sec = MailboxSecurity(b"secret", enabled=False)
-    sec.check("box1", None)
-    sec.check("box1", "rubbish")
-
-
 def test_empty_secret_rejected():
     with pytest.raises(ValueError):
         MailboxSecurity(b"")

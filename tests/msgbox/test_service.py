@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from repro.errors import MailboxAuthError, MailboxError, MailboxNotFound
+from repro.errors import MailboxAuthError, MailboxError, MailboxNotFound, SoapFaultError
 from repro.msgbox.security import MailboxSecurity
 from repro.msgbox.service import (
     MSGBOX_NS,
     MsgBoxService,
     Q_MAILBOX_ID,
+    THREAD_STACK_BYTES,
     SimulatedOutOfMemory,
     make_mailbox_epr,
 )
@@ -37,6 +38,30 @@ def deposit_via_header(service, mailbox_id, tag="x"):
     env = make_echo_message(to="urn:wsd:echo", message_id=f"uuid:{tag}")
     env.headers.append(Element(Q_MAILBOX_ID, text=mailbox_id))
     return service.handle(env, RequestContext(path="/mailbox"))
+
+
+#: take parameter -> a value that is not one; each answers a 400 Client fault
+MALFORMED_TAKE_PARAMETERS = {
+    "max-messages-not-a-number": ("maxMessages", "ten"),
+    "max-messages-negative": ("maxMessages", "-3"),
+    "wait-seconds-not-a-number": ("waitSeconds", "soon"),
+}
+
+
+@pytest.mark.parametrize(
+    "param, value", MALFORMED_TAKE_PARAMETERS.values(), ids=MALFORMED_TAKE_PARAMETERS
+)
+def test_a_malformed_take_parameter_is_a_client_fault(msgbox_backend, param, value):
+    store, service, client = msgbox_backend.serve()
+    box = client.create()
+    call = RpcRequest(MSGBOX_NS, "take", [("mailboxId", box), (param, value)])
+    response = client.http.post_envelope(client.service_url, build_rpc_request(call))
+    assert response.status == 400
+    with pytest.raises(SoapFaultError) as fault:
+        parse_rpc_response(Envelope.from_bytes(response.body))
+    assert fault.value.code.endswith("Client")
+    assert param in fault.value.reason
+    assert b"Traceback" not in response.body and b".py" not in response.body
 
 
 class TestRpcOperations:
@@ -125,9 +150,7 @@ class TestSecurity:
         deposit_via_header(svc, box)  # no error
 
     def test_disabled_security_skips_checks(self):
-        svc = MsgBoxService(
-            MailboxStore(), security=MailboxSecurity(b"k", enabled=False)
-        )
+        svc = MsgBoxService(MailboxStore(), security=None)
         box = rpc(svc, "create", []).result("mailboxId")
         rpc(svc, "take", [("mailboxId", box)])  # no token, no error
 
@@ -216,8 +239,7 @@ class TestThreadExplosionBug:
             MailboxStore(),
             delivery_mode="thread-per-message",
             ack_sender=lambda data: time.sleep(0.3),
-            heap_limit_bytes=heap_threads * 512 * 1024,
-            thread_stack_bytes=512 * 1024,
+            heap_limit_bytes=heap_threads * THREAD_STACK_BYTES,
         )
 
     def test_oom_under_burst(self):

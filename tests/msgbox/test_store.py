@@ -5,12 +5,11 @@ import pytest
 from repro.errors import MailboxNotFound, MailboxQuotaExceeded
 from repro.msgbox.store import MailboxStore
 from repro.util.clock import ManualClock
-from repro.util.ids import IdGenerator
 
 
 @pytest.fixture
 def store():
-    return MailboxStore(ids=IdGenerator("test", seed=1))
+    return MailboxStore()
 
 
 class TestLifecycle:
@@ -23,7 +22,8 @@ class TestLifecycle:
     def test_destroy(self, store):
         box = store.create()
         store.destroy(box)
-        assert not store.exists(box)
+        with pytest.raises(MailboxNotFound):
+            store.peek_count(box)
         with pytest.raises(MailboxNotFound):
             store.destroy(box)
 
@@ -94,7 +94,7 @@ class TestDepositTake:
         b = store.create()
         store.deposit(a, b"12345")
         store.deposit(b, b"123")
-        assert store.total_bytes() == 8
+        assert store.stats(a)["bytes"] + store.stats(b)["bytes"] == 8
 
 
 class TestExpiry:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import MailboxNotFound, MailboxQuotaExceeded
 from repro.msgbox.store import MailboxStore
-from repro.util.ids import IdGenerator
 
 _payload = st.binary(min_size=1, max_size=64)
 
@@ -16,7 +15,7 @@ _payload = st.binary(min_size=1, max_size=64)
 @settings(max_examples=100, deadline=None)
 def test_deposit_take_preserves_order_and_content(payloads):
     store = MailboxStore(
-        max_messages_per_box=1000, ids=IdGenerator("prop", seed=1)
+        max_messages_per_box=1000
     )
     box = store.create()
     for payload in payloads:
@@ -33,18 +32,18 @@ def test_deposit_take_preserves_order_and_content(payloads):
 @given(st.lists(_payload, min_size=1, max_size=30), st.integers(1, 10))
 @settings(max_examples=100, deadline=None)
 def test_byte_accounting_is_exact(payloads, take_size):
-    store = MailboxStore(ids=IdGenerator("prop", seed=2))
+    store = MailboxStore()
     box = store.create()
     expected = 0
     for payload in payloads:
         store.deposit(box, payload)
         expected += len(payload)
-        assert store.total_bytes() == expected
+        assert store.stats(box)["bytes"] == expected
     while store.peek_count(box):
         for taken in store.take(box, max_messages=take_size):
             expected -= len(taken)
-        assert store.total_bytes() == expected
-    assert store.total_bytes() == 0
+        assert store.stats(box)["bytes"] == expected
+    assert store.stats(box)["bytes"] == 0
 
 
 class MailboxMachine(RuleBasedStateMachine):
@@ -56,7 +55,6 @@ class MailboxMachine(RuleBasedStateMachine):
             max_mailboxes=10,
             max_messages_per_box=20,
             max_bytes_per_box=1024,
-            ids=IdGenerator("machine", seed=3),
         )
         self.model: dict[str, list[bytes]] = {}
 
@@ -109,9 +107,8 @@ class MailboxMachine(RuleBasedStateMachine):
         assert self.store.mailbox_count() == len(self.model)
         for box, messages in self.model.items():
             assert self.store.peek_count(box) == len(messages)
-        assert self.store.total_bytes() == sum(
-            len(p) for msgs in self.model.values() for p in msgs
-        )
+        for box, messages in self.model.items():
+            assert self.store.stats(box)["bytes"] == sum(len(p) for p in messages)
 
 
 TestMailboxMachine = MailboxMachine.TestCase

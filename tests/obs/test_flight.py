@@ -17,7 +17,7 @@ class TestRing:
         rec = FlightRecorder(capacity=8)
         for i in range(20):
             rec.record("shed", "msgd", t=float(i), n=i)
-        assert len(rec) == 8
+        assert len(rec.snapshot()) == 8
         assert rec.total_recorded == 20
         events = rec.snapshot()
         assert [e["n"] for e in events] == list(range(12, 20))
@@ -51,7 +51,7 @@ class TestRing:
     def test_disabled_recorder_is_a_noop(self):
         rec = FlightRecorder(enabled=False)
         assert rec.record("shed", "msgd", t=0.0) is None
-        assert len(rec) == 0
+        assert len(rec.snapshot()) == 0
         assert rec.total_recorded == 0
 
     def test_thread_safety_under_concurrent_recording(self):
@@ -70,7 +70,7 @@ class TestRing:
         for t in threads:
             t.join()
         assert rec.total_recorded == n_threads * per_thread
-        assert len(rec) == 64
+        assert len(rec.snapshot()) == 64
         seqs = [e["seq"] for e in rec.snapshot()]
         # the retained window is the most recent, strictly ordered slice
         assert seqs == sorted(seqs)

@@ -151,7 +151,7 @@ class TestExposition:
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
         reg.counter("req_total", "requests").labels(dest="a b").inc()
-        reg.gauge("depth").set(3)
+        reg.gauge("depth").labels().set(3)
         reg.histogram("lat_seconds", "latency").observe(0.02)
         text = reg.render_prometheus()
         assert "# HELP req_total requests" in text

@@ -17,7 +17,6 @@ from repro.obs import (
     FlightRecorder,
     Introspection,
     MetricsRegistry,
-    SloTracker,
     TraceStore,
     ensure_trace,
 )
@@ -45,7 +44,7 @@ def telemetry_deployment(inproc):
     flight = FlightRecorder()
 
     ws_client = HttpClient(inproc, metrics=metrics)
-    echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1), traces=traces)
+    echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
     ws_app = SoapHttpApp()
     ws_app.mount("/echo-msg", echo)
     ws_server = HttpServer(
@@ -62,14 +61,8 @@ def telemetry_deployment(inproc):
         config=MsgDispatcherConfig(cx_threads=2, ws_threads=4),
         metrics=metrics, traces=traces, flight=flight,
     )
-    msgbox = MsgBoxService(
-        MailboxStore(), base_url="http://wsd:8000/mailbox",
-        metrics=metrics, traces=traces,
-    )
-    intro = Introspection(
-        metrics=metrics, traces=traces, flight=flight,
-        slo=SloTracker(metrics),
-    )
+    msgbox = MsgBoxService(MailboxStore(), base_url="http://wsd:8000/mailbox")
+    intro = Introspection(metrics=metrics, traces=traces, flight=flight)
     app = SoapHttpApp()
     app.mount("/msg", dispatcher)
     app.mount("/mailbox", msgbox)

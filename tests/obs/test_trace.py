@@ -83,7 +83,7 @@ class TestTraceStore:
         spans = store.get("t1")
         assert [s.span_id for s in spans] == [span.span_id]
         assert "t1" in store
-        assert len(store) == 1
+        assert len(store.ids()) == 1
         assert store.get("missing") == []
 
     def test_new_span_ids_are_unique(self):
@@ -118,7 +118,7 @@ class TestTraceStore:
     def test_disabled_store_records_nothing(self):
         store = TraceStore(enabled=False)
         assert store.record("t1", "a", "c", 0.0, 1.0) is None
-        assert len(store) == 0
+        assert len(store.ids()) == 0
         # span-id allocation still works so propagation stays identical
         assert store.new_span_id().startswith("span-")
 

@@ -157,7 +157,7 @@ class TestDuplicateFilter:
             f.seen(f"uuid:{i}")
         clock.advance(2.0)
         f.seen("uuid:trigger-cleanup")
-        assert f.size() < 5000
+        assert len(f._seen) < 5000  # the expired ids left the table
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SoapError
 from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http.session import POOL_PER_ENDPOINT
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.soap import Envelope
@@ -26,7 +27,7 @@ def server(inproc):
             return HttpResponse(204)
         return HttpResponse(200, body=request.body)
 
-    srv = HttpServer(inproc.listen("edge:80"), handler, workers=4).start()
+    srv = HttpServer(inproc.listen("edge:80"), handler, workers=8).start()
     yield srv
     srv.stop()
 
@@ -65,20 +66,21 @@ def test_post_envelope_sets_content_type(inproc, server):
 def test_pool_cap_discards_excess_connections(inproc, server):
     import threading
 
-    client = HttpClient(inproc, pool_per_endpoint=1)
-    barrier = threading.Barrier(3)
+    client = HttpClient(inproc)
+    callers = POOL_PER_ENDPOINT + 2
+    barrier = threading.Barrier(callers)
     def call():
         barrier.wait(2)
         client.request("http://edge:80/x", HttpRequest("GET", "/"))
 
-    threads = [threading.Thread(target=call) for _ in range(3)]
+    threads = [threading.Thread(target=call) for _ in range(callers)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(5)
     with client._lock:
         pooled = sum(len(p) for p in client._pools.values())
-    assert pooled <= 1
+    assert pooled <= POOL_PER_ENDPOINT
     client.close()
 
 
@@ -88,13 +90,6 @@ def test_close_prevents_pooling(inproc, server):
     client.close()
     with client._lock:
         assert not client._pools
-
-
-def test_context_manager(inproc, server):
-    with HttpClient(inproc) as client:
-        assert client.request(
-            "http://edge:80/x", HttpRequest("GET", "/")
-        ).status == 200
 
 
 def test_target_overwritten_with_url_path(inproc, server):

@@ -75,7 +75,7 @@ def test_client_connection_close_request(inproc, echo_server):
 
 
 def test_parallel_requests(inproc, echo_server):
-    client = HttpClient(inproc, pool_per_endpoint=8)
+    client = HttpClient(inproc)
     results = []
     lock = threading.Lock()
 
@@ -116,15 +116,6 @@ def test_stale_pooled_connection_retried(inproc):
     assert client.request("http://srv2:80/", HttpRequest("GET", "/")).ok
     server.stop()
     client.close()
-
-
-def test_server_context_manager(inproc):
-    with HttpServer(
-        inproc.listen("ctx:80"), lambda r, p=None: HttpResponse(204)
-    ) as server:
-        client = HttpClient(inproc)
-        assert client.request("http://ctx:80/", HttpRequest("GET", "/")).status == 204
-        client.close()
 
 
 def test_server_url_property(inproc):

@@ -57,7 +57,8 @@ def test_sigkill_one_shard_recovers_its_journal(tmp_path):
             assert sup.owner_of(other_logical) == 1
             victim_pid = sup.pids()[0]
 
-            with HttpClient(TcpConnector()) as client:
+            client = HttpClient(TcpConnector())
+            try:
                 for i in range(MESSAGES_PER_SHARD):
                     for logical in (victim_logical, other_logical):
                         envelope = make_echo_message(
@@ -68,6 +69,8 @@ def test_sigkill_one_shard_recovers_its_journal(tmp_path):
                             f"{sup.data_url}/msg/{logical}", envelope
                         )
                         assert response.status == 202
+            finally:
+                client.close()
 
             # let the slow sink absorb a couple, then kill mid-drain
             deadline = time.monotonic() + 10
@@ -106,7 +109,8 @@ def test_sigkill_one_shard_recovers_its_journal(tmp_path):
             assert sup.restart_counts() == {0: 1, 1: 0}
 
             # control plane reflects the restart and is healthy again
-            with HttpClient(TcpConnector()) as client:
+            client = HttpClient(TcpConnector())
+            try:
                 import json
 
                 health = json.loads(
@@ -115,6 +119,8 @@ def test_sigkill_one_shard_recovers_its_journal(tmp_path):
                         HttpRequest("GET", "/health"),
                     ).body
                 )
+            finally:
+                client.close()
             assert health["status"] == "ok"
             assert health["supervisor"]["restarts"]["0"] == 1
     finally:

@@ -52,7 +52,7 @@ def test_deterministic_across_processes():
 
 
 def test_distribution_reasonably_balanced():
-    ring = HashRing(4, replicas=64)
+    ring = HashRing(4)
     counts = ring.distribution(f"dest-{i}" for i in range(4000))
     assert set(counts) == {0, 1, 2, 3}
     assert min(counts.values()) > 4000 / 4 * 0.5

@@ -77,7 +77,8 @@ def _config(**overrides):
 
 
 def _post_all(supervisor, count):
-    with HttpClient(TcpConnector()) as client:
+    client = HttpClient(TcpConnector())
+    try:
         for i in range(count):
             logical = LOGICALS[i % len(LOGICALS)]
             envelope = make_echo_message(
@@ -87,6 +88,8 @@ def _post_all(supervisor, count):
                 f"{supervisor.data_url}/msg/{logical}", envelope
             )
             assert response.status == 202
+    finally:
+        client.close()
 
 
 @pytest.mark.parametrize("runtime", ["threaded", "aio"])
@@ -101,10 +104,13 @@ def test_fleet_delivers_and_aggregates(runtime):
                 f"only {len(sink.mids)} of 40 delivered"
             )
 
-            with HttpClient(TcpConnector()) as client:
+            client = HttpClient(TcpConnector())
+            try:
                 metrics_text = _get(client, sup.control_url, "/metrics").decode()
                 health = json.loads(_get(client, sup.control_url, "/health"))
                 slo = json.loads(_get(client, sup.control_url, "/slo"))
+            finally:
+                client.close()
 
             # merged exposition: the fleet's accepted counter covers all 40
             # admissions (plus any cross-shard relay re-admissions)
@@ -168,8 +174,11 @@ def test_single_shard_fleet_still_works():
         with ShardSupervisor(registry, _config(shards=1)) as sup:
             _post_all(sup, 12)
             assert sink.wait_for_unique(12)
-            with HttpClient(TcpConnector()) as client:
+            client = HttpClient(TcpConnector())
+            try:
                 text = _get(client, sup.control_url, "/metrics").decode()
+            finally:
+                client.close()
             assert "shard_relay_total" not in text
     finally:
         sink.stop()

@@ -66,7 +66,7 @@ def test_close_all_empties_pool(world):
     def scenario():
         yield from pool.exchange("server", 80, HttpRequest("GET", "/"))
         assert sum(len(v) for v in pool._pools.values()) == 1
-        pool.close_all()
+        pool.close_idle()
         assert sum(len(v) for v in pool._pools.values()) == 0
 
     sim.run(sim.process(scenario()))

@@ -60,7 +60,7 @@ def test_echo_replies_to_reachable_endpoint(world):
 
     assert sim.run(sim.process(send())) == 202
     sim.run(until=sim.now + 2.0)
-    assert echo.stats["replies_sent"] == 1
+    assert echo.counters.get("replies_sent") == 1
     assert len(inbox) == 1
 
 
@@ -84,7 +84,7 @@ def test_blocked_replies_counted(world):
 
     sim.run(sim.process(send()))
     sim.run(until=sim.now + 5.0)
-    assert echo.stats["replies_blocked"] == 1
+    assert echo.counters.get("replies_blocked") == 1
 
 
 def test_no_reply_to_means_no_send(world):
@@ -103,7 +103,7 @@ def test_no_reply_to_means_no_send(world):
 
     assert sim.run(sim.process(send())) == 202
     sim.run(until=sim.now + 1.0)
-    assert echo.stats == {"received": 1}
+    assert echo.counters.as_dict() == {"received": 1}
 
 
 def test_a_reply_to_without_message_id_is_a_client_fault(world):
@@ -127,7 +127,7 @@ def test_a_reply_to_without_message_id_is_a_client_fault(world):
     status, body = sim.run(sim.process(send()))
     assert status == 400 and b"MessageID" in body
     sim.run(until=sim.now + 1.0)
-    assert echo.stats == {}
+    assert echo.counters.as_dict() == {}
 
 
 def test_sender_pool_saturation_throttles_acceptance(world):
@@ -180,4 +180,4 @@ def test_unroutable_reply_address_counted(world):
 
     sim.run(sim.process(send()))
     sim.run(until=sim.now + 1.0)
-    assert echo.stats["replies_unroutable"] == 1
+    assert echo.counters.get("replies_unroutable") == 1

@@ -124,7 +124,6 @@ def test_header_api_parity():
     lazy = LazyEnvelope.from_bytes(data)
     q_to = QName(WSA_NS, "To")
     assert lazy.find_header(q_to).text == "urn:wsd:echo"
-    assert len(lazy.find_headers(WSA_NS)) == 3
     removed = lazy.remove_headers(WSA_NS)
     assert len(removed) == 3
     assert lazy.find_header(q_to) is None

@@ -118,7 +118,6 @@ def test_sigkill_mid_drain_recovers_all_messages_exactly_once(tmp_path):
         own_address="http://127.0.0.1:0/msg",
         config=MsgDispatcherConfig(cx_threads=2, ws_threads=2),
         durable=journal,
-        recover=True,
     )
     try:
         assert wait_for(lambda: sink.unique == set(sent), timeout=30.0)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
+from repro.errors import MailboxNotFound
 from repro.msgbox import MailboxStore
 from repro.obs.metrics import MetricsRegistry
 from repro.reliable import FixedDelay, HoldRetryStore
@@ -36,7 +37,7 @@ def echo_world(inproc):
     ws_client.close()
 
 
-def make_dispatcher(inproc, registry, journal, recover=True, **config_kw):
+def make_dispatcher(inproc, registry, journal, **config_kw):
     return MsgDispatcher(
         registry,
         HttpClient(inproc),
@@ -45,7 +46,6 @@ def make_dispatcher(inproc, registry, journal, recover=True, **config_kw):
             cx_threads=2, ws_threads=2, destination_idle_ttl=0.5, **config_kw
         ),
         durable=journal,
-        recover=recover,
     )
 
 
@@ -69,13 +69,10 @@ class TestDispatcherRecovery:
         ids = IdGenerator("crash", seed=3)
         seed_journal(journal, ids, 3)
 
-        # incarnation 1 never recovers and dies hard: nothing delivered,
-        # the records stay enqueued on "disk"
-        first = make_dispatcher(inproc, registry, journal, recover=False)
-        assert first.stop() is True  # nothing queued, hard stop is clean
+        # a dead incarnation left three records enqueued on "disk"
         assert journal.pending_count() == 3
 
-        # incarnation 2 replays all three and drains gracefully
+        # the next incarnation replays all three and drains gracefully
         second = make_dispatcher(inproc, registry, journal)
         assert wait_for(lambda: echo.received == 3)
         assert second.stats.get("recovered") == 3
@@ -202,8 +199,11 @@ class TestDispatcherRecoveryMatrix:
         journal = MessageJournal(sync="lazy", flush_threshold=1)
         seed_journal(journal, IdGenerator("xmat", seed=9), 3)
 
-        def build(recover):
-            return dispatcher_backend.make_dispatcher(
+        # a dead incarnation left three records enqueued on "disk"
+        assert journal.pending_count() == 3
+
+        # the next incarnation replays all three and drains gracefully
+        second = dispatcher_backend.make_dispatcher(
                 registry,
                 HttpClient(inproc),
                 own_address="http://wsd:8000/msg",
@@ -211,16 +211,7 @@ class TestDispatcherRecoveryMatrix:
                     cx_threads=2, ws_threads=2, destination_idle_ttl=0.5
                 ),
                 durable=journal,
-                recover=recover,
             )
-
-        # incarnation 1 never recovers and dies hard
-        first = build(recover=False)
-        assert first.stop() is True
-        assert journal.pending_count() == 3
-
-        # incarnation 2 replays all three and drains gracefully
-        second = build(recover=True)
         assert wait_for(lambda: echo.received == 3), second.stats
         assert second.stats.get("recovered") == 3
         assert second.stop(drain=True) is True
@@ -289,7 +280,7 @@ class TestMailboxRecovery:
         # a client holding the pre-crash address keeps polling it
         fresh = MailboxStore(durable=journal)
         assert fresh.recover() == 2
-        assert fresh.exists(box)
+        assert fresh.peek_count(box) == 2
         assert fresh.take(box) == [b"<two/>", b"<three/>"]
         assert fresh.recover() == 0  # everything terminal now
         journal.close()
@@ -302,7 +293,8 @@ class TestMailboxRecovery:
         store.destroy(box)
         fresh = MailboxStore(durable=journal)
         assert fresh.recover() == 0
-        assert not fresh.exists(box)
+        with pytest.raises(MailboxNotFound):
+            fresh.peek_count(box)
         journal.close()
 
     def test_expired_while_down_goes_to_dead_letters(self):

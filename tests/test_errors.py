@@ -11,6 +11,7 @@ ALL_ERRORS = [
     errors.SoapError,
     errors.SoapFaultError,
     errors.AddressingError,
+    errors.BadParameter,
     errors.HttpError,
     errors.HttpParseError,
     errors.TransportError,

@@ -132,8 +132,8 @@ def test_the_fleet_configs_are_documented_and_keep_their_constants():
     from repro.shard import HashRing, ShardSpec, SupervisorConfig, supervisor, worker
 
     supervisor_fields = {
-        "shards": 2, "runtime": "threaded", "data_host": "127.0.0.1",
-        "journal_dir": None, "mount_prefix": "/msg", "ws_threads": 8,
+        "shards": 2, "runtime": "threaded",
+        "journal_dir": None, "ws_threads": 8,
         "server_workers": 16, "batch_size": 8, "ready_timeout": 20.0,
     }
     defaults = {f.name: f.default for f in dataclasses.fields(SupervisorConfig)}
@@ -143,7 +143,7 @@ def test_the_fleet_configs_are_documented_and_keep_their_constants():
     spec_fields = {f.name for f in dataclasses.fields(ShardSpec)}
     assert spec_fields == {
         "shard_id", "shards", "data_host", "data_port", "direct_port", "peers",
-        "registry", "mount_prefix", "runtime", "journal_path", "ws_threads",
+        "registry", "runtime", "journal_path", "ws_threads",
         "server_workers", "batch_size",
     }
     assert _documented_fields("ShardSpec") == spec_fields
@@ -152,7 +152,9 @@ def test_the_fleet_configs_are_documented_and_keep_their_constants():
         worker.JOURNAL_SYNC, worker.DEDUPE_WINDOW, worker.CX_THREADS,
         worker.RETRY_ATTEMPTS, worker.RETRY_BASE, worker.RETRY_MAX_DELAY,
     ) == ("group", 60.0, 2, 8, 0.05, 0.5)
-    assert (supervisor.RESTART_BACKOFF, supervisor.POLL_INTERVAL) == (0.2, 0.05)
+    assert (
+        supervisor.RESTART_BACKOFF, supervisor.POLL_INTERVAL, supervisor.DATA_HOST,
+    ) == (0.2, 0.05, "127.0.0.1")
     assert HashRing(2).replicas == 64
 
 
@@ -162,6 +164,7 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
     import inspect
 
     from repro.aio import AioHttpClient
+    from repro.http.session import POOL_PER_ENDPOINT
     from repro.obs.metrics import MetricsRegistry
     from repro.rt.client import HttpClient
     from repro.simnet.httpsim import SimHttpClientPool
@@ -172,12 +175,10 @@ def test_the_clients_keep_their_constructors_and_metric_surface():
 
     assert parameters(HttpClient) == {
         "connector": inspect.Parameter.empty, "connect_timeout": 5.0,
-        "response_timeout": 30.0, "pool_per_endpoint": 4, "metrics": None,
+        "response_timeout": 30.0, "metrics": None,
     }
-    assert parameters(AioHttpClient) == {
-        "connect_timeout": 5.0, "response_timeout": 30.0, "pool_per_endpoint": 4,
-        "metrics": None,
-    }
+    assert parameters(AioHttpClient) == {"response_timeout": 30.0, "metrics": None}
+    assert (POOL_PER_ENDPOINT, AioHttpClient.connect_timeout) == (4, 5.0)
     assert (HttpClient.user_agent, AioHttpClient.user_agent) == (
         "repro-client/1.0", "repro-aio-client/1.0",
     )
@@ -234,16 +235,12 @@ def test_the_rpc_dispatchers_keep_their_constructors_and_add_no_option():
         return {p.name: p.default for p in signature if p.name != "self"}
 
     empty = inspect.Parameter.empty
-    rt = {
-        "registry": empty, "client": empty, "mount_prefix": "/rpc",
-        "metrics": None, "traces": None,
-    }
+    rt = {"registry": empty, "client": empty}
     assert parameters(RpcDispatcher.__init__) == rt
     assert parameters(AioRpcDispatcher.__init__) == rt
     assert parameters(SimRpcDispatcher.__init__) == {
-        "net": empty, "host": empty, "registry": empty, "mount_prefix": "/rpc",
+        "net": empty, "host": empty, "registry": empty,
         "connect_timeout": 21.0, "response_timeout": 30.0,
-        "metrics": None, "traces": None,
     }
     for driver in (MsgDispatcher, AioMsgDispatcher, SimMsgDispatcher):
         assert parameters(driver.bridge_handler) == {

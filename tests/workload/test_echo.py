@@ -57,12 +57,6 @@ class TestEchoService:
         ).param("text")
         assert svc.calls == 1
 
-    def test_response_delay_applied(self):
-        slept = []
-        svc = EchoService(response_delay=1.5, sleep=slept.append)
-        svc.handle(make_echo_request(), RequestContext(path="/echo"))
-        assert slept == [1.5]
-
 
 # ids with markup to escape and characters past ASCII, beside plain ones
 _ids = st.text(

@@ -28,9 +28,9 @@ class TestSeries:
         s.add(result(10, 100, lost=1))
         s.add(result(20, 200, lost=2))
         assert s.xs() == [10, 20]
-        assert s.transmitted() == [100, 200]
-        assert s.not_sent() == [1, 2]
-        assert s.per_minute() == [100.0, 200.0]
+        assert [(r.transmitted, r.not_sent, r.per_minute) for r in s.results] == [
+            (100, 1, 100.0), (200, 2, 200.0),
+        ]
 
 
 class TestRenderTable:

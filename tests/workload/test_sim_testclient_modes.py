@@ -7,7 +7,11 @@ from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
 from repro.workload.echo import EchoService
-from repro.workload.sim_testclient import SimRampConfig, SimRampTester
+from repro.workload.sim_testclient import (
+    SimRampConfig,
+    SimRampTester,
+    default_request_factory,
+)
 
 
 def build_world():
@@ -23,18 +27,25 @@ def build_world():
     return net, client, server
 
 
+def closing_requests():
+    """The default echo request, asking the server to close after it."""
+    request = default_request_factory()
+    request.headers.set("Connection", "close")
+    return request
+
+
 def test_keep_alive_uses_one_connection_per_client():
     net, client, server = build_world()
     tester = SimRampTester(net, client, "server", 80, "/echo")
-    result = tester.run(SimRampConfig(clients=3, duration=5.0, keep_alive=True))
+    result = tester.run(SimRampConfig(clients=3, duration=5.0))
     assert result.transmitted > 20
     assert server.connections_served == 3
 
 
 def test_connection_per_call_mode():
     net, client, server = build_world()
-    tester = SimRampTester(net, client, "server", 80, "/echo")
-    result = tester.run(SimRampConfig(clients=3, duration=5.0, keep_alive=False))
+    tester = SimRampTester(net, client, "server", 80, "/echo", closing_requests)
+    result = tester.run(SimRampConfig(clients=3, duration=5.0))
     assert result.transmitted > 10
     # one connection per call (give or take the last in-flight ones)
     assert server.connections_served >= result.transmitted
@@ -42,11 +53,11 @@ def test_connection_per_call_mode():
 def test_keep_alive_is_faster_than_reconnecting():
     net1, client1, _ = build_world()
     with_ka = SimRampTester(net1, client1, "server", 80, "/echo").run(
-        SimRampConfig(clients=2, duration=5.0, keep_alive=True)
+        SimRampConfig(clients=2, duration=5.0)
     )
     net2, client2, _ = build_world()
-    without_ka = SimRampTester(net2, client2, "server", 80, "/echo").run(
-        SimRampConfig(clients=2, duration=5.0, keep_alive=False)
+    without_ka = SimRampTester(net2, client2, "server", 80, "/echo", closing_requests).run(
+        SimRampConfig(clients=2, duration=5.0)
     )
     # reconnecting pays an extra handshake RTT per call
     assert with_ka.transmitted > without_ka.transmitted * 1.2

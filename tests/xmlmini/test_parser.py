@@ -22,8 +22,8 @@ class TestBasicParsing:
 
     def test_attributes(self):
         e = parse('<a x="1" y=\'2\'/>')
-        assert e.get("x") == "1"
-        assert e.get("y") == "2"
+        assert e.attrs[QName(None, "x")] == "1"
+        assert e.attrs[QName(None, "y")] == "2"
 
     def test_mixed_content(self):
         e = parse("<a>pre<b/>post</a>")
@@ -54,7 +54,7 @@ class TestBasicParsing:
 
     def test_whitespace_in_tags(self):
         e = parse('<a  x="1"\n  y="2" ></a >')
-        assert e.get("x") == "1" and e.get("y") == "2"
+        assert e.attrs[QName(None, "x")] == "1" and e.attrs[QName(None, "y")] == "2"
 
 
 class TestEntities:
@@ -73,7 +73,7 @@ class TestEntities:
             parse("<a>&#xD800;</a>")
 
     def test_entities_in_attributes(self):
-        assert parse('<a x="&lt;&quot;"/>').get("x") == '<"'
+        assert parse('<a x="&lt;&quot;"/>').attrs[QName(None, "x")] == '<"'
 
 
 class TestNamespaces:
@@ -88,11 +88,11 @@ class TestNamespaces:
 
     def test_default_ns_does_not_apply_to_attributes(self):
         e = parse('<a xmlns="urn:x" k="v"/>')
-        assert e.get(QName(None, "k")) == "v"
+        assert e.attrs.get(QName(None, "k")) == "v"
 
     def test_prefixed_attribute(self):
         e = parse('<a xmlns:p="urn:x" p:k="v"/>')
-        assert e.get(QName("urn:x", "k")) == "v"
+        assert e.attrs.get(QName("urn:x", "k")) == "v"
 
     def test_scope_shadowing(self):
         e = parse('<a xmlns="urn:outer"><b xmlns="urn:inner"/><c/></a>')
@@ -110,7 +110,7 @@ class TestNamespaces:
 
     def test_xml_prefix_implicit(self):
         e = parse('<a xml:lang="en"/>')
-        assert e.get(QName("http://www.w3.org/XML/1998/namespace", "lang")) == "en"
+        assert e.attrs.get(QName("http://www.w3.org/XML/1998/namespace", "lang")) == "en"
 
 
 class TestMalformed:
@@ -167,7 +167,7 @@ class TestDeclaredEncoding:
     def test_latin1_bytes_are_read_as_latin1(self, label):
         doc = (self.DECL % label + "<a b='é'>café</a>").encode("latin-1")
         root = parse(doc)
-        assert root.text == "café" and root.get("b") == "é"
+        assert root.text == "café" and root.attrs[QName(None, "b")] == "é"
 
     def test_the_label_decides_not_the_bytes(self):
         doc = (self.DECL % "ISO-8859-1" + "<a>é</a>").encode("utf-8")
@@ -232,7 +232,7 @@ class TestSpellingCache:
         attribute, element = '<r xmlns="urn:d" a="1"/>', '<a xmlns="urn:d"/>'
         for doc in (attribute, element) if attribute_first else (element, attribute):
             parse(doc)
-        assert parse(attribute).get(QName(None, "a")) == "1"
+        assert parse(attribute).attrs.get(QName(None, "a")) == "1"
         assert parse(element).name == QName("urn:d", "a")
 
     def test_unique_names_past_the_bound_do_not_grow_it(self):

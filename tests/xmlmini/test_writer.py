@@ -20,7 +20,7 @@ def test_text_escaping():
 
 def test_attr_escaping():
     e = Element("a")
-    e.set("k", 'va"l\nue')
+    e.attrs[QName(None, "k")] = 'va"l\nue'
     assert 'k="va&quot;l&#10;ue"' in serialize(e)
 
 
@@ -54,7 +54,8 @@ def test_xml_decl():
 
 
 def test_xmlns_attrs_never_copied_through():
-    e = Element("a", attrs={QName(XMLNS_NS, "stale"): "urn:old"})
+    e = Element("a")
+    e.attrs[QName(XMLNS_NS, "stale")] = "urn:old"
     assert "urn:old" not in serialize(e)
 
 
@@ -85,7 +86,7 @@ def test_roundtrip_complex_document():
 
 def test_deterministic_output():
     root = Element(QName("urn:a", "r"))
-    root.set(QName("urn:b", "x"), "1")
+    root.attrs[QName("urn:b", "x")] = "1"
     root.add(Element(QName("urn:c", "child")))
     assert serialize(root) == serialize(root.copy())
 
@@ -98,7 +99,8 @@ def test_serialize_keeps_no_reference_to_what_it_wrote():
     import sys
 
     text = "".join(["x"] * 100)
-    tree = Element(QName("urn:a", "r"), children=[Element("c", children=[text])])
+    tree = Element(QName("urn:a", "r"))
+    tree.add(Element("c")).children.append(text)
     before = sys.getrefcount(text)
     gc.disable()
     try:
