@@ -37,6 +37,8 @@ from repro.obs import (
     SloTracker,
     TraceStore,
     ensure_trace,
+    set_default_registry,
+    set_default_trace_store,
 )
 from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer
@@ -56,7 +58,17 @@ def _run_traced_msgbox(clients: int, duration: float, enabled: bool):
     metrics = MetricsRegistry(enabled=enabled)
     traces = TraceStore(enabled=enabled)
     flight = FlightRecorder(enabled=enabled)
+    # the mailbox service records into the process-wide sinks: this run's
+    # sinks stand in for them while it runs
+    previous = set_default_registry(metrics), set_default_trace_store(traces)
+    try:
+        return _run(clients, duration, metrics, traces, flight)
+    finally:
+        set_default_registry(previous[0])
+        set_default_trace_store(previous[1])
 
+
+def _run(clients, duration, metrics, traces, flight):
     sim = Simulator()
     net = Network(sim)
     client_host = add_site(net, INRIA, name="inria")
@@ -157,13 +169,15 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
 
     # the disabled run really recorded nothing ...
     assert base["metrics"].snapshot() == {}
-    assert len(base["traces"]) == 0
-    assert len(base["flight"]) == 0
+    assert base["traces"].ids() == []
+    assert base["flight"].snapshot() == []
     # ... and the enabled run really observed the traffic
     obs_snap = obs["metrics"].snapshot()
     delivered = obs_snap["msgd_delivered_total"]["samples"][0]["value"]
     assert delivered > 0
-    assert len(obs["traces"]) > 0
+    assert obs["traces"].ids()
+    # ... the mailbox's own families and spans included
+    assert obs_snap["msgbox_deposits_total"]["samples"][0]["value"] > 0
     # SLO stage histograms populated through the dispatcher pipeline
     stage_count = sum(
         s["count"] for s in obs_snap["msgd_stage_seconds"]["samples"]
@@ -182,7 +196,7 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
             f"  disabled: {base_pm:.0f} msgs/min  (wall {base['wall']:.2f}s)\n"
             f"  enabled:  {obs_pm:.0f} msgs/min  (wall {obs['wall']:.2f}s)\n"
             f"  throughput delta: {overhead:.2%} (guard: <= 5%)\n"
-            f"  traces captured: {len(obs['traces'])} (ring capacity "
+            f"  traces captured: {len(obs['traces'].ids())} (ring capacity "
             f"{obs['traces'].capacity})\n"
             f"  slo met: {slo['met']}"
         ),
@@ -200,7 +214,7 @@ def test_obs_overhead_within_five_percent(benchmark, paper_scale, record_report)
                     "mode": "enabled",
                     "per_minute": obs_pm,
                     "wall_seconds": obs["wall"],
-                    "traces": len(obs["traces"]),
+                    "traces": len(obs["traces"].ids()),
                     "stage_observations": stage_count,
                     "slo_met": slo["met"],
                 },

@@ -52,8 +52,6 @@ from repro.transport.tcp import TcpConnector, TcpListener, reuse_port_supported
 __all__ = ["SupervisorConfig", "ShardSupervisor"]
 
 
-#: the interface the shared data port and every shard's direct port bind
-DATA_HOST = "127.0.0.1"
 #: pause before respawning a dead worker (crash-loop damping)
 RESTART_BACKOFF = 0.2
 #: how often the monitor thread looks for dead workers
@@ -67,6 +65,9 @@ class SupervisorConfig:
     shards: int = 2
     #: one of :data:`~repro.shard.spec.RUNTIMES`
     runtime: str = "threaded"
+    #: the interface the shared data port, every shard's direct port and
+    #: the control port bind
+    data_host: str = "127.0.0.1"
     #: directory for per-shard journals; None runs the fleet non-durable
     journal_dir: str | None = None
     ws_threads: int = 8
@@ -186,16 +187,16 @@ class ShardSupervisor:
         # no connections) while workers bind the same port
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((DATA_HOST, 0))
+        sock.bind((cfg.data_host, 0))
         self._data_reservation = sock
-        self._data_endpoint = Endpoint(DATA_HOST, sock.getsockname()[1])
+        self._data_endpoint = Endpoint(cfg.data_host, sock.getsockname()[1])
 
         direct_ports = {
-            shard_id: _probe_free_port(DATA_HOST)
+            shard_id: _probe_free_port(cfg.data_host)
             for shard_id in range(cfg.shards)
         }
         self._peers = {
-            shard_id: f"http://{DATA_HOST}:{port}"
+            shard_id: f"http://{cfg.data_host}:{port}"
             for shard_id, port in direct_ports.items()
         }
         for shard_id in range(cfg.shards):
@@ -227,7 +228,7 @@ class ShardSupervisor:
         app.mount_page("/health", self._health_page)
         app.mount_page("/slo", self._slo_page)
         self._control_server = HttpServer(
-            TcpListener(Endpoint(DATA_HOST, 0)),
+            TcpListener(Endpoint(cfg.data_host, 0)),
             app.handle_request, workers=4, name="shard-control",
             metrics=self.metrics,
         ).start()
@@ -276,7 +277,7 @@ class ShardSupervisor:
         return ShardSpec(
             shard_id=shard_id,
             shards=cfg.shards,
-            data_host=DATA_HOST,
+            data_host=cfg.data_host,
             data_port=self.data_endpoint.port,
             direct_port=direct_port,
             peers=dict(self._peers),

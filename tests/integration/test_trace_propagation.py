@@ -17,13 +17,7 @@ from repro.http import Headers, HttpRequest
 from repro.msgbox import MailboxStore, MsgBoxClient, MsgBoxService
 from repro.msgbox.security import MailboxSecurity
 from repro.msgbox.service import make_mailbox_epr
-from repro.obs import (
-    Introspection,
-    MetricsRegistry,
-    default_trace_store,
-    ensure_trace,
-    extract_trace,
-)
+from repro.obs import Introspection, ensure_trace, extract_trace
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
@@ -57,9 +51,8 @@ class TestThreadedStack:
     DELIVERIES = 1
 
     @pytest.fixture
-    def deployment(self, inproc):
-        metrics = MetricsRegistry()
-        traces = default_trace_store()  # where the echo and the mailbox record
+    def deployment(self, inproc, own_sinks):
+        metrics, traces = own_sinks  # where the echo and the mailbox record
 
         ws_client = HttpClient(inproc, metrics=metrics)
         async_echo = AsyncEchoService(ws_client, ids=IdGenerator("ws", seed=1))
@@ -243,9 +236,8 @@ class TestThreadedStackRelayingToAnotherOrigin(TestThreadedStack):
 
 class TestSimnetStack:
     @pytest.fixture
-    def world(self, sim):
-        metrics = MetricsRegistry()
-        traces = default_trace_store()  # where the echo and the mailbox record
+    def world(self, sim, own_sinks):
+        metrics, traces = own_sinks  # where the echo and the mailbox record
         net = Network(sim)
         link = AccessLink(5000, 5000, 0.005)
         client = net.add_host("client", link)

@@ -13,13 +13,7 @@ import pytest
 from repro.core import MsgDispatcher, MsgDispatcherConfig, ServiceRegistry
 from repro.http import Headers, HttpRequest
 from repro.msgbox import MailboxStore, MsgBoxClient, MsgBoxService
-from repro.obs import (
-    FlightRecorder,
-    Introspection,
-    MetricsRegistry,
-    TraceStore,
-    ensure_trace,
-)
+from repro.obs import FlightRecorder, Introspection, ensure_trace
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
@@ -37,10 +31,9 @@ PAGES = (
 
 
 @pytest.fixture
-def telemetry_deployment(inproc):
+def telemetry_deployment(inproc, own_sinks):
     """A one-process WSD deployment with the full telemetry plane on."""
-    metrics = MetricsRegistry()
-    traces = TraceStore()
+    metrics, traces = own_sinks  # where the echo and the mailbox record
     flight = FlightRecorder()
 
     ws_client = HttpClient(inproc, metrics=metrics)

@@ -167,11 +167,18 @@ def test_a_mistyped_runtime_is_refused_before_a_port_or_a_process(monkeypatch):
 
 
 def test_single_shard_fleet_still_works():
-    """shards=1 must behave exactly like one plain dispatcher deployment."""
+    """shards=1 must behave exactly like one plain dispatcher deployment,
+    here bound to a loopback address other than the default one."""
     sink = _Sink()
     registry = {name: f"{sink.url}/{name}" for name in LOGICALS}
     try:
-        with ShardSupervisor(registry, _config(shards=1)) as sup:
+        config = SupervisorConfig(
+            shards=1, data_host="127.0.0.2", ws_threads=4, server_workers=8,
+            ready_timeout=30.0,
+        )
+        with ShardSupervisor(registry, config) as sup:
+            assert sup.data_url.startswith("http://127.0.0.2:")
+            assert sup.control_url.startswith("http://127.0.0.2:")
             _post_all(sup, 12)
             assert sink.wait_for_unique(12)
             client = HttpClient(TcpConnector())

@@ -13,7 +13,9 @@ class only through one is passed by whoever called the wrapper, which is
 what this check asks about.  For the three dispatcher configs an
 assignment to ``<...>.config.<field>`` counts too.  A parameter only a
 test passes is a mode no experiment, example or benchmark workload runs:
-delete it, or give it a caller.  The check reads source with :mod:`ast`
+delete it, or give it a caller.  The pytest benchmarks outside
+``benchmarks/e2e/`` count with the tests: each checks one claim in CI,
+and none of them is a workload.  The check reads source with :mod:`ast`
 and imports nothing it checks.
 """
 
@@ -30,10 +32,10 @@ DEFINED = "src/repro"
 SEARCHED = ("src/repro", "examples", "benchmarks/e2e")
 CONFIGS = {"DispatcherConfigBase", "MsgDispatcherConfig", "SimMsgDispatcherConfig"}
 
-#: ``Class`` or ``Owner.param`` -> (the test file that constructs or passes
-#: it, why no caller outside the tests does).  Only three kinds belong
-#: here: a timing value that tests shorten, a deployment setting, and a
-#: caller that an open ROADMAP item names.
+#: ``Class`` or ``Owner.param`` -> (the test or pytest benchmark file that
+#: constructs or passes it, why no caller outside the tests does).  Only
+#: three kinds belong here: a timing value that tests shorten, a deployment
+#: setting, and a caller that an open ROADMAP item names.
 ALLOWED: dict[str, tuple[str, str]] = {
     # -- timing values that tests shorten --------------------------------
     "DispatcherConfigBase.destination_idle_ttl": (
@@ -129,6 +131,10 @@ ALLOWED: dict[str, tuple[str, str]] = {
     "SupervisorConfig.runtime": (
         "tests/shard/test_supervisor.py",
         "a deployment setting: the fleet on the threaded or the asyncio runtime",
+    ),
+    "SupervisorConfig.data_host": (
+        "tests/shard/test_supervisor.py",
+        "a deployment setting: the interface the fleet's ports bind",
     ),
     "SupervisorConfig.journal_dir": (
         "tests/shard/test_crash_restart.py",

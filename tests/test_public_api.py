@@ -132,7 +132,7 @@ def test_the_fleet_configs_are_documented_and_keep_their_constants():
     from repro.shard import HashRing, ShardSpec, SupervisorConfig, supervisor, worker
 
     supervisor_fields = {
-        "shards": 2, "runtime": "threaded",
+        "shards": 2, "runtime": "threaded", "data_host": "127.0.0.1",
         "journal_dir": None, "ws_threads": 8,
         "server_workers": 16, "batch_size": 8, "ready_timeout": 20.0,
     }
@@ -152,9 +152,7 @@ def test_the_fleet_configs_are_documented_and_keep_their_constants():
         worker.JOURNAL_SYNC, worker.DEDUPE_WINDOW, worker.CX_THREADS,
         worker.RETRY_ATTEMPTS, worker.RETRY_BASE, worker.RETRY_MAX_DELAY,
     ) == ("group", 60.0, 2, 8, 0.05, 0.5)
-    assert (
-        supervisor.RESTART_BACKOFF, supervisor.POLL_INTERVAL, supervisor.DATA_HOST,
-    ) == (0.2, 0.05, "127.0.0.1")
+    assert (supervisor.RESTART_BACKOFF, supervisor.POLL_INTERVAL) == (0.2, 0.05)
     assert HashRing(2).replicas == 64
 
 
