@@ -94,7 +94,6 @@ def _run(clients, duration, metrics, traces, flight):
         destination_queue=16,
         parallel_per_destination=4,
         connect_timeout=4.0,
-        shed_on_full=False,
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://iuWSD:8000/msg",

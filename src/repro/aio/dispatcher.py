@@ -20,7 +20,7 @@ and replaces only the *execution* substrate:
 
 Everything semantic is :class:`~repro.core.dispatch.DispatchCore`'s:
 admission and the journal-before-ack protocol, routing /
-rewriting / correlation, the delivery step (breaker gate, settle, retry,
+rewriting / correlation, the delivery step (settle, retry,
 parking), hold redelivery, dead-letter taxonomy, metrics, spans and
 flight-recorder events.  Admission runs synchronous, thread-safe code,
 so ``handle`` can be called from *any* thread — the HTTP edge may live

@@ -6,10 +6,9 @@ dispatcher; this module is it.  :class:`DispatchCore` owns everything the
 three hostings agree on: the metric families and counters, admission
 bookkeeping and the journal-before-ack / mark-after-settle protocol, the
 duplicate window, the correlation table, the WS-Addressing rewrite and
-the §4.3.2 co-hosting predicate, shard ownership, the breaker gate and
-hold parking, the dead-letter / drop taxonomy, in-band (Table 1 quadrant
-3) absorption, the quadrant-2 sync bridge, journal recovery and the
-health view.
+the §4.3.2 co-hosting predicate, shard ownership, hold parking, the
+dead-letter / drop taxonomy, in-band (Table 1 quadrant 3) absorption,
+the quadrant-2 sync bridge, journal recovery and the health view.
 
 It is substrate-free: it reads the clock it is handed and never sleeps,
 blocks, spawns or touches a socket.  Decisions are plain methods whose
@@ -54,7 +53,6 @@ from repro.obs.trace import (
     default_trace_store,
     extract_trace,
 )
-from repro.reliable.breaker import BreakerConfig, BreakerRegistry
 from repro.reliable.holdretry import DuplicateFilter
 from repro.rt.service import soap_fault_response
 from repro.soap import Envelope, Fault, LazyEnvelope, fastpath_counter, parse_envelope
@@ -96,10 +94,6 @@ class DispatcherConfigBase:
     destination_idle_ttl: float = 10.0
     #: correlation (MessageID → ReplyTo) lifetime
     correlation_ttl: float = 120.0
-    #: per-destination circuit breakers on the WsThread drain path;
-    #: None = no breakers (the paper-faithful behaviour: every delivery
-    #: attempt hits the network)
-    breaker: BreakerConfig | None = None
     #: how often the hold/retry pump puts due parked messages back on
     #: their destination queues (:meth:`DispatchCore.requeue_due`)
     hold_pump_interval: float = 0.25
@@ -236,13 +230,6 @@ class DispatchCore:
         self._m_stage_queue_accept = stage.labels(stage="queue_accept")
         self._m_stage_queue_dest = stage.labels(stage="queue_destination")
         self._m_stage_deliver = stage.labels(stage="deliver")
-        #: per-destination circuit breakers (None unless config.breaker)
-        self.breakers: BreakerRegistry | None = None
-        if config.breaker is not None:
-            self.breakers = BreakerRegistry(
-                config.breaker, clock=clock, metrics=self.metrics,
-                flight=self.flight,
-            )
         #: insertion-ordered, and the TTL is one constant: insertion order
         #: is expiry order (see the head sweep in :meth:`route`)
         self._correlations: dict[str, _Correlation] = {}
@@ -875,7 +862,7 @@ class DispatchCore:
         and trace spans; a burst only adds one ``pipeline-burst`` span (per
         distinct trace in the batch) parenting the per-item ``deliver``
         spans.  A burst that gets no connection fails every item with that
-        error — one breaker outcome per item.
+        error.
 
         A failed item backs off and goes back on its destination queue
         while ``config.retry`` allows (the simulator's config has none) —
@@ -883,8 +870,7 @@ class DispatchCore:
         Otherwise, or when the queue will not take it back,
         :meth:`delivery_failed` parks or drops it.
         """
-        if not self.start_delivery(batch):
-            return
+        self.start_delivery(batch)
         t_send = self.clock.now()
         url = batch[0].target_url
         try:
@@ -909,16 +895,14 @@ class DispatchCore:
                     continue
             self.delivery_failed(item)
 
-    def start_delivery(self, batch: "list[_OutboundItem]") -> bool:
-        """A worker took ``batch`` (one shared destination) off its queue.
-
-        Destination queue-wait is observed here, once per item and before
-        the breaker gate; False means an open breaker refused the batch
-        (every item parked or dropped) and nothing is to be sent.
-        """
+    def start_delivery(self, batch: "list[_OutboundItem]") -> None:
+        """A worker took ``batch`` (one shared destination) off its queue:
+        destination queue-wait is observed here, once per item, and each
+        item's attempt is counted."""
         t_deq = self.clock.now()
         for item in batch:
-            if item.attempts:
+            item.attempts += 1
+            if item.attempts > 1:
                 continue  # an in-line retry: its wait was already observed
             self._m_stage_queue_dest.observe(t_deq - item.enqueued_at)
             if item.trace is not None:
@@ -928,37 +912,6 @@ class DispatchCore:
                     parent_id=item.parent_span_id, queue="destination",
                     dest=item.target_url,
                 )
-        if self.breakers is not None and not self.breakers.allow(
-            self._endpoint_key(batch[0].target_url)
-        ):
-            for item in batch:
-                self._breaker_block(item)
-            return False
-        for item in batch:
-            item.attempts += 1
-        return True
-
-    def record_outcome(self, target_url: str, ok: bool) -> None:
-        if self.breakers is not None:
-            self.breakers.record(self._endpoint_key(target_url), ok)
-
-    def settle(
-        self,
-        item: _OutboundItem,
-        outcome: object,
-        t_send: float,
-        t_done: float,
-        parent_span_id: str | None,
-    ) -> bool:
-        """One wire outcome — the :class:`HttpResponse`, or the exception
-        the exchange raised — told to the breaker and, when the
-        destination took the message, booked as delivered.  False means
-        the attempt failed: :meth:`deliver` retries, parks or drops it."""
-        ok = isinstance(outcome, HttpResponse) and outcome.status < 400
-        self.record_outcome(item.target_url, ok)
-        if ok:
-            self.finish_delivery(item, outcome, t_send, t_done, parent_span_id)
-        return ok
 
     def settle_batch(
         self,
@@ -968,8 +921,11 @@ class DispatchCore:
         t_done: float,
     ) -> "list[_OutboundItem]":
         """Settle a finished batch item by item — a burst (two or more)
-        under one ``pipeline-burst`` span per distinct trace; returns the
-        items that failed."""
+        under one ``pipeline-burst`` span per distinct trace.  Each
+        outcome is the :class:`HttpResponse`, or the exception the
+        exchange raised; an item the destination took is booked as
+        delivered, and the rest are returned as failed (:meth:`deliver`
+        retries, parks or drops them)."""
         burst_sid = None
         if len(batch) > 1:
             traced = {i.trace.trace_id: i for i in batch if i.trace is not None}
@@ -983,10 +939,12 @@ class DispatchCore:
                 )
         failed = []
         for item, outcome in zip(batch, outcomes):
-            if not self.settle(
-                item, outcome, t_burst, t_done,
-                burst_sid if item.trace is not None else item.parent_span_id,
-            ):
+            if isinstance(outcome, HttpResponse) and outcome.status < 400:
+                self.finish_delivery(
+                    item, outcome, t_burst, t_done,
+                    burst_sid if item.trace is not None else item.parent_span_id,
+                )
+            else:
                 failed.append(item)
         return failed
 
@@ -1094,21 +1052,6 @@ class DispatchCore:
             dest=item.target_url, attempts=item.attempts,
         )
 
-    def _breaker_block(self, item: _OutboundItem) -> None:
-        """Deny without a network attempt: park in the hold store (so the
-        message survives the outage without burning retries) or drop."""
-        trace_id = item.trace.trace_id if item.trace else None
-        if self._park(item):
-            self.counters.inc("held_breaker_open")
-            self.flight.record(
-                "hold", "msgd", t=self.clock.now(), trace=trace_id,
-                reason="breaker_open", dest=item.target_url,
-            )
-        else:
-            self._drop(
-                "breaker_open", item.journal_seq, trace_id, dest=item.target_url
-            )
-
     # -- hold parking and redelivery -----------------------------------------
     def _is_held(self, item: _OutboundItem) -> bool:
         """A held message the pump put back on the queues (:meth:`requeue_due`)."""
@@ -1187,12 +1130,12 @@ class DispatchCore:
     def requeue_due(self, now: float) -> None:
         """One hold-pump sweep: every due held message goes back on its
         destination queue — FIFO behind what is queued there, pipelined
-        with it, through the breaker gate — and that delivery resolves the
-        claim: :meth:`finish_delivery` completes the entry, a failure or an
-        open breaker reschedules it (:meth:`_park`), nothing else completes
-        it.  A message parked while the registry was unavailable is routed
-        again first: a routing error reschedules it, one handled in-band
-        (correlation, sync waiter) is done.  A claim no queue takes is
+        with it — and that delivery resolves the claim:
+        :meth:`finish_delivery` completes the entry, a failure reschedules
+        it (:meth:`_park`), nothing else completes it.  A message parked
+        while the registry was unavailable is routed again first: a
+        routing error reschedules it, one handled in-band (correlation,
+        sync waiter) is done.  A claim no queue takes is
         rescheduled — every claim taken is resolved."""
         for msg in self.hold_store.take_due(now):
             try:
@@ -1220,8 +1163,8 @@ class DispatchCore:
         return self.counters.as_dict()
 
     def health_snapshot(self) -> dict:
-        """Breaker and queue state for the introspection surface
-        (``Introspection.add_health_source``)."""
+        """Queue, hold-store and journal state for the introspection
+        surface (``Introspection.add_health_source``)."""
         snapshot: dict = {
             "backlog": self.backlog(),
             "drain_timeouts": self.counters.get("drain_timeouts"),
@@ -1229,8 +1172,6 @@ class DispatchCore:
             "routed_in_place": self.counters.get("routed_in_place"),
             "routed_pooled": self.counters.get("routed_pooled"),
         }
-        if self.breakers is not None:
-            snapshot["breakers"] = self.breakers.snapshot()
         if self.hold_store is not None:
             snapshot["hold_store"] = dict(
                 self.hold_store.stats, pending=self.hold_store.pending()

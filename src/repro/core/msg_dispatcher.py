@@ -20,7 +20,7 @@ The threaded driver of :class:`~repro.core.dispatch.DispatchCore`
   messages cost one round trip instead of N.
 
 Every decision (admission, correlation, rewrite, the delivery step with
-its breaker gate, retry and parking, hold redelivery, dead-lettering) is
+its retry and parking, hold redelivery, dead-lettering) is
 the core's; this module keeps the bounded queues, the threads, and a
 blocking trampoline for :meth:`DispatchCore.deliver`'s effects.
 """
@@ -139,7 +139,7 @@ class MsgDispatcher(DispatchCore):
         ``flight`` overrides the process-wide
         :func:`~repro.obs.flight.default_flight_recorder`; state
         transitions (drops, deadletters, drain timeouts, journal
-        recovery, breaker trips) are recorded into it, and deadletters
+        recovery, holds) are recorded into it, and deadletters
         trigger a postmortem dump when the recorder has a dump
         directory.
 

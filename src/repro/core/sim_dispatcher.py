@@ -21,7 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore, extract_trace
 from repro.reliable.holdretry import HoldRetryStore
 from repro.store.journal import MessageJournal
-from repro.rt.service import overloaded_response, soap_fault_response
+from repro.rt.service import soap_fault_response
 from repro.simnet.httpsim import SimHttpClientPool
 from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource, Store
@@ -84,9 +84,6 @@ class SimMsgDispatcherConfig(DispatcherConfigBase):
     parallel_per_destination: int = 1
     connect_timeout: float = 21.0
     response_timeout: float = 30.0
-    #: False = paper-faithful (no admission control: a full accept queue
-    #: blocks the HTTP worker); True = answer 503 when saturated
-    shed_on_full: bool = False
 
 
 class SimMsgDispatcher(DispatchCore):
@@ -200,13 +197,10 @@ class SimMsgDispatcher(DispatchCore):
     def handler(self, request: HttpRequest):
         """Generator handler.
 
-        When the accept queue is full the behaviour depends on
-        ``config.shed_on_full``: the paper's stack had no admission
-        control, so the default is to *block* the HTTP worker until a
-        CxThread frees a slot — saturation then propagates to the TCP
-        front door and clients slow down or time out.  With shedding on,
-        the dispatcher answers the 503 fault every runtime refuses with
-        (the load-shedding redesign).
+        The paper's stack had no admission control: when the accept queue
+        is full the HTTP worker *blocks* until a CxThread frees a slot, so
+        saturation propagates to the TCP front door and clients slow down
+        or time out.
         """
         if request.method != "POST":
             return HttpResponse(status=405, body=b"MSG dispatcher accepts POST")
@@ -221,14 +215,9 @@ class SimMsgDispatcher(DispatchCore):
         jseq: int | None = None
         if self.durable is not None:
             jseq = self.journal_inbound(request.target, request.body)
-        work = (envelope, request.target, trace, t_arrival, jseq)
-        if not self.config.shed_on_full:
-            yield self._accept_queue.put(work)
-        elif not self._accept_queue.try_put(work):
-            self.refused(jseq, trace, request.target)
-            return overloaded_response(
-                "dispatcher accept queue full", envelope.version
-            )
+        yield self._accept_queue.put(
+            (envelope, request.target, trace, t_arrival, jseq)
+        )
         self.admitted(request.target, trace, t_arrival)
         return HttpResponse(status=202)
 
@@ -247,8 +236,8 @@ class SimMsgDispatcher(DispatchCore):
                     )
                     continue
                 # Blocking put: when a destination backs up, CxThreads
-                # stall, the accept queue fills, and the HTTP front door
-                # starts shedding load — the backpressure chain a
+                # stall, the accept queue fills, and the HTTP workers
+                # block on it — the backpressure chain a
                 # bounded-queue thread architecture produces.
                 item.enqueued_at = self.sim.now
                 yield store.put(item)

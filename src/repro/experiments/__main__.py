@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=[
             "fig4", "fig5", "fig6", "table1",
             "msgbox-bug", "pool-sizing", "batching", "reliability", "chaos",
-            "crash-recovery", "drain", "registry-failover",
+            "crash-recovery", "drain", "registry-failover", "failover",
         ],
     )
     parser.add_argument(
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--duration", type=float,
-        help="seconds per point (default 20; fig6 60)",
+        help="seconds per point (default 20; fig6 60, failover 30)",
     )
     parser.add_argument(
         "--paper-scale",
@@ -133,6 +133,10 @@ def main(argv: list[str] | None = None) -> int:
         report = drain.run(runtime=args.runtime, messages=messages)
         print(report.render())
         failures = drain.check_shape(report)
+    elif name == "failover":
+        report = ablations.failover(duration=args.duration or 30.0)
+        print(report.render())
+        failures = ablations.check_failover(report)
     elif name == "registry-failover":
         report = registryfailover.run()
         print(report.render())

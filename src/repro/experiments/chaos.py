@@ -1,10 +1,9 @@
 """Chaos experiment: delivery robustness under packet loss and link flaps.
 
 Sweeps a grid of (packet-loss rate × link-flap period) against a
-MSG-Dispatcher equipped with the robustness stack — hold/retry store and
-per-destination circuit breakers — and measures what the paper's Table 1
-never could: how many one-way messages survive a hostile network, and at
-what latency cost.
+MSG-Dispatcher with a hold/retry store and measures what the paper's
+Table 1 never could: how many one-way messages survive a hostile
+network, and at what latency cost.
 
 Each grid point builds a fresh simulation (client site → dispatcher →
 echo sink), runs a seeded :class:`~repro.chaos.plan.FaultPlan` through
@@ -14,7 +13,7 @@ hold/retry redeliveries).  Reported per point: delivery success ratio and
 p50/p99 end-to-end latency.
 
 A :class:`~repro.obs.flight.FlightRecorder` on the simulated clock
-captures drops, breaker trips and fault windows and dumps postmortems.
+captures drops, holds and fault windows and dumps postmortems.
 Nothing else rides the faulted link or the dispatcher's workers: the
 sender's messages carry no trace header, so the latencies are the
 messages' own.  Everything runs on the seeded simulation clock, so two
@@ -39,7 +38,7 @@ from repro.http import HttpRequest, HttpResponse
 from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.reliable import BreakerConfig, DuplicateFilter, FixedDelay, HoldRetryStore
+from repro.reliable import DuplicateFilter, FixedDelay, HoldRetryStore
 from repro.simnet.httpsim import SimHttpClientPool, SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
@@ -123,7 +122,6 @@ def run_point(
     config = SimMsgDispatcherConfig(
         connect_timeout=3.0,
         response_timeout=5.0,
-        breaker=BreakerConfig(consecutive_failures=3, open_for=2.0),
     )
     dispatcher = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://wsd:8000/msg",
@@ -192,7 +190,6 @@ def run_point(
         "p50_latency": _percentile(latencies, 0.50),
         "p99_latency": _percentile(latencies, 0.99),
         "held_for_retry": dispatcher.stats.get("held_for_retry", 0),
-        "breaker_blocked": dispatcher.stats.get("held_breaker_open", 0),
         "expired": hold_store.stats["expired"],
         "faults_injected": controller.injected,
         "flight_events": flight.counts_by_kind(),
@@ -212,7 +209,7 @@ def run(
         experiment="Chaos sweep",
         description=(
             "Delivery success and latency under packet loss x link flaps "
-            "(hold/retry + circuit breakers enabled)"
+            "(hold/retry enabled)"
         ),
     )
     rows = []

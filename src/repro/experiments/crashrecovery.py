@@ -37,7 +37,7 @@ from repro.http import HttpRequest, HttpResponse
 from repro.http.session import soap_post
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.reliable import BreakerConfig, DuplicateFilter, FixedDelay, HoldRetryStore
+from repro.reliable import DuplicateFilter, FixedDelay, HoldRetryStore
 from repro.simnet.httpsim import SimHttpClientPool, SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
@@ -109,7 +109,6 @@ def run_point(
         config = SimMsgDispatcherConfig(
             connect_timeout=3.0,
             response_timeout=5.0,
-            breaker=BreakerConfig(consecutive_failures=3, open_for=2.0),
             dedupe_window=horizon,
         )
         return SimMsgDispatcher(

@@ -11,8 +11,8 @@ Three configurations:
 - **With MSG-Dispatcher** — the dispatcher forwards requests fine, but
   its WsThreads burn connect timeouts trying to deliver *responses* to
   the firewalled client endpoints; delivery slots starve, queues fill,
-  the dispatcher sheds load.  The paper calls this "the slowest
-  performance".
+  and the full accept queue holds the HTTP workers.  The paper calls
+  this "the slowest performance".
 - **With MSG-D and MsgBox** — responses go to a WS-MsgBox mailbox next to
   the dispatcher; every hop is between accessible endpoints, so this is
   "the best from [a] performance perspective when the number of
@@ -70,7 +70,6 @@ def run(
                     destination_queue=16,
                     parallel_per_destination=4,
                     connect_timeout=reply_connect_timeout,
-                    shed_on_full=False,  # paper-faithful: no admission control
                 ),
                 mailbox="cohosted" if mode == MODES[2] else None,
             )

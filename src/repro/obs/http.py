@@ -98,11 +98,11 @@ class Introspection:
         self._health_sources: dict[str, Callable[[], dict]] = {}
         self._deadletter_sources: dict[str, Callable[[], dict]] = {}
 
-    # -- breaker / queue health -------------------------------------------
+    # -- queue health -----------------------------------------------------
     def add_health_source(self, name: str, fetch: Callable[[], dict]) -> None:
         """Register a health feed (e.g. a dispatcher's
-        ``health_snapshot`` bound method): breaker states, backlog,
-        hold-store stats.  Rendered as a ``health`` section of the JSON
+        ``health_snapshot`` bound method): backlog, hold-store and
+        journal stats.  Rendered as a ``health`` section of the JSON
         snapshot and a ``GET /health`` endpoint."""
         with self._lock:
             if name in self._health_sources:

@@ -15,7 +15,6 @@ from repro.reliable.policy import RetryPolicy, ExponentialBackoff, FixedDelay
 from repro.reliable.holdretry import HeldMessage, HoldRetryStore, DuplicateFilter
 from repro.reliable.breaker import (
     BreakerConfig,
-    BreakerOpenError,
     BreakerRegistry,
     BreakerState,
     CircuitBreaker,
@@ -29,7 +28,6 @@ __all__ = [
     "HoldRetryStore",
     "DuplicateFilter",
     "BreakerConfig",
-    "BreakerOpenError",
     "BreakerRegistry",
     "BreakerState",
     "CircuitBreaker",

@@ -1,9 +1,9 @@
-"""Per-destination circuit breakers for the dispatcher delivery path.
+"""Per-destination circuit breakers: the registry client's replicas.
 
-The paper's MSG-Dispatcher keeps a FIFO queue and a persistent connection
-per destination; when a destination dies, every queued message would
-otherwise burn a full connect timeout (Table 1's ~21 s) before failing.
-A breaker sits between the WsThread drain path and the HTTP client:
+:class:`~repro.registry.client.ReplicatedRegistryClient` keeps one breaker
+per registry replica, so a dead replica is skipped instead of costing
+every lookup a connect timeout.  A breaker sits between the caller and
+the replica:
 
 ```
             failure threshold reached
@@ -20,8 +20,7 @@ A breaker sits between the WsThread drain path and the HTTP client:
   failure rate ≥ ``failure_rate`` once ``min_samples`` outcomes landed
   inside ``window`` seconds.
 - **open**: every ``allow()`` is denied for ``open_for`` seconds — the
-  dispatcher parks messages in the :class:`~repro.reliable.holdretry.
-  HoldRetryStore` instead of burning delivery attempts.
+  client skips the replica instead of burning an attempt on it.
 - **half-open**: up to ``half_open_probes`` trial deliveries pass
   through; one success closes the breaker, one failure re-opens it.
 
@@ -37,7 +36,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ReproError
 from repro.obs.flight import FlightRecorder, default_flight_recorder
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.util.clock import Clock, MonotonicClock
@@ -47,10 +45,6 @@ class BreakerState:
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
-
-
-class BreakerOpenError(ReproError):
-    """Delivery refused locally: the destination's breaker is open."""
 
 
 @dataclass(frozen=True)
@@ -206,9 +200,9 @@ _STATE_GAUGE = {BreakerState.CLOSED: 0.0, BreakerState.OPEN: 1.0,
 class BreakerRegistry:
     """One :class:`CircuitBreaker` per destination key (``host:port``).
 
-    The registry is the integration surface: dispatchers call
-    :meth:`allow` / :meth:`record`, and the introspection surface renders
-    :meth:`snapshot`.  Metrics:
+    The registry is the integration surface: the registry client calls
+    :meth:`allow` / :meth:`record` per replica, and :meth:`snapshot` is
+    the introspection view.  Metrics:
 
     - ``rt_breaker_state{dest}`` — 0 closed, 1 open, 2 half-open
     - ``rt_breaker_transitions_total{dest,to}``

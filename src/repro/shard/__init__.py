@@ -8,8 +8,8 @@ guarantee:
   logical destination names to owning shards (:class:`HashRing`).
   A :class:`~repro.core.msg_dispatcher.MsgDispatcher` (or
   ``AioMsgDispatcher``) given a ring relays the messages it does not own
-  to the owner's direct endpoint, so per-destination FIFO order, breaker
-  state, hold/retry schedules, and correlations stay shard-local with no
+  to the owner's direct endpoint, so per-destination FIFO order,
+  hold/retry schedules, and correlations stay shard-local with no
   cross-process locking.
 - :mod:`repro.shard.spec` — :class:`ShardSpec`, the JSON boot contract
   between supervisor and worker.

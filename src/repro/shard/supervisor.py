@@ -5,8 +5,8 @@ matter how many threads it runs; the supervisor forks ``shards`` worker
 *processes* (each a complete dispatcher deployment built from a
 :class:`~repro.shard.spec.ShardSpec`) that share a single client-facing
 data port via SO_REUSEPORT, while consistent hashing keeps every
-destination's FIFO order, breaker state, and journal records in exactly
-one process.
+destination's FIFO order, hold/retry schedule, and journal records in
+exactly one process.
 
 Supervision is deliberately boring: a monitor thread polls
 ``Popen.poll()``; a dead worker is respawned with *the same spec* —

@@ -1,12 +1,11 @@
 """Acceptance scenario from the robustness issue.
 
 A seeded chaos run (30% packet loss + a mid-run service crash/restart +
-a link flap) against the full SimMsgDispatcher + hold/retry + breaker
-stack must lose nothing: every accepted message is delivered exactly once
-past the DuplicateFilter (or explicitly expired), and two runs with the
-same seed produce bit-identical results.  With breakers enabled a dead
-destination stops consuming network delivery attempts within one breaker
-window, and the metrics/introspection surfaces show the transitions.
+a link flap) against the full SimMsgDispatcher + hold/retry stack must
+lose nothing: every accepted message is delivered exactly once past the
+DuplicateFilter (or explicitly expired), and two runs with the same seed
+produce bit-identical results.  The introspection surface shows what is
+held.
 """
 
 from repro.chaos import ChaosController, FaultPlan, LinkFlap, PacketLoss, ServiceCrash
@@ -17,7 +16,7 @@ from repro.http import Headers, HttpRequest, HttpResponse
 from repro.obs.http import Introspection
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.reliable import BreakerConfig, DuplicateFilter, FixedDelay, HoldRetryStore
+from repro.reliable import DuplicateFilter, FixedDelay, HoldRetryStore
 from repro.simnet.httpsim import SimHttpClientPool, SimHttpServer
 from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, add_site
@@ -32,7 +31,7 @@ SEED = 1234
 
 
 def _build(seed, faults, messages=60, send_gap=0.25, horizon=120.0,
-           connect_timeout=2.0, hold_delay=0.5, breaker=None, sink_up=True):
+           connect_timeout=2.0, hold_delay=0.5, sink_up=True):
     """Assemble the scenario; returns a dict of live pieces plus a runner."""
     sim = Simulator()
     net = Network(sim, loss_seed=seed)
@@ -71,8 +70,6 @@ def _build(seed, faults, messages=60, send_gap=0.25, horizon=120.0,
     config = SimMsgDispatcherConfig(
         connect_timeout=connect_timeout,
         response_timeout=5.0,
-        breaker=breaker
-        or BreakerConfig(consecutive_failures=3, open_for=2.0),
         hold_pump_interval=0.25,
     )
     dispatcher = SimMsgDispatcher(
@@ -136,11 +133,9 @@ def _run_acceptance():
         "counters": {
             k: stats.get(k, 0)
             for k in ("accepted", "delivered", "delivery_failures",
-                      "held_for_retry", "held_breaker_open",
-                      "held_requeued", "dropped_unroutable",
+                      "held_for_retry", "held_requeued", "dropped_unroutable",
                       "dropped_destination_queue_full")
         },
-        "breakers": world["dispatcher"].breakers.snapshot(),
     }
 
 
@@ -165,53 +160,17 @@ def test_same_seed_is_bit_reproducible():
     assert _run_acceptance() == _run_acceptance()
 
 
-def test_open_breaker_throttles_dead_destination_to_probe_rate():
-    horizon = 30.0
-    open_for = 2.0
-    world = _build(
-        SEED,
-        faults=(ServiceCrash(host="sink", at=0.0),),  # dead for good
-        messages=20,
-        send_gap=0.1,
-        horizon=horizon,
-        connect_timeout=0.5,
-        hold_delay=0.1,
-        breaker=BreakerConfig(consecutive_failures=3, open_for=open_for),
-        sink_up=False,
-    )
-    # one message per wire attempt: delivery_failures then counts connects
-    world["dispatcher"].config.batch_size = 1
-    world["sim"].run(until=horizon)
-    stats = world["dispatcher"].stats
-    # network attempts: the initial trip plus ~one probe per open_for
-    # window — far fewer than the 20 queued messages retrying at 0.1s
-    attempts = stats.get("delivery_failures", 0)
-    assert 3 <= attempts <= 3 + int(horizon / open_for) + 3
-    # everything else was refused locally by the open breaker
-    assert stats.get("held_breaker_open", 0) > attempts
-    snap = world["dispatcher"].breakers.snapshot()
-    dest = snap["destinations"]["sink:9000"]
-    assert dest["state"] in ("open", "half_open")
-    assert dest["transitions"] >= 1
-    assert snap["rejected"] == stats.get("held_breaker_open", 0)
-
-
-def test_metrics_and_introspection_show_breakers_and_holds():
+def test_introspection_shows_held_messages():
     world = _build(SEED, faults=(ServiceCrash(host="sink", at=0.0),),
                    messages=20, send_gap=0.1, horizon=15.0,
                    connect_timeout=0.5, hold_delay=0.1, sink_up=False)
     dispatcher = world["dispatcher"]
     world["sim"].run(until=5.0)
-    rendered = world["metrics"].render_prometheus()
-    assert "rt_breaker_state" in rendered
-    assert "rt_breaker_transitions_total" in rendered
-
     intro = Introspection(metrics=world["metrics"], traces=TraceStore())
     intro.add_health_source("msgd", dispatcher.health_snapshot)
     snapshot = intro.json_snapshot()
     health = snapshot["health"]["msgd"]
-    assert health["breakers"]["states"]["open"] >= 1
     assert health["hold_store"]["pending"] > 0
     response = intro.health_handler(HttpRequest("GET", "/health"))
     assert response.status == 200
-    assert b"breakers" in response.body
+    assert b"hold_store" in response.body

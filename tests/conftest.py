@@ -115,7 +115,7 @@ def epr_shape(epr) -> tuple:
 #
 # The threaded and asyncio dispatchers claim semantic equivalence; these
 # fixtures make that claim executable by running the same test matrix
-# (ordering, breaker, shed, hold/retry, durable recovery, long-poll)
+# (ordering, refusals, hold/retry, durable recovery, long-poll)
 # against both backends through one synchronous facade.
 
 

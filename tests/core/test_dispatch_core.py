@@ -32,7 +32,7 @@ from repro.http import HttpRequest, HttpResponse
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
-from repro.reliable import BreakerConfig, ExponentialBackoff, FixedDelay, HoldRetryStore
+from repro.reliable import ExponentialBackoff, FixedDelay, HoldRetryStore
 from repro.rt.service import SoapHttpApp
 from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network
@@ -299,7 +299,7 @@ def test_every_dispatcher_family_is_registered_once_by_the_core():
         assert f'"{name}"' not in drivers, name
 
 
-# -- (c) queue-wait is observed once, before the breaker gate ------------------
+# -- (c) queue-wait is observed once -------------------------------------------
 
 def destination_waits(core: Core) -> int:
     snapshot = core.metrics_registry.snapshot()["msgd_stage_seconds"]
@@ -309,21 +309,15 @@ def destination_waits(core: Core) -> int:
     )
 
 
-def test_queue_wait_is_observed_once_and_before_the_breaker_gate():
-    core = Core(breaker=BreakerConfig(consecutive_failures=1, open_for=60.0))
+def test_queue_wait_is_observed_once():
+    core = Core()
     item = _OutboundItem(b"<m/>", "http://ws:9000/echo", enqueued_at=core.clock.now())
     core.clock.advance(0.25)
-    assert core.start_delivery([item])
+    core.start_delivery([item])
     assert (destination_waits(core), item.attempts) == (1, 1)
     # an in-line retry comes back through the queue: not observed again
-    assert core.start_delivery([item])
+    core.start_delivery([item])
     assert (destination_waits(core), item.attempts) == (1, 2)
-    # the breaker opens; a refused item has still waited in the queue
-    core.record_outcome(item.target_url, False)
-    blocked = _OutboundItem(b"<n/>", "http://ws:9000/echo", enqueued_at=core.clock.now())
-    assert not core.start_delivery([blocked])
-    assert (destination_waits(core), blocked.attempts) == (2, 0)
-    assert core.stats.get("dropped_breaker_open") == 1
 
 
 # -- (d) who routes: the thread that admitted, or the pool ---------------------
@@ -503,7 +497,6 @@ class DeliveryRow:
     effects: list
     stats: dict
     config: dict = field(default_factory=dict)
-    open_breaker: bool = False
     refuse: str | None = None
     #: hold store entries left (None: no hold store)
     pending: int | None = None
@@ -511,18 +504,12 @@ class DeliveryRow:
     then: object = None
 
 
-def breaker_failures(core) -> int:
-    return core.breakers.snapshot()["destinations"]["ws:9000"]["consecutive_failures"]
-
-
 DELIVERY_ROWS = [
-    # rt/aio recorded one breaker outcome for the failed lease
+    # a burst that gets no connection fails each of its items
     DeliveryRow(
         "burst-without-a-connection-fails-every-slot", "fresh",
         ConnectionRefused("nothing listening"), [PIPELINE],
         {"delivery_failures": 2},
-        config={"breaker": BreakerConfig(consecutive_failures=10, open_for=60.0)},
-        then=lambda core: breaker_failures(core) == 2,
     ),
     # shard workers configure retries; rt/aio used them on redeliveries
     DeliveryRow(
@@ -541,13 +528,6 @@ DELIVERY_ROWS = [
         then=lambda core: "held_redelivered" not in core.stats
         and destination_waits(core) == 1
         and core.hold_store.stats["delivered"] == 1,
-    ),
-    # rt/aio raised BreakerOpenError into the store
-    DeliveryRow(
-        "open-breaker-parks-a-redelivery", "held", 202, [],
-        {"held_requeued": 1, "held_breaker_open": 1},
-        config={"breaker": BreakerConfig(consecutive_failures=1, open_for=60.0)},
-        open_breaker=True, pending=1,
     ),
     # a fresh item still retries in line: back off, back on its queue
     DeliveryRow(
@@ -576,8 +556,6 @@ def test_the_delivery_step(row):
         core.hold_store = HoldRetryStore(
             policy=FixedDelay(max_attempts=10, delay=5.0), clock=core.clock
         )
-    if row.open_breaker:
-        core.record_outcome(URL, False)
     if row.batch == "held":
         core.hold_store.hold("uuid:held", URL, b"<held/>")
         core.requeue_due(core.clock.now())

@@ -1,4 +1,4 @@
-"""Breakers and hold-store parking — the same semantic matrix asserted
+"""Hold-store parking and redelivery — the same semantic matrix asserted
 against the threaded and asyncio dispatchers via the ``dispatcher_backend``
 fixture, and the hold-redelivery cases on the simulator as well."""
 
@@ -15,7 +15,7 @@ from repro.http.session import soap_post
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore, ensure_trace
-from repro.reliable import BreakerConfig, FixedDelay, HoldRetryStore
+from repro.reliable import FixedDelay, HoldRetryStore
 from repro.rt.service import RequestContext
 from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator
@@ -48,8 +48,7 @@ class FakeClient:
 
 
 def make_dispatcher(
-    backend, client, metrics, hold_store=None, breaker=None, registry=None,
-    **kwargs
+    backend, client, metrics, hold_store=None, registry=None, **kwargs
 ):
     if registry is None:
         registry = ServiceRegistry()
@@ -60,10 +59,7 @@ def make_dispatcher(
         if k in kwargs
     }
     config = MsgDispatcherConfig(
-        cx_threads=1, ws_threads=2, batch_size=1,
-        breaker=breaker
-        or BreakerConfig(consecutive_failures=2, open_for=60.0),
-        **config_kw,
+        cx_threads=1, ws_threads=2, batch_size=1, **config_kw
     )
     return backend.make_dispatcher(
         registry, client, own_address="http://wsd:8000/msg", config=config,
@@ -77,27 +73,6 @@ def feed(dispatcher, n, seed=1):
     for _ in range(n):
         env = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
         dispatcher.handle(env, RequestContext(path="/msg/echo"))
-
-
-def test_breaker_opens_and_stops_network_attempts(dispatcher_backend):
-    metrics = MetricsRegistry()
-    client = FakeClient(failing=True)
-    dispatcher = make_dispatcher(dispatcher_backend, client, metrics)
-    try:
-        feed(dispatcher, 10)
-        # two consecutive failures trip the breaker; the other eight are
-        # refused locally without touching the (dead) network
-        assert wait_for(
-            lambda: dispatcher.stats.get("dropped_breaker_open", 0) == 8
-        ), dispatcher.stats
-        assert client.calls == 2
-        snap = dispatcher.breakers.snapshot()
-        assert snap["destinations"]["dead:9000"]["state"] == "open"
-        rendered = metrics.render_prometheus()
-        assert 'rt_breaker_state{dest="dead:9000"} 1' in rendered
-        assert 'msgd_dropped_total{reason="breaker_open"} 8' in rendered
-    finally:
-        dispatcher.stop()
 
 
 # -- hold redelivery: one protocol, three runtimes ------------------------------
@@ -159,7 +134,7 @@ class SimRig:
         return HoldRetryStore(clock=self.sim.clock, **kwargs)
 
     def dispatcher(
-        self, metrics, hold_store, breaker=None, registry=None,
+        self, metrics, hold_store, registry=None,
         hold_pump_interval=0.25, dedupe_window=None, flight=None,
     ):
         if registry is None:
@@ -167,7 +142,6 @@ class SimRig:
             registry.register("echo", "http://dead:9000/echo")
         config = SimMsgDispatcherConfig(
             cx_workers=1, ws_workers=2, batch_size=1,
-            breaker=breaker or BreakerConfig(consecutive_failures=2, open_for=60.0),
             hold_pump_interval=hold_pump_interval, dedupe_window=dedupe_window,
         )
         return SimMsgDispatcher(
@@ -207,47 +181,22 @@ EVERY_RUNTIME = pytest.mark.parametrize(
 
 
 @EVERY_RUNTIME
-def test_open_breaker_parks_messages_in_hold_store(rig):
-    metrics = MetricsRegistry()
-    hold_store = rig.store(
-        policy=FixedDelay(max_attempts=1000, delay=30.0), default_ttl=600.0
-    )
-    dispatcher = rig.dispatcher(metrics, hold_store=hold_store)
-    try:
-        rig.feed(dispatcher, 10)
-        # two attempts reach the wire and trip the breaker; the other
-        # eight are parked without one, and a due redelivery meets the
-        # open breaker in the destination queue and is parked again
-        assert rig.wait_for(
-            lambda: hold_store.pending() == 10
-            and dispatcher.stats.get("held_for_retry", 0) == 2
-            and dispatcher.stats.get("held_breaker_open", 0) >= 8
-        ), dispatcher.stats
-        assert rig.sink.calls == 2
-        health = dispatcher.health_snapshot()
-        assert health["breakers"]["states"]["open"] == 1
-        assert health["hold_store"]["held"] == 10
-    finally:
-        dispatcher.stop()
-
-
-@EVERY_RUNTIME
-def test_recovery_closes_breaker_and_redelivers_held(rig):
+def test_a_dead_destination_is_held_then_redelivered(rig):
     metrics = MetricsRegistry()
     hold_store = rig.store(
         policy=FixedDelay(max_attempts=1000, delay=0.05), default_ttl=600.0
     )
     dispatcher = rig.dispatcher(
-        metrics, hold_store=hold_store,
-        breaker=BreakerConfig(consecutive_failures=2, open_for=0.2),
-        hold_pump_interval=0.05,
+        metrics, hold_store=hold_store, hold_pump_interval=0.05,
     )
     try:
         rig.feed(dispatcher, 5)
+        # every delivery fails and is held; each failed redelivery is
+        # held again until the destination answers
         assert rig.wait_for(lambda: hold_store.pending() == 5), dispatcher.stats
+        assert dispatcher.stats.get("held_for_retry", 0) >= 5
         rig.sink.failing = False  # the destination comes back
-        # half-open probe succeeds, breaker closes, the pump drains the
-        # store through the destination queue
+        # the pump drains the store through the destination queue
         assert rig.wait_for(lambda: hold_store.pending() == 0, timeout=10.0), (
             dispatcher.stats, hold_store.stats,
         )
@@ -255,8 +204,6 @@ def test_recovery_closes_breaker_and_redelivers_held(rig):
         assert dispatcher.stats["held_requeued"] >= 5
         assert hold_store.stats["delivered"] == 5
         assert hold_store.stats["expired"] == 0
-        snap = dispatcher.breakers.snapshot()
-        assert snap["destinations"]["dead:9000"]["state"] == "closed"
     finally:
         dispatcher.stop()
 
@@ -319,7 +266,7 @@ def test_registry_outage_parks_then_redelivers(rig):
 FATES = [
     # fate, the counter that moves when it happens, the field that says why
     ("drop", "dropped_unroutable", ("reason", "unroutable")),
-    ("hold", "held_breaker_open", ("reason", "breaker_open")),
+    ("hold", "held_for_retry", ("reason", "delivery_failure")),
     ("duplicate", "duplicates_suppressed", ("message_id", "uuid:fate")),
 ]
 
@@ -348,13 +295,6 @@ def test_a_message_fate_is_one_flight_event_under_its_trace_id(
         dedupe_window=600.0 if fate == "duplicate" else None,
     )
     try:
-        if fate == "hold":
-            # two failed deliveries open the breaker; the traced message
-            # is parked behind it without a network attempt
-            rig.feed(dispatcher, 2)
-            assert rig.wait_for(
-                lambda: dispatcher.stats.get("held_for_retry", 0) == 2
-            ), dispatcher.stats
         for _ in range(2 if fate == "duplicate" else 1):
             rig.send(dispatcher, env.to_bytes())
         assert rig.wait_for(

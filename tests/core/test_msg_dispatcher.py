@@ -1,4 +1,4 @@
-"""Tests for the threaded MSG-Dispatcher, and its refusals on every runtime."""
+"""Tests for the threaded MSG-Dispatcher, and its refusals on rt and aio."""
 
 import time
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
-from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
 from repro.http.session import soap_post
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.client import MsgBoxClient
@@ -15,8 +14,6 @@ from repro.reliable import FixedDelay
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
-from repro.simnet.kernel import Simulator
-from repro.simnet.topology import AccessLink, Network
 from repro.soap import Fault, parse_envelope, parse_rpc_response
 from repro.util.ids import IdGenerator
 from repro.workload.echo import EchoService, make_echo_message
@@ -165,8 +162,7 @@ def test_retry_policy_applied(world, inproc):
 def answer_back_to_back(backend, n, **config):
     """The dispatcher's HTTP answers to ``n`` messages admitted back to
     back on ``backend``'s runtime, with nothing routing in between: rt
-    has no CxThread, aio admits all ``n`` in one loop step, and sim runs
-    each handler without a kernel step."""
+    has no CxThread and aio admits all ``n`` in one loop step."""
     registry = ServiceRegistry()
     registry.register("echo", "http://ws:9000/echo")
     ids = IdGenerator("full", seed=3)
@@ -175,20 +171,6 @@ def answer_back_to_back(backend, n, **config):
                   .to_bytes(), "/msg/echo")
         for _ in range(n)
     ]
-    if backend.kind == "sim":
-        net = Network(Simulator())
-        host = net.add_host("wsd", AccessLink(5000, 5000, 0.005))
-        dispatcher = SimMsgDispatcher(
-            net, host, registry, own_address="http://wsd:8000/msg",
-            config=SimMsgDispatcherConfig(shed_on_full=True, **config),
-            metrics=MetricsRegistry(), traces=TraceStore(enabled=False),
-        )
-        answers = []
-        for request in requests:
-            with pytest.raises(StopIteration) as done:
-                next(dispatcher.handler(request))  # a refusal never waits
-            answers.append(done.value.value)
-        return answers
     dispatcher = backend.make_dispatcher(
         registry, FakeClient(failing=False), own_address="http://wsd:8000/msg",
         config=MsgDispatcherConfig(cx_threads=0, **config),
@@ -208,11 +190,12 @@ def refusal(response) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "dispatcher_backend", ["rt", "aio", "sim"], indirect=True
+    "dispatcher_backend", ["rt", "aio"], indirect=True
 )
 def test_rejects_when_accept_queue_full(dispatcher_backend):
-    """A full accept queue is the same refusal on every runtime: a SOAP
-    Fault in a 503 that says when to come back."""
+    """A full accept queue is the same refusal on rt and aio: a SOAP
+    Fault in a 503 that says when to come back.  (The simulator blocks
+    the HTTP worker instead, as the paper's stack did.)"""
     first, second = answer_back_to_back(dispatcher_backend, 2, accept_queue=1)
     assert first.status == 202
     assert refusal(second) == (503, "1", "Server", "dispatcher accept queue full")

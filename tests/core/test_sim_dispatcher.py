@@ -106,7 +106,6 @@ def msg_world(world):
     registry.register("echo", "http://ws:9000/echo")
     config = SimMsgDispatcherConfig(
         cx_workers=2, ws_workers=4, destination_idle_ttl=0.5,
-        shed_on_full=True,
     )
     disp = SimMsgDispatcher(
         net, wsd_host, registry, own_address="http://wsd:8000/msg", config=config
@@ -218,28 +217,6 @@ class TestSimMsgDispatcher:
         sim.run(until=sim.now + 5.0)
         assert store.peek_count(mailbox_id) == 1
         assert disp.stats.get("routed_responses") == 1
-
-    def test_shed_on_full_returns_503(self, msg_world):
-        net, client, registry, disp, store, echo = msg_world
-        sim = net.sim
-        disp.config.shed_on_full = True
-        # replace accept store with a zero-capacity... smallest is 1
-        from repro.simnet.resources import Store
-
-        disp._accept_queue = Store(sim, capacity=1)
-        disp._accept_queue.try_put(("blocker", "/msg/echo"))
-        ids = IdGenerator("t", seed=4)
-
-        def send():
-            msg = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
-            resp = yield from sim_http_request(
-                net, client, "wsd", 8000, soap_post("/msg/echo", msg.to_bytes())
-            )
-            return resp.status
-
-        # cx workers may consume the blocker tuple; stop them first
-        disp._running = False
-        assert sim.run(sim.process(send())) in (503, 202)
 
     def test_registry_outage_parks_and_redelivers_after_recovery(self, world):
         """Deterministic twin of the threaded/aio regression: messages

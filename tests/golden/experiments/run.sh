@@ -10,7 +10,7 @@ here=$(cd "$(dirname "$0")" && pwd)
 out=$(mkdir -p "${1:-$here}" && cd "${1:-$here}" && pwd)
 cd "$here/../../.."
 for args in "fig4 --duration 5" "fig5 --duration 5" "fig6 --duration 5" \
-            table1 chaos crash-recovery registry-failover \
+            table1 chaos crash-recovery registry-failover failover \
             "pool-sizing --duration 5" "batching --duration 5"; do
     name=${args%% *}
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro.experiments $args \

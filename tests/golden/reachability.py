@@ -304,11 +304,11 @@ def main(argv: list[str] | None = None) -> int:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--keep", metavar="DIR", help="record into DIR and keep it")
     group.add_argument("--from", dest="source", metavar="DIR",
-                       help="check the dumps already in DIR; run nothing")
+                       help="check what --keep DIR recorded; run nothing")
     args = parser.parse_args(argv)
 
     if args.source:
-        ran = reached(args.source)
+        ran = reached(os.path.join(args.source, "dumps"))
     else:
         with tempfile.TemporaryDirectory() as temporary:
             scratch = os.path.abspath(args.keep or temporary)

@@ -91,3 +91,33 @@ def test_the_allowlist_names_functions_and_tests_that_exist():
     assert [
         test for test, _ in allowed.values() if not reachability.names_a_test(test)
     ] == []
+
+
+def test_from_rechecks_what_keep_recorded(tmp_path, monkeypatch, capsys):
+    """``--keep DIR`` records one tiny entry point; ``--from DIR`` reads
+    that recording back without running anything, to the same verdict."""
+    monkeypatch.setattr(reachability, "ENTRY_POINTS", (
+        ("{py}", "-c", "from tests.golden import reach_fixture; reach_fixture.run()"),
+    ))
+    monkeypatch.setattr(reachability, "PACKAGE", FIXTURE)
+    allowlist = tmp_path / "allow"
+    allowlist.write_text("", encoding="utf-8")
+    monkeypatch.setattr(reachability, "ALLOWLIST", str(allowlist))
+    history = tmp_path / "history.jsonl"
+    history.write_bytes(b"")
+    monkeypatch.setattr(reachability, "HISTORY", str(history))
+    kept = str(tmp_path / "kept")
+
+    def verdict(*argv):
+        status = reachability.main(list(argv))
+        lines = capsys.readouterr().out.splitlines()
+        return status, [line for line in lines if not line.startswith("== ")]
+
+    recorded = verdict("--keep", kept)
+    assert recorded == verdict("--from", kept)
+    status, lines = recorded
+    assert status == 1
+    assert lines[1:] == [
+        f"{FILE}:{reach_fixture.Uncalled.shared.__code__.co_firstlineno}: "
+        "Uncalled.shared runs on no entry point",
+    ]

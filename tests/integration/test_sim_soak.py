@@ -53,7 +53,6 @@ def test_soak_accounting_identities():
             cx_workers=4,
             ws_workers=8,
             parallel_per_destination=4,
-            shed_on_full=True,
         ),
     )
     SimHttpServer(net, wsd_host, 8000, dispatcher.handler, workers=32,

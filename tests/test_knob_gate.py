@@ -66,14 +66,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "tests/http/test_server_contract.py",
         "a timing value: tests shorten it to see an idle connection expire",
     ),
-    "SimRpcDispatcher.connect_timeout": (
-        "tests/core/test_sim_dispatcher.py",
-        "a timing value: tests shorten the 21 s SYN timeout to a dead service",
-    ),
-    "SimRampConfig.connect_timeout": (
-        "tests/workload/test_testclient.py",
-        "a timing value: tests shorten it to count an unreachable server quickly",
-    ),
     "ServiceRegistry.lookup_cache_ttl": (
         "tests/core/test_registry.py",
         "a timing value: tests set 0 to read through a disabled lookup cache",
@@ -91,10 +83,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "tests/core/test_sim_dispatcher.py",
         "the paper's configurable CxThread pool on the simulator; "
         "every experiment runs the default 4",
-    ),
-    "SimMsgDispatcherConfig.shed_on_full": (
-        "tests/integration/test_sim_soak.py",
-        "fig6 passes False, the default; the soak runs the simulator's 503 refusal",
     ),
     "MsgBoxService.ack_workers": (
         "tests/msgbox/test_ack_paths.py",
@@ -156,10 +144,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
     "MsgDispatcher.hold_store": (
         "tests/core/test_msg_dispatcher_reliable.py",
         "ROADMAP item 10: the conformance script holds messages on rt and aio",
-    ),
-    "ServiceRegistry.selector": (
-        "benchmarks/bench_failover.py",
-        "ROADMAP item 11: A5 picks a live replica through it",
     ),
 }
 

@@ -97,7 +97,7 @@ def _documented_fields(class_name: str) -> set[str]:
 
 def test_dispatcher_configs_are_documented_and_mirror_each_other():
     """docs/api.md lists exactly the fields each config has, and the
-    simulated config mirrors the threaded one by construction: the eight
+    simulated config mirrors the threaded one by construction: the seven
     shared knobs are declared once, in the base next to ``DispatchCore``."""
     from repro.core.dispatch import DispatcherConfigBase
     from repro.core.msg_dispatcher import MsgDispatcherConfig
@@ -106,7 +106,7 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
     shared = {f.name: f.default for f in dataclasses.fields(DispatcherConfigBase)}
     assert shared == {
         "accept_queue": 1024, "destination_queue": 1024, "batch_size": 8,
-        "destination_idle_ttl": 10.0, "correlation_ttl": 120.0, "breaker": None,
+        "destination_idle_ttl": 10.0, "correlation_ttl": 120.0,
         "hold_pump_interval": 0.25, "dedupe_window": None,
     }
     own = {
@@ -114,7 +114,6 @@ def test_dispatcher_configs_are_documented_and_mirror_each_other():
         SimMsgDispatcherConfig: {
             "cx_workers": 4, "ws_workers": 8, "parallel_per_destination": 1,
             "connect_timeout": 21.0, "response_timeout": 30.0,
-            "shed_on_full": False,
         },
     }
     for cls, added in own.items():
