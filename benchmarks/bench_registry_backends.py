@@ -7,7 +7,7 @@ prices *mutations* — the text file rewrites the whole file per put.
 The second half prices the PR 10 replicated registry against a single
 in-memory one: an uncached lookup through
 :class:`~repro.registry.ReplicatedRegistryClient` pays the failover
-sweep (breaker gate + preference order), a cached one collapses back to
+sweep (one pass in preference order), a cached one collapses back to
 a dict probe, and writes pay the sweep plus — off the client's critical
 path — one anti-entropy round per peer.  Results land in
 ``BENCH_registry.json`` for the perf-smoke artifact diff.

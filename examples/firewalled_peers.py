@@ -19,7 +19,7 @@ Run:  python examples/firewalled_peers.py
 
 from repro.msgbox import MailboxSecurity, MailboxStore, MsgBoxClient, MsgBoxService
 from repro.rt import HttpClient, HttpServer, SoapHttpApp
-from repro.soap import Envelope, RpcRequest, build_rpc_request, parse_rpc_request
+from repro.soap import RpcRequest, build_rpc_request, parse_rpc_request
 from repro.transport import InprocNetwork
 from repro.util.ids import IdGenerator
 from repro.wsa import AddressingHeaders, EndpointReference

@@ -17,7 +17,6 @@ import threading
 import time
 
 from repro.errors import TransportError
-from repro.msgbox import MailboxStore
 from repro.reliable import DuplicateFilter, ExponentialBackoff, HoldRetryStore
 from repro.rt import HttpClient, HttpServer, SoapHttpApp
 from repro.rt.service import FunctionService

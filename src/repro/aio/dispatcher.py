@@ -7,9 +7,11 @@ and replaces only the *execution* substrate:
   thread-safe) accept queue, woken by the queue's listener hook instead
   of blocking in ``get()``; an admission made *on the loop* is routed
   where it is admitted under the core's rule
-  (:meth:`~repro.core.dispatch.DispatchCore.routes_in_place`), an
-  admission from any other thread always takes the queue — destination
-  queues, writer tasks and their events are loop-bound state;
+  (:meth:`~repro.core.dispatch.DispatchCore.routes_in_place`); the
+  queue takes overflow behind an unrouted admission, journal replay,
+  in-band answers, and every admission from any other thread —
+  destination queues, writer tasks and their events are loop-bound
+  state;
 - each WsThread becomes a per-destination writer task, created and
   retired under the same ``ws_threads`` slot budget and the same
   ``destination_idle_ttl``;

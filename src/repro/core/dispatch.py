@@ -469,7 +469,6 @@ class DispatchCore:
     def routes_in_place(
         self,
         headers: AddressingHeaders | None,
-        path: str,
         pool_idle: bool,
         may_enqueue: bool,
     ) -> bool:
@@ -477,34 +476,22 @@ class DispatchCore:
 
         The paper's CxThreads *are* the accepting threads (Fig. 3); a
         second pool behind them buys no asynchrony — the 202 precedes
-        delivery either way — and costs a thread change per message.  So
-        the routing pass runs where the message was admitted **iff**
+        delivery either way — and costs a thread change per message.  A
+        routing pass never waits (a registry lookup is a map read; an
+        unavailable registry parks the message under ``hold+resolve:``),
+        so the pass runs where the message was admitted **iff**
 
         (a) ``pool_idle``: nothing admitted earlier is still unrouted
             (accept queue empty and no routing worker mid-pass), so an
             admission never overtakes an older one;
-        (b) the pass cannot sleep: the message answers a pending
-            correlation, or its logical name is in the registry's lookup
-            cache (a non-filling ``peek``; a miss or an expired entry
-            could mean a replica sweep and its back-off between a client
-            and its 202);
-        (c) ``may_enqueue``: the driver lets this thread touch its
-            destination queues.
+        (b) ``may_enqueue``: the driver lets this thread touch its
+            destination queues;
 
-        Otherwise the message takes the accept queue, as every message
-        once did.
+        and its addressing headers decoded (a malformed block is the
+        pool's to drop as ``unroutable``).  Otherwise the message takes
+        the accept queue, as every message once did.
         """
-        if not (may_enqueue and pool_idle) or headers is None:
-            return False
-        for rel in headers.relates_to:
-            # unlocked: losing a race with the pop only means it is not a
-            # response any more, and route() decides that again
-            if rel in self._correlations:
-                return True
-        try:
-            return self.registry.peek(self._logical_of(headers, path))
-        except RoutingError:
-            return False
+        return pool_idle and may_enqueue and headers is not None
 
     # -- routing + rewriting (steps 2-4 of Fig. 3) ---------------------------
     def process(self, work: tuple) -> "list[_OutboundItem]":

@@ -8,10 +8,10 @@ The threaded driver of :class:`~repro.core.dispatch.DispatchCore`
   headers so replies come back to the dispatcher — and put what it
   returns on destination queues.  As in the paper, the thread that
   *accepts* a message is the one that routes it whenever
-  :meth:`DispatchCore.routes_in_place` allows (nothing older unrouted, no
-  registry call that could sleep); the ``cx_threads`` pool behind the
-  accept queue takes the rest: overflow behind a backlog, lookup-cache
-  misses, journal replay, in-band answers.
+  :meth:`DispatchCore.routes_in_place` allows (nothing older unrouted);
+  the ``cx_threads`` pool behind the accept queue takes the rest:
+  overflow behind an unrouted admission, journal replay, in-band
+  answers.
 - **WsThreads** each own a FIFO queue and a persistent connection to one
   destination, and drain queued messages to it — several messages ride one
   connection ("more efficient than opening multiple short lived
@@ -255,7 +255,7 @@ class MsgDispatcher(DispatchCore):
             return False
 
     def _may_enqueue_here(self) -> bool:
-        """Condition (c) of :meth:`DispatchCore.routes_in_place`: any
+        """Condition (b) of :meth:`DispatchCore.routes_in_place`: any
         thread may put on a destination queue while the dispatcher runs."""
         return self._running
 
@@ -277,7 +277,7 @@ class MsgDispatcher(DispatchCore):
             jseq = self.journal_inbound(path, envelope.to_bytes())
         headers = self.addressing_of(envelope)
         if self.routes_in_place(
-            headers, path,
+            headers,
             pool_idle=not self._unrouted, may_enqueue=self._may_enqueue_here(),
         ):
             # no queue, no wait: the accept stage runs from the end of

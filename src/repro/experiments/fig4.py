@@ -20,8 +20,6 @@ response timeout.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.experiments.common import (
     CLIENT_CALL_OVERHEAD,
     ExperimentReport,

@@ -105,8 +105,8 @@ def run_point(
     }
 
     client = ReplicatedRegistryClient(
-        dict(slots), seed=seed, cache_ttl=0.0, max_passes=1,
-        clock=sim.clock, metrics=metrics, flight=flight,
+        dict(slots), seed=seed, cache_ttl=0.0, clock=sim.clock,
+        metrics=metrics,
     )
     client.register("echo", "http://sink:9000/echo")
     # kill the replica every sweep tries first — the strongest failover

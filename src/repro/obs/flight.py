@@ -4,8 +4,8 @@ Metrics answer *how much* and traces answer *where*, but neither answers
 the postmortem question — *what happened in the five seconds before this
 deadletter?*  The :class:`FlightRecorder` keeps a bounded deque of
 structured events recorded at every interesting state transition in the
-pipeline: breaker trips, deadletters, journal recovery, chaos fault
-activations, drain timeouts, simulated crashes — and the fate of each
+pipeline: deadletters, journal recovery, chaos fault activations,
+drain timeouts, simulated crashes — and the fate of each
 message the dispatcher drops, holds or suppresses as a duplicate,
 under its trace id.  Recording is a dict append under a lock — cheap
 enough to leave on in production, which is the whole point: the recorder
@@ -62,7 +62,7 @@ class FlightRecorder:
     ) -> dict | None:
         """Append one event; returns it (None when disabled).
 
-        ``kind`` is the transition class (``breaker-open``, ``drop``,
+        ``kind`` is the transition class (``hold``, ``drop``,
         ``deadletter``, ...), ``component`` names the recording party, and
         ``fields`` carry the event-specific payload (stringified so the
         ring is always JSON-serialisable).

@@ -61,19 +61,13 @@ class CounterChild:
 
 
 class GaugeChild:
-    """One labeled gauge: settable value or a live callback."""
+    """One labeled gauge: a live read callback (0 until one is bound)."""
 
-    __slots__ = ("_lock", "_value", "_fn")
+    __slots__ = ("_lock", "_fn")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._value = 0.0
         self._fn: Callable[[], float] | None = None
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._fn = None
-            self._value = float(value)
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Bind a live read callback (re-binding replaces the old one)."""
@@ -83,8 +77,8 @@ class GaugeChild:
     def get(self) -> float:
         with self._lock:
             fn = self._fn
-            if fn is None:
-                return self._value
+        if fn is None:
+            return 0.0
         try:
             return float(fn())
         except Exception:  # noqa: BLE001 - a dead gauge reads 0
@@ -155,9 +149,6 @@ class _NoopChild:
     __slots__ = ()
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def set_function(self, fn: Callable[[], float]) -> None:

@@ -9,7 +9,7 @@ adds what N of them need:
   compare, delta sync, the HTTP endpoint, and the simulated periodic
   driver;
 - :mod:`repro.registry.client` — replica failover for the dispatchers:
-  shuffled preference order, per-replica breakers, jittered retry, TTL
+  one sweep in a shuffled preference order, never a wait, and a TTL
   cache with single-flight misses.
 """
 

@@ -13,12 +13,6 @@ suppression on the receiving side.
 
 from repro.reliable.policy import RetryPolicy, ExponentialBackoff, FixedDelay
 from repro.reliable.holdretry import HeldMessage, HoldRetryStore, DuplicateFilter
-from repro.reliable.breaker import (
-    BreakerConfig,
-    BreakerRegistry,
-    BreakerState,
-    CircuitBreaker,
-)
 
 __all__ = [
     "RetryPolicy",
@@ -27,8 +21,4 @@ __all__ = [
     "HeldMessage",
     "HoldRetryStore",
     "DuplicateFilter",
-    "BreakerConfig",
-    "BreakerRegistry",
-    "BreakerState",
-    "CircuitBreaker",
 ]

@@ -14,7 +14,7 @@ builders with the paper's measured numbers
 (:mod:`~repro.simnet.scenarios`).
 """
 
-from repro.simnet.kernel import Simulator, Process, Timeout, Event, AllOf, AnyOf
+from repro.simnet.kernel import Simulator, Process, Timeout, Event, AnyOf
 from repro.simnet.resources import Store, Resource
 from repro.simnet.topology import Host, AccessLink, Network
 from repro.simnet.firewall import FirewallPolicy
@@ -33,7 +33,6 @@ __all__ = [
     "Process",
     "Timeout",
     "Event",
-    "AllOf",
     "AnyOf",
     "Store",
     "Resource",

@@ -17,7 +17,6 @@ from repro.errors import HttpParseError, TransportError
 from repro.http import HttpRequest
 from repro.http.session import RECV, SEND, ClientSession, ServerSession, exchange
 from repro.obs.metrics import MetricsRegistry
-from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource
 from repro.simnet.tcpsim import SimTcpConnection, TcpParams, connect, listen
 from repro.simnet.topology import Host, Network

@@ -172,15 +172,14 @@ class Process(Event):
             next_event.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite waits."""
+class AnyOf(Event):
+    """Fires when the first child fires; value = (index, child value)."""
 
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
         self._events = list(events)
-        self._pending = len(self._events)
         if not self._events:
             self.succeed([])
             return
@@ -189,31 +188,6 @@ class _Condition(Event):
                 self._on_child(evt)
             else:
                 evt.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child fired; value = list of child values."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e._value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child fires; value = (index, child value)."""
-
-    __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
         if self._triggered:
@@ -259,9 +233,6 @@ class Simulator:
 
     def process(self, gen: ProcessGen, name: str = "proc") -> Process:
         return Process(self, gen, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -170,7 +170,3 @@ class Resource:
             self._waiters.popleft()
             self.in_use += 1
             head._grant()
-
-    @property
-    def queued(self) -> int:
-        return sum(1 for w in self._waiters if not w._cancelled)

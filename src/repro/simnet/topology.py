@@ -15,7 +15,7 @@ mechanism that melts the cable-modem uplink in Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.simnet.kernel import Event, Simulator, Timeout
@@ -51,15 +51,6 @@ class Pipe:
         self.bytes_carried += nbytes
         self.transfers += 1
         return self._free_at - now
-
-    def transmit(self, nbytes: int) -> Timeout:
-        """Event firing when the last bit of ``nbytes`` leaves the pipe."""
-        return self.sim.timeout(self.reserve(nbytes))
-
-    @property
-    def backlog_seconds(self) -> float:
-        """How far behind real time the pipe currently is."""
-        return max(0.0, self._free_at - self.sim.now)
 
 
 @dataclass

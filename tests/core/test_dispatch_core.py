@@ -375,47 +375,23 @@ def test_the_bridge_answers_in_band_or_times_out():
 
 def test_routes_in_place_truth_table():
     core = Core()
-    request, path = addressed(), "/msg/echo"
+    request = addressed()
     idle = dict(pool_idle=True, may_enqueue=True)
-    # (b) a name the lookup cache does not hold could mean a sweep: pool
-    assert not core.routes_in_place(request, path, **idle)
-    core.registry.resolve("echo")  # ... as the pool's pass does: now cached
+    # a name never looked up is routed in place: the pass never waits
+    assert core.routes_in_place(request, **idle)
     asked = core.registry.cache_stats()
-    assert core.routes_in_place(request, path, **idle)
-    # (a) something older is still unrouted; (c) not this thread's queues
-    assert not core.routes_in_place(request, path, pool_idle=False, may_enqueue=True)
-    assert not core.routes_in_place(request, path, pool_idle=True, may_enqueue=False)
+    # (a) something older is still unrouted; (b) not this thread's queues
+    assert not core.routes_in_place(request, pool_idle=False, may_enqueue=True)
+    assert not core.routes_in_place(request, pool_idle=True, may_enqueue=False)
     # addressing that did not decode is the pool's to drop as unroutable
-    assert not core.routes_in_place(None, path, **idle)
-    # no logical name in To or path (a routing error), or one never cached
-    assert not core.routes_in_place(addressed(to="urn:other:x"), "/elsewhere", **idle)
-    assert not core.routes_in_place(addressed(to="urn:wsd:ghost"), "/msg/ghost", **idle)
-    # (b) again: every mutation, an outage and the TTL empty the peek
+    assert not core.routes_in_place(None, **idle)
+    # the predicate reads neither the registry nor the correlation table,
+    # and never counts or routes
     core.registry.set_available(False)
-    assert not core.routes_in_place(request, path, **idle)
-    core.registry.set_available(True)
-    assert core.routes_in_place(request, path, **idle)
-    core.registry.register("echo", "http://ws:9001/echo")
-    assert not core.routes_in_place(request, path, **idle)
-    # the predicate asks, it never fills, counts or routes
+    assert core.routes_in_place(request, **idle)
+    assert core.routes_in_place(addressed(relates_to="uuid:nobody"), **idle)
     assert core.registry.cache_stats() == asked
     assert core.stats == {}
-
-
-def test_a_response_to_a_pending_correlation_needs_no_registry():
-    core = Core()
-    core.request("uuid:pending")  # leaves a correlation entry; caches "echo"
-    core.registry.register("echo", "http://ws:9000/echo")  # cache emptied again
-    idle = dict(pool_idle=True, may_enqueue=True)
-    reply = addressed(to=OWN, relates_to="uuid:pending", message_id="uuid:re")
-    assert core.routes_in_place(reply, "/msg", **idle)
-    assert not core.routes_in_place(reply, "/msg", pool_idle=False, may_enqueue=True)
-    # RelatesTo that hits nothing is an ordinary request: back to the peek
-    stray = addressed(relates_to="uuid:nobody")
-    assert not core.routes_in_place(stray, "/msg/echo", **idle)
-    core.registry.resolve("echo")
-    assert core.routes_in_place(stray, "/msg/echo", **idle)
-    assert core.pending_correlations() == 1  # asked about, not popped
 
 
 def test_addressing_decoded_at_admission_is_what_route_uses():

@@ -108,37 +108,6 @@ def test_concurrent_misses_share_one_resolve():
     assert (stats["misses"], stats["coalesced"], stats["hits"]) == (1, 1, 0)
 
 
-# -- peek: would get() answer from memory? -------------------------------------
-
-def test_peek_says_whether_get_would_hit_and_touches_nothing():
-    clock = ManualClock()
-    backing = Backing(echo="http://ws:9000/echo")
-    cache = make_cache(backing, clock)
-    assert not cache.peek("echo")  # a miss — and it stays one: no fill
-    assert not cache.peek("echo")
-    assert backing.resolves == 0
-    cache.get("echo")
-    before = cache.stats()
-    assert cache.peek("echo")
-    clock.advance(5.0)
-    assert cache.peek("echo")  # the deadline itself is still a hit, as in get()
-    clock.advance(0.5)
-    assert not cache.peek("echo")  # expired
-    assert "echo" in cache._entries  # ... but not evicted by the peek
-    assert cache.stats() == before and backing.resolves == 1  # nor counted
-    cache.get("echo")
-    backing.records["echo"].enabled = False
-    assert not cache.peek("echo")  # get() would re-resolve a disabled record
-    assert not cache.peek("ghost")  # unknown names are never cached
-
-
-def test_peek_on_a_disabled_cache_is_always_a_miss():
-    backing = Backing(echo="http://ws:9000/echo")
-    cache = LookupCache(backing.resolve, ManualClock().now, 0.0, MetricsRegistry())
-    cache.get("echo")
-    assert not cache.peek("echo")
-
-
 # -- a fill never stores what an invalidate overtook ---------------------------
 
 def test_an_invalidate_landing_mid_fill_is_not_lost():

@@ -1,7 +1,5 @@
 """Tests for the threaded MSG-Dispatcher, and its refusals on rt and aio."""
 
-import time
-
 import pytest
 
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
@@ -161,8 +159,9 @@ def test_retry_policy_applied(world, inproc):
 
 def answer_back_to_back(backend, n, **config):
     """The dispatcher's HTTP answers to ``n`` messages admitted back to
-    back on ``backend``'s runtime, with nothing routing in between: rt
-    has no CxThread and aio admits all ``n`` in one loop step."""
+    back on ``backend``'s runtime behind one message already on the accept
+    queue, with nothing routing in between: rt has no CxThread and aio
+    queues it and admits all ``n`` in one loop step."""
     registry = ServiceRegistry()
     registry.register("echo", "http://ws:9000/echo")
     ids = IdGenerator("full", seed=3)
@@ -178,8 +177,14 @@ def answer_back_to_back(backend, n, **config):
     )
     app = SoapHttpApp()
     app.mount("/msg", dispatcher)
+    ahead = make_echo_message(to="urn:wsd:echo", message_id=ids.next())
+
+    def admit():
+        assert dispatcher._offer((ahead, "/msg/echo", None, 0.0, None))
+        return [app.handle_request(r) for r in requests]
+
     try:
-        return backend.call(lambda: [app.handle_request(r) for r in requests])
+        return backend.call(admit)
     finally:
         dispatcher.stop()
 
@@ -196,7 +201,7 @@ def test_rejects_when_accept_queue_full(dispatcher_backend):
     """A full accept queue is the same refusal on rt and aio: a SOAP
     Fault in a 503 that says when to come back.  (The simulator blocks
     the HTTP worker instead, as the paper's stack did.)"""
-    first, second = answer_back_to_back(dispatcher_backend, 2, accept_queue=1)
+    first, second = answer_back_to_back(dispatcher_backend, 2, accept_queue=2)
     assert first.status == 202
     assert refusal(second) == (503, "1", "Server", "dispatcher accept queue full")
 

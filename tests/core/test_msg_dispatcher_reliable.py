@@ -1,8 +1,5 @@
 """Tests for the MSG-Dispatcher + HoldRetryStore integration (WS-RM mode)."""
 
-
-import pytest
-
 from repro.core.msg_dispatcher import MsgDispatcher, MsgDispatcherConfig
 from repro.core.registry import ServiceRegistry
 from repro.errors import TransportError

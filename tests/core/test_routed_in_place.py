@@ -1,10 +1,11 @@
 """Routed where it is admitted: the thread that accepts a message runs the
 routing pass itself (paper Fig. 3) whenever
 :meth:`DispatchCore.routes_in_place` allows, and the accept queue with its
-pool takes the rest.  Three properties, held by events and never by
-timing: nothing overtakes an older admission still in the pool; no
-registry call that can sleep runs on a thread that owes a 202; an aio
-admission from off the loop never touches loop-bound state.  And what an
+pool takes the rest.  Two properties, held by events and never by
+timing: nothing overtakes an older admission still in the pool; an aio
+admission from off the loop never touches loop-bound state.  A routing
+pass never waits — a registry lookup is a map read — so the first
+message to a name is routed where it is admitted.  And what an
 admission *means* — journal-before-ack, the 202 in front of every drop —
 is what it was.
 
@@ -14,6 +15,7 @@ on: the test's own for rt, the loop's for aio.
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -65,17 +67,13 @@ class Sink:
 
 
 class Resolving:
-    """A registry whose lookup cache always answers (so any thread may
-    route), and whose ``resolve`` — the step of the routing pass that
+    """A registry whose ``resolve`` — the step of the routing pass that
     maps the name — records the thread it runs on and then calls
     ``on_resolve(n)``, ``n`` counting the calls from 1."""
 
     def __init__(self, on_resolve=None):
         self.on_resolve = on_resolve
         self.threads: list[int] = []
-
-    def peek(self, logical):
-        return True
 
     def resolve(self, logical):
         self.threads.append(threading.get_ident())
@@ -100,12 +98,10 @@ class Parking(Resolving):
             assert self.release.wait(10), "never released"
 
 
-def warm_registry():
-    """A registry whose lookup cache already answers for ``echo`` — what a
-    dispatcher that has routed one message to it has."""
+def echo_registry():
+    """The paper's registry, holding ``echo`` and never asked for it."""
     registry = ServiceRegistry(metrics=MetricsRegistry())
     registry.register("echo", "http://ws:9000/echo")
-    registry.resolve("echo")
     return registry
 
 
@@ -118,7 +114,7 @@ def make(backend, sink, registry=None, then=None, **kwargs):
     config_kw.setdefault("ws_threads", 2)
     kwargs.setdefault("metrics", MetricsRegistry())
     return backend.make_dispatcher(
-        registry or warm_registry(), sink, then=then,
+        registry or echo_registry(), sink, then=then,
         own_address="http://wsd:8000/msg",
         config=MsgDispatcherConfig(batch_size=1, **config_kw),
         traces=TraceStore(enabled=False), **kwargs,
@@ -169,8 +165,8 @@ def test_two_messages_of_one_connection_arrive_in_admission_order(dispatcher_bac
 
 def test_an_admission_waits_behind_a_replay_still_in_the_pool(dispatcher_backend):
     """``recover()`` replays through the accept queue.  While one replay is
-    queued or in a routing worker's hands, a fresh admission — cached name,
-    this thread free to route it — still goes behind them."""
+    queued or in a routing worker's hands, a fresh admission — this thread
+    free to route it — still goes behind them."""
     journal = MessageJournal(sync="lazy", flush_threshold=1)
     for mid in ("uuid:replay-1", "uuid:replay-2"):
         journal.append(mid, "/msg/echo", echo(mid).to_bytes(), kind="inbound")
@@ -210,8 +206,9 @@ def test_an_admission_waits_behind_a_replay_still_in_the_pool(dispatcher_backend
 
 def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
     """Stress: more admitting threads than cores, a switch interval that
-    preempts everywhere, and a registry whose cache is emptied over and
-    over, so admissions flip between the pool and their own thread (each
+    preempts everywhere, and a filler offered to the pool over and over,
+    whose routing pass waits until an admission has queued behind it, so
+    admissions flip between the pool and their own thread (each
     connection sends a burst, then waits for it to arrive, as a caller
     behind a firewall does — or a backlog would keep every admission in
     the pool).  With one CxThread each connection's messages must reach
@@ -220,10 +217,21 @@ def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
     the two paths share — must come back to zero."""
     connections, each, burst = 4, 150, 5
     sink = Sink()
-    registry = warm_registry()
-    dispatcher = make(DispatcherBackend("rt"), sink, registry=registry, cx_threads=1)
     sending = threading.Event()
     sending.set()
+
+    def hold_the_filler(logical):
+        # a filler leaves the pool only once an admission queued behind it
+        if logical == "filler":
+            while sending.is_set() and dispatcher._unrouted < 2:
+                sending.wait(0.001)
+        return "http://ws:9000/echo"
+
+    dispatcher = make(
+        DispatcherBackend("rt"), sink,
+        registry=SimpleNamespace(resolve=hold_the_filler), cx_threads=1,
+    )
+    fillers = 0
 
     def connection(c):
         for i in range(each):
@@ -232,12 +240,17 @@ def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
                 assert wait_for(lambda: f"uuid:{c}:{i:03d}" in sink.arrived[-40:])
 
     def churn():
-        # empty the cache, then wait for it to answer one admission in place
-        # before emptying it again: the paths flip on events, not on how
-        # fast the host runs (a fixed 1 ms churn left 0-6 of 600 in place)
+        # queue a filler, then wait for an admission routed in place before
+        # queueing the next: the paths flip on events, not on how fast the
+        # host runs
+        nonlocal fillers
         while sending.is_set():
-            registry.register("echo", "http://ws:9000/echo")
+            filler = make_echo_message(
+                to="urn:wsd:filler", message_id=f"uuid:filler:{fillers}"
+            )
             in_place = routed(dispatcher)[0]
+            assert dispatcher._offer((filler, "/msg/filler", None, 0.0, None))
+            fillers += 1
             while sending.is_set() and routed(dispatcher)[0] == in_place:
                 sending.wait(0.001)
 
@@ -257,7 +270,8 @@ def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
         sending.clear()
         churner.join(5)
         assert not churner.is_alive()
-        assert wait_for(lambda: len(sink.arrived) == connections * each, timeout=30)
+        total = connections * each + fillers
+        assert wait_for(lambda: len(sink.arrived) == total, timeout=30)
     finally:
         sending.clear()
         sys.setswitchinterval(interval)
@@ -266,67 +280,22 @@ def test_every_connection_keeps_its_order_while_the_two_paths_interleave():
         mine = [mid for mid in sink.arrived if mid.startswith(f"uuid:{c}:")]
         assert mine == sorted(mine) and len(set(mine)) == each
     in_place, pooled = routed(dispatcher)
-    assert in_place and pooled and in_place + pooled == connections * each
+    assert in_place and pooled > fillers and in_place + pooled == total
     assert pool_is_idle(dispatcher)
 
 
-# -- (2) no sleep before the 202 ---------------------------------------------------
+# -- (2) the first message to a name is routed where it is admitted ------------------
 
-class SweepingRegistry:
-    """A registry front end whose uncached lookup blocks — a replica sweep
-    in its back-off — and that records which thread asked."""
-
-    def __init__(self):
-        self.cached: set[str] = set()
-        self.answer = threading.Event()
-        self.asked_on: list[int] = []
-
-    def peek(self, logical):
-        return logical in self.cached
-
-    def resolve(self, logical):
-        self.asked_on.append(threading.get_ident())
-        if logical not in self.cached:
-            assert self.answer.wait(10), "the sweep was never answered"
-            self.cached.add(logical)
-        return "http://ws:9000/echo"
-
-
-def test_a_lookup_that_may_sleep_never_stands_before_the_202(dispatcher_backend):
-    sink, registry = Sink(), SweepingRegistry()
+def test_the_first_message_to_a_name_is_routed_where_it_is_admitted(dispatcher_backend):
+    sink, registry = Sink(), echo_registry()
     dispatcher = make(dispatcher_backend, sink, registry=registry)
-
-    returned, admitted_on = threading.Event(), []
-
-    def admit(message_id):
-        dispatcher.handle(echo(message_id), CTX)
-        admitted_on.append(threading.get_ident())
-        returned.set()
-
     try:
-        # (posted, not awaited: on aio the routing task's sweep stops the
-        # loop right behind the handler, and with it the fixture's bridge)
-        if dispatcher_backend.kind == "aio":
-            dispatcher_backend.loop_thread._loop.call_soon_threadsafe(admit, "uuid:uncached")
-        else:
-            admit("uuid:uncached")
-        # handle() came back — the 202 — with the sweep still unanswered
-        assert returned.wait(5)
-        assert not registry.answer.is_set() and sink.arrived == []
-        assert wait_for(lambda: len(registry.asked_on) == 1)
-        if dispatcher_backend.kind == "rt":
-            assert registry.asked_on[0] != admitted_on[0]  # a CxThread's call
-        registry.answer.set()
-        assert wait_for(lambda: sink.arrived == ["uuid:uncached"])
-        assert routed(dispatcher) == (0, 1)
-        # now the cache answers: the admitting thread asks it itself
-        assert wait_for(lambda: pool_is_idle(dispatcher))
-        dispatcher_backend.call(lambda: admit("uuid:cached"))
-        assert registry.asked_on[1] == admitted_on[1]
-        assert routed(dispatcher) == (1, 1)
-        assert wait_for(lambda: len(sink.arrived) == 2)
+        dispatcher_backend.call(lambda: dispatcher.handle(echo("uuid:first"), CTX))
+        # handle() has returned: the lookup missed the cache and filled it
+        assert registry.cache_stats()["misses"] == 1
+        assert routed(dispatcher) == (1, 0)
+        assert wait_for(lambda: sink.arrived == ["uuid:first"])
     finally:
-        registry.answer.set()
         dispatcher.stop()
 
 
@@ -371,22 +340,27 @@ def test_an_admission_from_a_foreign_thread_takes_the_queue(aio_backend):
 
 
 def test_an_admission_on_the_loop_wakes_nothing_through_the_self_pipe(aio_backend):
+    journal = MessageJournal(sync="lazy", flush_threshold=1)
+    journal.append(
+        "uuid:pooled", "/msg/echo", echo("uuid:pooled").to_bytes(), kind="inbound"
+    )
     sink = Sink()
     loop_thread = aio_backend.call(threading.get_ident)
     callers = count_threadsafe_calls(aio_backend.loop_thread._loop)
-    registry = warm_registry()
-    dispatcher = make(aio_backend, sink, registry=registry)
+    # the replay takes the accept queue in the constructor's loop step
+    dispatcher = make(aio_backend, sink, durable=journal)
     try:
+        assert wait_for(lambda: sink.arrived == ["uuid:pooled"])
+        assert wait_for(lambda: pool_is_idle(dispatcher))
         aio_backend.call(lambda: dispatcher.handle(echo("uuid:in-place"), CTX))
-        registry.register("echo", "http://ws:9000/echo")  # empties the cache
-        aio_backend.call(lambda: dispatcher.handle(echo("uuid:pooled"), CTX))
         assert wait_for(lambda: len(sink.arrived) == 2)
         assert routed(dispatcher) == (1, 1)
         # producer and consumer share the thread on both paths: the drain
         # and writer tasks were woken with a plain event.set()
         assert loop_thread not in callers
     finally:
-        dispatcher.stop()
+        dispatcher.stop(drain=True)
+        journal.close()
 
 
 # -- (4) what an admission means is what it was ----------------------------------------

@@ -13,7 +13,6 @@ from repro.soap import (
     Fault,
     RpcResponse,
     build_rpc_response,
-    parse_rpc_request,
     parse_rpc_response,
 )
 from repro.workload.echo import EchoService, make_echo_request

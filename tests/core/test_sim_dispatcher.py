@@ -13,7 +13,6 @@ from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.service import make_mailbox_epr
 from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer, sim_http_request
-from repro.simnet.kernel import Simulator
 from repro.simnet.services import SimAsyncEchoService
 from repro.simnet.topology import AccessLink, Network
 from repro.soap import Envelope, parse_rpc_response

@@ -5,7 +5,6 @@ import pytest
 from repro.core.registry import ServiceRegistry
 from repro.core.sim_dispatcher import SimMsgDispatcher, SimMsgDispatcherConfig
 from repro.http import Headers, HttpRequest
-from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer, sim_http_request
 from repro.simnet.services import SimAsyncEchoService
 from repro.simnet.topology import AccessLink, Network

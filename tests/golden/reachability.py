@@ -55,9 +55,13 @@ ENTRY_POINTS = (
     # aio mailbox
     ("{py}", "benchmarks/e2e/run.py", "--trace", "0", "--seconds", "4",
      "--out", "{out}/e2e.jsonl"),
+    # the traced pass: the per-layer timings (benchmarks/e2e/layers.py)
+    ("{py}", "benchmarks/e2e/run.py", "--workload", "fig6_rt", "--trace", "1",
+     "--seconds", "4", "--out", "{out}/e2e-traced.jsonl"),
 )
 
 #: the benchmark appends a row here on every run; the check puts it back
+#: once every entry point has run
 HISTORY = os.path.join(ROOT, "benchmarks", "e2e", "history.jsonl")
 
 #: generous: the slowest entry point, the golden experiments, takes about two

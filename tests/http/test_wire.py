@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.errors import HttpParseError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
 from repro.http.wire import (
     RequestParser,
     ResponseParser,

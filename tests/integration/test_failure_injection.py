@@ -7,22 +7,18 @@ tests make the failure modes deterministic and assert the system degrades
 the way it is designed to.
 """
 
-
-import pytest
-
 from repro.core import (
     MsgDispatcher,
     MsgDispatcherConfig,
     RpcDispatcher,
     ServiceRegistry,
 )
-from repro.errors import TransportError
-from repro.http import HttpRequest, HttpResponse
+from repro.http import HttpRequest
 from repro.msgbox import MailboxStore, MsgBoxClient, MsgBoxService
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
-from repro.rt.service import FunctionService, SoapHttpApp
-from repro.soap import Envelope, parse_rpc_response
+from repro.rt.service import SoapHttpApp
+from repro.soap import Envelope
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, EchoService, make_echo_message, make_echo_request
 from tests.conftest import wait_for

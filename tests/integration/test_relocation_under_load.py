@@ -10,8 +10,6 @@ failures.
 import threading
 import time
 
-import pytest
-
 from repro.core import RpcDispatcher, ServiceRegistry
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer

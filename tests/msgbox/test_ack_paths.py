@@ -3,8 +3,6 @@
 import threading
 import time
 
-import pytest
-
 from repro.msgbox import MailboxStore, MsgBoxService
 from repro.msgbox.service import Q_MAILBOX_ID
 from repro.rt.service import RequestContext

@@ -39,14 +39,14 @@ class TestRing:
     def test_snapshot_filters_by_kind_and_last(self):
         rec = FlightRecorder()
         rec.record("shed", "msgd", t=0.0)
-        rec.record("breaker-open", "breaker", t=1.0)
+        rec.record("deadletter", "msgd", t=1.0)
         rec.record("shed", "msgd", t=2.0)
         assert [e["t"] for e in rec.snapshot(kind="shed")] == [0.0, 2.0]
         assert [e["t"] for e in rec.snapshot(last=1)] == [2.0]
         assert rec.snapshot(last=0) == []
         with pytest.raises(ValueError):
             rec.snapshot(last=-2)
-        assert rec.counts_by_kind() == {"shed": 2, "breaker-open": 1}
+        assert rec.counts_by_kind() == {"shed": 2, "deadletter": 1}
 
     def test_disabled_recorder_is_a_noop(self):
         rec = FlightRecorder(enabled=False)
@@ -81,11 +81,11 @@ class TestRing:
 class TestPostmortem:
     def test_dump_writes_deterministic_json(self, tmp_path):
         rec = FlightRecorder()
-        rec.record("breaker-open", "breaker", t=1.5, dest="a:1")
+        rec.record("hold", "msgd", t=1.5, dest="a:1")
         path = rec.dump(str(tmp_path / "dump.json"), trigger="manual")
         payload = json.loads(open(path).read())
         assert payload["trigger"] == "manual"
-        assert payload["events"][0]["kind"] == "breaker-open"
+        assert payload["events"][0]["kind"] == "hold"
 
     def test_postmortem_records_trigger_and_dumps(self, tmp_path):
         rec = FlightRecorder(postmortem_dir=str(tmp_path))

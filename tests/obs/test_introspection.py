@@ -101,7 +101,7 @@ class TestMetricsEndpoint:
 
     def test_json_via_query_and_accept(self):
         intro = make_introspection()
-        intro.metrics.gauge("depth").labels().set(4)
+        intro.metrics.gauge("depth").labels().set_function(lambda: 4)
         intro.traces.record("t1", "admit", "msgd", 0.0, 1.0)
         for request in (
             get("/metrics?format=json"),

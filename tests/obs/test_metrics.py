@@ -63,15 +63,6 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_replaces_the_value_and_a_callback(self):
-        g = MetricsRegistry().gauge("depth").labels()
-        g.set(10)
-        g.set(11)
-        assert g.get() == 11.0
-        g.set_function(lambda: 3)
-        g.set(12)
-        assert g.get() == 12.0
-
     def test_live_callback(self):
         queue = [1, 2, 3]
         g = MetricsRegistry().gauge("depth").labels()
@@ -79,12 +70,6 @@ class TestGauges:
         assert g.get() == 3.0
         queue.pop()
         assert g.get() == 2.0
-
-    def test_set_after_callback_unbinds_it(self):
-        g = MetricsRegistry().gauge("depth").labels()
-        g.set_function(lambda: 99)
-        g.set(1)
-        assert g.get() == 1.0
 
     def test_dead_callback_reads_zero(self):
         g = MetricsRegistry().gauge("depth").labels()
@@ -126,7 +111,7 @@ class TestDisabledMode:
         c = reg.counter("a")
         c.inc()
         c.observe(1.0)
-        c.set(5)
+        c.set_function(lambda: 5)
         assert c.get() == 0.0
         assert c.count == 0
         assert reg.snapshot() == {}
@@ -151,7 +136,7 @@ class TestExposition:
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
         reg.counter("req_total", "requests").labels(dest="a b").inc()
-        reg.gauge("depth").labels().set(3)
+        reg.gauge("depth").labels().set_function(lambda: 3)
         reg.histogram("lat_seconds", "latency").observe(0.02)
         text = reg.render_prometheus()
         assert "# HELP req_total requests" in text

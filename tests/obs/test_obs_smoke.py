@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.core import MsgDispatcher, MsgDispatcherConfig, ServiceRegistry
-from repro.http import Headers, HttpRequest
+from repro.http import HttpRequest
 from repro.msgbox import MailboxStore, MsgBoxClient, MsgBoxService
 from repro.obs import FlightRecorder, Introspection, ensure_trace
 from repro.rt.client import HttpClient

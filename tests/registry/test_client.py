@@ -1,5 +1,5 @@
-"""ReplicatedRegistryClient: failover sweep, staleness bias, breakers,
-the TTL/single-flight cache, and drop-in use as a dispatcher registry."""
+"""ReplicatedRegistryClient: the one failover sweep, staleness bias, the
+TTL/single-flight cache, and drop-in use as a dispatcher registry."""
 
 
 import pytest
@@ -53,15 +53,11 @@ def failover_count(client):
 def test_lookup_fails_over_past_unavailable_replica():
     replicas = make_cluster()
     client = make_client(replicas, cache_ttl=0.0)
-    victim = client.replica_names[0]
-    replicas[victim].set_available(False)
-    record = client.lookup("echo")
-    assert record.physical == ["http://ws:9000/echo"]
-    assert failover_count(client) >= 1
-    # repeated sweeps trip the victim's breaker and stop consulting it
-    client.lookup("echo")
-    client.lookup("echo")
-    assert client.breakers.state(victim) == "open"
+    replicas[client.replica_names[0]].set_available(False)
+    # every sweep asks the dark first preference, counts it, and moves on
+    for n in range(1, 4):
+        assert client.lookup("echo").physical == ["http://ws:9000/echo"]
+        assert failover_count(client) == n
 
 
 def test_sweep_rides_out_stale_replica_answering_unknown():
@@ -74,41 +70,36 @@ def test_sweep_rides_out_stale_replica_answering_unknown():
     straggler = client.replica_names[-1]
     replicas[straggler].register("late", "http://ws:9000/late")
     assert client.lookup("late").physical == ["http://ws:9000/late"]
-    # stale answers are healthy answers: no breaker charge, no failover
+    # stale answers are healthy answers: no failover
     assert failover_count(client) == 0
-    for name in client.replica_names:
-        assert client.breakers.state(name) == "closed"
 
 
 def test_unknown_everywhere_is_authoritative_no_retry_passes():
     clock = ManualClock()
-    client = make_client(
-        make_cluster(registered=()), cache_ttl=0.0, clock=clock, max_passes=3
-    )
+    client = make_client(make_cluster(registered=()), cache_ttl=0.0, clock=clock)
     with pytest.raises(UnknownServiceError):
         client.lookup("ghost")
-    # retry passes are for outages, not staleness: no backoff was slept
-    assert clock.now() == 0.0
+    assert clock.now() == 0.0  # nothing was slept
 
 
 def test_all_replicas_down_raises_registry_unavailable():
+    """One sweep and no wait: the caller (a dispatcher parking under
+    ``hold+resolve:``) owns the retry."""
     clock = ManualClock()
     replicas = make_cluster()
     for replica in replicas.values():
         replica.set_available(False)
-    client = make_client(replicas, cache_ttl=0.0, clock=clock, max_passes=2)
+    client = make_client(replicas, cache_ttl=0.0, clock=clock)
     with pytest.raises(RegistryUnavailable):
         client.lookup("echo")
-    assert clock.now() > 0.0  # backoff between the two passes
-    assert failover_count(client) == 6  # 2 passes x 3 replicas
+    assert clock.now() == 0.0  # nothing was slept
+    assert failover_count(client) == 3  # one pass x 3 replicas
 
 
-def test_bad_request_raises_immediately_without_breaker_charge():
+def test_bad_request_raises_immediately_without_failover():
     client = make_client(make_cluster())
     with pytest.raises(RegistryError):
         client.register("", "http://ws:9000/x")
-    for name in client.replica_names:
-        assert client.breakers.state(name) == "closed"
     assert failover_count(client) == 0
 
 
@@ -126,26 +117,6 @@ def test_cache_ttl_hit_expiry_and_write_invalidation():
     # a write through the client invalidates its own cache entry
     client.register("echo", "http://ws:9001/echo-v2")
     assert client.lookup("echo").physical == ["http://ws:9001/echo-v2"]
-
-
-def test_peek_answers_from_the_cache_and_never_sweeps():
-    clock = ManualClock()
-    replicas = make_cluster()
-    client = make_client(replicas, cache_ttl=5.0, clock=clock)
-    for replica in replicas.values():
-        replica.set_available(False)
-    assert not client.peek("echo")  # a miss: no sweep, no breaker charge
-    assert failover_count(client) == 0
-    for replica in replicas.values():
-        replica.set_available(True)
-    client.lookup("echo")
-    assert client.peek("echo")
-    clock.advance(6.0)
-    assert not client.peek("echo")  # expired
-    client.lookup("echo")
-    client.unregister("echo")  # a write through the client invalidates
-    assert not client.peek("echo")
-    assert not make_client(replicas, cache_ttl=0.0).peek("echo")
 
 
 def test_writes_propagate_to_peers_via_gossip():
@@ -176,16 +147,13 @@ def test_health_snapshot_lists_every_replica():
     assert snap["order"] == client.replica_names
     assert set(snap["replicas"]) == set(replicas)
     for name, entry in snap["replicas"].items():
-        assert entry["breaker"] in ("closed", "open", "half-open")
         assert entry["available"] is (name != down)
     assert snap["cache"]["misses"] == 1
 
 
-def test_rejects_empty_replica_set_and_bad_passes():
+def test_rejects_empty_replica_set():
     with pytest.raises(RegistryError):
         ReplicatedRegistryClient({})
-    with pytest.raises(RegistryError):
-        ReplicatedRegistryClient({"r1": ServiceRegistry()}, max_passes=0)
 
 
 # -- drop-in for the dispatchers --------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SoapError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
 from repro.http.session import POOL_PER_ENDPOINT
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from repro.errors import ConnectionRefused, TransportError
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.errors import ConnectionRefused
+from repro.http import HttpRequest, HttpResponse
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 

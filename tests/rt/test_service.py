@@ -18,7 +18,6 @@ from repro.soap import (
     SoapVersion,
     build_rpc_request,
 )
-from repro.xmlmini import Element, QName
 
 
 def soap_post(path: str, envelope: Envelope | None = None, body: bytes | None = None):

@@ -21,7 +21,6 @@ from repro.rt.service import RequestContext
 from repro.shard import HashRing
 from repro.soap import Envelope
 from repro.transport.tcp import TcpConnector, TcpListener
-from repro.util.ids import IdGenerator
 from repro.wsa import AddressingHeaders
 from repro.workload.echo import make_echo_message
 

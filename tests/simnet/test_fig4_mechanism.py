@@ -21,8 +21,9 @@ def test_the_ramp_pegs_the_connection_table_and_backs_up_the_uplink():
     def watch():
         # every 2 simulated seconds; reading takes no simulated time
         while sim.now < 20.0:
+            uplink = client_host.link.up
             samples.append(
-                (client_host.active_connections, client_host.link.up.backlog_seconds)
+                (client_host.active_connections, max(0.0, uplink._free_at - sim.now))
             )
             yield sim.timeout(2.0)
 

@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.http import Headers, HttpRequest, HttpResponse
+from repro.http import HttpRequest, HttpResponse
 from repro.simnet.httpsim import (
     SimHttpClientPool,
     SimHttpServer,
     sim_http_request,
 )
-from repro.simnet.kernel import Simulator
 from repro.simnet.scenarios import BACKBONE_IU, INRIA, make_network
 from repro.simnet.topology import AccessLink, Network
 

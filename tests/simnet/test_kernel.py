@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimInterrupt, SimulationError
-from repro.simnet.kernel import AllOf, AnyOf, Event, Simulator
 
 
 class TestTimeAdvance:
@@ -131,14 +130,6 @@ class TestEvents:
 
 
 class TestConditions:
-    def test_all_of_collects_values(self, sim):
-        def proc():
-            values = yield sim.all_of([sim.timeout(1, "a"), sim.timeout(2, "b")])
-            return (sim.now, values)
-
-        now, values = sim.run(sim.process(proc()))
-        assert now == 2.0 and values == ["a", "b"]
-
     def test_any_of_returns_first(self, sim):
         def proc():
             idx, value = yield sim.any_of([sim.timeout(5, "slow"), sim.timeout(1, "fast")])
@@ -146,26 +137,6 @@ class TestConditions:
 
         now, idx, value = sim.run(sim.process(proc()))
         assert now == 1.0 and idx == 1 and value == "fast"
-
-    def test_empty_all_of_fires_immediately(self, sim):
-        def proc():
-            values = yield sim.all_of([])
-            return values
-
-        assert sim.run(sim.process(proc())) == []
-
-    def test_all_of_propagates_failure(self, sim):
-        bad = sim.event()
-
-        def proc():
-            try:
-                yield sim.all_of([sim.timeout(1), bad])
-            except KeyError:
-                return "failed"
-
-        p = sim.process(proc())
-        bad.fail(KeyError("x"))
-        assert sim.run(p) == "failed"
 
 
 class TestProcesses:

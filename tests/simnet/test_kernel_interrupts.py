@@ -1,9 +1,6 @@
 """Interrupt semantics across waiting contexts."""
 
-import pytest
-
 from repro.errors import SimInterrupt
-from repro.simnet.kernel import Simulator
 from repro.simnet.resources import Resource, Store
 
 

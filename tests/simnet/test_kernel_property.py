@@ -73,7 +73,8 @@ def test_now_is_monotone_under_nested_processes(delays):
 
     def parent():
         procs = [sim.process(child(d)) for d in delays]
-        yield sim.all_of(procs)
+        for proc in procs:
+            yield proc
         observed.append(sim.now)
 
     sim.run(sim.process(parent()))

@@ -178,23 +178,6 @@ class TestResource:
         sim.run(sim.process(proc()))
         assert res.in_use == 0
 
-    def test_queued_counts_waiting(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def holder():
-            req = yield res.request()
-            yield sim.timeout(10)
-            req.release()
-
-        def waiter():
-            req = yield res.request()
-            req.release()
-
-        sim.process(holder())
-        sim.process(waiter())
-        sim.run(until=1.0)
-        assert res.queued == 1
-
     def test_invalid_capacity(self, sim):
         with pytest.raises(SimulationError):
             Resource(sim, capacity=0)

@@ -5,9 +5,7 @@ import pytest
 from repro.http import Headers, HttpRequest
 from repro.simnet.httpsim import SimHttpServer, sim_http_request
 from repro.simnet.firewall import FirewallPolicy
-from repro.simnet.kernel import Simulator
 from repro.simnet.services import SimAsyncEchoService
-from repro.simnet.tcpsim import listen
 from repro.simnet.topology import AccessLink, Network
 from repro.soap.constants import SOAP11_CONTENT_TYPE
 from repro.util.ids import IdGenerator

@@ -9,7 +9,6 @@ from repro.errors import (
     ConnectionTimeout,
 )
 from repro.simnet.firewall import FirewallPolicy
-from repro.simnet.kernel import Simulator
 from repro.simnet.tcpsim import TcpParams, connect, listen
 from repro.simnet.topology import AccessLink, Network
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simnet.kernel import Simulator
 from repro.simnet.topology import AccessLink, Network, Pipe
 
 
@@ -20,7 +19,7 @@ class TestPipe:
         pipe = Pipe(sim, rate_bps=8000)  # 1000 bytes/s
 
         def proc():
-            yield pipe.transmit(500)
+            yield sim.timeout(pipe.reserve(500))
             return sim.now
 
         assert sim.run(sim.process(proc())) == pytest.approx(0.5)
@@ -30,7 +29,7 @@ class TestPipe:
         done = []
 
         def sender(tag, size):
-            yield pipe.transmit(size)
+            yield sim.timeout(pipe.reserve(size))
             done.append((tag, sim.now))
 
         sim.process(sender("first", 1000))
@@ -38,15 +37,10 @@ class TestPipe:
         sim.run()
         assert done == [("first", pytest.approx(1.0)), ("second", pytest.approx(2.0))]
 
-    def test_backlog_seconds(self, sim):
-        pipe = Pipe(sim, rate_bps=8000)
-        pipe.transmit(2000)
-        assert pipe.backlog_seconds == pytest.approx(2.0)
-
     def test_counters(self, sim):
         pipe = Pipe(sim, rate_bps=8000)
-        pipe.transmit(10)
-        pipe.transmit(20)
+        pipe.reserve(10)
+        pipe.reserve(20)
         assert pipe.bytes_carried == 30
         assert pipe.transfers == 2
 
@@ -56,7 +50,7 @@ class TestPipe:
 
     def test_negative_bytes(self, sim):
         with pytest.raises(SimulationError):
-            Pipe(sim, rate_bps=1).transmit(-1)
+            Pipe(sim, rate_bps=1).reserve(-1)
 
 
 class TestHost:

@@ -41,21 +41,21 @@ def reference_transfer(net, src, dst, nbytes):
 
     def _run():
         yield from _links_up()
-        yield src.link.up.transmit(nbytes)
+        yield sim.timeout(src.link.up.reserve(nbytes))
         loss = max(src.link.loss, dst.link.loss)
         while loss > 0.0 and net._loss_rng.random() < loss:
             lossy = src.link if src.link.loss >= dst.link.loss else dst.link
             lossy.dropped_transfers += 1
             yield sim.timeout(net.rto)
             yield from _links_up()
-            yield src.link.up.transmit(nbytes)
+            yield sim.timeout(src.link.up.reserve(nbytes))
         delay = net.propagation(src, dst)
         delay += src.link.extra_latency + dst.link.extra_latency
         spread = src.link.jitter + dst.link.jitter
         if spread > 0.0:
             delay += net._loss_rng.random() * spread
         yield sim.timeout(delay)
-        yield dst.link.down.transmit(nbytes)
+        yield sim.timeout(dst.link.down.reserve(nbytes))
         done.succeed(nbytes)
 
     sim.process(_run(), name=f"xfer-{src.name}->{dst.name}")

@@ -14,7 +14,7 @@ from repro.reliable import FixedDelay, HoldRetryStore
 from repro.rt.client import HttpClient
 from repro.rt.server import HttpServer
 from repro.rt.service import SoapHttpApp
-from repro.store import DEAD, ENQUEUED, MessageJournal
+from repro.store import DEAD, MessageJournal
 from repro.util.ids import IdGenerator
 from repro.workload.echo import AsyncEchoService, make_echo_message
 from tests.conftest import wait_for

@@ -11,7 +11,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.transport.base import Endpoint, parse_http_url
-from repro.transport.inproc import InprocNetwork, stream_pair
+from repro.transport.inproc import stream_pair
 
 
 class TestEndpoint:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.msgbox.service import make_mailbox_epr
 from repro.rt.service import RequestContext
 from repro.soap import Envelope, parse_rpc_request, parse_rpc_response
-from repro.util.clock import ManualClock
 from repro.workload.echo import (
     PAPER_XML_BYTES,
     EchoMessageTemplate,

@@ -1,7 +1,5 @@
 """Tests for sim test client connection modes and edge behaviour."""
 
-import pytest
-
 from repro.rt.service import SoapHttpApp
 from repro.simnet.httpsim import SimHttpServer
 from repro.simnet.kernel import Simulator

@@ -13,7 +13,7 @@ written in insertion order — so byte-level golden tests are stable.
 from __future__ import annotations
 
 from repro.errors import XmlError
-from repro.xmlmini.names import QName, XML_NS, XMLNS_NS
+from repro.xmlmini.names import XML_NS, XMLNS_NS
 from repro.xmlmini.node import Element
 
 #: Conventional prefixes used when these namespaces appear in a document.
