@@ -1,8 +1,9 @@
 """Machine-readable benchmark artifacts.
 
 The perf-smoke CI job runs a subset of benchmarks and archives
-``BENCH_<name>.json`` files written at the repo root, so perf numbers are
-diffable across runs without scraping pytest output.  Keep payloads flat
+``BENCH_<name>.json`` files written at the repo root (untracked: every run
+rewrites them with the host's numbers), so perf numbers are diffable
+across runs without scraping pytest output.  Keep payloads flat
 JSON (lists of row dicts plus a ``gate`` summary) — the artifact is the
 interface.
 """

@@ -2,7 +2,8 @@
 
 Each figure/table benchmark runs its experiment once (timed with
 ``benchmark.pedantic``), prints the regenerated rows/series, and writes
-them under ``benchmarks/out/`` so EXPERIMENTS.md can quote them.
+them under ``benchmarks/out/`` (untracked; the perf-smoke CI job uploads
+the directory as its artifact).
 
 Scale: ``--paper-scale`` runs the paper's full parameters (60 s simulated
 per point, full client grids).  The default is a reduced grid that still

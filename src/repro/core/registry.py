@@ -13,7 +13,9 @@ Implementation notes mirroring §4.2: the registry is a concurrent map
 Library's hash map) optionally persisted to a text file
 (:class:`~repro.util.textdb.TextFileMap`).  Entries may carry several
 physical addresses; selection among them is delegated to a pluggable
-policy (the first address, unless a ``selector`` is given).
+policy (the first address, unless a ``selector`` is given).  A lookup is
+one read of that map under one lock acquisition, selection included, and
+never waits on anything else.
 
 The same class is one peer of a replicated registry (the P2P discovery
 line of PAPERS.md): N peers each hold the full entry set, accept writes
@@ -54,7 +56,6 @@ from repro.errors import RegistryError, RegistryUnavailable, UnknownServiceError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.soap import Envelope, RpcResponse, build_rpc_response, parse_rpc_request
 from repro.store.journal import ABSORBED, MessageJournal
-from repro.util.concurrency import SingleFlight
 from repro.util.textdb import TextFileMap
 
 #: SOAP RPC interface namespace of the registry service.
@@ -119,95 +120,6 @@ class ServiceRecord:
             raise RegistryError("logical address must be non-empty")
         if not self.physical:
             raise RegistryError(f"service {self.logical!r} needs >=1 physical address")
-
-
-class LookupCache:
-    """TTL read-through cache of logical name → :class:`ServiceRecord`,
-    shared by :class:`ServiceRegistry` and
-    :class:`~repro.registry.client.ReplicatedRegistryClient`.
-
-    ``resolve`` is the owner's slow path and ``now`` its clock.  A hit
-    takes no lock.  Concurrent misses for one name are single-flighted
-    (one caller resolves, the rest share its result and count as
-    ``coalesced``), so an expiry under load cannot stampede the backing
-    store.  A ``resolve`` that raises caches nothing, and neither does one
-    an :meth:`invalidate` of its name overtook (what it found may predate
-    the mutation); ``ttl <= 0`` disables the cache.  Outcomes are
-    exported as ``registry_cache_total{outcome=hit|miss|coalesced}`` on
-    ``metrics``.
-    """
-
-    def __init__(
-        self,
-        resolve: Callable[[str], ServiceRecord],
-        now: Callable[[], float],
-        ttl: float,
-        metrics: MetricsRegistry,
-    ) -> None:
-        self._resolve = resolve
-        self._now = now
-        self._ttl = ttl
-        counter = metrics.counter(
-            "registry_cache_total", "lookup cache outcomes, by outcome"
-        )
-        self._m_hits = counter.labels(outcome="hit")
-        self._m_misses = counter.labels(outcome="miss")
-        self._m_coalesced = counter.labels(outcome="coalesced")
-        self._flight: SingleFlight[ServiceRecord] = SingleFlight()
-        #: logical -> (record, deadline); plain dict, no lock — single-key
-        #: get/set/pop are atomic under the GIL and a racing reader at
-        #: worst re-resolves through the owner's slow path
-        self._entries: dict[str, tuple[ServiceRecord, float]] = {}
-        #: logical -> fill generation, bumped by every invalidate: a fill
-        #: stores only if its name's has not moved while it resolved
-        self._generations: dict[str, int] = {}
-        #: makes a fill's check-and-store atomic against an invalidate
-        self._fill_lock = threading.Lock()
-
-    def get(self, logical: str) -> ServiceRecord:
-        if self._ttl <= 0:
-            return self._resolve(logical)
-        entry = self._entries.get(logical)
-        if entry is not None:
-            record, deadline = entry
-            if deadline >= self._now() and record.enabled:
-                self._m_hits.inc()
-                return record
-            self._entries.pop(logical, None)
-        coalesced = False
-        try:
-            record, coalesced = self._flight.run(
-                logical, lambda: self._fill(logical)
-            )
-        finally:
-            (self._m_coalesced if coalesced else self._m_misses).inc()
-        return record
-
-    def _fill(self, logical: str) -> ServiceRecord:
-        generation = self._generations.get(logical)
-        record = self._resolve(logical)
-        with self._fill_lock:
-            if self._generations.get(logical) == generation:
-                self._entries[logical] = (record, self._now() + self._ttl)
-        return record
-
-    def invalidate(self, logical: str) -> None:
-        """Drop a cached lookup after any mutation of its record, and
-        keep a fill already resolving it from storing what it found."""
-        with self._fill_lock:
-            self._generations[logical] = self._generations.get(logical, 0) + 1
-            self._entries.pop(logical, None)
-
-    def stats(self) -> dict[str, float]:
-        hits = float(self._m_hits.get())
-        misses = float(self._m_misses.get())
-        total = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "coalesced": float(self._m_coalesced.get()),
-            "hit_rate": hits / total if total else 0.0,
-        }
 
 
 @dataclass
@@ -282,7 +194,6 @@ class ServiceRegistry:
         persist_path: str | None = None,
         selector: Callable[[ServiceRecord], str] | None = None,
         metrics: MetricsRegistry | None = None,
-        lookup_cache_ttl: float = 5.0,
         peer_id: str = LOCAL_PEER,
         journal: MessageJournal | None = None,
     ) -> None:
@@ -290,15 +201,6 @@ class ServiceRegistry:
         (:class:`~repro.util.textdb.TextFileMap`), reloaded at construction.
         ``journal`` logs every entry state instead (or as well), and a
         registry reopening a journal rebuilds itself from it.
-
-        ``lookup_cache_ttl`` enables a read-through :class:`LookupCache`
-        in front of :meth:`lookup`: the dispatchers resolve the same
-        handful of logical names once per message, and the CxThread path
-        should not pay the registry lock per message.  Every change of an
-        entry — local (:meth:`register`, :meth:`unregister`,
-        :meth:`set_enabled`) or gossip-applied — invalidates that name's
-        cache entry immediately; the TTL only bounds staleness against
-        *external* mutation of the backing file.  ``0`` disables the cache.
 
         ``peer_id`` names this registry in the stamps of its writes; peers
         that gossip with each other need distinct ones."""
@@ -324,13 +226,6 @@ class ServiceRegistry:
             "registry_gossip_entries_applied_total",
             "remote entry states merged in, by peer",
         ).labels(peer=peer_id)
-        # the cache reaches back weakly: a registry nobody holds is freed
-        # at once, and leaves what registry_services{peer} reads
-        this = weakref.ref(self)
-        self._cache = LookupCache(
-            lambda logical: this()._lookup_uncached(logical), time.monotonic,
-            lookup_cache_ttl, self.metrics,
-        )
         _count_services(self.metrics, peer_id, self)
         self._db = TextFileMap(persist_path) if persist_path else None
         self._selector = selector or (lambda record: record.physical[0])
@@ -417,7 +312,7 @@ class ServiceRegistry:
     def _merge(self, incoming: _Entry) -> _Entry | None:
         """Merge ``incoming`` into its name's entry (call with the lock
         held): advance the vector, and on a change rebuild the lookup
-        record and drop the cached one.  Returns the changed entry."""
+        record.  Returns the changed entry."""
         for lamport, peer in incoming.stamps():
             if lamport > self._vv.get(peer, 0):
                 self._vv[peer] = lamport
@@ -435,7 +330,6 @@ class ServiceRegistry:
             )
         else:
             self._records.pop(entry.logical, None)
-        self._cache.invalidate(entry.logical)
         return entry
 
     def _persist(self, entry: _Entry) -> None:
@@ -486,40 +380,32 @@ class ServiceRegistry:
     def lookup(self, logical: str) -> ServiceRecord:
         """Full record for a logical address (raises UnknownServiceError).
 
-        Read-through cached (see ``lookup_cache_ttl``): a hit returns the
-        live record without resolving under the registry lock; a miss
-        does.  Unknown/disabled names are never negatively cached — a
-        service that registers becomes resolvable immediately.
+        One read of the entry map under the registry lock: what the last
+        change of the entry (local or gossip-applied) left is what this
+        returns, so a name registered after a failed lookup resolves at
+        once.
         """
-        self._m_lookups.inc()
-        if not self._available:
-            raise RegistryUnavailable(f"registry {self.peer_id} is unavailable")
-        record = self._cache.get(logical)
-        with self._lock:
-            self._lookups += 1
-        return record
-
-    def _lookup_uncached(self, logical: str) -> ServiceRecord:
-        """The locked slow path behind the cache."""
-        with self._lock:
-            record = self._records.get(logical)
-            if record is None or not record.enabled:
-                # a found record is counted by lookup(), hit or not
-                self._lookups += 1
-                self._misses += 1
-                miss = True
-            else:
-                miss = False
-        if miss:
-            self._m_misses.inc()
-            raise UnknownServiceError(logical)
-        return record
+        return self._find(logical, None)
 
     def resolve(self, logical: str) -> str:
-        """One physical address for a logical name, via the selector policy."""
-        record = self.lookup(logical)
+        """One physical address for a logical name, via the selector policy
+        (applied in the same critical section as the read)."""
+        return self._find(logical, self._selector)
+
+    def _find(self, logical: str, select: Callable[[ServiceRecord], str] | None):
+        """The enabled record for ``logical``, or ``select(record)``, read
+        and counted under one lock acquisition."""
+        self._m_lookups.inc()
         with self._lock:
-            return self._selector(record)
+            if not self._available:
+                raise RegistryUnavailable(f"registry {self.peer_id} is unavailable")
+            self._lookups += 1
+            record = self._records.get(logical)
+            if record is not None and record.enabled:
+                return record if select is None else select(record)
+            self._misses += 1
+        self._m_misses.inc()
+        raise UnknownServiceError(logical)
 
     def set_available(self, available: bool) -> None:
         """Fault injection switch: an unavailable registry refuses every
@@ -628,11 +514,6 @@ class ServiceRegistry:
                 "durable": self.journal is not None,
                 **self.stats,
             }
-
-    def cache_stats(self) -> dict[str, float]:
-        """Lookup-cache effectiveness (also exported as
-        ``registry_cache_total{outcome=hit|miss|coalesced}``)."""
-        return self._cache.stats()
 
     # -- liveness (future work: "checking if service is alive") -----------
     def check_alive(

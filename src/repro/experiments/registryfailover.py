@@ -105,8 +105,7 @@ def run_point(
     }
 
     client = ReplicatedRegistryClient(
-        dict(slots), seed=seed, cache_ttl=0.0, clock=sim.clock,
-        metrics=metrics,
+        dict(slots), seed=seed, metrics=metrics,
     )
     client.register("echo", "http://sink:9000/echo")
     # kill the replica every sweep tries first — the strongest failover

@@ -9,8 +9,7 @@ adds what N of them need:
   compare, delta sync, the HTTP endpoint, and the simulated periodic
   driver;
 - :mod:`repro.registry.client` — replica failover for the dispatchers:
-  one sweep in a shuffled preference order, never a wait, and a TTL
-  cache with single-flight misses.
+  one sweep in a shuffled preference order per call, never a wait.
 """
 
 from repro.registry.client import ReplicatedRegistryClient

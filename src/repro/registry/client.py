@@ -3,12 +3,11 @@
 :class:`ReplicatedRegistryClient` is a drop-in for the dispatchers'
 ``registry`` slot (threaded, simnet, and aio alike — they only call
 ``lookup``/``resolve``): reads and writes sweep the replica set once, in
-a seeded-shuffled preference order.  The shared TTL read-through
-:class:`~repro.core.registry.LookupCache` sits on top, so concurrent
-misses for one name collapse into one sweep.
+a seeded-shuffled preference order.
 
 A call never waits: a replica is a registry handle that answers or
-raises at once, and the client makes one sweep and no retry pass.  The retry is the caller's — the dispatchers park a message whose
+raises at once, and the client makes one sweep and no retry pass.  The
+retry is the caller's — the dispatchers park a message whose
 lookup found no replica under ``hold+resolve:`` and the hold pump
 re-routes it.
 
@@ -31,7 +30,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable
 
-from repro.core.registry import LookupCache, ServiceRecord
+from repro.core.registry import ServiceRecord
 from repro.errors import (
     RegistryError,
     RegistryUnavailable,
@@ -39,11 +38,10 @@ from repro.errors import (
     UnknownServiceError,
 )
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.util.clock import Clock, MonotonicClock
 
 
 class ReplicatedRegistryClient:
-    """Fronts N replicated registries with one failover sweep and a cache.
+    """Fronts N replicated registries with one failover sweep per call.
 
     ``replicas`` maps replica name → a registry handle (a
     :class:`~repro.core.registry.ServiceRegistry` peer); the handle's
@@ -55,14 +53,11 @@ class ReplicatedRegistryClient:
         self,
         replicas: "dict[str, object] | Iterable[tuple[str, object]]",
         seed: int | None = None,
-        cache_ttl: float = 5.0,
-        clock: Clock | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self._replicas = dict(replicas)
         if not self._replicas:
             raise RegistryError("ReplicatedRegistryClient needs >=1 replica")
-        self.clock = clock or MonotonicClock()
         self.metrics = metrics if metrics is not None else default_registry()
         #: fixed per-client preference order: a seeded shuffle spreads
         #: load across replicas fleet-wide while keeping each client's
@@ -73,15 +68,12 @@ class ReplicatedRegistryClient:
             "registry_client_failover_total",
             "lookup attempts that skipped past a failed replica",
         )
-        self._cache = LookupCache(
-            lambda logical: self._sweep(lambda h: h.lookup(logical)),
-            self.clock.now, cache_ttl, self.metrics,
-        )
 
     # -- reads -------------------------------------------------------------
     def lookup(self, logical: str) -> ServiceRecord:
-        """Resolve through cache → single-flight → replica sweep."""
-        return self._cache.get(logical)
+        """The record of the first replica in preference order that knows
+        ``logical`` (one sweep)."""
+        return self._sweep(lambda h: h.lookup(logical))
 
     def resolve(self, logical: str) -> str:
         return self.lookup(logical).physical[0]
@@ -94,16 +86,12 @@ class ReplicatedRegistryClient:
         physical: str | list[str],
         metadata: dict[str, str] | None = None,
     ) -> ServiceRecord:
-        record = self._sweep(
+        return self._sweep(
             lambda h: h.register(logical, physical, metadata=metadata)
         )
-        self._cache.invalidate(logical)
-        return record
 
     def unregister(self, logical: str) -> bool:
-        existed = self._sweep(lambda h: h.unregister(logical))
-        self._cache.invalidate(logical)
-        return existed
+        return self._sweep(lambda h: h.unregister(logical))
 
     # -- the failover sweep ------------------------------------------------
     def _sweep(self, op: Callable[[object], object]):
@@ -146,9 +134,6 @@ class ReplicatedRegistryClient:
         """The failover preference order (shuffled once per client)."""
         return list(self._order)
 
-    def cache_stats(self) -> dict[str, float]:
-        return self._cache.stats()
-
     def health_snapshot(self) -> dict:
         """Per-replica health for ``GET /health`` (register via
         ``Introspection.add_health_source("registry", ...)``)."""
@@ -158,5 +143,4 @@ class ReplicatedRegistryClient:
                 name: self._replicas[name].snapshot()
                 for name in self._order
             },
-            "cache": self.cache_stats(),
         }

@@ -7,7 +7,7 @@ dependencies outside the standard library.
 from repro.util.ids import IdGenerator, new_uuid
 from repro.util.clock import Clock, MonotonicClock, ManualClock
 from repro.util.stats import OnlineStats, Histogram, Counter
-from repro.util.concurrency import BoundedExecutor, ClosableQueue, SingleFlight
+from repro.util.concurrency import BoundedExecutor, ClosableQueue
 from repro.util.textdb import TextFileMap
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "Counter",
     "BoundedExecutor",
     "ClosableQueue",
-    "SingleFlight",
     "TextFileMap",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Callable, Generic, Optional, TypeVar
+from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
@@ -274,58 +274,3 @@ class BoundedExecutor:
             for t in pending:
                 t.join(timeout)
 
-
-class _Flight(Generic[T]):
-    """One in-progress call shared by a leader and its waiters."""
-
-    __slots__ = ("done", "result", "exc")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Optional[T] = None
-        self.exc: BaseException | None = None
-
-
-class SingleFlight(Generic[T]):
-    """Coalesce concurrent calls for the same key behind one execution.
-
-    The first caller for a key becomes the *leader* and runs ``fn``;
-    callers that arrive while the leader is in flight block and share the
-    leader's result (or exception).  The flight is retired before waiters
-    wake, so a call that starts *after* the leader finished always runs
-    fresh — stale results are never replayed.
-
-    This is stampede protection for read-through caches: N concurrent
-    misses for one registry name collapse into one trip to the backing
-    store (or one failover sweep across replicated registries).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: dict[object, _Flight[T]] = {}
-
-    def run(self, key: object, fn: Callable[[], T]) -> tuple[T, bool]:
-        """Run ``fn`` (or wait for the in-flight run); returns
-        ``(result, coalesced)`` where ``coalesced`` is True for waiters
-        that shared a leader's flight."""
-        with self._lock:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                self._flights[key] = flight
-        if leader:
-            try:
-                flight.result = fn()
-            except BaseException as exc:
-                flight.exc = exc
-                raise
-            finally:
-                with self._lock:
-                    self._flights.pop(key, None)
-                flight.done.set()
-            return flight.result, False
-        flight.done.wait()
-        if flight.exc is not None:
-            raise flight.exc
-        return flight.result, True

@@ -106,6 +106,50 @@ class TestRegistry:
             t.join()
         assert len(reg) == 400
 
+    def test_a_name_registered_after_a_failed_lookup_resolves_at_once(self):
+        reg = ServiceRegistry()
+        with pytest.raises(UnknownServiceError):
+            reg.lookup("ghost")
+        reg.register("ghost", "http://ws:9000/ghost")
+        assert reg.lookup("ghost").logical == "ghost"
+
+    def test_each_mutators_change_is_what_the_next_lookup_returns(self):
+        """A gossip-applied change is too: tests/registry/test_model.py and
+        the registry contract."""
+        reg = ServiceRegistry()
+        reg.register("svc", "http://a:1/svc")
+
+        def physical():
+            return list(reg.lookup("svc").physical)
+
+        assert physical() == ["http://a:1/svc"]
+
+        reg.register("svc", ["http://a:1/svc", "http://b:2/svc"])
+        assert physical() == ["http://a:1/svc", "http://b:2/svc"]
+
+        reg.register("svc", "http://c:3/svc")  # re-register replaces record
+        assert physical() == ["http://c:3/svc"]
+
+        reg.set_enabled("svc", False)
+        with pytest.raises(UnknownServiceError):
+            reg.lookup("svc")
+        reg.set_enabled("svc", True)
+        assert physical() == ["http://c:3/svc"]
+
+        reg.unregister("svc")
+        with pytest.raises(UnknownServiceError):
+            reg.lookup("svc")
+
+    def test_a_disabled_record_is_never_served(self):
+        reg = ServiceRegistry()
+        reg.register("svc", "http://a:1/svc")
+        reg.lookup("svc")
+        reg.set_enabled("svc", False)
+        with pytest.raises(UnknownServiceError):
+            reg.lookup("svc")
+        with pytest.raises(UnknownServiceError):
+            reg.resolve("svc")
+
 
 class TestRegistryService:
     def call(self, svc, op, params):
@@ -163,80 +207,3 @@ class TestRegistryService:
         html = RegistryService(ServiceRegistry()).render_listing()
         assert "no services" in html
 
-
-class TestLookupCache:
-    """Read-through cache in front of ``lookup`` (the CxThread hot path)."""
-
-    def _registry(self, ttl=5.0):
-        from repro.obs.metrics import MetricsRegistry
-
-        return ServiceRegistry(metrics=MetricsRegistry(), lookup_cache_ttl=ttl)
-
-    def test_repeat_lookups_hit_the_cache(self):
-        reg = self._registry()
-        reg.register("echo", "http://ws:9000/echo")
-        for _ in range(10):
-            assert reg.lookup("echo").logical == "echo"
-        stats = reg.cache_stats()
-        assert stats == {
-            "hits": 9.0, "misses": 1.0, "coalesced": 0.0, "hit_rate": 0.9,
-        }
-
-    def test_resolve_goes_through_the_cache(self):
-        reg = self._registry()
-        reg.register("echo", "http://ws:9000/echo")
-        for _ in range(5):
-            assert reg.resolve("echo") == "http://ws:9000/echo"
-        assert reg.cache_stats()["hits"] == 4.0
-
-    def test_zero_ttl_disables_the_cache(self):
-        reg = self._registry(ttl=0)
-        reg.register("echo", "http://ws:9000/echo")
-        reg.lookup("echo")
-        reg.lookup("echo")
-        assert reg.cache_stats() == {
-            "hits": 0.0, "misses": 0.0, "coalesced": 0.0, "hit_rate": 0.0,
-        }
-
-    def test_unknown_name_is_never_negatively_cached(self):
-        reg = self._registry()
-        with pytest.raises(UnknownServiceError):
-            reg.lookup("ghost")
-        reg.register("ghost", "http://ws:9000/ghost")
-        # resolvable immediately — no stale negative entry
-        assert reg.lookup("ghost").logical == "ghost"
-
-    def test_every_mutator_invalidates(self):
-        """All three mutators must drop the cached record immediately
-        (a gossip-applied change does too: tests/registry/test_model.py)."""
-        reg = self._registry()
-        reg.register("svc", "http://a:1/svc")
-
-        def cached_physical():
-            return list(reg.lookup("svc").physical)
-
-        assert cached_physical() == ["http://a:1/svc"]
-
-        reg.register("svc", ["http://a:1/svc", "http://b:2/svc"])
-        assert cached_physical() == ["http://a:1/svc", "http://b:2/svc"]
-
-        reg.register("svc", "http://c:3/svc")  # re-register replaces record
-        assert cached_physical() == ["http://c:3/svc"]
-
-        reg.set_enabled("svc", False)
-        with pytest.raises(UnknownServiceError):
-            reg.lookup("svc")
-        reg.set_enabled("svc", True)
-        assert cached_physical() == ["http://c:3/svc"]
-
-        reg.unregister("svc")
-        with pytest.raises(UnknownServiceError):
-            reg.lookup("svc")
-
-    def test_disabled_record_never_served_from_cache(self):
-        reg = self._registry()
-        reg.register("svc", "http://a:1/svc")
-        reg.lookup("svc")  # populate cache
-        reg.set_enabled("svc", False)
-        with pytest.raises(UnknownServiceError):
-            reg.lookup("svc")

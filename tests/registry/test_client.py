@@ -1,6 +1,7 @@
-"""ReplicatedRegistryClient: the one failover sweep, staleness bias, the
-TTL/single-flight cache, and drop-in use as a dispatcher registry."""
+"""ReplicatedRegistryClient: the one failover sweep, staleness bias,
+writes, and drop-in use as a dispatcher registry."""
 
+import time
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceStore
 from repro.registry import ReplicatedRegistryClient, sync_pair
-from repro.util.clock import ManualClock
 from repro.util.ids import IdGenerator
 from repro.workload.echo import make_echo_message
 from repro.rt.service import RequestContext
@@ -52,7 +52,7 @@ def failover_count(client):
 
 def test_lookup_fails_over_past_unavailable_replica():
     replicas = make_cluster()
-    client = make_client(replicas, cache_ttl=0.0)
+    client = make_client(replicas)
     replicas[client.replica_names[0]].set_available(False)
     # every sweep asks the dark first preference, counts it, and moves on
     for n in range(1, 4):
@@ -64,7 +64,7 @@ def test_sweep_rides_out_stale_replica_answering_unknown():
     """A reachable replica that answers "unknown" must not end the sweep:
     a peer that has converged further may still know the name."""
     replicas = make_cluster(registered=())
-    client = make_client(replicas, cache_ttl=0.0)
+    client = make_client(replicas)
     # only the *last*-preference replica knows the service (the others
     # are healthy but stale, e.g. freshly restarted from a journal)
     straggler = client.replica_names[-1]
@@ -74,25 +74,30 @@ def test_sweep_rides_out_stale_replica_answering_unknown():
     assert failover_count(client) == 0
 
 
-def test_unknown_everywhere_is_authoritative_no_retry_passes():
-    clock = ManualClock()
-    client = make_client(make_cluster(registered=()), cache_ttl=0.0, clock=clock)
+def no_sleep(monkeypatch):
+    def forbidden(seconds):
+        raise AssertionError(f"the client slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", forbidden)
+
+
+def test_unknown_everywhere_is_authoritative_no_retry_passes(monkeypatch):
+    no_sleep(monkeypatch)
+    client = make_client(make_cluster(registered=()))
     with pytest.raises(UnknownServiceError):
         client.lookup("ghost")
-    assert clock.now() == 0.0  # nothing was slept
 
 
-def test_all_replicas_down_raises_registry_unavailable():
+def test_all_replicas_down_raises_registry_unavailable(monkeypatch):
     """One sweep and no wait: the caller (a dispatcher parking under
     ``hold+resolve:``) owns the retry."""
-    clock = ManualClock()
+    no_sleep(monkeypatch)
     replicas = make_cluster()
     for replica in replicas.values():
         replica.set_available(False)
-    client = make_client(replicas, cache_ttl=0.0, clock=clock)
+    client = make_client(replicas)
     with pytest.raises(RegistryUnavailable):
         client.lookup("echo")
-    assert clock.now() == 0.0  # nothing was slept
     assert failover_count(client) == 3  # one pass x 3 replicas
 
 
@@ -103,25 +108,16 @@ def test_bad_request_raises_immediately_without_failover():
     assert failover_count(client) == 0
 
 
-def test_cache_ttl_hit_expiry_and_write_invalidation():
-    clock = ManualClock()
-    replicas = make_cluster()
-    client = make_client(replicas, cache_ttl=5.0, clock=clock)
-    client.lookup("echo")
-    client.lookup("echo")
-    stats = client.cache_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 1
-    clock.advance(6.0)  # past the TTL: the entry is stale
-    client.lookup("echo")
-    assert client.cache_stats()["misses"] == 2
-    # a write through the client invalidates its own cache entry
+def test_a_write_through_the_client_is_what_its_next_lookup_returns():
+    client = make_client(make_cluster())
+    assert client.lookup("echo").physical == ["http://ws:9000/echo"]
     client.register("echo", "http://ws:9001/echo-v2")
     assert client.lookup("echo").physical == ["http://ws:9001/echo-v2"]
 
 
 def test_writes_propagate_to_peers_via_gossip():
     replicas = make_cluster(registered=())
-    client = make_client(replicas, cache_ttl=0.0)
+    client = make_client(replicas)
     client.register("svc", "http://ws:9000/svc")
     first = client.replica_names[0]
     names = list(replicas)
@@ -148,7 +144,7 @@ def test_health_snapshot_lists_every_replica():
     assert set(snap["replicas"]) == set(replicas)
     for name, entry in snap["replicas"].items():
         assert entry["available"] is (name != down)
-    assert snap["cache"]["misses"] == 1
+    assert set(snap) == {"order", "replicas"}
 
 
 def test_rejects_empty_replica_set():
@@ -162,7 +158,7 @@ def test_dispatcher_routes_through_replicated_client(dispatcher_backend):
     and keep delivering while the preferred replica is dark."""
     metrics = MetricsRegistry()
     replicas = make_cluster(registered=("echo",))
-    registry = make_client(replicas, cache_ttl=0.0, metrics=metrics)
+    registry = make_client(replicas, metrics=metrics)
     http = FakeClient(failing=False)
     dispatcher = dispatcher_backend.make_dispatcher(
         registry, http, own_address="http://wsd:8000/msg",

@@ -66,10 +66,6 @@ ALLOWED: dict[str, tuple[str, str]] = {
         "tests/http/test_server_contract.py",
         "a timing value: tests shorten it to see an idle connection expire",
     ),
-    "ServiceRegistry.lookup_cache_ttl": (
-        "tests/core/test_registry.py",
-        "a timing value: tests set 0 to read through a disabled lookup cache",
-    ),
     "MailboxStore.message_ttl": (
         "tests/msgbox/test_store.py",
         "a timing value: tests set it to expire stored messages on a manual clock",
